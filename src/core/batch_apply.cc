@@ -6,19 +6,20 @@ void ApplyBatchWritesToTree(merkle::MerkleTree* tree,
                             const storage::PartitionMap& pmap,
                             PartitionId self, const storage::Batch& batch,
                             const TxnResolver& resolve) {
-  for (const Transaction& t : batch.local) {
-    for (const WriteOp& w : pmap.WritesFor(t, self)) {
-      tree->Put(w.key, w.value, batch.id);
+  // Batch order: local transactions, then committed distributed ones.
+  std::vector<merkle::MerkleTree::Write> writes;
+  auto collect = [&](const Transaction& t) {
+    for (const WriteOp& w : t.write_set) {
+      if (pmap.OwnerOf(w.key) == self) writes.push_back({&w.key, &w.value});
     }
-  }
+  };
+  for (const Transaction& t : batch.local) collect(t);
   for (const storage::CommitRecord& rec : batch.committed) {
     if (!rec.committed) continue;
     const Transaction* t = resolve(rec.txn_id);
-    if (t == nullptr) continue;
-    for (const WriteOp& w : pmap.WritesFor(*t, self)) {
-      tree->Put(w.key, w.value, batch.id);
-    }
+    if (t != nullptr) collect(*t);
   }
+  tree->PutBatch(writes, batch.id);
 }
 
 void ApplyBatchWritesToTree(merkle::MerkleTree* tree,

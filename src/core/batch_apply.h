@@ -20,7 +20,8 @@ using TxnResolver = std::function<const Transaction*(TxnId)>;
 /// Applies the writes a batch commits (local transactions + committed
 /// distributed transactions) to `tree`, restricted to partition `self`'s
 /// keys. Write sets of commit records are resolved through `resolve`.
-/// Shared by the leader's proposal path and replica re-validation.
+/// The writes go in as one `MerkleTree::PutBatch`. Shared by the leader's
+/// proposal path, replica re-validation and linear-vote catch-up.
 void ApplyBatchWritesToTree(merkle::MerkleTree* tree,
                             const storage::PartitionMap& pmap,
                             PartitionId self, const storage::Batch& batch,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <utility>
 
 #include "core/augustus_baseline.h"
@@ -378,6 +379,7 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
       group_ids.push_back(rec.prepared_in_batch);
     }
   }
+  std::vector<txn::PrepareGroup> groups;
   for (BatchId gid : group_ids) {
     Result<txn::PrepareGroup> popped = prepared_batches_.PopGroup(gid);
     assert(popped.ok());
@@ -386,7 +388,22 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
     for (txn::PendingTxn& pending : group.txns) {
       pending_index_.Remove(pending.txn);
     }
-    entry.groups.push_back(std::move(group));
+    groups.push_back(std::move(group));
+  }
+  // Resolve the committed write set once: the popped transactions whose
+  // (first) commit record commits them, in group order. Decide-time
+  // bookkeeping, the apply cost and the store apply all walk this list.
+  std::map<TxnId, bool> decisions;
+  for (const storage::CommitRecord& rec : batch.committed) {
+    decisions.emplace(rec.txn_id, rec.committed);
+  }
+  for (txn::PrepareGroup& group : groups) {
+    for (txn::PendingTxn& pending : group.txns) {
+      auto it = decisions.find(pending.txn.id);
+      if (it != decisions.end() && it->second) {
+        entry.committed.push_back(std::move(pending.txn));
+      }
+    }
   }
 
   // Register the new prepare group so the read-only segment of a later
@@ -410,17 +427,7 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
     }
   };
   for (const Transaction& t : batch.local) record_decided_write(t);
-  for (const txn::PrepareGroup& group : entry.groups) {
-    for (const txn::PendingTxn& pending : group.txns) {
-      auto rec_it = std::find_if(batch.committed.begin(), batch.committed.end(),
-                                 [&](const storage::CommitRecord& r) {
-                                   return r.txn_id == pending.txn.id;
-                                 });
-      if (rec_it != batch.committed.end() && rec_it->committed) {
-        record_decided_write(pending.txn);
-      }
-    }
-  }
+  for (const Transaction& t : entry.committed) record_decided_write(t);
   decided_tree_ = post_tree.Clone();
   entry.post_tree = std::move(post_tree);
 
@@ -474,17 +481,7 @@ sim::Time TransEdgeNode::ApplyCostFor(const PendingApply& entry) const {
     }
   };
   for (const Transaction& t : batch.local) count(t);
-  for (const txn::PrepareGroup& group : entry.groups) {
-    for (const txn::PendingTxn& pending : group.txns) {
-      auto rec_it = std::find_if(batch.committed.begin(), batch.committed.end(),
-                                 [&](const storage::CommitRecord& r) {
-                                   return r.txn_id == pending.txn.id;
-                                 });
-      if (rec_it != batch.committed.end() && rec_it->committed) {
-        count(pending.txn);
-      }
-    }
-  }
+  for (const Transaction& t : entry.committed) count(t);
   return ShardedApplyCost(n, loads);
 }
 
@@ -504,25 +501,13 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
       decided_versions_.erase(it);
     }
   };
-  for (const Transaction& t : batch.local) {
+  auto apply_txn = [&](const Transaction& t) {
     for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
       apply_write(w);
     }
-  }
-  for (txn::PrepareGroup& group : entry.groups) {
-    for (txn::PendingTxn& pending : group.txns) {
-      auto rec_it = std::find_if(batch.committed.begin(), batch.committed.end(),
-                                 [&](const storage::CommitRecord& r) {
-                                   return r.txn_id == pending.txn.id;
-                                 });
-      if (rec_it != batch.committed.end() && rec_it->committed) {
-        for (const WriteOp& w :
-             partition_map_.WritesFor(pending.txn, partition_)) {
-          apply_write(w);
-        }
-      }
-    }
-  }
+  };
+  for (const Transaction& t : batch.local) apply_txn(t);
+  for (const Transaction& t : entry.committed) apply_txn(t);
 
   tree_ = std::move(entry.post_tree);
   snapshots_.push_back(tree_.GetSnapshot());

@@ -189,13 +189,14 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   BatchId LatestDecidedVersion(const Key& key) const override;
 
   /// A decided batch waiting for its storage apply: the post-state tree
-  /// consensus certified and the prepare groups its committed segment
-  /// consumed (popped at decide time, before any later decide can touch
-  /// the queue). The batch itself lives in the log.
+  /// consensus certified and the distributed transactions its committed
+  /// segment commits, in prepare-group order (resolved once at decide
+  /// time, from groups popped before any later decide can touch the
+  /// queue). The batch itself lives in the log.
   struct PendingApply {
     BatchId id = kNoBatch;
     merkle::MerkleTree post_tree;
-    std::vector<txn::PrepareGroup> groups;
+    std::vector<Transaction> committed;
   };
 
   /// Consensus `on_decided` hook. Runs the decide-time metadata

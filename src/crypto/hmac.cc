@@ -4,7 +4,7 @@
 
 namespace transedge::crypto {
 
-Digest HmacSha256(const Bytes& key, const uint8_t* data, size_t len) {
+HmacKey::HmacKey(const Bytes& key) {
   constexpr size_t kBlockSize = 64;
   uint8_t key_block[kBlockSize];
   std::memset(key_block, 0, kBlockSize);
@@ -22,16 +22,22 @@ Digest HmacSha256(const Bytes& key, const uint8_t* data, size_t len) {
     ipad[i] = key_block[i] ^ 0x36;
     opad[i] = key_block[i] ^ 0x5c;
   }
+  inner_.Update(ipad, kBlockSize);
+  outer_.Update(opad, kBlockSize);
+}
 
-  Sha256 inner;
-  inner.Update(ipad, kBlockSize);
+Digest HmacKey::Mac(const uint8_t* data, size_t len) const {
+  Sha256 inner = inner_;
   inner.Update(data, len);
   Digest inner_digest = inner.Finish();
 
-  Sha256 outer;
-  outer.Update(opad, kBlockSize);
+  Sha256 outer = outer_;
   outer.Update(inner_digest.bytes.data(), inner_digest.bytes.size());
   return outer.Finish();
+}
+
+Digest HmacSha256(const Bytes& key, const uint8_t* data, size_t len) {
+  return HmacKey(key).Mac(data, len);
 }
 
 Digest HmacSha256(const Bytes& key, const Bytes& data) {

@@ -2,6 +2,13 @@
 
 #include <cstring>
 
+#include "crypto/sha256_internal.h"
+
+#ifdef TRANSEDGE_SHA256_HAVE_SHANI
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace transedge::crypto {
 
 namespace {
@@ -27,7 +34,172 @@ constexpr uint32_t kRound[64] = {
 
 inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+void StoreDigest(const uint32_t state[8], Digest* out) {
+  for (int i = 0; i < 8; ++i) {
+    out->bytes[i * 4 + 0] = static_cast<uint8_t>(state[i] >> 24);
+    out->bytes[i * 4 + 1] = static_cast<uint8_t>(state[i] >> 16);
+    out->bytes[i * 4 + 2] = static_cast<uint8_t>(state[i] >> 8);
+    out->bytes[i * 4 + 3] = static_cast<uint8_t>(state[i]);
+  }
+}
+
+/// The final block of every 64-byte message: the 0x80 marker, zeros, and
+/// the bit length 512 big-endian.
+constexpr std::array<uint8_t, 64> kPadFor64 = [] {
+  std::array<uint8_t, 64> pad{};
+  pad[0] = 0x80;
+  pad[62] = 0x02;
+  return pad;
+}();
+
+internal::CompressFn ResolveCompress() {
+#ifdef TRANSEDGE_SHA256_HAVE_SHANI
+  if (internal::CpuHasShaNi()) return internal::CompressShaNi;
+#endif
+  return internal::CompressPortable;
+}
+
+/// The implementation for this CPU, chosen on first use. A function-local
+/// static rather than a namespace-scope one: other translation units hash
+/// during their own static initialization.
+void Compress(uint32_t state[8], const uint8_t* blocks, size_t count) {
+  static const internal::CompressFn fn = ResolveCompress();
+  fn(state, blocks, count);
+}
+
 }  // namespace
+
+namespace internal {
+
+void CompressPortable(uint32_t state[8], const uint8_t* blocks,
+                      size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<uint32_t>(blocks[i * 4]) << 24) |
+             (static_cast<uint32_t>(blocks[i * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(blocks[i * 4 + 2]) << 8) |
+             static_cast<uint32_t>(blocks[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      uint32_t ch = (e & f) ^ (~e & g);
+      uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
+      uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef TRANSEDGE_SHA256_HAVE_SHANI
+
+// The SHA extensions keep the working variables as two vectors, ABEF and
+// CDGH; each sha256rnds2 runs two rounds, and msg1/msg2 expand the
+// message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* blocks, size_t count) {
+  // Byte-swaps each 32-bit lane: the message words are big-endian.
+  const __m128i kSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+  __m128i tmp =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i cdgh =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);            // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);          // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);       // CDGH
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_save = abef;
+    const __m128i cdgh_save = cdgh;
+
+    // msg[i & 3] holds schedule words 4i..4i+3 for round group i.
+    __m128i msg[4];
+    for (int i = 0; i < 4; ++i) {
+      msg[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          kSwap);
+    }
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      __m128i wk = _mm_add_epi32(
+          msg[i & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRound[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (i >= 3 && i < 15) {
+        // Finish words 4(i+1).. from words 4(i-3).. (msg1 already applied).
+        __m128i& next = msg[(i + 1) & 3];
+        next = _mm_add_epi32(
+            next, _mm_alignr_epi8(msg[i & 3], msg[(i - 1) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, msg[i & 3]);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (i >= 1 && i < 13) {
+        // Start words 4(i+3).. in the slot of words 4(i-1)...
+        __m128i& prev = msg[(i - 1) & 3];
+        prev = _mm_sha256msg1_epu32(prev, msg[i & 3]);
+      }
+    }
+
+    abef = _mm_add_epi32(abef, abef_save);
+    cdgh = _mm_add_epi32(cdgh, cdgh_save);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);      // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);     // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);  // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
+}
+
+bool CpuHasShaNi() {
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool ssse3 = (ecx >> 9) & 1;
+  const bool sse41 = (ecx >> 19) & 1;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx >> 29) & 1;
+  return sha && ssse3 && sse41;
+}
+
+#else
+
+bool CpuHasShaNi() { return false; }
+
+#endif  // TRANSEDGE_SHA256_HAVE_SHANI
+
+}  // namespace internal
 
 bool Digest::IsZero() const {
   for (uint8_t b : bytes) {
@@ -52,88 +224,47 @@ void Sha256::Reset() {
 
 void Sha256::Update(const uint8_t* data, size_t len) {
   bit_count_ += static_cast<uint64_t>(len) * 8;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     size_t take = 64 - buffer_len_;
     if (take > len) take = len;
     std::memcpy(buffer_ + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
+  }
+  // Whole blocks straight from the input, then buffer the tail.
+  if (len >= 64) {
+    Compress(state_, data, len / 64);
+    data += len & ~size_t{63};
+    len &= 63;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_, data, len);
+    buffer_len_ = len;
   }
 }
 
 Digest Sha256::Finish() {
   // Padding: 0x80, zeros, then the 64-bit big-endian bit count.
-  uint64_t bit_count = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    // Update() adjusts bit_count_, but padding does not count; we saved it.
-    Update(&zero, 1);
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_count >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  Update(len_be, 8);
+  Compress(state_, buffer_, 1);
+  buffer_len_ = 0;
 
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out.bytes[i * 4 + 0] = static_cast<uint8_t>(state_[i] >> 24);
-    out.bytes[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out.bytes[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out.bytes[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
-  }
+  StoreDigest(state_, &out);
   return out;
-}
-
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    uint32_t ch = (e & f) ^ (~e & g);
-    uint32_t temp1 = h + s1 + ch + kRound[i] + w[i];
-    uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Digest Sha256::Hash(const uint8_t* data, size_t len) {
@@ -143,10 +274,18 @@ Digest Sha256::Hash(const uint8_t* data, size_t len) {
 }
 
 Digest HashPair(const Digest& left, const Digest& right) {
-  Sha256 h;
-  h.Update(left.bytes.data(), left.bytes.size());
-  h.Update(right.bytes.data(), right.bytes.size());
-  return h.Finish();
+  // The 64-byte message is exactly one block; the padding is a second,
+  // fixed block.
+  uint8_t blocks[128];
+  std::memcpy(blocks, left.bytes.data(), 32);
+  std::memcpy(blocks + 32, right.bytes.data(), 32);
+  std::memcpy(blocks + 64, kPadFor64.data(), 64);
+  uint32_t state[8];
+  std::memcpy(state, kInit, sizeof(state));
+  Compress(state, blocks, 2);
+  Digest out;
+  StoreDigest(state, &out);
+  return out;
 }
 
 }  // namespace transedge::crypto

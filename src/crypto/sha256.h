@@ -30,7 +30,9 @@ struct Digest {
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch and verified
-/// against the NIST test vectors in sha256_test.cc.
+/// against the NIST test vectors in crypto_test.cc. Blocks are compressed
+/// with the x86 SHA extensions when the CPU has them, else with portable
+/// C++; both give the same digests (ARCHITECTURE.md, "Hashing fast path").
 class Sha256 {
  public:
   Sha256();
@@ -57,8 +59,6 @@ class Sha256 {
   }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];
@@ -66,6 +66,7 @@ class Sha256 {
 };
 
 /// Hash of the concatenation of two digests; the Merkle tree combiner.
+/// Compresses the two blocks of a 64-byte message directly.
 Digest HashPair(const Digest& left, const Digest& right);
 
 }  // namespace transedge::crypto

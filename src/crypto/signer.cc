@@ -18,34 +18,36 @@ Bytes DeriveSigningKey(uint64_t master_seed, NodeId id) {
 
 class HmacSigner : public Signer {
  public:
-  HmacSigner(NodeId id, Bytes key) : id_(id), key_(std::move(key)) {}
+  HmacSigner(NodeId id, const Bytes& key) : id_(id), key_(key) {}
 
   NodeId id() const override { return id_; }
 
   Signature Sign(const Bytes& message) const override {
-    return Signature{id_, HmacSha256(key_, message)};
+    return Signature{id_, key_.Mac(message)};
   }
 
  private:
   NodeId id_;
-  Bytes key_;
+  HmacKey key_;
 };
 
 class HmacVerifier : public Verifier {
  public:
-  HmacVerifier(uint32_t num_principals, uint64_t master_seed)
-      : num_principals_(num_principals), master_seed_(master_seed) {}
+  HmacVerifier(uint32_t num_principals, uint64_t master_seed) {
+    keys_.reserve(num_principals);
+    for (NodeId id = 0; id < num_principals; ++id) {
+      keys_.emplace_back(DeriveSigningKey(master_seed, id));
+    }
+  }
 
   bool Verify(const Bytes& message, const Signature& sig) const override {
-    if (sig.signer >= num_principals_) return false;
-    Bytes key = DeriveSigningKey(master_seed_, sig.signer);
-    Digest expected = HmacSha256(key, message);
+    if (sig.signer >= keys_.size()) return false;
+    Digest expected = keys_[sig.signer].Mac(message);
     return ConstantTimeEquals(expected, sig.mac);
   }
 
  private:
-  uint32_t num_principals_;
-  uint64_t master_seed_;
+  std::vector<HmacKey> keys_;  // Indexed by principal id.
 };
 
 }  // namespace

@@ -30,9 +30,9 @@ struct Signature {
 /// Every replica and client holds exactly one Signer for its own id; the
 /// byzantine behaviours in tests and fault-injection are built on top of
 /// this interface and therefore cannot sign as anybody else. The default
-/// implementation is HMAC-based (see DESIGN.md §1 for the substitution
-/// rationale); a real asymmetric scheme would implement the same
-/// interface.
+/// implementation is HMAC-based (see ARCHITECTURE.md, "Hashing fast path",
+/// for the substitution rationale and the cached per-key HMAC state); a
+/// real asymmetric scheme would implement the same interface.
 class Signer {
  public:
   virtual ~Signer() = default;
@@ -54,7 +54,8 @@ class Verifier {
 
 /// Trusted-setup factory for the HMAC signature scheme: derives per-node
 /// signing keys from a master seed and hands out Signers (one id each)
-/// and a shared Verifier.
+/// and a shared Verifier. The verifier derives every principal's key
+/// state once, at construction.
 class HmacSignatureScheme {
  public:
   HmacSignatureScheme(uint32_t num_principals, uint64_t master_seed);

@@ -75,42 +75,54 @@ crypto::Digest MerkleTree::DigestOf(const NodeRef& node, int level,
   return node == nullptr ? empty[level] : node->digest;
 }
 
+struct MerkleTree::LeafWrite {
+  uint32_t leaf_index;
+  BucketEntry entry;
+};
+
 MerkleTree::NodeRef MerkleTree::PutRec(
-    const NodeRef& node, int level, int depth, uint32_t leaf_index,
-    const BucketEntry& entry, const std::vector<crypto::Digest>& empty) {
+    const NodeRef& node, int level, int depth, const LeafWrite* first,
+    const LeafWrite* last, const std::vector<crypto::Digest>& empty) {
   auto next = std::make_shared<Node>();
   if (level == depth) {
     next->is_leaf = true;
     if (node != nullptr) next->bucket = node->bucket;
-    auto it = std::find_if(
-        next->bucket.begin(), next->bucket.end(),
-        [&entry](const BucketEntry& e) { return e.key == entry.key; });
-    if (it != next->bucket.end()) {
-      *it = entry;
-    } else {
-      // Keep buckets sorted so digests are canonical.
-      auto pos = std::lower_bound(
-          next->bucket.begin(), next->bucket.end(), entry,
-          [](const BucketEntry& a, const BucketEntry& b) {
-            return a.key < b.key;
-          });
-      next->bucket.insert(pos, entry);
+    for (const LeafWrite* w = first; w != last; ++w) {
+      const BucketEntry& entry = w->entry;
+      auto it = std::find_if(
+          next->bucket.begin(), next->bucket.end(),
+          [&entry](const BucketEntry& e) { return e.key == entry.key; });
+      if (it != next->bucket.end()) {
+        *it = entry;
+      } else {
+        // Keep buckets sorted so digests are canonical.
+        auto pos = std::lower_bound(
+            next->bucket.begin(), next->bucket.end(), entry,
+            [](const BucketEntry& a, const BucketEntry& b) {
+              return a.key < b.key;
+            });
+        next->bucket.insert(pos, entry);
+      }
     }
     next->digest = BucketDigest(next->bucket);
     return next;
   }
 
-  // Interior: descend left or right based on the bit at this level.
-  bool go_right = (leaf_index >> (depth - 1 - level)) & 1;
+  // Interior: the writes whose leaf bit at this level is 0 go left. They
+  // sort first, since every write here shares the bits above.
+  const int shift = depth - 1 - level;
+  const LeafWrite* mid =
+      std::partition_point(first, last, [shift](const LeafWrite& w) {
+        return ((w.leaf_index >> shift) & 1) == 0;
+      });
   NodeRef old_left = node ? node->left : nullptr;
   NodeRef old_right = node ? node->right : nullptr;
-  if (go_right) {
-    next->left = old_left;
-    next->right = PutRec(old_right, level + 1, depth, leaf_index, entry, empty);
-  } else {
-    next->left = PutRec(old_left, level + 1, depth, leaf_index, entry, empty);
-    next->right = old_right;
-  }
+  next->left = first == mid
+                   ? old_left
+                   : PutRec(old_left, level + 1, depth, first, mid, empty);
+  next->right = mid == last
+                    ? old_right
+                    : PutRec(old_right, level + 1, depth, mid, last, empty);
   next->digest = crypto::HashPair(DigestOf(next->left, level + 1, empty),
                                   DigestOf(next->right, level + 1, empty));
   return next;
@@ -133,8 +145,27 @@ MerkleTree MerkleTree::FromSnapshot(const Snapshot& snapshot) {
 
 void MerkleTree::Put(const std::string& key, const Bytes& value,
                      int64_t version) {
-  BucketEntry entry{key, crypto::Sha256::Hash(value), version};
-  root_ = PutRec(root_, 0, depth_, LeafIndexFor(key, depth_), entry,
+  LeafWrite write{LeafIndexFor(key, depth_),
+                  BucketEntry{key, crypto::Sha256::Hash(value), version}};
+  root_ = PutRec(root_, 0, depth_, &write, &write + 1, *empty_digests_);
+}
+
+void MerkleTree::PutBatch(const std::vector<Write>& writes, int64_t version) {
+  if (writes.empty()) return;
+  std::vector<LeafWrite> sorted;
+  sorted.reserve(writes.size());
+  for (const Write& w : writes) {
+    sorted.push_back(
+        {LeafIndexFor(*w.key, depth_),
+         BucketEntry{*w.key, crypto::Sha256::Hash(*w.value), version}});
+  }
+  // Stable: writes to one leaf keep their arrival order, so a later write
+  // to the same key overwrites an earlier one, as with sequential Put.
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const LeafWrite& a, const LeafWrite& b) {
+                     return a.leaf_index < b.leaf_index;
+                   });
+  root_ = PutRec(root_, 0, depth_, sorted.data(), sorted.data() + sorted.size(),
                  *empty_digests_);
 }
 

@@ -74,6 +74,19 @@ class MerkleTree {
   /// Inserts or overwrites `key` with the digest of `value` at `version`.
   void Put(const std::string& key, const Bytes& value, int64_t version);
 
+  /// One write of a `PutBatch`. The caller keeps key and value alive for
+  /// the call.
+  struct Write {
+    const std::string* key;
+    const Bytes* value;
+  };
+
+  /// Applies all of `writes` at `version` in one descent: each touched
+  /// node is copied and hashed once, however many writes pass through
+  /// it. Digests and proofs are exactly those of calling `Put` for each
+  /// write in order; a later write to the same key wins.
+  void PutBatch(const std::vector<Write>& writes, int64_t version);
+
   /// Cheap structural-sharing copy (O(1)): the clone starts at the same
   /// version and diverges copy-on-write. Used by leaders to compute the
   /// post-batch root without mutating their applied state.
@@ -125,9 +138,12 @@ class MerkleTree {
  private:
   struct Node;
   using NodeRef = std::shared_ptr<const Node>;
+  struct LeafWrite;
 
+  /// Copies the path to every leaf in [first, last), which are sorted by
+  /// (leaf index, arrival) and all lie below `node`.
   static NodeRef PutRec(const NodeRef& node, int level, int depth,
-                        uint32_t leaf_index, const BucketEntry& entry,
+                        const LeafWrite* first, const LeafWrite* last,
                         const std::vector<crypto::Digest>& empty);
   static crypto::Digest DigestOf(const NodeRef& node, int level,
                                  const std::vector<crypto::Digest>& empty);

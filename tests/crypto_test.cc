@@ -118,6 +118,32 @@ TEST(HmacTest, LongKeyIsHashedFirst) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+TEST(HmacKeyTest, MacMatchesRfc4231Vectors) {
+  struct Case {
+    Bytes key;
+    Bytes data;
+    const char* mac;
+  };
+  const std::vector<Case> cases = {
+      {Bytes(20, 0x0b), ToBytes("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {ToBytes("Jefe"), ToBytes("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {Bytes(20, 0xaa), Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {Bytes(131, 0xaa),
+       ToBytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  for (const Case& c : cases) {
+    HmacKey key(c.key);
+    EXPECT_EQ(key.Mac(c.data).ToHex(), c.mac);
+    // The cached pad state is reused, never consumed.
+    EXPECT_EQ(key.Mac(c.data).ToHex(), c.mac);
+    EXPECT_EQ(HmacSha256(c.key, c.data).ToHex(), c.mac);
+  }
+}
+
 TEST(HmacTest, ConstantTimeEquals) {
   Digest a = Sha256::Hash(std::string_view("x"));
   Digest b = a;
@@ -195,6 +221,28 @@ TEST(SignerTest, UnknownSignerRejected) {
   Signature sig = signer->Sign(ToBytes("m"));
   sig.signer = 99;
   EXPECT_FALSE(scheme.verifier().Verify(ToBytes("m"), sig));
+}
+
+TEST(SignerTest, EveryPrincipalRoundTripsAndRejectsTheOthers) {
+  HmacSignatureScheme scheme(8, 1234);
+  Bytes msg = ToBytes("batch digest");
+  for (NodeId id = 0; id < 8; ++id) {
+    Signature sig = scheme.MakeSigner(id)->Sign(msg);
+    EXPECT_TRUE(scheme.verifier().Verify(msg, sig)) << id;
+    for (NodeId other = 0; other < 8; ++other) {
+      if (other == id) continue;
+      Signature claimed = sig;
+      claimed.signer = other;
+      EXPECT_FALSE(scheme.verifier().Verify(msg, claimed)) << id << other;
+    }
+  }
+}
+
+TEST(SignerTest, ForeignSchemeSignaturesRejected) {
+  HmacSignatureScheme ours(8, 1234);
+  HmacSignatureScheme theirs(8, 4321);
+  Bytes msg = ToBytes("hello world");
+  EXPECT_FALSE(ours.verifier().Verify(msg, theirs.MakeSigner(3)->Sign(msg)));
 }
 
 TEST(SignatureSetTest, QuorumSatisfied) {

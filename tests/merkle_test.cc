@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "merkle/merkle_tree.h"
 
 namespace transedge::merkle {
@@ -178,6 +179,97 @@ TEST(MerkleTreeTest, ProofEncodeDecodeRoundTrip) {
   EXPECT_TRUE(MerkleTree::VerifyProof(decoded, "k1", V("v1"), 5,
                                       tree.RootDigest())
                   .ok());
+}
+
+// --- PutBatch == sequential Put ---------------------------------------------
+
+struct KV {
+  std::string key;
+  Bytes value;
+};
+
+Bytes EncodedProof(const MerkleTree& tree, const std::string& key) {
+  Encoder enc;
+  tree.Prove(key).value().EncodeTo(&enc);
+  return enc.buffer();
+}
+
+/// Applies `batches` to one tree with Put and to another with PutBatch,
+/// and expects identical roots and proofs (for every key written, and one
+/// never written) after each batch.
+void ExpectBatchMatchesSequential(int depth,
+                                  const std::vector<std::vector<KV>>& batches) {
+  MerkleTree sequential(depth), batched(depth);
+  std::vector<std::string> keys{"never-written"};
+  for (size_t b = 0; b < batches.size(); ++b) {
+    std::vector<MerkleTree::Write> writes;
+    for (const KV& kv : batches[b]) {
+      sequential.Put(kv.key, kv.value, static_cast<int64_t>(b));
+      writes.push_back({&kv.key, &kv.value});
+      keys.push_back(kv.key);
+    }
+    MerkleTree::Snapshot before = batched.GetSnapshot();
+    crypto::Digest before_root = batched.RootDigest();
+    batched.PutBatch(writes, static_cast<int64_t>(b));
+    ASSERT_EQ(batched.RootDigest(), sequential.RootDigest()) << "batch " << b;
+    EXPECT_EQ(before.RootDigest(), before_root) << "snapshot mutated";
+    for (const std::string& key : keys) {
+      EXPECT_EQ(EncodedProof(batched, key), EncodedProof(sequential, key))
+          << key << " after batch " << b;
+    }
+  }
+}
+
+TEST(MerklePutBatchTest, RandomWriteSetsMatchSequentialPut) {
+  Rng rng(5);
+  for (int depth : {1, 8, 16}) {
+    std::vector<std::vector<KV>> batches;
+    for (int b = 0; b < 6; ++b) {
+      std::vector<KV> batch;
+      const uint64_t n = rng.NextBounded(64) + 1;
+      for (uint64_t i = 0; i < n; ++i) {
+        batch.push_back({"key" + std::to_string(rng.NextBounded(200)),
+                         V("v" + std::to_string(rng.Next()))});
+      }
+      batches.push_back(std::move(batch));
+    }
+    ExpectBatchMatchesSequential(depth, batches);
+  }
+}
+
+TEST(MerklePutBatchTest, LaterWriteToSameKeyWins) {
+  ExpectBatchMatchesSequential(
+      8, {{{"k", V("first")}, {"other", V("x")}, {"k", V("second")}},
+          {{"k", V("third")}, {"k", V("fourth")}}});
+  MerkleTree tree(8);
+  std::string k = "k";
+  Bytes v1 = V("first"), v2 = V("second");
+  tree.PutBatch({{&k, &v1}, {&k, &v2}}, 3);
+  EXPECT_TRUE(
+      MerkleTree::VerifyProof(tree.Prove("k").value(), "k", v2, 3,
+                              tree.RootDigest())
+          .ok());
+}
+
+TEST(MerklePutBatchTest, CollidingLeavesAtDepthFour) {
+  // 16 leaves, 100 keys: every leaf bucket takes several writes per batch.
+  std::vector<std::vector<KV>> batches(3);
+  for (int i = 0; i < 100; ++i) {
+    batches[i % 3].push_back(
+        {"c" + std::to_string(i), V("v" + std::to_string(i))});
+    batches[(i + 1) % 3].push_back(
+        {"c" + std::to_string(i), V("w" + std::to_string(i))});
+  }
+  ExpectBatchMatchesSequential(4, batches);
+}
+
+TEST(MerklePutBatchTest, EmptyBatchChangesNothing) {
+  MerkleTree tree(8);
+  tree.Put("k", V("v"), 0);
+  crypto::Digest root = tree.RootDigest();
+  tree.PutBatch({}, 1);
+  EXPECT_EQ(tree.RootDigest(), root);
+  ExpectBatchMatchesSequential(8, {{}, {{"k", V("v")}}, {}});
 }
 
 // Property sweep: proofs verify across tree depths and key counts.
