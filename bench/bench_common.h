@@ -49,9 +49,6 @@ struct BenchSetup {
     setup.config.cost.batch_overhead = sim::Millis(10);
     setup.config.cost.batch_quadratic_ns = 3.0;
     setup.config.cost.ro_serve_per_key = sim::Micros(3);
-    // Host-CPU dedup of identical follower Merkle updates (simulated
-    // costs unchanged); tests exercise the full recomputation path.
-    setup.config.simulate_shared_merkle = true;
     setup.env_opts.seed = seed;
     setup.env_opts.intra_site_latency = sim::Micros(300);
     setup.env_opts.inter_site_latency = sim::Millis(1);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke benchmark: runs the micro-benchmarks and a shrunken Figure-4
 # bench with tiny parameters and emits one JSON document, seeding the
-# BENCH_*.json perf trajectory. Fast enough for CI (~1 min).
+# BENCH_*.json perf trajectory. Fast enough for CI (~2 min on 4 cores).
 #
 # Usage: bench/run_smoke.sh [output.json]
 #   BUILD_DIR  build tree holding the bench binaries (default: build)

@@ -127,6 +127,15 @@ Result<std::string> Decoder::GetString() {
   return ToString(b);
 }
 
+Status Decoder::GetRawInto(uint8_t* out, size_t len) {
+  if (remaining() < len) {
+    return Status::Corruption("decode past end of buffer");
+  }
+  std::memcpy(out, data_ + pos_, len);
+  pos_ += len;
+  return Status::OK();
+}
+
 Result<Bytes> Decoder::GetRaw(size_t len) {
   if (remaining() < len) {
     return Status::Corruption("decode past end of buffer");

@@ -87,6 +87,8 @@ class Decoder {
   Result<std::string> GetString();
   /// Reads exactly `len` raw bytes.
   Result<Bytes> GetRaw(size_t len);
+  /// Reads exactly `len` raw bytes into `out` (fixed-size fields).
+  Status GetRawInto(uint8_t* out, size_t len);
 
   size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }

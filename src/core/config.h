@@ -200,13 +200,9 @@ struct SystemConfig {
   /// memory in long runs.
   size_t snapshot_history = 512;
 
-  /// Simulation-performance shortcut for the bench harness (host CPU
-  /// only — simulated time is charged identically): honest followers
-  /// adopt the leader's persistent post-batch tree snapshot instead of
-  /// re-hashing the identical updates themselves. Validation still
-  /// recomputes conflict checks, CD vectors, and LCE; only the Merkle
-  /// *recomputation* is deduplicated. Tests run with this off so the
-  /// byzantine root-mismatch path stays exercised.
+  /// Has no effect: every replica recomputes each proposed batch's
+  /// Merkle root. Kept only so existing configurations that assign it
+  /// still compile.
   bool simulate_shared_merkle = false;
 
   CostModel cost;

@@ -30,8 +30,6 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 }
 
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
-                             const merkle::MerkleTree::Snapshot&
-                                 adopted_snapshot,
                              merkle::MerkleTree* post_tree,
                              const ProposalChain* chain) {
   const SystemConfig& config = ctx->config();
@@ -200,26 +198,16 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
     return Status::VerificationFailed("CD vector mismatch");
   }
 
-  // Merkle root: replay the writes on a clone and compare roots. Under
-  // the shared-merkle simulation shortcut, adopt the leader's persistent
-  // tree instead of re-hashing identical updates (host-CPU optimization
-  // only; simulated validation cost was charged above).
-  if (config.simulate_shared_merkle && adopted_snapshot.valid()) {
-    if (adopted_snapshot.RootDigest() != batch.ro.merkle_root) {
-      return Status::VerificationFailed("shared merkle root mismatch");
-    }
-    *post_tree = merkle::MerkleTree::FromSnapshot(adopted_snapshot);
-  } else {
-    const merkle::MerkleTree& base =
-        (chain != nullptr && chain->head_tree != nullptr)
-            ? *chain->head_tree
-            : ctx->decided_tree();
-    *post_tree = base.Clone();
-    ApplyBatchWritesToTree(post_tree, ctx->partition_map(), ctx->partition(),
-                           batch, find_txn);
-    if (post_tree->RootDigest() != batch.ro.merkle_root) {
-      return Status::VerificationFailed("merkle root mismatch");
-    }
+  // Merkle root: replay the writes on a clone and compare roots.
+  const merkle::MerkleTree& base =
+      (chain != nullptr && chain->head_tree != nullptr)
+          ? *chain->head_tree
+          : ctx->decided_tree();
+  *post_tree = base.Clone();
+  ApplyBatchWritesToTree(post_tree, ctx->partition_map(), ctx->partition(),
+                         batch, find_txn);
+  if (post_tree->RootDigest() != batch.ro.merkle_root) {
+    return Status::VerificationFailed("merkle root mismatch");
   }
   return Status::OK();
 }

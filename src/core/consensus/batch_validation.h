@@ -29,9 +29,7 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 /// (§4.4.2), per-transaction conflict re-checks, committed-segment order
 /// (Definition 4.1), LCE, CD vector (Algorithm 1), and the Merkle root.
 /// Charges the simulated validation cost. On success fills `post_tree`
-/// with the batch's post-state tree. `adopted_snapshot` is the leader's
-/// shared tree under `SystemConfig::simulate_shared_merkle` (invalid
-/// otherwise).
+/// with the batch's post-state tree.
 ///
 /// `chain` carries pipelining context when the batch extends
 /// proposed-but-undecided predecessors: the expected id, the in-flight
@@ -40,8 +38,6 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 /// after the last of them. nullptr validates against the decided state
 /// directly — the depth-1 behavior.
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
-                             const merkle::MerkleTree::Snapshot&
-                                 adopted_snapshot,
                              merkle::MerkleTree* post_tree,
                              const ProposalChain* chain = nullptr);
 

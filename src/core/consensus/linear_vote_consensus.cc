@@ -71,9 +71,6 @@ void LinearVoteConsensus::MaybeLockOn(uint64_t view, const Instance& inst) {
   lock.digest = inst.digest;
   lock.cert = inst.certificate;
   lock.view_sigs = inst.qc_view_sigs;
-  lock.snapshot = inst.validated && ctx_->config().simulate_shared_merkle
-                      ? inst.post_tree.GetSnapshot()
-                      : inst.adopted_snapshot;
 }
 
 bool LinearVoteConsensus::LockBlocksVote(const Instance& inst) const {
@@ -220,9 +217,6 @@ void LinearVoteConsensus::Propose(storage::Batch batch,
   msg.view = view_;
   msg.batch = std::move(batch);
   msg.leader_signature = ctx_->Sign(ProposalSignPayload(inst.digest));
-  if (config.simulate_shared_merkle) {
-    msg.post_snapshot = inst.post_tree.GetSnapshot();
-  }
 
   sim::Time done = ctx_->busy_until();
   if (ctx_->byzantine() == ByzantineBehavior::kEquivocate) {
@@ -263,7 +257,6 @@ void LinearVoteConsensus::HandlePropose(sim::ActorId from,
   inst.has_batch = true;
   inst.batch = msg.batch;
   inst.digest = digest;
-  inst.adopted_snapshot = msg.post_snapshot;
 
   // A re-proposal's justification (a prepare QC for this very batch from
   // an earlier view) unlocks replicas whose lock is older; an invalid
@@ -430,8 +423,8 @@ bool LinearVoteConsensus::AdvanceSlot(BatchId id, Instance& inst) {
 
   if (!inst.validated && !inst.validation_failed) {
     ProposalChain chain = ChainUpTo(id);
-    Status s = ValidateProposedBatch(ctx_, inst.batch, inst.adopted_snapshot,
-                                     &inst.post_tree, &chain);
+    Status s =
+        ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, &chain);
     if (!s.ok()) {
       // A correct replica stays silent on an invalid proposal; the
       // progress timer will trigger a view change.
@@ -718,7 +711,6 @@ void LinearVoteConsensus::HandleViewChange(
     lock.digest = digest;
     lock.cert = report.cert;
     lock.view_sigs = report.view_sigs;
-    lock.snapshot = merkle::MerkleTree::Snapshot();
   }
 
   auto& votes = view_change_votes_[target];
@@ -803,10 +795,9 @@ void LinearVoteConsensus::ReproposeLocked() {
     inst.has_batch = true;
     inst.batch = lock.batch;
     inst.digest = lock.digest;
-    inst.adopted_snapshot = lock.snapshot;
     ProposalChain chain = ChainUpTo(id);
-    Status s = ValidateProposedBatch(ctx_, inst.batch, inst.adopted_snapshot,
-                                     &inst.post_tree, &chain);
+    Status s =
+        ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, &chain);
     if (!s.ok()) {
       // Deterministic re-validation of a quorum-certified batch against
       // the same log prefix cannot fail; treat it like any other invalid
@@ -834,9 +825,6 @@ void LinearVoteConsensus::ReproposeLocked() {
     msg.justify_view = lock.view;
     msg.justify_cert = lock.cert;
     msg.justify_view_sigs = lock.view_sigs;
-    if (config.simulate_shared_merkle) {
-      msg.post_snapshot = inst.post_tree.GetSnapshot();
-    }
     BroadcastCounted(ShareMsg(std::move(msg)),
                      ctx_->Charge(config.cost.signature_op));
     proposed_any = true;

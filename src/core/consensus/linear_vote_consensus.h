@@ -101,8 +101,6 @@ class LinearVoteConsensus : public Consensus {
     bool validated = false;
     bool validation_failed = false;
     merkle::MerkleTree post_tree;  // Tree with the batch's writes applied.
-    /// Leader-shared tree (SystemConfig::simulate_shared_merkle).
-    merkle::MerkleTree::Snapshot adopted_snapshot;
 
     // Leader-side aggregation. Votes carry the digest the voter saw, so
     // an equivocating leader's two variants split the vote.
@@ -141,9 +139,8 @@ class LinearVoteConsensus : public Consensus {
   /// A prepare-QC lock: set before any commit vote is cast, kept across
   /// view adoptions (unlike `instances_`), superseded only by a
   /// higher-view QC for the same slot. One lock per in-flight slot when
-  /// pipelining. `snapshot` is the shared-merkle shortcut snapshot when
-  /// the locking instance had one (invalid otherwise); `view_sigs` is
-  /// the QC's view-bind quorum, proving `view` to third parties.
+  /// pipelining. `view_sigs` is the QC's view-bind quorum, proving
+  /// `view` to third parties.
   struct Lock {
     bool valid = false;
     uint64_t view = 0;
@@ -151,7 +148,6 @@ class LinearVoteConsensus : public Consensus {
     crypto::Digest digest;
     storage::BatchCertificate cert;
     crypto::SignatureSet view_sigs;
-    merkle::MerkleTree::Snapshot snapshot;
   };
 
   void HandlePropose(sim::ActorId from, const wire::LinearProposeMsg& msg);

@@ -74,10 +74,6 @@ void PbftConsensus::Propose(storage::Batch batch,
   msg.leader_signature = ctx_->Sign(ProposalSignPayload(inst.digest));
   msg.leader_cert_share = share;
 
-  if (config.simulate_shared_merkle) {
-    msg.post_snapshot = inst.post_tree.GetSnapshot();
-  }
-
   sim::Time done = ctx_->busy_until();
   if (ctx_->byzantine() == ByzantineBehavior::kEquivocate) {
     // Conflicting variant for half the cluster: same transactions,
@@ -119,7 +115,6 @@ void PbftConsensus::HandlePrePrepare(sim::ActorId from,
   inst.has_batch = true;
   inst.batch = msg.batch;
   inst.digest = digest;
-  inst.adopted_snapshot = msg.post_snapshot;
   inst.prepare_votes[from] = digest;
   inst.cert_shares[from] = msg.leader_cert_share;
 
@@ -157,8 +152,7 @@ void PbftConsensus::AdvanceConsensus() {
   if (!inst.has_batch) return;
 
   if (!inst.validated && !inst.validation_failed) {
-    Status s = ValidateProposedBatch(ctx_, inst.batch, inst.adopted_snapshot,
-                                     &inst.post_tree);
+    Status s = ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree);
     if (!s.ok()) {
       // A correct replica stays silent on an invalid proposal; the
       // progress timer will trigger a view change.

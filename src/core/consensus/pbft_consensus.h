@@ -39,8 +39,6 @@ class PbftConsensus : public Consensus {
     bool validated = false;
     bool validation_failed = false;
     merkle::MerkleTree post_tree;  // Tree with the batch's writes applied.
-    /// Leader-shared tree (SystemConfig::simulate_shared_merkle).
-    merkle::MerkleTree::Snapshot adopted_snapshot;
     /// Votes carry the digest the voter saw, so an equivocating leader's
     /// two batch variants split the vote and neither reaches quorum.
     std::map<crypto::NodeId, crypto::Digest> prepare_votes;

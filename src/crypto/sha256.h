@@ -15,6 +15,11 @@ namespace transedge::crypto {
 struct Digest {
   std::array<uint8_t, 32> bytes{};
 
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.bytes);
+  }
+
   bool operator==(const Digest& other) const { return bytes == other.bytes; }
   bool operator!=(const Digest& other) const { return !(*this == other); }
   bool operator<(const Digest& other) const { return bytes < other.bytes; }

@@ -52,19 +52,6 @@ class HmacVerifier : public Verifier {
 
 }  // namespace
 
-void Signature::EncodeTo(Encoder* enc) const {
-  enc->PutU32(signer);
-  enc->PutRaw(mac.bytes.data(), mac.bytes.size());
-}
-
-Result<Signature> Signature::DecodeFrom(Decoder* dec) {
-  Signature sig;
-  TE_ASSIGN_OR_RETURN(sig.signer, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(Bytes raw, dec->GetRaw(32));
-  std::copy(raw.begin(), raw.end(), sig.mac.bytes.begin());
-  return sig;
-}
-
 HmacSignatureScheme::HmacSignatureScheme(uint32_t num_principals,
                                          uint64_t master_seed)
     : num_principals_(num_principals),
@@ -75,24 +62,6 @@ HmacSignatureScheme::~HmacSignatureScheme() = default;
 
 std::unique_ptr<Signer> HmacSignatureScheme::MakeSigner(NodeId id) const {
   return std::make_unique<HmacSigner>(id, DeriveSigningKey(master_seed_, id));
-}
-
-void SignatureSet::EncodeTo(Encoder* enc) const {
-  enc->PutU32(static_cast<uint32_t>(signatures.size()));
-  for (const Signature& sig : signatures) {
-    sig.EncodeTo(enc);
-  }
-}
-
-Result<SignatureSet> SignatureSet::DecodeFrom(Decoder* dec) {
-  SignatureSet set;
-  TE_ASSIGN_OR_RETURN(uint32_t count, dec->GetCount());
-  set.signatures.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    TE_ASSIGN_OR_RETURN(Signature sig, Signature::DecodeFrom(dec));
-    set.signatures.push_back(sig);
-  }
-  return set;
 }
 
 Status SignatureSet::VerifyQuorum(const Verifier& verifier,

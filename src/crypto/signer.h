@@ -17,8 +17,10 @@ struct Signature {
   NodeId signer = 0;
   Digest mac;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<Signature> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.signer, self.mac);
+  }
 
   bool operator==(const Signature& other) const {
     return signer == other.signer && mac == other.mac;
@@ -83,8 +85,11 @@ struct SignatureSet {
   void Add(Signature sig) { signatures.push_back(std::move(sig)); }
   size_t size() const { return signatures.size(); }
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<SignatureSet> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.signatures);
+  }
+  bool operator==(const SignatureSet&) const = default;
 
   /// OK iff the set holds at least `required` valid signatures over
   /// `message` from distinct signers whose ids satisfy `is_member`.

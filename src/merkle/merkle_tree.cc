@@ -1,7 +1,6 @@
 #include "merkle/merkle_tree.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace transedge::merkle {
 
@@ -135,14 +134,6 @@ MerkleTree MerkleTree::Clone() const {
   return copy;
 }
 
-MerkleTree MerkleTree::FromSnapshot(const Snapshot& snapshot) {
-  assert(snapshot.valid());
-  MerkleTree tree(snapshot.depth_);
-  tree.root_ = snapshot.root_;
-  tree.empty_digests_ = snapshot.empty_digests_;
-  return tree;
-}
-
 void MerkleTree::Put(const std::string& key, const Bytes& value,
                      int64_t version) {
   LeafWrite write{LeafIndexFor(key, depth_),
@@ -273,44 +264,6 @@ Status MerkleTree::VerifyProof(const MerkleProof& proof,
     return Status::VerificationFailed("computed root does not match");
   }
   return Status::OK();
-}
-
-void MerkleProof::EncodeTo(Encoder* enc) const {
-  enc->PutU32(leaf_index);
-  enc->PutU32(static_cast<uint32_t>(bucket.size()));
-  for (const BucketEntry& e : bucket) {
-    enc->PutString(e.key);
-    enc->PutRaw(e.value_digest.bytes.data(), e.value_digest.bytes.size());
-    enc->PutI64(e.version);
-  }
-  enc->PutU32(static_cast<uint32_t>(siblings.size()));
-  for (const crypto::Digest& d : siblings) {
-    enc->PutRaw(d.bytes.data(), d.bytes.size());
-  }
-}
-
-Result<MerkleProof> MerkleProof::DecodeFrom(Decoder* dec) {
-  MerkleProof proof;
-  TE_ASSIGN_OR_RETURN(proof.leaf_index, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(uint32_t bucket_size, dec->GetCount());
-  proof.bucket.reserve(bucket_size);
-  for (uint32_t i = 0; i < bucket_size; ++i) {
-    BucketEntry e;
-    TE_ASSIGN_OR_RETURN(e.key, dec->GetString());
-    TE_ASSIGN_OR_RETURN(Bytes vd, dec->GetRaw(32));
-    std::copy(vd.begin(), vd.end(), e.value_digest.bytes.begin());
-    TE_ASSIGN_OR_RETURN(e.version, dec->GetI64());
-    proof.bucket.push_back(std::move(e));
-  }
-  TE_ASSIGN_OR_RETURN(uint32_t sibling_count, dec->GetCount());
-  proof.siblings.reserve(sibling_count);
-  for (uint32_t i = 0; i < sibling_count; ++i) {
-    TE_ASSIGN_OR_RETURN(Bytes raw, dec->GetRaw(32));
-    crypto::Digest d;
-    std::copy(raw.begin(), raw.end(), d.bytes.begin());
-    proof.siblings.push_back(d);
-  }
-  return proof;
 }
 
 }  // namespace transedge::merkle

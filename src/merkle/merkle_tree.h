@@ -22,6 +22,11 @@ struct BucketEntry {
   crypto::Digest value_digest;
   int64_t version = -1;
 
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.key, self.value_digest, self.version);
+  }
+
   bool operator==(const BucketEntry& other) const {
     return key == other.key && value_digest == other.value_digest &&
            version == other.version;
@@ -38,8 +43,11 @@ struct MerkleProof {
   std::vector<BucketEntry> bucket;
   std::vector<crypto::Digest> siblings;  // bottom-up: depth-1 ... 0
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<MerkleProof> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.leaf_index, self.bucket, self.siblings);
+  }
+  bool operator==(const MerkleProof&) const = default;
 
   /// Recomputes the root this proof commits to.
   crypto::Digest ComputeRoot() const;
@@ -91,10 +99,6 @@ class MerkleTree {
   /// version and diverges copy-on-write. Used by leaders to compute the
   /// post-batch root without mutating their applied state.
   MerkleTree Clone() const;
-
-  /// Reconstructs a tree positioned at `snapshot` (O(1), shares
-  /// structure). Requires a valid snapshot.
-  static MerkleTree FromSnapshot(const Snapshot& snapshot);
 
   /// Current root digest.
   crypto::Digest RootDigest() const;

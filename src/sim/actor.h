@@ -18,6 +18,8 @@ struct Message {
 
   /// Discriminator; values are defined by the wire layer.
   virtual uint32_t type() const = 0;
+
+  bool operator==(const Message&) const = default;
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
 #include "txn/cd_vector.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
@@ -24,8 +23,10 @@ struct PreparedInfo {
   bool vote = false;
   txn::CdVector cd_vector;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<PreparedInfo> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.partition, self.prepared_in_batch, self.vote, self.cd_vector);
+  }
   bool operator==(const PreparedInfo&) const = default;
 };
 
@@ -42,8 +43,11 @@ struct CommitRecord {
   /// record out to participants; everyone else just applies it.
   PartitionId coordinator = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<CommitRecord> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.txn_id, self.committed, self.prepared_in_batch,
+      self.participant_info, self.coordinator);
+  }
   bool operator==(const CommitRecord&) const = default;
 };
 
@@ -59,8 +63,10 @@ struct ReadOnlySegment {
   /// batches whose timestamp falls outside the configured window.
   int64_t timestamp_us = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<ReadOnlySegment> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.cd_vector, self.lce, self.merkle_root, self.timestamp_us);
+  }
   bool operator==(const ReadOnlySegment&) const = default;
 
   /// Digest over the serialized segment. Covered by batch certificates
@@ -80,8 +86,11 @@ struct Batch {
   std::vector<CommitRecord> committed;
   ReadOnlySegment ro;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<Batch> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.partition, self.id, self.local, self.prepared, self.committed,
+      self.ro);
+  }
   bool operator==(const Batch&) const = default;
 
   /// Canonical digest over the serialized batch; this is what the
@@ -114,8 +123,12 @@ struct BatchCertificate {
   Status Verify(const crypto::Verifier& verifier, size_t required,
                 const std::vector<crypto::NodeId>& member_ids) const;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<BatchCertificate> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.partition, self.batch_id, self.batch_digest, self.merkle_root,
+      self.ro_digest, self.signatures);
+  }
+  bool operator==(const BatchCertificate&) const = default;
 };
 
 }  // namespace transedge::storage

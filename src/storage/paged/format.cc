@@ -1,6 +1,5 @@
 #include "storage/paged/format.h"
 
-#include <algorithm>
 #include <array>
 
 namespace transedge::storage::paged {
@@ -28,94 +27,6 @@ uint32_t Crc32(const uint8_t* data, size_t len, uint32_t seed) {
     c = kTable[(c ^ data[i]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
-}
-
-void PageHeader::EncodeTo(Encoder* enc) const {
-  enc->PutU32(magic);
-  enc->PutU16(version);
-  enc->PutU16(0);  // Reserved; keeps the header at kPageHeaderSize.
-  enc->PutU32(page_id);
-  enc->PutU64(lsn);
-  enc->PutU32(payload_len);
-  enc->PutU32(next_page);
-  enc->PutU32(crc);
-}
-
-Result<PageHeader> PageHeader::DecodeFrom(Decoder* dec) {
-  PageHeader h;
-  TE_ASSIGN_OR_RETURN(h.magic, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(h.version, dec->GetU16());
-  TE_ASSIGN_OR_RETURN(uint16_t reserved, dec->GetU16());
-  (void)reserved;
-  TE_ASSIGN_OR_RETURN(h.page_id, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(h.lsn, dec->GetU64());
-  TE_ASSIGN_OR_RETURN(h.payload_len, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(h.next_page, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(h.crc, dec->GetU32());
-  return h;
-}
-
-void MetaSlot::EncodeTo(Encoder* enc) const {
-  enc->PutU32(magic);
-  enc->PutU16(version);
-  enc->PutU64(generation);
-  enc->PutU32(page_size);
-  enc->PutU32(num_buckets);
-  enc->PutU32(num_pages);
-  enc->PutI64(last_applied);
-  enc->PutRaw(root.bytes.data(), root.bytes.size());
-  enc->PutI64(log_start);
-  enc->PutU64(wal_start_offset);
-  enc->PutU32(static_cast<uint32_t>(bucket_heads.size()));
-  for (uint32_t head : bucket_heads) enc->PutU32(head);
-  enc->PutU32(crc);
-}
-
-Result<MetaSlot> MetaSlot::DecodeFrom(Decoder* dec) {
-  MetaSlot m;
-  TE_ASSIGN_OR_RETURN(m.magic, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(m.version, dec->GetU16());
-  TE_ASSIGN_OR_RETURN(m.generation, dec->GetU64());
-  TE_ASSIGN_OR_RETURN(m.page_size, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(m.num_buckets, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(m.num_pages, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(m.last_applied, dec->GetI64());
-  TE_ASSIGN_OR_RETURN(Bytes raw, dec->GetRaw(32));
-  std::copy(raw.begin(), raw.end(), m.root.bytes.begin());
-  TE_ASSIGN_OR_RETURN(m.log_start, dec->GetI64());
-  TE_ASSIGN_OR_RETURN(m.wal_start_offset, dec->GetU64());
-  TE_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount());
-  m.bucket_heads.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    TE_ASSIGN_OR_RETURN(uint32_t head, dec->GetU32());
-    m.bucket_heads.push_back(head);
-  }
-  TE_ASSIGN_OR_RETURN(m.crc, dec->GetU32());
-  return m;
-}
-
-void WalRecordHeader::EncodeTo(Encoder* enc) const {
-  enc->PutU32(magic);
-  enc->PutU8(type);
-  enc->PutU8(0);   // Reserved.
-  enc->PutU16(0);  // Reserved; keeps the header at kWalRecordHeaderSize.
-  enc->PutU64(lsn);
-  enc->PutU32(payload_len);
-  enc->PutU32(crc);
-}
-
-Result<WalRecordHeader> WalRecordHeader::DecodeFrom(Decoder* dec) {
-  WalRecordHeader h;
-  TE_ASSIGN_OR_RETURN(h.magic, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(h.type, dec->GetU8());
-  TE_ASSIGN_OR_RETURN(uint8_t reserved8, dec->GetU8());
-  (void)reserved8;
-  TE_ASSIGN_OR_RETURN(uint16_t reserved16, dec->GetU16());
-  (void)reserved16;
-  TE_ASSIGN_OR_RETURN(h.lsn, dec->GetU64());
-  TE_ASSIGN_OR_RETURN(h.payload_len, dec->GetU32());
-  TE_ASSIGN_OR_RETURN(h.crc, dec->GetU32());
-  return h;
 }
 
 }  // namespace transedge::storage::paged

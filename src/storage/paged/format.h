@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
+#include "common/codec.h"
 #include "crypto/sha256.h"
 #include "txn/types.h"
 
@@ -22,9 +22,9 @@ namespace transedge::storage::paged {
 /// `WalRecordHeader + payload` records; `MetaSlot::wal_start_offset`
 /// logically truncates the prefix superseded by the checkpoint.
 ///
-/// Every struct here is covered by tools/check's page-format parity
-/// rule: each field must appear in both EncodeTo and DecodeFrom so the
-/// format cannot silently drift.
+/// Each struct's `Fields` list is its on-disk layout (common/codec.h);
+/// `Reserved` entries are zero padding that keeps the headers at their
+/// fixed sizes.
 
 inline constexpr uint32_t kPageMagic = 0x47504554;  // "TEPG"
 inline constexpr uint32_t kMetaMagic = 0x544D4554;  // "TEMT"
@@ -56,8 +56,11 @@ struct PageHeader {
   uint32_t next_page = kNoPage;  // Chain link; kNoPage terminates.
   uint32_t crc = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<PageHeader> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.magic, self.version, Reserved<uint16_t>{}, self.page_id, self.lsn,
+      self.payload_len, self.next_page, self.crc);
+  }
   bool operator==(const PageHeader&) const = default;
 };
 
@@ -79,8 +82,12 @@ struct MetaSlot {
   std::vector<uint32_t> bucket_heads;  // Chain head per bucket; kNoPage=empty.
   uint32_t crc = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<MetaSlot> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.magic, self.version, self.generation, self.page_size,
+      self.num_buckets, self.num_pages, self.last_applied, self.root,
+      self.log_start, self.wal_start_offset, self.bucket_heads, self.crc);
+  }
   bool operator==(const MetaSlot&) const = default;
 };
 
@@ -98,8 +105,11 @@ struct WalRecordHeader {
   uint32_t payload_len = 0;
   uint32_t crc = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<WalRecordHeader> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.magic, self.type, Reserved<uint8_t>{}, Reserved<uint16_t>{},
+      self.lsn, self.payload_len, self.crc);
+  }
   bool operator==(const WalRecordHeader&) const = default;
 };
 

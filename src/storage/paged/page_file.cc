@@ -13,7 +13,7 @@ template <typename H>
 uint32_t HeaderPayloadCrc(H header, const uint8_t* payload, size_t len) {
   header.crc = 0;
   Encoder enc;
-  header.EncodeTo(&enc);
+  Encode(header, &enc);
   return Crc32(payload, len, Crc32(enc.buffer()));
 }
 
@@ -64,7 +64,7 @@ void PageFile::FreePages(const std::vector<uint32_t>& pages) {
 
 void PageFile::WritePage(const PageHeader& header, const uint8_t* payload) {
   Encoder enc;
-  header.EncodeTo(&enc);
+  Encode(header, &enc);
   Bytes buf = enc.Take();
   buf.insert(buf.end(), payload, payload + header.payload_len);
   // One disk op per page: header + payload land (or tear) together.
@@ -104,7 +104,7 @@ Result<Bytes> PageFile::ReadPage(uint32_t page_id, PageHeader* header_out) {
       kPagesFileId, static_cast<uint64_t>(page_id) * page_size_, page_size_);
   ++stats_->pages_read;
   Decoder dec(raw.data(), kPageHeaderSize);
-  TE_ASSIGN_OR_RETURN(PageHeader h, PageHeader::DecodeFrom(&dec));
+  TE_ASSIGN_OR_RETURN(PageHeader h, Decode<PageHeader>(&dec));
   if (h.magic != kPageMagic || h.version != kFormatVersion) {
     return Status::Corruption("bad page magic/version at page " +
                               std::to_string(page_id));
@@ -150,7 +150,7 @@ Result<Bytes> PageFile::ReadChain(uint32_t head,
 Status PageFile::WriteMeta(MetaSlot meta) {
   meta.crc = 0;
   Encoder enc;
-  meta.EncodeTo(&enc);
+  Encode(meta, &enc);
   Bytes buf = enc.Take();
   if (buf.size() > page_size_) {
     return Status::InvalidArgument(
@@ -176,7 +176,7 @@ Result<MetaSlot> PageFile::ReadBestMeta() const {
     Bytes raw = disk_->ReadAt(kPagesFileId, slot * page_size_, page_size_);
     ++stats_->pages_read;
     Decoder dec(raw);
-    Result<MetaSlot> m = MetaSlot::DecodeFrom(&dec);
+    Result<MetaSlot> m = Decode<MetaSlot>(&dec);
     if (!m.ok()) continue;
     if (m.value().magic != kMetaMagic ||
         m.value().version != kFormatVersion) {
@@ -185,7 +185,7 @@ Result<MetaSlot> PageFile::ReadBestMeta() const {
     MetaSlot zeroed = m.value();
     zeroed.crc = 0;
     Encoder enc;
-    zeroed.EncodeTo(&enc);
+    Encode(zeroed, &enc);
     if (Crc32(enc.buffer()) != m.value().crc) continue;
     if (!best.ok() || m.value().generation > best.value().generation) {
       best = std::move(m);

@@ -88,8 +88,8 @@ void PagedBackend::OnDecided() {
   assert(!log_.empty());
   const LogEntry& entry = log_.back();
   Encoder enc;
-  entry.batch.EncodeTo(&enc);
-  entry.certificate.EncodeTo(&enc);
+  Encode(entry.batch, &enc);
+  Encode(entry.certificate, &enc);
   uint64_t offset = wal_.Append(static_cast<uint64_t>(entry.batch.id),
                                 enc.buffer());
   wal_offset_of_[entry.batch.id] = offset;
@@ -249,9 +249,8 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
                       wal_.Replay(meta.wal_start_offset));
   for (WalFile::ReplayRecord& rec : records) {
     Decoder dec(rec.payload);
-    TE_ASSIGN_OR_RETURN(Batch batch, Batch::DecodeFrom(&dec));
-    TE_ASSIGN_OR_RETURN(BatchCertificate cert,
-                        BatchCertificate::DecodeFrom(&dec));
+    TE_ASSIGN_OR_RETURN(Batch batch, Decode<Batch>(&dec));
+    TE_ASSIGN_OR_RETURN(BatchCertificate cert, Decode<BatchCertificate>(&dec));
     if (!dec.exhausted()) {
       return Status::Corruption("trailing bytes in WAL record for batch " +
                                 std::to_string(batch.id));

@@ -10,7 +10,7 @@ uint32_t RecordCrc(WalRecordHeader header, const uint8_t* payload,
                    size_t len) {
   header.crc = 0;
   Encoder enc;
-  header.EncodeTo(&enc);
+  Encode(header, &enc);
   return Crc32(payload, len, Crc32(enc.buffer()));
 }
 
@@ -20,7 +20,7 @@ bool DecodeRecordAt(const Bytes& buf, size_t off, WalRecordHeader* header,
                     size_t* payload_off) {
   if (off + kWalRecordHeaderSize > buf.size()) return false;
   Decoder dec(buf.data() + off, kWalRecordHeaderSize);
-  Result<WalRecordHeader> h = WalRecordHeader::DecodeFrom(&dec);
+  Result<WalRecordHeader> h = Decode<WalRecordHeader>(&dec);
   if (!h.ok()) return false;
   if (h.value().magic != kWalMagic ||
       h.value().type != static_cast<uint8_t>(WalRecordType::kLogEntry)) {
@@ -63,7 +63,7 @@ uint64_t WalFile::Append(uint64_t lsn, const Bytes& payload) {
   h.payload_len = static_cast<uint32_t>(payload.size());
   h.crc = RecordCrc(h, payload.data(), payload.size());
   Encoder enc;
-  h.EncodeTo(&enc);
+  Encode(h, &enc);
   Bytes buf = enc.Take();
   buf.insert(buf.end(), payload.begin(), payload.end());
   uint64_t start = end_;

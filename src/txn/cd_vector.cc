@@ -20,22 +20,6 @@ bool CdVector::CoveredBy(const CdVector& other) const {
   return true;
 }
 
-void CdVector::EncodeTo(Encoder* enc) const {
-  enc->PutU32(static_cast<uint32_t>(deps_.size()));
-  for (BatchId b : deps_) enc->PutI64(b);
-}
-
-Result<CdVector> CdVector::DecodeFrom(Decoder* dec) {
-  CdVector v;
-  TE_ASSIGN_OR_RETURN(uint32_t n, dec->GetCount());
-  v.deps_.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    TE_ASSIGN_OR_RETURN(BatchId b, dec->GetI64());
-    v.deps_.push_back(b);
-  }
-  return v;
-}
-
 std::map<PartitionId, BatchId> ComputeUnsatisfiedDependencies(
     const std::map<PartitionId, RoPartitionView>& views) {
   std::map<PartitionId, BatchId> needed;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
 #include "txn/types.h"
 
 namespace transedge::txn {
@@ -43,8 +42,10 @@ class CdVector {
   /// `other` (i.e. `other` already covers these dependencies).
   bool CoveredBy(const CdVector& other) const;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<CdVector> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.deps_);
+  }
 
   /// "[2,-1,5]" — for logs and EXPERIMENTS.md extracts.
   std::string ToString() const;

@@ -4,66 +4,6 @@
 
 namespace transedge {
 
-void ReadOp::EncodeTo(Encoder* enc) const {
-  enc->PutString(key);
-  enc->PutI64(version);
-}
-
-Result<ReadOp> ReadOp::DecodeFrom(Decoder* dec) {
-  ReadOp op;
-  TE_ASSIGN_OR_RETURN(op.key, dec->GetString());
-  TE_ASSIGN_OR_RETURN(op.version, dec->GetI64());
-  return op;
-}
-
-void WriteOp::EncodeTo(Encoder* enc) const {
-  enc->PutString(key);
-  enc->PutBytes(value);
-}
-
-Result<WriteOp> WriteOp::DecodeFrom(Decoder* dec) {
-  WriteOp op;
-  TE_ASSIGN_OR_RETURN(op.key, dec->GetString());
-  TE_ASSIGN_OR_RETURN(op.value, dec->GetBytes());
-  return op;
-}
-
-void Transaction::EncodeTo(Encoder* enc) const {
-  enc->PutU64(id);
-  enc->PutU32(static_cast<uint32_t>(read_set.size()));
-  for (const ReadOp& op : read_set) op.EncodeTo(enc);
-  enc->PutU32(static_cast<uint32_t>(write_set.size()));
-  for (const WriteOp& op : write_set) op.EncodeTo(enc);
-  enc->PutU32(static_cast<uint32_t>(participants.size()));
-  for (PartitionId p : participants) enc->PutU32(p);
-  enc->PutU32(coordinator);
-}
-
-Result<Transaction> Transaction::DecodeFrom(Decoder* dec) {
-  Transaction txn;
-  TE_ASSIGN_OR_RETURN(txn.id, dec->GetU64());
-  TE_ASSIGN_OR_RETURN(uint32_t reads, dec->GetCount());
-  txn.read_set.reserve(reads);
-  for (uint32_t i = 0; i < reads; ++i) {
-    TE_ASSIGN_OR_RETURN(ReadOp op, ReadOp::DecodeFrom(dec));
-    txn.read_set.push_back(std::move(op));
-  }
-  TE_ASSIGN_OR_RETURN(uint32_t writes, dec->GetCount());
-  txn.write_set.reserve(writes);
-  for (uint32_t i = 0; i < writes; ++i) {
-    TE_ASSIGN_OR_RETURN(WriteOp op, WriteOp::DecodeFrom(dec));
-    txn.write_set.push_back(std::move(op));
-  }
-  TE_ASSIGN_OR_RETURN(uint32_t parts, dec->GetCount());
-  txn.participants.reserve(parts);
-  for (uint32_t i = 0; i < parts; ++i) {
-    TE_ASSIGN_OR_RETURN(PartitionId p, dec->GetU32());
-    txn.participants.push_back(p);
-  }
-  TE_ASSIGN_OR_RETURN(txn.coordinator, dec->GetU32());
-  return txn;
-}
-
 bool Conflicts(const Transaction& a, const Transaction& b) {
   // Two transactions conflict when one writes a key the other reads or
   // writes. Linear scans: transaction footprints are small (the paper's

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/result.h"
 
 namespace transedge {
 
@@ -41,8 +40,10 @@ struct ReadOp {
   Key key;
   int64_t version = -1;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<ReadOp> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.key, self.version);
+  }
   bool operator==(const ReadOp&) const = default;
 };
 
@@ -52,8 +53,10 @@ struct WriteOp {
   Key key;
   Value value;
 
-  void EncodeTo(Encoder* enc) const;
-  static Result<WriteOp> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.key, self.value);
+  }
   bool operator==(const WriteOp&) const = default;
 };
 
@@ -77,8 +80,11 @@ struct Transaction {
   /// The read and write operations that belong to partition `p` under
   /// `owner_of(key) == p` semantics are extracted by the node; the full
   /// sets travel with the transaction as in the paper's commit request.
-  void EncodeTo(Encoder* enc) const;
-  static Result<Transaction> DecodeFrom(Decoder* dec);
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.id, self.read_set, self.write_set, self.participants,
+      self.coordinator);
+  }
 
   bool operator==(const Transaction&) const = default;
 };

@@ -26,8 +26,6 @@ const char* MessageTypeName(MessageType type) {
       return "Commit";
     case MessageType::kViewChange:
       return "ViewChange";
-    case MessageType::kNewView:
-      return "NewView";
     case MessageType::kLinearPropose:
       return "LinearPropose";
     case MessageType::kLinearVote:

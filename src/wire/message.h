@@ -30,7 +30,7 @@ enum class MessageType : uint32_t {
   kPrepare = 21,
   kCommit = 22,
   kViewChange = 23,
-  kNewView = 24,
+  // 24 is retired; do not reuse it.
 
   // Intra-cluster consensus (HotStuff-style linear-vote engine).
   kLinearPropose = 25,
@@ -69,6 +69,7 @@ template <MessageType kType>
 struct TypedMessage : sim::Message {
   uint32_t type() const override { return static_cast<uint32_t>(kType); }
   static constexpr MessageType kMessageType = kType;
+  bool operator==(const TypedMessage&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -81,6 +82,12 @@ struct ClientReadRequest : TypedMessage<MessageType::kClientRead> {
   uint64_t request_id = 0;
   sim::ActorId reply_to = 0;
   Key key;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.reply_to, self.key);
+  }
+  bool operator==(const ClientReadRequest&) const = default;
 };
 
 struct ClientReadReply : TypedMessage<MessageType::kClientReadReply> {
@@ -91,12 +98,24 @@ struct ClientReadReply : TypedMessage<MessageType::kClientReadReply> {
   /// Version (batch id) the value was read at — becomes the read set's
   /// observed version for OCC validation.
   BatchId version = kNoBatch;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.key, self.found, self.value, self.version);
+  }
+  bool operator==(const ClientReadReply&) const = default;
 };
 
 /// Commit request carrying the full read and write sets (§3.3.1).
 struct CommitRequest : TypedMessage<MessageType::kCommitRequest> {
   sim::ActorId reply_to = 0;
   Transaction txn;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.reply_to, self.txn);
+  }
+  bool operator==(const CommitRequest&) const = default;
 };
 
 struct CommitReply : TypedMessage<MessageType::kCommitReply> {
@@ -107,6 +126,12 @@ struct CommitReply : TypedMessage<MessageType::kCommitReply> {
   /// leader (same transaction id; admission dedup protects the old one),
   /// e.g. a view change abandoning an undecided admission.
   bool retryable = false;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.txn_id, self.committed, self.reason, self.retryable);
+  }
+  bool operator==(const CommitReply&) const = default;
 };
 
 /// One authenticated key result inside a read-only response.
@@ -116,6 +141,12 @@ struct AuthenticatedRead {
   Value value;
   BatchId version = kNoBatch;
   merkle::MerkleProof proof;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.key, self.found, self.value, self.version, self.proof);
+  }
+  bool operator==(const AuthenticatedRead&) const = default;
 };
 
 /// Round-1 read-only request: all keys of one accessed partition
@@ -124,6 +155,12 @@ struct RoRequest : TypedMessage<MessageType::kRoRequest> {
   uint64_t request_id = 0;
   sim::ActorId reply_to = 0;
   std::vector<Key> keys;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.reply_to, self.keys);
+  }
+  bool operator==(const RoRequest&) const = default;
 };
 
 /// Response from a single node: values + Merkle proofs, the batch
@@ -140,6 +177,14 @@ struct RoReply : TypedMessage<MessageType::kRoReply> {
   int64_t timestamp_us = 0;
   /// True when this reply answers a second-round (historical) request.
   bool second_round = false;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.partition, self.batch_id, self.entries,
+      self.certificate, self.cd_vector, self.lce, self.timestamp_us,
+      self.second_round);
+  }
+  bool operator==(const RoReply&) const = default;
 };
 
 /// Round-2 request: "serve me your state at the earliest batch whose LCE
@@ -150,6 +195,12 @@ struct RoBatchRequest : TypedMessage<MessageType::kRoBatchRequest> {
   sim::ActorId reply_to = 0;
   std::vector<Key> keys;
   BatchId min_lce = kNoBatch;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.reply_to, self.keys, self.min_lce);
+  }
+  bool operator==(const RoBatchRequest&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -163,12 +214,12 @@ struct PrePrepareMsg : TypedMessage<MessageType::kPrePrepare> {
   crypto::Signature leader_signature;  // over the batch digest
   /// Leader's certificate share (counts as the leader's prepare vote).
   crypto::Signature leader_cert_share;
-  /// Simulation shortcut (SystemConfig::simulate_shared_merkle): the
-  /// leader's post-batch tree, shared structurally so honest followers
-  /// skip re-hashing identical updates. Invalid when the shortcut is
-  /// disabled.
-  // check:allow(wire-parity): simulation-only shortcut, never serialized.
-  merkle::MerkleTree::Snapshot post_snapshot;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.batch, self.leader_signature, self.leader_cert_share);
+  }
+  bool operator==(const PrePrepareMsg&) const = default;
 };
 
 /// Replica vote after re-validating the proposed batch. Carries the
@@ -179,12 +230,24 @@ struct PrepareMsg : TypedMessage<MessageType::kPrepare> {
   BatchId batch_id = kNoBatch;
   crypto::Digest batch_digest;
   crypto::Signature cert_share;  // over BatchCertificate::SignedPayload()
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.batch_id, self.batch_digest, self.cert_share);
+  }
+  bool operator==(const PrepareMsg&) const = default;
 };
 
 struct CommitMsg : TypedMessage<MessageType::kCommit> {
   uint64_t view = 0;
   BatchId batch_id = kNoBatch;
   crypto::Digest batch_digest;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.batch_id, self.batch_digest);
+  }
+  bool operator==(const CommitMsg&) const = default;
 };
 
 /// Sent when a replica's progress timer fires without a decision.
@@ -192,15 +255,12 @@ struct ViewChangeMsg : TypedMessage<MessageType::kViewChange> {
   uint64_t new_view = 0;
   BatchId last_committed = kNoBatch;
   crypto::Signature signature;
-};
 
-/// New leader's announcement; re-proposals follow as ordinary
-/// pre-prepares in the new view.
-// check:allow(wire-parity): intra-simulation only — never serialized
-// (EncodeMessage emits the bare discriminator, DecodeMessage rejects it).
-struct NewViewMsg : TypedMessage<MessageType::kNewView> {
-  uint64_t new_view = 0;
-  std::vector<ViewChangeMsg> proof;  // 2f+1 view-change votes
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.new_view, self.last_committed, self.signature);
+  }
+  bool operator==(const ViewChangeMsg&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -228,10 +288,15 @@ struct LinearProposeMsg : TypedMessage<MessageType::kLinearPropose> {
   /// (over the view-bind payload); a leader cannot claim a newer view
   /// for the QC than the one it actually formed in.
   crypto::SignatureSet justify_view_sigs;
-  /// Simulation shortcut (SystemConfig::simulate_shared_merkle); see
-  /// PrePrepareMsg::post_snapshot. Not serialized.
-  // check:allow(wire-parity): simulation-only shortcut, never serialized.
-  merkle::MerkleTree::Snapshot post_snapshot;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.batch, self.leader_signature, self.has_justify);
+    if (self.has_justify) {
+      v(self.justify_view, self.justify_cert, self.justify_view_sigs);
+    }
+  }
+  bool operator==(const LinearProposeMsg&) const = default;
 };
 
 /// Voting phases of the linear-vote engine.
@@ -256,6 +321,13 @@ struct LinearVoteMsg : TypedMessage<MessageType::kLinearVote> {
   /// a view change, and a byzantine leader cannot inflate a re-proposal
   /// justification.
   crypto::Signature view_share;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.batch_id, self.phase, self.batch_digest, self.share,
+      self.view_share);
+  }
+  bool operator==(const LinearVoteMsg&) const = default;
 };
 
 /// Leader -> replicas quorum certificate broadcast. `cert` is the batch
@@ -272,6 +344,12 @@ struct LinearQcMsg : TypedMessage<MessageType::kLinearQc> {
   /// Prepare phase only: >= 2f+1 signatures over the view-bind payload,
   /// certifying the view this QC formed in (see LinearVoteMsg::view_share).
   crypto::SignatureSet view_sigs;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.phase, self.cert, self.commit_sigs, self.view_sigs);
+  }
+  bool operator==(const LinearQcMsg&) const = default;
 };
 
 /// One prepare-QC lock carried inside a view-change message: the locked
@@ -283,6 +361,12 @@ struct LinearLockReport {
   storage::Batch batch;
   storage::BatchCertificate cert;
   crypto::SignatureSet view_sigs;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.batch, self.cert, self.view_sigs);
+  }
+  bool operator==(const LinearLockReport&) const = default;
 };
 
 /// Replica -> prospective leader of `new_view` when the progress timer
@@ -300,6 +384,12 @@ struct LinearViewChangeMsg : TypedMessage<MessageType::kLinearViewChange> {
   /// change. The reported view must be backed by `view_sigs`; an
   /// inflated claim is dropped.
   std::vector<LinearLockReport> locks;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.new_view, self.last_committed, self.signature, self.locks);
+  }
+  bool operator==(const LinearViewChangeMsg&) const = default;
 };
 
 /// New leader's QC-carrying announcement: 2f+1 view-change signatures
@@ -308,6 +398,12 @@ struct LinearViewChangeMsg : TypedMessage<MessageType::kLinearViewChange> {
 struct LinearNewViewMsg : TypedMessage<MessageType::kLinearNewView> {
   uint64_t new_view = 0;
   crypto::SignatureSet proof;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.new_view, self.proof);
+  }
+  bool operator==(const LinearNewViewMsg&) const = default;
 };
 
 /// Decided-batch state transfer to a lagging replica. Sent by the
@@ -327,6 +423,12 @@ struct LinearCatchUpMsg : TypedMessage<MessageType::kLinearCatchUp> {
   /// caught up entry-by-entry and must recover from durable storage
   /// instead of parking on an unfillable gap.
   BatchId first_retained = 0;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.batch, self.cert, self.view, self.view_proof, self.first_retained);
+  }
+  bool operator==(const LinearCatchUpMsg&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -344,6 +446,12 @@ struct CoordPrepareMsg : TypedMessage<MessageType::kCoordPrepare> {
   /// view change: participants re-report their vote from replicated
   /// state instead of treating the message as a duplicate.
   bool resend = false;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.txn, self.coordinator, self.proof, self.resend);
+  }
+  bool operator==(const CoordPrepareMsg&) const = default;
 };
 
 /// Participant's prepared message (§3.3.3, step 5): its vote, the batch
@@ -353,6 +461,12 @@ struct PreparedMsg : TypedMessage<MessageType::kPrepared> {
   TxnId txn_id = 0;
   storage::PreparedInfo info;
   storage::BatchCertificate proof;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.txn_id, self.info, self.proof);
+  }
+  bool operator==(const PreparedMsg&) const = default;
 };
 
 /// Coordinator's decision (§3.3.4, step 7), including all collected
@@ -362,6 +476,12 @@ struct CommitRecordMsg : TypedMessage<MessageType::kCommitRecord> {
   bool commit = false;
   std::vector<storage::PreparedInfo> participant_info;
   storage::BatchCertificate proof;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.txn_id, self.commit, self.participant_info, self.proof);
+  }
+  bool operator==(const CommitRecordMsg&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -374,6 +494,12 @@ struct AugustusRoRequest : TypedMessage<MessageType::kAugustusRoRequest> {
   uint64_t request_id = 0;
   sim::ActorId reply_to = 0;
   std::vector<Key> keys;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.reply_to, self.keys);
+  }
+  bool operator==(const AugustusRoRequest&) const = default;
 };
 
 /// Leader -> replicas: vote on the read snapshot.
@@ -381,12 +507,24 @@ struct AugustusVoteRequest : TypedMessage<MessageType::kAugustusVoteRequest> {
   uint64_t request_id = 0;
   std::vector<Key> keys;
   BatchId snapshot_batch = kNoBatch;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.keys, self.snapshot_batch);
+  }
+  bool operator==(const AugustusVoteRequest&) const = default;
 };
 
 struct AugustusVoteReply : TypedMessage<MessageType::kAugustusVoteReply> {
   uint64_t request_id = 0;
   bool vote = true;
   crypto::Signature signature;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.vote, self.signature);
+  }
+  bool operator==(const AugustusVoteReply&) const = default;
 };
 
 /// Leader -> client: values + 2f+1 votes.
@@ -395,11 +533,23 @@ struct AugustusRoReply : TypedMessage<MessageType::kAugustusRoReply> {
   PartitionId partition = 0;
   std::vector<AuthenticatedRead> entries;
   uint32_t votes = 0;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id, self.partition, self.entries, self.votes);
+  }
+  bool operator==(const AugustusRoReply&) const = default;
 };
 
 /// Client -> leader: release the shared locks.
 struct AugustusRelease : TypedMessage<MessageType::kAugustusRelease> {
   uint64_t request_id = 0;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.request_id);
+  }
+  bool operator==(const AugustusRelease&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -418,6 +568,13 @@ struct WatchSubscribeRequest : TypedMessage<MessageType::kWatchSubscribe> {
   Key range_lo;
   Key range_hi;
   BatchId resume_from = kNoBatch;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.watch_id, self.reply_to, self.range_lo, self.range_hi,
+      self.resume_from);
+  }
+  bool operator==(const WatchSubscribeRequest&) const = default;
 };
 
 /// Leader -> watcher: subscription accepted at `batch_id` (the applied
@@ -434,6 +591,13 @@ struct WatchSubscribeReply : TypedMessage<MessageType::kWatchSubscribeReply> {
   bool resumed = false;
   std::vector<AuthenticatedRead> entries;
   storage::BatchCertificate certificate;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.watch_id, self.partition, self.epoch, self.batch_id, self.resumed,
+      self.entries, self.certificate);
+  }
+  bool operator==(const WatchSubscribeReply&) const = default;
 };
 
 /// Leader -> watcher: the writes of applied batch `batch_id` restricted
@@ -449,12 +613,25 @@ struct WatchDeltaMsg : TypedMessage<MessageType::kWatchDelta> {
   BatchId prev_batch_id = kNoBatch;
   std::vector<AuthenticatedRead> entries;
   storage::BatchCertificate certificate;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.watch_id, self.partition, self.epoch, self.batch_id,
+      self.prev_batch_id, self.entries, self.certificate);
+  }
+  bool operator==(const WatchDeltaMsg&) const = default;
 };
 
 /// Client -> leader: drop the watch. No reply.
 struct WatchUnsubscribe : TypedMessage<MessageType::kWatchUnsubscribe> {
   uint64_t watch_id = 0;
   sim::ActorId reply_to = 0;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.watch_id, self.reply_to);
+  }
+  bool operator==(const WatchUnsubscribe&) const = default;
 };
 
 /// Replica -> watcher: the subscription is dead — a view change rotated
@@ -466,6 +643,12 @@ struct WatchResubscribeRequired : TypedMessage<MessageType::kWatchResubscribe> {
   PartitionId partition = 0;
   uint64_t epoch = 0;          // Epoch now current at the sender.
   BatchId horizon = kNoBatch;  // Oldest batch a resume could replay from.
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.watch_id, self.partition, self.epoch, self.horizon);
+  }
+  bool operator==(const WatchResubscribeRequired&) const = default;
 };
 
 }  // namespace transedge::wire

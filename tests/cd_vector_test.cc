@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "txn/cd_vector.h"
 
@@ -82,9 +83,9 @@ TEST(CdVectorTest, EncodeDecodeRoundTrip) {
   v.Set(2, 123456789);
   v.Set(4, kNoBatch);
   Encoder enc;
-  v.EncodeTo(&enc);
+  Encode(v, &enc);
   Decoder dec(enc.buffer());
-  CdVector decoded = CdVector::DecodeFrom(&dec).value();
+  CdVector decoded = Decode<CdVector>(&dec).value();
   EXPECT_EQ(decoded, v);
 }
 

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "crypto/hmac.h"
 #include "crypto/key_store.h"
 #include "crypto/sha256.h"
@@ -299,9 +300,9 @@ TEST(SignatureSetTest, EncodeDecodeRoundTrip) {
   set.Add(scheme.MakeSigner(0)->Sign(msg));
   set.Add(scheme.MakeSigner(1)->Sign(msg));
   Encoder enc;
-  set.EncodeTo(&enc);
+  Encode(set, &enc);
   Decoder dec(enc.buffer());
-  Result<SignatureSet> decoded = SignatureSet::DecodeFrom(&dec);
+  Result<SignatureSet> decoded = Decode<SignatureSet>(&dec);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->size(), 2u);
   EXPECT_EQ(decoded->signatures[0], set.signatures[0]);

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/rng.h"
 #include "merkle/merkle_tree.h"
 
@@ -170,9 +171,9 @@ TEST(MerkleTreeTest, ProofEncodeDecodeRoundTrip) {
   MerkleProof proof = tree.Prove("k1").value();
 
   Encoder enc;
-  proof.EncodeTo(&enc);
+  Encode(proof, &enc);
   Decoder dec(enc.buffer());
-  MerkleProof decoded = MerkleProof::DecodeFrom(&dec).value();
+  MerkleProof decoded = Decode<MerkleProof>(&dec).value();
   EXPECT_EQ(decoded.leaf_index, proof.leaf_index);
   EXPECT_EQ(decoded.bucket, proof.bucket);
   EXPECT_EQ(decoded.siblings.size(), proof.siblings.size());
@@ -190,7 +191,7 @@ struct KV {
 
 Bytes EncodedProof(const MerkleTree& tree, const std::string& key) {
   Encoder enc;
-  tree.Prove(key).value().EncodeTo(&enc);
+  Encode(tree.Prove(key).value(), &enc);
   return enc.buffer();
 }
 

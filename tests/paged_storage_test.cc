@@ -359,5 +359,64 @@ TEST(PagedBackendTest, PagedAndInMemoryEnginesApplyIdentically) {
   EXPECT_GT(driver.backend().io_stats().wal_appends, 0u);
 }
 
+template <typename T>
+Bytes EncodeStruct(const T& value) {
+  Encoder enc;
+  Encode(value, &enc);
+  return enc.Take();
+}
+
+// Pins the on-disk format byte for byte: fixed headers and meta slot,
+// plus the WAL and page files a short run leaves behind (WAL records
+// carry the encoded batch + certificate log entries). Any change to the
+// format fails here and must be deliberate.
+TEST(PagedFormatGoldenTest, EncodingsMatchPinnedHashes) {
+  PageHeader page;
+  page.page_id = 5;
+  page.lsn = 9;
+  page.payload_len = 77;
+  page.next_page = 6;
+  page.crc = 0xDEADBEEF;
+  Bytes page_bytes = EncodeStruct(page);
+  EXPECT_EQ(page_bytes.size(), kPageHeaderSize);
+
+  MetaSlot meta;
+  meta.generation = 3;
+  meta.page_size = 128;
+  meta.num_buckets = 4;
+  meta.num_pages = 12;
+  meta.last_applied = 7;
+  meta.root = RootFor(7);
+  meta.log_start = 2;
+  meta.wal_start_offset = 4096;
+  meta.bucket_heads = {2, kNoPage, 5, 9};
+  meta.crc = 0x01234567;
+
+  WalRecordHeader wal;
+  wal.type = static_cast<uint8_t>(WalRecordType::kLogEntry);
+  wal.lsn = 42;
+  wal.payload_len = 300;
+  wal.crc = 0xCAFEBABE;
+  Bytes wal_bytes = EncodeStruct(wal);
+  EXPECT_EQ(wal_bytes.size(), kWalRecordHeaderSize);
+
+  Driver driver(SmallTuning());
+  driver.Preload(SeedData());
+  RunBatches(&driver, 0, 5);
+  const SimDisk& disk = driver.disk();
+
+  auto sha = [](const Bytes& b) { return crypto::Sha256::Hash(b).ToHex(); };
+  EXPECT_EQ(sha(page_bytes),
+            "5ec89c40e9c8ea2b3b4eca1a93c1120702b10b60dd9c11fe3ff2f4c654b767ef");
+  EXPECT_EQ(sha(EncodeStruct(meta)),
+            "05343fce6fd2155d730b19416a3c0528de815b5d255ee156db4983ca8c8c0158");
+  EXPECT_EQ(sha(wal_bytes),
+            "3eddd74cb696e27f84f2dfd7e2bd7fed29b8cdfd5db8fe25cb9508085f8953aa");
+  EXPECT_EQ(sha(disk.ReadAt(kWalFileId, 0, disk.Size(kWalFileId))),
+            "f9cb5dfa367417b60489122a38a19adb546325c7161c2acdd3f184c8b4a12a5c");
+  EXPECT_EQ(sha(disk.ReadAt(kPagesFileId, 0, disk.Size(kPagesFileId))),
+            "9479356ad8b131523d4620f89b233fc5629b1d4d9957425e7b3a50e76c881a50");
+}
+
 }  // namespace
 }  // namespace transedge::storage::paged

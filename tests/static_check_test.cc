@@ -39,14 +39,12 @@ TEST(StaticCheckTest, ViolationsTreeCatchesEverySeededViolation) {
   EXPECT_EQ(counts["unordered-iter"], 3);
   EXPECT_EQ(counts["malformed-allow"], 1);
   EXPECT_EQ(counts["banned-call"], 3);
-  EXPECT_EQ(counts["wire-parity"], 5);
-  EXPECT_EQ(counts["page-format-parity"], 5);
   EXPECT_EQ(counts["layer-order"], 1);
   EXPECT_EQ(counts["engine-isolation"], 1);
   EXPECT_EQ(counts["consensus-seam"], 1);
   EXPECT_EQ(counts["external-include"], 2);
   EXPECT_EQ(counts["include-cycle"], 1);
-  EXPECT_EQ(result.findings.size(), 23u);
+  EXPECT_EQ(result.findings.size(), 13u);
 }
 
 TEST(StaticCheckTest, UnorderedIterationFlaggedAtExactSites) {
@@ -90,63 +88,6 @@ TEST(StaticCheckTest, BannedCallsFlaggedOutsideSimAndRng) {
   // The simulator may consult wall clocks: sim/ is exempt.
   for (const Finding& f : result.findings) {
     EXPECT_NE(f.file, "src/sim/jitter.cc") << f.message;
-  }
-}
-
-TEST(StaticCheckTest, WireParityCatchesDriftInBothDirections) {
-  RunResult result = RunChecksOnTree(kFixtures + "/violations");
-
-  // DriftMsg: b serialized-only, c deserialized-only, d in neither.
-  EXPECT_TRUE(HasFinding(result, "src/wire/message.h", 20, "wire-parity"));
-  EXPECT_TRUE(HasFinding(result, "src/wire/message.h", 21, "wire-parity"));
-  EXPECT_TRUE(HasFinding(result, "src/wire/message.h", 22, "wire-parity"));
-  // OrphanMsg: missing EncodeBody and missing Decode, both reported at
-  // the struct declaration.
-  int orphan = 0;
-  for (const Finding& f : result.findings) {
-    if (f.file == "src/wire/message.h" && f.line == 30) ++orphan;
-  }
-  EXPECT_EQ(orphan, 2);
-  // GhostMsg: struct-level allow exempts the whole message, visibly.
-  bool ghost_suppressed = false;
-  for (const RunResult::Suppressed& s : result.suppressed) {
-    if (s.finding.file == "src/wire/message.h" && s.finding.line == 26) {
-      ghost_suppressed = true;
-    }
-  }
-  EXPECT_TRUE(ghost_suppressed);
-}
-
-TEST(StaticCheckTest, PageFormatParityCatchesDriftInBothDirections) {
-  RunResult result = RunChecksOnTree(kFixtures + "/violations");
-
-  // DriftHdr: b encoded-only, c decoded-only, pad in neither.
-  EXPECT_TRUE(HasFinding(result, "src/storage/paged/format.h", 12,
-                         "page-format-parity"));
-  EXPECT_TRUE(HasFinding(result, "src/storage/paged/format.h", 13,
-                         "page-format-parity"));
-  EXPECT_TRUE(HasFinding(result, "src/storage/paged/format.h", 14,
-                         "page-format-parity"));
-  // OrphanHdr: missing EncodeTo and missing DecodeFrom definitions, both
-  // reported at the struct declaration.
-  int orphan = 0;
-  for (const Finding& f : result.findings) {
-    if (f.file == "src/storage/paged/format.h" && f.line == 27) ++orphan;
-  }
-  EXPECT_EQ(orphan, 2);
-  // GhostHdr: struct-level allow exempts the whole record, visibly.
-  bool ghost_suppressed = false;
-  for (const RunResult::Suppressed& s : result.suppressed) {
-    if (s.finding.file == "src/storage/paged/format.h" &&
-        s.finding.line == 21) {
-      ghost_suppressed = true;
-    }
-  }
-  EXPECT_TRUE(ghost_suppressed);
-  // RuntimeOnly declares no EncodeTo, so it is outside the contract.
-  for (const Finding& f : result.findings) {
-    EXPECT_FALSE(f.file == "src/storage/paged/format.h" && f.line >= 35)
-        << f.message;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "storage/batch.h"
 #include "storage/partition_map.h"
 #include "storage/smr_log.h"
@@ -200,9 +201,9 @@ Batch SampleBatch() {
 TEST(BatchTest, EncodeDecodeRoundTrip) {
   Batch batch = SampleBatch();
   Encoder enc;
-  batch.EncodeTo(&enc);
+  Encode(batch, &enc);
   Decoder dec(enc.buffer());
-  Batch decoded = Batch::DecodeFrom(&dec).value();
+  Batch decoded = Decode<Batch>(&dec).value();
   EXPECT_EQ(decoded, batch);
   EXPECT_TRUE(dec.exhausted());
 }
@@ -218,12 +219,12 @@ TEST(BatchTest, DigestIsContentSensitive) {
 TEST(BatchTest, TruncatedDecodeFails) {
   Batch batch = SampleBatch();
   Encoder enc;
-  batch.EncodeTo(&enc);
+  Encode(batch, &enc);
   Bytes truncated(enc.buffer().begin(),
                   enc.buffer().begin() +
                       static_cast<long>(enc.buffer().size() / 2));
   Decoder dec(truncated);
-  EXPECT_FALSE(Batch::DecodeFrom(&dec).ok());
+  EXPECT_FALSE(Decode<Batch>(&dec).ok());
 }
 
 TEST(BatchCertificateTest, SignAndVerifyQuorum) {
@@ -258,9 +259,9 @@ TEST(BatchCertificateTest, EncodeDecodeRoundTrip) {
   cert.signatures.Add(scheme.MakeSigner(0)->Sign(cert.SignedPayload()));
 
   Encoder enc;
-  cert.EncodeTo(&enc);
+  Encode(cert, &enc);
   Decoder dec(enc.buffer());
-  BatchCertificate decoded = BatchCertificate::DecodeFrom(&dec).value();
+  BatchCertificate decoded = Decode<BatchCertificate>(&dec).value();
   EXPECT_EQ(decoded.partition, cert.partition);
   EXPECT_EQ(decoded.batch_id, cert.batch_id);
   EXPECT_EQ(decoded.batch_digest, cert.batch_digest);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/codec.h"
 #include "txn/occ_validator.h"
 #include "txn/prepared_batches.h"
 #include "txn/types.h"
@@ -57,9 +58,9 @@ TEST(TransactionTest, EncodeDecodeRoundTrip) {
   txn.participants = {0, 2, 4};
   txn.coordinator = 2;
   Encoder enc;
-  txn.EncodeTo(&enc);
+  Encode(txn, &enc);
   Decoder dec(enc.buffer());
-  Transaction decoded = Transaction::DecodeFrom(&dec).value();
+  Transaction decoded = Decode<Transaction>(&dec).value();
   EXPECT_EQ(decoded, txn);
 }
 

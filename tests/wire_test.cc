@@ -213,8 +213,6 @@ TEST(WireTest, LinearVoteMessagesRoundTrip) {
   ASSERT_EQ(pr->batch.local.size(), 1u);
   EXPECT_EQ(pr->batch.local[0], propose.batch.local[0]);
   EXPECT_FALSE(pr->has_justify);
-  // The simulation-only snapshot never travels.
-  EXPECT_FALSE(pr->post_snapshot.valid());
 
   // A view-change re-proposal carries the justification QC.
   propose.has_justify = true;
@@ -359,6 +357,20 @@ TEST(WireTest, TruncatedMessagesFailCleanly) {
     Result<sim::MessagePtr> decoded = DecodeMessage(truncated);
     EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
   }
+}
+
+TEST(WireTest, ForgedLockCountRejected) {
+  LinearViewChangeMsg msg;
+  msg.new_view = 4;
+  msg.signature = crypto::Signature{3, D("v")};
+  Bytes encoded = EncodeMessage(msg);
+  // The lock count is the body's final u32; claim 2^32-1 locks.
+  for (size_t i = encoded.size() - 4; i < encoded.size(); ++i) {
+    encoded[i] = 0xff;
+  }
+  Result<sim::MessagePtr> decoded = DecodeMessage(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
 
 TEST(WireTest, TrailingGarbageRejected) {

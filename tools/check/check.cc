@@ -4,8 +4,6 @@
 
 #include "check/determinism.h"
 #include "check/layering.h"
-#include "check/page_format.h"
-#include "check/wire_parity.h"
 
 namespace transedge::check {
 
@@ -33,8 +31,6 @@ RunResult RunChecks(const std::map<std::string, SourceFile>& files) {
   RunResult result;
   result.files_scanned = static_cast<int>(files.size());
   CheckDeterminism(files, &result);
-  CheckWireParity(files, &result);
-  CheckPageFormat(files, &result);
   CheckLayering(files, &result);
   Canonicalize(&result);
   return result;

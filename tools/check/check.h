@@ -13,8 +13,8 @@ namespace transedge::check {
 /// repo-relative path in deterministic (sorted) order.
 std::map<std::string, SourceFile> LoadTree(const std::string& root);
 
-/// Runs all three check families (determinism lint, wire parity,
-/// layering) over a loaded tree and returns the canonicalized result.
+/// Runs both check families (determinism lint, layering) over a loaded
+/// tree and returns the canonicalized result.
 RunResult RunChecks(const std::map<std::string, SourceFile>& files);
 
 /// Convenience: LoadTree + RunChecks.

@@ -1,9 +1,8 @@
 // transedge-check: repo-native static analysis.
 //
-// Three check families over src/ (see ARCHITECTURE.md §Static checks):
+// Two check families over src/ (see ARCHITECTURE.md §Static checks):
 //   determinism lint  — unordered-container iteration, wall-clock and
 //                       ambient-randomness calls
-//   wire parity       — message.h fields vs. serialize.cc codec paths
 //   layering          — the #include-graph contract
 //
 // Usage: transedge-check [--root DIR] [--json FILE]
