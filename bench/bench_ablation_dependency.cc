@@ -5,8 +5,10 @@
 //  (b) Merkle-only (Algorithm 2 disabled): each partition's response
 //      still authenticates perfectly, yet snapshots tear across
 //      partitions — the Figure 1 anomaly, quantified.
-//  (c) Strict fixpoint mode: the extension documented in DESIGN.md §4;
-//      reports the round distribution.
+//  (c) Strict fixpoint mode: the extension documented at
+//      SystemConfig::strict_ro_rounds (see also the bench/e2e/README.md
+//      finding on reads that do not settle in two rounds); reports the
+//      round distribution.
 
 #include <functional>
 

@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-
 namespace transedge {
 
 namespace {
@@ -55,34 +53,6 @@ bool Rng::NextBernoulli(double p) {
   if (p <= 0) return false;
   if (p >= 1) return true;
   return NextDouble() < p;
-}
-
-ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta) {
-  zetan_ = Zeta(n, theta);
-  zeta2theta_ = Zeta(2, theta);
-  alpha_ = 1.0 / (1.0 - theta);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-         (1.0 - zeta2theta_ / zetan_);
-}
-
-double ZipfianGenerator::Zeta(uint64_t n, double theta) const {
-  double sum = 0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  }
-  return sum;
-}
-
-uint64_t ZipfianGenerator::Next(Rng* rng) {
-  double u = rng->NextDouble();
-  double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  uint64_t v = static_cast<uint64_t>(static_cast<double>(n_) *
-                                     std::pow(eta_ * u - eta_ + 1.0, alpha_));
-  // Floating-point rounding can land exactly on n_; clamp into range.
-  return v >= n_ ? n_ - 1 : v;
 }
 
 }  // namespace transedge

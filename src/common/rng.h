@@ -46,28 +46,6 @@ class Rng {
   uint64_t s_[4];
 };
 
-/// Zipfian key chooser over [0, n), YCSB-style, with configurable skew
-/// `theta` (theta = 0 degenerates to uniform-ish; YCSB default is 0.99).
-class ZipfianGenerator {
- public:
-  ZipfianGenerator(uint64_t n, double theta);
-
-  /// Samples a key in [0, n) with Zipfian popularity.
-  uint64_t Next(Rng* rng);
-
-  uint64_t n() const { return n_; }
-
- private:
-  double Zeta(uint64_t n, double theta) const;
-
-  uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  double zeta2theta_;
-};
-
 }  // namespace transedge
 
 #endif  // TRANSEDGE_COMMON_RNG_H_

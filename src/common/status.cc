@@ -22,8 +22,6 @@ const char* StatusCodeToString(StatusCode code) {
       return "Conflict";
     case StatusCode::kTimeout:
       return "Timeout";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
     case StatusCode::kVerificationFailed:
       return "VerificationFailed";
     case StatusCode::kInternal:

@@ -20,7 +20,6 @@ enum class StatusCode {
   kAborted,
   kConflict,
   kTimeout,
-  kUnavailable,
   kVerificationFailed,
   kInternal,
 };
@@ -66,9 +65,6 @@ class Status {
   }
   static Status Timeout(std::string msg) {
     return Status(StatusCode::kTimeout, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
   static Status VerificationFailed(std::string msg) {
     return Status(StatusCode::kVerificationFailed, std::move(msg));

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/batch_apply.h"
+#include "crypto/sha256.h"
 #include "txn/cd_vector.h"
 
 namespace transedge::core {
@@ -40,48 +41,38 @@ bool HasUncommittedReadyGroup(NodeContext* ctx, const ProposalChain& chain) {
 
 }  // namespace
 
+uint32_t ShardKeyRouter::ShardOf(const Key& key) const {
+  if (shard_count_ == 1) return 0;
+  crypto::Digest d = crypto::Sha256::Hash(key);
+  if (kind_ == ShardRouterKind::kRange) {
+    // Merkle leaf-index space (digest bytes 0-3), contiguous ranges.
+    uint64_t h = (static_cast<uint64_t>(d.bytes[0]) << 24) |
+                 (static_cast<uint64_t>(d.bytes[1]) << 16) |
+                 (static_cast<uint64_t>(d.bytes[2]) << 8) |
+                 static_cast<uint64_t>(d.bytes[3]);
+    return static_cast<uint32_t>((h * shard_count_) >> 32);
+  }
+  // kHash: bytes 24-27, between the Merkle prefix and the partition
+  // suffix, so all three placements are independent.
+  uint32_t h = (static_cast<uint32_t>(d.bytes[24]) << 24) |
+               (static_cast<uint32_t>(d.bytes[25]) << 16) |
+               (static_cast<uint32_t>(d.bytes[26]) << 8) |
+               static_cast<uint32_t>(d.bytes[27]);
+  return h % shard_count_;
+}
+
 BatchPipeline::BatchPipeline(NodeContext* ctx, Hooks hooks)
-    : ctx_(ctx), hooks_(std::move(hooks)) {}
+    : ctx_(ctx),
+      hooks_(std::move(hooks)),
+      router_(ctx->config().pipeline_shards,
+              ctx->config().pipeline_shard_router) {}
 
-void StartBatchTimerLoop(NodeContext* ctx, std::function<void()> try_propose) {
-  ctx->Schedule(ctx->config().batch_interval,
-                [ctx, try_propose = std::move(try_propose)]() mutable {
-                  if (ctx->byzantine() != ByzantineBehavior::kCrash) {
-                    try_propose();
-                  }
-                  StartBatchTimerLoop(ctx, std::move(try_propose));
-                });
-}
-
-bool ShouldProposeNow(NodeContext* ctx, bool proposing, size_t in_progress) {
-  if (!ctx->IsLeader() || ctx->ReproposalPending()) return false;
-  const bool decoupled = ctx->DecoupledApply();
-  if (decoupled) {
-    // Pipelined gate: up to EffectivePipelineDepth consensus instances may
-    // run concurrently. `proposing_` (cleared only when a batch *applies*)
-    // would re-serialize proposals on the storage stack.
-    if (ctx->ConsensusInFlight() >= ctx->EffectivePipelineDepth()) {
-      return false;
-    }
-  } else if (proposing) {
-    return false;
-  }
-  if (ctx->mutable_log().empty()) {
-    // Genesis batch, certifies preload state — once; with decoupled
-    // proposals the genesis instance may already be in flight.
-    return !decoupled || ctx->ConsensusInFlight() == 0;
-  }
-  if (in_progress > 0) return true;
-  // A ready prepare group justifies a batch only if no in-flight
-  // predecessor already committed it (else the batch would be empty).
-  if (HasUncommittedReadyGroup(ctx, ctx->proposal_chain())) return true;
-  return false;
-}
+// ---------------------------------------------------------------------------
+// Proposal triggers
+// ---------------------------------------------------------------------------
 
 void BatchPipeline::OnStart() {
-  StartBatchTimerLoop(ctx_, [this] {
-    if (ShouldPropose()) ProposeBatch();
-  });
+  ArmBatchTimer();
   // The genesis batch certifies the preloaded state right away so that
   // read-only transactions have a certificate to verify against.
   if (ctx_->byzantine() != ByzantineBehavior::kCrash && ShouldPropose()) {
@@ -89,23 +80,35 @@ void BatchPipeline::OnStart() {
   }
 }
 
+void BatchPipeline::ArmBatchTimer() {
+  ctx_->Schedule(ctx_->config().batch_interval, [this] {
+    if (ctx_->byzantine() != ByzantineBehavior::kCrash && ShouldPropose()) {
+      ProposeBatch();
+    }
+    ArmBatchTimer();
+  });
+}
+
+bool BatchPipeline::SlotFree() const {
+  return ctx_->IsLeader() && !ctx_->ReproposalPending() &&
+         ctx_->ConsensusInFlight() < ctx_->EffectivePipelineDepth();
+}
+
 bool BatchPipeline::ShouldPropose() const {
-  return ShouldProposeNow(ctx_, proposing_, in_progress_size());
+  if (!SlotFree()) return false;
+  if (ctx_->mutable_log().empty()) {
+    // Genesis batch, certifies preload state — once; with pipelined
+    // proposals the genesis instance may already be in flight.
+    return ctx_->ConsensusInFlight() == 0;
+  }
+  if (in_progress_size() > 0) return true;
+  // A ready prepare group justifies a batch only if no in-flight
+  // predecessor already committed it (else the batch would be empty).
+  return HasUncommittedReadyGroup(ctx_, ctx_->proposal_chain());
 }
 
 void BatchPipeline::MaybeProposeOnSize() {
-  if (hooks_.propose_on_size) {
-    // Shard mode: the coordinator watches the total in-progress size
-    // across all shards and proposes the merged batch.
-    hooks_.propose_on_size();
-    return;
-  }
-  bool slot_free =
-      ctx_->DecoupledApply()
-          ? ctx_->ConsensusInFlight() < ctx_->EffectivePipelineDepth()
-          : !proposing_;
-  if (ctx_->IsLeader() && slot_free && !ctx_->ReproposalPending() &&
-      in_progress_size() >= ctx_->config().max_batch_size) {
+  if (SlotFree() && in_progress_size() >= ctx_->config().max_batch_size) {
     ProposeBatch();
   }
 }
@@ -124,11 +127,6 @@ Status BatchPipeline::AdmitCheck(const Transaction& txn) {
   if (inprog_index_.ConflictsWith(txn)) {
     return Status::Conflict("conflicts with in-progress batch");
   }
-  if (hooks_.peer_admit) {
-    // Shard mode: rule 2 continues across the other shards this
-    // transaction's footprint touches.
-    TE_RETURN_IF_ERROR(hooks_.peer_admit(txn));
-  }
   if (ctx_->pending_footprint().ConflictsWith(txn)) {
     return Status::Conflict("conflicts with a prepared transaction");
   }
@@ -144,7 +142,6 @@ Status BatchPipeline::AdmitCheck(const Transaction& txn) {
 void BatchPipeline::RecordAdmitted(const Transaction& txn) {
   inprog_index_.Add(txn);
   indexed_.insert(txn.id);
-  if (hooks_.on_admitted) hooks_.on_admitted(txn);
 }
 
 void BatchPipeline::HandleCommitRequest(sim::ActorId from,
@@ -214,13 +211,78 @@ Status BatchPipeline::AdmitPrepared(const Transaction& txn) {
 // Batch building
 // ---------------------------------------------------------------------------
 
-storage::Batch BuildBatchFromSegments(NodeContext* ctx,
-                                      std::vector<Transaction> local,
-                                      std::vector<Transaction> prepared) {
-  const storage::SmrLog& log = ctx->mutable_log();
-  ProposalChain chain = ctx->proposal_chain();
+void BatchPipeline::ProposeBatch() {
+  // Drain the queues; the footprints stay indexed until the decided
+  // batch applies.
+  for (const Transaction& t : inprog_local_) proposed_inflight_.push_back(t.id);
+  for (const Transaction& t : inprog_prepared_) {
+    proposed_inflight_.push_back(t.id);
+  }
+  std::vector<Transaction> local = std::exchange(inprog_local_, {});
+  std::vector<Transaction> prepared = std::exchange(inprog_prepared_, {});
+  const uint32_t shards = router_.shard_count();
+  std::vector<size_t> shard_sizes(shards, 0);
+  if (shards > 1) {
+    OrderByHomeShard(&local, &shard_sizes);
+    OrderByHomeShard(&prepared, &shard_sizes);
+  }
+  storage::Batch batch = BuildBatch(std::move(local), std::move(prepared));
+  // One shard pays the superlinear term on the whole batch. Several pay
+  // it per home shard, plus once for the committed segment, which is
+  // assembled from the prepare groups rather than admitted by a shard.
+  if (shards > 1) {
+    shard_sizes.push_back(batch.committed.size());
+  } else {
+    shard_sizes = {batch.TotalTransactions()};
+  }
+  ctx_->Charge(ctx_->BatchComputeCost(shard_sizes,
+                                      ctx_->config().cost.admit_per_txn / 4) +
+               ctx_->config().cost.signature_op);
+
+  // Compute the post-state Merkle root on a structural-sharing clone of
+  // the chain head: the newest in-flight post-state when pipelining, the
+  // decided tree otherwise (identical to the applied tree under
+  // synchronous apply).
+  ProposalChain chain = ctx_->proposal_chain();
+  merkle::MerkleTree post_tree = chain.head_tree->Clone();
+  ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(), ctx_->partition(),
+                         batch, ctx_->prepared_batches());
+  batch.ro.merkle_root = post_tree.RootDigest();
+
+  hooks_.propose(std::move(batch), std::move(post_tree));
+}
+
+void BatchPipeline::OrderByHomeShard(std::vector<Transaction>* segment,
+                                     std::vector<size_t>* shard_sizes) const {
+  std::vector<std::pair<uint32_t, Transaction>> homed;
+  homed.reserve(segment->size());
+  for (Transaction& t : *segment) {
+    uint32_t home = router_.shard_count();
+    for (const ReadOp& r : t.read_set) {
+      home = std::min(home, router_.ShardOf(r.key));
+    }
+    for (const WriteOp& w : t.write_set) {
+      home = std::min(home, router_.ShardOf(w.key));
+    }
+    if (home == router_.shard_count()) home = 0;  // Empty footprint.
+    homed.emplace_back(home, std::move(t));
+  }
+  std::stable_sort(
+      homed.begin(), homed.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  segment->clear();
+  for (auto& [home, t] : homed) {
+    ++(*shard_sizes)[home];
+    segment->push_back(std::move(t));
+  }
+}
+
+storage::Batch BatchPipeline::BuildBatch(std::vector<Transaction> local,
+                                         std::vector<Transaction> prepared) {
+  const storage::SmrLog& log = ctx_->mutable_log();
+  ProposalChain chain = ctx_->proposal_chain();
   storage::Batch batch;
-  batch.partition = ctx->partition();
+  batch.partition = ctx_->partition();
   batch.id = chain.next_id;
   batch.local = std::move(local);
   batch.prepared = std::move(prepared);
@@ -236,14 +298,14 @@ storage::Batch BuildBatchFromSegments(NodeContext* ctx,
     cd = chain.pending.back()->ro.cd_vector;
   } else {
     lce = log.empty() ? kNoBatch : log.back().batch.ro.lce;
-    cd = log.empty() ? txn::CdVector(ctx->config().num_partitions)
+    cd = log.empty() ? txn::CdVector(ctx_->config().num_partitions)
                      : log.back().batch.ro.cd_vector;
   }
-  if (cd.empty()) cd = txn::CdVector(ctx->config().num_partitions);
+  if (cd.empty()) cd = txn::CdVector(ctx_->config().num_partitions);
 
   std::set<BatchId> window_committed = WindowCommittedGroups(chain);
   for (const txn::PrepareGroup* group :
-       ctx->prepared_batches().ReadyPrefix()) {
+       ctx_->prepared_batches().ReadyPrefix()) {
     if (window_committed.count(group->prepared_in_batch) > 0) continue;
     for (const txn::PendingTxn& pending : group->txns) {
       storage::CommitRecord rec;
@@ -266,60 +328,12 @@ storage::Batch BuildBatchFromSegments(NodeContext* ctx,
       if (info.cd_vector.size() == cd.size()) cd.PairwiseMax(info.cd_vector);
     }
   }
-  cd.Set(ctx->partition(), batch.id);
+  cd.Set(ctx_->partition(), batch.id);
 
   batch.ro.cd_vector = std::move(cd);
   batch.ro.lce = lce;
-  batch.ro.timestamp_us = ctx->now();
+  batch.ro.timestamp_us = ctx_->now();
   return batch;
-}
-
-void SealAndProposeBatch(
-    NodeContext* ctx, storage::Batch batch, sim::Time compute_cost,
-    const std::function<void(storage::Batch, merkle::MerkleTree)>& propose) {
-  ctx->Charge(compute_cost + ctx->config().cost.signature_op);
-
-  // Compute the post-state Merkle root on a structural-sharing clone of
-  // the chain head: the newest in-flight post-state when pipelining, the
-  // decided tree otherwise (identical to the applied tree under
-  // synchronous apply).
-  ProposalChain chain = ctx->proposal_chain();
-  merkle::MerkleTree post_tree = chain.head_tree->Clone();
-  ApplyBatchWritesToTree(&post_tree, ctx->partition_map(), ctx->partition(),
-                         batch, ctx->prepared_batches());
-  batch.ro.merkle_root = post_tree.RootDigest();
-
-  propose(std::move(batch), std::move(post_tree));
-}
-
-storage::Batch BatchPipeline::BuildBatch() {
-  std::vector<Transaction> local;
-  std::vector<Transaction> prepared;
-  DrainSegments(&local, &prepared);
-  return BuildBatchFromSegments(ctx_, std::move(local), std::move(prepared));
-}
-
-void BatchPipeline::ProposeBatch() {
-  proposing_ = true;
-  storage::Batch batch = BuildBatch();
-  sim::Time cost = ctx_->BatchComputeCost(
-      batch.TotalTransactions(), ctx_->config().cost.admit_per_txn / 4);
-  SealAndProposeBatch(ctx_, std::move(batch), cost, hooks_.propose);
-}
-
-void BatchPipeline::DrainSegments(std::vector<Transaction>* local,
-                                  std::vector<Transaction>* prepared) {
-  for (const Transaction& t : inprog_local_) proposed_inflight_.push_back(t.id);
-  for (const Transaction& t : inprog_prepared_) {
-    proposed_inflight_.push_back(t.id);
-  }
-  local->insert(local->end(), std::make_move_iterator(inprog_local_.begin()),
-                std::make_move_iterator(inprog_local_.end()));
-  prepared->insert(prepared->end(),
-                   std::make_move_iterator(inprog_prepared_.begin()),
-                   std::make_move_iterator(inprog_prepared_.end()));
-  inprog_local_.clear();
-  inprog_prepared_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +376,6 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
                        [&](TxnId id) { return applied_ids.count(id) > 0; }),
         proposed_inflight_.end());
   }
-  proposing_ = false;
 
   // Local transactions are now committed — answer clients.
   sim::Time at = ctx_->busy_until();
@@ -377,7 +390,6 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
 }
 
 void BatchPipeline::OnViewChange() {
-  proposing_ = false;
   // Undecided admissions are abandoned — answer the waiting local clients
   // with a retryable abort (they re-issue against the new leader with the
   // same transaction id) instead of leaving them to hang.

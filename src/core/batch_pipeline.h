@@ -12,6 +12,28 @@
 
 namespace transedge::core {
 
+/// Routes keys to admission shards (SystemConfig::pipeline_shards). Both
+/// policies hash the key once with SHA-256 and carve the digest so that
+/// shard choice is independent from partition ownership (digest bytes
+/// 28–31) and, for kHash, from the Merkle leaf index (bytes 0–3):
+///
+///   kHash   — bytes 24–27 modulo the shard count (uniform spray).
+///   kRange  — bytes 0–3 (the Merkle leaf-index space) split into
+///             contiguous equal ranges, so one shard covers a contiguous
+///             slice of the authenticated tree.
+class ShardKeyRouter {
+ public:
+  ShardKeyRouter(uint32_t shard_count, ShardRouterKind kind)
+      : shard_count_(shard_count == 0 ? 1 : shard_count), kind_(kind) {}
+
+  uint32_t shard_count() const { return shard_count_; }
+  uint32_t ShardOf(const Key& key) const;
+
+ private:
+  uint32_t shard_count_;
+  ShardRouterKind kind_;
+};
+
 /// Leader-side admission and batching (Definition 3.1, Figure 2): the
 /// in-progress transaction queues, the conflict footprint of everything
 /// in flight, batch construction (including the committed segment, LCE,
@@ -22,11 +44,17 @@ namespace transedge::core {
 /// leaves through the `propose` hook, and distributed transactions that
 /// pass admission are handed to `begin_coordination`.
 ///
-/// When SystemConfig::pipeline_shards > 1 a ShardedPipeline hosts one
-/// BatchPipeline per key-range shard: each instance then runs admission
-/// only (the shard hooks below route cross-shard footprint checks), and
-/// the hosting coordinator owns the timer, the size trigger, and the
-/// merged proposal.
+/// One gate decides when a leader may propose: while fewer than
+/// NodeContext::EffectivePipelineDepth consensus instances are in
+/// flight and no view-change re-proposal holds the next slot.
+///
+/// Admission sharding (SystemConfig::pipeline_shards > 1) is a batch
+/// order plus a cost over the one conflict index. Every key routes to
+/// exactly one shard, so per-shard indexes holding each footprint's
+/// slices would reach exactly this index's verdicts. A proposal lists
+/// each segment by home shard (the lowest shard any footprint key routes
+/// to; 0 for an empty footprint), admission order within a shard, and
+/// pays the superlinear construction term per shard.
 class BatchPipeline {
  public:
   struct Stats {
@@ -49,17 +77,6 @@ class BatchPipeline {
     /// Augustus-baseline interference: true if a shared read lock blocks
     /// this (partition-restricted) writer.
     std::function<bool(const Transaction&)> ro_locks_block_writer;
-
-    // --- Shard hooks (set only by ShardedPipeline, shards > 1) ----------
-    /// Definition 3.1 rule-2 check against the in-progress indexes of the
-    /// other shards a cross-shard transaction touches.
-    std::function<Status(const Transaction&)> peer_admit;
-    /// A transaction passed admission here: record its footprint slices
-    /// in the other touched shards.
-    std::function<void(const Transaction&)> on_admitted;
-    /// Size trigger delegated to the coordinator, which watches the total
-    /// in-progress size across shards and proposes the merged batch.
-    std::function<void()> propose_on_size;
   };
 
   BatchPipeline(NodeContext* ctx, Hooks hooks);
@@ -78,12 +95,11 @@ class BatchPipeline {
   /// 2PC dedup across commit requests and coordinator prepares.
   bool AlreadySeen(TxnId txn_id) const { return seen_txns_.count(txn_id) > 0; }
 
-  /// True while `txn_id`'s footprint is held in this pipeline's
-  /// in-progress index (admitted here and not yet applied or abandoned).
+  /// True while `txn_id`'s footprint is held in the in-progress index
+  /// (admitted here and not yet applied or abandoned).
   bool HasIndexed(TxnId txn_id) const { return indexed_.count(txn_id) > 0; }
 
-  /// Proposes when the in-progress batch reached the size trigger (or
-  /// defers to the coordinator's trigger in shard mode).
+  /// Proposes when the in-progress batch reached the size trigger.
   void MaybeProposeOnSize();
 
   /// Post-apply bookkeeping for a decided batch `logged`: releases the
@@ -97,28 +113,6 @@ class BatchPipeline {
   /// against the new leader).
   void OnViewChange();
 
-  // --- Shard-mode API (used by ShardedPipeline when shards > 1) ----------
-  /// Definition 3.1 rule-2 check of `txn` against this shard's index.
-  bool FootprintConflicts(const Transaction& txn) const {
-    return inprog_index_.ConflictsWith(txn);
-  }
-  /// Records / releases the slice of a cross-shard transaction's
-  /// footprint that falls in this shard's key range. The slice must be
-  /// released with exactly the keys it was recorded with.
-  void RecordPeerFootprint(const Transaction& slice) {
-    inprog_index_.Add(slice);
-  }
-  void ReleasePeerFootprint(const Transaction& slice) {
-    inprog_index_.Remove(slice);
-  }
-  /// Moves this shard's admitted segments onto the merged batch (the
-  /// footprints stay indexed until the decided batch applies).
-  void DrainSegments(std::vector<Transaction>* local,
-                     std::vector<Transaction>* prepared);
-  /// Drains a decided distributed id from the dedup set (the sharded
-  /// coordinator fans an applied batch's commit records to every shard).
-  void ForgetSeen(TxnId txn_id) { seen_txns_.erase(txn_id); }
-
   size_t in_progress_size() const {
     return inprog_local_.size() + inprog_prepared_.size();
   }
@@ -130,20 +124,44 @@ class BatchPipeline {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Re-arms itself every batch_interval on every replica (only the
+  /// current leader proposes, so a freshly elected leader starts
+  /// batching immediately); skipped while crash-stopped.
+  void ArmBatchTimer();
+
+  /// The proposal gate: leader, no re-proposal pending, and a free
+  /// consensus slot (fewer than EffectivePipelineDepth in flight).
+  bool SlotFree() const;
+
+  /// Timer policy: a free slot and work to do — the genesis batch (once),
+  /// queued admissions, or a ready prepare group.
   bool ShouldPropose() const;
+
+  /// Drains the queues into a batch, seals it and hands it to `propose`.
   void ProposeBatch();
-  storage::Batch BuildBatch();
+
+  /// Stable-sorts `segment` by home shard and adds each shard's count
+  /// to `shard_sizes`.
+  void OrderByHomeShard(std::vector<Transaction>* segment,
+                        std::vector<size_t>* shard_sizes) const;
+
+  /// Builds the next batch from drained segments: assigns the next log
+  /// position, attaches the committed segment (the ready prefix of
+  /// prepare groups, Definition 4.1), and computes the LCE and CD vector
+  /// (Algorithm 1).
+  storage::Batch BuildBatch(std::vector<Transaction> local,
+                            std::vector<Transaction> prepared);
 
   /// Definition 3.1 admission check for `txn` (full footprint; store
   /// checks restricted to this partition's keys).
   Status AdmitCheck(const Transaction& txn);
 
-  /// Indexes an admitted transaction's footprint (and fans the slices
-  /// out to peer shards in shard mode).
+  /// Indexes an admitted transaction's footprint.
   void RecordAdmitted(const Transaction& txn);
 
   NodeContext* ctx_;
   Hooks hooks_;
+  ShardKeyRouter router_;
 
   std::vector<Transaction> inprog_local_;
   std::vector<Transaction> inprog_prepared_;
@@ -160,35 +178,8 @@ class BatchPipeline {
   /// their footprints are still indexed, so a view change must forget
   /// them from `seen_txns_` together with the queued ids.
   std::vector<TxnId> proposed_inflight_;
-  bool proposing_ = false;
   Stats stats_;
 };
-
-/// Builds the next batch from already-admitted segments: assigns the next
-/// log position, attaches the committed segment (the ready prefix of
-/// prepare groups, Definition 4.1), and computes the LCE and CD vector
-/// (Algorithm 1). Shared by the single pipeline and the sharded merge.
-storage::Batch BuildBatchFromSegments(NodeContext* ctx,
-                                      std::vector<Transaction> local,
-                                      std::vector<Transaction> prepared);
-
-/// Seals a built batch — post-state Merkle root on a structural-sharing
-/// clone — and hands it to `propose`. `compute_cost` is the simulated
-/// cost of constructing the batch (sharded leaders pay the superlinear
-/// term per shard).
-void SealAndProposeBatch(
-    NodeContext* ctx, storage::Batch batch, sim::Time compute_cost,
-    const std::function<void(storage::Batch, merkle::MerkleTree)>& propose);
-
-/// The when-to-propose policy both pipeline flavors share: leader, not
-/// already proposing, and (empty log => genesis) | queued admissions |
-/// a ready prepare group.
-bool ShouldProposeNow(NodeContext* ctx, bool proposing, size_t in_progress);
-
-/// Arms the recurring batch timer on every replica (only the current
-/// leader's `try_propose` does anything, so a freshly elected leader
-/// starts batching immediately); skipped while crash-stopped.
-void StartBatchTimerLoop(NodeContext* ctx, std::function<void()> try_propose);
 
 }  // namespace transedge::core
 

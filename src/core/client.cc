@@ -395,7 +395,7 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
     // SystemConfig::strict_ro_rounds for why the corner exists.
     bool may_continue =
         op.rounds < 2 ||
-        (config_.strict_ro_rounds && op.rounds < config_.max_ro_rounds);
+        (config_.strict_ro_rounds && op.rounds < kMaxStrictRoRounds);
     if (may_continue) {
       StartRoRound2(op_id, needed);
       return;
@@ -418,7 +418,8 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
   }
   if (!needed.empty()) {
     // Residual unsatisfied dependency after the paper's two rounds — the
-    // diagnostic Theorem 4.6 claims is impossible (see DESIGN.md §4).
+    // diagnostic Theorem 4.6 claims is impossible (see
+    // SystemConfig::strict_ro_rounds).
     result.needed_third_round = true;
     ++stats_.ro_third_round_would_be_needed;
   }

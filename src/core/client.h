@@ -87,6 +87,10 @@ class Client : public sim::Actor {
   /// Baseline: Augustus-style locking read-only transaction.
   void ExecuteAugustusReadOnly(std::vector<Key> keys, RoCallback done);
 
+  /// Round cap of a read-only transaction under
+  /// SystemConfig::strict_ro_rounds.
+  static constexpr int kMaxStrictRoRounds = 8;
+
   crypto::NodeId id() const { return id_; }
   const ClientStats& stats() const { return stats_; }
 

@@ -89,14 +89,14 @@ enum class ConsensusKind : uint8_t {
 /// Human-readable engine name ("pbft" / "linear_vote") for benches/logs.
 const char* ConsensusKindName(ConsensusKind kind);
 
-/// How the leader's sharded batch pipeline routes keys to admission
-/// shards (only meaningful when SystemConfig::pipeline_shards > 1).
+/// How the leader's batch pipeline routes keys to admission shards (only
+/// meaningful when SystemConfig::pipeline_shards > 1).
 enum class ShardRouterKind : uint8_t {
   /// Uniform hashing of the key (independent from partition choice and
   /// from the Merkle leaf index).
   kHash,
-  /// Contiguous ranges of the Merkle leaf-index space, so a shard's
-  /// conflict index covers a contiguous slice of the authenticated tree.
+  /// Contiguous ranges of the Merkle leaf-index space, so a shard covers
+  /// a contiguous slice of the authenticated tree.
   kRange,
 };
 
@@ -107,15 +107,16 @@ struct SystemConfig {
   /// Number of partitions == number of clusters (paper default: 5).
   uint32_t num_partitions = 5;
 
-  /// Number of admission shards the leader's batch pipeline runs over
-  /// disjoint key ranges. 1 (default) keeps the single-pipeline leader
-  /// byte-for-byte identical to the pre-sharding behavior; >1 admits
-  /// through per-shard conflict indexes and merges the shard segments
-  /// into one proposed batch, so consensus, 2PC, and the read-only path
-  /// are untouched.
+  /// Number of admission shards the leader's batch construction is
+  /// modelled over (keys routed by `pipeline_shard_router`). Admission
+  /// always checks one conflict index, so sharding never changes a
+  /// verdict; with >1 shards a proposal lists its segments by home shard
+  /// and pays the superlinear construction cost per shard, and replicas
+  /// re-validate at the matching per-shard cost. 1 (default) charges the
+  /// whole batch as one term.
   uint32_t pipeline_shards = 1;
 
-  /// Key -> shard routing policy of the sharded pipeline.
+  /// Key -> shard routing policy of the admission shards.
   ShardRouterKind pipeline_shard_router = ShardRouterKind::kHash;
 
   /// Intra-cluster consensus engine (see ConsensusKind). The default
@@ -185,14 +186,17 @@ struct SystemConfig {
   /// second round (Theorem 4.6). Our reproduction found a corner the
   /// theorem's transitivity argument does not cover: the batch serving a
   /// second-round request may *collaterally* commit additional prepare
-  /// groups whose dependencies no first-round CD vector reported (see
-  /// DESIGN.md §4). With `strict_ro_rounds` the client keeps issuing
-  /// targeted rounds until the dependency check passes (observed to
-  /// settle within 3-4 rounds); without it the client behaves exactly as
-  /// the paper specifies and counts the residual cases in
+  /// groups whose dependencies no first-round CD vector reported (see the
+  /// finding "Reads beside distributed writes almost never settle in two
+  /// rounds" in bench/e2e/README.md). With `strict_ro_rounds` the client
+  /// keeps issuing targeted rounds until the dependency check passes or
+  /// Client::kMaxStrictRoRounds is reached. Reads under light
+  /// cross-group load settle within the cap (read_only_test); beside
+  /// about 100 distributed writes/s (bench/e2e `mixed_failover`) they did
+  /// not. Without it the client behaves exactly as the paper specifies
+  /// and counts the residual cases in
   /// `ClientStats::ro_third_round_would_be_needed`.
   bool strict_ro_rounds = false;
-  int max_ro_rounds = 8;
 
   /// Number of per-batch Merkle snapshots (and key-version history) a
   /// replica retains for historical (second-round) reads. Dependencies
@@ -223,9 +227,6 @@ struct SystemConfig {
   }
   uint32_t ReplicaIndexOf(crypto::NodeId id) const {
     return id % replicas_per_cluster();
-  }
-  bool IsReplicaNode(crypto::NodeId id) const {
-    return id < total_replicas();
   }
 
   /// Leader of partition `p` in `view` (round-robin rotation).

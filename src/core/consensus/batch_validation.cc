@@ -54,21 +54,15 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
     return Status::VerificationFailed("batch timestamp outside window");
   }
 
-  const uint32_t shards = config.pipeline_shards == 0 ? 1
-                                                      : config.pipeline_shards;
-  if (shards > 1) {
-    // Re-validation partitions its conflict index the same way the
-    // sharded leader's admission did, so the superlinear churn term is
-    // paid per shard (balanced-router estimate; the routers are uniform).
-    size_t n = batch.TotalTransactions();
-    std::vector<size_t> sizes(shards, n / shards);
-    for (size_t i = 0; i < n % shards; ++i) ++sizes[i];
-    ctx->Charge(
-        ctx->ShardedBatchComputeCost(sizes, config.cost.validate_per_txn));
-  } else {
-    ctx->Charge(ctx->BatchComputeCost(batch.TotalTransactions(),
-                                      config.cost.validate_per_txn));
-  }
+  // Like the leader's proposal, re-validation pays the superlinear churn
+  // term per admission shard (balanced-router estimate; the routers are
+  // uniform). One shard charges the whole batch as one term.
+  const size_t shards = config.pipeline_shards == 0 ? 1
+                                                    : config.pipeline_shards;
+  const size_t n = batch.TotalTransactions();
+  std::vector<size_t> sizes(shards, n / shards);
+  for (size_t i = 0; i < n % shards; ++i) ++sizes[i];
+  ctx->Charge(ctx->BatchComputeCost(sizes, config.cost.validate_per_txn));
 
   // Re-run Definition 3.1 on every transaction the leader admitted. With
   // predecessors in flight, their admitted transactions count as part of

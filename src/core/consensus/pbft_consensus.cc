@@ -9,12 +9,6 @@ namespace transedge::core {
 PbftConsensus::PbftConsensus(NodeContext* ctx, Hooks hooks)
     : ctx_(ctx), hooks_(std::move(hooks)) {}
 
-void PbftConsensus::SendCounted(crypto::NodeId to, const sim::MessagePtr& msg,
-                                sim::Time at) {
-  ++stats_.messages_sent;
-  ctx_->Send(to, msg, at);
-}
-
 void PbftConsensus::BroadcastCounted(const sim::MessagePtr& msg,
                                      sim::Time at) {
   stats_.messages_sent += ctx_->cluster_members().size() - 1;

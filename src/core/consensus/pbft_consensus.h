@@ -59,9 +59,7 @@ class PbftConsensus : public Consensus {
   void InitiateViewChange(uint64_t new_view);
   void MaybeAdoptView(uint64_t target);
 
-  /// Network sends with the engine's message counter maintained.
-  void SendCounted(crypto::NodeId to, const sim::MessagePtr& msg,
-                   sim::Time at);
+  /// Cluster broadcast with the engine's message counter maintained.
   void BroadcastCounted(const sim::MessagePtr& msg, sim::Time at);
 
   NodeContext* ctx_;

@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "core/augustus_baseline.h"
+#include "core/batch_pipeline.h"
 #include "core/consensus/consensus.h"
 #include "core/read_only_service.h"
-#include "core/sharded_pipeline.h"
 #include "core/two_pc_coordinator.h"
 #include "core/watch_service.h"
 
@@ -48,8 +48,7 @@ TransEdgeNode::TransEdgeNode(const SystemConfig& config, crypto::NodeId id,
       backend_(storage::MakeStorageBackend(
           config.storage_kind, BackendTuningFor(config, partition_), disk)),
       tree_(config.merkle_depth),
-      decided_tree_(config.merkle_depth),
-      validator_(&backend_->store()) {
+      decided_tree_(config.merkle_depth) {
   // The private-base conversion must happen in this class's scope.
   NodeContext* ctx = this;
 
@@ -69,7 +68,7 @@ TransEdgeNode::TransEdgeNode(const SystemConfig& config, crypto::NodeId id,
   };
   consensus_ = MakeConsensus(ctx, std::move(consensus_hooks));
 
-  ShardedPipeline::Hooks pipeline_hooks;
+  BatchPipeline::Hooks pipeline_hooks;
   pipeline_hooks.propose = [this](storage::Batch batch,
                                   merkle::MerkleTree post_tree) {
     consensus_->Propose(std::move(batch), std::move(post_tree));
@@ -84,8 +83,7 @@ TransEdgeNode::TransEdgeNode(const SystemConfig& config, crypto::NodeId id,
   pipeline_hooks.ro_locks_block_writer = [this](const Transaction& txn) {
     return augustus_->BlocksWriter(txn);
   };
-  pipeline_ =
-      std::make_unique<ShardedPipeline>(ctx, std::move(pipeline_hooks));
+  pipeline_ = std::make_unique<BatchPipeline>(ctx, std::move(pipeline_hooks));
 
   TwoPcCoordinator::Hooks two_pc_hooks;
   two_pc_hooks.already_seen = [this](TxnId txn_id) {
@@ -181,7 +179,7 @@ size_t TransEdgeNode::seen_txn_count() const {
 
 const NodeStats& TransEdgeNode::stats() const {
   NodeStats& s = aggregated_stats_;
-  const ShardedPipeline::Stats pipeline_stats = pipeline_->stats();
+  const BatchPipeline::Stats& pipeline_stats = pipeline_->stats();
   s.local_committed = pipeline_stats.local_committed;
   s.local_aborted = pipeline_stats.local_aborted;
   s.dist_committed = two_pc_->stats().dist_committed;
@@ -466,7 +464,7 @@ sim::Time TransEdgeNode::ApplyCostFor(const PendingApply& entry) const {
   const size_t n = batch.TotalTransactions();
   const uint32_t shards = config_.apply_shards == 0 ? 1 : config_.apply_shards;
   if (shards <= 1) {
-    return BatchComputeCost(n, config_.cost.apply_per_txn);
+    return BatchComputeCost({n}, config_.cost.apply_per_txn);
   }
   // Carve the write ops over leaf-index subranges (each shard owns a
   // whole subtree of the authenticated structure) and pay for the

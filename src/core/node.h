@@ -15,16 +15,15 @@
 #include "storage/smr_log.h"
 #include "storage/storage_backend.h"
 #include "storage/versioned_store.h"
-#include "txn/occ_validator.h"
 #include "txn/prepared_batches.h"
 #include "wire/message.h"
 
 namespace transedge::core {
 
 class AugustusBaseline;
+class BatchPipeline;
 class Consensus;
 class ReadOnlyService;
-class ShardedPipeline;
 class TwoPcCoordinator;
 class WatchService;
 
@@ -68,9 +67,10 @@ struct NodeStats {
 ///   - Consensus:        intra-cluster consensus on batches (§3.2),
 ///                       selected by SystemConfig::consensus_kind
 ///                       (PbftConsensus or LinearVoteConsensus)
-///   - ShardedPipeline:  leader admission and batch building (Figure 2),
-///                       optionally sharded over disjoint key ranges
-///                       (SystemConfig::pipeline_shards)
+///   - BatchPipeline:    leader admission and batch building (Figure 2)
+///                       over one conflict index; pipeline_shards only
+///                       orders a batch by home shard and splits its
+///                       construction cost
 ///   - TwoPcCoordinator: cross-cluster 2PC (§3.3)
 ///   - ReadOnlyService:  authenticated read-only serving (§4.2–4.4)
 ///   - AugustusBaseline: locking read-only baseline (Figures 5–7)
@@ -169,9 +169,7 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   storage::VersionedStore& mutable_store() override {
     return backend_->store();
   }
-  merkle::MerkleTree& mutable_tree() override { return tree_; }
   storage::SmrLog& mutable_log() override { return backend_->log(); }
-  txn::OccValidator& validator() override { return validator_; }
   txn::PreparedBatches& prepared_batches() override {
     return prepared_batches_;
   }
@@ -243,8 +241,7 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   bool halted_ = false;
 
   // Storage stack, behind the engine seam selected by
-  // SystemConfig::storage_kind (must precede validator_, which borrows
-  // the store).
+  // SystemConfig::storage_kind.
   std::unique_ptr<storage::StorageBackend> backend_;
   /// What the node has already converted from the backend's cumulative
   /// I/O counters into simulated time (see ChargeStorageIo).
@@ -275,13 +272,12 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   /// storage thread running beside the consensus/protocol CPU.
   sim::CpuMeter apply_cpu_;
 
-  txn::OccValidator validator_;
   txn::PreparedBatches prepared_batches_;
   FootprintIndex pending_index_;  // Prepared-but-undecided distributed txns.
 
   // Subsystem engines (wired in the constructor).
   std::unique_ptr<Consensus> consensus_;
-  std::unique_ptr<ShardedPipeline> pipeline_;
+  std::unique_ptr<BatchPipeline> pipeline_;
   std::unique_ptr<TwoPcCoordinator> two_pc_;
   std::unique_ptr<ReadOnlyService> read_only_;
   std::unique_ptr<AugustusBaseline> augustus_;

@@ -16,18 +16,8 @@ Transaction NodeContext::RestrictToPartition(const Transaction& txn) const {
   return out;
 }
 
-sim::Time NodeContext::BatchComputeCost(size_t batch_size,
+sim::Time NodeContext::BatchComputeCost(const std::vector<size_t>& shard_sizes,
                                         sim::Time per_txn) const {
-  double quad = config().cost.batch_quadratic_ns *
-                static_cast<double>(batch_size) *
-                static_cast<double>(batch_size) / 1000.0;
-  return config().cost.batch_overhead +
-         per_txn * static_cast<sim::Time>(batch_size) +
-         static_cast<sim::Time>(quad);
-}
-
-sim::Time NodeContext::ShardedBatchComputeCost(
-    const std::vector<size_t>& shard_sizes, sim::Time per_txn) const {
   size_t total = 0;
   double quad = 0.0;
   for (size_t n : shard_sizes) {
@@ -58,7 +48,7 @@ sim::Time NodeContext::ShardedApplyCost(
   const CostModel& cost = config().cost;
   size_t shards = shard_write_loads.size();
   if (shards <= 1) {
-    return BatchComputeCost(batch_size, cost.apply_per_txn);
+    return BatchComputeCost({batch_size}, cost.apply_per_txn);
   }
   size_t total_writes = 0;
   size_t max_writes = 0;

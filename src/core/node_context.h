@@ -15,7 +15,6 @@
 #include "storage/partition_map.h"
 #include "storage/smr_log.h"
 #include "storage/versioned_store.h"
-#include "txn/occ_validator.h"
 #include "txn/prepared_batches.h"
 
 namespace transedge::core {
@@ -100,9 +99,7 @@ class NodeContext {
 
   // --- Shared storage stack (owned by the node) ----------------------------
   virtual storage::VersionedStore& mutable_store() = 0;
-  virtual merkle::MerkleTree& mutable_tree() = 0;
   virtual storage::SmrLog& mutable_log() = 0;
-  virtual txn::OccValidator& validator() = 0;
   virtual txn::PreparedBatches& prepared_batches() = 0;
   virtual const storage::PartitionMap& partition_map() const = 0;
   /// Footprint of prepared-but-undecided distributed transactions (rule 3
@@ -125,15 +122,15 @@ class NodeContext {
   virtual BatchId history_horizon() const { return snapshot_base(); }
 
   // --- Decided vs. applied watermarks --------------------------------------
-  /// Highest batch id whose writes have reached the store and tree
-  /// (`mutable_tree()` is positioned here); kNoBatch before the first
-  /// apply. Trails `mutable_log().LastBatchId()` — the *decided*
-  /// watermark — while the apply queue drains.
+  /// Highest batch id whose writes have reached the store and the
+  /// applied Merkle tree; kNoBatch before the first apply. Trails
+  /// `mutable_log().LastBatchId()` — the *decided* watermark — while the
+  /// apply queue drains.
   virtual BatchId last_applied() const = 0;
 
   /// The Merkle tree positioned after the newest *decided* batch.
   /// Validation, proposal sealing, and catch-up chain from this tree;
-  /// read-only serving stays on `mutable_tree()` (the applied tree).
+  /// read-only serving stays on the applied tree's snapshots.
   virtual const merkle::MerkleTree& decided_tree() = 0;
 
   /// Number of proposed-but-undecided consensus instances in flight.
@@ -156,31 +153,21 @@ class NodeContext {
   /// same verdict on a proposal.
   virtual BatchId LatestDecidedVersion(const Key& key) const = 0;
 
-  /// True when apply is off the decision critical path — either the
-  /// apply queue drains asynchronously or consensus runs more than one
-  /// instance deep. False is the bit-identical legacy mode.
-  bool DecoupledApply() const {
-    return config().async_apply || EffectivePipelineDepth() > 1;
-  }
-
   // --- Shared helpers (implemented on top of the virtuals) -----------------
   /// Restricts `txn`'s read/write sets to keys owned by this partition.
   Transaction RestrictToPartition(const Transaction& txn) const;
 
-  /// Simulated cost of per-batch work with a superlinear pressure term.
-  sim::Time BatchComputeCost(size_t batch_size, sim::Time per_txn) const;
-
-  /// Sharded variant: the fixed and linear terms are paid once, but the
+  /// Simulated cost of per-batch work over `shard_sizes` transactions
+  /// per admission shard: the fixed and linear terms are paid once, the
   /// superlinear pressure term (conflict-index churn, Definition 3.1
-  /// re-checks) is paid per admission shard — Σᵢ quad(nᵢ) instead of
-  /// quad(Σᵢ nᵢ). Equals BatchComputeCost for a single shard.
-  sim::Time ShardedBatchComputeCost(const std::vector<size_t>& shard_sizes,
-                                    sim::Time per_txn) const;
+  /// re-checks) per shard — Σᵢ quad(nᵢ). Unsharded work passes one size.
+  sim::Time BatchComputeCost(const std::vector<size_t>& shard_sizes,
+                             sim::Time per_txn) const;
 
   /// Simulated cost of applying a decided batch of `batch_size` write
   /// transactions when the write set is carved into `shard_write_loads`
   /// (write ops per apply shard, MerkleTree::LeafShardOf carving). One
-  /// shard returns exactly BatchComputeCost(batch_size, apply_per_txn);
+  /// shard returns exactly BatchComputeCost({batch_size}, apply_per_txn);
   /// k shards pay the fixed overhead, the variable term scaled by the
   /// slowest shard's share of the write ops, and a per-shard recombine
   /// charge for hashing the shared spine back together.
@@ -188,10 +175,10 @@ class NodeContext {
                              const std::vector<size_t>& shard_write_loads)
       const;
 
-  /// OccValidator::CheckAgainstStore with versions resolved through
-  /// `LatestDecidedVersion` instead of the applied store. Synchronous
-  /// apply keeps the two identical; asynchronous apply makes this the
-  /// only replica-consistent check.
+  /// Rule 1 of Definition 3.1: every read of `txn` must still be at the
+  /// latest version, resolved through `LatestDecidedVersion` rather than
+  /// the applied store, so every replica reaches the same verdict even
+  /// while the apply queue lags.
   Status CheckReadVersions(const Transaction& txn) const;
 
   /// Sends a CommitReply to `client`. `retryable` marks aborts the client

@@ -150,26 +150,6 @@ TransEdgeNode* System::leader(PartitionId p) {
   return node(p, 0);
 }
 
-uint64_t System::TotalLocalCommitted() const {
-  uint64_t total = 0;
-  for (const auto& node : nodes_) total += node->stats().local_committed;
-  return total;
-}
-
-uint64_t System::TotalDistCommitted() const {
-  uint64_t total = 0;
-  for (const auto& node : nodes_) total += node->stats().dist_committed;
-  return total;
-}
-
-uint64_t System::TotalAborted() const {
-  uint64_t total = 0;
-  for (const auto& node : nodes_) {
-    total += node->stats().local_aborted + node->stats().dist_aborted;
-  }
-  return total;
-}
-
 uint64_t System::TotalRwAbortedByRoLocks() const {
   uint64_t total = 0;
   for (const auto& node : nodes_) {

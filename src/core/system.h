@@ -104,9 +104,6 @@ class System {
   storage::RecoverOptions RecoverOptionsFor(crypto::NodeId id) const;
 
   // Aggregate statistics across all nodes (for benches).
-  uint64_t TotalLocalCommitted() const;
-  uint64_t TotalDistCommitted() const;
-  uint64_t TotalAborted() const;
   uint64_t TotalRwAbortedByRoLocks() const;
   uint64_t TotalBatches() const;
 

@@ -108,7 +108,10 @@ void WatchService::HandleSubscribe(sim::ActorId from,
       if (matched.empty()) continue;
       ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                    static_cast<sim::Time>(matched.size()));
-      PushDelta(watch, id, matched);
+      Result<const storage::LogEntry*> logged = ctx_->mutable_log().Get(id);
+      if (!logged.ok()) continue;  // Outside the retained log.
+      PushDelta(watch, id, BuildEntries(id, matched),
+                logged.value()->certificate);
     }
     watches_.push_back(std::move(watch));
     return;
@@ -164,24 +167,23 @@ void WatchService::HandleUnsubscribe(sim::ActorId from,
   }
 }
 
-void WatchService::PushDelta(Watch& watch, BatchId batch_id,
-                             const std::vector<Key>& matched) {
-  Result<const storage::LogEntry*> entry_or =
-      ctx_->mutable_log().Get(batch_id);
-  if (!entry_or.ok()) return;  // Outside the retained log; cannot certify.
+void WatchService::PushDelta(
+    Watch& watch, BatchId batch_id,
+    const std::vector<wire::AuthenticatedRead>& entries,
+    const storage::BatchCertificate& certificate) {
   wire::WatchDeltaMsg delta;
   delta.watch_id = watch.watch_id;
   delta.partition = ctx_->partition();
   delta.epoch = epoch_;
   delta.batch_id = batch_id;
   delta.prev_batch_id = watch.last_sent;
-  delta.entries = BuildEntries(batch_id, matched);
-  delta.certificate = entry_or.value()->certificate;
+  delta.entries = entries;
+  delta.certificate = certificate;
   watch.last_sent = batch_id;
   ++stats_.watch_deltas_pushed;
-  stats_.watch_keys_pushed += matched.size();
-  // Per-receiver cost is serialization only — the proofs above were
-  // built (and charged) once per range, not once per watcher.
+  stats_.watch_keys_pushed += entries.size();
+  // Per-receiver cost is serialization only — the proofs were built
+  // (and charged) once per range, not once per watcher.
   sim::Time done = ctx_->Charge(ctx_->config().cost.message_handling);
   ctx_->Send(watch.client, ShareMsg(std::move(delta)), done);
 }
@@ -211,8 +213,10 @@ void WatchService::OnBatchApplied(const storage::LogEntry& logged,
     if (matched.empty()) continue;
     ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                  static_cast<sim::Time>(matched.size()));
+    const std::vector<wire::AuthenticatedRead> entries =
+        BuildEntries(id, matched);
     for (size_t i : members) {
-      PushDelta(watches_[i], id, matched);
+      PushDelta(watches_[i], id, entries, logged.certificate);
     }
   }
 }

@@ -87,11 +87,12 @@ class WatchService {
   std::vector<wire::AuthenticatedRead> BuildEntries(
       BatchId batch_id, const std::vector<Key>& keys);
 
-  /// Builds and sends the delta for `watch` at applied batch `batch_id`
-  /// (certificate from the log, proofs from the batch's snapshot) and
+  /// Sends the delta for `watch` at applied batch `batch_id` — `entries`
+  /// built once for the watch's range, `certificate` the batch's — and
   /// advances the watch's chain position.
   void PushDelta(Watch& watch, BatchId batch_id,
-                 const std::vector<Key>& matched);
+                 const std::vector<wire::AuthenticatedRead>& entries,
+                 const storage::BatchCertificate& certificate);
 
   void SendResubscribeRequired(sim::ActorId client, uint64_t watch_id);
 

@@ -16,7 +16,8 @@ namespace transedge::storage::paged {
 /// Page file layout (`kPagesFileId`):
 ///   page 0, page 1   ping-pong MetaSlot copies (slot = generation % 2)
 ///   page 2..         data pages, each a PageHeader + payload; bucket
-///                    payloads chain across pages via `next_page`
+///                    payloads (a `std::vector<BucketRecord>`) chain
+///                    across pages via `next_page`
 ///
 /// WAL layout (`kWalFileId`): a flat sequence of
 /// `WalRecordHeader + payload` records; `MetaSlot::wal_start_offset`
@@ -89,6 +90,20 @@ struct MetaSlot {
       self.log_start, self.wal_start_offset, self.bucket_heads, self.crc);
   }
   bool operator==(const MetaSlot&) const = default;
+};
+
+/// One key of a checkpointed bucket: its latest value and the batch that
+/// wrote it. A bucket's payload lists its keys in sorted order, so the
+/// format is canonical across replicas.
+struct BucketRecord {
+  Key key;
+  Value value;
+  BatchId version = kNoBatch;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.key, self.value, self.version);
+  }
 };
 
 enum class WalRecordType : uint8_t {

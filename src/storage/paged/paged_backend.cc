@@ -59,18 +59,6 @@ PagedBackend::PagedBackend(const StorageTuning& tuning, SimDisk* disk)
   assert(tuning_.num_buckets > 0);
 }
 
-Bytes PagedBackend::SerializeBucket(
-    const std::vector<std::pair<Key, VersionedValue>>& entries) const {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const auto& [key, vv] : entries) {
-    enc.PutString(key);
-    enc.PutBytes(vv.value);
-    enc.PutI64(vv.version);
-  }
-  return enc.Take();
-}
-
 void PagedBackend::Preload(const VersionedStore& store,
                            const crypto::Digest& root) {
   store_ = store;
@@ -136,13 +124,13 @@ Status PagedBackend::DoCheckpoint(BatchId last_applied,
                                   const crypto::Digest& root) {
   // One store pass collects the latest version of every key in a dirty
   // bucket (sorted key order — the format is canonical across replicas).
-  std::map<uint32_t, std::vector<std::pair<Key, VersionedValue>>> rewrite;
+  std::map<uint32_t, std::vector<BucketRecord>> rewrite;
   for (uint32_t b : dirty_buckets_) rewrite[b];
   store_.ForEachLatest([&](const Key& key, const Value& value,
                            BatchId version) {
     auto it = rewrite.find(BucketOf(key, tuning_.num_buckets));
     if (it == rewrite.end()) return;
-    it->second.emplace_back(key, VersionedValue{value, version});
+    it->second.push_back(BucketRecord{key, value, version});
   });
 
   // Copy-on-write: new chains go to pages the previous checkpoint does
@@ -158,12 +146,13 @@ Status PagedBackend::DoCheckpoint(BatchId last_applied,
       bucket_pages_[b].clear();
       continue;
     }
-    Bytes payload = SerializeBucket(entries);
+    Encoder payload;
+    Encode(entries, &payload);
     std::vector<uint32_t> chain;
     TE_ASSIGN_OR_RETURN(
         bucket_heads_[b],
-        pages_.WriteChain(static_cast<uint64_t>(last_applied + 1), payload,
-                          &chain));
+        pages_.WriteChain(static_cast<uint64_t>(last_applied + 1),
+                          payload.buffer(), &chain));
     bucket_pages_[b] = std::move(chain);
   }
   pages_.Sync();  // Data barrier: chains are durable before the flip.
@@ -221,12 +210,10 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
                         pages_.ReadChain(bucket_heads_[b], &bucket_pages_[b]));
     for (uint32_t p : bucket_pages_[b]) pages_.MarkUsed(p);
     Decoder dec(payload);
-    TE_ASSIGN_OR_RETURN(uint32_t n, dec.GetCount());
-    for (uint32_t i = 0; i < n; ++i) {
-      TE_ASSIGN_OR_RETURN(Key key, dec.GetString());
-      TE_ASSIGN_OR_RETURN(Value value, dec.GetBytes());
-      TE_ASSIGN_OR_RETURN(BatchId version, dec.GetI64());
-      store_.Put(key, std::move(value), version);
+    TE_ASSIGN_OR_RETURN(std::vector<BucketRecord> entries,
+                        Decode<std::vector<BucketRecord>>(&dec));
+    for (BucketRecord& e : entries) {
+      store_.Put(e.key, std::move(e.value), e.version);
     }
     if (!dec.exhausted()) {
       return Status::Corruption("trailing bytes in bucket " +

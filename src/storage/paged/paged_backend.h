@@ -65,8 +65,6 @@ class PagedBackend : public StorageBackend {
 
  private:
   Status DoCheckpoint(BatchId last_applied, const crypto::Digest& root);
-  Bytes SerializeBucket(
-      const std::vector<std::pair<Key, VersionedValue>>& entries) const;
 
   StorageTuning tuning_;
   SimDisk* disk_;

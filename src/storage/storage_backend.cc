@@ -6,16 +6,6 @@
 
 namespace transedge::storage {
 
-const char* StorageKindName(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kInMemory:
-      return "in_memory";
-    case StorageKind::kPaged:
-      return "paged";
-  }
-  return "unknown";
-}
-
 void InMemoryBackend::Preload(const VersionedStore& store,
                               const crypto::Digest& root) {
   (void)root;  // Nothing durable to anchor it to.

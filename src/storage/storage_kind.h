@@ -20,9 +20,6 @@ enum class StorageKind : uint8_t {
   kPaged,
 };
 
-/// Human-readable engine name ("in_memory" / "paged") for benches/logs.
-const char* StorageKindName(StorageKind kind);
-
 /// Durability knobs of the paged backend (ignored by the in-memory one).
 /// These are the tuning axes bench_durability sweeps.
 struct StorageTuning {

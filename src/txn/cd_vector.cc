@@ -12,14 +12,6 @@ void CdVector::PairwiseMax(const CdVector& other) {
   }
 }
 
-bool CdVector::CoveredBy(const CdVector& other) const {
-  assert(deps_.size() == other.deps_.size());
-  for (size_t i = 0; i < deps_.size(); ++i) {
-    if (deps_[i] > other.deps_[i]) return false;
-  }
-  return true;
-}
-
 std::map<PartitionId, BatchId> ComputeUnsatisfiedDependencies(
     const std::map<PartitionId, RoPartitionView>& views) {
   std::map<PartitionId, BatchId> needed;

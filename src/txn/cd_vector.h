@@ -38,10 +38,6 @@ class CdVector {
   /// Both vectors must have the same size.
   void PairwiseMax(const CdVector& other);
 
-  /// True if every entry of this vector is <= the matching entry of
-  /// `other` (i.e. `other` already covers these dependencies).
-  bool CoveredBy(const CdVector& other) const;
-
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
     v(self.deps_);

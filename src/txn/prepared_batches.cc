@@ -39,22 +39,6 @@ Status PreparedBatches::RecordDecision(
   return Status::NotFound("txn not pending: " + std::to_string(txn_id));
 }
 
-bool PreparedBatches::OldestReady() const {
-  return !groups_.empty() && groups_.front().Ready();
-}
-
-PrepareGroup PreparedBatches::PopOldestReady() {
-  assert(OldestReady());
-  return PopOldest();
-}
-
-PrepareGroup PreparedBatches::PopOldest() {
-  assert(!groups_.empty());
-  PrepareGroup group = std::move(groups_.front());
-  groups_.pop_front();
-  return group;
-}
-
 Result<PrepareGroup> PreparedBatches::PopGroup(BatchId batch_id) {
   for (auto it = groups_.begin(); it != groups_.end(); ++it) {
     if (it->prepared_in_batch != batch_id) continue;
@@ -82,17 +66,6 @@ std::vector<const PrepareGroup*> PreparedBatches::ReadyPrefix() const {
     out.push_back(&group);
   }
   return out;
-}
-
-void PreparedBatches::ForEachPending(
-    const std::function<void(const Transaction&)>& fn) const {
-  for (const PrepareGroup& group : groups_) {
-    for (const PendingTxn& pending : group.txns) {
-      if (pending.state == PendingTxn::State::kWaiting) {
-        fn(pending.txn);
-      }
-    }
-  }
 }
 
 std::vector<const Transaction*> PreparedBatches::PendingTransactions() const {
@@ -123,25 +96,6 @@ BatchId PreparedBatches::GroupOf(TxnId txn_id) const {
     }
   }
   return kNoBatch;
-}
-
-bool PreparedBatches::Contains(TxnId txn_id) const {
-  for (const PrepareGroup& group : groups_) {
-    for (const PendingTxn& pending : group.txns) {
-      if (pending.txn.id == txn_id) return true;
-    }
-  }
-  return false;
-}
-
-size_t PreparedBatches::pending_txn_count() const {
-  size_t count = 0;
-  for (const PrepareGroup& group : groups_) {
-    for (const PendingTxn& pending : group.txns) {
-      if (pending.state == PendingTxn::State::kWaiting) ++count;
-    }
-  }
-  return count;
 }
 
 }  // namespace transedge::txn

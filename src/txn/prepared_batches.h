@@ -2,7 +2,6 @@
 #define TRANSEDGE_TXN_PREPARED_BATCHES_H_
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -50,22 +49,10 @@ class PreparedBatches {
   Status RecordDecision(TxnId txn_id, bool committed,
                         std::vector<storage::PreparedInfo> participant_info);
 
-  /// Whether the *oldest* group is fully decided — only then may it be
-  /// moved to a committed segment (Definition 4.1).
-  bool OldestReady() const;
-
-  /// Removes and returns the oldest group; requires OldestReady().
-  PrepareGroup PopOldestReady();
-
   /// The maximal prefix of groups (oldest first) that are fully decided
   /// — the groups the next batch's committed segment will carry, in
   /// Definition 4.1 order. Pointers are invalidated by mutations.
   std::vector<const PrepareGroup*> ReadyPrefix() const;
-
-  /// Removes and returns the oldest group regardless of decision state.
-  /// Used by replicas applying a certified batch: the batch's committed
-  /// segment *is* the decision. Requires a non-empty structure.
-  PrepareGroup PopOldest();
 
   /// Removes and returns the group prepared in `batch_id`, wherever it
   /// sits in the queue; NotFound when no such group is registered. The
@@ -74,25 +61,13 @@ class PreparedBatches {
   /// queue order ever diverged from the certified commit order.
   Result<PrepareGroup> PopGroup(BatchId batch_id);
 
-  /// The oldest group, or nullptr.
-  const PrepareGroup* Oldest() const {
-    return groups_.empty() ? nullptr : &groups_.front();
-  }
-
   /// Prepare-batch ids of all registered groups, oldest first. Used by
   /// pipelined validation to find the oldest group not already committed
   /// by an in-flight batch.
   std::vector<BatchId> GroupIds() const;
 
-  /// Invokes `fn` for every still-undecided transaction (used for
-  /// conflict rule 3 of Definition 3.1).
-  void ForEachPending(
-      const std::function<void(const Transaction&)>& fn) const;
-
   /// Pointers to every still-undecided transaction.
   std::vector<const Transaction*> PendingTransactions() const;
-
-  bool Contains(TxnId txn_id) const;
 
   /// The transaction object for `txn_id` regardless of decision state;
   /// nullptr when unknown. Used to resolve the write sets of commit
@@ -104,9 +79,6 @@ class PreparedBatches {
   /// inherited prepare group uses this to fetch the prepare batch's
   /// certificate and CD vector from the log.
   BatchId GroupOf(TxnId txn_id) const;
-
-  size_t group_count() const { return groups_.size(); }
-  size_t pending_txn_count() const;
 
  private:
   std::deque<PrepareGroup> groups_;

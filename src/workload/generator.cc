@@ -7,10 +7,7 @@
 namespace transedge::workload {
 
 KeySpace::KeySpace(const WorkloadOptions& options, uint32_t num_partitions)
-    : options_(options),
-      by_partition_(num_partitions),
-      zipf_(options.num_keys, options.zipf_theta > 0 ? options.zipf_theta
-                                                     : 0.99) {
+    : options_(options), by_partition_(num_partitions) {
   storage::PartitionMap pmap(num_partitions);
   keys_.reserve(options.num_keys);
   for (uint64_t i = 0; i < options.num_keys; ++i) {
@@ -42,11 +39,6 @@ const Key& KeySpace::RandomKey(Rng* rng) const {
 const Key& KeySpace::RandomKeyIn(PartitionId p, Rng* rng) const {
   const auto& bucket = by_partition_[p];
   return keys_[bucket[rng->NextBounded(bucket.size())]];
-}
-
-const Key& KeySpace::PopularKey(Rng* rng) {
-  if (options_.zipf_theta <= 0) return RandomKey(rng);
-  return keys_[zipf_.Next(rng)];
 }
 
 Value KeySpace::RandomValue(Rng* rng) const {

@@ -19,8 +19,6 @@ namespace transedge::workload {
 struct WorkloadOptions {
   uint64_t num_keys = 20000;
   size_t value_size = 32;
-  /// 0 = uniform key popularity; >0 = YCSB-style zipfian skew.
-  double zipf_theta = 0.0;
   uint64_t seed = 42;
 };
 
@@ -35,8 +33,6 @@ class KeySpace {
 
   const Key& RandomKey(Rng* rng) const;
   const Key& RandomKeyIn(PartitionId p, Rng* rng) const;
-  /// Zipfian-popular key (uses uniform choice when theta == 0).
-  const Key& PopularKey(Rng* rng);
 
   Value RandomValue(Rng* rng) const;
 
@@ -49,7 +45,6 @@ class KeySpace {
   WorkloadOptions options_;
   std::vector<Key> keys_;
   std::vector<std::vector<uint32_t>> by_partition_;
-  ZipfianGenerator zipf_;
 };
 
 /// One planned client operation.

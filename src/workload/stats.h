@@ -25,7 +25,6 @@ class LatencyStats {
   double MeanMs() const;
   double PercentileMs(double p) const;  // p in [0, 100]
   double P50Ms() const { return PercentileMs(50); }
-  double P95Ms() const { return PercentileMs(95); }
   double P99Ms() const { return PercentileMs(99); }
   double MaxMs() const;
 

@@ -219,19 +219,5 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(ZipfianTest, SkewPrefersSmallIndices) {
-  Rng rng(11);
-  ZipfianGenerator zipf(1000, 0.99);
-  uint64_t low = 0, total = 20000;
-  for (uint64_t i = 0; i < total; ++i) {
-    uint64_t v = zipf.Next(&rng);
-    ASSERT_LT(v, 1000u);
-    if (v < 100) ++low;
-  }
-  // With theta=0.99, the hottest 10% of keys take well over half the
-  // accesses.
-  EXPECT_GT(low, total / 2);
-}
-
 }  // namespace
 }  // namespace transedge

@@ -246,7 +246,8 @@ int RunCrossGroupLoad(Fixture& fx, Client* reader, int* max_rounds) {
 TEST(ReadOnlyTest, PaperModeTerminatesAfterTwoRounds) {
   // The paper's protocol: at most two rounds, always (Theorem 4.6). The
   // residual-dependency diagnostic may fire under cross-group commits —
-  // the corner DESIGN.md §4 documents — but must stay rare.
+  // the corner SystemConfig::strict_ro_rounds documents — but must stay
+  // rare here.
   Fixture fx(/*seed=*/35, /*cross_latency=*/sim::Millis(6));
   Client* reader = fx.system->AddClient();
   int max_rounds = 0;
@@ -270,7 +271,7 @@ TEST(ReadOnlyTest, StrictModeSettlesToConsistency) {
   int completed = RunCrossGroupLoad(fx, reader, &max_rounds);
 
   EXPECT_GT(completed, 10);
-  EXPECT_LE(max_rounds, fx.config.max_ro_rounds);
+  EXPECT_LE(max_rounds, core::Client::kMaxStrictRoRounds);
   EXPECT_EQ(reader->stats().ro_third_round_would_be_needed, 0u);
 }
 

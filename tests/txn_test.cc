@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/codec.h"
-#include "txn/occ_validator.h"
 #include "txn/prepared_batches.h"
 #include "txn/types.h"
 
@@ -78,63 +77,6 @@ TEST(TransactionTest, IsLocal) {
   EXPECT_FALSE(txn.IsLocal());
 }
 
-// --- OccValidator (Definition 3.1) ---------------------------------------------
-
-TEST(OccValidatorTest, Rule1FreshReadPasses) {
-  storage::VersionedStore store;
-  store.Put("x", ToBytes("v"), 4);
-  txn::OccValidator validator(&store);
-  Transaction txn = MakeTxn(1, {{"x", 4}}, {});
-  EXPECT_TRUE(validator.CheckAgainstStore(txn).ok());
-}
-
-TEST(OccValidatorTest, Rule1StaleReadConflicts) {
-  storage::VersionedStore store;
-  store.Put("x", ToBytes("v"), 4);
-  store.Put("x", ToBytes("v2"), 6);  // Overwritten after the read.
-  txn::OccValidator validator(&store);
-  Transaction txn = MakeTxn(1, {{"x", 4}}, {});
-  EXPECT_TRUE(validator.CheckAgainstStore(txn).IsConflict());
-}
-
-TEST(OccValidatorTest, Rule1NeverWrittenKeyNeedsNoVersion) {
-  storage::VersionedStore store;
-  txn::OccValidator validator(&store);
-  Transaction txn = MakeTxn(1, {{"ghost", kNoBatch}}, {});
-  EXPECT_TRUE(validator.CheckAgainstStore(txn).ok());
-  // But claiming a version for a missing key is a conflict.
-  Transaction bad = MakeTxn(2, {{"ghost", 3}}, {});
-  EXPECT_TRUE(validator.CheckAgainstStore(bad).IsConflict());
-}
-
-TEST(OccValidatorTest, Rules23RejectConflictingPeers) {
-  storage::VersionedStore store;
-  txn::OccValidator validator(&store);
-  Transaction txn = MakeTxn(1, {{"x", kNoBatch}}, {"y"});
-  Transaction writes_x = MakeTxn(2, {}, {"x"});
-  Transaction reads_y = MakeTxn(3, {{"y", kNoBatch}}, {});
-  Transaction unrelated = MakeTxn(4, {}, {"z"});
-
-  std::vector<const Transaction*> in_progress{&unrelated};
-  std::vector<const Transaction*> pending{&unrelated};
-  EXPECT_TRUE(validator.Validate(txn, in_progress, pending).ok());
-
-  in_progress.push_back(&writes_x);
-  EXPECT_TRUE(validator.Validate(txn, in_progress, pending).IsConflict());
-
-  in_progress.pop_back();
-  pending.push_back(&reads_y);
-  EXPECT_TRUE(validator.Validate(txn, in_progress, pending).IsConflict());
-}
-
-TEST(OccValidatorTest, SelfIsIgnored) {
-  storage::VersionedStore store;
-  txn::OccValidator validator(&store);
-  Transaction txn = MakeTxn(1, {}, {"x"});
-  std::vector<const Transaction*> peers{&txn};
-  EXPECT_TRUE(validator.CheckAgainstTransactions(txn, peers).ok());
-}
-
 // --- PreparedBatches (prepare groups, Definition 4.1) ---------------------------
 
 txn::PendingTxn Pending(TxnId id, std::vector<Key> writes) {
@@ -145,26 +87,28 @@ txn::PendingTxn Pending(TxnId id, std::vector<Key> writes) {
 
 TEST(PreparedBatchesTest, GroupLifecycle) {
   txn::PreparedBatches pb;
-  EXPECT_FALSE(pb.OldestReady());
+  EXPECT_TRUE(pb.ReadyPrefix().empty());
 
   std::vector<txn::PendingTxn> group;
   group.push_back(Pending(1, {"a"}));
   group.push_back(Pending(2, {"b"}));
   pb.AddGroup(3, std::move(group));
-  EXPECT_EQ(pb.group_count(), 1u);
-  EXPECT_EQ(pb.pending_txn_count(), 2u);
-  EXPECT_FALSE(pb.OldestReady());
+  EXPECT_EQ(pb.GroupIds(), std::vector<BatchId>{3});
+  EXPECT_EQ(pb.PendingTransactions().size(), 2u);
+  EXPECT_TRUE(pb.ReadyPrefix().empty());
 
   EXPECT_TRUE(pb.RecordDecision(1, true, {}).ok());
-  EXPECT_FALSE(pb.OldestReady());
+  EXPECT_TRUE(pb.ReadyPrefix().empty());
   EXPECT_TRUE(pb.RecordDecision(2, false, {}).ok());
-  EXPECT_TRUE(pb.OldestReady());
+  ASSERT_EQ(pb.ReadyPrefix().size(), 1u);
+  EXPECT_EQ(pb.ReadyPrefix().front()->prepared_in_batch, 3);
 
-  txn::PrepareGroup popped = pb.PopOldestReady();
-  EXPECT_EQ(popped.prepared_in_batch, 3);
-  EXPECT_EQ(popped.txns[0].state, txn::PendingTxn::State::kCommitted);
-  EXPECT_EQ(popped.txns[1].state, txn::PendingTxn::State::kAborted);
-  EXPECT_EQ(pb.group_count(), 0u);
+  Result<txn::PrepareGroup> popped = pb.PopGroup(3);
+  ASSERT_TRUE(popped.ok());
+  EXPECT_EQ(popped->prepared_in_batch, 3);
+  EXPECT_EQ(popped->txns[0].state, txn::PendingTxn::State::kCommitted);
+  EXPECT_EQ(popped->txns[1].state, txn::PendingTxn::State::kAborted);
+  EXPECT_TRUE(pb.GroupIds().empty());
 }
 
 TEST(PreparedBatchesTest, OrderingConstraintBlocksNewerGroups) {
@@ -178,12 +122,13 @@ TEST(PreparedBatchesTest, OrderingConstraintBlocksNewerGroups) {
   pb.AddGroup(4, std::move(g2));
 
   EXPECT_TRUE(pb.RecordDecision(2, true, {}).ok());  // Newer group ready.
-  EXPECT_FALSE(pb.OldestReady());                    // Still blocked.
-  EXPECT_TRUE(pb.ReadyPrefix().empty());
+  EXPECT_TRUE(pb.ReadyPrefix().empty());             // Still blocked.
 
   EXPECT_TRUE(pb.RecordDecision(1, true, {}).ok());
-  EXPECT_TRUE(pb.OldestReady());
-  EXPECT_EQ(pb.ReadyPrefix().size(), 2u);  // Both commit, in order.
+  std::vector<const txn::PrepareGroup*> ready = pb.ReadyPrefix();
+  ASSERT_EQ(ready.size(), 2u);  // Both commit, in order.
+  EXPECT_EQ(ready[0]->prepared_in_batch, 3);
+  EXPECT_EQ(ready[1]->prepared_in_batch, 4);
 }
 
 TEST(PreparedBatchesTest, DuplicateDecisionRejected) {
@@ -199,11 +144,11 @@ TEST(PreparedBatchesTest, DuplicateDecisionRejected) {
 TEST(PreparedBatchesTest, UnknownTxnIsNotFound) {
   txn::PreparedBatches pb;
   EXPECT_TRUE(pb.RecordDecision(42, true, {}).IsNotFound());
-  EXPECT_FALSE(pb.Contains(42));
   EXPECT_EQ(pb.FindTxn(42), nullptr);
+  EXPECT_TRUE(pb.PopGroup(0).status().IsNotFound());
 }
 
-TEST(PreparedBatchesTest, PendingIterationSkipsDecided) {
+TEST(PreparedBatchesTest, PendingTransactionsSkipDecided) {
   txn::PreparedBatches pb;
   std::vector<txn::PendingTxn> group;
   group.push_back(Pending(1, {"a"}));
@@ -211,22 +156,25 @@ TEST(PreparedBatchesTest, PendingIterationSkipsDecided) {
   pb.AddGroup(0, std::move(group));
   EXPECT_TRUE(pb.RecordDecision(1, true, {}).ok());
 
-  std::vector<TxnId> pending_ids;
-  pb.ForEachPending(
-      [&](const Transaction& t) { pending_ids.push_back(t.id); });
-  ASSERT_EQ(pending_ids.size(), 1u);
-  EXPECT_EQ(pending_ids[0], 2u);
-  EXPECT_EQ(pb.PendingTransactions().size(), 1u);
+  std::vector<const Transaction*> pending = pb.PendingTransactions();
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0]->id, 2u);
 }
 
-TEST(PreparedBatchesTest, PopOldestIgnoresDecisionState) {
+TEST(PreparedBatchesTest, PopGroupIgnoresDecisionAndQueuePosition) {
+  // Replica-side apply: the certified committed segment *is* the
+  // decision, and it names its groups by prepare-batch id.
   txn::PreparedBatches pb;
-  std::vector<txn::PendingTxn> group;
-  group.push_back(Pending(1, {"a"}));
-  pb.AddGroup(5, std::move(group));
-  txn::PrepareGroup popped = pb.PopOldest();  // Replica-side apply path.
-  EXPECT_EQ(popped.prepared_in_batch, 5);
-  EXPECT_EQ(popped.txns[0].state, txn::PendingTxn::State::kWaiting);
+  std::vector<txn::PendingTxn> g1, g2;
+  g1.push_back(Pending(1, {"a"}));
+  g2.push_back(Pending(2, {"b"}));
+  pb.AddGroup(5, std::move(g1));
+  pb.AddGroup(6, std::move(g2));
+  Result<txn::PrepareGroup> popped = pb.PopGroup(6);
+  ASSERT_TRUE(popped.ok());
+  EXPECT_EQ(popped->prepared_in_batch, 6);
+  EXPECT_EQ(popped->txns[0].state, txn::PendingTxn::State::kWaiting);
+  EXPECT_EQ(pb.GroupIds(), std::vector<BatchId>{5});
 }
 
 TEST(PreparedBatchesTest, FindTxnReturnsStoredTransaction) {

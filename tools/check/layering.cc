@@ -29,13 +29,9 @@ std::string TopDir(const std::string& path) {
 }
 
 /// Engine group of an src-relative path, or "" for non-engine files.
-/// Sharded and per-shard pipeline are one engine family.
 std::string EngineGroupOf(const std::string& path) {
   if (path.rfind("core/consensus/", 0) == 0) return "consensus";
-  if (path.rfind("core/batch_pipeline.", 0) == 0 ||
-      path.rfind("core/sharded_pipeline.", 0) == 0) {
-    return "pipeline";
-  }
+  if (path.rfind("core/batch_pipeline.", 0) == 0) return "pipeline";
   if (path.rfind("core/two_pc_coordinator.", 0) == 0) return "two-pc";
   if (path.rfind("core/read_only_service.", 0) == 0) return "read-only";
   if (path.rfind("core/augustus_baseline.", 0) == 0) return "augustus";

@@ -16,10 +16,10 @@ namespace transedge::check {
 ///   storage, merkle} < sim < wire < core < workload — and a file may
 ///   only include its own band or below. `wire/` and `common/` staying
 ///   leaf-ward of `core/` falls out of this rule.
-/// - `engine-isolation`: the five replica engines (consensus,
-///   batch/sharded pipeline, 2PC coordinator, read-only service,
-///   Augustus baseline) never include each other; they meet only
-///   through `NodeContext` and the node's hooks.
+/// - `engine-isolation`: the six replica engines (consensus, batch
+///   pipeline, 2PC coordinator, read-only service, Augustus baseline,
+///   watch service) never include each other; they meet only through
+///   `NodeContext` and the node's hooks.
 /// - `consensus-seam`: files under `core/consensus/` reach only the
 ///   seam headers (`node_context.h`, `config.h`) and the shared pieces
 ///   (`batch_apply.h`, `footprint_index.h`) from `core/` — never the
