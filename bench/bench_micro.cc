@@ -127,6 +127,32 @@ void BM_MerkleVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_MerkleVerify);
 
+// N claims (keys spread over the tree) checked in one VerifyProofs pass
+// against the same depth-13, 4096-key root as BM_MerkleVerify.
+void BM_MerkleVerifyProofs(benchmark::State& state) {
+  merkle::MerkleTree tree(13);
+  Bytes value(32, 0x11);
+  for (int i = 0; i < 4096; ++i) {
+    tree.Put("key" + std::to_string(i), value, 7);
+  }
+  const int n = static_cast<int>(state.range(0));
+  std::vector<std::string> keys;
+  std::vector<merkle::MerkleProof> proofs;
+  for (int i = 0; i < n; ++i) {
+    keys.push_back("key" + std::to_string(i * 251 % 4096));
+    proofs.push_back(tree.Prove(keys.back()).value());
+  }
+  std::vector<merkle::MerkleTree::Claim> claims;
+  for (int i = 0; i < n; ++i) {
+    claims.push_back({&proofs[i], &keys[i], &value, 7});
+  }
+  crypto::Digest root = tree.RootDigest();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(merkle::MerkleTree::VerifyProofs(claims, root));
+  }
+}
+BENCHMARK(BM_MerkleVerifyProofs)->Arg(1)->Arg(16);
+
 void BM_ConflictCheck(benchmark::State& state) {
   Transaction a, b;
   for (int i = 0; i < 5; ++i) {

@@ -50,10 +50,12 @@ Result<Bytes> HexDecode(std::string_view hex) {
 }
 
 void Encoder::PutLittleEndian(uint64_t v, int nbytes) {
+  uint8_t bytes[8];
   for (int i = 0; i < nbytes; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v & 0xff));
+    bytes[i] = static_cast<uint8_t>(v & 0xff);
     v >>= 8;
   }
+  buf_.insert(buf_.end(), bytes, bytes + nbytes);
 }
 
 void Encoder::PutBytes(const Bytes& b) {

@@ -55,6 +55,10 @@ class Encoder {
   void PutRaw(const uint8_t* data, size_t len);
   void PutRaw(const Bytes& b) { PutRaw(b.data(), b.size()); }
 
+  /// Makes room for `n` more bytes, so the puts that follow allocate
+  /// once.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+
   const Bytes& buffer() const { return buf_; }
   Bytes Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "merkle/merkle_tree.h"
-
 namespace transedge::core {
 
 namespace {
@@ -198,8 +196,19 @@ bool Client::RetryRw(uint64_t op_id) {
   if (it == rw_ops_.end()) return false;
   RwOp& op = it->second;
   if (op.retries_left-- <= 0) return false;
-  // Rotate the leader hint for every touched partition and retry.
-  for (uint64_t& hint : view_hint_) ++hint;
+  // Rotate the leader hint for every touched partition and retry. The
+  // hints of partitions the transaction does not touch stay put: their
+  // leaders did nothing to suspect.
+  std::vector<bool> touched(view_hint_.size(), false);
+  for (const Key& key : op.read_keys) {
+    touched[partition_map_.OwnerOf(key)] = true;
+  }
+  for (const WriteOp& write : op.writes) {
+    touched[partition_map_.OwnerOf(write.key)] = true;
+  }
+  for (PartitionId p = 0; p < view_hint_.size(); ++p) {
+    if (touched[p]) ++view_hint_[p];
+  }
   op.commit_sent = false;
   op.reads.clear();
   op.reads_outstanding = 0;
@@ -316,17 +325,7 @@ Status Client::VerifyRoReply(const wire::RoReply& reply) {
   }
 
   // 3. Every value against the Merkle root (§4.2).
-  for (const wire::AuthenticatedRead& read : reply.entries) {
-    if (read.found) {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyProof(
-          read.proof, read.key, read.value, read.version,
-          reply.certificate.merkle_root));
-    } else {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyAbsence(
-          read.proof, read.key, reply.certificate.merkle_root));
-    }
-  }
-  return Status::OK();
+  return wire::VerifyReads(reply.entries, reply.certificate.merkle_root);
 }
 
 std::map<PartitionId, BatchId> Client::VerifyDependencies(

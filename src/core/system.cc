@@ -40,10 +40,16 @@ System::PreloadState System::BuildPreloadState(
   for (PartitionId p = 0; p < num_partitions; ++p) {
     state.trees.emplace_back(merkle_depth);
   }
+  // One PutBatch per tree: each node is copied and hashed once, with the
+  // roots and proofs of one Put per key.
+  std::vector<std::vector<merkle::MerkleTree::Write>> writes(num_partitions);
   for (const auto& [key, value] : data) {
     PartitionId p = pmap.OwnerOf(key);
     state.stores[p].Put(key, value, 0);
-    state.trees[p].Put(key, value, 0);
+    writes[p].push_back({&key, &value});
+  }
+  for (PartitionId p = 0; p < num_partitions; ++p) {
+    state.trees[p].PutBatch(writes[p], 0);
   }
   return state;
 }

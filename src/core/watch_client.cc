@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "merkle/merkle_tree.h"
-
 namespace transedge::core {
 
 namespace {
@@ -112,25 +110,19 @@ Status WatchClient::VerifyCertifiedEntries(
   TE_RETURN_IF_ERROR(certificate.Verify(*verifier_,
                                         config_.certificate_size(),
                                         config_.ClusterMembers(partition)));
-  for (const wire::AuthenticatedRead& read : entries) {
-    if (read.found) {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyProof(
-          read.proof, read.key, read.value, read.version,
-          certificate.merkle_root));
-    } else {
-      TE_RETURN_IF_ERROR(merkle::MerkleTree::VerifyAbsence(
-          read.proof, read.key, certificate.merkle_root));
-    }
-  }
-  return Status::OK();
+  return wire::VerifyReads(entries, certificate.merkle_root);
 }
 
 void WatchClient::ApplyEntries(
     BatchId batch_id, const std::vector<wire::AuthenticatedRead>& entries) {
   for (const wire::AuthenticatedRead& read : entries) {
     if (read.found) {
-      cache_[read.key] =
-          CachedRead{true, read.value, read.version, batch_id};
+      // Updated in place: an existing entry's value buffer is reused.
+      CachedRead& entry = cache_[read.key];
+      entry.found = true;
+      entry.value = read.value;
+      entry.version = read.version;
+      entry.batch_id = batch_id;
     } else {
       // Certified absence: the key has no value as of this batch.
       cache_.erase(read.key);

@@ -32,7 +32,9 @@ constexpr uint32_t kRound[64] = {
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 };
 
-inline uint32_t Rotr(uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
+constexpr uint32_t Rotr(uint32_t x, int n) {
+  return (x >> n) | (x << (32 - n));
+}
 
 void StoreDigest(const uint32_t state[8], Digest* out) {
   for (int i = 0; i < 8; ++i) {
@@ -57,6 +59,13 @@ internal::CompressFn ResolveCompress() {
   if (internal::CpuHasShaNi()) return internal::CompressShaNi;
 #endif
   return internal::CompressPortable;
+}
+
+internal::HashPairFn ResolveHashPair() {
+#ifdef TRANSEDGE_SHA256_HAVE_SHANI
+  if (internal::CpuHasShaNi()) return internal::HashPairShaNi;
+#endif
+  return internal::HashPairPortable;
 }
 
 /// The implementation for this CPU, chosen on first use. A function-local
@@ -118,11 +127,86 @@ void CompressPortable(uint32_t state[8], const uint8_t* blocks,
   }
 }
 
+Digest HashPairPortable(const Digest& left, const Digest& right) {
+  // The 64-byte message is exactly one block; the padding is a second,
+  // fixed block.
+  uint8_t blocks[128];
+  std::memcpy(blocks, left.bytes.data(), 32);
+  std::memcpy(blocks + 32, right.bytes.data(), 32);
+  std::memcpy(blocks + 64, kPadFor64.data(), 64);
+  uint32_t state[8];
+  std::memcpy(state, kInit, sizeof(state));
+  CompressPortable(state, blocks, 2);
+  Digest out;
+  StoreDigest(state, &out);
+  return out;
+}
+
 #ifdef TRANSEDGE_SHA256_HAVE_SHANI
 
 // The SHA extensions keep the working variables as two vectors, ABEF and
 // CDGH; each sha256rnds2 runs two rounds, and msg1/msg2 expand the
 // message schedule four words at a time.
+
+namespace {
+
+/// kInit in the SHA-NI register layout, low lane first: ABEF, then CDGH.
+alignas(16) constexpr uint32_t kInitShaNi[8] = {
+    kInit[5], kInit[4], kInit[1], kInit[0],
+    kInit[7], kInit[6], kInit[3], kInit[2],
+};
+
+/// The padding block's message schedule with the round constants added:
+/// entry i is W[i] + K[i] of `kPadFor64`, so a pair hash runs the second
+/// block's 64 rounds without expanding its schedule. constexpr, so it is
+/// filled at compile time: other translation units hash during their own
+/// static initialization.
+alignas(16) constexpr std::array<uint32_t, 64> kPadWk = [] {
+  std::array<uint32_t, 64> w{};
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (static_cast<uint32_t>(kPadFor64[i * 4]) << 24) |
+           (static_cast<uint32_t>(kPadFor64[i * 4 + 1]) << 16) |
+           (static_cast<uint32_t>(kPadFor64[i * 4 + 2]) << 8) |
+           static_cast<uint32_t>(kPadFor64[i * 4 + 3]);
+  }
+  for (int i = 16; i < 64; ++i) {
+    uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+  for (int i = 0; i < 64; ++i) w[i] += kRound[i];
+  return w;
+}();
+
+/// Runs the 64 rounds of one block on (abef, cdgh). `msg` holds the
+/// block's 16 words, byte-swapped, and is used up as the schedule.
+__attribute__((target("sha,sse4.1"), always_inline)) inline void ShaNiRounds(
+    __m128i& abef, __m128i& cdgh, __m128i (&msg)[4]) {
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) {
+    __m128i wk = _mm_add_epi32(
+        msg[i & 3],
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRound[4 * i])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    if (i >= 3 && i < 15) {
+      // Finish words 4(i+1).. from words 4(i-3).. (msg1 already applied).
+      __m128i& next = msg[(i + 1) & 3];
+      next = _mm_add_epi32(
+          next, _mm_alignr_epi8(msg[i & 3], msg[(i - 1) & 3], 4));
+      next = _mm_sha256msg2_epu32(next, msg[i & 3]);
+    }
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    if (i >= 1 && i < 13) {
+      // Start words 4(i+3).. in the slot of words 4(i-1)...
+      __m128i& prev = msg[(i - 1) & 3];
+      prev = _mm_sha256msg1_epu32(prev, msg[i & 3]);
+    }
+  }
+}
+
+}  // namespace
+
 __attribute__((target("sha,sse4.1"))) void CompressShaNi(
     uint32_t state[8], const uint8_t* blocks, size_t count) {
   // Byte-swaps each 32-bit lane: the message words are big-endian.
@@ -149,27 +233,7 @@ __attribute__((target("sha,sse4.1"))) void CompressShaNi(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
           kSwap);
     }
-#pragma GCC unroll 16
-    for (int i = 0; i < 16; ++i) {
-      __m128i wk = _mm_add_epi32(
-          msg[i & 3],
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRound[4 * i])));
-      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-      if (i >= 3 && i < 15) {
-        // Finish words 4(i+1).. from words 4(i-3).. (msg1 already applied).
-        __m128i& next = msg[(i + 1) & 3];
-        next = _mm_add_epi32(
-            next, _mm_alignr_epi8(msg[i & 3], msg[(i - 1) & 3], 4));
-        next = _mm_sha256msg2_epu32(next, msg[i & 3]);
-      }
-      wk = _mm_shuffle_epi32(wk, 0x0E);
-      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
-      if (i >= 1 && i < 13) {
-        // Start words 4(i+3).. in the slot of words 4(i-1)...
-        __m128i& prev = msg[(i - 1) & 3];
-        prev = _mm_sha256msg1_epu32(prev, msg[i & 3]);
-      }
-    }
+    ShaNiRounds(abef, cdgh, msg);
 
     abef = _mm_add_epi32(abef, abef_save);
     cdgh = _mm_add_epi32(cdgh, cdgh_save);
@@ -181,6 +245,62 @@ __attribute__((target("sha,sse4.1"))) void CompressShaNi(
   cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), abef);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), cdgh);
+}
+
+__attribute__((target("sha,sse4.1"))) Digest HashPairShaNi(
+    const Digest& left, const Digest& right) {
+  const __m128i kSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // Reverses all 16 bytes: turns lanes (D, C, B, A), each little-endian,
+  // into A..D big-endian, and (H, G, F, E) into E..H.
+  const __m128i kReverse =
+      _mm_set_epi64x(0x0001020304050607ULL, 0x08090a0b0c0d0e0fULL);
+  const __m128i abef_init =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(&kInitShaNi[0]));
+  const __m128i cdgh_init =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(&kInitShaNi[4]));
+
+  // Block 1, the message: the two digests are its 16 words.
+  __m128i msg[4] = {
+      _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&left.bytes[0])),
+          kSwap),
+      _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&left.bytes[16])),
+          kSwap),
+      _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&right.bytes[0])),
+          kSwap),
+      _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&right.bytes[16])),
+          kSwap),
+  };
+  __m128i abef = abef_init;
+  __m128i cdgh = cdgh_init;
+  ShaNiRounds(abef, cdgh, msg);
+  abef = _mm_add_epi32(abef, abef_init);
+  cdgh = _mm_add_epi32(cdgh, cdgh_init);
+
+  // Block 2, the fixed padding: its W+K words come from the table.
+  const __m128i abef_mid = abef;
+  const __m128i cdgh_mid = cdgh;
+#pragma GCC unroll 16
+  for (int i = 0; i < 16; ++i) {
+    __m128i wk =
+        _mm_load_si128(reinterpret_cast<const __m128i*>(&kPadWk[4 * i]));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  }
+  abef = _mm_add_epi32(abef, abef_mid);
+  cdgh = _mm_add_epi32(cdgh, cdgh_mid);
+
+  Digest out;
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&out.bytes[0]),
+                   _mm_shuffle_epi8(_mm_unpackhi_epi64(cdgh, abef), kReverse));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&out.bytes[16]),
+                   _mm_shuffle_epi8(_mm_unpacklo_epi64(cdgh, abef), kReverse));
+  return out;
 }
 
 bool CpuHasShaNi() {
@@ -274,18 +394,9 @@ Digest Sha256::Hash(const uint8_t* data, size_t len) {
 }
 
 Digest HashPair(const Digest& left, const Digest& right) {
-  // The 64-byte message is exactly one block; the padding is a second,
-  // fixed block.
-  uint8_t blocks[128];
-  std::memcpy(blocks, left.bytes.data(), 32);
-  std::memcpy(blocks + 32, right.bytes.data(), 32);
-  std::memcpy(blocks + 64, kPadFor64.data(), 64);
-  uint32_t state[8];
-  std::memcpy(state, kInit, sizeof(state));
-  Compress(state, blocks, 2);
-  Digest out;
-  StoreDigest(state, &out);
-  return out;
+  // Chosen on first use, like `Compress`.
+  static const internal::HashPairFn fn = ResolveHashPair();
+  return fn(left, right);
 }
 
 }  // namespace transedge::crypto

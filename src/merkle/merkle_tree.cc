@@ -6,10 +6,16 @@ namespace transedge::merkle {
 
 namespace {
 
+/// Deepest proof a verifier accepts: `LeafIndexFor` takes a leaf's bits
+/// from a 32-bit hash prefix.
+constexpr size_t kMaxProofDepth = 32;
+
 /// Digest of a leaf bucket: hash over the sorted entries. An empty bucket
 /// at level `depth` uses the precomputed empty digest instead.
 crypto::Digest BucketDigest(const std::vector<BucketEntry>& bucket) {
   Encoder enc;
+  // Room for a bucket of short keys, so the puts below allocate once.
+  enc.Reserve(64 * (bucket.size() + 1));
   enc.PutString("leaf");
   enc.PutU32(static_cast<uint32_t>(bucket.size()));
   for (const BucketEntry& e : bucket) {
@@ -18,6 +24,49 @@ crypto::Digest BucketDigest(const std::vector<BucketEntry>& bucket) {
     enc.PutI64(e.version);
   }
   return crypto::Sha256::Hash(enc.buffer());
+}
+
+/// The checks on one claim's own leaf, shared by every verifier: the
+/// proof's depth is one a tree can have, the proof sits at the key's
+/// leaf, and its bucket holds (key, value, version) — or lacks the key
+/// when `value` is null. The depth comes from the sender and is a shift
+/// count in `LeafIndexFor`, so it is bounded first.
+Status CheckLeaf(const MerkleProof& proof, const std::string& key,
+                 const Bytes* value, int64_t version) {
+  const size_t depth = proof.siblings.size();
+  if (depth == 0 || depth > kMaxProofDepth) {
+    return Status::VerificationFailed("proof depth out of range");
+  }
+  if (proof.leaf_index !=
+      MerkleTree::LeafIndexFor(key, static_cast<int>(depth))) {
+    return Status::VerificationFailed("proof leaf index mismatch for key");
+  }
+  auto it = std::find_if(
+      proof.bucket.begin(), proof.bucket.end(),
+      [&key](const BucketEntry& e) { return e.key == key; });
+  if (value == nullptr) {
+    if (it != proof.bucket.end()) {
+      return Status::VerificationFailed("key is present, not absent");
+    }
+    return Status::OK();
+  }
+  if (it == proof.bucket.end()) {
+    return Status::VerificationFailed("key missing from proof bucket");
+  }
+  if (it->value_digest != crypto::Sha256::Hash(*value)) {
+    return Status::VerificationFailed("value digest mismatch");
+  }
+  if (it->version != version) {
+    return Status::VerificationFailed("version mismatch");
+  }
+  return Status::OK();
+}
+
+Status CheckRoot(const MerkleProof& proof, const crypto::Digest& root) {
+  if (proof.ComputeRoot() != root) {
+    return Status::VerificationFailed("computed root does not match");
+  }
+  return Status::OK();
 }
 
 /// Precomputes the digest of an entirely-empty subtree at each level.
@@ -212,20 +261,8 @@ Result<MerkleProof> MerkleTree::ProveAt(const Snapshot& snapshot,
 Status MerkleTree::VerifyAbsence(const MerkleProof& proof,
                                  const std::string& key,
                                  const crypto::Digest& root) {
-  if (proof.leaf_index != LeafIndexFor(key, static_cast<int>(
-                                                proof.siblings.size()))) {
-    return Status::VerificationFailed("proof leaf index mismatch for key");
-  }
-  auto it = std::find_if(
-      proof.bucket.begin(), proof.bucket.end(),
-      [&key](const BucketEntry& e) { return e.key == key; });
-  if (it != proof.bucket.end()) {
-    return Status::VerificationFailed("key is present, not absent");
-  }
-  if (proof.ComputeRoot() != root) {
-    return Status::VerificationFailed("computed root does not match");
-  }
-  return Status::OK();
+  TE_RETURN_IF_ERROR(CheckLeaf(proof, key, nullptr, 0));
+  return CheckRoot(proof, root);
 }
 
 crypto::Digest MerkleProof::ComputeRoot() const {
@@ -244,23 +281,92 @@ crypto::Digest MerkleProof::ComputeRoot() const {
 Status MerkleTree::VerifyProof(const MerkleProof& proof,
                                const std::string& key, const Bytes& value,
                                int64_t version, const crypto::Digest& root) {
-  if (proof.leaf_index != LeafIndexFor(key, static_cast<int>(
-                                                proof.siblings.size()))) {
-    return Status::VerificationFailed("proof leaf index mismatch for key");
+  TE_RETURN_IF_ERROR(CheckLeaf(proof, key, &value, version));
+  return CheckRoot(proof, root);
+}
+
+Status MerkleTree::VerifyProofs(const std::vector<Claim>& claims,
+                                const crypto::Digest& root) {
+  for (const Claim& c : claims) {
+    TE_RETURN_IF_ERROR(CheckLeaf(*c.proof, *c.key, c.value, c.version));
   }
-  auto it = std::find_if(
-      proof.bucket.begin(), proof.bucket.end(),
-      [&key](const BucketEntry& e) { return e.key == key; });
-  if (it == proof.bucket.end()) {
-    return Status::VerificationFailed("key missing from proof bucket");
+  if (claims.empty()) return Status::OK();
+  // One tree has one depth: proofs of two depths cannot both reach `root`
+  // without a collision.
+  const size_t depth = claims[0].proof->siblings.size();
+  for (const Claim& c : claims) {
+    if (c.proof->siblings.size() != depth) {
+      return Status::VerificationFailed("proofs differ in depth");
+    }
   }
-  if (it->value_digest != crypto::Sha256::Hash(value)) {
-    return Status::VerificationFailed("value digest mismatch");
+
+  // In leaf order, the proofs under any node form one run of `order`.
+  std::vector<const MerkleProof*> order;
+  order.reserve(claims.size());
+  for (const Claim& c : claims) order.push_back(c.proof);
+  std::sort(order.begin(), order.end(),
+            [](const MerkleProof* a, const MerkleProof* b) {
+              return a->leaf_index < b->leaf_index;
+            });
+
+  // The nodes of one level on the claims' paths, in index order; each
+  // covers the run [begin, end) of `order`.
+  struct PathNode {
+    crypto::Digest digest;
+    uint32_t index;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<PathNode> level;
+  level.reserve(order.size());
+  for (size_t begin = 0; begin < order.size();) {
+    const MerkleProof& first = *order[begin];
+    size_t end = begin + 1;
+    for (; end < order.size() && order[end]->leaf_index == first.leaf_index;
+         ++end) {
+      if (order[end]->bucket != first.bucket) {
+        return Status::VerificationFailed("proofs disagree on a shared leaf");
+      }
+    }
+    level.push_back({BucketDigest(first.bucket), first.leaf_index, begin, end});
+    begin = end;
   }
-  if (it->version != version) {
-    return Status::VerificationFailed("version mismatch");
+
+  // Climbs from level depth-i to depth-i-1. Every proof of a run must
+  // carry, as its sibling there, the digest that stands there: the
+  // computed neighbour when that is on the path of another claim, else
+  // the run's first proof's sibling. So each claim's path hashes to what
+  // its own ComputeRoot would give.
+  auto run_carries = [&order](size_t begin, size_t end, size_t i,
+                              const crypto::Digest& sibling) {
+    for (size_t k = begin; k < end; ++k) {
+      if (order[k]->siblings[i] != sibling) return false;
+    }
+    return true;
+  };
+  for (size_t i = 0; i < depth; ++i) {
+    size_t parents = 0;
+    for (size_t k = 0; k < level.size(); ++parents) {
+      const PathNode& node = level[k];
+      const bool paired =
+          k + 1 < level.size() && level[k + 1].index == (node.index ^ 1);
+      const crypto::Digest& sibling =
+          paired ? level[k + 1].digest : order[node.begin]->siblings[i];
+      const size_t end = paired ? level[k + 1].end : node.end;
+      if (!run_carries(node.begin, node.end, i, sibling) ||
+          (paired && !run_carries(node.end, end, i, node.digest))) {
+        return Status::VerificationFailed("sibling does not match path");
+      }
+      const crypto::Digest parent =
+          (node.index & 1) ? crypto::HashPair(sibling, node.digest)
+                           : crypto::HashPair(node.digest, sibling);
+      level[parents] = {parent, node.index >> 1, node.begin, end};
+      k += paired ? 2 : 1;
+    }
+    level.resize(parents);
   }
-  if (proof.ComputeRoot() != root) {
+  // Every leaf index is below 2^depth, so one node, the root, is left.
+  if (level[0].digest != root) {
     return Status::VerificationFailed("computed root does not match");
   }
   return Status::OK();

@@ -49,7 +49,8 @@ struct MerkleProof {
   }
   bool operator==(const MerkleProof&) const = default;
 
-  /// Recomputes the root this proof commits to.
+  /// Recomputes the root this proof commits to. The depth (sibling
+  /// count) must be 1..32; the verifiers check that before calling it.
   crypto::Digest ComputeRoot() const;
 };
 
@@ -125,6 +126,25 @@ class MerkleTree {
   static Status VerifyAbsence(const MerkleProof& proof,
                               const std::string& key,
                               const crypto::Digest& root);
+
+  /// One claim of a `VerifyProofs` call. The caller keeps proof, key and
+  /// value alive for the call.
+  struct Claim {
+    const MerkleProof* proof;
+    const std::string* key;
+    const Bytes* value;  // Null: the claim is the key's absence.
+    int64_t version;
+  };
+
+  /// Checks every claim against `root` in one pass: OK exactly when each
+  /// claim passes `VerifyProof` (or `VerifyAbsence` for a null value)
+  /// alone, barring a SHA-256 collision. The claims are sorted by leaf
+  /// and climbed level by level, so a node on several of their paths is
+  /// hashed once; each proof's sibling at each level must equal the
+  /// digest it stands for there. Proofs of differing depths are
+  /// rejected. OK for no claims.
+  static Status VerifyProofs(const std::vector<Claim>& claims,
+                             const crypto::Digest& root);
 
   /// Leaf index for `key` at depth `depth` (exposed for tests).
   static uint32_t LeafIndexFor(const std::string& key, int depth);

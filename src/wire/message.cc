@@ -2,6 +2,17 @@
 
 namespace transedge::wire {
 
+Status VerifyReads(const std::vector<AuthenticatedRead>& reads,
+                   const crypto::Digest& root) {
+  std::vector<merkle::MerkleTree::Claim> claims;
+  claims.reserve(reads.size());
+  for (const AuthenticatedRead& read : reads) {
+    claims.push_back({&read.proof, &read.key,
+                      read.found ? &read.value : nullptr, read.version});
+  }
+  return merkle::MerkleTree::VerifyProofs(claims, root);
+}
+
 const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kClientRead:

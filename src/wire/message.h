@@ -149,6 +149,11 @@ struct AuthenticatedRead {
   bool operator==(const AuthenticatedRead&) const = default;
 };
 
+/// Checks every read's proof (of its value, or of its absence) against
+/// `root` in one `MerkleTree::VerifyProofs` pass (§4.2).
+Status VerifyReads(const std::vector<AuthenticatedRead>& reads,
+                   const crypto::Digest& root);
+
 /// Round-1 read-only request: all keys of one accessed partition
 /// (§4.3.4). `commit-rot` in the paper's interface.
 struct RoRequest : TypedMessage<MessageType::kRoRequest> {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/codec.h"
@@ -180,6 +182,260 @@ TEST(MerkleTreeTest, ProofEncodeDecodeRoundTrip) {
   EXPECT_TRUE(MerkleTree::VerifyProof(decoded, "k1", V("v1"), 5,
                                       tree.RootDigest())
                   .ok());
+}
+
+TEST(MerkleTreeTest, RejectsProofDepthOutOfRange) {
+  // The sibling count is the sender's to choose and sets the leaf-index
+  // shift: 0 would shift by 32 and anything above 32 by a negative count.
+  MerkleTree tree(8);
+  tree.Put("k", V("v"), 3);
+  const crypto::Digest root = tree.RootDigest();
+  const std::string key = "k";
+  const std::string absent = "absent";
+  const Bytes value = V("v");
+  for (size_t count : {0u, 33u, 40u}) {
+    MerkleProof proof = tree.Prove(key).value();
+    proof.siblings.resize(count);
+    EXPECT_TRUE(MerkleTree::VerifyProof(proof, key, value, 3, root)
+                    .IsVerificationFailed())
+        << count;
+    EXPECT_TRUE(MerkleTree::VerifyAbsence(proof, absent, root)
+                    .IsVerificationFailed())
+        << count;
+    for (size_t claims : {1u, 2u}) {
+      std::vector<MerkleTree::Claim> set(claims, {&proof, &key, &value, 3});
+      EXPECT_TRUE(MerkleTree::VerifyProofs(set, root).IsVerificationFailed())
+          << count << " siblings, " << claims << " claims";
+    }
+  }
+}
+
+// --- VerifyProofs == every claim alone --------------------------------------
+
+/// One claim with its own storage, as a reply carries it.
+struct OwnedClaim {
+  MerkleProof proof;
+  std::string key;
+  std::optional<Bytes> value;  // nullopt: a claim of absence.
+  int64_t version = 0;
+};
+
+bool EachClaimPasses(const std::vector<OwnedClaim>& claims,
+                     const crypto::Digest& root) {
+  for (const OwnedClaim& c : claims) {
+    Status s = c.value ? MerkleTree::VerifyProof(c.proof, c.key, *c.value,
+                                                 c.version, root)
+                       : MerkleTree::VerifyAbsence(c.proof, c.key, root);
+    if (!s.ok()) return false;
+  }
+  return true;
+}
+
+bool AllClaimsAtOnce(const std::vector<OwnedClaim>& claims,
+                     const crypto::Digest& root) {
+  std::vector<MerkleTree::Claim> refs;
+  for (const OwnedClaim& c : claims) {
+    refs.push_back(
+        {&c.proof, &c.key, c.value ? &*c.value : nullptr, c.version});
+  }
+  Status s = MerkleTree::VerifyProofs(refs, root);
+  EXPECT_TRUE(s.ok() || s.IsVerificationFailed()) << s.ToString();
+  return s.ok();
+}
+
+/// Returns VerifyProofs' verdict on `claims`, expecting it to equal the
+/// verdict of checking each claim alone.
+bool ExpectSameVerdict(const std::vector<OwnedClaim>& claims,
+                       const crypto::Digest& root, const std::string& what) {
+  const bool each = EachClaimPasses(claims, root);
+  EXPECT_EQ(AllClaimsAtOnce(claims, root), each) << what;
+  return each;
+}
+
+/// A tree of `num_keys` keys "k<i>" = "v<i>" at version i.
+MerkleTree TreeWithKeys(int depth, int num_keys) {
+  MerkleTree tree(depth);
+  for (int i = 0; i < num_keys; ++i) {
+    tree.Put("k" + std::to_string(i), V("v" + std::to_string(i)), i);
+  }
+  return tree;
+}
+
+/// A valid claim set against `tree`: present keys, absent keys and
+/// repeats of earlier claims, in random order.
+std::vector<OwnedClaim> RandomClaims(const MerkleTree& tree, int num_keys,
+                                     Rng* rng) {
+  std::vector<OwnedClaim> claims;
+  const uint64_t n = rng->NextBounded(16) + 1;
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t kind = rng->NextBounded(5);
+    if (kind == 0 && !claims.empty()) {
+      claims.push_back(claims[rng->NextBounded(claims.size())]);
+      continue;
+    }
+    OwnedClaim c;
+    if (kind == 1) {
+      c.key = "absent" + std::to_string(rng->NextBounded(1000));
+    } else {
+      const int k = static_cast<int>(rng->NextBounded(num_keys));
+      c.key = "k" + std::to_string(k);
+      c.value = V("v" + std::to_string(k));
+      c.version = k;
+    }
+    c.proof = tree.Prove(c.key).value();
+    claims.push_back(std::move(c));
+  }
+  return claims;
+}
+
+TEST(MerkleVerifyProofsTest, EmptySetVerifies) {
+  MerkleTree tree = TreeWithKeys(8, 10);
+  EXPECT_TRUE(MerkleTree::VerifyProofs({}, tree.RootDigest()).ok());
+}
+
+TEST(MerkleVerifyProofsTest, RandomSetsAndMutantsMatchPerClaimChecks) {
+  Rng rng(31);
+  int valid_sets = 0;
+  int rejected_mutants = 0;
+  // Depth 4 with 100 keys puts ~6 keys in every bucket, so claims share
+  // leaves and absent keys land in occupied buckets.
+  for (auto [depth, num_keys] : {std::pair{1, 20}, std::pair{4, 100},
+                                 std::pair{13, 400}, std::pair{16, 400}}) {
+    MerkleTree tree = TreeWithKeys(depth, num_keys);
+    const crypto::Digest root = tree.RootDigest();
+    MerkleTree other = TreeWithKeys(depth, num_keys + 1);
+    MerkleTree deeper = TreeWithKeys(depth + 1, num_keys);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::vector<OwnedClaim> claims =
+          RandomClaims(tree, num_keys, &rng);
+      const std::string where = "depth " + std::to_string(depth) +
+                                ", trial " + std::to_string(trial);
+      if (ExpectSameVerdict(claims, root, where + ": valid")) ++valid_sets;
+      EXPECT_FALSE(ExpectSameVerdict(claims, other.RootDigest(),
+                                     where + ": wrong root"));
+
+      const size_t a = rng.NextBounded(claims.size());
+      const size_t b = rng.NextBounded(claims.size());
+      std::vector<std::pair<std::string, std::vector<OwnedClaim>>> mutants;
+      for (size_t level = 0; level < static_cast<size_t>(depth); ++level) {
+        auto m = claims;
+        m[a].proof.siblings[level].bytes[rng.NextBounded(32)] ^= 0x40;
+        mutants.emplace_back("flipped sibling " + std::to_string(level),
+                             std::move(m));
+      }
+      {
+        auto m = claims;
+        std::swap(m[a].proof.siblings, m[b].proof.siblings);
+        mutants.emplace_back("swapped siblings", std::move(m));
+      }
+      if (claims[a].value) {
+        auto m = claims;
+        m[a].value->push_back('!');
+        mutants.emplace_back("wrong value", std::move(m));
+        m = claims;
+        ++m[a].version;
+        mutants.emplace_back("wrong version", std::move(m));
+      }
+      {
+        auto m = claims;
+        m[a].proof.leaf_index ^= 1;
+        mutants.emplace_back("leaf index mismatch", std::move(m));
+      }
+      {
+        auto m = claims;
+        m[a].proof.siblings.pop_back();
+        mutants.emplace_back("truncated proof", std::move(m));
+      }
+      {
+        auto m = claims;
+        m[a].proof = deeper.Prove(m[a].key).value();
+        mutants.emplace_back("mixed depth", std::move(m));
+      }
+      // The pass hashes one copy of each leaf's bucket, so a tampered
+      // bucket in any claim whose leaf another claim shares must be
+      // caught whichever copy sorts first.
+      for (size_t c = 0; c < claims.size(); ++c) {
+        bool shared = false;
+        for (size_t d = 0; d < claims.size(); ++d) {
+          shared |= d != c &&
+                    claims[d].proof.leaf_index == claims[c].proof.leaf_index;
+        }
+        if (!shared) continue;
+        const std::string at =
+            " in shared bucket of claim " + std::to_string(c);
+        auto m = claims;
+        std::vector<BucketEntry>& bucket = m[c].proof.bucket;
+        for (BucketEntry& e : bucket) {
+          if (e.key == m[c].key) continue;
+          ++e.version;
+          mutants.emplace_back("other entry's version" + at, m);
+          --e.version;
+          e.value_digest.bytes[0] ^= 1;
+          mutants.emplace_back("other entry's value digest" + at, m);
+          break;
+        }
+        m = claims;
+        m[c].proof.bucket.push_back({"extra", crypto::Digest{}, 1});
+        mutants.emplace_back("entry added" + at, std::move(m));
+      }
+      for (const auto& [what, mutant] : mutants) {
+        if (!ExpectSameVerdict(mutant, root, where + ": " + what)) {
+          ++rejected_mutants;
+        }
+      }
+    }
+  }
+  // The sweep must exercise both verdicts.
+  EXPECT_GT(valid_sets, 100);
+  EXPECT_GT(rejected_mutants, 1000);
+}
+
+TEST(MerkleVerifyProofsTest, EveryProofOfASharedPathIsChecked) {
+  // Two claims of one key share their whole path, so the pass hashes it
+  // once; a tampered sibling in either copy must still be rejected, as it
+  // is when each copy is checked alone.
+  MerkleTree tree = TreeWithKeys(13, 200);
+  const crypto::Digest root = tree.RootDigest();
+  OwnedClaim claim{tree.Prove("k5").value(), "k5", V("v5"), 5};
+  for (size_t copy : {0u, 1u}) {
+    for (size_t level = 0; level < 13; ++level) {
+      std::vector<OwnedClaim> claims{claim, claim};
+      claims[copy].proof.siblings[level].bytes[0] ^= 1;
+      EXPECT_FALSE(AllClaimsAtOnce(claims, root))
+          << "copy " << copy << ", level " << level;
+    }
+  }
+  // The pass hashes one copy's bucket, so the copies must agree on it.
+  for (size_t copy : {0u, 1u}) {
+    std::vector<OwnedClaim> claims{claim, claim};
+    claims[copy].proof.bucket.push_back({"extra", crypto::Digest{}, 1});
+    EXPECT_FALSE(AllClaimsAtOnce(claims, root)) << "bucket of copy " << copy;
+  }
+  // Likewise for neighbouring leaves, whose paths meet below the root, and
+  // for different keys of one leaf, whose claims share its bucket.
+  MerkleTree shallow = TreeWithKeys(4, 100);
+  std::vector<OwnedClaim> claims;
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    claims.push_back({shallow.Prove(key).value(), key,
+                      V("v" + std::to_string(i)), i});
+  }
+  ASSERT_TRUE(AllClaimsAtOnce(claims, shallow.RootDigest()));
+  for (size_t i = 0; i < claims.size(); ++i) {
+    for (size_t level = 0; level < 4; ++level) {
+      auto mutant = claims;
+      mutant[i].proof.siblings[level].bytes[7] ^= 1;
+      EXPECT_FALSE(AllClaimsAtOnce(mutant, shallow.RootDigest()))
+          << "claim " << i << ", level " << level;
+    }
+    ASSERT_GT(claims[i].proof.bucket.size(), 1u) << "claim " << i;
+    auto mutant = claims;
+    for (BucketEntry& e : mutant[i].proof.bucket) {
+      if (e.key != mutant[i].key) ++e.version;
+    }
+    EXPECT_FALSE(AllClaimsAtOnce(mutant, shallow.RootDigest()))
+        << "bucket of claim " << i;
+  }
 }
 
 // --- PutBatch == sequential Put ---------------------------------------------

@@ -1,8 +1,8 @@
-// Differential test of the SHA-256 block-compress implementations: the
-// portable rounds against the SHA-NI ones, and the dispatched `Sha256`
-// against a reference built on the portable rounds alone. On a SHA-NI
-// host the dispatcher never runs the portable path, so this is where it
-// stays covered.
+// Differential test of the SHA-256 block-compress and pair-hash
+// implementations: the portable rounds against the SHA-NI ones, and the
+// dispatched `Sha256` against a reference built on the portable rounds
+// alone. On a SHA-NI host the dispatcher never runs the portable path, so
+// this is where it stays covered.
 
 #include <gtest/gtest.h>
 
@@ -79,19 +79,53 @@ TEST(Sha256DispatchTest, RandomUpdateSplitsMatchPortable) {
   }
 }
 
+/// A random (left, right) pair and the 64-byte message it stands for.
+struct RandomPair {
+  Digest left;
+  Digest right;
+  Bytes message;
+};
+
+RandomPair MakeRandomPair(Rng* rng) {
+  RandomPair pair;
+  pair.message = RandomBytes(rng, 64);
+  std::memcpy(pair.left.bytes.data(), pair.message.data(), 32);
+  std::memcpy(pair.right.bytes.data(), pair.message.data() + 32, 32);
+  return pair;
+}
+
 TEST(Sha256DispatchTest, HashPairMatchesPortable) {
   Rng rng(13);
-  for (int trial = 0; trial < 100; ++trial) {
-    Bytes data = RandomBytes(&rng, 64);
-    Digest left, right;
-    std::memcpy(left.bytes.data(), data.data(), 32);
-    std::memcpy(right.bytes.data(), data.data() + 32, 32);
-    EXPECT_EQ(HashPair(left, right),
-              HashWith(internal::CompressPortable, data));
+  for (int trial = 0; trial < 1000; ++trial) {
+    RandomPair pair = MakeRandomPair(&rng);
+    const Digest reference =
+        HashWith(internal::CompressPortable, pair.message);
+    EXPECT_EQ(HashPair(pair.left, pair.right), reference) << "trial " << trial;
+    EXPECT_EQ(internal::HashPairPortable(pair.left, pair.right), reference)
+        << "trial " << trial;
   }
 }
 
 #ifdef TRANSEDGE_SHA256_HAVE_SHANI
+
+TEST(Sha256DispatchTest, FusedShaNiHashPairMatchesPortable) {
+  if (!internal::CpuHasShaNi()) GTEST_SKIP() << "CPU lacks SHA-NI";
+  Rng rng(24);
+  for (int trial = 0; trial < 20000; ++trial) {
+    RandomPair pair = MakeRandomPair(&rng);
+    ASSERT_EQ(internal::HashPairShaNi(pair.left, pair.right),
+              internal::HashPairPortable(pair.left, pair.right))
+        << "trial " << trial;
+  }
+  // Chained, as a Merkle climb feeds each output back in.
+  Digest acc{};
+  Digest portable{};
+  for (int level = 0; level < 64; ++level) {
+    acc = internal::HashPairShaNi(acc, acc);
+    portable = internal::HashPairPortable(portable, portable);
+  }
+  EXPECT_EQ(acc, portable);
+}
 
 TEST(Sha256DispatchTest, ShaNiMatchesPortableAtEveryLength) {
   if (!internal::CpuHasShaNi()) GTEST_SKIP() << "CPU lacks SHA-NI";

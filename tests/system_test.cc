@@ -97,6 +97,73 @@ TEST(SystemSmokeTest, LocalTransactionCommits) {
   }
 }
 
+TEST(SystemSmokeTest, RetryRotatesOnlyTheTouchedPartitionsLeaderHints) {
+  SystemConfig config = SmallConfig();
+  config.client_timeout = sim::Millis(200);
+  System system(config, FastEnv());
+  auto data = TestData(config.num_partitions);
+  system.Preload(data);
+  Client* client = system.AddClient();
+
+  storage::PartitionMap pmap(config.num_partitions);
+  std::optional<Key> key0, key1;
+  for (const auto& [key, value] : data) {
+    if (!key0 && pmap.OwnerOf(key) == 0) key0 = key;
+    if (!key1 && pmap.OwnerOf(key) == 1) key1 = key;
+  }
+  ASSERT_TRUE(key0 && key1);
+
+  // The first commit request to partition 0's leader is lost, so the
+  // first transaction commits only through the client's timeout retry.
+  // Commit requests a replica of partition 1 sends are followers
+  // forwarding a misdirected request to their leader.
+  const crypto::NodeId leader0 = config.ReplicaNode(0, 0);
+  const crypto::NodeId leader1 = config.ReplicaNode(1, 0);
+  int dropped = 0;
+  int direct_to_leader1 = 0;
+  int forwarded_in_partition1 = 0;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId to, const sim::MessagePtr& msg) {
+        if (static_cast<wire::MessageType>(msg->type()) !=
+            wire::MessageType::kCommitRequest) {
+          return true;
+        }
+        if (from == client->id() && to == leader0 && dropped == 0) {
+          ++dropped;
+          return false;
+        }
+        if (from == client->id() && to == leader1) ++direct_to_leader1;
+        if (from < config.total_replicas() &&
+            config.PartitionOfNode(from) == 1) {
+          ++forwarded_in_partition1;
+        }
+        return true;
+      });
+  system.Start();
+
+  std::optional<RwResult> retried, local;
+  system.env().Schedule(sim::Millis(50), [&] {
+    client->ExecuteReadWrite({}, {WriteOp{*key0, ToBytes("retried")}},
+                             [&](RwResult r) { retried = std::move(r); });
+  });
+  system.env().RunUntil(sim::Seconds(2));
+  ASSERT_TRUE(retried.has_value());
+  EXPECT_TRUE(retried->committed) << retried->reason;
+  EXPECT_EQ(dropped, 1);
+
+  // Partition 1's leader never failed the client: its hint still names
+  // it, so the request reaches it directly and no follower forwards it.
+  system.env().Schedule(sim::Millis(10), [&] {
+    client->ExecuteReadWrite({}, {WriteOp{*key1, ToBytes("direct")}},
+                             [&](RwResult r) { local = std::move(r); });
+  });
+  system.env().RunUntil(sim::Seconds(4));
+  ASSERT_TRUE(local.has_value());
+  EXPECT_TRUE(local->committed) << local->reason;
+  EXPECT_EQ(direct_to_leader1, 1);
+  EXPECT_EQ(forwarded_in_partition1, 0);
+}
+
 TEST(SystemSmokeTest, DistributedTransactionCommitsAcrossClusters) {
   SystemConfig config = SmallConfig();
   System system(config, FastEnv());
