@@ -21,7 +21,7 @@ using TxnResolver = std::function<const Transaction*(TxnId)>;
 /// distributed transactions) to `tree`, restricted to partition `self`'s
 /// keys. Write sets of commit records are resolved through `resolve`.
 /// The writes go in as one `MerkleTree::PutBatch`. Shared by the leader's
-/// proposal path, replica re-validation and linear-vote catch-up.
+/// proposal path, replica re-validation and catch-up.
 void ApplyBatchWritesToTree(merkle::MerkleTree* tree,
                             const storage::PartitionMap& pmap,
                             PartitionId self, const storage::Batch& batch,

@@ -250,12 +250,12 @@ storage::BatchCertificate AssembleCertificateFromShares(
     NodeContext* ctx, const storage::Batch& batch,
     const crypto::Digest& digest,
     const std::map<crypto::NodeId, crypto::Digest>& votes,
-    const std::map<crypto::NodeId, crypto::Signature>& shares,
-    size_t max_signatures) {
+    const std::map<crypto::NodeId, crypto::Signature>& shares) {
   storage::BatchCertificate cert =
       CertificatePayloadFor(ctx->partition(), batch, digest);
-  cert.signatures = CollectVerifiedShares(ctx, cert.SignedPayload(), votes,
-                                          shares, digest, max_signatures);
+  cert.signatures =
+      CollectVerifiedShares(ctx, cert.SignedPayload(), votes, shares, digest,
+                            ctx->config().quorum_size());
   return cert;
 }
 

@@ -64,17 +64,15 @@ crypto::SignatureSet CollectVerifiedShares(
     const std::map<crypto::NodeId, crypto::Signature>& shares,
     const crypto::Digest& digest, size_t max_signatures);
 
-/// Assembles the f+1 client-facing certificate from vote shares whose
-/// digest matches `digest`, verifying each share over the certificate
-/// payload. `max_signatures` bounds the set (certificate_size for the
-/// client certificate; quorum_size when the same object doubles as a
-/// linear-vote quorum certificate).
+/// Assembles the batch certificate from vote shares whose digest
+/// matches `digest`, verifying each share over the certificate payload,
+/// up to quorum_size signatures: the prepare QC both engines lock on and
+/// log. Any f+1 of them is a valid client certificate.
 storage::BatchCertificate AssembleCertificateFromShares(
     NodeContext* ctx, const storage::Batch& batch,
     const crypto::Digest& digest,
     const std::map<crypto::NodeId, crypto::Digest>& votes,
-    const std::map<crypto::NodeId, crypto::Signature>& shares,
-    size_t max_signatures);
+    const std::map<crypto::NodeId, crypto::Signature>& shares);
 
 }  // namespace transedge::core
 

@@ -29,7 +29,10 @@ namespace transedge::core {
 /// the storage stack and the other subsystem engines.
 ///
 /// Engines are selected by `SystemConfig::consensus_kind` through
-/// `MakeConsensus`. Implementations:
+/// `MakeConsensus`. Both derive from `ViewChangeConsensus`
+/// (view_change.h), the one view-change protocol they share: locks on
+/// 2f+1 prepare QCs, the new-view proof, re-proposal of locked batches,
+/// and catch-up of lagging replicas. Each keeps only its voting pattern:
 ///
 ///   - `PbftConsensus` (pbft_consensus.h): PBFT-style all-to-all voting,
 ///     O(n²) messages per decided batch.
@@ -96,12 +99,12 @@ class Consensus {
   /// view-change re-proposal (a batch carried over from the previous
   /// view for safety). The batch pipeline must not build a competing
   /// proposal for that id; it resumes once the re-proposal decides.
-  virtual bool HasPendingReproposal() const { return false; }
+  virtual bool HasPendingReproposal() const = 0;
 
   /// Number of proposed-but-undecided instances currently in flight
   /// (ids above the log tail that carry a proposal). The batch pipeline
   /// gates new proposals on `InFlight() < EffectivePipelineDepth()`.
-  virtual size_t InFlight() const { return 0; }
+  virtual size_t InFlight() const = 0;
 
   /// Deepest proposal pipeline the engine supports. Engines without
   /// chained safety machinery pin this to 1 regardless of

@@ -35,8 +35,6 @@ const char* MessageTypeName(MessageType type) {
       return "Prepare";
     case MessageType::kCommit:
       return "Commit";
-    case MessageType::kViewChange:
-      return "ViewChange";
     case MessageType::kLinearPropose:
       return "LinearPropose";
     case MessageType::kLinearVote:

@@ -25,17 +25,18 @@ enum class MessageType : uint32_t {
   kRoReply = 6,
   kRoBatchRequest = 7,  // Second round of the read-only protocol.
 
-  // Intra-cluster consensus (PBFT-style engine).
+  // Intra-cluster consensus: PBFT-style proposal and votes.
   kPrePrepare = 20,
   kPrepare = 21,
   kCommit = 22,
-  kViewChange = 23,
-  // 24 is retired; do not reuse it.
+  // 23 and 24 are retired; do not reuse them.
 
-  // Intra-cluster consensus (HotStuff-style linear-vote engine).
+  // Intra-cluster consensus: HotStuff-style linear proposal and votes.
   kLinearPropose = 25,
   kLinearVote = 26,
   kLinearQc = 27,
+
+  // View change and catch-up, shared by both consensus engines.
   kLinearViewChange = 28,
   kLinearNewView = 29,
   kLinearCatchUp = 30,
@@ -212,37 +213,70 @@ struct RoBatchRequest : TypedMessage<MessageType::kRoBatchRequest> {
 // Intra-cluster consensus
 // ---------------------------------------------------------------------------
 
-/// Leader's proposal of the next batch.
+/// A prepare QC bound to the view it formed in: a batch certificate
+/// with >= 2f+1 shares, plus >= 2f+1 signatures over the view-bind
+/// payload (partition, batch id, digest, view). It justifies a
+/// view-change re-proposal of the batch. A replica locked on a
+/// conflicting batch at the same id accepts the proposal only when
+/// `view >=` its lock view (the two-phase HotStuff unlock rule), and the
+/// view-bind quorum keeps a leader from claiming a newer view than the
+/// one the QC formed in.
+struct Justification {
+  uint64_t view = 0;
+  storage::BatchCertificate cert;
+  crypto::SignatureSet view_sigs;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.view, self.cert, self.view_sigs);
+  }
+  bool operator==(const Justification&) const = default;
+};
+
+/// Leader's proposal of the next batch (PBFT engine).
 struct PrePrepareMsg : TypedMessage<MessageType::kPrePrepare> {
   uint64_t view = 0;
   storage::Batch batch;
   crypto::Signature leader_signature;  // over the batch digest
-  /// Leader's certificate share (counts as the leader's prepare vote).
+  /// Leader's certificate share and view-bind share (together, the
+  /// leader's prepare vote).
   crypto::Signature leader_cert_share;
+  crypto::Signature leader_view_share;
+  /// Set on a view-change re-proposal; fresh proposals carry none.
+  bool has_justify = false;
+  Justification justify;
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
-    v(self.view, self.batch, self.leader_signature, self.leader_cert_share);
+    v(self.view, self.batch, self.leader_signature, self.leader_cert_share,
+      self.leader_view_share, self.has_justify);
+    if (self.has_justify) v(self.justify);
   }
   bool operator==(const PrePrepareMsg&) const = default;
 };
 
-/// Replica vote after re-validating the proposed batch. Carries the
-/// replica's certificate-share signature so the cluster can assemble the
-/// f+1 batch certificate.
+/// Replica vote after re-validating the proposed batch, broadcast to the
+/// cluster. `cert_share` signs `BatchCertificate::SignedPayload()`, so
+/// 2f+1 matching votes assemble the prepare certificate; `view_share`
+/// signs the view-bind payload, so the certificate's view is provable
+/// when a view change reports it as a lock.
 struct PrepareMsg : TypedMessage<MessageType::kPrepare> {
   uint64_t view = 0;
   BatchId batch_id = kNoBatch;
   crypto::Digest batch_digest;
-  crypto::Signature cert_share;  // over BatchCertificate::SignedPayload()
+  crypto::Signature cert_share;
+  crypto::Signature view_share;
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
-    v(self.view, self.batch_id, self.batch_digest, self.cert_share);
+    v(self.view, self.batch_id, self.batch_digest, self.cert_share,
+      self.view_share);
   }
   bool operator==(const PrepareMsg&) const = default;
 };
 
+/// Sent by a replica after it locked on the prepare certificate; 2f+1
+/// matching Commits decide the batch.
 struct CommitMsg : TypedMessage<MessageType::kCommit> {
   uint64_t view = 0;
   BatchId batch_id = kNoBatch;
@@ -253,19 +287,6 @@ struct CommitMsg : TypedMessage<MessageType::kCommit> {
     v(self.view, self.batch_id, self.batch_digest);
   }
   bool operator==(const CommitMsg&) const = default;
-};
-
-/// Sent when a replica's progress timer fires without a decision.
-struct ViewChangeMsg : TypedMessage<MessageType::kViewChange> {
-  uint64_t new_view = 0;
-  BatchId last_committed = kNoBatch;
-  crypto::Signature signature;
-
-  template <class Self, class V>
-  static void Fields(Self& self, V& v) {
-    v(self.new_view, self.last_committed, self.signature);
-  }
-  bool operator==(const ViewChangeMsg&) const = default;
 };
 
 // ---------------------------------------------------------------------------
@@ -281,25 +302,14 @@ struct LinearProposeMsg : TypedMessage<MessageType::kLinearPropose> {
   uint64_t view = 0;
   storage::Batch batch;
   crypto::Signature leader_signature;  // over the batch digest
-  /// View-change re-proposal justification: a prepare QC for this very
-  /// batch, formed in `justify_view`. A replica locked on a conflicting
-  /// batch at the same id accepts the proposal only when
-  /// `justify_view >= ` its lock view (two-phase HotStuff unlock rule);
-  /// fresh proposals carry no justification.
+  /// Set on a view-change re-proposal; fresh proposals carry none.
   bool has_justify = false;
-  uint64_t justify_view = 0;
-  storage::BatchCertificate justify_cert;
-  /// >= 2f+1 signatures binding the justifying QC to `justify_view`
-  /// (over the view-bind payload); a leader cannot claim a newer view
-  /// for the QC than the one it actually formed in.
-  crypto::SignatureSet justify_view_sigs;
+  Justification justify;
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
     v(self.view, self.batch, self.leader_signature, self.has_justify);
-    if (self.has_justify) {
-      v(self.justify_view, self.justify_cert, self.justify_view_sigs);
-    }
+    if (self.has_justify) v(self.justify);
   }
   bool operator==(const LinearProposeMsg&) const = default;
 };
@@ -357,6 +367,11 @@ struct LinearQcMsg : TypedMessage<MessageType::kLinearQc> {
   bool operator==(const LinearQcMsg&) const = default;
 };
 
+// ---------------------------------------------------------------------------
+// View change and catch-up, shared by both consensus engines
+// (core/consensus/view_change.h)
+// ---------------------------------------------------------------------------
+
 /// One prepare-QC lock carried inside a view-change message: the locked
 /// batch, the QC that locked it, the view the QC formed in, and the
 /// quorum of view-bind signatures proving that view claim. With
@@ -375,7 +390,7 @@ struct LinearLockReport {
 };
 
 /// Replica -> prospective leader of `new_view` when the progress timer
-/// fires: O(n) per view change instead of PBFT's broadcast.
+/// fires: O(n) messages per view change.
 struct LinearViewChangeMsg : TypedMessage<MessageType::kLinearViewChange> {
   uint64_t new_view = 0;
   BatchId last_committed = kNoBatch;

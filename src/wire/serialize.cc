@@ -22,9 +22,9 @@ struct TypeList {
 using WireMessages =
     TypeList<ClientReadRequest, ClientReadReply, CommitRequest, CommitReply,
              RoRequest, RoReply, RoBatchRequest, PrePrepareMsg, PrepareMsg,
-             CommitMsg, ViewChangeMsg, LinearProposeMsg, LinearVoteMsg,
-             LinearQcMsg, LinearViewChangeMsg, LinearNewViewMsg,
-             LinearCatchUpMsg, CoordPrepareMsg, PreparedMsg, CommitRecordMsg,
+             CommitMsg, LinearProposeMsg, LinearVoteMsg, LinearQcMsg,
+             LinearViewChangeMsg, LinearNewViewMsg, LinearCatchUpMsg,
+             CoordPrepareMsg, PreparedMsg, CommitRecordMsg,
              AugustusRoRequest, AugustusVoteRequest, AugustusVoteReply,
              AugustusRoReply, AugustusRelease, WatchSubscribeRequest,
              WatchSubscribeReply, WatchDeltaMsg, WatchUnsubscribe,

@@ -152,9 +152,8 @@ TEST(ByzantineTest, EquivocatingLeaderCannotCertifyAndIsReplaced) {
   fx.system->env().RunUntil(sim::Seconds(30));
 
   // Safety: no two replicas ever certified different batches at the same
-  // log position. (A replica stuck in a divergent view may lag — BFT
-  // guarantees agreement for the 2f+1 quorum, and catch-up is state
-  // transfer, which is out of scope — so compare common prefixes.)
+  // log position. (A replica that held the other variant may still be
+  // catching up when the run ends, so compare common prefixes.)
   size_t longest = 0;
   for (uint32_t i = 1; i < fx.config.replicas_per_cluster(); ++i) {
     longest = std::max(longest, fx.system->node(0, i)->log().size());

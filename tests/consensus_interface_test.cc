@@ -1,8 +1,10 @@
 // The Consensus interface seam: every engine behind
 // SystemConfig::consensus_kind must produce the same committed store
-// state for the same workload/seed, valid f+1 certificates, and live
-// view changes. Also pins the message-complexity contrast the linear
-// engine exists for (O(n) vs O(n²) per decided batch).
+// state for the same workload/seed and valid certificates. The view
+// change both engines share (core/consensus/view_change.h) is tested
+// under each engine (ViewChangeTest). Also pins the message-complexity
+// contrast the linear engine exists for (O(n) vs O(n²) per decided
+// batch).
 
 #include <gtest/gtest.h>
 
@@ -277,9 +279,86 @@ TEST_F(LinearVoteTest, CertificatesCarryQuorumOfValidSignatures) {
   }
 }
 
-TEST_F(LinearVoteTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+// ---------------------------------------------------------------------------
+// The shared view-change protocol, under both engines
+// ---------------------------------------------------------------------------
+
+/// Drops every view-0 commit-phase message that is not addressed to the
+/// first leader: the PBFT Commit broadcasts, the linear engine's commit
+/// QC. The view-0 leader decides, and nobody else does before the view
+/// changes.
+sim::Network::LinkFilter CommitsReachOnlyFirstLeader(
+    const SystemConfig& config) {
+  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
+  return [first_leader](sim::ActorId, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    if (to == first_leader) return true;
+    switch (static_cast<wire::MessageType>(msg->type())) {
+      case wire::MessageType::kCommit:
+        return static_cast<const wire::CommitMsg&>(*msg).view != 0;
+      case wire::MessageType::kLinearQc: {
+        const auto& qc = static_cast<const wire::LinearQcMsg&>(*msg);
+        return qc.view != 0 || qc.phase != wire::kLinearPhaseCommit;
+      }
+      default:
+        return true;
+    }
+  };
+}
+
+/// Every pair of partition-0 replicas agrees on its common log prefix.
+void ExpectNoFork(System& system, const SystemConfig& config) {
+  const uint32_t n = config.replicas_per_cluster();
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = i + 1; j < n; ++j) {
+      const auto& a = system.node(0, i)->log();
+      const auto& b = system.node(0, j)->log();
+      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
+      for (BatchId id = 0; id <= common; ++id) {
+        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
+                  b.Get(id).value()->batch.ComputeDigest())
+            << "fork at batch " << id << " between replicas " << i << " and "
+            << j;
+      }
+    }
+  }
+}
+
+/// Every certificate partition-0 replica `i` logged verifies at quorum
+/// size, for `i` in [first, n).
+void ExpectLoggedQcsVerify(System& system, const SystemConfig& config,
+                           uint32_t first) {
+  for (uint32_t i = first; i < config.replicas_per_cluster(); ++i) {
+    const auto& log = system.node(0, i)->log();
+    for (BatchId b = 0; log.size() > 0 && b <= log.LastBatchId(); ++b) {
+      EXPECT_TRUE(log.Get(b)
+                      .value()
+                      ->certificate
+                      .Verify(system.verifier(), config.quorum_size(),
+                              config.ClusterMembers(0))
+                      .ok())
+          << "replica " << i << " batch " << b;
+    }
+  }
+}
+
+bool SomeViewAdvanced(System& system, const SystemConfig& config) {
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    if (system.node(0, i)->view() > 0) return true;
+  }
+  return false;
+}
+
+class ViewChangeTest : public ::testing::TestWithParam<ConsensusKind> {};
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ViewChangeTest,
+    ::testing::Values(ConsensusKind::kPbft, ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+TEST_P(ViewChangeTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
@@ -288,6 +367,9 @@ TEST_F(LinearVoteTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
   system.env().RunUntil(sim::Millis(50));
   ASSERT_GE(system.node(0, 0)->log().size(), 1u);
 
+  // Crash the leader, then submit a transaction. A follower receiving the
+  // forwarded request cannot decide; timers fire; a new leader takes over
+  // and the client's retry succeeds.
   system.env().network().Disconnect(config.ReplicaNode(0, 0));
   system.node(0, 0)->SetByzantineBehavior(core::ByzantineBehavior::kCrash);
 
@@ -301,11 +383,8 @@ TEST_F(LinearVoteTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
 
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->committed) << result->reason;
-  bool view_advanced = false;
-  for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
-    if (system.node(0, i)->view() > 0) view_advanced = true;
-  }
-  EXPECT_TRUE(view_advanced);
+  EXPECT_TRUE(SomeViewAdvanced(system, config));
+  // The write survived on the remaining replicas.
   for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
     auto v = system.node(0, i)->store().Get(data[0].first);
     ASSERT_TRUE(v.ok());
@@ -313,31 +392,17 @@ TEST_F(LinearVoteTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
   }
 }
 
-TEST_F(LinearVoteTest, DelayedCommitQcDoesNotForkTheLog) {
+TEST_P(ViewChangeTest, DelayedCommitQcDoesNotForkTheLog) {
   // Regression for the view-change safety hole: the view-0 leader
-  // assembles the commit QC and decides locally, but the broadcast never
-  // reaches the replicas before their progress timers fire. Without the
-  // prepare-QC lock carried through the view change, the new leader
-  // would propose a *different* batch at the same id and permanently
-  // fork the old leader's log.
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+  // decides, but no other replica learns the decision before its
+  // progress timer fires. Without the prepare-QC lock carried through the
+  // view change, the new leader would propose a *different* batch at the
+  // same id and permanently fork the old leader's log.
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
-
-  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
-  system.env().network().SetLinkFilter(
-      [first_leader](sim::ActorId from, sim::ActorId,
-                     const sim::MessagePtr& msg) {
-        if (from != first_leader) return true;
-        if (static_cast<wire::MessageType>(msg->type()) !=
-            wire::MessageType::kLinearQc) {
-          return true;
-        }
-        return static_cast<const wire::LinearQcMsg&>(*msg).phase !=
-               wire::kLinearPhaseCommit;
-      });
+  system.env().network().SetLinkFilter(CommitsReachOnlyFirstLeader(config));
   system.Start();
 
   Client* client = system.AddClient();
@@ -354,34 +419,20 @@ TEST_F(LinearVoteTest, DelayedCommitQcDoesNotForkTheLog) {
   // The old leader decided batches the others only saw after the view
   // change; every pair of logs must still agree on their common prefix
   // (in particular at id 0, which node 0 decided alone in view 0).
-  const uint32_t n = config.replicas_per_cluster();
-  bool view_advanced = false;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (system.node(0, i)->view() > 0) view_advanced = true;
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
     ASSERT_GT(system.node(0, i)->log().size(), 0u) << "replica " << i;
   }
-  EXPECT_TRUE(view_advanced);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      const auto& a = system.node(0, i)->log();
-      const auto& b = system.node(0, j)->log();
-      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
-      for (BatchId id = 0; id <= common; ++id) {
-        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
-                  b.Get(id).value()->batch.ComputeDigest())
-            << "fork at batch " << id << " between replicas " << i << " and "
-            << j;
-      }
-    }
-  }
+  EXPECT_TRUE(SomeViewAdvanced(system, config));
+  ExpectNoFork(system, config);
 }
 
-// The pipelined generalisation of DelayedCommitQcDoesNotForkTheLog: with
-// depth k the view-0 leader may have decided *several* batches whose
-// commit QCs never reached the replicas. The per-slot locks carried
-// through the view change must make the new leader re-propose the whole
-// in-flight prefix — any slot it fabricated instead would fork the old
-// leader's log.
+// The pipelined generalisation of DelayedCommitQcDoesNotForkTheLog
+// (linear_vote only; PBFT decides one batch at a time): with depth k the
+// view-0 leader may have decided *several* batches whose commit QCs
+// never reached the replicas. The per-slot locks carried through the
+// view change must make the new leader re-propose the whole in-flight
+// prefix — any slot it fabricated instead would fork the old leader's
+// log.
 class PipelinedForkTest : public ::testing::TestWithParam<uint32_t> {};
 INSTANTIATE_TEST_SUITE_P(Depths, PipelinedForkTest, ::testing::Values(2u, 4u));
 
@@ -393,19 +444,7 @@ TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
-
-  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
-  system.env().network().SetLinkFilter(
-      [first_leader](sim::ActorId from, sim::ActorId,
-                     const sim::MessagePtr& msg) {
-        if (from != first_leader) return true;
-        if (static_cast<wire::MessageType>(msg->type()) !=
-            wire::MessageType::kLinearQc) {
-          return true;
-        }
-        return static_cast<const wire::LinearQcMsg&>(*msg).phase !=
-               wire::kLinearPhaseCommit;
-      });
+  system.env().network().SetLinkFilter(CommitsReachOnlyFirstLeader(config));
   system.Start();
 
   // Enough independent writers that the leader keeps the pipeline full
@@ -424,26 +463,11 @@ TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
   system.env().RunUntil(sim::Seconds(30));
 
   EXPECT_GT(committed, 0);
-  const uint32_t n = config.replicas_per_cluster();
-  bool view_advanced = false;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (system.node(0, i)->view() > 0) view_advanced = true;
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
     ASSERT_GT(system.node(0, i)->log().size(), 0u) << "replica " << i;
   }
-  EXPECT_TRUE(view_advanced);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      const auto& a = system.node(0, i)->log();
-      const auto& b = system.node(0, j)->log();
-      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
-      for (BatchId id = 0; id <= common; ++id) {
-        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
-                  b.Get(id).value()->batch.ComputeDigest())
-            << "fork at batch " << id << " between replicas " << i << " and "
-            << j << " at depth " << GetParam();
-      }
-    }
-  }
+  EXPECT_TRUE(SomeViewAdvanced(system, config));
+  ExpectNoFork(system, config);
 }
 
 // A byzantine replica reports its (real) locks with inflated view
@@ -451,28 +475,15 @@ TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
 // locks. The view-bind quorum embedded in each prepare QC certifies the
 // true view, so the new leader drops the inflated reports and the
 // cluster converges on the honestly locked batches.
-TEST_F(LinearVoteTest, InflatedLockViewReportCannotHijackViewChange) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+TEST_P(ViewChangeTest, InflatedLockViewReportCannotHijackViewChange) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   config.pipeline_depth = 2;
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
-
-  // Replicas lock (prepare QCs arrive) but never decide (commit QCs are
-  // dropped), so the view change happens with live locks to report.
-  const crypto::NodeId first_leader = config.ReplicaNode(0, 0);
-  system.env().network().SetLinkFilter(
-      [first_leader](sim::ActorId from, sim::ActorId,
-                     const sim::MessagePtr& msg) {
-        if (from != first_leader) return true;
-        if (static_cast<wire::MessageType>(msg->type()) !=
-            wire::MessageType::kLinearQc) {
-          return true;
-        }
-        return static_cast<const wire::LinearQcMsg&>(*msg).phase !=
-               wire::kLinearPhaseCommit;
-      });
+  // Replicas lock but never decide, so the view change happens with live
+  // locks to report.
+  system.env().network().SetLinkFilter(CommitsReachOnlyFirstLeader(config));
   system.Start();
   system.node(0, 2)->SetByzantineBehavior(
       core::ByzantineBehavior::kInflateLockView);
@@ -487,41 +498,14 @@ TEST_F(LinearVoteTest, InflatedLockViewReportCannotHijackViewChange) {
 
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->committed) << result->reason;
-  const uint32_t n = config.replicas_per_cluster();
-  bool view_advanced = false;
-  for (uint32_t i = 0; i < n; ++i) {
-    if (system.node(0, i)->view() > 0) view_advanced = true;
-  }
-  EXPECT_TRUE(view_advanced);
+  EXPECT_TRUE(SomeViewAdvanced(system, config));
   // No fork, and every logged certificate still verifies at quorum size.
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = i + 1; j < n; ++j) {
-      const auto& a = system.node(0, i)->log();
-      const auto& b = system.node(0, j)->log();
-      BatchId common = std::min(a.LastBatchId(), b.LastBatchId());
-      for (BatchId id = 0; id <= common; ++id) {
-        EXPECT_EQ(a.Get(id).value()->batch.ComputeDigest(),
-                  b.Get(id).value()->batch.ComputeDigest())
-            << "fork at batch " << id;
-      }
-    }
-  }
-  for (uint32_t i = 1; i < n; ++i) {
-    const auto& log = system.node(0, i)->log();
-    for (BatchId b = 0; b <= log.LastBatchId(); ++b) {
-      EXPECT_TRUE(log.Get(b)
-                      .value()
-                      ->certificate
-                      .Verify(system.verifier(), config.certificate_size(),
-                              config.ClusterMembers(0))
-                      .ok());
-    }
-  }
+  ExpectNoFork(system, config);
+  ExpectLoggedQcsVerify(system, config, /*first=*/1);
 }
 
-TEST_F(LinearVoteTest, LaggingReplicaCatchesUpWithoutViewChange) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+TEST_P(ViewChangeTest, LaggingReplicaCatchesUpWithoutViewChange) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
@@ -576,9 +560,8 @@ TEST_F(LinearVoteTest, LaggingReplicaCatchesUpWithoutViewChange) {
   EXPECT_EQ(ToString(v->value), "after");
 }
 
-TEST_F(LinearVoteTest, EquivocatingLeaderCannotCertifyEitherVariant) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
+TEST_P(ViewChangeTest, EquivocatingLeaderCannotCertifyEitherVariant) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);
@@ -598,19 +581,136 @@ TEST_F(LinearVoteTest, EquivocatingLeaderCannotCertifyEitherVariant) {
 
   // No batch proposed by the equivocator was certified on any honest
   // replica; once an honest leader takes over the write commits.
-  for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
-    const auto& log = system.node(0, i)->log();
-    for (BatchId b = 0; b <= log.LastBatchId(); ++b) {
-      EXPECT_TRUE(log.Get(b)
-                      .value()
-                      ->certificate
-                      .Verify(system.verifier(), config.certificate_size(),
-                              config.ClusterMembers(0))
-                      .ok());
-    }
-  }
+  ExpectLoggedQcsVerify(system, config, /*first=*/1);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->committed) << result->reason;
+}
+
+// A forged catch-up entry that reaches a lagging replica ahead of the
+// genuine transfer is dropped on receipt: it neither takes the place the
+// genuine entry needs nor delays the catch-up. The genuine entry for the
+// first missing position is held back until the rest of the transfer has
+// arrived, so every later entry must wait for it.
+TEST_P(ViewChangeTest, ForgedCatchUpEntryDoesNotBlockLaggingReplica) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
+  System system(config, FastEnv());
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+  system.env().RunUntil(sim::Millis(50));
+
+  const crypto::NodeId lagging = config.ReplicaNode(0, 2);
+  system.env().network().Disconnect(lagging);
+  Client* client = system.AddClient();
+  for (int i = 0; i < 5; ++i) {  // Spaced out: one batch each.
+    system.env().Schedule(sim::Millis(10 + 20 * i), [&, i] {
+      client->ExecuteReadWrite(
+          {}, {WriteOp{data[static_cast<size_t>(i)].first, ToBytes("gap")}},
+          [](RwResult) {});
+    });
+  }
+  system.env().RunUntil(sim::Millis(400));
+  const storage::SmrLog& reference = system.node(0, 0)->log();
+  const BatchId next = system.node(0, 2)->log().LastBatchId() + 1;
+  ASSERT_GT(reference.LastBatchId(), next);
+
+  sim::MessagePtr held;
+  sim::ActorId held_from = 0;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId to, const sim::MessagePtr& msg) {
+        if (held != nullptr || to != lagging ||
+            static_cast<wire::MessageType>(msg->type()) !=
+                wire::MessageType::kLinearCatchUp ||
+            static_cast<const wire::LinearCatchUpMsg&>(*msg).batch.id !=
+                next) {
+          return true;
+        }
+        held = msg;
+        held_from = from;
+        return false;
+      });
+  system.env().network().Reconnect(lagging);
+
+  // Ahead of the transfer, an outsider sends every missing position past
+  // the first as a tampered batch under the genuine certificate.
+  for (BatchId id = next + 1; id <= reference.LastBatchId(); ++id) {
+    wire::LinearCatchUpMsg forged;
+    forged.batch = reference.Get(id).value()->batch;
+    forged.batch.ro.timestamp_us += 1;
+    forged.cert = reference.Get(id).value()->certificate;
+    system.env().network().SendAt(system.env().now(), client->id(), lagging,
+                                  core::ShareMsg(std::move(forged)));
+  }
+  // A proposal beyond its log makes the lagging replica ask for the
+  // transfer when its progress timer fires.
+  system.env().Schedule(sim::Millis(10), [&] {
+    client->ExecuteReadWrite({}, {WriteOp{data[10].first, ToBytes("after")}},
+                             [](RwResult) {});
+  });
+  system.env().RunUntil(sim::Millis(600));
+  ASSERT_NE(held, nullptr) << "no catch-up transfer was served";
+
+  system.env().network().SendAt(system.env().now(), held_from, lagging, held);
+  // Well inside one progress timeout: no second transfer can help.
+  system.env().RunUntil(system.env().now() + sim::Millis(20));
+  const storage::SmrLog& lag_log = system.node(0, 2)->log();
+  ASSERT_EQ(lag_log.LastBatchId(), reference.LastBatchId());
+  for (BatchId id = 0; id <= reference.LastBatchId(); ++id) {
+    EXPECT_EQ(lag_log.Get(id).value()->batch.ComputeDigest(),
+              reference.Get(id).value()->batch.ComputeDigest())
+        << "batch " << id;
+  }
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
+  }
+}
+
+// View-change requests from outside the cluster, or with a signature that
+// does not verify, count for nothing: the view stays put, and the
+// cluster keeps committing.
+TEST_P(ViewChangeTest, ForgedViewChangeRequestsCannotMoveTheView) {
+  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/2);
+  System system(config, FastEnv());
+  auto data = TestData(2);
+  system.Preload(data);
+  system.Start();
+  system.env().RunUntil(sim::Millis(50));
+  Client* client = system.AddClient();
+
+  std::vector<sim::ActorId> forgers = {client->id()};
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    forgers.push_back(config.ReplicaNode(1, i));  // Another cluster.
+    forgers.push_back(config.ReplicaNode(0, i));  // Members, bad signature.
+  }
+  for (uint64_t target = 1; target <= 4; ++target) {
+    for (sim::ActorId from : forgers) {
+      for (crypto::NodeId to : config.ClusterMembers(0)) {
+        wire::LinearViewChangeMsg msg;
+        msg.new_view = target;
+        msg.last_committed = system.node(0, 0)->log().LastBatchId();
+        msg.signature = crypto::Signature{
+            static_cast<crypto::NodeId>(from),
+            crypto::Sha256::Hash("forged-" + std::to_string(from))};
+        system.env().network().SendAt(system.env().now(), from, to,
+                                      core::ShareMsg(std::move(msg)));
+      }
+    }
+  }
+  system.env().RunUntil(sim::Millis(300));
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
+  }
+
+  std::optional<RwResult> result;
+  client->ExecuteReadWrite(
+      {}, {WriteOp{data[0].first, ToBytes("still-live")}},
+      [&](RwResult r) { result = std::move(r); });
+  system.env().RunUntil(sim::Seconds(1));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->committed) << result->reason;
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

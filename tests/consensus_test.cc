@@ -1,11 +1,16 @@
-// Intra-cluster consensus tests: batch certification, quorum behaviour
-// under crash faults, certificates, and view changes.
+// Intra-cluster consensus tests (PBFT, the default engine): batch
+// certification, quorum behaviour under crash faults, certificates, and
+// vote admission. View changes run under both engines in
+// consensus_interface_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "core/system.h"
+#include "storage/partition_map.h"
+#include "wire/message.h"
 #include "workload/generator.h"
 
 namespace transedge {
@@ -145,44 +150,75 @@ TEST(ConsensusTest, NoProgressBeyondFCrashes) {
   EXPECT_EQ(system.node(0, 0)->log().size(), 0u);
 }
 
-TEST(ConsensusTest, ViewChangeElectsNewLeaderAfterLeaderCrash) {
-  SystemConfig config = OneClusterConfig(/*f=*/1);
+// PBFT counts Prepare and Commit votes only from members of its own
+// cluster. Replica 3 is down and replica 2's Commits never reach
+// replicas 0 and 1, so those two hold only two member Commits for the
+// pending batch. Prepares and Commits that a client and another
+// cluster's replicas inject must not make up the quorum.
+TEST(ConsensusTest, VotesFromOutsideTheClusterAreIgnored) {
+  SystemConfig config = OneClusterConfig();
+  config.num_partitions = 2;
   System system(config, FastEnv());
-  auto data = SomeData(1);
+  auto data = SomeData(2);
   system.Preload(data);
   system.Start();
-  // Let genesis commit under the original leader first.
   system.env().RunUntil(sim::Millis(50));
-  ASSERT_GE(system.node(0, 0)->log().size(), 1u);
+  const BatchId decided = system.node(0, 0)->log().LastBatchId();
+  system.env().network().Disconnect(config.ReplicaNode(0, 3));
+  system.node(0, 3)->SetByzantineBehavior(core::ByzantineBehavior::kCrash);
 
-  // Crash the leader, then submit a transaction. A follower receiving the
-  // forwarded request cannot decide; timers fire; a new leader takes over
-  // and the client's retry succeeds.
-  system.env().network().Disconnect(config.ReplicaNode(0, 0));
-  system.node(0, 0)->SetByzantineBehavior(core::ByzantineBehavior::kCrash);
-
+  const crypto::NodeId muted = config.ReplicaNode(0, 2);
+  std::optional<wire::PrePrepareMsg> proposal;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId, const sim::MessagePtr& msg) {
+        auto type = static_cast<wire::MessageType>(msg->type());
+        if (type == wire::MessageType::kCommit) return from != muted;
+        if (!proposal.has_value() && type == wire::MessageType::kPrePrepare) {
+          const auto& pre = static_cast<const wire::PrePrepareMsg&>(*msg);
+          if (pre.batch.partition == 0) proposal = pre;
+        }
+        return true;
+      });
   Client* client = system.AddClient();
-  std::optional<RwResult> result;
-  system.env().Schedule(sim::Millis(100), [&] {
-    client->ExecuteReadWrite({}, {WriteOp{data[0].first, ToBytes("post-vc")}},
-                             [&](RwResult r) { result = std::move(r); });
-  });
-  system.env().RunUntil(sim::Seconds(30));
+  storage::PartitionMap pmap(config.num_partitions);
+  Key key;
+  for (const auto& [k, v] : data) {
+    if (pmap.OwnerOf(k) == 0) key = k;
+  }
+  client->ExecuteReadWrite({}, {WriteOp{key, ToBytes("w")}}, [](RwResult) {});
+  system.env().RunUntil(sim::Millis(80));
+  ASSERT_TRUE(proposal.has_value());
 
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->committed) << result->reason;
-  // Some replica observed a view change and a non-zero view is active.
-  bool view_advanced = false;
-  for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
-    if (system.node(0, i)->view() > 0) view_advanced = true;
+  std::vector<sim::ActorId> outsiders = {client->id()};
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    outsiders.push_back(config.ReplicaNode(1, i));
   }
-  EXPECT_TRUE(view_advanced);
-  // The write survived on the remaining replicas.
-  for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
-    auto v = system.node(0, i)->store().Get(data[0].first);
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(ToString(v->value), "post-vc");
+  const crypto::Digest digest = proposal->batch.ComputeDigest();
+  for (sim::ActorId from : outsiders) {
+    for (uint32_t i : {0u, 1u}) {
+      wire::PrepareMsg prepare;
+      prepare.view = proposal->view;
+      prepare.batch_id = proposal->batch.id;
+      prepare.batch_digest = digest;
+      prepare.cert_share = crypto::Signature{
+          static_cast<crypto::NodeId>(from), crypto::Sha256::Hash("share")};
+      wire::CommitMsg commit;
+      commit.view = proposal->view;
+      commit.batch_id = proposal->batch.id;
+      commit.batch_digest = digest;
+      crypto::NodeId to = config.ReplicaNode(0, i);
+      system.env().network().SendAt(system.env().now(), from, to,
+                                    core::ShareMsg(std::move(prepare)));
+      system.env().network().SendAt(system.env().now(), from, to,
+                                    core::ShareMsg(std::move(commit)));
+    }
   }
+  // Before any progress timer fires: replica 2 holds three member
+  // Commits and decides; replicas 0 and 1 hold two and must not.
+  system.env().RunUntil(sim::Millis(130));
+  EXPECT_GT(system.node(0, 2)->log().LastBatchId(), decided);
+  EXPECT_EQ(system.node(0, 0)->log().LastBatchId(), decided);
+  EXPECT_EQ(system.node(0, 1)->log().LastBatchId(), decided);
 }
 
 TEST(ConsensusTest, BatchesRespectSizeTrigger) {

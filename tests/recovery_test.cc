@@ -35,8 +35,8 @@ SystemConfig PagedConfig(ConsensusKind consensus) {
   config.durability.checkpoint_interval = 8;
   config.batch_interval = sim::Millis(5);
   config.merkle_depth = 10;
-  // No traffic flows while the replica is down; keep the idle cluster
-  // from rotating leaders in the meantime.
+  // Long, so the idle cluster never rotates leaders; the revived
+  // replica's progress timer still asks for the batches it missed.
   config.view_change_timeout = sim::Seconds(5);
   return config;
 }
@@ -77,8 +77,10 @@ void ScheduleWrites(System* system, Client* client,
 }
 
 /// The shared scenario: run traffic, crash replica (0, 3) with `fault`
-/// applied to its disk, restart it, run more traffic, and require the
-/// restarted replica to converge on the cluster's state.
+/// applied to its disk, keep committing while it is down, restart it,
+/// run more traffic, and require the restarted replica to converge on
+/// the cluster's state. The batches it missed while down reach it only
+/// through consensus catch-up.
 void RunCrashRestartScenario(ConsensusKind consensus,
                              SimDisk::CrashMode mode, uint64_t keep_from_end) {
   SystemConfig config = PagedConfig(consensus);
@@ -88,12 +90,13 @@ void RunCrashRestartScenario(ConsensusKind consensus,
   system.Start();
   Client* client = system.AddClient();
 
-  std::vector<Key> phase1, phase2;
-  for (size_t i = 0; i < 5; ++i) phase1.push_back(data[i].first);
-  for (size_t i = 5; i < 10; ++i) phase2.push_back(data[i].first);
+  const std::string kPrefixes[] = {"p1-", "down-", "p2-"};
+  std::vector<Key> phases[3];
+  for (size_t i = 0; i < 15; ++i) phases[i / 5].push_back(data[i].first);
 
   std::vector<std::optional<RwResult>> results;
-  ScheduleWrites(&system, client, phase1, "p1-", sim::Millis(50), &results);
+  ScheduleWrites(&system, client, phases[0], kPrefixes[0], sim::Millis(50),
+                 &results);
   system.env().RunUntil(sim::Millis(500));
 
   const crypto::NodeId victim = config.ReplicaNode(0, 3);
@@ -102,13 +105,18 @@ void RunCrashRestartScenario(ConsensusKind consensus,
   ASSERT_NE(disk, nullptr);
   ASSERT_GE(disk->op_count(), keep_from_end);
   disk->Crash(disk->op_count() - keep_from_end, mode);
-  system.env().RunUntil(sim::Millis(600));
+  ScheduleWrites(&system, client, phases[1], kPrefixes[1], sim::Millis(510),
+                 &results);
+  system.env().RunUntil(sim::Millis(700));
 
   Status restarted = system.RestartReplica(victim);
   ASSERT_TRUE(restarted.ok()) << restarted;
 
-  ScheduleWrites(&system, client, phase2, "p2-", sim::Millis(700), &results);
-  system.env().RunUntil(sim::Seconds(4));
+  ScheduleWrites(&system, client, phases[2], kPrefixes[2], sim::Millis(800),
+                 &results);
+  // The revived replica asks for the missing batches when its progress
+  // timer (view_change_timeout) fires.
+  system.env().RunUntil(sim::Seconds(8));
 
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].has_value()) << "write " << i << " never finished";
@@ -116,19 +124,17 @@ void RunCrashRestartScenario(ConsensusKind consensus,
                                        << results[i]->reason;
   }
 
-  // The restarted replica holds every write — including the phase-2
-  // batches decided after its recovery (and, under a torn tail, the
-  // batch it lost and had to catch up on).
+  // The restarted replica holds every write: those it had before the
+  // crash, the batches decided while it was down (and, under a torn
+  // tail, the batch it lost), and the batches decided after recovery.
   const core::TransEdgeNode* revived = system.node(0, 3);
-  for (size_t i = 0; i < phase1.size(); ++i) {
-    auto value = revived->store().Get(phase1[i]);
-    ASSERT_TRUE(value.ok()) << phase1[i];
-    EXPECT_EQ(ToString(value->value), "p1-" + std::to_string(i));
-  }
-  for (size_t i = 0; i < phase2.size(); ++i) {
-    auto value = revived->store().Get(phase2[i]);
-    ASSERT_TRUE(value.ok()) << phase2[i];
-    EXPECT_EQ(ToString(value->value), "p2-" + std::to_string(i));
+  for (size_t phase = 0; phase < 3; ++phase) {
+    for (size_t i = 0; i < phases[phase].size(); ++i) {
+      auto value = revived->store().Get(phases[phase][i]);
+      ASSERT_TRUE(value.ok()) << phases[phase][i];
+      EXPECT_EQ(ToString(value->value),
+                kPrefixes[phase] + std::to_string(i));
+    }
   }
 
   // And it converged on the exact certified tip of the cluster.
@@ -139,21 +145,23 @@ void RunCrashRestartScenario(ConsensusKind consensus,
               leader_log.back().certificate.merkle_root);
 }
 
-TEST(RecoveryTest, CleanCrashRestartRejoinsUnderLinearVote) {
-  RunCrashRestartScenario(ConsensusKind::kLinearVote,
-                          SimDisk::CrashMode::kNone, 0);
+class CrashRestartTest : public ::testing::TestWithParam<ConsensusKind> {};
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CrashRestartTest,
+    ::testing::Values(ConsensusKind::kPbft, ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+TEST_P(CrashRestartTest, CleanCrashRestartRejoins) {
+  RunCrashRestartScenario(GetParam(), SimDisk::CrashMode::kNone, 0);
 }
 
-TEST(RecoveryTest, CleanCrashRestartRejoinsUnderPbft) {
-  RunCrashRestartScenario(ConsensusKind::kPbft, SimDisk::CrashMode::kNone, 0);
-}
-
-TEST(RecoveryTest, TornWalTailIsDroppedAndCaughtUp) {
+TEST_P(CrashRestartTest, TornWalTailIsDroppedAndCaughtUp) {
   // Tear the final disk op in half: the WAL record it belonged to fails
   // its CRC, recovery comes up one batch short, and the replica closes
   // the gap through consensus catch-up.
-  RunCrashRestartScenario(ConsensusKind::kLinearVote,
-                          SimDisk::CrashMode::kTorn, 1);
+  RunCrashRestartScenario(GetParam(), SimDisk::CrashMode::kTorn, 1);
 }
 
 TEST(RecoveryTest, CorruptedDiskKeepsReplicaDownButClusterLives) {

@@ -189,14 +189,6 @@ TEST(WireTest, ConsensusVotesRoundTrip) {
   auto c = RoundTrip(commit);
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->batch_id, 5);
-
-  ViewChangeMsg vc;
-  vc.new_view = 2;
-  vc.last_committed = 4;
-  vc.signature = crypto::Signature{3, D("v")};
-  auto v = RoundTrip(vc);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(v->new_view, 2u);
 }
 
 TEST(WireTest, LinearVoteMessagesRoundTrip) {
@@ -216,15 +208,15 @@ TEST(WireTest, LinearVoteMessagesRoundTrip) {
 
   // A view-change re-proposal carries the justification QC.
   propose.has_justify = true;
-  propose.justify_view = 2;
-  propose.justify_cert = SampleCert();
+  propose.justify.view = 2;
+  propose.justify.cert = SampleCert();
   auto rp = RoundTrip(propose);
   ASSERT_NE(rp, nullptr);
   ASSERT_TRUE(rp->has_justify);
-  EXPECT_EQ(rp->justify_view, 2u);
-  EXPECT_EQ(rp->justify_cert.batch_id, propose.justify_cert.batch_id);
-  EXPECT_EQ(rp->justify_cert.signatures.size(),
-            propose.justify_cert.signatures.size());
+  EXPECT_EQ(rp->justify.view, 2u);
+  EXPECT_EQ(rp->justify.cert.batch_id, propose.justify.cert.batch_id);
+  EXPECT_EQ(rp->justify.cert.signatures.size(),
+            propose.justify.cert.signatures.size());
 
   LinearVoteMsg vote;
   vote.view = 3;
