@@ -1,45 +1,14 @@
 #include "core/batch_pipeline.h"
 
 #include <algorithm>
-#include <set>
+#include <cassert>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "core/batch_apply.h"
 #include "crypto/sha256.h"
-#include "txn/cd_vector.h"
 
 namespace transedge::core {
-
-namespace {
-
-/// Prepare-group ids already committed by an in-flight (decided-pending or
-/// proposed-undecided) predecessor batch. Groups in this set are spoken
-/// for: a new proposal must not commit them again, and their readiness
-/// must not trigger a new (otherwise empty) batch.
-std::set<BatchId> WindowCommittedGroups(const ProposalChain& chain) {
-  std::set<BatchId> committed;
-  for (const storage::Batch* p : chain.pending) {
-    for (const storage::CommitRecord& rec : p->committed) {
-      committed.insert(rec.prepared_in_batch);
-    }
-  }
-  return committed;
-}
-
-/// True when some ready prepare group is not yet committed by an in-flight
-/// batch — i.e. a new proposal would carry at least one commit record.
-bool HasUncommittedReadyGroup(NodeContext* ctx, const ProposalChain& chain) {
-  std::set<BatchId> window_committed = WindowCommittedGroups(chain);
-  for (const txn::PrepareGroup* group :
-       ctx->prepared_batches().ReadyPrefix()) {
-    if (window_committed.count(group->prepared_in_batch) == 0) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 uint32_t ShardKeyRouter::ShardOf(const Key& key) const {
   if (shard_count_ == 1) return 0;
@@ -102,9 +71,11 @@ bool BatchPipeline::ShouldPropose() const {
     return ctx_->ConsensusInFlight() == 0;
   }
   if (in_progress_size() > 0) return true;
-  // A ready prepare group justifies a batch only if no in-flight
-  // predecessor already committed it (else the batch would be empty).
-  return HasUncommittedReadyGroup(ctx_, ctx_->proposal_chain());
+  // A ready group at the head of the commit queue justifies a batch; the
+  // queue leaves out groups an in-flight predecessor already commits.
+  CommitQueue queue = BuildCommitQueue(ctx_->prepared_batches(),
+                                       ctx_->proposal_chain().pending);
+  return !queue.empty() && queue.front().Ready();
 }
 
 void BatchPipeline::MaybeProposeOnSize() {
@@ -226,7 +197,13 @@ void BatchPipeline::ProposeBatch() {
     OrderByHomeShard(&local, &shard_sizes);
     OrderByHomeShard(&prepared, &shard_sizes);
   }
-  storage::Batch batch = BuildBatch(std::move(local), std::move(prepared));
+  // The chain and the commit queue borrow from consensus and the
+  // prepare-group queue; nothing mutates either until the batch is
+  // handed to consensus.
+  ProposalChain chain = ctx_->proposal_chain();
+  CommitQueue queue = BuildCommitQueue(ctx_->prepared_batches(), chain.pending);
+  storage::Batch batch =
+      BuildBatch(std::move(local), std::move(prepared), chain, queue);
   // One shard pays the superlinear term on the whole batch. Several pay
   // it per home shard, plus once for the committed segment, which is
   // assembled from the prepare groups rather than admitted by a shard.
@@ -243,10 +220,11 @@ void BatchPipeline::ProposeBatch() {
   // the chain head: the newest in-flight post-state when pipelining, the
   // decided tree otherwise (identical to the applied tree under
   // synchronous apply).
-  ProposalChain chain = ctx_->proposal_chain();
   merkle::MerkleTree post_tree = chain.head_tree->Clone();
-  ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(), ctx_->partition(),
-                         batch, ctx_->prepared_batches());
+  Status sealed = ApplyBatchWritesToTree(
+      &post_tree, ctx_->partition_map(), ctx_->partition(), batch, queue);
+  assert(sealed.ok());  // Every record names a queued group.
+  (void)sealed;
   batch.ro.merkle_root = post_tree.RootDigest();
 
   hooks_.propose(std::move(batch), std::move(post_tree));
@@ -278,60 +256,35 @@ void BatchPipeline::OrderByHomeShard(std::vector<Transaction>* segment,
 }
 
 storage::Batch BatchPipeline::BuildBatch(std::vector<Transaction> local,
-                                         std::vector<Transaction> prepared) {
-  const storage::SmrLog& log = ctx_->mutable_log();
-  ProposalChain chain = ctx_->proposal_chain();
+                                         std::vector<Transaction> prepared,
+                                         const ProposalChain& chain,
+                                         const CommitQueue& queue) {
   storage::Batch batch;
   batch.partition = ctx_->partition();
   batch.id = chain.next_id;
   batch.local = std::move(local);
   batch.prepared = std::move(prepared);
 
-  // Committed segment: the ready prefix of prepare groups, in prepare
-  // order (Definition 4.1). With predecessors in flight the LCE/CD chain
-  // continues from the newest pending batch, and groups it already
-  // committed are excluded.
-  BatchId lce;
-  txn::CdVector cd;
-  if (!chain.pending.empty()) {
-    lce = chain.pending.back()->ro.lce;
-    cd = chain.pending.back()->ro.cd_vector;
-  } else {
-    lce = log.empty() ? kNoBatch : log.back().batch.ro.lce;
-    cd = log.empty() ? txn::CdVector(ctx_->config().num_partitions)
-                     : log.back().batch.ro.cd_vector;
-  }
-  if (cd.empty()) cd = txn::CdVector(ctx_->config().num_partitions);
-
-  std::set<BatchId> window_committed = WindowCommittedGroups(chain);
-  for (const txn::PrepareGroup* group :
-       ctx_->prepared_batches().ReadyPrefix()) {
-    if (window_committed.count(group->prepared_in_batch) > 0) continue;
-    for (const txn::PendingTxn& pending : group->txns) {
+  // Committed segment: the ready prefix of the commit queue, in prepare
+  // order (Definition 4.1).
+  for (const QueuedGroup& group : queue) {
+    if (!group.Ready()) break;
+    for (const txn::PendingTxn& pending : group.registered->txns) {
       storage::CommitRecord rec;
       rec.txn_id = pending.txn.id;
       rec.committed = pending.state == txn::PendingTxn::State::kCommitted;
-      rec.prepared_in_batch = group->prepared_in_batch;
+      rec.prepared_in_batch = group.prepared_in_batch;
       rec.participant_info = pending.participant_info;
       rec.coordinator = pending.txn.coordinator;
       batch.committed.push_back(std::move(rec));
     }
-    lce = group->prepared_in_batch;
   }
 
-  // Algorithm 1: derive the CD vector from the previous batch's vector
-  // and the CD vectors reported in the prepared messages of every commit
-  // record in the committed segment.
-  for (const storage::CommitRecord& rec : batch.committed) {
-    if (!rec.committed) continue;  // Aborts introduce no dependencies.
-    for (const storage::PreparedInfo& info : rec.participant_info) {
-      if (info.cd_vector.size() == cd.size()) cd.PairwiseMax(info.cd_vector);
-    }
-  }
-  cd.Set(ctx_->partition(), batch.id);
-
-  batch.ro.cd_vector = std::move(cd);
-  batch.ro.lce = lce;
+  // Algorithm 1, chained from the newest in-flight batch or the log tail.
+  batch.ro = DeriveLceAndCdVector(
+      PreviousReadOnlySegment(ctx_->mutable_log(), chain.pending),
+      batch.committed, ctx_->partition(), batch.id,
+      ctx_->config().num_partitions);
   batch.ro.timestamp_us = ctx_->now();
   return batch;
 }

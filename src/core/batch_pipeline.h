@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/batch_apply.h"
 #include "core/node_context.h"
 #include "storage/batch.h"
 #include "wire/message.h"
@@ -145,12 +146,13 @@ class BatchPipeline {
   void OrderByHomeShard(std::vector<Transaction>* segment,
                         std::vector<size_t>* shard_sizes) const;
 
-  /// Builds the next batch from drained segments: assigns the next log
-  /// position, attaches the committed segment (the ready prefix of
-  /// prepare groups, Definition 4.1), and computes the LCE and CD vector
-  /// (Algorithm 1).
+  /// Builds the next batch from drained segments: takes `chain`'s next
+  /// log position, commits the ready prefix of `queue` (Definition 4.1),
+  /// and derives the LCE and CD vector (Algorithm 1).
   storage::Batch BuildBatch(std::vector<Transaction> local,
-                            std::vector<Transaction> prepared);
+                            std::vector<Transaction> prepared,
+                            const ProposalChain& chain,
+                            const CommitQueue& queue);
 
   /// Definition 3.1 admission check for `txn` (full footprint; store
   /// checks restricted to this partition's keys).

@@ -10,6 +10,16 @@ template <typename T>
 std::shared_ptr<const T> Share(T msg) {
   return std::make_shared<const T>(std::move(msg));
 }
+
+/// True when `reply` comes from partition `asked` and answers exactly
+/// `keys`, the request's keys, in request order.
+bool AnswersExactly(const wire::RoReply& reply, PartitionId asked,
+                    const std::vector<Key>& keys) {
+  return reply.partition == asked &&
+         std::equal(reply.entries.begin(), reply.entries.end(), keys.begin(),
+                    keys.end(), [](const wire::AuthenticatedRead& read,
+                                   const Key& key) { return read.key == key; });
+}
 }  // namespace
 
 Client::Client(const SystemConfig& config, crypto::NodeId id,
@@ -292,6 +302,7 @@ void Client::ExecuteReadOnly(std::vector<Key> keys, RoCallback done) {
   for (const auto& [partition, part_keys] : op.by_partition) {
     uint64_t req = next_request_id_++;
     request_op_[req] = op_id;
+    op.asked[req] = partition;
     ++op.outstanding;
     wire::RoRequest msg;
     msg.request_id = req;
@@ -347,14 +358,19 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
   auto op_it = ro_ops_.find(op_id);
   if (op_it == ro_ops_.end()) return;
   RoOp& op = op_it->second;
+  auto asked_it = op.asked.find(msg.request_id);
+  if (asked_it == op.asked.end()) return;
+  const PartitionId asked = asked_it->second;
+  op.asked.erase(asked_it);
 
   if (msg.batch_id == kNoBatch) {
     // Partition has no certified batch yet; retry shortly.
-    env_->Schedule(sim::Millis(5), [this, op_id, partition = msg.partition] {
+    env_->Schedule(sim::Millis(5), [this, op_id, partition = asked] {
       auto it = ro_ops_.find(op_id);
       if (it == ro_ops_.end()) return;
       uint64_t req = next_request_id_++;
       request_op_[req] = op_id;
+      it->second.asked[req] = partition;
       wire::RoRequest retry;
       retry.request_id = req;
       retry.reply_to = id_;
@@ -365,6 +381,12 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
   }
 
   Status verified = VerifyRoReply(msg);
+  if (verified.ok() && !AnswersExactly(msg, asked, op.by_partition[asked])) {
+    // A certified reply that drops, adds or reorders keys would otherwise
+    // finish the read with values silently missing.
+    verified =
+        Status::VerificationFailed("reply does not answer the requested keys");
+  }
   if (!verified.ok()) {
     ++stats_.ro_verification_failures;
     RoResult result;
@@ -430,11 +452,11 @@ void Client::StartRoRound2(uint64_t op_id,
   auto op_it = ro_ops_.find(op_id);
   if (op_it == ro_ops_.end()) return;
   RoOp& op = op_it->second;
-  op.second_round = true;
   ++op.rounds;
   for (const auto& [partition, min_lce] : needed) {
     uint64_t req = next_request_id_++;
     request_op_[req] = op_id;
+    op.asked[req] = partition;
     ++op.outstanding;
     wire::RoBatchRequest msg;
     msg.request_id = req;
@@ -483,7 +505,6 @@ void Client::ExecuteAugustusReadOnly(std::vector<Key> keys, RoCallback done) {
   op.keys = std::move(keys);
   op.done = std::move(done);
   op.start = env_->now();
-  op.augustus = true;
   for (const Key& key : op.keys) {
     op.by_partition[partition_map_.OwnerOf(key)].push_back(key);
   }

@@ -124,18 +124,18 @@ class Client : public sim::Actor {
     RoCallback done;
     sim::Time start = 0;
     int rounds = 1;
-    bool augustus = false;
     /// partition -> keys of that partition.
     std::map<PartitionId, std::vector<Key>> by_partition;
+    /// Outstanding TransEdge request id -> the partition it asked; its
+    /// reply must answer exactly that partition's keys.
+    std::map<uint64_t, PartitionId> asked;
     /// Verified replies, round 1 then overwritten by round 2.
     std::map<PartitionId, wire::RoReply> replies;
     std::map<PartitionId, wire::AugustusRoReply> augustus_replies;
     std::map<PartitionId, uint64_t> augustus_request_ids;
     size_t outstanding = 0;
-    bool second_round = false;
     sim::Time round1_done = 0;
     bool fresh = true;
-    int retries_left = 3;
     uint64_t epoch = 0;
   };
 

@@ -1,12 +1,9 @@
 #include "core/consensus/batch_validation.h"
 
-#include <set>
 #include <vector>
 
 #include "core/batch_apply.h"
-#include "txn/cd_vector.h"
 #include "core/footprint_index.h"
-#include "txn/prepared_batches.h"
 
 namespace transedge::core {
 
@@ -31,19 +28,12 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
                              merkle::MerkleTree* post_tree,
-                             const ProposalChain* chain) {
+                             const ProposalChain& chain) {
   const SystemConfig& config = ctx->config();
-  storage::SmrLog& log = ctx->mutable_log();
-  txn::PreparedBatches& prepared = ctx->prepared_batches();
-  static const std::vector<const storage::Batch*> kNoPending;
-  const std::vector<const storage::Batch*>& pending =
-      chain != nullptr ? chain->pending : kNoPending;
   if (batch.partition != ctx->partition()) {
     return Status::InvalidArgument("batch for wrong partition");
   }
-  BatchId expected_id =
-      chain != nullptr ? chain->next_id : log.LastBatchId() + 1;
-  if (batch.id != expected_id) {
+  if (batch.id != chain.next_id) {
     return Status::FailedPrecondition("batch id not next in log");
   }
 
@@ -68,7 +58,7 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   // predecessors in flight, their admitted transactions count as part of
   // the batch window: the new batch must not conflict with them either.
   FootprintIndex batch_index;
-  for (const storage::Batch* p : pending) {
+  for (const storage::Batch* p : chain.pending) {
     for (const Transaction& t : p->local) batch_index.Add(t);
     for (const Transaction& t : p->prepared) batch_index.Add(t);
   }
@@ -87,119 +77,29 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   for (const Transaction& t : batch.local) TE_RETURN_IF_ERROR(check(t));
   for (const Transaction& t : batch.prepared) TE_RETURN_IF_ERROR(check(t));
 
-  // The committed segment must be exactly a ready prefix of our prepare
-  // groups, in Definition 4.1 order. Groups already committed by an
-  // in-flight predecessor are excluded from the effective queue.
-  auto find_txn = [&](TxnId id) -> const Transaction* {
-    if (const Transaction* t = prepared.FindTxn(id)) return t;
-    for (const storage::Batch* p : pending) {
-      for (const Transaction& t : p->prepared) {
-        if (t.id == id) return &t;
-      }
-    }
-    return nullptr;
-  };
-  {
-    std::set<BatchId> window_committed;
-    for (const storage::Batch* p : pending) {
-      for (const storage::CommitRecord& rec : p->committed) {
-        window_committed.insert(rec.prepared_in_batch);
-      }
-    }
-    std::vector<BatchId> group_ids;
-    for (const storage::CommitRecord& rec : batch.committed) {
-      if (group_ids.empty() || group_ids.back() != rec.prepared_in_batch) {
-        group_ids.push_back(rec.prepared_in_batch);
-      }
-      if (find_txn(rec.txn_id) == nullptr) {
-        return Status::VerificationFailed(
-            "commit record references unknown transaction");
-      }
-    }
-    for (size_t i = 1; i < group_ids.size(); ++i) {
-      if (group_ids[i - 1] >= group_ids[i]) {
-        return Status::VerificationFailed(
-            "commit records violate prepare-group order");
-      }
-    }
-    if (!group_ids.empty()) {
-      for (BatchId gid : group_ids) {
-        if (window_committed.count(gid) > 0) {
-          return Status::VerificationFailed(
-              "prepare group already committed by an in-flight batch");
-        }
-      }
-      // The effective queue: registered groups not committed in flight,
-      // followed by groups prepared by in-flight batches (those cannot
-      // be ready yet — 2PC outcomes need the prepare applied — so their
-      // presence here only anchors the order check).
-      BatchId effective_head = kNoBatch;
-      bool have_head = false;
-      for (BatchId gid : prepared.GroupIds()) {
-        if (window_committed.count(gid) > 0) continue;
-        effective_head = gid;
-        have_head = true;
-        break;
-      }
-      if (!have_head) {
-        for (const storage::Batch* p : pending) {
-          if (p->prepared.empty()) continue;
-          if (window_committed.count(p->id) > 0) continue;
-          effective_head = p->id;
-          have_head = true;
-          break;
-        }
-      }
-      if (!have_head || effective_head != group_ids.front()) {
-        return Status::VerificationFailed(
-            "committed segment does not start at the oldest prepare group");
-      }
-    }
-  }
+  // The committed segment must be exactly a prefix of the commit queue
+  // the leader drew it from (Definition 4.1). We never see the 2PC
+  // decisions, so which prefix is the leader's call; its shape is not.
+  CommitQueue queue = BuildCommitQueue(ctx->prepared_batches(), chain.pending);
+  TE_RETURN_IF_ERROR(CheckCommittedPrefix(queue, batch.committed));
 
-  // LCE: must be the prepare-batch id of the last committed group, or
-  // carried forward (from the last in-flight predecessor when chaining).
-  BatchId expected_lce;
-  if (!pending.empty()) {
-    expected_lce = pending.back()->ro.lce;
-  } else {
-    expected_lce = log.empty() ? kNoBatch : log.back().batch.ro.lce;
-  }
-  if (!batch.committed.empty()) {
-    expected_lce = batch.committed.back().prepared_in_batch;
-  }
-  if (batch.ro.lce != expected_lce) {
+  // LCE and CD vector: the leader's Algorithm 1 over the same base.
+  storage::ReadOnlySegment expected = DeriveLceAndCdVector(
+      PreviousReadOnlySegment(ctx->mutable_log(), chain.pending),
+      batch.committed, ctx->partition(), batch.id, config.num_partitions);
+  if (batch.ro.lce != expected.lce) {
     return Status::VerificationFailed("LCE mismatch");
   }
-
-  // CD vector: re-run Algorithm 1 and compare.
-  txn::CdVector cd;
-  if (!pending.empty()) {
-    cd = pending.back()->ro.cd_vector;
-  } else {
-    cd = log.empty() ? txn::CdVector(config.num_partitions)
-                     : log.back().batch.ro.cd_vector;
-  }
-  if (cd.empty()) cd = txn::CdVector(config.num_partitions);
-  for (const storage::CommitRecord& rec : batch.committed) {
-    if (!rec.committed) continue;
-    for (const storage::PreparedInfo& info : rec.participant_info) {
-      if (info.cd_vector.size() == cd.size()) cd.PairwiseMax(info.cd_vector);
-    }
-  }
-  cd.Set(ctx->partition(), batch.id);
-  if (!(cd == batch.ro.cd_vector)) {
+  if (!(batch.ro.cd_vector == expected.cd_vector)) {
     return Status::VerificationFailed("CD vector mismatch");
   }
 
   // Merkle root: replay the writes on a clone and compare roots.
   const merkle::MerkleTree& base =
-      (chain != nullptr && chain->head_tree != nullptr)
-          ? *chain->head_tree
-          : ctx->decided_tree();
+      chain.head_tree != nullptr ? *chain.head_tree : ctx->decided_tree();
   *post_tree = base.Clone();
-  ApplyBatchWritesToTree(post_tree, ctx->partition_map(), ctx->partition(),
-                         batch, find_txn);
+  TE_RETURN_IF_ERROR(ApplyBatchWritesToTree(
+      post_tree, ctx->partition_map(), ctx->partition(), batch, queue));
   if (post_tree->RootDigest() != batch.ro.merkle_root) {
     return Status::VerificationFailed("merkle root mismatch");
   }

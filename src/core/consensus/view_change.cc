@@ -184,8 +184,7 @@ ViewChangeConsensus::Instance* ViewChangeConsensus::AcceptProposal(
 bool ViewChangeConsensus::Validated(BatchId id, Instance& inst) {
   if (!inst.validated && !inst.validation_failed) {
     ProposalChain chain = ChainUpTo(id);
-    Status s =
-        ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, &chain);
+    Status s = ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, chain);
     inst.validated = s.ok();
     inst.validation_failed = !s.ok();
   }
@@ -582,9 +581,12 @@ bool ViewChangeConsensus::ApplyCatchUpEntry(
   // apply the log tail is ahead of storage, and this entry chains off
   // the last *decided* batch's post-state.
   merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
-  ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(), ctx_->partition(),
-                         batch, ctx_->prepared_batches());
-  if (post_tree.RootDigest() != batch.ro.merkle_root) return false;
+  Status replayed = ApplyBatchWritesToTree(
+      &post_tree, ctx_->partition_map(), ctx_->partition(), batch,
+      BuildCommitQueue(ctx_->prepared_batches(), {}));
+  if (!replayed.ok() || post_tree.RootDigest() != batch.ro.merkle_root) {
+    return false;
+  }
 
   auto [it, inserted] = instances_.try_emplace(batch.id, config.merkle_depth);
   Instance& inst = it->second;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <utility>
 
 #include "core/augustus_baseline.h"
@@ -365,43 +364,24 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   PendingApply entry;
   entry.id = batch.id;
 
-  // Pop the committed prepare groups — by id, not position: the
-  // certified commit order is authoritative, and popping positionally
-  // would silently consume the wrong group if local queue order ever
-  // diverged from it. The groups travel with the apply entry; their
-  // pending-footprint share is released now, since admission and
-  // validation key off the decided state.
-  std::vector<BatchId> group_ids;
+  // Pop the committed prepare groups by the id each record names: the
+  // certified segment is an exact prefix of the commit queue, so its
+  // records come in whole groups. The groups travel with the apply
+  // entry; their pending-footprint share is released now, since
+  // admission and validation key off the decided state.
   for (const storage::CommitRecord& rec : batch.committed) {
-    if (group_ids.empty() || group_ids.back() != rec.prepared_in_batch) {
-      group_ids.push_back(rec.prepared_in_batch);
+    if (!entry.groups.empty() &&
+        entry.groups.back().prepared_in_batch == rec.prepared_in_batch) {
+      continue;
     }
-  }
-  std::vector<txn::PrepareGroup> groups;
-  for (BatchId gid : group_ids) {
-    Result<txn::PrepareGroup> popped = prepared_batches_.PopGroup(gid);
+    Result<txn::PrepareGroup> popped =
+        prepared_batches_.PopGroup(rec.prepared_in_batch);
     assert(popped.ok());
     if (!popped.ok()) continue;
-    txn::PrepareGroup group = std::move(popped).value();
-    for (txn::PendingTxn& pending : group.txns) {
+    for (const txn::PendingTxn& pending : popped.value().txns) {
       pending_index_.Remove(pending.txn);
     }
-    groups.push_back(std::move(group));
-  }
-  // Resolve the committed write set once: the popped transactions whose
-  // (first) commit record commits them, in group order. Decide-time
-  // bookkeeping, the apply cost and the store apply all walk this list.
-  std::map<TxnId, bool> decisions;
-  for (const storage::CommitRecord& rec : batch.committed) {
-    decisions.emplace(rec.txn_id, rec.committed);
-  }
-  for (txn::PrepareGroup& group : groups) {
-    for (txn::PendingTxn& pending : group.txns) {
-      auto it = decisions.find(pending.txn.id);
-      if (it != decisions.end() && it->second) {
-        entry.committed.push_back(std::move(pending.txn));
-      }
-    }
+    entry.groups.push_back(std::move(popped).value());
   }
 
   // Register the new prepare group so the read-only segment of a later
@@ -419,13 +399,9 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   }
 
   // Advance the decided watermark: version overlay, decided tree, log.
-  auto record_decided_write = [&](const Transaction& t) {
-    for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
-      decided_versions_[w.key] = batch.id;
-    }
-  };
-  for (const Transaction& t : batch.local) record_decided_write(t);
-  for (const Transaction& t : entry.committed) record_decided_write(t);
+  ForEachDecidedWrite(batch, entry, [&](const WriteOp& w) {
+    decided_versions_[w.key] = batch.id;
+  });
   decided_tree_ = post_tree.Clone();
   entry.post_tree = std::move(post_tree);
 
@@ -470,17 +446,28 @@ sim::Time TransEdgeNode::ApplyCostFor(const PendingApply& entry) const {
   // whole subtree of the authenticated structure) and pay for the
   // slowest shard plus the spine recombine.
   std::vector<size_t> loads(shards, 0);
-  auto count = [&](const Transaction& t) {
-    for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
-      uint32_t leaf =
-          merkle::MerkleTree::LeafIndexFor(w.key, config_.merkle_depth);
-      ++loads[merkle::MerkleTree::LeafShardOf(leaf, config_.merkle_depth,
-                                              shards)];
-    }
-  };
-  for (const Transaction& t : batch.local) count(t);
-  for (const Transaction& t : entry.committed) count(t);
+  ForEachDecidedWrite(batch, entry, [&](const WriteOp& w) {
+    uint32_t leaf =
+        merkle::MerkleTree::LeafIndexFor(w.key, config_.merkle_depth);
+    ++loads[merkle::MerkleTree::LeafShardOf(leaf, config_.merkle_depth,
+                                            shards)];
+  });
   return ShardedApplyCost(n, loads);
+}
+
+void TransEdgeNode::ForEachDecidedWrite(
+    const storage::Batch& batch, const PendingApply& entry,
+    const std::function<void(const WriteOp&)>& fn) const {
+  auto in_popped = [&entry](BatchId group, TxnId txn_id) -> const Transaction* {
+    for (const txn::PrepareGroup& popped : entry.groups) {
+      if (popped.prepared_in_batch == group) return popped.Find(txn_id);
+    }
+    return nullptr;
+  };
+  Status st = storage::ForEachBatchWrite(batch, partition_map_, partition_,
+                                         in_popped, fn);
+  assert(st.ok());  // Every record names a group popped at decide time.
+  (void)st;
 }
 
 void TransEdgeNode::InstallApply(PendingApply entry) {
@@ -490,7 +477,7 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
   const storage::Batch& batch = logged.batch;
 
   std::vector<Key> written;
-  auto apply_write = [&](const WriteOp& w) {
+  ForEachDecidedWrite(batch, entry, [&](const WriteOp& w) {
     backend_->store().Put(w.key, w.value, batch.id);
     written.push_back(w.key);
     // Drain the decided-version overlay once the store has caught up.
@@ -498,14 +485,7 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
     if (it != decided_versions_.end() && it->second == batch.id) {
       decided_versions_.erase(it);
     }
-  };
-  auto apply_txn = [&](const Transaction& t) {
-    for (const WriteOp& w : partition_map_.WritesFor(t, partition_)) {
-      apply_write(w);
-    }
-  };
-  for (const Transaction& t : batch.local) apply_txn(t);
-  for (const Transaction& t : entry.committed) apply_txn(t);
+  });
 
   tree_ = std::move(entry.post_tree);
   snapshots_.push_back(tree_.GetSnapshot());

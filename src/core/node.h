@@ -2,6 +2,7 @@
 #define TRANSEDGE_CORE_NODE_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -187,15 +188,22 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   BatchId LatestDecidedVersion(const Key& key) const override;
 
   /// A decided batch waiting for its storage apply: the post-state tree
-  /// consensus certified and the distributed transactions its committed
-  /// segment commits, in prepare-group order (resolved once at decide
-  /// time, from groups popped before any later decide can touch the
-  /// queue). The batch itself lives in the log.
+  /// consensus certified and the prepare groups its committed segment
+  /// names, popped at decide time before any later decide can touch the
+  /// queue. The batch itself lives in the log.
   struct PendingApply {
     BatchId id = kNoBatch;
     merkle::MerkleTree post_tree;
-    std::vector<Transaction> committed;
+    std::vector<txn::PrepareGroup> groups;
   };
+
+  /// Every write `batch` applies to this partition, through the one
+  /// resolver (storage::ForEachBatchWrite) over `entry`'s popped groups.
+  /// The decided-version overlay, the apply cost and the store apply all
+  /// enumerate writes here.
+  void ForEachDecidedWrite(const storage::Batch& batch,
+                           const PendingApply& entry,
+                           const std::function<void(const WriteOp&)>& fn) const;
 
   /// Consensus `on_decided` hook. Runs the decide-time metadata
   /// transitions (prepare-group pops, pending-footprint updates, group

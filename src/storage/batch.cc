@@ -10,6 +10,29 @@ crypto::Digest Batch::ComputeDigest() const {
   return crypto::Sha256::Hash(enc.buffer());
 }
 
+Status ForEachBatchWrite(const Batch& batch, const PartitionMap& pmap,
+                         PartitionId self, const GroupTxnLookup& lookup,
+                         const std::function<void(const WriteOp&)>& fn) {
+  auto writes_of = [&](const Transaction& t) {
+    for (const WriteOp& w : t.write_set) {
+      if (pmap.OwnerOf(w.key) == self) fn(w);
+    }
+  };
+  for (const Transaction& t : batch.local) writes_of(t);
+  for (const CommitRecord& rec : batch.committed) {
+    if (!rec.committed) continue;
+    const Transaction* t = lookup(rec.prepared_in_batch, rec.txn_id);
+    if (t == nullptr) {
+      return Status::Corruption(
+          "commit record for txn " + std::to_string(rec.txn_id) +
+          " names no such transaction in the group prepared in batch " +
+          std::to_string(rec.prepared_in_batch));
+    }
+    writes_of(*t);
+  }
+  return Status::OK();
+}
+
 crypto::Digest ReadOnlySegment::ComputeDigest() const {
   Encoder enc;
   Encode(*this, &enc);

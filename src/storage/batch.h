@@ -2,12 +2,14 @@
 #define TRANSEDGE_STORAGE_BATCH_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/bytes.h"
 #include "txn/cd_vector.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
+#include "storage/partition_map.h"
 #include "txn/types.h"
 
 namespace transedge::storage {
@@ -101,6 +103,21 @@ struct Batch {
     return local.size() + prepared.size() + committed.size();
   }
 };
+
+/// Finds transaction `txn_id` in the prepare group of batch `group`, the
+/// group a commit record names; nullptr when the lookup knows no such
+/// group or the group does not hold that transaction.
+using GroupTxnLookup =
+    std::function<const Transaction*(BatchId group, TxnId txn_id)>;
+
+/// The one rule for the writes `batch` applies to partition `self`, in
+/// apply order: its local transactions, then the transaction of each
+/// committing record, resolved inside the group the record names.
+/// Aborting records write nothing. Calls `fn` for every write `self`
+/// owns. Fails at the first committing record `lookup` cannot resolve.
+Status ForEachBatchWrite(const Batch& batch, const PartitionMap& pmap,
+                         PartitionId self, const GroupTxnLookup& lookup,
+                         const std::function<void(const WriteOp&)>& fn);
 
 /// Proof that a cluster certified a batch: f+1 replica signatures over
 /// (partition, batch id, batch digest, merkle root). A single node can

@@ -1,41 +1,22 @@
 #include "storage/paged/paged_backend.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace transedge::storage::paged {
 
-Status ForEachAppliedWrite(
-    const SmrLog& log, const Batch& batch, const PartitionMap& pmap,
-    PartitionId self,
-    const std::function<void(const Key&, const Value&)>& fn) {
-  for (const Transaction& t : batch.local) {
-    for (const WriteOp& w : pmap.WritesFor(t, self)) fn(w.key, w.value);
-  }
-  for (const CommitRecord& rec : batch.committed) {
-    if (!rec.committed) continue;
-    Result<const LogEntry*> prepared = log.Get(rec.prepared_in_batch);
-    if (!prepared.ok()) {
-      return Status::Corruption(
-          "commit record for txn " + std::to_string(rec.txn_id) +
-          " references truncated batch " +
-          std::to_string(rec.prepared_in_batch));
-    }
-    const std::vector<Transaction>& txns = prepared.value()->batch.prepared;
-    auto it = std::find_if(txns.begin(), txns.end(), [&](const Transaction& t) {
-      return t.id == rec.txn_id;
-    });
-    if (it == txns.end()) {
-      return Status::Corruption("commit record for txn " +
-                                std::to_string(rec.txn_id) +
-                                " has no prepared txn in batch " +
-                                std::to_string(rec.prepared_in_batch));
-    }
-    for (const WriteOp& w : pmap.WritesFor(*it, self)) fn(w.key, w.value);
-  }
-  return Status::OK();
+namespace {
+
+/// The backend's only part in resolving commit records: a group is the
+/// prepared segment of the logged batch it names (nullptr once that
+/// batch is truncated).
+GroupTxnLookup InLog(const SmrLog& log) {
+  return [&log](BatchId group, TxnId txn_id) {
+    return log.FindPrepared(group, txn_id);
+  };
 }
+
+}  // namespace
 
 uint32_t PagedBackend::BucketOf(const Key& key, uint32_t num_buckets) {
   // FNV-1a, 64-bit.
@@ -89,11 +70,10 @@ void PagedBackend::OnApplied(BatchId last_applied,
   last_applied_root_ = root;
   Result<const LogEntry*> entry = log_.Get(last_applied);
   assert(entry.ok());
-  Status st = ForEachAppliedWrite(
-      log_, entry.value()->batch, pmap_, tuning_.partition,
-      [&](const Key& key, const Value& value) {
-        (void)value;
-        dirty_buckets_.insert(BucketOf(key, tuning_.num_buckets));
+  Status st = ForEachBatchWrite(
+      entry.value()->batch, pmap_, tuning_.partition, InLog(log_),
+      [&](const WriteOp& w) {
+        dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
       });
   assert(st.ok());
   (void)st;
@@ -260,11 +240,11 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
     TE_RETURN_IF_ERROR(log_.Append({std::move(batch), std::move(cert)}));
     const Batch& appended = log_.back().batch;
     if (appended.id > meta.last_applied) {
-      TE_RETURN_IF_ERROR(ForEachAppliedWrite(
-          log_, appended, pmap_, tuning_.partition,
-          [&](const Key& key, const Value& value) {
-            store_.Put(key, value, appended.id);
-            dirty_buckets_.insert(BucketOf(key, tuning_.num_buckets));
+      TE_RETURN_IF_ERROR(ForEachBatchWrite(
+          appended, pmap_, tuning_.partition, InLog(log_),
+          [&](const WriteOp& w) {
+            store_.Put(w.key, w.value, appended.id);
+            dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
           }));
       ++applies_since_checkpoint_;
       last_applied_ = appended.id;

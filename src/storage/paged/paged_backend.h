@@ -1,7 +1,6 @@
 #ifndef TRANSEDGE_STORAGE_PAGED_PAGED_BACKEND_H_
 #define TRANSEDGE_STORAGE_PAGED_PAGED_BACKEND_H_
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -15,22 +14,15 @@
 
 namespace transedge::storage::paged {
 
-/// Iterates every write the replica applied for `batch`, in apply order:
-/// local transactions first, then committed distributed transactions
-/// resolved through `log` (the commit record names the batch whose
-/// prepared segment holds the transaction). This is the storage-layer
-/// mirror of the node's apply loop — the backend re-derives write sets
-/// from its own log so checkpoint dirtying and recovery replay need no
-/// upcall. Fails when a commit record references a truncated batch.
-Status ForEachAppliedWrite(
-    const SmrLog& log, const Batch& batch, const PartitionMap& pmap,
-    PartitionId self,
-    const std::function<void(const Key&, const Value&)>& fn);
-
 /// Durable engine: WAL on decide, bucket-paged copy-on-write checkpoint
 /// on apply cadence, ping-pong meta flip, recovery = best meta + chain
 /// loads + WAL replay (entries beyond the checkpoint re-apply their
 /// writes). See ARCHITECTURE.md §Storage backends for the format.
+///
+/// Checkpoint dirtying and recovery replay enumerate a batch's writes
+/// through the same resolver the node applies with
+/// (storage::ForEachBatchWrite), so they need no upcall. The backend
+/// supplies only the group lookup, through its own log.
 class PagedBackend : public StorageBackend {
  public:
   PagedBackend(const StorageTuning& tuning, SimDisk* disk);

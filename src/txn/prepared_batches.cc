@@ -11,6 +11,13 @@ bool PrepareGroup::Ready() const {
   return true;
 }
 
+const Transaction* PrepareGroup::Find(TxnId txn_id) const {
+  for (const PendingTxn& t : txns) {
+    if (t.txn.id == txn_id) return &t.txn;
+  }
+  return nullptr;
+}
+
 void PreparedBatches::AddGroup(BatchId batch_id, std::vector<PendingTxn> txns) {
   if (txns.empty()) return;
   assert(groups_.empty() || groups_.back().prepared_in_batch < batch_id);
@@ -50,24 +57,6 @@ Result<PrepareGroup> PreparedBatches::PopGroup(BatchId batch_id) {
                           std::to_string(batch_id));
 }
 
-std::vector<BatchId> PreparedBatches::GroupIds() const {
-  std::vector<BatchId> out;
-  out.reserve(groups_.size());
-  for (const PrepareGroup& group : groups_) {
-    out.push_back(group.prepared_in_batch);
-  }
-  return out;
-}
-
-std::vector<const PrepareGroup*> PreparedBatches::ReadyPrefix() const {
-  std::vector<const PrepareGroup*> out;
-  for (const PrepareGroup& group : groups_) {
-    if (!group.Ready()) break;
-    out.push_back(&group);
-  }
-  return out;
-}
-
 std::vector<const Transaction*> PreparedBatches::PendingTransactions() const {
   std::vector<const Transaction*> out;
   for (const PrepareGroup& group : groups_) {
@@ -82,18 +71,14 @@ std::vector<const Transaction*> PreparedBatches::PendingTransactions() const {
 
 const Transaction* PreparedBatches::FindTxn(TxnId txn_id) const {
   for (const PrepareGroup& group : groups_) {
-    for (const PendingTxn& pending : group.txns) {
-      if (pending.txn.id == txn_id) return &pending.txn;
-    }
+    if (const Transaction* t = group.Find(txn_id)) return t;
   }
   return nullptr;
 }
 
 BatchId PreparedBatches::GroupOf(TxnId txn_id) const {
   for (const PrepareGroup& group : groups_) {
-    for (const PendingTxn& pending : group.txns) {
-      if (pending.txn.id == txn_id) return group.prepared_in_batch;
-    }
+    if (group.Find(txn_id) != nullptr) return group.prepared_in_batch;
   }
   return kNoBatch;
 }

@@ -31,6 +31,9 @@ struct PrepareGroup {
 
   /// True when every transaction has a decision.
   bool Ready() const;
+
+  /// The group's transaction `txn_id`; nullptr when it holds none.
+  const Transaction* Find(TxnId txn_id) const;
 };
 
 /// The "prepared batches" data structure of Figure 2: the leader's (and
@@ -49,11 +52,6 @@ class PreparedBatches {
   Status RecordDecision(TxnId txn_id, bool committed,
                         std::vector<storage::PreparedInfo> participant_info);
 
-  /// The maximal prefix of groups (oldest first) that are fully decided
-  /// — the groups the next batch's committed segment will carry, in
-  /// Definition 4.1 order. Pointers are invalidated by mutations.
-  std::vector<const PrepareGroup*> ReadyPrefix() const;
-
   /// Removes and returns the group prepared in `batch_id`, wherever it
   /// sits in the queue; NotFound when no such group is registered. The
   /// safe way to consume a certified batch's committed segment: popping
@@ -61,10 +59,9 @@ class PreparedBatches {
   /// queue order ever diverged from the certified commit order.
   Result<PrepareGroup> PopGroup(BatchId batch_id);
 
-  /// Prepare-batch ids of all registered groups, oldest first. Used by
-  /// pipelined validation to find the oldest group not already committed
-  /// by an in-flight batch.
-  std::vector<BatchId> GroupIds() const;
+  /// Every registered group, oldest first: the head of the commit queue
+  /// (core/batch_apply.h). References are invalidated by mutations.
+  const std::deque<PrepareGroup>& groups() const { return groups_; }
 
   /// Pointers to every still-undecided transaction.
   std::vector<const Transaction*> PendingTransactions() const;

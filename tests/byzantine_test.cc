@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <tuple>
 
+#include "common/bytes.h"
+#include "core/consensus/batch_validation.h"
 #include "core/system.h"
 #include "workload/generator.h"
 
@@ -273,6 +276,263 @@ TEST(ByzantineTest, InvalidLeaderProposalIsNotCertified) {
     }
   }
 }
+
+// --- Forged committed segments -----------------------------------------------
+//
+// A leader that re-signs its proposal with a malformed committed segment.
+// Followers never see 2PC decisions, but they can require the segment to
+// be an exact prefix of their own commit queue (core/batch_apply.h).
+
+enum class SegmentForgery {
+  kNone,              // Control: the leader's own proposal, replayed.
+  kDuplicatedRecord,  // [X: abort, X: commit] in front of the honest records.
+  kPartialGroup,      // A two-record group without its last record.
+  kSkippedGroup,      // The second group left out, the LCE kept.
+};
+
+/// [begin, end) record ranges of the prepare groups in `committed`.
+std::vector<std::pair<size_t, size_t>> GroupRuns(
+    const std::vector<storage::CommitRecord>& committed) {
+  std::vector<std::pair<size_t, size_t>> runs;
+  for (size_t i = 0; i < committed.size(); ++i) {
+    if (runs.empty() || committed[i].prepared_in_batch !=
+                            committed[runs.back().first].prepared_in_batch) {
+      runs.emplace_back(i, i);
+    }
+    runs.back().second = i + 1;
+  }
+  return runs;
+}
+
+/// Recomputes `batch`'s CD vector and Merkle root the way an honest leader
+/// of partition 0 would, on top of `leader`'s log tail and applied tree
+/// (PBFT proposes one batch at a time, so nothing is in flight).
+void ResealAsLeader(const core::TransEdgeNode& leader,
+                    const storage::PartitionMap& pmap,
+                    storage::Batch* batch) {
+  const storage::SmrLog& log = leader.log();
+  txn::CdVector cd = log.back().batch.ro.cd_vector;
+  for (const storage::CommitRecord& rec : batch->committed) {
+    if (!rec.committed) continue;
+    for (const storage::PreparedInfo& info : rec.participant_info) {
+      if (info.cd_vector.size() == cd.size()) cd.PairwiseMax(info.cd_vector);
+    }
+  }
+  cd.Set(batch->partition, batch->id);
+  batch->ro.cd_vector = cd;
+
+  std::vector<merkle::MerkleTree::Write> writes;
+  auto add = [&](const Transaction& t) {
+    for (const WriteOp& w : t.write_set) {
+      if (pmap.OwnerOf(w.key) == batch->partition) {
+        writes.push_back({&w.key, &w.value});
+      }
+    }
+  };
+  for (const Transaction& t : batch->local) add(t);
+  for (const storage::CommitRecord& rec : batch->committed) {
+    if (!rec.committed) continue;
+    for (const Transaction& t :
+         log.Get(rec.prepared_in_batch).value()->batch.prepared) {
+      if (t.id == rec.txn_id) add(t);
+    }
+  }
+  merkle::MerkleTree tree = leader.tree().Clone();
+  tree.PutBatch(writes, batch->id);
+  batch->ro.merkle_root = tree.RootDigest();
+}
+
+/// True when `node`'s store hashes to its Merkle tree.
+bool StoreMatchesTree(const core::TransEdgeNode& node, int merkle_depth) {
+  merkle::MerkleTree rebuilt(merkle_depth);
+  node.store().ForEachLatest(
+      [&](const Key& key, const Value& value, BatchId version) {
+        rebuilt.Put(key, value, version);
+      });
+  return rebuilt.RootDigest() == node.tree().RootDigest();
+}
+
+class ForgedSegmentTest : public ::testing::TestWithParam<SegmentForgery> {};
+
+TEST_P(ForgedSegmentTest, FollowersLogOnlyExactPrefixes) {
+  const uint64_t seed = 77;
+  Fixture fx(/*partitions=*/2, seed);  // PBFT, f = 1.
+  sim::Environment& env = fx.system->env();
+  sim::Network& net = env.network();
+  const crypto::NodeId leader_id = fx.config.LeaderOf(0, 0);
+  const core::TransEdgeNode& leader = *fx.system->node(0, 0);
+  ASSERT_EQ(leader.id(), leader_id);
+
+  // Distributed transactions coordinated by partition 0, so each wave
+  // forms its own prepare group there: two at 30 ms, then one at 50 ms
+  // and one at 70 ms. A client's even sequence numbers pick the first
+  // participant as coordinator, so each client spends its first id on a
+  // local write.
+  std::vector<Key> keys0, keys1;
+  for (const auto& [key, value] : fx.data) {
+    (fx.pmap.OwnerOf(key) == 0 ? keys0 : keys1).push_back(key);
+  }
+  std::vector<Key> dist_keys;  // Partition 0's keys the waves write.
+  auto submit = [&](sim::Time at) {
+    Client* c = fx.system->AddClient();
+    const size_t k = dist_keys.size();
+    dist_keys.push_back(keys0[2 * k + 1]);
+    env.Schedule(at, [&, c, k] {
+      c->ExecuteReadWrite({}, {WriteOp{keys1[2 * k], ToBytes("local")}},
+                          [](RwResult) {});
+      c->ExecuteReadWrite({}, {WriteOp{keys0[2 * k + 1], ToBytes("d0")},
+                               WriteOp{keys1[2 * k + 1], ToBytes("d1")}},
+                          [](RwResult) {});
+    });
+  };
+  submit(sim::Millis(30));
+  submit(sim::Millis(30));
+  submit(sim::Millis(50));
+  submit(sim::Millis(70));
+
+  // Hold every 2PC message until 120 ms, so the groups become ready
+  // together and one proposal commits them all.
+  bool holding = true;
+  std::vector<std::tuple<sim::ActorId, sim::ActorId, sim::MessagePtr>> held;
+  env.Schedule(sim::Millis(120), [&] {
+    holding = false;
+    for (auto& [from, to, msg] : held) net.Send(from, to, msg);
+    held.clear();
+  });
+
+  // Capture the leader's first proposal that commits anything, drop it,
+  // and send the followers a forged copy signed with the leader's key.
+  crypto::HmacSignatureScheme scheme(fx.config.total_replicas() + 4096,
+                                     seed ^ 0x5ed);  // As System builds it.
+  std::unique_ptr<crypto::Signer> leader_key = scheme.MakeSigner(leader_id);
+  sim::MessagePtr captured;
+  BatchId forged_id = kNoBatch;
+  crypto::Digest forged_digest;
+  size_t honest_groups = 0;
+  size_t largest_group = 0;
+  auto forge_and_send = [&] {
+    wire::PrePrepareMsg forged =
+        static_cast<const wire::PrePrepareMsg&>(*captured);
+    storage::Batch& batch = forged.batch;
+    std::vector<std::pair<size_t, size_t>> runs = GroupRuns(batch.committed);
+    honest_groups = runs.size();
+    for (const auto& [begin, end] : runs) {
+      largest_group = std::max(largest_group, end - begin);
+    }
+    switch (GetParam()) {
+      case SegmentForgery::kNone:
+        break;
+      case SegmentForgery::kDuplicatedRecord: {
+        // Same writes and dependencies as the honest segment, so the
+        // Merkle root and CD vector stay as they are.
+        storage::CommitRecord commit = batch.committed.front();
+        storage::CommitRecord abort = commit;
+        abort.committed = false;
+        batch.committed.insert(batch.committed.begin(), {abort, commit});
+        break;
+      }
+      case SegmentForgery::kPartialGroup:
+        for (const auto& [begin, end] : runs) {
+          if (end - begin < 2) continue;
+          batch.committed.erase(batch.committed.begin() +
+                                static_cast<ptrdiff_t>(end - 1));
+          break;
+        }
+        ResealAsLeader(leader, fx.pmap, &batch);
+        break;
+      case SegmentForgery::kSkippedGroup:
+        if (runs.size() < 3) break;
+        batch.committed.erase(
+            batch.committed.begin() + static_cast<ptrdiff_t>(runs[1].first),
+            batch.committed.begin() + static_cast<ptrdiff_t>(runs[1].second));
+        ResealAsLeader(leader, fx.pmap, &batch);  // The LCE is kept.
+        break;
+    }
+    forged_id = batch.id;
+    forged_digest = batch.ComputeDigest();
+    forged.leader_signature =
+        leader_key->Sign(core::ProposalSignPayload(forged_digest));
+    forged.leader_cert_share = leader_key->Sign(
+        core::CertificatePayloadFor(0, batch, forged_digest).SignedPayload());
+    Encoder view_bind;  // The bytes the leader's view-bind share signs.
+    view_bind.PutString("transedge-linear-qc-view");
+    view_bind.PutU32(0);
+    view_bind.PutI64(batch.id);
+    view_bind.PutRaw(forged_digest.bytes.data(), forged_digest.bytes.size());
+    view_bind.PutU64(forged.view);
+    forged.leader_view_share = leader_key->Sign(view_bind.Take());
+    sim::MessagePtr msg =
+        std::make_shared<const wire::PrePrepareMsg>(std::move(forged));
+    for (uint32_t i = 1; i < fx.config.replicas_per_cluster(); ++i) {
+      net.Send(leader_id, fx.config.ReplicaNode(0, i), msg);
+    }
+  };
+
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    auto type = static_cast<wire::MessageType>(msg->type());
+    if (holding && (type == wire::MessageType::kCoordPrepare ||
+                    type == wire::MessageType::kPrepared ||
+                    type == wire::MessageType::kCommitRecord)) {
+      held.emplace_back(from, to, msg);
+      return false;
+    }
+    if (msg == captured) return false;
+    if (captured == nullptr && from == leader_id &&
+        type == wire::MessageType::kPrePrepare &&
+        !static_cast<const wire::PrePrepareMsg&>(*msg)
+             .batch.committed.empty()) {
+      captured = msg;
+      env.Schedule(0, forge_and_send);
+      return false;
+    }
+    return true;
+  });
+  env.RunUntil(sim::Seconds(2));
+
+  // The scenario the forgeries need: a two-record group among at least
+  // three groups committed together.
+  ASSERT_NE(captured, nullptr);
+  ASSERT_GE(honest_groups, 3u);
+  ASSERT_GE(largest_group, 2u);
+
+  for (uint32_t i = 1; i < fx.config.replicas_per_cluster(); ++i) {
+    const core::TransEdgeNode& follower = *fx.system->node(0, i);
+    Result<const storage::LogEntry*> entry = follower.log().Get(forged_id);
+    const bool logged =
+        entry.ok() && entry.value()->batch.ComputeDigest() == forged_digest;
+    EXPECT_EQ(logged, GetParam() == SegmentForgery::kNone)
+        << "replica " << i;
+    EXPECT_TRUE(StoreMatchesTree(follower, fx.config.merkle_depth))
+        << "replica " << i;
+    // Whichever leader ends up committing them, every distributed write
+    // reaches partition 0's followers.
+    for (const Key& key : dist_keys) {
+      Result<storage::VersionedValue> v = follower.store().Get(key);
+      EXPECT_TRUE(v.ok() && v->value == ToBytes("d0"))
+          << "replica " << i << " misses the write to " << key;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forgeries, ForgedSegmentTest,
+    ::testing::Values(SegmentForgery::kNone, SegmentForgery::kDuplicatedRecord,
+                      SegmentForgery::kPartialGroup,
+                      SegmentForgery::kSkippedGroup),
+    [](const ::testing::TestParamInfo<SegmentForgery>& info) {
+      switch (info.param) {
+        case SegmentForgery::kNone:
+          return std::string("ReplayedHonestProposal");
+        case SegmentForgery::kDuplicatedRecord:
+          return std::string("DuplicatedRecord");
+        case SegmentForgery::kPartialGroup:
+          return std::string("PartialGroup");
+        case SegmentForgery::kSkippedGroup:
+          return std::string("SkippedGroup");
+      }
+      return std::string();
+    });
 
 }  // namespace
 }  // namespace transedge

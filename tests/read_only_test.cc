@@ -426,5 +426,95 @@ TEST_P(RoConsistencySeedTest, PairedWritesConsistentUnderSeed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RoConsistencySeedTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
+// --- Incomplete certified replies -------------------------------------------
+//
+// A reply's certificate and proofs say nothing about *which* keys it
+// answers. A faulty leader replays a genuine reply in place of partition
+// 0's: with its entries left out, or as partition 1's certified reply
+// claiming k0 is absent (partition 1's tree holds no partition-0 key, so
+// the absence proof verifies against its certified root). Either way the
+// read must fail, not finish without k0.
+
+enum class IncompleteReply { kKeyLeftOut, kOtherPartition };
+
+class IncompleteReplyTest : public ::testing::TestWithParam<IncompleteReply> {
+};
+
+TEST_P(IncompleteReplyTest, ReadFailsUnlessEveryRequestedKeyIsAnswered) {
+  Fixture fx;
+  Client* client = fx.system->AddClient();
+  const Key k0 = fx.KeyIn(0), k1 = fx.KeyIn(1);
+  sim::Environment& env = fx.system->env();
+  sim::Network& net = env.network();
+
+  // Partition 0's genuine reply is dropped; a replay from the same
+  // sender takes its place.
+  std::optional<wire::RoReply> reply0, reply1;
+  sim::ActorId sender0 = 0;
+  sim::MessagePtr replay;
+  auto send_replay = [&](sim::ActorId to) {
+    wire::RoReply forged = *reply0;
+    if (GetParam() == IncompleteReply::kKeyLeftOut) {
+      forged.entries.clear();
+    } else {
+      forged = *reply1;
+      forged.request_id = reply0->request_id;
+    }
+    replay = std::make_shared<const wire::RoReply>(std::move(forged));
+    env.Schedule(0, [&, to] { net.Send(sender0, to, replay); });
+  };
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    if (msg == replay ||
+        static_cast<wire::MessageType>(msg->type()) !=
+            wire::MessageType::kRoReply) {
+      return true;
+    }
+    const auto& reply = static_cast<const wire::RoReply&>(*msg);
+    bool keep = true;
+    if (reply.partition == 0 && !reply0) {
+      reply0 = reply;
+      sender0 = from;
+      keep = false;
+    } else if (reply.partition == 1 && !reply1) {
+      // Sent as served: the leader's tree is at the reply's batch.
+      reply1 = reply;
+      wire::AuthenticatedRead absent;
+      absent.key = k0;
+      absent.proof = merkle::MerkleTree::ProveAt(
+                         fx.system->leader(1)->tree().GetSnapshot(), k0)
+                         .value();
+      reply1->entries = {absent};
+    }
+    const bool ready = GetParam() == IncompleteReply::kKeyLeftOut
+                           ? reply0.has_value()
+                           : reply0.has_value() && reply1.has_value();
+    if (ready && replay == nullptr) send_replay(to);
+    return keep;
+  });
+
+  std::optional<RoResult> ro;
+  env.Schedule(sim::Millis(30), [&] {
+    client->ExecuteReadOnly({k0, k1}, [&](RoResult r) { ro = std::move(r); });
+  });
+  env.RunUntil(sim::Seconds(2));
+
+  ASSERT_NE(replay, nullptr);
+  ASSERT_TRUE(ro.has_value());
+  EXPECT_TRUE(ro->status.IsVerificationFailed())
+      << ro->status << ", k0 answered: " << ro->values.count(k0);
+  EXPECT_EQ(client->stats().ro_verification_failures, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Replays, IncompleteReplyTest,
+    ::testing::Values(IncompleteReply::kKeyLeftOut,
+                      IncompleteReply::kOtherPartition),
+    [](const ::testing::TestParamInfo<IncompleteReply>& info) {
+      return std::string(info.param == IncompleteReply::kKeyLeftOut
+                             ? "KeyLeftOut"
+                             : "OtherPartitionClaimsAbsence");
+    });
+
 }  // namespace
 }  // namespace transedge

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "common/codec.h"
+#include "core/batch_apply.h"
+#include "storage/batch.h"
 #include "txn/prepared_batches.h"
 #include "txn/types.h"
 
@@ -85,30 +87,48 @@ txn::PendingTxn Pending(TxnId id, std::vector<Key> writes) {
   return pending;
 }
 
+std::vector<BatchId> GroupIds(const txn::PreparedBatches& pb) {
+  std::vector<BatchId> ids;
+  for (const txn::PrepareGroup& group : pb.groups()) {
+    ids.push_back(group.prepared_in_batch);
+  }
+  return ids;
+}
+
+/// The groups a leader with nothing in flight would commit: the ready
+/// prefix of its commit queue.
+std::vector<BatchId> ReadyPrefix(const txn::PreparedBatches& pb) {
+  std::vector<BatchId> ids;
+  for (const core::QueuedGroup& group : core::BuildCommitQueue(pb, {})) {
+    if (!group.Ready()) break;
+    ids.push_back(group.prepared_in_batch);
+  }
+  return ids;
+}
+
 TEST(PreparedBatchesTest, GroupLifecycle) {
   txn::PreparedBatches pb;
-  EXPECT_TRUE(pb.ReadyPrefix().empty());
+  EXPECT_TRUE(ReadyPrefix(pb).empty());
 
   std::vector<txn::PendingTxn> group;
   group.push_back(Pending(1, {"a"}));
   group.push_back(Pending(2, {"b"}));
   pb.AddGroup(3, std::move(group));
-  EXPECT_EQ(pb.GroupIds(), std::vector<BatchId>{3});
+  EXPECT_EQ(GroupIds(pb), std::vector<BatchId>{3});
   EXPECT_EQ(pb.PendingTransactions().size(), 2u);
-  EXPECT_TRUE(pb.ReadyPrefix().empty());
+  EXPECT_TRUE(ReadyPrefix(pb).empty());
 
   EXPECT_TRUE(pb.RecordDecision(1, true, {}).ok());
-  EXPECT_TRUE(pb.ReadyPrefix().empty());
+  EXPECT_TRUE(ReadyPrefix(pb).empty());
   EXPECT_TRUE(pb.RecordDecision(2, false, {}).ok());
-  ASSERT_EQ(pb.ReadyPrefix().size(), 1u);
-  EXPECT_EQ(pb.ReadyPrefix().front()->prepared_in_batch, 3);
+  EXPECT_EQ(ReadyPrefix(pb), std::vector<BatchId>{3});
 
   Result<txn::PrepareGroup> popped = pb.PopGroup(3);
   ASSERT_TRUE(popped.ok());
   EXPECT_EQ(popped->prepared_in_batch, 3);
   EXPECT_EQ(popped->txns[0].state, txn::PendingTxn::State::kCommitted);
   EXPECT_EQ(popped->txns[1].state, txn::PendingTxn::State::kAborted);
-  EXPECT_TRUE(pb.GroupIds().empty());
+  EXPECT_TRUE(pb.groups().empty());
 }
 
 TEST(PreparedBatchesTest, OrderingConstraintBlocksNewerGroups) {
@@ -122,13 +142,11 @@ TEST(PreparedBatchesTest, OrderingConstraintBlocksNewerGroups) {
   pb.AddGroup(4, std::move(g2));
 
   EXPECT_TRUE(pb.RecordDecision(2, true, {}).ok());  // Newer group ready.
-  EXPECT_TRUE(pb.ReadyPrefix().empty());             // Still blocked.
+  EXPECT_TRUE(ReadyPrefix(pb).empty());              // Still blocked.
 
   EXPECT_TRUE(pb.RecordDecision(1, true, {}).ok());
-  std::vector<const txn::PrepareGroup*> ready = pb.ReadyPrefix();
-  ASSERT_EQ(ready.size(), 2u);  // Both commit, in order.
-  EXPECT_EQ(ready[0]->prepared_in_batch, 3);
-  EXPECT_EQ(ready[1]->prepared_in_batch, 4);
+  // Both commit, in order.
+  EXPECT_EQ(ReadyPrefix(pb), (std::vector<BatchId>{3, 4}));
 }
 
 TEST(PreparedBatchesTest, DuplicateDecisionRejected) {
@@ -174,7 +192,7 @@ TEST(PreparedBatchesTest, PopGroupIgnoresDecisionAndQueuePosition) {
   ASSERT_TRUE(popped.ok());
   EXPECT_EQ(popped->prepared_in_batch, 6);
   EXPECT_EQ(popped->txns[0].state, txn::PendingTxn::State::kWaiting);
-  EXPECT_EQ(pb.GroupIds(), std::vector<BatchId>{5});
+  EXPECT_EQ(GroupIds(pb), std::vector<BatchId>{5});
 }
 
 TEST(PreparedBatchesTest, FindTxnReturnsStoredTransaction) {
@@ -185,6 +203,210 @@ TEST(PreparedBatchesTest, FindTxnReturnsStoredTransaction) {
   const Transaction* found = pb.FindTxn(7);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->write_set[0].key, "key7");
+}
+
+// --- The committed segment (core/batch_apply.h, ForEachBatchWrite) ----------
+
+/// A follower's view: groups registered from decided batches 3 (two
+/// transactions) and 5, and batch 7 still in flight with one prepared
+/// transaction. Every transaction is coordinated by partition 1.
+struct SegmentFixture {
+  txn::PreparedBatches pb;
+  storage::Batch in_flight;
+
+  SegmentFixture() {
+    std::vector<txn::PendingTxn> g3, g5;
+    g3.push_back(Pending(1, {"a"}));
+    g3.push_back(Pending(2, {"b"}));
+    g5.push_back(Pending(3, {"c"}));
+    for (txn::PendingTxn& p : g3) p.txn.coordinator = 1;
+    for (txn::PendingTxn& p : g5) p.txn.coordinator = 1;
+    pb.AddGroup(3, std::move(g3));
+    pb.AddGroup(5, std::move(g5));
+    in_flight.id = 7;
+    in_flight.prepared.push_back(MakeTxn(4, {}, {"d"}));
+    in_flight.prepared.back().coordinator = 1;
+  }
+
+  core::CommitQueue Queue() const {
+    return core::BuildCommitQueue(pb, {&in_flight});
+  }
+};
+
+storage::CommitRecord Rec(TxnId id, BatchId group, bool committed = true,
+                          PartitionId coordinator = 1) {
+  storage::CommitRecord rec;
+  rec.txn_id = id;
+  rec.committed = committed;
+  rec.prepared_in_batch = group;
+  rec.coordinator = coordinator;
+  return rec;
+}
+
+TEST(CommitQueueTest, RegisteredGroupsThenInFlightPrepareSegments) {
+  SegmentFixture fx;
+  core::CommitQueue queue = fx.Queue();
+  ASSERT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue[0].prepared_in_batch, 3);
+  EXPECT_EQ(queue[0].txns.size(), 2u);
+  EXPECT_EQ(queue[1].prepared_in_batch, 5);
+  EXPECT_EQ(queue[2].prepared_in_batch, 7);
+  EXPECT_EQ(queue[2].registered, nullptr);
+  EXPECT_FALSE(queue[2].Ready());  // Its 2PC has not begun.
+}
+
+TEST(CommitQueueTest, LeavesOutGroupsAnInFlightBatchCommits) {
+  SegmentFixture fx;
+  storage::Batch committing;  // In flight before batch 7, commits group 3.
+  committing.id = 6;
+  committing.committed = {Rec(1, 3), Rec(2, 3, false)};
+  core::CommitQueue queue =
+      core::BuildCommitQueue(fx.pb, {&committing, &fx.in_flight});
+  ASSERT_EQ(queue.size(), 2u);
+  EXPECT_EQ(queue[0].prepared_in_batch, 5);
+  EXPECT_EQ(queue[1].prepared_in_batch, 7);
+  // Committing group 3 again is no prefix of this queue.
+  EXPECT_TRUE(core::CheckCommittedPrefix(queue, {Rec(1, 3), Rec(2, 3)})
+                  .IsVerificationFailed());
+  EXPECT_TRUE(core::CheckCommittedPrefix(queue, {Rec(3, 5)}).ok());
+}
+
+TEST(CommittedPrefixTest, AcceptsExactPrefixes) {
+  SegmentFixture fx;
+  core::CommitQueue queue = fx.Queue();
+  EXPECT_TRUE(core::CheckCommittedPrefix(queue, {}).ok());
+  EXPECT_TRUE(core::CheckCommittedPrefix(queue, {Rec(1, 3), Rec(2, 3, false)})
+                  .ok());
+  EXPECT_TRUE(
+      core::CheckCommittedPrefix(queue, {Rec(1, 3), Rec(2, 3), Rec(3, 5)})
+          .ok());
+  // Group 7 is still in flight here but was decided, and its 2PC run, at
+  // the leader.
+  EXPECT_TRUE(core::CheckCommittedPrefix(
+                  queue, {Rec(1, 3), Rec(2, 3), Rec(3, 5), Rec(4, 7)})
+                  .ok());
+}
+
+TEST(CommittedPrefixTest, RejectsEveryOtherShape) {
+  SegmentFixture fx;
+  core::CommitQueue queue = fx.Queue();
+  const std::vector<std::pair<std::string, std::vector<storage::CommitRecord>>>
+      forged = {
+          {"duplicated record", {Rec(1, 3, false), Rec(1, 3), Rec(2, 3)}},
+          {"duplicated last record", {Rec(1, 3), Rec(2, 3), Rec(2, 3)}},
+          {"partial group", {Rec(1, 3)}},
+          {"partial group before the next", {Rec(1, 3), Rec(3, 5)}},
+          {"skipped group", {Rec(1, 3), Rec(2, 3), Rec(4, 7)}},
+          {"group out of order", {Rec(3, 5), Rec(1, 3), Rec(2, 3)}},
+          {"record names another group", {Rec(1, 3), Rec(2, 5)}},
+          {"wrong coordinator", {Rec(1, 3), Rec(2, 3, true, 0)}},
+          {"past the queue",
+           {Rec(1, 3), Rec(2, 3), Rec(3, 5), Rec(4, 7), Rec(9, 9)}},
+          {"unknown transaction", {Rec(9, 3), Rec(2, 3)}},
+      };
+  for (const auto& [name, committed] : forged) {
+    EXPECT_TRUE(
+        core::CheckCommittedPrefix(queue, committed).IsVerificationFailed())
+        << name;
+  }
+}
+
+txn::CdVector Cd(std::vector<BatchId> entries) {
+  txn::CdVector v(entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    v.Set(static_cast<PartitionId>(i), entries[i]);
+  }
+  return v;
+}
+
+storage::CommitRecord RecWithDeps(TxnId id, BatchId group, bool committed,
+                                  txn::CdVector participant_cd) {
+  storage::CommitRecord rec = Rec(id, group, committed);
+  storage::PreparedInfo info;
+  info.partition = 1;
+  info.vote = committed;
+  info.cd_vector = std::move(participant_cd);
+  rec.participant_info.push_back(std::move(info));
+  return rec;
+}
+
+TEST(Algorithm1Test, AbortedRecordAddsNoDependency) {
+  storage::ReadOnlySegment previous;
+  previous.lce = 2;
+  previous.cd_vector = Cd({4, 1, kNoBatch});
+  storage::ReadOnlySegment aborted = core::DeriveLceAndCdVector(
+      &previous, {RecWithDeps(1, 3, false, Cd({kNoBatch, 9, 8}))},
+      /*self=*/0, /*batch_id=*/6, 3);
+  EXPECT_EQ(aborted.lce, 3);
+  EXPECT_EQ(aborted.cd_vector, Cd({6, 1, kNoBatch}));
+
+  storage::ReadOnlySegment committed = core::DeriveLceAndCdVector(
+      &previous, {RecWithDeps(1, 3, false, Cd({kNoBatch, 9, 8})),
+                  RecWithDeps(2, 5, true, Cd({kNoBatch, 7, 2}))},
+      0, 6, 3);
+  EXPECT_EQ(committed.lce, 5);  // The last committed group.
+  EXPECT_EQ(committed.cd_vector, Cd({6, 7, 2}));
+}
+
+TEST(Algorithm1Test, EmptySegmentCarriesLceAndCdForward) {
+  storage::ReadOnlySegment previous;
+  previous.lce = 2;
+  previous.cd_vector = Cd({4, 1});
+  storage::ReadOnlySegment next =
+      core::DeriveLceAndCdVector(&previous, {}, /*self=*/1, 5, 2);
+  EXPECT_EQ(next.lce, 2);
+  EXPECT_EQ(next.cd_vector, Cd({4, 5}));
+
+  storage::ReadOnlySegment genesis =
+      core::DeriveLceAndCdVector(nullptr, {}, 1, 0, 2);
+  EXPECT_EQ(genesis.lce, kNoBatch);
+  EXPECT_EQ(genesis.cd_vector, Cd({kNoBatch, 0}));
+}
+
+TEST(Algorithm1Test, BaseIsLastInFlightBatchElseLogTail) {
+  storage::SmrLog log;
+  EXPECT_EQ(core::PreviousReadOnlySegment(log, {}), nullptr);
+  for (BatchId id = 0; id < 2; ++id) {
+    storage::LogEntry entry;
+    entry.batch.id = id;
+    entry.batch.ro.lce = id;
+    ASSERT_TRUE(log.Append(std::move(entry)).ok());
+  }
+  EXPECT_EQ(core::PreviousReadOnlySegment(log, {}), &log.back().batch.ro);
+
+  storage::Batch first, second;
+  first.id = 2;
+  second.id = 3;
+  EXPECT_EQ(core::PreviousReadOnlySegment(log, {&first, &second}),
+            &second.ro);
+}
+
+TEST(ForEachBatchWriteTest, ResolvesEachRecordInTheGroupItNames) {
+  SegmentFixture fx;
+  storage::PartitionMap pmap(1);  // Every key is partition 0's.
+  auto in_groups = [&](BatchId group, TxnId id) -> const Transaction* {
+    for (const txn::PrepareGroup& g : fx.pb.groups()) {
+      if (g.prepared_in_batch == group) return g.Find(id);
+    }
+    return nullptr;
+  };
+  storage::Batch batch;
+  batch.local.push_back(MakeTxn(10, {}, {"l"}));
+  batch.committed = {Rec(1, 3), Rec(2, 3, false), Rec(3, 5)};
+  std::vector<Key> written;
+  auto collect = [&](const WriteOp& w) { written.push_back(w.key); };
+  ASSERT_TRUE(
+      storage::ForEachBatchWrite(batch, pmap, 0, in_groups, collect).ok());
+  // Local first, then committing records in order; the abort writes
+  // nothing.
+  EXPECT_EQ(written, (std::vector<Key>{"l", "a", "c"}));
+
+  // Transaction 3 exists, but not in the group this record names.
+  batch.committed = {Rec(3, 3)};
+  written.clear();
+  EXPECT_EQ(
+      storage::ForEachBatchWrite(batch, pmap, 0, in_groups, collect).code(),
+      StatusCode::kCorruption);
 }
 
 }  // namespace
