@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=${BUILD_DIR:-build}
 OUT=${1:-BENCH_smoke.json}
 
-for bench in bench_fig04_ro_latency bench_shard_scaling bench_consensus_compare bench_apply_pipeline bench_durability bench_watch_fanout; do
+for bench in bench_fig04_ro_latency bench_consensus_compare bench_apply_pipeline bench_durability bench_watch_fanout; do
   if [[ ! -x "$BUILD_DIR/$bench" ]]; then
     echo "error: $BUILD_DIR/$bench not built" >&2
     echo "hint: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
@@ -20,7 +20,6 @@ for bench in bench_fig04_ro_latency bench_shard_scaling bench_consensus_compare 
 done
 
 fig04_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_fig04_ro_latency" | grep '^{')
-shard_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_shard_scaling" | grep '^{')
 consensus_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_consensus_compare" | grep '^{')
 apply_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_apply_pipeline" | grep '^{')
 durability_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_durability" | grep '^{')
@@ -44,9 +43,6 @@ fi
   echo ','
   echo '"fig04_ro_latency":'
   echo "$fig04_json"
-  echo ','
-  echo '"shard_scaling":'
-  echo "$shard_json"
   echo ','
   echo '"consensus_compare":'
   echo "$consensus_json"

@@ -1,5 +1,6 @@
 #include "core/augustus_baseline.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace transedge::core {
@@ -14,7 +15,7 @@ void AugustusBaseline::HandleRoRequest(sim::ActorId from,
   Pending pending;
   pending.client = client;
   pending.keys = msg.keys;
-  pending.votes = 1;  // Our own.
+  pending.voters = {ctx_->id()};
   pending_[msg.request_id] = std::move(pending);
 
   wire::AugustusVoteRequest vote;
@@ -42,18 +43,23 @@ void AugustusBaseline::HandleVoteRequest(sim::ActorId from,
 
 void AugustusBaseline::HandleVoteReply(sim::ActorId from,
                                        const wire::AugustusVoteReply& msg) {
-  (void)from;
   auto it = pending_.find(msg.request_id);
   if (it == pending_.end()) return;
   Pending& pending = it->second;
-  if (msg.vote) ++pending.votes;
-  if (pending.replied || pending.votes < ctx_->config().quorum_size()) return;
+  const std::vector<crypto::NodeId>& members = ctx_->cluster_members();
+  if (msg.vote &&
+      std::find(members.begin(), members.end(), from) != members.end()) {
+    pending.voters.insert(from);
+  }
+  if (pending.replied || pending.voters.size() < ctx_->config().quorum_size()) {
+    return;
+  }
   pending.replied = true;
 
   wire::AugustusRoReply reply;
   reply.request_id = msg.request_id;
   reply.partition = ctx_->partition();
-  reply.votes = pending.votes;
+  reply.votes = static_cast<uint32_t>(pending.voters.size());
   for (const Key& key : pending.keys) {
     wire::AuthenticatedRead read;
     read.key = key;

@@ -1,6 +1,7 @@
 #ifndef TRANSEDGE_CORE_AUGUSTUS_BASELINE_H_
 #define TRANSEDGE_CORE_AUGUSTUS_BASELINE_H_
 
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -41,7 +42,9 @@ class AugustusBaseline {
   struct Pending {
     sim::ActorId client = 0;
     std::vector<Key> keys;
-    uint32_t votes = 0;
+    /// Cluster members whose yes vote was counted, the leader's own
+    /// included; a member counts once however often it replies.
+    std::set<crypto::NodeId> voters;
     bool replied = false;
   };
 

@@ -6,35 +6,10 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/sha256.h"
-
 namespace transedge::core {
 
-uint32_t ShardKeyRouter::ShardOf(const Key& key) const {
-  if (shard_count_ == 1) return 0;
-  crypto::Digest d = crypto::Sha256::Hash(key);
-  if (kind_ == ShardRouterKind::kRange) {
-    // Merkle leaf-index space (digest bytes 0-3), contiguous ranges.
-    uint64_t h = (static_cast<uint64_t>(d.bytes[0]) << 24) |
-                 (static_cast<uint64_t>(d.bytes[1]) << 16) |
-                 (static_cast<uint64_t>(d.bytes[2]) << 8) |
-                 static_cast<uint64_t>(d.bytes[3]);
-    return static_cast<uint32_t>((h * shard_count_) >> 32);
-  }
-  // kHash: bytes 24-27, between the Merkle prefix and the partition
-  // suffix, so all three placements are independent.
-  uint32_t h = (static_cast<uint32_t>(d.bytes[24]) << 24) |
-               (static_cast<uint32_t>(d.bytes[25]) << 16) |
-               (static_cast<uint32_t>(d.bytes[26]) << 8) |
-               static_cast<uint32_t>(d.bytes[27]);
-  return h % shard_count_;
-}
-
 BatchPipeline::BatchPipeline(NodeContext* ctx, Hooks hooks)
-    : ctx_(ctx),
-      hooks_(std::move(hooks)),
-      router_(ctx->config().pipeline_shards,
-              ctx->config().pipeline_shard_router) {}
+    : ctx_(ctx), hooks_(std::move(hooks)) {}
 
 // ---------------------------------------------------------------------------
 // Proposal triggers
@@ -189,30 +164,15 @@ void BatchPipeline::ProposeBatch() {
   for (const Transaction& t : inprog_prepared_) {
     proposed_inflight_.push_back(t.id);
   }
-  std::vector<Transaction> local = std::exchange(inprog_local_, {});
-  std::vector<Transaction> prepared = std::exchange(inprog_prepared_, {});
-  const uint32_t shards = router_.shard_count();
-  std::vector<size_t> shard_sizes(shards, 0);
-  if (shards > 1) {
-    OrderByHomeShard(&local, &shard_sizes);
-    OrderByHomeShard(&prepared, &shard_sizes);
-  }
   // The chain and the commit queue borrow from consensus and the
   // prepare-group queue; nothing mutates either until the batch is
   // handed to consensus.
   ProposalChain chain = ctx_->proposal_chain();
   CommitQueue queue = BuildCommitQueue(ctx_->prepared_batches(), chain.pending);
-  storage::Batch batch =
-      BuildBatch(std::move(local), std::move(prepared), chain, queue);
-  // One shard pays the superlinear term on the whole batch. Several pay
-  // it per home shard, plus once for the committed segment, which is
-  // assembled from the prepare groups rather than admitted by a shard.
-  if (shards > 1) {
-    shard_sizes.push_back(batch.committed.size());
-  } else {
-    shard_sizes = {batch.TotalTransactions()};
-  }
-  ctx_->Charge(ctx_->BatchComputeCost(shard_sizes,
+  storage::Batch batch = BuildBatch(std::exchange(inprog_local_, {}),
+                                    std::exchange(inprog_prepared_, {}),
+                                    chain, queue);
+  ctx_->Charge(ctx_->BatchComputeCost(batch.TotalTransactions(),
                                       ctx_->config().cost.admit_per_txn / 4) +
                ctx_->config().cost.signature_op);
 
@@ -228,31 +188,6 @@ void BatchPipeline::ProposeBatch() {
   batch.ro.merkle_root = post_tree.RootDigest();
 
   hooks_.propose(std::move(batch), std::move(post_tree));
-}
-
-void BatchPipeline::OrderByHomeShard(std::vector<Transaction>* segment,
-                                     std::vector<size_t>* shard_sizes) const {
-  std::vector<std::pair<uint32_t, Transaction>> homed;
-  homed.reserve(segment->size());
-  for (Transaction& t : *segment) {
-    uint32_t home = router_.shard_count();
-    for (const ReadOp& r : t.read_set) {
-      home = std::min(home, router_.ShardOf(r.key));
-    }
-    for (const WriteOp& w : t.write_set) {
-      home = std::min(home, router_.ShardOf(w.key));
-    }
-    if (home == router_.shard_count()) home = 0;  // Empty footprint.
-    homed.emplace_back(home, std::move(t));
-  }
-  std::stable_sort(
-      homed.begin(), homed.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  segment->clear();
-  for (auto& [home, t] : homed) {
-    ++(*shard_sizes)[home];
-    segment->push_back(std::move(t));
-  }
 }
 
 storage::Batch BatchPipeline::BuildBatch(std::vector<Transaction> local,

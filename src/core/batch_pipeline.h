@@ -13,28 +13,6 @@
 
 namespace transedge::core {
 
-/// Routes keys to admission shards (SystemConfig::pipeline_shards). Both
-/// policies hash the key once with SHA-256 and carve the digest so that
-/// shard choice is independent from partition ownership (digest bytes
-/// 28–31) and, for kHash, from the Merkle leaf index (bytes 0–3):
-///
-///   kHash   — bytes 24–27 modulo the shard count (uniform spray).
-///   kRange  — bytes 0–3 (the Merkle leaf-index space) split into
-///             contiguous equal ranges, so one shard covers a contiguous
-///             slice of the authenticated tree.
-class ShardKeyRouter {
- public:
-  ShardKeyRouter(uint32_t shard_count, ShardRouterKind kind)
-      : shard_count_(shard_count == 0 ? 1 : shard_count), kind_(kind) {}
-
-  uint32_t shard_count() const { return shard_count_; }
-  uint32_t ShardOf(const Key& key) const;
-
- private:
-  uint32_t shard_count_;
-  ShardRouterKind kind_;
-};
-
 /// Leader-side admission and batching (Definition 3.1, Figure 2): the
 /// in-progress transaction queues, the conflict footprint of everything
 /// in flight, batch construction (including the committed segment, LCE,
@@ -49,13 +27,9 @@ class ShardKeyRouter {
 /// NodeContext::EffectivePipelineDepth consensus instances are in
 /// flight and no view-change re-proposal holds the next slot.
 ///
-/// Admission sharding (SystemConfig::pipeline_shards > 1) is a batch
-/// order plus a cost over the one conflict index. Every key routes to
-/// exactly one shard, so per-shard indexes holding each footprint's
-/// slices would reach exactly this index's verdicts. A proposal lists
-/// each segment by home shard (the lowest shard any footprint key routes
-/// to; 0 for an empty footprint), admission order within a shard, and
-/// pays the superlinear construction term per shard.
+/// Admission checks every footprint against one conflict index, and a
+/// proposal lists each segment in admission order. Sealing a proposal
+/// charges NodeContext::BatchComputeCost once over the whole batch.
 class BatchPipeline {
  public:
   struct Stats {
@@ -141,11 +115,6 @@ class BatchPipeline {
   /// Drains the queues into a batch, seals it and hands it to `propose`.
   void ProposeBatch();
 
-  /// Stable-sorts `segment` by home shard and adds each shard's count
-  /// to `shard_sizes`.
-  void OrderByHomeShard(std::vector<Transaction>* segment,
-                        std::vector<size_t>* shard_sizes) const;
-
   /// Builds the next batch from drained segments: takes `chain`'s next
   /// log position, commits the ready prefix of `queue` (Definition 4.1),
   /// and derives the LCE and CD vector (Algorithm 1).
@@ -163,7 +132,6 @@ class BatchPipeline {
 
   NodeContext* ctx_;
   Hooks hooks_;
-  ShardKeyRouter router_;
 
   std::vector<Transaction> inprog_local_;
   std::vector<Transaction> inprog_prepared_;

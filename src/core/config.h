@@ -44,10 +44,9 @@ struct CostModel {
   /// One signature creation or verification.
   sim::Time signature_op = sim::Micros(25);
 
-  /// Recombining one apply shard's Merkle subtree root into the batch
-  /// root (only charged when SystemConfig::apply_shards > 1): the merge
-  /// of independently applied leaf-index subranges is a per-shard hash
-  /// up the shared spine.
+  /// Has no effect: a replica applies each decided batch in one pass, so
+  /// there are no apply shards to recombine. Kept only so existing
+  /// configurations that assign it still compile.
   sim::Time apply_shard_recombine = sim::Micros(15);
 
   // Durable-storage costs (charged only under StorageKind::kPaged, from
@@ -89,35 +88,12 @@ enum class ConsensusKind : uint8_t {
 /// Human-readable engine name ("pbft" / "linear_vote") for benches/logs.
 const char* ConsensusKindName(ConsensusKind kind);
 
-/// How the leader's batch pipeline routes keys to admission shards (only
-/// meaningful when SystemConfig::pipeline_shards > 1).
-enum class ShardRouterKind : uint8_t {
-  /// Uniform hashing of the key (independent from partition choice and
-  /// from the Merkle leaf index).
-  kHash,
-  /// Contiguous ranges of the Merkle leaf-index space, so a shard covers
-  /// a contiguous slice of the authenticated tree.
-  kRange,
-};
-
 /// Static system topology and protocol parameters. Shared by every node,
 /// client, and bench harness; node ids are a pure function of
 /// (partition, replica index).
 struct SystemConfig {
   /// Number of partitions == number of clusters (paper default: 5).
   uint32_t num_partitions = 5;
-
-  /// Number of admission shards the leader's batch construction is
-  /// modelled over (keys routed by `pipeline_shard_router`). Admission
-  /// always checks one conflict index, so sharding never changes a
-  /// verdict; with >1 shards a proposal lists its segments by home shard
-  /// and pays the superlinear construction cost per shard, and replicas
-  /// re-validate at the matching per-shard cost. 1 (default) charges the
-  /// whole batch as one term.
-  uint32_t pipeline_shards = 1;
-
-  /// Key -> shard routing policy of the admission shards.
-  ShardRouterKind pipeline_shard_router = ShardRouterKind::kHash;
 
   /// Intra-cluster consensus engine (see ConsensusKind). The default
   /// keeps the PBFT-style engine byte-for-byte identical to the
@@ -151,13 +127,6 @@ struct SystemConfig {
   /// group commit, checkpoint cadence). `num_partitions`/`partition`
   /// are overwritten per node; the rest are honored as configured.
   storage::StorageTuning durability;
-
-  /// Number of leaf-index subranges the apply work is carved into
-  /// (ShardRouterKind::kRange carving). Each shard applies its subtree
-  /// independently; the simulated cost charges the *slowest* shard plus
-  /// a per-shard recombine term instead of the serial sum. 1 (default)
-  /// charges the exact pre-sharding serial cost.
-  uint32_t apply_shards = 1;
 
   /// Tolerated byzantine failures per cluster (paper default: 2, i.e.
   /// 7 replicas per cluster).

@@ -575,7 +575,7 @@ bool ViewChangeConsensus::ApplyCatchUpEntry(
   // freshness window, which old batches legitimately fail by now), but
   // the Merkle root must still reproduce from our own state.
   ctx_->Charge(config.cost.signature_op +
-               ctx_->BatchComputeCost({batch.TotalTransactions()},
+               ctx_->BatchComputeCost(batch.TotalTransactions(),
                                       config.cost.validate_per_txn));
   // Replay against the decided tree, not the applied one: under async
   // apply the log tail is ahead of storage, and this entry chains off

@@ -436,23 +436,8 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
 sim::Time TransEdgeNode::ApplyCostFor(const PendingApply& entry) const {
   Result<const storage::LogEntry*> logged = backend_->log().Get(entry.id);
   assert(logged.ok());
-  const storage::Batch& batch = logged.value()->batch;
-  const size_t n = batch.TotalTransactions();
-  const uint32_t shards = config_.apply_shards == 0 ? 1 : config_.apply_shards;
-  if (shards <= 1) {
-    return BatchComputeCost({n}, config_.cost.apply_per_txn);
-  }
-  // Carve the write ops over leaf-index subranges (each shard owns a
-  // whole subtree of the authenticated structure) and pay for the
-  // slowest shard plus the spine recombine.
-  std::vector<size_t> loads(shards, 0);
-  ForEachDecidedWrite(batch, entry, [&](const WriteOp& w) {
-    uint32_t leaf =
-        merkle::MerkleTree::LeafIndexFor(w.key, config_.merkle_depth);
-    ++loads[merkle::MerkleTree::LeafShardOf(leaf, config_.merkle_depth,
-                                            shards)];
-  });
-  return ShardedApplyCost(n, loads);
+  return BatchComputeCost(logged.value()->batch.TotalTransactions(),
+                          config_.cost.apply_per_txn);
 }
 
 void TransEdgeNode::ForEachDecidedWrite(

@@ -69,9 +69,7 @@ struct NodeStats {
 ///                       selected by SystemConfig::consensus_kind
 ///                       (PbftConsensus or LinearVoteConsensus)
 ///   - BatchPipeline:    leader admission and batch building (Figure 2)
-///                       over one conflict index; pipeline_shards only
-///                       orders a batch by home shard and splits its
-///                       construction cost
+///                       over one conflict index
 ///   - TwoPcCoordinator: cross-cluster 2PC (§3.3)
 ///   - ReadOnlyService:  authenticated read-only serving (§4.2–4.4)
 ///   - AugustusBaseline: locking read-only baseline (Figures 5–7)
@@ -214,8 +212,8 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   void OnDecided(storage::Batch batch, storage::BatchCertificate certificate,
                  merkle::MerkleTree post_tree);
 
-  /// Simulated cost of the storage apply for `entry`: serial batch cost
-  /// for one apply shard, slowest-shard + recombine for several.
+  /// Simulated cost of the storage apply for `entry`: one pass over the
+  /// logged batch at `apply_per_txn`.
   sim::Time ApplyCostFor(const PendingApply& entry) const;
 
   /// Installs a decided batch into the storage stack (store writes, tree

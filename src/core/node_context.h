@@ -157,23 +157,13 @@ class NodeContext {
   /// Restricts `txn`'s read/write sets to keys owned by this partition.
   Transaction RestrictToPartition(const Transaction& txn) const;
 
-  /// Simulated cost of per-batch work over `shard_sizes` transactions
-  /// per admission shard: the fixed and linear terms are paid once, the
-  /// superlinear pressure term (conflict-index churn, Definition 3.1
-  /// re-checks) per shard — Σᵢ quad(nᵢ). Unsharded work passes one size.
-  sim::Time BatchComputeCost(const std::vector<size_t>& shard_sizes,
-                             sim::Time per_txn) const;
-
-  /// Simulated cost of applying a decided batch of `batch_size` write
-  /// transactions when the write set is carved into `shard_write_loads`
-  /// (write ops per apply shard, MerkleTree::LeafShardOf carving). One
-  /// shard returns exactly BatchComputeCost({batch_size}, apply_per_txn);
-  /// k shards pay the fixed overhead, the variable term scaled by the
-  /// slowest shard's share of the write ops, and a per-shard recombine
-  /// charge for hashing the shared spine back together.
-  sim::Time ShardedApplyCost(size_t batch_size,
-                             const std::vector<size_t>& shard_write_loads)
-      const;
+  /// Simulated cost of one pass of per-batch work over `n` transactions:
+  /// the fixed batch overhead, `per_txn` per transaction, and the
+  /// superlinear pressure term quad(n) (conflict-index churn, Merkle
+  /// churn, serialization). The leader's proposal seal, follower
+  /// re-validation, catch-up replay and the storage apply each charge
+  /// it once per batch with their own `per_txn` rate.
+  sim::Time BatchComputeCost(size_t n, sim::Time per_txn) const;
 
   /// Rule 1 of Definition 3.1: every read of `txn` must still be at the
   /// latest version, resolved through `LatestDecidedVersion` rather than

@@ -107,6 +107,15 @@ Status WatchClient::VerifyCertifiedEntries(
   if (certificate.partition != partition || certificate.batch_id != batch_id) {
     return Status::VerificationFailed("certificate does not match payload");
   }
+  // Any key has a valid proof in any partition's tree, if only of its
+  // absence: an entry counts only for a watched key the sender owns.
+  for (const wire::AuthenticatedRead& read : entries) {
+    if (read.key < lo_ || read.key > hi_ ||
+        partition_map_.OwnerOf(read.key) != partition) {
+      return Status::VerificationFailed(
+          "entry outside the watched range or the sender's partition");
+    }
+  }
   TE_RETURN_IF_ERROR(certificate.Verify(*verifier_,
                                         config_.certificate_size(),
                                         config_.ClusterMembers(partition)));

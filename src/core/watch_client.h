@@ -100,7 +100,8 @@ class WatchClient : public sim::Actor {
 
   /// Certificate + per-key proof verification, mirroring the round-1
   /// read-only check (§4.2) minus the ro-segment digest (watch payloads
-  /// carry no CD vector).
+  /// carry no CD vector). Fails unless every entry lies in `[lo_, hi_]`
+  /// and is owned by `partition`.
   Status VerifyCertifiedEntries(
       PartitionId partition, BatchId batch_id,
       const std::vector<wire::AuthenticatedRead>& entries,

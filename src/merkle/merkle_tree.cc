@@ -109,15 +109,6 @@ uint32_t MerkleTree::LeafIndexFor(const std::string& key, int depth) {
   return prefix >> (32 - depth);
 }
 
-uint32_t MerkleTree::LeafShardOf(uint32_t leaf_index, int depth,
-                                 uint32_t shard_count) {
-  if (shard_count <= 1) return 0;
-  // leaf_index < 2^depth, so the product stays within 64 bits and the
-  // result lands in [0, shard_count).
-  return static_cast<uint32_t>(
-      (static_cast<uint64_t>(leaf_index) * shard_count) >> depth);
-}
-
 crypto::Digest MerkleTree::DigestOf(const NodeRef& node, int level,
                                     const std::vector<crypto::Digest>& empty) {
   return node == nullptr ? empty[level] : node->digest;

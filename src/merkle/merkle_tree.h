@@ -149,14 +149,6 @@ class MerkleTree {
   /// Leaf index for `key` at depth `depth` (exposed for tests).
   static uint32_t LeafIndexFor(const std::string& key, int depth);
 
-  /// Contiguous leaf-subrange shard of `leaf_index` when the 2^depth
-  /// leaf space is carved into `shard_count` equal ranges — the same
-  /// range carving ShardRouterKind::kRange uses on the hash-prefix
-  /// space, restricted to whole leaves so each apply shard owns a
-  /// complete subtree of the authenticated structure.
-  static uint32_t LeafShardOf(uint32_t leaf_index, int depth,
-                              uint32_t shard_count);
-
   int depth() const { return depth_; }
 
  private:

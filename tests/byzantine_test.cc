@@ -6,6 +6,7 @@
 
 #include <optional>
 #include <tuple>
+#include <utility>
 
 #include "common/bytes.h"
 #include "core/consensus/batch_validation.h"
@@ -533,6 +534,67 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return std::string();
     });
+
+// ---------------------------------------------------------------------------
+// Augustus votes
+// ---------------------------------------------------------------------------
+
+// An Augustus read needs the votes of 2f+1 distinct members of the
+// leader's cluster, its own included (f = 1: three of four). Replicas 2
+// and 3 lose their vote replies; replica 1's arrives, and so does one
+// more reply, sent from replica `voter_index` of `voter_partition`.
+// Returns the read's result after the client timeout and the number of
+// reads the leader served.
+std::pair<RoResult, uint64_t> AugustusReadWithOneExtraVote(
+    PartitionId voter_partition, uint32_t voter_index) {
+  Fixture fx;
+  sim::Environment& env = fx.system->env();
+  sim::Network& net = env.network();
+  const crypto::NodeId leader = fx.system->leader(0)->id();
+  const crypto::NodeId replica1 = fx.config.ReplicaNode(0, 1);
+  const crypto::NodeId extra_voter =
+      fx.config.ReplicaNode(voter_partition, voter_index);
+  bool extra_sent = false;
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    if (to != leader || static_cast<wire::MessageType>(msg->type()) !=
+                            wire::MessageType::kAugustusVoteReply) {
+      return true;
+    }
+    if (from == replica1 && !extra_sent) {
+      extra_sent = true;
+      env.Schedule(sim::Micros(10), [&net, extra_voter, to, msg] {
+        net.Send(extra_voter, to, msg);
+      });
+      return true;
+    }
+    return from == extra_voter;
+  });
+
+  Client* client = fx.system->AddClient();
+  std::optional<RoResult> ro;
+  env.Schedule(sim::Millis(30), [&] {
+    client->ExecuteAugustusReadOnly({fx.KeyIn(0)},
+                                    [&](RoResult r) { ro = std::move(r); });
+  });
+  env.RunUntil(sim::Seconds(3));
+  EXPECT_TRUE(extra_sent);
+  EXPECT_TRUE(ro.has_value());
+  return {ro.value_or(RoResult{}),
+          fx.system->leader(0)->stats().augustus_ro_served};
+}
+
+TEST(AugustusVoteTest, RepeatedVoteCountsOnce) {
+  auto [ro, served] = AugustusReadWithOneExtraVote(0, 1);
+  EXPECT_EQ(served, 0u);
+  EXPECT_FALSE(ro.status.ok());
+}
+
+TEST(AugustusVoteTest, VoteFromAnotherClusterIsIgnored) {
+  auto [ro, served] = AugustusReadWithOneExtraVote(1, 1);
+  EXPECT_EQ(served, 0u);
+  EXPECT_FALSE(ro.status.ok());
+}
 
 }  // namespace
 }  // namespace transedge

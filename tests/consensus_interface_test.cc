@@ -60,12 +60,10 @@ std::vector<std::pair<Key, Value>> TestData(uint32_t partitions) {
 /// after asserting all replicas of the owning cluster agree on it.
 std::map<Key, std::string> RunWorkload(ConsensusKind kind, uint64_t seed,
                                        uint32_t pipeline_depth = 1,
-                                       bool async_apply = false,
-                                       uint32_t apply_shards = 1) {
+                                       bool async_apply = false) {
   SystemConfig config = BaseConfig(kind);
   config.pipeline_depth = pipeline_depth;
   config.async_apply = async_apply;
-  config.apply_shards = apply_shards;
   System system(config, FastEnv(seed));
   auto data = TestData(config.num_partitions);
   system.Preload(data);
@@ -174,7 +172,7 @@ TEST(ConsensusInterfaceTest, CommittedStateIsIdenticalAcrossEngines) {
   }
 }
 
-// Pipelining and asynchronous/sharded apply are pure scheduling changes:
+// Pipelining and asynchronous apply are pure scheduling changes:
 // whatever combination of consensus_kind × pipeline_depth × apply mode
 // runs the workload, the committed state must match the strictly
 // sequential PBFT baseline.
@@ -187,15 +185,13 @@ TEST(ConsensusInterfaceTest, CommittedStateIsInvariantAcrossDepthsAndApplyModes)
   struct Case {
     uint32_t depth;
     bool async;
-    uint32_t shards;
   };
-  for (const Case& c : {Case{1, false, 1}, Case{1, true, 1}, Case{2, true, 1},
-                        Case{4, true, 1}, Case{4, true, 4}}) {
-    std::map<Key, std::string> state = RunWorkload(
-        ConsensusKind::kLinearVote, seed, c.depth, c.async, c.shards);
+  for (const Case& c : {Case{1, false}, Case{1, true}, Case{2, true},
+                        Case{4, true}}) {
+    std::map<Key, std::string> state =
+        RunWorkload(ConsensusKind::kLinearVote, seed, c.depth, c.async);
     EXPECT_EQ(state, reference)
-        << "linear diverged at depth=" << c.depth << " async=" << c.async
-        << " shards=" << c.shards;
+        << "linear diverged at depth=" << c.depth << " async=" << c.async;
   }
 
   // The PBFT engine pins MaxPipelineDepth at 1: a config asking for a

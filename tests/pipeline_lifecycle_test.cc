@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,8 +30,7 @@ struct Fixture {
   std::vector<std::pair<Key, Value>> data;
   storage::PartitionMap pmap;
 
-  explicit Fixture(uint32_t partitions = 1, uint32_t f = 1,
-                   uint32_t pipeline_shards = 1, uint64_t seed = 77,
+  explicit Fixture(uint32_t partitions = 1, uint32_t f = 1, uint64_t seed = 77,
                    sim::Time latency_jitter = sim::Micros(100))
       : pmap(partitions) {
     config.num_partitions = partitions;
@@ -40,7 +38,6 @@ struct Fixture {
     config.batch_interval = sim::Millis(5);
     config.view_change_timeout = sim::Millis(80);
     config.merkle_depth = 8;
-    config.pipeline_shards = pipeline_shards;
     sim::EnvironmentOptions env_opts;
     env_opts.seed = seed;
     env_opts.inter_site_latency = sim::Millis(1);
@@ -63,20 +60,16 @@ struct Fixture {
   }
 };
 
-class PipelineLifecycleTest : public ::testing::TestWithParam<uint32_t> {};
-INSTANTIATE_TEST_SUITE_P(ShardCounts, PipelineLifecycleTest,
-                         ::testing::Values(1u, 4u));
-
 // A view change used to clear the in-progress queues but never answer
 // local_waiting_clients_: the client sat out its full 2 s timeout before
 // retrying. The leader now sends a retryable "view change" abort, so the
 // client re-issues against the new leader immediately and commits well
 // before the timeout could even fire once.
-TEST_P(PipelineLifecycleTest, ViewChangeAbortsWaitingClientsWhoThenCommit) {
+TEST(PipelineLifecycleTest, ViewChangeAbortsWaitingClientsWhoThenCommit) {
   // f = 2 so a half-split equivocation can never reach the 2f+1 quorum:
   // the genesis proposal stalls and the cluster must change views while
   // the client's admission is parked at the equivocator.
-  Fixture fx(/*partitions=*/1, /*f=*/2, /*pipeline_shards=*/GetParam());
+  Fixture fx(/*partitions=*/1, /*f=*/2);
   fx.system->node(0, 0)->SetByzantineBehavior(
       core::ByzantineBehavior::kEquivocate);
   Client* client = fx.system->AddClient();
@@ -102,8 +95,8 @@ TEST_P(PipelineLifecycleTest, ViewChangeAbortsWaitingClientsWhoThenCommit) {
 // OnBatchApplied used to early-return on non-leaders and never erase
 // applied transactions from seen_txns_, so the dedup set grew without
 // bound on every replica that ever led. It must drain as batches apply.
-TEST_P(PipelineLifecycleTest, DedupSetDrainsAsBatchesApply) {
-  Fixture fx(/*partitions=*/1, /*f=*/1, /*pipeline_shards=*/GetParam());
+TEST(PipelineLifecycleTest, DedupSetDrainsAsBatchesApply) {
+  Fixture fx(/*partitions=*/1, /*f=*/1);
   Client* client = fx.system->AddClient();
 
   int committed = 0;
@@ -221,8 +214,7 @@ struct AsyncApplyFixture {
   std::vector<std::pair<Key, Value>> data;
   storage::PartitionMap pmap;
 
-  explicit AsyncApplyFixture(uint32_t pipeline_depth, sim::Time apply_per_txn,
-                             uint32_t apply_shards = 1)
+  explicit AsyncApplyFixture(uint32_t pipeline_depth, sim::Time apply_per_txn)
       : pmap(1) {
     config.num_partitions = 1;
     config.f = 1;
@@ -232,7 +224,6 @@ struct AsyncApplyFixture {
     config.merkle_depth = 8;
     config.pipeline_depth = pipeline_depth;
     config.async_apply = true;
-    config.apply_shards = apply_shards;
     config.cost.apply_per_txn = apply_per_txn;
     sim::EnvironmentOptions env_opts;
     env_opts.seed = 77;
@@ -313,57 +304,6 @@ TEST(AsyncApplyTest, ReadsServeAppliedSnapshotWhileApplyLagsDecided) {
   EXPECT_EQ(ToString(*ro->values.at(fx.data[5].first)), "v5");
 }
 
-// Sharded apply must produce the same state and the same convergence —
-// only the charged cost differs (slowest shard + recombine, not the
-// serial sum).
-TEST(AsyncApplyTest, ShardedApplyConvergesToSameStateAsSerial) {
-  auto run = [](uint32_t shards) {
-    AsyncApplyFixture fx(/*pipeline_depth=*/2,
-                         /*apply_per_txn=*/sim::Micros(120), shards);
-    Client* client = fx.system->AddClient();
-    int committed = 0;
-    fx.system->env().Schedule(sim::Millis(30), [&] {
-      for (int i = 0; i < 12; ++i) {
-        client->ExecuteReadWrite(
-            {}, {WriteOp{fx.data[static_cast<size_t>(i)].first,
-                         ToBytes("s" + std::to_string(i))}},
-            [&](core::RwResult r) {
-              EXPECT_TRUE(r.committed) << r.reason;
-              ++committed;
-            });
-      }
-    });
-    fx.system->env().RunUntil(sim::Seconds(8));
-    EXPECT_EQ(committed, 12);
-    std::map<Key, std::string> state;
-    for (int i = 0; i < 12; ++i) {
-      auto v = fx.system->node(0, 0)->store().Get(
-          fx.data[static_cast<size_t>(i)].first);
-      EXPECT_TRUE(v.ok());
-      if (v.ok()) state[fx.data[static_cast<size_t>(i)].first] =
-          ToString(v->value);
-    }
-    // Every replica agrees with replica 0 and finished applying.
-    for (uint32_t r = 1; r < fx.config.replicas_per_cluster(); ++r) {
-      const core::TransEdgeNode* node = fx.system->node(0, r);
-      EXPECT_EQ(node->last_applied(), node->log().LastBatchId());
-      for (const auto& [key, value] : state) {
-        auto v = node->store().Get(key);
-        EXPECT_TRUE(v.ok());
-        if (v.ok()) {
-          EXPECT_EQ(ToString(v->value), value) << "replica " << r;
-        }
-      }
-    }
-    return state;
-  };
-
-  std::map<Key, std::string> serial = run(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(run(4), serial);
-  EXPECT_EQ(run(8), serial);
-}
-
 // ---------------------------------------------------------------------------
 // View-change abort drain: reply order must be deterministic
 // ---------------------------------------------------------------------------
@@ -387,8 +327,7 @@ std::vector<TxnId> AbortDrainOrder(uint64_t seed, size_t count) {
   // arrival order at the probe is exactly the leader's send order (the
   // event queue breaks timestamp ties by insertion) — the thing the
   // sorted drain must make deterministic.
-  Fixture fx(/*partitions=*/1, /*f=*/2, /*pipeline_shards=*/1, seed,
-             /*latency_jitter=*/0);
+  Fixture fx(/*partitions=*/1, /*f=*/2, seed, /*latency_jitter=*/0);
   fx.system->node(0, 0)->SetByzantineBehavior(
       core::ByzantineBehavior::kEquivocate);
 

@@ -1,19 +1,15 @@
-// Admission sharding: the shard router, conflict detection across
-// shards, the headline invariant — the committed store state is
-// identical for every shard count (sharding only orders a batch by home
-// shard and splits its construction cost, so it must never change what
-// commits) — and golden hashes of the exact proposal stream per
-// admission configuration.
+// Leader admission end to end: multi-key footprints conflict on any
+// shared key and drain whole once their batch applies, and golden hashes
+// pin the exact proposal stream — batch composition and order, every
+// timestamp and every charged cost — per consensus engine and apply
+// mode.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "core/batch_pipeline.h"
 #include "core/system.h"
 #include "crypto/sha256.h"
 #include "workload/generator.h"
@@ -24,59 +20,15 @@ namespace {
 using core::Client;
 using core::ConsensusKind;
 using core::RwResult;
-using core::ShardKeyRouter;
-using core::ShardRouterKind;
 using core::System;
 using core::SystemConfig;
 
-// ---------------------------------------------------------------------------
-// Router
-// ---------------------------------------------------------------------------
-
-TEST(ShardKeyRouterTest, SingleShardRoutesEverythingToZero) {
-  ShardKeyRouter router(1, ShardRouterKind::kHash);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(router.ShardOf("key-" + std::to_string(i)), 0u);
-  }
-}
-
-TEST(ShardKeyRouterTest, BothPoliciesAreDeterministicAndInRange) {
-  for (ShardRouterKind kind :
-       {ShardRouterKind::kHash, ShardRouterKind::kRange}) {
-    ShardKeyRouter router(4, kind);
-    for (int i = 0; i < 500; ++i) {
-      Key key = "k" + std::to_string(i);
-      uint32_t shard = router.ShardOf(key);
-      EXPECT_LT(shard, 4u);
-      EXPECT_EQ(router.ShardOf(key), shard);  // Stable.
-    }
-  }
-}
-
-TEST(ShardKeyRouterTest, BothPoliciesSpreadKeysAcrossAllShards) {
-  for (ShardRouterKind kind :
-       {ShardRouterKind::kHash, ShardRouterKind::kRange}) {
-    ShardKeyRouter router(8, kind);
-    std::set<uint32_t> hit;
-    for (int i = 0; i < 2000; ++i) {
-      hit.insert(router.ShardOf("k" + std::to_string(i)));
-    }
-    EXPECT_EQ(hit.size(), 8u) << "router kind " << static_cast<int>(kind);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Shard-count invariance of the committed state
-// ---------------------------------------------------------------------------
-
-SystemConfig SmallConfig(uint32_t shards, ShardRouterKind kind) {
+SystemConfig SmallConfig() {
   SystemConfig config;
   config.num_partitions = 2;
   config.f = 1;
   config.batch_interval = sim::Millis(5);
   config.merkle_depth = 10;
-  config.pipeline_shards = shards;
-  config.pipeline_shard_router = kind;
   return config;
 }
 
@@ -96,8 +48,6 @@ std::vector<std::pair<Key, Value>> TestData(uint32_t partitions) {
 
 /// What one run of the mixed workload leaves behind.
 struct WorkloadRun {
-  /// Final committed value of every key the workload touched.
-  std::map<Key, std::string> state;
   /// SHA-256 over every replica's log: batch id, batch digest and
   /// certificate Merkle root of each entry.
   std::string log_sha;
@@ -108,10 +58,9 @@ struct WorkloadRun {
 
 /// Drives one deterministic mixed workload — concurrent disjoint local
 /// writers, a sequential read-modify-write chain on one contended key,
-/// and distributed cross-partition writers — and returns the final
-/// committed value of every key the workload touched, read directly from
-/// every replica's store (asserting the replicas of a cluster agree),
-/// plus digests of every replica's log and every client's results.
+/// and distributed cross-partition writers, asserts that the replicas of
+/// each cluster agree on every key it touched, and returns digests of
+/// every replica's log and every client's results.
 WorkloadRun RunWorkload(const SystemConfig& config) {
   System system(config, FastEnv());
   auto data = TestData(config.num_partitions);
@@ -207,22 +156,19 @@ WorkloadRun RunWorkload(const SystemConfig& config) {
   }
 
   system.env().RunUntil(sim::Seconds(5));
-  EXPECT_EQ(pending, 0) << "workload did not drain at "
-                        << config.pipeline_shards << " shard(s)";
+  EXPECT_EQ(pending, 0) << "workload did not drain";
 
-  // Collect the final committed state and check replica agreement.
-  WorkloadRun run;
+  // The replicas of each cluster agree on every touched key.
   for (const Key& key : touched) {
     PartitionId p = pmap.OwnerOf(key);
     auto value = system.node(p, 0)->store().Get(key);
     EXPECT_TRUE(value.ok()) << key;
     if (!value.ok()) continue;
-    run.state[key] = ToString(value->value);
     for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
       auto other = system.node(p, i)->store().Get(key);
       EXPECT_TRUE(other.ok()) << key;
       if (!other.ok()) continue;
-      EXPECT_EQ(ToString(other->value), run.state[key])
+      EXPECT_EQ(other->value, value->value)
           << "replica " << i << " diverges on " << key;
     }
   }
@@ -243,59 +189,39 @@ WorkloadRun RunWorkload(const SystemConfig& config) {
       }
     }
   }
+  WorkloadRun run;
   run.log_sha = crypto::Sha256::Hash(logs.buffer()).ToHex();
   run.results_sha = crypto::Sha256::Hash(results.buffer()).ToHex();
   return run;
 }
 
-class ShardInvarianceTest
-    : public ::testing::TestWithParam<ShardRouterKind> {};
-
-TEST_P(ShardInvarianceTest, CommittedStateIsIdenticalForEveryShardCount) {
-  std::map<Key, std::string> reference =
-      RunWorkload(SmallConfig(1, GetParam())).state;
-  ASSERT_FALSE(reference.empty());
-  for (uint32_t shards : {2u, 3u, 4u, 8u}) {
-    std::map<Key, std::string> state =
-        RunWorkload(SmallConfig(shards, GetParam())).state;
-    EXPECT_EQ(state, reference) << "state diverged at " << shards
-                                << " shards";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Routers, ShardInvarianceTest,
-                         ::testing::Values(ShardRouterKind::kHash,
-                                           ShardRouterKind::kRange));
-
 // ---------------------------------------------------------------------------
-// Cross-shard conflict detection
+// Multi-key footprints
 // ---------------------------------------------------------------------------
 
-// Two transactions whose footprints overlap on one key but are homed on
-// different shards must still conflict: admission checks the whole
-// footprint against the one in-progress index, whatever shard each key
-// routes to.
-TEST(AdmissionShardingTest, CrossShardConflictsAreDetected) {
-  SystemConfig config = SmallConfig(4, ShardRouterKind::kHash);
+// Two transactions whose write sets overlap on one key out of three must
+// conflict: admission checks the whole footprint against the one
+// in-progress index.
+TEST(AdmissionFootprintTest, MultiKeyFootprintsConflictOnAnySharedKey) {
+  SystemConfig config = SmallConfig();
   System system(config, FastEnv());
   auto data = TestData(config.num_partitions);
   system.Preload(data);
   system.Start();
 
-  // Find partition-0 keys on three distinct shards: the contended key k,
-  // plus fillers a and b homed below and above k's shard respectively.
-  ShardKeyRouter router(config.pipeline_shards, config.pipeline_shard_router);
+  // Three partition-0 keys: txn1 writes {a, k}, txn2 writes {k, b}, so
+  // the footprints share only k.
   storage::PartitionMap pmap(config.num_partitions);
-  std::map<uint32_t, std::vector<Key>> by_shard;
+  std::vector<Key> keys;
   for (const auto& [key, value] : data) {
-    if (pmap.OwnerOf(key) == 0) by_shard[router.ShardOf(key)].push_back(key);
+    if (pmap.OwnerOf(key) == 0) keys.push_back(key);
+    if (keys.size() == 3) break;
   }
-  ASSERT_GE(by_shard.size(), 3u);
-  auto it = by_shard.begin();
-  Key a = it->second.front();          // Lowest shard -> txn1's home.
-  Key k = (++it)->second.front();      // Middle shard -> the conflict key.
-  Key b = (++it)->second.front();      // Higher shard -> txn2 homed at k's
-                                       // shard, txn1 at a's.
+  ASSERT_EQ(keys.size(), 3u);
+  const Key& a = keys[0];
+  const Key& k = keys[1];
+  const Key& b = keys[2];
+
   std::optional<RwResult> r1, r2;
   Client* c1 = system.AddClient();
   Client* c2 = system.AddClient();
@@ -312,7 +238,7 @@ TEST(AdmissionShardingTest, CrossShardConflictsAreDetected) {
   ASSERT_TRUE(r1.has_value());
   ASSERT_TRUE(r2.has_value());
   // Issued back-to-back into the same in-progress batch: exactly one
-  // passes admission, the other conflicts on k across shard boundaries.
+  // passes admission, the other conflicts on k.
   EXPECT_NE(r1->committed, r2->committed)
       << "r1: " << r1->reason << ", r2: " << r2->reason;
   const RwResult& aborted = r1->committed ? *r2 : *r1;
@@ -320,10 +246,10 @@ TEST(AdmissionShardingTest, CrossShardConflictsAreDetected) {
       << aborted.reason;
 }
 
-// After a batch applies, the whole footprint of a transaction spanning
-// several shards must drain so its keys become writable again.
-TEST(AdmissionShardingTest, CrossShardFootprintsDrainAfterApply) {
-  SystemConfig config = SmallConfig(4, ShardRouterKind::kHash);
+// After a batch applies, the whole footprint of a multi-key transaction
+// must drain so its keys become writable again.
+TEST(AdmissionFootprintTest, MultiKeyFootprintDrainsWholeAfterApply) {
+  SystemConfig config = SmallConfig();
   System system(config, FastEnv());
   auto data = TestData(config.num_partitions);
   system.Preload(data);
@@ -340,7 +266,7 @@ TEST(AdmissionShardingTest, CrossShardFootprintsDrainAfterApply) {
   Client* client = system.AddClient();
   std::optional<RwResult> first, second;
   system.env().Schedule(sim::Millis(20), [&] {
-    // A multi-key write whose footprint spans several shards...
+    // A four-key write...
     client->ExecuteReadWrite({}, {WriteOp{keys[0], ToBytes("v1")},
                                   WriteOp{keys[1], ToBytes("v1")},
                                   WriteOp{keys[2], ToBytes("v1")},
@@ -377,14 +303,12 @@ TEST(AdmissionShardingTest, CrossShardFootprintsDrainAfterApply) {
 
 // Pins the exact proposal stream — batch composition and order, every
 // timestamp, every charged cost (through client latencies) — for each
-// admission configuration. The committed-state invariance above cannot
+// consensus engine and apply mode. A committed-state comparison cannot
 // see either: two runs may commit the same values through different
 // batches at different times.
 struct GoldenCase {
   const char* name;
   ConsensusKind consensus;
-  uint32_t shards;
-  ShardRouterKind router;
   bool async_apply;
   uint32_t pipeline_depth;
   const char* log_sha;
@@ -393,40 +317,19 @@ struct GoldenCase {
 
 TEST(ProposalLogGoldenTest, LogsAndResultsMatchPinnedHashes) {
   const GoldenCase cases[] = {
-      {"pbft/1", ConsensusKind::kPbft, 1, ShardRouterKind::kHash, false, 1,
+      {"pbft/1", ConsensusKind::kPbft, false, 1,
        "57bd36507162378e6b9346c449ce1f1398604b89808b97ffc48d913617785fd8",
        "707c063e83f148a056474f745c83f6182c959978ca8244bcba198788c4e6f991"},
-      {"pbft/4", ConsensusKind::kPbft, 4, ShardRouterKind::kHash, false, 1,
-       "6e0296c688b797f41b78922b1594c01e5c6c0ab45c12cb1540a037d5c10c355b",
-       "c9ae5c7a174a4795f049590dad45cd1bd4ed6ba42a478804bd70d2abf751933a"},
-      {"pbft/4/range", ConsensusKind::kPbft, 4, ShardRouterKind::kRange,
-       false, 1,
-       "56e63a849ce0d2c91ec673c1f92830aeba331fd054e8e2d257d0277fb314b5f7",
-       "50207811e9ce9eaf351bbac72c5116fd0a7940d132705d89b930e2d3c1d3f037"},
-      {"linear_vote/1", ConsensusKind::kLinearVote, 1, ShardRouterKind::kHash,
-       false, 1,
+      {"linear_vote/1", ConsensusKind::kLinearVote, false, 1,
        "464c6ecc173e5b7b8873bfd2e947fea4144e91f50e8d0cea0f2ccc73152e85e8",
        "004b7c09d33ceb23ad751c05692a272fa021de2048a822a07bac481e4b9ad7fa"},
-      {"linear_vote/4", ConsensusKind::kLinearVote, 4, ShardRouterKind::kHash,
-       false, 1,
-       "c171319fa2a03afa668e370988e45f731464f9e577b9354c8f18f08ad153d141",
-       "5e01441ed141f12493533e3b00733b788cc689aca1257dead60501388b0c29e5"},
-      {"linear_vote/4/range", ConsensusKind::kLinearVote, 4,
-       ShardRouterKind::kRange, false, 1,
-       "267c34b0dfe4a68da9371f03571f7d2b100508e1e8e6809d543b6921f61fde37",
-       "36584bc592568d266aecddafb00f3e253f216a791a61848384b4b180e39421a6"},
-      {"linear_vote/async/depth4/1", ConsensusKind::kLinearVote, 1,
-       ShardRouterKind::kHash, true, 4,
+      {"linear_vote/async/depth4/1", ConsensusKind::kLinearVote, true, 4,
        "3b5cde197fc9830cbfe6acb1410ba516380f56358b12ba9709ae6968ea5f906c",
        "0a42796de3ef1d37dfaece650e8526323b3707accbc8976f8a3ceaee85850ef8"},
-      {"linear_vote/async/depth4/4", ConsensusKind::kLinearVote, 4,
-       ShardRouterKind::kHash, true, 4,
-       "908de7160d6b1395754339cfa518da0fda0bbbbbe203cfc8d1470833f5d38a28",
-       "18be51393c5ae502350d2ac8b9fc050173d55d48c019c11f015c7d9233acc52c"},
   };
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.name);
-    SystemConfig config = SmallConfig(c.shards, c.router);
+    SystemConfig config = SmallConfig();
     config.consensus_kind = c.consensus;
     config.async_apply = c.async_apply;
     config.pipeline_depth = c.pipeline_depth;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -335,6 +336,129 @@ TEST(WatchServiceTest, ParkedRoundTwoIsFlushedRetryableOnViewChange) {
   }
   EXPECT_TRUE(flushed_retryable);
 }
+
+// ---------------------------------------------------------------------------
+// Entry ownership: a delta speaks only for its sender's watched keys.
+// ---------------------------------------------------------------------------
+
+// Every key has a valid proof in a partition's tree: an absence proof if
+// the partition does not hold it, a value proof if it does, watched or
+// not. So a certified delta may carry entries its sender has no say
+// over, and only the watcher's own range and ownership check stops them.
+enum class ForeignEntry {
+  /// Partition 1 claims the absence of partition 0's watched key.
+  kOtherPartitionsAbsence,
+  /// Partition 0 pushes the value of one of its keys outside the range.
+  kOutOfRangeKey,
+};
+
+class WatchEntryOwnershipTest
+    : public ::testing::TestWithParam<ForeignEntry> {};
+
+TEST_P(WatchEntryOwnershipTest, DeltaWithForeignEntryIsRejected) {
+  SystemConfig config = WatchConfig(ConsensusKind::kPbft);
+  config.num_partitions = 2;
+  System system(config, {/*seed=*/26});
+  auto data = TestData(2);
+  system.Preload(data);
+  system.Start();
+
+  storage::PartitionMap pmap(2);
+  auto first_key = [&](PartitionId p, bool in_upper_half) {
+    for (size_t i = 0; i < data.size(); ++i) {
+      if (pmap.OwnerOf(data[i].first) == p &&
+          (i >= data.size() / 2) == in_upper_half) {
+        return data[i].first;
+      }
+    }
+    ADD_FAILURE() << "no key of partition " << p;
+    return Key();
+  };
+  // The forged entry names `target`; `sender`'s leader pushes it on the
+  // first delta for `written` after both seeds landed.
+  const bool absence = GetParam() == ForeignEntry::kOtherPartitionsAbsence;
+  const Key lo = absence ? Key("k") : data[data.size() / 2].first;
+  const Key hi = "k~";
+  const PartitionId sender = absence ? 1 : 0;
+  const Key target = first_key(0, /*in_upper_half=*/absence);
+  const Key written = first_key(sender, /*in_upper_half=*/true);
+
+  Client* writer = system.AddClient();
+  WatchClient* watcher = system.AddWatchClient();
+  int committed = 0;
+  bool stop = false;
+  auto loop = StartWriteLoop(&system, writer, written, "o", &committed, &stop);
+  system.env().Schedule(sim::Millis(60), [&] { watcher->Watch(lo, hi); });
+
+  sim::Network& net = system.env().network();
+  bool forged = false;
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    if (forged || to != watcher->id() || !watcher->AllSubscribed() ||
+        static_cast<wire::MessageType>(msg->type()) !=
+            wire::MessageType::kWatchDelta) {
+      return true;
+    }
+    wire::WatchDeltaMsg delta = static_cast<const wire::WatchDeltaMsg&>(*msg);
+    if (delta.partition != sender) return true;
+    // Pushed while the sender applies this delta's batch, so its tree is
+    // the certified post-state.
+    const core::TransEdgeNode& leader =
+        *system.node(sender, config.ReplicaIndexOf(from));
+    wire::AuthenticatedRead entry;
+    entry.key = target;
+    auto value = leader.store().Get(target);
+    if (value.ok()) {
+      entry.found = true;
+      entry.value = value->value;
+      entry.version = value->version;
+    }
+    entry.proof = leader.tree().Prove(target).value();
+    delta.entries.push_back(std::move(entry));
+    forged = true;
+    sim::MessagePtr forgery =
+        std::make_shared<const wire::WatchDeltaMsg>(std::move(delta));
+    system.env().Schedule(0, [&net, from, to, forgery] {
+      net.Send(from, to, forgery);
+    });
+    return false;
+  });
+  system.env().RunUntil(sim::Seconds(2));
+  stop = true;
+  system.env().RunUntil(sim::Seconds(3));
+
+  ASSERT_TRUE(forged);
+  ASSERT_GT(committed, 20);
+  const WatchClient::Stats& stats = watcher->stats();
+  EXPECT_EQ(stats.verification_failures, 1u);
+  // The forged entry touched nothing: partition 0's watched key keeps its
+  // seeded value, and the unwatched key never enters the cache.
+  if (absence) {
+    auto cached = watcher->cache().find(target);
+    ASSERT_NE(cached, watcher->cache().end()) << target << " was erased";
+    EXPECT_EQ(cached->second.value,
+              system.leader(0)->store().Get(target)->value);
+  } else {
+    EXPECT_EQ(watcher->cache().count(target), 0u) << target << " was cached";
+  }
+  // The rejected delta left the stream where it was, so the next one
+  // showed a gap and the resumed stream replayed the honest delta.
+  EXPECT_GE(stats.gaps_detected, 1u);
+  auto hot = watcher->cache().find(written);
+  ASSERT_NE(hot, watcher->cache().end()) << written << " was never cached";
+  EXPECT_EQ(hot->second.value,
+            system.leader(sender)->store().Get(written)->value);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forgeries, WatchEntryOwnershipTest,
+    ::testing::Values(ForeignEntry::kOtherPartitionsAbsence,
+                      ForeignEntry::kOutOfRangeKey),
+    [](const ::testing::TestParamInfo<ForeignEntry>& info) {
+      return std::string(info.param == ForeignEntry::kOtherPartitionsAbsence
+                             ? "OtherPartitionsAbsence"
+                             : "OutOfRangeKey");
+    });
 
 }  // namespace
 }  // namespace transedge
