@@ -1,11 +1,11 @@
-// Decided vs. applied throughput across the pipelining knobs: the same
-// local-write workload on one cluster while pipeline_depth, async_apply,
-// and an artificial apply-cost inflation vary. With the storage stack on
-// the decision critical path (sync apply), a 10× apply_per_txn
-// inflation eats straight into decided throughput; with a deep pipeline
-// draining an asynchronous apply queue, consensus keeps deciding at
-// (nearly) the uninflated rate while last_applied trails the log tail —
-// the gap this bench pins.
+// Decided vs. applied throughput across the apply modes: the same
+// local-write workload on one cluster while async_apply and an
+// artificial apply-cost inflation vary. With the storage stack on the
+// decision critical path (sync apply), a 10× apply_per_txn inflation
+// eats straight into decided throughput; with an asynchronous apply
+// queue, consensus decides the next batch while the apply worker drains
+// the previous one, and last_applied trails the log tail — the gap this
+// bench pins.
 
 #include <algorithm>
 #include <functional>
@@ -19,7 +19,6 @@ namespace {
 
 struct Case {
   const char* label;
-  uint32_t pipeline_depth;
   bool async_apply;
   int apply_cost_x;
 };
@@ -38,7 +37,6 @@ Point RunOne(const Case& c, uint64_t seed, sim::Time measure, bool smoke) {
   setup.config.f = 2;
   setup.workload.num_keys = 1000000;  // Paper key count; no preload.
   setup.config.merkle_depth = 16;
-  setup.config.pipeline_depth = c.pipeline_depth;
   setup.config.async_apply = c.async_apply;
   setup.config.cost.apply_per_txn =
       setup.config.cost.apply_per_txn * c.apply_cost_x;
@@ -98,10 +96,10 @@ int main() {
   const sim::Time measure = smoke ? sim::Millis(1000) : sim::Millis(1500);
 
   const Case cases[] = {
-      {"sync_1x", 1, false, 1},
-      {"sync_10x", 1, false, 10},
-      {"async_d4_1x", 4, true, 1},
-      {"async_d4_10x", 4, true, 10},
+      {"sync_1x", false, 1},
+      {"sync_10x", false, 10},
+      {"async_1x", true, 1},
+      {"async_10x", true, 10},
   };
 
   if (smoke) {
@@ -110,13 +108,12 @@ int main() {
     for (const Case& c : cases) {
       Point p = RunOne(c, 42, measure, smoke);
       std::printf(
-          "%s{\"config\":\"%s\",\"pipeline_depth\":%u,"
-          "\"async_apply\":%s,\"apply_cost_x\":%d,"
+          "%s{\"config\":\"%s\",\"async_apply\":%s,\"apply_cost_x\":%d,"
           "\"write_tps\":%.0f,\"decided_batches_per_sec\":%.1f,"
           "\"applied_batches_per_sec\":%.1f,\"max_apply_lag\":%.1f}",
-          first ? "" : ",", c.label, c.pipeline_depth,
-          c.async_apply ? "true" : "false", c.apply_cost_x,
-          p.write_tps, p.decided_per_sec, p.applied_per_sec, p.max_apply_lag);
+          first ? "" : ",", c.label, c.async_apply ? "true" : "false",
+          c.apply_cost_x, p.write_tps, p.decided_per_sec, p.applied_per_sec,
+          p.max_apply_lag);
       first = false;
     }
     std::printf("]}\n");
@@ -124,24 +121,12 @@ int main() {
   }
 
   PrintHeader("Apply pipeline: decided vs applied throughput");
-  std::printf("%-18s %6s %6s %7s %12s %14s %14s %9s\n", "config", "depth",
-              "async", "cost×", "write TPS", "decided/s", "applied/s",
-              "max lag");
+  std::printf("%-18s %6s %7s %12s %14s %14s %9s\n", "config", "async",
+              "cost×", "write TPS", "decided/s", "applied/s", "max lag");
   for (const Case& c : cases) {
     Point p = RunOne(c, 42, measure, smoke);
-    std::printf("%-18s %6u %6s %7d %12.0f %14.1f %14.1f %9.0f\n", c.label,
-                c.pipeline_depth, c.async_apply ? "yes" : "no", c.apply_cost_x,
-                p.write_tps, p.decided_per_sec, p.applied_per_sec,
-                p.max_apply_lag);
-  }
-  // Deeper sweep: depth at 10× apply cost.
-  PrintHeader("Depth sweep at 10× apply cost (async)");
-  std::printf("%6s %12s %14s %14s %9s\n", "depth", "write TPS", "decided/s",
-              "applied/s", "max lag");
-  for (uint32_t depth : {1u, 2u, 4u, 8u}) {
-    Case c{"sweep", depth, true, 10};
-    Point p = RunOne(c, 42, measure, smoke);
-    std::printf("%6u %12.0f %14.1f %14.1f %9.0f\n", depth, p.write_tps,
+    std::printf("%-18s %6s %7d %12.0f %14.1f %14.1f %9.0f\n", c.label,
+                c.async_apply ? "yes" : "no", c.apply_cost_x, p.write_tps,
                 p.decided_per_sec, p.applied_per_sec, p.max_apply_lag);
   }
   return 0;

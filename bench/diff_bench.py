@@ -6,7 +6,7 @@ Usage: bench/diff_bench.py BASELINE.json CURRENT.json [--threshold 0.10]
 
 Walks both documents, pairs up numeric leaf metrics by their structural
 path (list elements are keyed by their identifying fields, e.g.
-``pipeline_depth=4`` or ``consensus=linear_vote``, so reordering or
+``config=async_10x`` or ``consensus=linear_vote``, so reordering or
 adding points never misaligns the comparison), and classifies each
 metric's direction by its name:
 

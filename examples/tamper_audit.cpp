@@ -45,7 +45,6 @@ int main() {
 
   core::Client* teller = system.AddClient();
   core::Client* auditor = system.AddClient();
-  auditor->set_check_freshness(true);
 
   // Background writes keep batches flowing (so "stale" is meaningful).
   std::function<void()> churn = [&] {

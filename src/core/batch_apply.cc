@@ -1,61 +1,26 @@
 #include "core/batch_apply.h"
 
-#include <set>
-
 namespace transedge::core {
 
-CommitQueue BuildCommitQueue(
-    const txn::PreparedBatches& prepared,
-    const std::vector<const storage::Batch*>& in_flight) {
-  std::set<BatchId> committed_in_flight;
-  for (const storage::Batch* b : in_flight) {
-    for (const storage::CommitRecord& rec : b->committed) {
-      committed_in_flight.insert(rec.prepared_in_batch);
-    }
-  }
-  CommitQueue queue;
-  for (const txn::PrepareGroup& group : prepared.groups()) {
-    if (committed_in_flight.count(group.prepared_in_batch) > 0) continue;
-    QueuedGroup& queued = queue.emplace_back();
-    queued.prepared_in_batch = group.prepared_in_batch;
-    queued.registered = &group;
-    for (const txn::PendingTxn& p : group.txns) queued.txns.push_back(&p.txn);
-  }
-  for (const storage::Batch* b : in_flight) {
-    if (b->prepared.empty() || committed_in_flight.count(b->id) > 0) continue;
-    QueuedGroup& queued = queue.emplace_back();
-    queued.prepared_in_batch = b->id;
-    for (const Transaction& t : b->prepared) queued.txns.push_back(&t);
-  }
-  return queue;
-}
-
 Status CheckCommittedPrefix(
-    const CommitQueue& queue,
+    const txn::PreparedBatches& prepared,
     const std::vector<storage::CommitRecord>& committed) {
   const Status not_prefix = Status::VerificationFailed(
       "committed segment is not a prefix of the commit queue");
   size_t next = 0;
-  for (const QueuedGroup& group : queue) {
+  for (const txn::PrepareGroup& group : prepared.groups()) {
     if (next == committed.size()) break;
-    for (const Transaction* t : group.txns) {
+    for (const txn::PendingTxn& pending : group.txns) {
       if (next == committed.size()) return not_prefix;  // Partial group.
       const storage::CommitRecord& rec = committed[next++];
       if (rec.prepared_in_batch != group.prepared_in_batch ||
-          rec.txn_id != t->id || rec.coordinator != t->coordinator) {
+          rec.txn_id != pending.txn.id ||
+          rec.coordinator != pending.txn.coordinator) {
         return not_prefix;
       }
     }
   }
   return next == committed.size() ? Status::OK() : not_prefix;
-}
-
-const storage::ReadOnlySegment* PreviousReadOnlySegment(
-    const storage::SmrLog& log,
-    const std::vector<const storage::Batch*>& in_flight) {
-  if (!in_flight.empty()) return &in_flight.back()->ro;
-  if (!log.empty()) return &log.back().batch.ro;
-  return nullptr;
 }
 
 storage::ReadOnlySegment DeriveLceAndCdVector(
@@ -84,20 +49,19 @@ storage::ReadOnlySegment DeriveLceAndCdVector(
 Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
                               const storage::PartitionMap& pmap,
                               PartitionId self, const storage::Batch& batch,
-                              const CommitQueue& queue) {
-  auto in_queue = [&queue](BatchId group, TxnId txn_id) -> const Transaction* {
-    for (const QueuedGroup& queued : queue) {
-      if (queued.prepared_in_batch != group) continue;
-      for (const Transaction* t : queued.txns) {
-        if (t->id == txn_id) return t;
+                              const txn::PreparedBatches& prepared) {
+  auto in_groups = [&prepared](BatchId group,
+                               TxnId txn_id) -> const Transaction* {
+    for (const txn::PrepareGroup& registered : prepared.groups()) {
+      if (registered.prepared_in_batch == group) {
+        return registered.Find(txn_id);
       }
-      return nullptr;
     }
     return nullptr;
   };
   std::vector<merkle::MerkleTree::Write> writes;
   TE_RETURN_IF_ERROR(storage::ForEachBatchWrite(
-      batch, pmap, self, in_queue,
+      batch, pmap, self, in_groups,
       [&writes](const WriteOp& w) { writes.push_back({&w.key, &w.value}); }));
   tree->PutBatch(writes, batch.id);
   return Status::OK();

@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/batch_apply.h"
+
 namespace transedge::core {
 
 BatchPipeline::BatchPipeline(NodeContext* ctx, Hooks hooks)
@@ -35,22 +37,17 @@ void BatchPipeline::ArmBatchTimer() {
 
 bool BatchPipeline::SlotFree() const {
   return ctx_->IsLeader() && !ctx_->ReproposalPending() &&
-         ctx_->ConsensusInFlight() < ctx_->EffectivePipelineDepth();
+         ctx_->ConsensusInFlight() == 0;
 }
 
 bool BatchPipeline::ShouldPropose() const {
   if (!SlotFree()) return false;
-  if (ctx_->mutable_log().empty()) {
-    // Genesis batch, certifies preload state — once; with pipelined
-    // proposals the genesis instance may already be in flight.
-    return ctx_->ConsensusInFlight() == 0;
-  }
+  // Genesis batch, certifies preload state.
+  if (ctx_->mutable_log().empty()) return true;
   if (in_progress_size() > 0) return true;
-  // A ready group at the head of the commit queue justifies a batch; the
-  // queue leaves out groups an in-flight predecessor already commits.
-  CommitQueue queue = BuildCommitQueue(ctx_->prepared_batches(),
-                                       ctx_->proposal_chain().pending);
-  return !queue.empty() && queue.front().Ready();
+  // A ready group at the head of the commit queue justifies a batch.
+  const auto& groups = ctx_->prepared_batches().groups();
+  return !groups.empty() && groups.front().Ready();
 }
 
 void BatchPipeline::MaybeProposeOnSize() {
@@ -164,26 +161,20 @@ void BatchPipeline::ProposeBatch() {
   for (const Transaction& t : inprog_prepared_) {
     proposed_inflight_.push_back(t.id);
   }
-  // The chain and the commit queue borrow from consensus and the
-  // prepare-group queue; nothing mutates either until the batch is
-  // handed to consensus.
-  ProposalChain chain = ctx_->proposal_chain();
-  CommitQueue queue = BuildCommitQueue(ctx_->prepared_batches(), chain.pending);
   storage::Batch batch = BuildBatch(std::exchange(inprog_local_, {}),
-                                    std::exchange(inprog_prepared_, {}),
-                                    chain, queue);
+                                    std::exchange(inprog_prepared_, {}));
   ctx_->Charge(ctx_->BatchComputeCost(batch.TotalTransactions(),
                                       ctx_->config().cost.admit_per_txn / 4) +
                ctx_->config().cost.signature_op);
 
   // Compute the post-state Merkle root on a structural-sharing clone of
-  // the chain head: the newest in-flight post-state when pipelining, the
-  // decided tree otherwise (identical to the applied tree under
-  // synchronous apply).
-  merkle::MerkleTree post_tree = chain.head_tree->Clone();
-  Status sealed = ApplyBatchWritesToTree(
-      &post_tree, ctx_->partition_map(), ctx_->partition(), batch, queue);
-  assert(sealed.ok());  // Every record names a queued group.
+  // the decided tree (identical to the applied tree under synchronous
+  // apply).
+  merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
+  Status sealed =
+      ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(),
+                             ctx_->partition(), batch, ctx_->prepared_batches());
+  assert(sealed.ok());  // Every record names a registered group.
   (void)sealed;
   batch.ro.merkle_root = post_tree.RootDigest();
 
@@ -191,20 +182,19 @@ void BatchPipeline::ProposeBatch() {
 }
 
 storage::Batch BatchPipeline::BuildBatch(std::vector<Transaction> local,
-                                         std::vector<Transaction> prepared,
-                                         const ProposalChain& chain,
-                                         const CommitQueue& queue) {
+                                         std::vector<Transaction> prepared) {
+  const storage::SmrLog& log = ctx_->mutable_log();
   storage::Batch batch;
   batch.partition = ctx_->partition();
-  batch.id = chain.next_id;
+  batch.id = log.LastBatchId() + 1;
   batch.local = std::move(local);
   batch.prepared = std::move(prepared);
 
   // Committed segment: the ready prefix of the commit queue, in prepare
   // order (Definition 4.1).
-  for (const QueuedGroup& group : queue) {
+  for (const txn::PrepareGroup& group : ctx_->prepared_batches().groups()) {
     if (!group.Ready()) break;
-    for (const txn::PendingTxn& pending : group.registered->txns) {
+    for (const txn::PendingTxn& pending : group.txns) {
       storage::CommitRecord rec;
       rec.txn_id = pending.txn.id;
       rec.committed = pending.state == txn::PendingTxn::State::kCommitted;
@@ -215,11 +205,10 @@ storage::Batch BatchPipeline::BuildBatch(std::vector<Transaction> local,
     }
   }
 
-  // Algorithm 1, chained from the newest in-flight batch or the log tail.
-  batch.ro = DeriveLceAndCdVector(
-      PreviousReadOnlySegment(ctx_->mutable_log(), chain.pending),
-      batch.committed, ctx_->partition(), batch.id,
-      ctx_->config().num_partitions);
+  // Algorithm 1, chained from the log tail.
+  batch.ro = DeriveLceAndCdVector(log.empty() ? nullptr : &log.back().batch.ro,
+                                  batch.committed, ctx_->partition(), batch.id,
+                                  ctx_->config().num_partitions);
   batch.ro.timestamp_us = ctx_->now();
   return batch;
 }
@@ -253,8 +242,9 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
     seen_txns_.erase(rec.txn_id);
   }
   // Release only the applied batch's ids from the proposed-in-flight set:
-  // with pipelined proposals, later batches are still undecided and their
-  // ids must survive a view change (OnViewChange un-dedups them).
+  // under asynchronous apply, later batches may be proposed before this
+  // one applies, and their ids must survive a view change (OnViewChange
+  // un-dedups them).
   if (!proposed_inflight_.empty()) {
     std::unordered_set<TxnId> applied_ids;
     for (const Transaction& t : logged.local) applied_ids.insert(t.id);

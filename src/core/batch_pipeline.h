@@ -6,7 +6,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/batch_apply.h"
 #include "core/node_context.h"
 #include "storage/batch.h"
 #include "wire/message.h"
@@ -23,9 +22,10 @@ namespace transedge::core {
 /// leaves through the `propose` hook, and distributed transactions that
 /// pass admission are handed to `begin_coordination`.
 ///
-/// One gate decides when a leader may propose: while fewer than
-/// NodeContext::EffectivePipelineDepth consensus instances are in
-/// flight and no view-change re-proposal holds the next slot.
+/// One gate decides when a leader may propose: one batch in flight. The
+/// leader proposes only when no consensus instance is in flight and no
+/// view-change re-proposal holds the next slot, so every batch takes the
+/// slot after the log tail and is built on the decided state.
 ///
 /// Admission checks every footprint against one conflict index, and a
 /// proposal lists each segment in admission order. Sealing a proposal
@@ -104,8 +104,8 @@ class BatchPipeline {
   /// batching immediately); skipped while crash-stopped.
   void ArmBatchTimer();
 
-  /// The proposal gate: leader, no re-proposal pending, and a free
-  /// consensus slot (fewer than EffectivePipelineDepth in flight).
+  /// The proposal gate: leader, no re-proposal pending, and nothing in
+  /// flight.
   bool SlotFree() const;
 
   /// Timer policy: a free slot and work to do — the genesis batch (once),
@@ -115,13 +115,12 @@ class BatchPipeline {
   /// Drains the queues into a batch, seals it and hands it to `propose`.
   void ProposeBatch();
 
-  /// Builds the next batch from drained segments: takes `chain`'s next
-  /// log position, commits the ready prefix of `queue` (Definition 4.1),
-  /// and derives the LCE and CD vector (Algorithm 1).
+  /// Builds the next batch from drained segments: takes the slot after
+  /// the log tail, commits the ready prefix of the registered prepare
+  /// groups (Definition 4.1), and derives the LCE and CD vector
+  /// (Algorithm 1).
   storage::Batch BuildBatch(std::vector<Transaction> local,
-                            std::vector<Transaction> prepared,
-                            const ProposalChain& chain,
-                            const CommitQueue& queue);
+                            std::vector<Transaction> prepared);
 
   /// Definition 3.1 admission check for `txn` (full footprint; store
   /// checks restricted to this partition's keys).
@@ -144,9 +143,9 @@ class BatchPipeline {
   /// longer than the footprint) so the post-apply release removes
   /// exactly what this pipeline added.
   std::unordered_set<TxnId> indexed_;
-  /// Ids drained out of the queues into a proposed-but-undecided batch;
-  /// their footprints are still indexed, so a view change must forget
-  /// them from `seen_txns_` together with the queued ids.
+  /// Ids drained out of the queues into a proposed batch that has not
+  /// applied yet; their footprints are still indexed, so a view change
+  /// must forget them from `seen_txns_` together with the queued ids.
   std::vector<TxnId> proposed_inflight_;
   Stats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace transedge::core {
 
@@ -300,17 +301,32 @@ void Client::ExecuteReadOnly(std::vector<Key> keys, RoCallback done) {
     op.by_partition[partition_map_.OwnerOf(key)].push_back(key);
   }
   for (const auto& [partition, part_keys] : op.by_partition) {
-    uint64_t req = next_request_id_++;
-    request_op_[req] = op_id;
-    op.asked[req] = partition;
     ++op.outstanding;
-    wire::RoRequest msg;
-    msg.request_id = req;
-    msg.reply_to = id_;
-    msg.keys = part_keys;
-    env_->network().Send(id_, LeaderOf(partition), Share(std::move(msg)));
+    SendRoRequest(op_id, op, RoAsk{partition, std::nullopt});
   }
   ArmRoTimeout(op_id);
+}
+
+void Client::SendRoRequest(uint64_t op_id, RoOp& op, const RoAsk& ask) {
+  uint64_t req = next_request_id_++;
+  request_op_[req] = op_id;
+  op.asked[req] = ask;
+  sim::MessagePtr msg;
+  if (ask.min_lce.has_value()) {
+    wire::RoBatchRequest batch_request;
+    batch_request.request_id = req;
+    batch_request.reply_to = id_;
+    batch_request.keys = op.by_partition[ask.partition];
+    batch_request.min_lce = *ask.min_lce;
+    msg = Share(std::move(batch_request));
+  } else {
+    wire::RoRequest request;
+    request.request_id = req;
+    request.reply_to = id_;
+    request.keys = op.by_partition[ask.partition];
+    msg = Share(std::move(request));
+  }
+  env_->network().Send(id_, LeaderOf(ask.partition), std::move(msg));
 }
 
 Status Client::VerifyRoReply(const wire::RoReply& reply) {
@@ -360,22 +376,16 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
   RoOp& op = op_it->second;
   auto asked_it = op.asked.find(msg.request_id);
   if (asked_it == op.asked.end()) return;
-  const PartitionId asked = asked_it->second;
+  const RoAsk ask = asked_it->second;
+  const PartitionId asked = ask.partition;
   op.asked.erase(asked_it);
 
   if (msg.batch_id == kNoBatch) {
-    // Partition has no certified batch yet; retry shortly.
-    env_->Schedule(sim::Millis(5), [this, op_id, partition = asked] {
+    // Partition has no certified batch yet; ask again shortly, in the
+    // same round.
+    env_->Schedule(sim::Millis(5), [this, op_id, ask] {
       auto it = ro_ops_.find(op_id);
-      if (it == ro_ops_.end()) return;
-      uint64_t req = next_request_id_++;
-      request_op_[req] = op_id;
-      it->second.asked[req] = partition;
-      wire::RoRequest retry;
-      retry.request_id = req;
-      retry.reply_to = id_;
-      retry.keys = it->second.by_partition[partition];
-      env_->network().Send(id_, LeaderOf(partition), Share(std::move(retry)));
+      if (it != ro_ops_.end()) SendRoRequest(op_id, it->second, ask);
     });
     return;
   }
@@ -397,11 +407,9 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
     return;
   }
 
-  if (check_freshness_) {
-    int64_t age = env_->now() - msg.timestamp_us;
-    if (age > config_.freshness_window || age < -config_.freshness_window) {
-      op.fresh = false;
-    }
+  int64_t age = env_->now() - msg.timestamp_us;
+  if (age > config_.freshness_window || age < -config_.freshness_window) {
+    op.fresh = false;
   }
 
   op.replies[msg.partition] = msg;
@@ -454,16 +462,8 @@ void Client::StartRoRound2(uint64_t op_id,
   RoOp& op = op_it->second;
   ++op.rounds;
   for (const auto& [partition, min_lce] : needed) {
-    uint64_t req = next_request_id_++;
-    request_op_[req] = op_id;
-    op.asked[req] = partition;
     ++op.outstanding;
-    wire::RoBatchRequest msg;
-    msg.request_id = req;
-    msg.reply_to = id_;
-    msg.keys = op.by_partition[partition];
-    msg.min_lce = min_lce;
-    env_->network().Send(id_, LeaderOf(partition), Share(std::move(msg)));
+    SendRoRequest(op_id, op, RoAsk{partition, min_lce});
   }
 }
 
@@ -472,6 +472,13 @@ void Client::FinishRo(uint64_t op_id, RoResult result) {
   if (op_it == ro_ops_.end()) return;
   RoOp op = std::move(op_it->second);
   ro_ops_.erase(op_it);
+  // An Augustus read holds shared locks wherever it asked until it
+  // finishes, whatever the outcome: release every request it sent.
+  for (const auto& [partition, req] : op.augustus_request_ids) {
+    wire::AugustusRelease release;
+    release.request_id = req;
+    env_->network().Send(id_, LeaderOf(partition), Share(std::move(release)));
+  }
   if (result.status.ok()) {
     ++stats_.ro_completed;
     if (result.rounds > 1) ++stats_.ro_two_round;
@@ -486,6 +493,7 @@ void Client::ArmRoTimeout(uint64_t op_id) {
   env_->Schedule(config_.client_timeout, [this, op_id, epoch] {
     auto it = ro_ops_.find(op_id);
     if (it == ro_ops_.end() || it->second.epoch != epoch) return;
+    if (RetryRo(op_id)) return;
     ++stats_.timeouts;
     RoResult result;
     result.status = Status::Timeout("read-only transaction timed out");
@@ -493,6 +501,24 @@ void Client::ArmRoTimeout(uint64_t op_id) {
     result.rounds = it->second.rounds;
     FinishRo(op_id, std::move(result));
   });
+}
+
+bool Client::RetryRo(uint64_t op_id) {
+  RoOp& op = ro_ops_.at(op_id);
+  if (!op.augustus_request_ids.empty() || op.retries_left-- <= 0) {
+    return false;
+  }
+  // Each partition has at most one unanswered request. Its leader is
+  // suspect: rotate its hint and ask again, in the same round. The hints
+  // of partitions that answered stay put.
+  std::map<uint64_t, RoAsk> unanswered = std::exchange(op.asked, {});
+  for (const auto& [req, ask] : unanswered) {
+    request_op_.erase(req);
+    ++view_hint_[ask.partition];
+    SendRoRequest(op_id, op, ask);
+  }
+  ArmRoTimeout(op_id);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -526,24 +552,16 @@ void Client::HandleAugustusRoReply(const wire::AugustusRoReply& msg) {
   auto req_it = request_op_.find(msg.request_id);
   if (req_it == request_op_.end()) return;
   uint64_t op_id = req_it->second;
-  uint64_t request_id = msg.request_id;
   request_op_.erase(req_it);
   auto op_it = ro_ops_.find(op_id);
   if (op_it == ro_ops_.end()) return;
   RoOp& op = op_it->second;
 
-  (void)request_id;
   op.augustus_replies[msg.partition] = msg;
-  if (--op.outstanding > 0) return;
-
   // Locks are held until the whole transaction finishes — that is what
-  // makes Augustus read-only transactions interfere with writers. Only
-  // now release every partition's shared locks.
-  for (const auto& [partition, req] : op.augustus_request_ids) {
-    wire::AugustusRelease release;
-    release.request_id = req;
-    env_->network().Send(id_, LeaderOf(partition), Share(std::move(release)));
-  }
+  // makes Augustus read-only transactions interfere with writers.
+  // FinishRo releases every partition's shared locks.
+  if (--op.outstanding > 0) return;
 
   RoResult result;
   result.status = Status::OK();

@@ -39,7 +39,8 @@ struct RoResult {
   std::map<Key, std::optional<Value>> values;
   /// Theorem 4.6: must always be false. Counted, never acted on.
   bool needed_third_round = false;
-  /// §4.4.2: all replies within the freshness window.
+  /// §4.4.2: all replies within the freshness window. Informational: a
+  /// stale reply does not fail the read.
   bool fresh = true;
 };
 
@@ -94,10 +95,6 @@ class Client : public sim::Actor {
   crypto::NodeId id() const { return id_; }
   const ClientStats& stats() const { return stats_; }
 
-  /// When true (default), round-trip verification failures fail the
-  /// transaction; tests toggle freshness checking.
-  void set_check_freshness(bool on) { check_freshness_ = on; }
-
   /// Ablation knob: disables Algorithm 2 entirely (Merkle verification
   /// only, no cross-partition dependency check, never a second round).
   /// Used by bench_ablation_dependency to show the torn snapshots the
@@ -119,6 +116,14 @@ class Client : public sim::Actor {
     uint64_t epoch = 0;  // Invalidates stale timeout callbacks.
   };
 
+  /// What one TransEdge read-only request asked.
+  struct RoAsk {
+    /// Its reply must answer exactly this partition's keys.
+    PartitionId partition = 0;
+    /// Set for a round-2 request (RoBatchRequest::min_lce).
+    std::optional<BatchId> min_lce;
+  };
+
   struct RoOp {
     std::vector<Key> keys;
     RoCallback done;
@@ -126,9 +131,8 @@ class Client : public sim::Actor {
     int rounds = 1;
     /// partition -> keys of that partition.
     std::map<PartitionId, std::vector<Key>> by_partition;
-    /// Outstanding TransEdge request id -> the partition it asked; its
-    /// reply must answer exactly that partition's keys.
-    std::map<uint64_t, PartitionId> asked;
+    /// Outstanding TransEdge request id -> what it asked.
+    std::map<uint64_t, RoAsk> asked;
     /// Verified replies, round 1 then overwritten by round 2.
     std::map<PartitionId, wire::RoReply> replies;
     std::map<PartitionId, wire::AugustusRoReply> augustus_replies;
@@ -136,7 +140,8 @@ class Client : public sim::Actor {
     size_t outstanding = 0;
     sim::Time round1_done = 0;
     bool fresh = true;
-    uint64_t epoch = 0;
+    int retries_left = 3;
+    uint64_t epoch = 0;  // Invalidates stale timeout callbacks.
   };
 
   void HandleClientReadReply(const wire::ClientReadReply& msg);
@@ -164,6 +169,17 @@ class Client : public sim::Actor {
   void StartRoRound2(uint64_t op_id,
                      const std::map<PartitionId, BatchId>& needed);
 
+  /// Sends `op`'s request for `ask.partition`'s keys to that partition's
+  /// leader under a fresh request id: an RoRequest, or an RoBatchRequest
+  /// when `ask.min_lce` is set.
+  void SendRoRequest(uint64_t op_id, RoOp& op, const RoAsk& ask);
+
+  /// Timeout path of a TransEdge read: rotates the leader hint of every
+  /// partition whose request is unanswered, and only those, and re-sends
+  /// those requests. False when retries are exhausted, and always for an
+  /// Augustus read, which fails at its first timeout.
+  bool RetryRo(uint64_t op_id);
+
   crypto::NodeId LeaderOf(PartitionId p) const {
     return config_.LeaderOf(p, view_hint_[p]);
   }
@@ -184,7 +200,6 @@ class Client : public sim::Actor {
   std::unordered_map<uint64_t, uint64_t> request_op_;  // request id -> op id
   std::unordered_map<TxnId, uint64_t> txn_op_;         // txn id -> op id
 
-  bool check_freshness_ = false;
   bool verify_dependencies_ = true;
   ClientStats stats_;
 };

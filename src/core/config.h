@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "crypto/key_store.h"
+#include "crypto/signer.h"
 #include "sim/time.h"
 #include "storage/storage_kind.h"
 #include "txn/types.h"
@@ -99,14 +99,6 @@ struct SystemConfig {
   /// keeps the PBFT-style engine byte-for-byte identical to the
   /// pre-interface behavior.
   ConsensusKind consensus_kind = ConsensusKind::kPbft;
-
-  /// Maximum consensus instances in flight at once (chained pipelining):
-  /// with depth k the leader may propose batch n+k-1 while batch n's
-  /// commit QC is still collecting. 1 (default) keeps the strictly
-  /// sequential decide-then-propose behavior byte-for-byte identical to
-  /// the pre-pipelining code. Engines cap this at their own
-  /// Consensus::MaxPipelineDepth (the PBFT engine pins 1).
-  uint32_t pipeline_depth = 1;
 
   /// Decouple *applying* a decided batch (store writes, Merkle snapshot
   /// publication, client fan-out) from *deciding* it: decided batches

@@ -25,13 +25,13 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 }
 
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
-                             merkle::MerkleTree* post_tree,
-                             const ProposalChain& chain) {
+                             merkle::MerkleTree* post_tree) {
   const SystemConfig& config = ctx->config();
+  const storage::SmrLog& log = ctx->mutable_log();
   if (batch.partition != ctx->partition()) {
     return Status::InvalidArgument("batch for wrong partition");
   }
-  if (batch.id != chain.next_id) {
+  if (batch.id != log.LastBatchId() + 1) {
     return Status::FailedPrecondition("batch id not next in log");
   }
 
@@ -45,14 +45,8 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   ctx->Charge(ctx->BatchComputeCost(batch.TotalTransactions(),
                                     config.cost.validate_per_txn));
 
-  // Re-run Definition 3.1 on every transaction the leader admitted. With
-  // predecessors in flight, their admitted transactions count as part of
-  // the batch window: the new batch must not conflict with them either.
+  // Re-run Definition 3.1 on every transaction the leader admitted.
   FootprintIndex batch_index;
-  for (const storage::Batch* p : chain.pending) {
-    for (const Transaction& t : p->local) batch_index.Add(t);
-    for (const Transaction& t : p->prepared) batch_index.Add(t);
-  }
   auto check = [&](const Transaction& t) -> Status {
     Transaction restricted = ctx->RestrictToPartition(t);
     TE_RETURN_IF_ERROR(ctx->CheckReadVersions(restricted));
@@ -71,13 +65,13 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   // The committed segment must be exactly a prefix of the commit queue
   // the leader drew it from (Definition 4.1). We never see the 2PC
   // decisions, so which prefix is the leader's call; its shape is not.
-  CommitQueue queue = BuildCommitQueue(ctx->prepared_batches(), chain.pending);
-  TE_RETURN_IF_ERROR(CheckCommittedPrefix(queue, batch.committed));
+  const txn::PreparedBatches& prepared = ctx->prepared_batches();
+  TE_RETURN_IF_ERROR(CheckCommittedPrefix(prepared, batch.committed));
 
   // LCE and CD vector: the leader's Algorithm 1 over the same base.
   storage::ReadOnlySegment expected = DeriveLceAndCdVector(
-      PreviousReadOnlySegment(ctx->mutable_log(), chain.pending),
-      batch.committed, ctx->partition(), batch.id, config.num_partitions);
+      log.empty() ? nullptr : &log.back().batch.ro, batch.committed,
+      ctx->partition(), batch.id, config.num_partitions);
   if (batch.ro.lce != expected.lce) {
     return Status::VerificationFailed("LCE mismatch");
   }
@@ -86,11 +80,9 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   }
 
   // Merkle root: replay the writes on a clone and compare roots.
-  const merkle::MerkleTree& base =
-      chain.head_tree != nullptr ? *chain.head_tree : ctx->decided_tree();
-  *post_tree = base.Clone();
+  *post_tree = ctx->decided_tree().Clone();
   TE_RETURN_IF_ERROR(ApplyBatchWritesToTree(
-      post_tree, ctx->partition_map(), ctx->partition(), batch, queue));
+      post_tree, ctx->partition_map(), ctx->partition(), batch, prepared));
   if (post_tree->RootDigest() != batch.ro.merkle_root) {
     return Status::VerificationFailed("merkle root mismatch");
   }

@@ -25,21 +25,15 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
                                                 const crypto::Digest& digest);
 
 /// Definition 3.1 re-validation plus read-only-segment recomputation for
-/// a proposed batch: partition/log-position checks, the freshness window
-/// (§4.4.2), per-transaction conflict re-checks, the committed segment
-/// as an exact prefix of the commit queue (Definition 4.1), LCE and CD
-/// vector (Algorithm 1), and the Merkle root (core/batch_apply.h).
-/// Charges the simulated validation cost. On success fills `post_tree`
-/// with the batch's post-state tree.
-///
-/// `chain` is the proposal context: the expected id, the in-flight
-/// batches the new one extends (whose admitted footprints, committed
-/// groups, LCE, and CD vector it must chain on; empty when none), and
-/// the Merkle tree positioned after the last of them (nullptr validates
-/// against the decided tree).
+/// a proposed batch, which must take the slot after the log tail:
+/// partition/log-position checks, the freshness window (§4.4.2),
+/// per-transaction conflict re-checks, the committed segment as an exact
+/// prefix of the commit queue (Definition 4.1), LCE and CD vector
+/// (Algorithm 1) chained from the log tail, and the Merkle root over the
+/// decided tree (core/batch_apply.h). Charges the simulated validation
+/// cost. On success fills `post_tree` with the batch's post-state tree.
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
-                             merkle::MerkleTree* post_tree,
-                             const ProposalChain& chain);
+                             merkle::MerkleTree* post_tree);
 
 /// Number of collected votes matching `digest`. Votes carry the digest
 /// the voter saw, so an equivocating leader's variants split the count.

@@ -103,20 +103,8 @@ class Consensus {
 
   /// Number of proposed-but-undecided instances currently in flight
   /// (ids above the log tail that carry a proposal). The batch pipeline
-  /// gates new proposals on `InFlight() < EffectivePipelineDepth()`.
+  /// proposes only while `InFlight() == 0`: one batch in flight.
   virtual size_t InFlight() const = 0;
-
-  /// Deepest proposal pipeline the engine supports. Engines without
-  /// chained safety machinery pin this to 1 regardless of
-  /// `SystemConfig::pipeline_depth`.
-  virtual uint32_t MaxPipelineDepth() const { return 1; }
-
-  /// In-flight proposals in log order plus the Merkle tree positioned
-  /// after the last of them, for chaining the next proposal. Engines
-  /// that pin MaxPipelineDepth() to 1 keep the default (empty chain:
-  /// the node fills in log tail + 1 and the decided tree). Borrowed
-  /// pointers — valid only until the engine next mutates its instances.
-  virtual ProposalChain Chain() { return ProposalChain{}; }
 
   virtual const Stats& stats() const = 0;
 };

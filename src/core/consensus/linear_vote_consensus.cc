@@ -1,6 +1,5 @@
 #include "core/consensus/linear_vote_consensus.h"
 
-#include <limits>
 #include <utility>
 
 #include "core/consensus/batch_validation.h"
@@ -44,25 +43,6 @@ Bytes LinearVoteConsensus::CommitVotePayload(
   enc.PutI64(batch_id);
   enc.PutRaw(digest.bytes.data(), digest.bytes.size());
   return enc.Take();
-}
-
-uint32_t LinearVoteConsensus::MaxPipelineDepth() const {
-  // The chained-instance machinery has no inherent window bound; the
-  // node clamps to SystemConfig::pipeline_depth.
-  return std::numeric_limits<uint32_t>::max();
-}
-
-ProposalChain LinearVoteConsensus::Chain() {
-  BatchId id = ctx_->mutable_log().LastBatchId() + 1;
-  while (true) {
-    auto it = instances_.find(id);
-    if (it == instances_.end() || !it->second.has_batch ||
-        !it->second.validated) {
-      break;
-    }
-    ++id;
-  }
-  return ChainUpTo(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -147,35 +127,21 @@ void LinearVoteConsensus::HandleQc(const wire::LinearQcMsg& msg) {
 
 void LinearVoteConsensus::AdvanceConsensus() {
   if (MaybeReproposeLock()) return;
-
-  // Walk the in-flight window in log order. Each slot validates against
-  // the chain of validated predecessors; only the head slot (the log
-  // tail + 1) may decide. Deciding re-enters this function through the
-  // on_decided hook, so the walk stops right after a decide — the nested
-  // call already finished the rest of the window.
-  BatchId tail = ctx_->mutable_log().LastBatchId();
-  for (BatchId id = tail + 1;; ++id) {
-    auto it = instances_.find(id);
-    if (it == instances_.end() || !it->second.has_batch) return;
-    if (!AdvanceSlot(id, it->second)) return;
-  }
-}
-
-bool LinearVoteConsensus::AdvanceSlot(BatchId id, Instance& inst) {
   const SystemConfig& config = ctx_->config();
-  // Successors chain off this slot's post-state; an invalid slot stops
-  // the walk.
-  if (!Validated(id, inst)) return false;
+  BatchId next = ctx_->mutable_log().LastBatchId() + 1;
+  auto it = instances_.find(next);
+  if (it == instances_.end() || !it->second.has_batch) return;
+  Instance& inst = it->second;
+  if (!Validated(inst)) return;
 
   const crypto::NodeId leader = config.LeaderOf(ctx_->partition(), view());
 
   // Replica: prepare vote to the leader — unless a lock on a conflicting
   // batch at this id forbids it and the proposal carries no adequate
   // justification. Stay silent: the progress timer carries the lock into
-  // the next view change. (Successors extend the conflicting batch, so
-  // the walk stops with it.)
+  // the next view change.
   if (!inst.sent_prepare_vote) {
-    if (LockBlocksVote(inst)) return false;
+    if (LockBlocksVote(inst)) return;
     PrepareVote vote = CastPrepareVote(inst);
     wire::LinearVoteMsg msg;
     msg.view = view();
@@ -208,25 +174,23 @@ bool LinearVoteConsensus::AdvanceSlot(BatchId id, Instance& inst) {
                 ctx_->Charge(config.cost.signature_op));
   }
 
-  // Replica: commit QC (verified on receipt) => decide — head slot only.
-  // A later slot's commit QC buffers in the instance until every
-  // predecessor decided (decides are strictly in log order).
-  if (inst.have_commit_qc && inst.certificate.batch_digest == inst.digest &&
-      id == ctx_->mutable_log().LastBatchId() + 1) {
-    Decide(id);
-    return false;
+  // Replica: commit QC (verified on receipt) => decide. The hook applies
+  // the batch and re-enters AdvanceConsensus for the next slot.
+  if (inst.have_commit_qc && inst.certificate.batch_digest == inst.digest) {
+    Decide(next);
+    return;
   }
 
-  if (leader == ctx_->id() && LeaderAdvance(id, inst)) return false;
-  return true;
+  if (leader == ctx_->id()) LeaderAdvance(inst);
 }
 
-bool LinearVoteConsensus::LeaderAdvance(BatchId batch_id, Instance& inst) {
+void LinearVoteConsensus::LeaderAdvance(Instance& inst) {
   const SystemConfig& config = ctx_->config();
+  const BatchId batch_id = inst.batch.id;
 
   if (!inst.prepare_qc_sent &&
       CountMatchingVotes(inst.prepare_votes, inst.digest) >= config.quorum_size()) {
-    if (!AssemblePrepareQc(inst)) return false;  // Wait for more votes.
+    if (!AssemblePrepareQc(inst)) return;  // Wait for more votes.
     inst.prepare_qc_sent = true;
 
     // The leader's own commit vote, locking like any other commit voter.
@@ -250,7 +214,7 @@ bool LinearVoteConsensus::LeaderAdvance(BatchId batch_id, Instance& inst) {
     crypto::SignatureSet commit_sigs = CollectVerifiedShares(
         ctx_, CommitVotePayload(batch_id, inst.digest), inst.commit_votes,
         inst.commit_shares, inst.digest, config.quorum_size());
-    if (commit_sigs.size() < config.quorum_size()) return false;
+    if (commit_sigs.size() < config.quorum_size()) return;
     inst.commit_qc_sent = true;
 
     wire::LinearQcMsg msg;
@@ -262,15 +226,8 @@ bool LinearVoteConsensus::LeaderAdvance(BatchId batch_id, Instance& inst) {
     // uncharged broadcast would skew the engine-comparison bench.
     BroadcastCounted(ShareMsg(std::move(msg)),
                      ctx_->Charge(config.cost.signature_op));
-    if (batch_id == ctx_->mutable_log().LastBatchId() + 1) {
-      Decide(batch_id);
-      return true;
-    }
-    // Out-of-order commit quorum: buffer; the slot decides when its
-    // predecessors do.
-    inst.have_commit_qc = true;
+    Decide(batch_id);
   }
-  return false;
 }
 
 }  // namespace transedge::core

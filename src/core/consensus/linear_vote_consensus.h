@@ -24,23 +24,14 @@ namespace transedge::core {
 ///      having seen step 3.
 ///
 /// View changes, locks, re-proposal and catch-up are the shared protocol
-/// of view_change.h.
-///
-/// Pipelining (chained instances): the engine runs up to
-/// `SystemConfig::pipeline_depth` consensus instances concurrently.
-/// Slot k+1 validates against the chain of in-flight post-states (the
-/// predecessors' batches count as part of the batch window, their
-/// post-trees are the Merkle base), collects prepare votes while slot
-/// k's commit QC is still in flight, and *decides strictly in log
-/// order*: a commit QC for a later slot buffers in its instance until
-/// every predecessor has decided.
+/// of view_change.h. Like PBFT, the engine advances the head slot only
+/// (the log tail + 1): a proposal or QC for a later slot waits in its
+/// instance until the log reaches it.
 class LinearVoteConsensus : public ViewChangeConsensus {
  public:
   LinearVoteConsensus(NodeContext* ctx, Hooks hooks);
 
   void AdvanceConsensus() override;
-  uint32_t MaxPipelineDepth() const override;
-  ProposalChain Chain() override;
 
  protected:
   bool OnVotingMessage(sim::ActorId from, const sim::Message& msg) override;
@@ -51,15 +42,9 @@ class LinearVoteConsensus : public ViewChangeConsensus {
   void HandleVote(sim::ActorId from, const wire::LinearVoteMsg& msg);
   void HandleQc(const wire::LinearQcMsg& msg);
 
-  /// Drives one slot's phases (validate, prepare vote, commit vote,
-  /// leader aggregation); returns false when the walk over later slots
-  /// must stop (validation failed/lock-blocked/slot decided).
-  bool AdvanceSlot(BatchId id, Instance& inst);
-  /// Leader: aggregate prepare/commit quorums and broadcast QCs; decide
-  /// on the commit quorum when the slot is the log head (later slots
-  /// buffer their commit QC until predecessors decide). Returns true
-  /// when the slot decided.
-  bool LeaderAdvance(BatchId batch_id, Instance& inst);
+  /// Leader: aggregate the head slot's prepare/commit quorums, broadcast
+  /// the QCs, and decide on the commit quorum.
+  void LeaderAdvance(Instance& inst);
 
   /// Bytes a commit-phase vote signs.
   Bytes CommitVotePayload(BatchId batch_id, const crypto::Digest& digest) const;

@@ -70,7 +70,7 @@ void PbftConsensus::AdvanceConsensus() {
   auto it = instances_.find(next);
   if (it == instances_.end() || !it->second.has_batch) return;
   Instance& inst = it->second;
-  if (!Validated(next, inst)) return;
+  if (!Validated(inst)) return;
 
   // Prepare — unless a lock on a conflicting batch at this id forbids it
   // and the proposal carries no adequate justification. Stay silent: the

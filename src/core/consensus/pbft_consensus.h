@@ -21,8 +21,7 @@ class PbftConsensus : public ViewChangeConsensus {
  public:
   PbftConsensus(NodeContext* ctx, Hooks hooks);
 
-  /// Advances the log head only: PBFT keeps the Consensus default
-  /// MaxPipelineDepth() == 1 (one batch at a time).
+  /// Advances the head slot only (the log tail + 1).
   void AdvanceConsensus() override;
 
  protected:

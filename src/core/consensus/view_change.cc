@@ -103,7 +103,7 @@ void ViewChangeConsensus::Propose(storage::Batch batch,
   // could not re-propose when the gap was still open).
   auto lock = locks_.find(batch.id);
   if (lock != locks_.end() && !(lock->second.digest == digest)) {
-    ReproposeLocked();
+    MaybeReproposeLock();
     return;
   }
   auto [it, inserted] =
@@ -181,33 +181,13 @@ ViewChangeConsensus::Instance* ViewChangeConsensus::AcceptProposal(
   return &inst;
 }
 
-bool ViewChangeConsensus::Validated(BatchId id, Instance& inst) {
+bool ViewChangeConsensus::Validated(Instance& inst) {
   if (!inst.validated && !inst.validation_failed) {
-    ProposalChain chain = ChainUpTo(id);
-    Status s = ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree, chain);
+    Status s = ValidateProposedBatch(ctx_, inst.batch, &inst.post_tree);
     inst.validated = s.ok();
     inst.validation_failed = !s.ok();
   }
   return inst.validated;
-}
-
-ProposalChain ViewChangeConsensus::ChainUpTo(BatchId id) {
-  ProposalChain chain;
-  chain.next_id = id;
-  for (BatchId p = ctx_->mutable_log().LastBatchId() + 1; p < id; ++p) {
-    auto it = instances_.find(p);
-    if (it == instances_.end() || !it->second.has_batch ||
-        !it->second.validated) {
-      // Broken chain below `id`; callers only ask about slots whose
-      // predecessors are all live and validated.
-      chain.pending.clear();
-      chain.head_tree = nullptr;
-      return chain;
-    }
-    chain.pending.push_back(&it->second.batch);
-    chain.head_tree = &it->second.post_tree;
-  }
-  return chain;
 }
 
 // ---------------------------------------------------------------------------
@@ -351,7 +331,7 @@ void ViewChangeConsensus::RequestViewChange(uint64_t target,
     msg.signature = sig;
     // Report every live lock so the prospective leader re-proposes
     // batches that may already be decided elsewhere (safety across the
-    // view change) — one report per in-flight slot when pipelining.
+    // view change) — one report per locked slot.
     for (const auto& [id, lock] : locks_) {
       wire::LinearLockReport report;
       report.view = lock.qc.view;
@@ -480,65 +460,35 @@ void ViewChangeConsensus::AdoptView(uint64_t target) {
   view_change_votes_.erase(view_change_votes_.begin(),
                            view_change_votes_.upper_bound(target));
   hooks_.on_view_adopted();
-  if (IsLeaderSelf()) ReproposeLocked();
+  MaybeReproposeLock();
 }
 
 bool ViewChangeConsensus::MaybeReproposeLock() {
   if (!IsLeaderSelf()) return false;
-  BatchId free_slot = ctx_->mutable_log().LastBatchId() + 1;
-  while (true) {
-    auto it = instances_.find(free_slot);
-    if (it == instances_.end() || !it->second.has_batch) break;
-    ++free_slot;
-  }
-  if (locks_.count(free_slot) == 0) return false;
-  ReproposeLocked();  // Creates the instance; re-enters AdvanceConsensus.
-  return true;
-}
-
-void ViewChangeConsensus::ReproposeLocked() {
-  // Re-propose the contiguous locked prefix from the first undecided
-  // slot, skipping slots a live validated instance already owns (e.g. a
-  // re-proposal in flight). Stop at the first slot with neither: a lock
-  // past a gap stays adopted but waits — the Propose() conflicting-lock
-  // guard re-proposes it when the chain reaches its slot.
-  bool proposed_any = false;
-  BatchId last = kNoBatch;
-  for (BatchId id = ctx_->mutable_log().LastBatchId() + 1;; ++id) {
-    auto it = instances_.find(id);
-    if (it != instances_.end() && it->second.has_batch) {
-      if (!it->second.validated) break;
-      last = id;
-      continue;  // Slot already owned; keep walking the prefix.
-    }
-    auto lk = locks_.find(id);
-    if (lk == locks_.end()) break;
-    // With no live instance at the slot, the lock holds its batch.
-    const Lock& lock = lk->second;
-
-    auto [slot, inserted] =
-        instances_.try_emplace(id, ctx_->config().merkle_depth);
-    Instance& inst = slot->second;
-    inst.has_batch = true;
-    inst.batch = *lock.batch;
-    inst.digest = lock.digest;
-    // Deterministic re-validation of a quorum-certified batch against
-    // the same log prefix cannot fail; treat it like any other invalid
-    // proposal (silence + timer) if it somehow does.
-    if (!Validated(id, inst)) break;
-    CastPrepareVote(inst);
-    BroadcastCounted(ProposalMessage(inst, &lock.qc),
-                     ctx_->Charge(ctx_->config().cost.signature_op));
-    proposed_any = true;
-    last = id;
-  }
-  if (!proposed_any) return;
-  // Gate the pipeline until the whole re-proposed prefix decides.
-  if (reproposed_id_ == kNoBatch || last > reproposed_id_) {
-    reproposed_id_ = last;
-  }
-  StartViewChangeTimer(last);
+  const BatchId id = ctx_->mutable_log().LastBatchId() + 1;
+  auto lk = locks_.find(id);
+  if (lk == locks_.end()) return false;
+  auto [slot, inserted] =
+      instances_.try_emplace(id, ctx_->config().merkle_depth);
+  Instance& inst = slot->second;
+  if (inst.has_batch) return false;  // A live proposal holds the slot.
+  // With no live instance at the slot, the lock holds its batch.
+  const Lock& lock = lk->second;
+  inst.has_batch = true;
+  inst.batch = *lock.batch;
+  inst.digest = lock.digest;
+  // Deterministic re-validation of a quorum-certified batch against the
+  // same log prefix cannot fail; treat it like any other invalid
+  // proposal (silence + timer) if it somehow does.
+  if (!Validated(inst)) return false;
+  CastPrepareVote(inst);
+  BroadcastCounted(ProposalMessage(inst, &lock.qc),
+                   ctx_->Charge(ctx_->config().cost.signature_op));
+  // Gate the pipeline until the re-proposal decides.
+  reproposed_id_ = id;
+  StartViewChangeTimer(id);
   AdvanceConsensus();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -581,9 +531,9 @@ bool ViewChangeConsensus::ApplyCatchUpEntry(
   // apply the log tail is ahead of storage, and this entry chains off
   // the last *decided* batch's post-state.
   merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
-  Status replayed = ApplyBatchWritesToTree(
-      &post_tree, ctx_->partition_map(), ctx_->partition(), batch,
-      BuildCommitQueue(ctx_->prepared_batches(), {}));
+  Status replayed =
+      ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(),
+                             ctx_->partition(), batch, ctx_->prepared_batches());
   if (!replayed.ok() || post_tree.RootDigest() != batch.ro.merkle_root) {
     return false;
   }

@@ -41,11 +41,13 @@ namespace transedge::core {
 /// dropped. The new leader keeps, per slot, the highest-view lock
 /// reported; a reported view must be certified by the QC's view-bind
 /// quorum, so an inflated claim (ByzantineBehavior::kInflateLockView)
-/// is dropped. It then re-proposes the locked slots, each with its QC as
-/// justification, and the batch pipeline holds off
-/// (`HasPendingReproposal`) until they decide. If the prospective leader
-/// is itself faulty, the requester escalates to the following view after
-/// another timeout, and stops once the demanded log position decides.
+/// is dropped. It then re-proposes the lock on the slot after its log
+/// tail with the lock's QC as justification, one lock at a time: once
+/// that slot decides, the lock on the next slot, if any, goes out. The
+/// batch pipeline holds off (`HasPendingReproposal`) until the
+/// re-proposal decides. If the prospective leader is itself faulty, the
+/// requester escalates to the following view after another timeout, and
+/// stops once the demanded log position decides.
 ///
 /// Catch-up: a LinearViewChangeMsg whose `last_committed` trails the
 /// recipient's log is answered with one LinearCatchUpMsg per missing
@@ -54,14 +56,16 @@ namespace transedge::core {
 /// a view change. An entry's QC is verified before the entry is applied
 /// or parked behind a gap.
 ///
-/// Pipelining (chained instances, linear_vote): each slot locks
-/// independently, and view-change messages report every usable lock, so
-/// the new leader re-proposes the contiguous locked prefix from the
-/// first undecided slot. Locks past a gap in that prefix are kept but
-/// not re-proposed; their slots are re-filled when the chain reaches
-/// them. This is safe: a slot decided anywhere implies a commit quorum
-/// (hence 2f+1 locks) on it *and* on its decided predecessors, so no gap
-/// can sit below a decided slot.
+/// One batch in flight: a leader proposes only after its previous batch
+/// decided, and every replica validates and votes only on the slot after
+/// its log tail; a proposal that arrives early waits in its instance.
+/// Locks are still kept per slot, because replicas that decided
+/// different prefixes report locks on different slots, and a new leader
+/// may adopt several. A lock past a gap stays adopted; when the log
+/// reaches its slot, the leader re-proposes it instead of a fresh batch.
+/// This is safe: a slot decided anywhere implies a commit quorum (hence
+/// 2f+1 locks) on it *and* on its decided predecessors, so no gap can
+/// sit below a decided slot.
 ///
 /// Locking, share checks and view-bind signing charge no simulated CPU,
 /// and a fault-free run sends no view-change message.
@@ -119,8 +123,8 @@ class ViewChangeConsensus : public Consensus {
     bool prepare_qc_sent = false;
     bool commit_qc_sent = false;
     bool have_prepare_qc = false;
-    /// Commit QC received before the slot could decide (not yet
-    /// validated, or a predecessor still open); replayed by
+    /// Commit QC received before the slot could decide (not yet the
+    /// slot after the log tail, or not yet validated); replayed by
     /// AdvanceConsensus.
     bool have_commit_qc = false;
 
@@ -182,14 +186,11 @@ class ViewChangeConsensus : public Consensus {
                            const crypto::Signature& leader_signature,
                            const wire::Justification* justify);
 
-  /// Validates `inst` once (Definition 3.1 against the chain of
-  /// validated predecessors); false while it is invalid. A correct
+  /// Validates `inst`, the slot after the log tail, once (Definition 3.1
+  /// against the decided state); false while it is invalid. A correct
   /// replica stays silent on an invalid proposal, and the progress timer
   /// forces a view change.
-  bool Validated(BatchId id, Instance& inst);
-  /// Chain context for validating/building slot `id`: the validated
-  /// in-flight predecessors in (tail, id) and the newest post-tree.
-  ProposalChain ChainUpTo(BatchId id);
+  bool Validated(Instance& inst);
 
   /// Signs our prepare vote on `inst` and counts it in the slot's tally.
   PrepareVote CastPrepareVote(Instance& inst);
@@ -218,9 +219,10 @@ class ViewChangeConsensus : public Consensus {
   /// True when a conflicting lock forbids prepare-voting `inst` and the
   /// proposal carries no adequate justification.
   bool LockBlocksVote(const Instance& inst) const;
-  /// Leader: re-proposes a usable lock at the first slot past the live
-  /// instance chain before fresh proposals claim it. Returns true when
-  /// it did; AdvanceConsensus then has already run again.
+  /// Leader: re-proposes the lock on the slot after the log tail, with
+  /// its QC as justification, before a fresh proposal can claim the
+  /// slot; nothing when no lock or a live proposal holds it. Returns true
+  /// when it proposed; AdvanceConsensus then has already run again.
   bool MaybeReproposeLock();
 
   /// Hands the decided batch and its QC to the node (exactly once, in
@@ -265,12 +267,6 @@ class ViewChangeConsensus : public Consensus {
   void RecordNewViewProof(uint64_t new_view,
                           const crypto::SignatureSet& proof);
 
-  /// Leader: re-proposes (with each lock's QC as justification) the
-  /// locked slots reachable from the first undecided position, skipping
-  /// slots a live instance already owns and stopping at the first slot
-  /// with neither.
-  void ReproposeLocked();
-
   /// Sends the log entries past `peer_last` (plus our new-view proof) to
   /// a lagging replica.
   void ServeCatchUp(crypto::NodeId to, BatchId peer_last);
@@ -294,9 +290,9 @@ class ViewChangeConsensus : public Consensus {
       view_change_votes_;
   /// Per-slot prepare-QC locks (slot id -> lock).
   std::map<BatchId, Lock> locks_;
-  /// Newest position of an in-flight view-change re-proposal; the
-  /// pipeline is gated off new proposals until the whole re-proposed
-  /// prefix decides (NodeContext::ReproposalPending).
+  /// Position of the in-flight view-change re-proposal; the pipeline is
+  /// gated off new proposals until it decides
+  /// (NodeContext::ReproposalPending).
   BatchId reproposed_id_ = kNoBatch;
   /// Most recent verified new-view proof, piggybacked on catch-up so a
   /// replica that missed the announcement can adopt the view.

@@ -215,20 +215,6 @@ size_t TransEdgeNode::ConsensusInFlight() const {
   return consensus_->InFlight();
 }
 
-uint32_t TransEdgeNode::EffectivePipelineDepth() const {
-  uint32_t depth = config_.pipeline_depth == 0 ? 1 : config_.pipeline_depth;
-  return std::min(depth, consensus_->MaxPipelineDepth());
-}
-
-ProposalChain TransEdgeNode::proposal_chain() {
-  ProposalChain chain = consensus_->Chain();
-  if (chain.head_tree == nullptr) {
-    chain.next_id = backend_->log().LastBatchId() + 1;
-    chain.head_tree = &decided_tree_;
-  }
-  return chain;
-}
-
 BatchId TransEdgeNode::LatestDecidedVersion(const Key& key) const {
   auto it = decided_versions_.find(key);
   if (it != decided_versions_.end()) return it->second;

@@ -181,8 +181,6 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
       BatchId batch_id) const override;
   const merkle::MerkleTree& decided_tree() override { return decided_tree_; }
   size_t ConsensusInFlight() const override;
-  uint32_t EffectivePipelineDepth() const override;
-  ProposalChain proposal_chain() override;
   BatchId LatestDecidedVersion(const Key& key) const override;
 
   /// A decided batch waiting for its storage apply: the post-state tree

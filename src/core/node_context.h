@@ -42,18 +42,6 @@ enum class ByzantineBehavior {
   kInflateLockView,
 };
 
-/// The leader's view of the proposal chain while consensus instances are
-/// pipelined: the id the next proposal must take, the proposed-but-not-
-/// yet-decided batches in log order, and the Merkle tree positioned
-/// after the last of them (the decided tree when none are in flight).
-/// Pointers borrow from the consensus engine and are only valid for the
-/// duration of the call that obtained them.
-struct ProposalChain {
-  BatchId next_id = 0;
-  std::vector<const storage::Batch*> pending;
-  const merkle::MerkleTree* head_tree = nullptr;
-};
-
 /// The narrow seam between the replica's subsystem engines and the node
 /// that hosts them: identity, simulated clock/CPU, network primitives,
 /// signing, and the shared storage stack. Engines (consensus, batching,
@@ -133,16 +121,10 @@ class NodeContext {
   /// read-only serving stays on the applied tree's snapshots.
   virtual const merkle::MerkleTree& decided_tree() = 0;
 
-  /// Number of proposed-but-undecided consensus instances in flight.
+  /// Number of proposed-but-undecided consensus instances in flight. A
+  /// leader proposes only when it is 0, so the next batch always takes
+  /// the slot after the log tail and chains from the decided tree.
   virtual size_t ConsensusInFlight() const { return 0; }
-
-  /// min(config().pipeline_depth, engine's MaxPipelineDepth).
-  virtual uint32_t EffectivePipelineDepth() const { return 1; }
-
-  /// Chain state for building the next proposal on top of in-flight
-  /// instances; degenerates to (log tail + 1, {}, decided tree) when
-  /// nothing is in flight.
-  virtual ProposalChain proposal_chain() = 0;
 
   /// Latest version of `key` in the *decided* log prefix: the applied
   /// store overlaid with the writes of decided-but-unapplied batches.

@@ -1,16 +1,20 @@
 #ifndef TRANSEDGE_CRYPTO_SIGNER_H_
 #define TRANSEDGE_CRYPTO_SIGNER_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/hmac.h"
-#include "crypto/key_store.h"
 #include "crypto/sha256.h"
 
 namespace transedge::crypto {
+
+/// Globally unique node identifier. Clients also receive NodeIds from a
+/// disjoint range so they can authenticate requests and responses.
+using NodeId = uint32_t;
 
 /// A signature attributable to one node over a byte string.
 struct Signature {

@@ -59,8 +59,9 @@ class PreparedBatches {
   /// queue order ever diverged from the certified commit order.
   Result<PrepareGroup> PopGroup(BatchId batch_id);
 
-  /// Every registered group, oldest first: the head of the commit queue
-  /// (core/batch_apply.h). References are invalidated by mutations.
+  /// Every registered group, oldest first: the commit queue a new batch
+  /// commits from (core/batch_apply.h). References are invalidated by
+  /// mutations.
   const std::deque<PrepareGroup>& groups() const { return groups_; }
 
   /// Pointers to every still-undecided transaction.

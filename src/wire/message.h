@@ -374,8 +374,8 @@ struct LinearQcMsg : TypedMessage<MessageType::kLinearQc> {
 
 /// One prepare-QC lock carried inside a view-change message: the locked
 /// batch, the QC that locked it, the view the QC formed in, and the
-/// quorum of view-bind signatures proving that view claim. With
-/// pipelined consensus a replica may hold one lock per in-flight slot.
+/// quorum of view-bind signatures proving that view claim. A replica
+/// reports one lock per slot it holds a lock on.
 struct LinearLockReport {
   uint64_t view = 0;
   storage::Batch batch;

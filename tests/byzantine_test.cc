@@ -100,7 +100,6 @@ TEST(ByzantineTest, StaleSnapshotIsConsistentButFlaggedByFreshness) {
   // seconds of history) is flagged as stale by the client.
   Fixture fx(2, 77, sim::Millis(500));
   Client* client = fx.system->AddClient();
-  client->set_check_freshness(true);
   Key k = fx.KeyIn(0);
   Client* writer = fx.system->AddClient();
 
@@ -594,6 +593,42 @@ TEST(AugustusVoteTest, VoteFromAnotherClusterIsIgnored) {
   auto [ro, served] = AugustusReadWithOneExtraVote(1, 1);
   EXPECT_EQ(served, 0u);
   EXPECT_FALSE(ro.status.ok());
+}
+
+// A failed Augustus read still releases its locks. Partition 1's leader
+// loses every vote reply, so the read of {k0, k1} times out while both
+// leaders hold its shared locks; later writes to k0 and k1 must commit,
+// not abort as read-locked.
+TEST(AugustusVoteTest, FailedReadReleasesItsLocks) {
+  Fixture fx;
+  sim::Environment& env = fx.system->env();
+  const crypto::NodeId leader1 = fx.system->leader(1)->id();
+  env.network().SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId to, const sim::MessagePtr& msg) {
+        return to != leader1 || static_cast<wire::MessageType>(msg->type()) !=
+                                    wire::MessageType::kAugustusVoteReply;
+      });
+
+  Client* reader = fx.system->AddClient();
+  const Key k0 = fx.KeyIn(0), k1 = fx.KeyIn(1);
+  std::optional<RoResult> ro;
+  env.Schedule(sim::Millis(30), [&] {
+    reader->ExecuteAugustusReadOnly({k0, k1},
+                                    [&](RoResult r) { ro = std::move(r); });
+  });
+  env.RunUntil(sim::Millis(30) + fx.config.client_timeout + sim::Millis(50));
+  ASSERT_TRUE(ro.has_value());
+  EXPECT_EQ(ro->status.code(), StatusCode::kTimeout) << ro->status;
+
+  Client* writer = fx.system->AddClient();
+  std::vector<RwResult> writes;
+  for (const Key& k : {k0, k1}) {
+    writer->ExecuteReadWrite({}, {WriteOp{k, ToBytes("after")}},
+                             [&](RwResult r) { writes.push_back(std::move(r)); });
+  }
+  env.RunUntil(env.now() + sim::Seconds(1));
+  ASSERT_EQ(writes.size(), 2u);
+  for (const RwResult& w : writes) EXPECT_TRUE(w.committed) << w.reason;
 }
 
 }  // namespace

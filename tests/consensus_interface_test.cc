@@ -59,10 +59,8 @@ std::vector<std::pair<Key, Value>> TestData(uint32_t partitions) {
 /// `kind` and returns the final committed state of every touched key,
 /// after asserting all replicas of the owning cluster agree on it.
 std::map<Key, std::string> RunWorkload(ConsensusKind kind, uint64_t seed,
-                                       uint32_t pipeline_depth = 1,
                                        bool async_apply = false) {
   SystemConfig config = BaseConfig(kind);
-  config.pipeline_depth = pipeline_depth;
   config.async_apply = async_apply;
   System system(config, FastEnv(seed));
   auto data = TestData(config.num_partitions);
@@ -172,32 +170,20 @@ TEST(ConsensusInterfaceTest, CommittedStateIsIdenticalAcrossEngines) {
   }
 }
 
-// Pipelining and asynchronous apply are pure scheduling changes:
-// whatever combination of consensus_kind × pipeline_depth × apply mode
-// runs the workload, the committed state must match the strictly
-// sequential PBFT baseline.
-TEST(ConsensusInterfaceTest, CommittedStateIsInvariantAcrossDepthsAndApplyModes) {
+// Asynchronous apply is a pure scheduling change: whichever
+// consensus_kind and apply mode runs the workload, the committed state
+// must match the synchronous PBFT baseline.
+TEST(ConsensusInterfaceTest, CommittedStateIsInvariantAcrossApplyModes) {
   const uint64_t seed = 7;
   std::map<Key, std::string> reference =
       RunWorkload(ConsensusKind::kPbft, seed);
   ASSERT_FALSE(reference.empty());
 
-  struct Case {
-    uint32_t depth;
-    bool async;
-  };
-  for (const Case& c : {Case{1, false}, Case{1, true}, Case{2, true},
-                        Case{4, true}}) {
-    std::map<Key, std::string> state =
-        RunWorkload(ConsensusKind::kLinearVote, seed, c.depth, c.async);
-    EXPECT_EQ(state, reference)
-        << "linear diverged at depth=" << c.depth << " async=" << c.async;
+  for (bool async : {false, true}) {
+    EXPECT_EQ(RunWorkload(ConsensusKind::kLinearVote, seed, async), reference)
+        << "linear diverged at async=" << async;
   }
-
-  // The PBFT engine pins MaxPipelineDepth at 1: a config asking for a
-  // deep pipeline must degrade to the sequential schedule, not misbehave.
-  EXPECT_EQ(RunWorkload(ConsensusKind::kPbft, seed, /*pipeline_depth=*/4,
-                        /*async_apply=*/true),
+  EXPECT_EQ(RunWorkload(ConsensusKind::kPbft, seed, /*async_apply=*/true),
             reference);
 }
 
@@ -272,6 +258,88 @@ TEST_F(LinearVoteTest, CertificatesCarryQuorumOfValidSignatures) {
                             config.ClusterMembers(0))
                     .ok())
         << "replica " << i;
+  }
+}
+
+// One batch in flight: a follower that lags behind the leader validates
+// and votes only on the slot after its log tail. Commit QCs reach one
+// follower 40 ms late, so under a serial write chain the next proposal
+// arrives before the follower has decided its predecessor; the proposal
+// must wait in its instance until the late commit QC decides the
+// predecessor.
+TEST_F(LinearVoteTest, LaggingFollowerVotesOnlyTheSlotAfterItsTail) {
+  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
+                                   /*partitions=*/1);
+  System system(config, FastEnv());
+  auto data = TestData(1);
+  system.Preload(data);
+
+  const crypto::NodeId lagging = config.ReplicaNode(0, 3);
+  const core::TransEdgeNode* follower = system.node(0, 3);
+  std::vector<sim::MessagePtr> released;
+  int votes = 0;
+  int votes_ahead = 0;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId to, const sim::MessagePtr& msg) {
+        const auto type = static_cast<wire::MessageType>(msg->type());
+        if (from == lagging && type == wire::MessageType::kLinearVote &&
+            static_cast<const wire::LinearVoteMsg&>(*msg).phase ==
+                wire::kLinearPhasePrepare) {
+          ++votes;
+          if (static_cast<const wire::LinearVoteMsg&>(*msg).batch_id !=
+              follower->log().LastBatchId() + 1) {
+            ++votes_ahead;
+          }
+        }
+        if (to != lagging || type != wire::MessageType::kLinearQc ||
+            static_cast<const wire::LinearQcMsg&>(*msg).phase !=
+                wire::kLinearPhaseCommit) {
+          return true;
+        }
+        auto it = std::find(released.begin(), released.end(), msg);
+        if (it != released.end()) {
+          released.erase(it);
+          return true;
+        }
+        system.env().Schedule(sim::Millis(40), [&, from, msg] {
+          released.push_back(msg);
+          system.env().network().SendAt(system.env().now(), from, lagging,
+                                        msg);
+        });
+        return false;
+      });
+  system.Start();
+
+  // A serial chain: each write is issued once the previous one commits,
+  // so every write takes a batch of its own.
+  Client* client = system.AddClient();
+  int committed = 0;
+  std::function<void(int)> chain = [&](int step) {
+    if (step >= 20) return;
+    client->ExecuteReadWrite(
+        {}, {WriteOp{data[static_cast<size_t>(step)].first, ToBytes("c")}},
+        [&, step](RwResult r) {
+          EXPECT_TRUE(r.committed) << r.reason;
+          if (r.committed) ++committed;
+          chain(step + 1);
+        });
+  };
+  system.env().Schedule(sim::Millis(30), [&chain] { chain(0); });
+  system.env().RunUntil(sim::Seconds(3));
+
+  EXPECT_EQ(committed, 20);
+  EXPECT_EQ(votes, 21);  // One per batch: genesis and one per write.
+  EXPECT_EQ(votes_ahead, 0) << "of " << votes << " prepare votes";
+  // The lagging follower caught up on every write, with no view change.
+  const storage::SmrLog& reference = system.node(0, 0)->log();
+  ASSERT_EQ(follower->log().LastBatchId(), reference.LastBatchId());
+  for (BatchId b = 0; b <= reference.LastBatchId(); ++b) {
+    EXPECT_EQ(follower->log().Get(b).value()->batch.ComputeDigest(),
+              reference.Get(b).value()->batch.ComputeDigest())
+        << "batch " << b;
+  }
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
   }
 }
 
@@ -393,77 +461,46 @@ TEST_P(ViewChangeTest, DelayedCommitQcDoesNotForkTheLog) {
   // decides, but no other replica learns the decision before its
   // progress timer fires. Without the prepare-QC lock carried through the
   // view change, the new leader would propose a *different* batch at the
-  // same id and permanently fork the old leader's log.
-  SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
-  System system(config, FastEnv());
-  auto data = TestData(1);
-  system.Preload(data);
-  system.env().network().SetLinkFilter(CommitsReachOnlyFirstLeader(config));
-  system.Start();
+  // same id and permanently fork the old leader's log. Under async apply
+  // eight writers keep the leader proposing while the commit messages
+  // vanish, so the old leader may have decided several batches the
+  // others hold only locks for: the new leader must re-propose each of
+  // them, one slot at a time.
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async apply, 8 writers" : "sync apply, 1 writer");
+    SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
+    config.async_apply = async;
+    System system(config, FastEnv());
+    auto data = TestData(1);
+    system.Preload(data);
+    system.env().network().SetLinkFilter(CommitsReachOnlyFirstLeader(config));
+    system.Start();
 
-  Client* client = system.AddClient();
-  std::optional<RwResult> result;
-  system.env().Schedule(sim::Millis(30), [&] {
-    client->ExecuteReadWrite({}, {WriteOp{data[0].first, ToBytes("survive")}},
-                             [&](RwResult r) { result = std::move(r); });
-  });
-  system.env().RunUntil(sim::Seconds(30));
+    Client* client = system.AddClient();
+    const int writers = async ? 8 : 1;
+    int committed = 0;
+    system.env().Schedule(sim::Millis(30), [&] {
+      for (int i = 0; i < writers; ++i) {
+        client->ExecuteReadWrite(
+            {}, {WriteOp{data[static_cast<size_t>(i)].first, ToBytes("survive")}},
+            [&](RwResult r) {
+              EXPECT_TRUE(r.committed) << r.reason;
+              if (r.committed) ++committed;
+            });
+      }
+    });
+    system.env().RunUntil(sim::Seconds(30));
+    EXPECT_EQ(committed, writers);
 
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->committed) << result->reason;
-
-  // The old leader decided batches the others only saw after the view
-  // change; every pair of logs must still agree on their common prefix
-  // (in particular at id 0, which node 0 decided alone in view 0).
-  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
-    ASSERT_GT(system.node(0, i)->log().size(), 0u) << "replica " << i;
-  }
-  EXPECT_TRUE(SomeViewAdvanced(system, config));
-  ExpectNoFork(system, config);
-}
-
-// The pipelined generalisation of DelayedCommitQcDoesNotForkTheLog
-// (linear_vote only; PBFT decides one batch at a time): with depth k the
-// view-0 leader may have decided *several* batches whose commit QCs
-// never reached the replicas. The per-slot locks carried through the
-// view change must make the new leader re-propose the whole in-flight
-// prefix — any slot it fabricated instead would fork the old leader's
-// log.
-class PipelinedForkTest : public ::testing::TestWithParam<uint32_t> {};
-INSTANTIATE_TEST_SUITE_P(Depths, PipelinedForkTest, ::testing::Values(2u, 4u));
-
-TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
-  SystemConfig config = BaseConfig(ConsensusKind::kLinearVote,
-                                   /*partitions=*/1);
-  config.pipeline_depth = GetParam();
-  config.async_apply = true;
-  System system(config, FastEnv());
-  auto data = TestData(1);
-  system.Preload(data);
-  system.env().network().SetLinkFilter(CommitsReachOnlyFirstLeader(config));
-  system.Start();
-
-  // Enough independent writers that the leader keeps the pipeline full
-  // while the commit QCs silently vanish.
-  Client* client = system.AddClient();
-  int committed = 0;
-  system.env().Schedule(sim::Millis(30), [&] {
-    for (int i = 0; i < 8; ++i) {
-      client->ExecuteReadWrite(
-          {}, {WriteOp{data[static_cast<size_t>(i)].first, ToBytes("mw")}},
-          [&](RwResult r) {
-            if (r.committed) ++committed;
-          });
+    // The old leader decided batches the others only saw after the view
+    // change; every pair of logs must still agree on their common prefix
+    // (in particular at id 0, which node 0 decided alone in view 0).
+    for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+      ASSERT_GT(system.node(0, i)->log().size(), 0u) << "replica " << i;
     }
-  });
-  system.env().RunUntil(sim::Seconds(30));
-
-  EXPECT_GT(committed, 0);
-  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
-    ASSERT_GT(system.node(0, i)->log().size(), 0u) << "replica " << i;
+    EXPECT_TRUE(SomeViewAdvanced(system, config));
+    ExpectNoFork(system, config);
   }
-  EXPECT_TRUE(SomeViewAdvanced(system, config));
-  ExpectNoFork(system, config);
 }
 
 // A byzantine replica reports its (real) locks with inflated view
@@ -473,7 +510,6 @@ TEST_P(PipelinedForkTest, DelayedCommitQcMidWindowDoesNotFork) {
 // cluster converges on the honestly locked batches.
 TEST_P(ViewChangeTest, InflatedLockViewReportCannotHijackViewChange) {
   SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
-  config.pipeline_depth = 2;
   System system(config, FastEnv());
   auto data = TestData(1);
   system.Preload(data);

@@ -6,7 +6,6 @@
 #include "common/bytes.h"
 #include "common/codec.h"
 #include "crypto/hmac.h"
-#include "crypto/key_store.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
 
@@ -151,40 +150,6 @@ TEST(HmacTest, ConstantTimeEquals) {
   EXPECT_TRUE(ConstantTimeEquals(a, b));
   b.bytes[31] ^= 1;
   EXPECT_FALSE(ConstantTimeEquals(a, b));
-}
-
-// --- KeyStore ---------------------------------------------------------------
-
-TEST(KeyStoreTest, PairwiseKeysAreSymmetric) {
-  KeyStore ks(10, 99);
-  EXPECT_EQ(ks.PairwiseKey(2, 7).value(), ks.PairwiseKey(7, 2).value());
-}
-
-TEST(KeyStoreTest, DistinctPairsGetDistinctKeys) {
-  KeyStore ks(10, 99);
-  EXPECT_NE(ks.PairwiseKey(2, 7).value(), ks.PairwiseKey(2, 8).value());
-  EXPECT_NE(ks.PairwiseKey(2, 7).value(), ks.PairwiseKey(3, 7).value());
-}
-
-TEST(KeyStoreTest, DifferentSeedsGiveDifferentKeys) {
-  KeyStore a(10, 1);
-  KeyStore b(10, 2);
-  EXPECT_NE(a.PairwiseKey(0, 1).value(), b.PairwiseKey(0, 1).value());
-}
-
-TEST(KeyStoreTest, RestrictedViewDeniesForeignKeys) {
-  KeyStore ks(10, 99);
-  KeyStore restricted = ks.RestrictedTo(3);
-  EXPECT_TRUE(restricted.PairwiseKey(3, 5).ok());
-  EXPECT_TRUE(restricted.PairwiseKey(5, 3).ok());
-  Result<Bytes> denied = restricted.PairwiseKey(4, 5);
-  EXPECT_FALSE(denied.ok());
-  EXPECT_EQ(denied.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(KeyStoreTest, UnknownPrincipalRejected) {
-  KeyStore ks(4, 99);
-  EXPECT_FALSE(ks.PairwiseKey(0, 4).ok());
 }
 
 // --- Signer / Verifier / SignatureSet ---------------------------------------

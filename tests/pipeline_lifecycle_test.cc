@@ -214,7 +214,7 @@ struct AsyncApplyFixture {
   std::vector<std::pair<Key, Value>> data;
   storage::PartitionMap pmap;
 
-  explicit AsyncApplyFixture(uint32_t pipeline_depth, sim::Time apply_per_txn)
+  explicit AsyncApplyFixture(sim::Time apply_per_txn)
       : pmap(1) {
     config.num_partitions = 1;
     config.f = 1;
@@ -222,7 +222,6 @@ struct AsyncApplyFixture {
     config.batch_interval = sim::Millis(5);
     config.view_change_timeout = sim::Millis(500);
     config.merkle_depth = 8;
-    config.pipeline_depth = pipeline_depth;
     config.async_apply = true;
     config.cost.apply_per_txn = apply_per_txn;
     sim::EnvironmentOptions env_opts;
@@ -238,14 +237,13 @@ struct AsyncApplyFixture {
   }
 };
 
-// With apply cost inflated ~100× and a deep pipeline, the decided
-// watermark (the log tail) runs ahead of last_applied while the apply
-// worker grinds; read-only clients served from the applied snapshot
-// window must still see committed data, and the watermarks must converge
-// once the workload drains.
+// With apply cost inflated ~100×, the decided watermark (the log tail)
+// runs ahead of last_applied while the apply worker grinds; read-only
+// clients served from the applied snapshot window must still see
+// committed data, and the watermarks must converge once the workload
+// drains.
 TEST(AsyncApplyTest, ReadsServeAppliedSnapshotWhileApplyLagsDecided) {
-  AsyncApplyFixture fx(/*pipeline_depth=*/4,
-                       /*apply_per_txn=*/sim::Micros(600));
+  AsyncApplyFixture fx(/*apply_per_txn=*/sim::Micros(600));
   Client* client = fx.system->AddClient();
 
   int committed = 0;

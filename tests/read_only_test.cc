@@ -516,5 +516,65 @@ INSTANTIATE_TEST_SUITE_P(
                              : "OtherPartitionClaimsAbsence");
     });
 
+// --- Failover ------------------------------------------------------------------
+//
+// A read that times out retries against rotated leaders. Partition 0's
+// leader crashes; a write and a read of partition 0 then start. The
+// write's retry fans out to the whole cluster, which elects a new
+// leader, and the read's retry must find it instead of failing at its
+// first timeout.
+TEST(ReadOnlyFailoverTest, TimedOutReadRetriesAgainstRotatedLeader) {
+  SystemConfig config;
+  config.num_partitions = 2;
+  config.f = 1;
+  config.consensus_kind = core::ConsensusKind::kLinearVote;
+  config.batch_interval = sim::Millis(5);
+  config.merkle_depth = 8;
+  config.client_timeout = sim::Millis(500);
+  sim::EnvironmentOptions env_opts;
+  env_opts.seed = 21;
+  env_opts.inter_site_latency = sim::Millis(1);
+  System system(config, env_opts);
+  workload::WorkloadOptions wopts;
+  wopts.num_keys = 200;
+  wopts.value_size = 8;
+  auto data = workload::KeySpace(wopts, 2).InitialData();
+  system.Preload(data);
+  system.Start();
+  storage::PartitionMap pmap(2);
+  Key k0;
+  for (const auto& [key, value] : data) {
+    if (pmap.OwnerOf(key) == 0) {
+      k0 = key;
+      break;
+    }
+  }
+
+  sim::Environment& env = system.env();
+  env.Schedule(sim::Millis(50), [&] {
+    env.network().Disconnect(config.ReplicaNode(0, 0));
+    system.node(0, 0)->SetByzantineBehavior(core::ByzantineBehavior::kCrash);
+  });
+  Client* writer = system.AddClient();
+  Client* reader = system.AddClient();
+  std::optional<RwResult> write;
+  std::optional<RoResult> read;
+  env.Schedule(sim::Millis(60), [&] {
+    writer->ExecuteReadWrite({}, {WriteOp{k0, ToBytes("failover")}},
+                             [&](RwResult r) { write = std::move(r); });
+    reader->ExecuteReadOnly({k0}, [&](RoResult r) { read = std::move(r); });
+  });
+  env.RunUntil(sim::Seconds(5));
+
+  ASSERT_TRUE(write.has_value());
+  EXPECT_TRUE(write->committed) << write->reason;
+  ASSERT_TRUE(read.has_value());
+  ASSERT_TRUE(read->status.ok()) << read->status;
+  EXPECT_GT(read->latency, config.client_timeout);
+  ASSERT_EQ(read->values.count(k0), 1u);
+  EXPECT_TRUE(read->values.at(k0).has_value());
+  EXPECT_EQ(reader->stats().timeouts, 0u);
+}
+
 }  // namespace
 }  // namespace transedge

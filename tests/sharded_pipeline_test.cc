@@ -310,20 +310,19 @@ struct GoldenCase {
   const char* name;
   ConsensusKind consensus;
   bool async_apply;
-  uint32_t pipeline_depth;
   const char* log_sha;
   const char* results_sha;
 };
 
 TEST(ProposalLogGoldenTest, LogsAndResultsMatchPinnedHashes) {
   const GoldenCase cases[] = {
-      {"pbft/1", ConsensusKind::kPbft, false, 1,
+      {"pbft/1", ConsensusKind::kPbft, false,
        "57bd36507162378e6b9346c449ce1f1398604b89808b97ffc48d913617785fd8",
        "707c063e83f148a056474f745c83f6182c959978ca8244bcba198788c4e6f991"},
-      {"linear_vote/1", ConsensusKind::kLinearVote, false, 1,
+      {"linear_vote/1", ConsensusKind::kLinearVote, false,
        "464c6ecc173e5b7b8873bfd2e947fea4144e91f50e8d0cea0f2ccc73152e85e8",
        "004b7c09d33ceb23ad751c05692a272fa021de2048a822a07bac481e4b9ad7fa"},
-      {"linear_vote/async/depth4/1", ConsensusKind::kLinearVote, true, 4,
+      {"linear_vote/async/1", ConsensusKind::kLinearVote, true,
        "3b5cde197fc9830cbfe6acb1410ba516380f56358b12ba9709ae6968ea5f906c",
        "0a42796de3ef1d37dfaece650e8526323b3707accbc8976f8a3ceaee85850ef8"},
   };
@@ -332,7 +331,6 @@ TEST(ProposalLogGoldenTest, LogsAndResultsMatchPinnedHashes) {
     SystemConfig config = SmallConfig();
     config.consensus_kind = c.consensus;
     config.async_apply = c.async_apply;
-    config.pipeline_depth = c.pipeline_depth;
     WorkloadRun run = RunWorkload(config);
     EXPECT_EQ(run.log_sha, c.log_sha);
     EXPECT_EQ(run.results_sha, c.results_sha);

@@ -95,11 +95,11 @@ std::vector<BatchId> GroupIds(const txn::PreparedBatches& pb) {
   return ids;
 }
 
-/// The groups a leader with nothing in flight would commit: the ready
-/// prefix of its commit queue.
+/// The groups a leader would commit: the ready prefix of its commit
+/// queue.
 std::vector<BatchId> ReadyPrefix(const txn::PreparedBatches& pb) {
   std::vector<BatchId> ids;
-  for (const core::QueuedGroup& group : core::BuildCommitQueue(pb, {})) {
+  for (const txn::PrepareGroup& group : pb.groups()) {
     if (!group.Ready()) break;
     ids.push_back(group.prepared_in_batch);
   }
@@ -208,28 +208,23 @@ TEST(PreparedBatchesTest, FindTxnReturnsStoredTransaction) {
 // --- The committed segment (core/batch_apply.h, ForEachBatchWrite) ----------
 
 /// A follower's view: groups registered from decided batches 3 (two
-/// transactions) and 5, and batch 7 still in flight with one prepared
-/// transaction. Every transaction is coordinated by partition 1.
+/// transactions), 5 and 7. Every transaction is coordinated by
+/// partition 1.
 struct SegmentFixture {
   txn::PreparedBatches pb;
-  storage::Batch in_flight;
 
   SegmentFixture() {
-    std::vector<txn::PendingTxn> g3, g5;
+    std::vector<txn::PendingTxn> g3, g5, g7;
     g3.push_back(Pending(1, {"a"}));
     g3.push_back(Pending(2, {"b"}));
     g5.push_back(Pending(3, {"c"}));
-    for (txn::PendingTxn& p : g3) p.txn.coordinator = 1;
-    for (txn::PendingTxn& p : g5) p.txn.coordinator = 1;
+    g7.push_back(Pending(4, {"d"}));
+    for (auto* group : {&g3, &g5, &g7}) {
+      for (txn::PendingTxn& p : *group) p.txn.coordinator = 1;
+    }
     pb.AddGroup(3, std::move(g3));
     pb.AddGroup(5, std::move(g5));
-    in_flight.id = 7;
-    in_flight.prepared.push_back(MakeTxn(4, {}, {"d"}));
-    in_flight.prepared.back().coordinator = 1;
-  }
-
-  core::CommitQueue Queue() const {
-    return core::BuildCommitQueue(pb, {&in_flight});
+    pb.AddGroup(7, std::move(g7));
   }
 };
 
@@ -243,45 +238,15 @@ storage::CommitRecord Rec(TxnId id, BatchId group, bool committed = true,
   return rec;
 }
 
-TEST(CommitQueueTest, RegisteredGroupsThenInFlightPrepareSegments) {
-  SegmentFixture fx;
-  core::CommitQueue queue = fx.Queue();
-  ASSERT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue[0].prepared_in_batch, 3);
-  EXPECT_EQ(queue[0].txns.size(), 2u);
-  EXPECT_EQ(queue[1].prepared_in_batch, 5);
-  EXPECT_EQ(queue[2].prepared_in_batch, 7);
-  EXPECT_EQ(queue[2].registered, nullptr);
-  EXPECT_FALSE(queue[2].Ready());  // Its 2PC has not begun.
-}
-
-TEST(CommitQueueTest, LeavesOutGroupsAnInFlightBatchCommits) {
-  SegmentFixture fx;
-  storage::Batch committing;  // In flight before batch 7, commits group 3.
-  committing.id = 6;
-  committing.committed = {Rec(1, 3), Rec(2, 3, false)};
-  core::CommitQueue queue =
-      core::BuildCommitQueue(fx.pb, {&committing, &fx.in_flight});
-  ASSERT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue[0].prepared_in_batch, 5);
-  EXPECT_EQ(queue[1].prepared_in_batch, 7);
-  // Committing group 3 again is no prefix of this queue.
-  EXPECT_TRUE(core::CheckCommittedPrefix(queue, {Rec(1, 3), Rec(2, 3)})
-                  .IsVerificationFailed());
-  EXPECT_TRUE(core::CheckCommittedPrefix(queue, {Rec(3, 5)}).ok());
-}
-
 TEST(CommittedPrefixTest, AcceptsExactPrefixes) {
   SegmentFixture fx;
-  core::CommitQueue queue = fx.Queue();
+  const txn::PreparedBatches& queue = fx.pb;
   EXPECT_TRUE(core::CheckCommittedPrefix(queue, {}).ok());
   EXPECT_TRUE(core::CheckCommittedPrefix(queue, {Rec(1, 3), Rec(2, 3, false)})
                   .ok());
   EXPECT_TRUE(
       core::CheckCommittedPrefix(queue, {Rec(1, 3), Rec(2, 3), Rec(3, 5)})
           .ok());
-  // Group 7 is still in flight here but was decided, and its 2PC run, at
-  // the leader.
   EXPECT_TRUE(core::CheckCommittedPrefix(
                   queue, {Rec(1, 3), Rec(2, 3), Rec(3, 5), Rec(4, 7)})
                   .ok());
@@ -289,7 +254,7 @@ TEST(CommittedPrefixTest, AcceptsExactPrefixes) {
 
 TEST(CommittedPrefixTest, RejectsEveryOtherShape) {
   SegmentFixture fx;
-  core::CommitQueue queue = fx.Queue();
+  const txn::PreparedBatches& queue = fx.pb;
   const std::vector<std::pair<std::string, std::vector<storage::CommitRecord>>>
       forged = {
           {"duplicated record", {Rec(1, 3, false), Rec(1, 3), Rec(2, 3)}},
@@ -361,24 +326,6 @@ TEST(Algorithm1Test, EmptySegmentCarriesLceAndCdForward) {
       core::DeriveLceAndCdVector(nullptr, {}, 1, 0, 2);
   EXPECT_EQ(genesis.lce, kNoBatch);
   EXPECT_EQ(genesis.cd_vector, Cd({kNoBatch, 0}));
-}
-
-TEST(Algorithm1Test, BaseIsLastInFlightBatchElseLogTail) {
-  storage::SmrLog log;
-  EXPECT_EQ(core::PreviousReadOnlySegment(log, {}), nullptr);
-  for (BatchId id = 0; id < 2; ++id) {
-    storage::LogEntry entry;
-    entry.batch.id = id;
-    entry.batch.ro.lce = id;
-    ASSERT_TRUE(log.Append(std::move(entry)).ok());
-  }
-  EXPECT_EQ(core::PreviousReadOnlySegment(log, {}), &log.back().batch.ro);
-
-  storage::Batch first, second;
-  first.id = 2;
-  second.id = 3;
-  EXPECT_EQ(core::PreviousReadOnlySegment(log, {&first, &second}),
-            &second.ro);
 }
 
 TEST(ForEachBatchWriteTest, ResolvesEachRecordInTheGroupItNames) {
