@@ -63,7 +63,7 @@ void AugustusBaseline::HandleVoteReply(sim::ActorId from,
   for (const Key& key : pending.keys) {
     wire::AuthenticatedRead read;
     read.key = key;
-    Result<storage::VersionedValue> value = ctx_->mutable_store().Get(key);
+    Result<storage::VersionedValue> value = ctx_->ReadApplied(key);
     if (value.ok()) {
       read.found = true;
       read.value = value->value;

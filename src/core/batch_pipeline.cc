@@ -168,9 +168,8 @@ void BatchPipeline::ProposeBatch() {
                ctx_->config().cost.signature_op);
 
   // Compute the post-state Merkle root on a structural-sharing clone of
-  // the decided tree (identical to the applied tree under synchronous
-  // apply).
-  merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
+  // the tree at the log tail.
+  merkle::MerkleTree post_tree = ctx_->tree().Clone();
   Status sealed =
       ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(),
                              ctx_->partition(), batch, ctx_->prepared_batches());

@@ -23,7 +23,9 @@ struct CostModel {
   /// Replica-side re-validation of one transaction in a proposed batch.
   sim::Time validate_per_txn = sim::Micros(10);
 
-  /// Applying one transaction's writes (store + Merkle tree).
+  /// Applying one transaction's writes (store + Merkle tree), charged
+  /// once per decided batch on the replica CPU, or on the apply worker
+  /// under `async_apply`.
   sim::Time apply_per_txn = sim::Micros(6);
 
   /// Fixed per-batch consensus work (digesting, certificate assembly).
@@ -49,9 +51,9 @@ struct CostModel {
   /// configurations that assign it still compile.
   sim::Time apply_shard_recombine = sim::Micros(15);
 
-  // Durable-storage costs (charged only under StorageKind::kPaged, from
-  // the backend's StorageIoStats deltas; the in-memory backend reports
-  // zero I/O and therefore charges nothing).
+  // Durable-storage costs (charged only under StorageKind::kPaged, on the
+  // protocol CPU, from the backend's StorageIoStats deltas; the in-memory
+  // backend reports zero I/O and therefore charges nothing).
 
   /// Building + buffering one WAL record (decision critical path).
   sim::Time wal_append = sim::Micros(4);
@@ -59,13 +61,16 @@ struct CostModel {
   /// Decoding + re-applying one WAL record during crash recovery.
   sim::Time wal_read = sim::Micros(4);
 
-  /// One fsync barrier (WAL group commit or page-file checkpoint sync).
+  /// One WAL group-commit fsync barrier. Page-file syncs at a checkpoint
+  /// are not charged.
   sim::Time disk_fsync = sim::Micros(120);
 
-  /// Writing one page (checkpoint flush; charged on the I/O meter).
+  /// Has no effect: checkpoint page writes are not charged. Kept only so
+  /// existing configurations that assign it still compile.
   sim::Time page_write = sim::Micros(30);
 
-  /// Reading one page (recovery; charged on the I/O meter).
+  /// Reading one page during crash recovery (charged on the protocol
+  /// CPU, before the restarted replica handles its first message).
   sim::Time page_read = sim::Micros(25);
 };
 
@@ -100,12 +105,13 @@ struct SystemConfig {
   /// pre-interface behavior.
   ConsensusKind consensus_kind = ConsensusKind::kPbft;
 
-  /// Decouple *applying* a decided batch (store writes, Merkle snapshot
-  /// publication, client fan-out) from *deciding* it: decided batches
-  /// land in an ordered apply queue drained by a separate sim-scheduled
-  /// apply worker, so consensus advances on the decided watermark while
-  /// the storage stack catches up. false (default) applies synchronously
-  /// inside the decision, byte-for-byte identical to the pre-queue code.
+  /// Where the apply charge lands. Every replica installs a decided
+  /// batch (store, Merkle tree, snapshot, log) once, at decide time; the
+  /// apply is then a charge of `apply_per_txn` per transaction. With
+  /// false (default) it is charged inline on the replica CPU; with true,
+  /// on a separate apply worker, in log order, so consensus decides the
+  /// next batch meanwhile. Clients see a batch — commit replies, reads,
+  /// watch pushes — once its apply charge completes (`last_applied`).
   bool async_apply = false;
 
   /// Which storage engine backs each replica's store + log (see

@@ -80,7 +80,7 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   }
 
   // Merkle root: replay the writes on a clone and compare roots.
-  *post_tree = ctx->decided_tree().Clone();
+  *post_tree = ctx->tree().Clone();
   TE_RETURN_IF_ERROR(ApplyBatchWritesToTree(
       post_tree, ctx->partition_map(), ctx->partition(), batch, prepared));
   if (post_tree->RootDigest() != batch.ro.merkle_root) {

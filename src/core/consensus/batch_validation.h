@@ -30,7 +30,7 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 /// per-transaction conflict re-checks, the committed segment as an exact
 /// prefix of the commit queue (Definition 4.1), LCE and CD vector
 /// (Algorithm 1) chained from the log tail, and the Merkle root over the
-/// decided tree (core/batch_apply.h). Charges the simulated validation
+/// tree at the log tail (core/batch_apply.h). Charges the simulated validation
 /// cost. On success fills `post_tree` with the batch's post-state tree.
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
                              merkle::MerkleTree* post_tree);

@@ -60,7 +60,7 @@ class Consensus {
 
   struct Hooks {
     /// Fired exactly once per decided batch, in log order. The handler
-    /// applies the batch and drives all follow-up work (2PC, parked
+    /// installs the batch and drives all follow-up work (2PC, parked
     /// read-only requests, re-proposals).
     std::function<void(Decided)> on_decided;
     /// Fired after the engine adopts a higher view; the handler resets

@@ -527,10 +527,8 @@ bool ViewChangeConsensus::ApplyCatchUpEntry(
   ctx_->Charge(config.cost.signature_op +
                ctx_->BatchComputeCost(batch.TotalTransactions(),
                                       config.cost.validate_per_txn));
-  // Replay against the decided tree, not the applied one: under async
-  // apply the log tail is ahead of storage, and this entry chains off
-  // the last *decided* batch's post-state.
-  merkle::MerkleTree post_tree = ctx_->decided_tree().Clone();
+  // The entry chains off the log tail's post-state.
+  merkle::MerkleTree post_tree = ctx_->tree().Clone();
   Status replayed =
       ApplyBatchWritesToTree(&post_tree, ctx_->partition_map(),
                              ctx_->partition(), batch, ctx_->prepared_batches());

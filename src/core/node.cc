@@ -46,8 +46,7 @@ TransEdgeNode::TransEdgeNode(const SystemConfig& config, crypto::NodeId id,
       cluster_members_(config.ClusterMembers(partition_)),
       backend_(storage::MakeStorageBackend(
           config.storage_kind, BackendTuningFor(config, partition_), disk)),
-      tree_(config.merkle_depth),
-      decided_tree_(config.merkle_depth) {
+      tree_(config.merkle_depth) {
   // The private-base conversion must happen in this class's scope.
   NodeContext* ctx = this;
 
@@ -109,7 +108,6 @@ void TransEdgeNode::Preload(const storage::VersionedStore& store,
                             const merkle::MerkleTree& tree) {
   backend_->Preload(store, tree.RootDigest());
   tree_ = tree.Clone();
-  decided_tree_ = tree.Clone();
 }
 
 Status TransEdgeNode::RecoverFromStorage(const storage::RecoverOptions& opts) {
@@ -136,7 +134,6 @@ Status TransEdgeNode::RecoverFromStorage(const storage::RecoverOptions& opts) {
   }
 
   tree_ = std::move(rebuilt);
-  decided_tree_ = tree_.Clone();
   last_applied_ = log.empty() ? recovered.checkpoint_applied
                               : log.LastBatchId();
   snapshots_.clear();
@@ -148,7 +145,7 @@ Status TransEdgeNode::RecoverFromStorage(const storage::RecoverOptions& opts) {
   }
   // Recovery I/O occupies the replica CPU: the node is busy replaying
   // before it can process its first message.
-  ChargeStorageIo(/*on_protocol_cpu=*/true);
+  ChargeStorageIo();
   return Status::OK();
 }
 
@@ -213,12 +210,6 @@ const merkle::MerkleTree::Snapshot& TransEdgeNode::SnapshotAt(
 
 size_t TransEdgeNode::ConsensusInFlight() const {
   return consensus_->InFlight();
-}
-
-BatchId TransEdgeNode::LatestDecidedVersion(const Key& key) const {
-  auto it = decided_versions_.find(key);
-  if (it != decided_versions_.end()) return it->second;
-  return backend_->store().LatestVersion(key);
 }
 
 // ---------------------------------------------------------------------------
@@ -341,33 +332,31 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// Decided batches: decide-time metadata, then queued storage apply
+// Decided batches: installed once at decide time, then the apply charge
 // ---------------------------------------------------------------------------
 
 void TransEdgeNode::OnDecided(storage::Batch batch,
                               storage::BatchCertificate certificate,
                               merkle::MerkleTree post_tree) {
-  PendingApply entry;
-  entry.id = batch.id;
-
   // Pop the committed prepare groups by the id each record names: the
   // certified segment is an exact prefix of the commit queue, so its
-  // records come in whole groups. The groups travel with the apply
-  // entry; their pending-footprint share is released now, since
-  // admission and validation key off the decided state.
+  // records come in whole groups. Their pending-footprint share is
+  // released now, since admission and validation key off the decided
+  // state.
+  std::vector<txn::PrepareGroup> popped;
   for (const storage::CommitRecord& rec : batch.committed) {
-    if (!entry.groups.empty() &&
-        entry.groups.back().prepared_in_batch == rec.prepared_in_batch) {
+    if (!popped.empty() &&
+        popped.back().prepared_in_batch == rec.prepared_in_batch) {
       continue;
     }
-    Result<txn::PrepareGroup> popped =
+    Result<txn::PrepareGroup> group =
         prepared_batches_.PopGroup(rec.prepared_in_batch);
-    assert(popped.ok());
-    if (!popped.ok()) continue;
-    for (const txn::PendingTxn& pending : popped.value().txns) {
+    assert(group.ok());
+    if (!group.ok()) continue;
+    for (const txn::PendingTxn& pending : group.value().txns) {
       pending_index_.Remove(pending.txn);
     }
-    entry.groups.push_back(std::move(popped).value());
+    popped.push_back(std::move(group).value());
   }
 
   // Register the new prepare group so the read-only segment of a later
@@ -384,34 +373,54 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
     prepared_batches_.AddGroup(batch.id, std::move(pendings));
   }
 
-  // Advance the decided watermark: version overlay, decided tree, log.
-  ForEachDecidedWrite(batch, entry, [&](const WriteOp& w) {
-    decided_versions_[w.key] = batch.id;
-  });
-  decided_tree_ = post_tree.Clone();
-  entry.post_tree = std::move(post_tree);
+  // Install the batch: its writes enter the store through the one
+  // resolver, its certified post-state becomes the current tree and
+  // snapshot, and the log appends it.
+  PendingApply entry;
+  entry.id = batch.id;
+  entry.cost = BatchComputeCost(batch.TotalTransactions(),
+                                config_.cost.apply_per_txn);
+  auto in_popped = [&popped](BatchId group,
+                             TxnId txn_id) -> const Transaction* {
+    for (const txn::PrepareGroup& g : popped) {
+      if (g.prepared_in_batch == group) return g.Find(txn_id);
+    }
+    return nullptr;
+  };
+  Status resolved = storage::ForEachBatchWrite(
+      batch, partition_map_, partition_, in_popped, [&](const WriteOp& w) {
+        backend_->store().Put(w.key, w.value, batch.id);
+        entry.written.push_back(w.key);
+      });
+  assert(resolved.ok());  // Every record names a group popped above.
+  (void)resolved;
+  // Canonical write-key order so every replica pushes identical deltas.
+  std::sort(entry.written.begin(), entry.written.end());
+  entry.written.erase(std::unique(entry.written.begin(), entry.written.end()),
+                      entry.written.end());
+  tree_ = std::move(post_tree);
+  snapshots_.push_back(tree_.GetSnapshot());
+  assert(snapshot_base_ + static_cast<BatchId>(snapshots_.size()) ==
+         batch.id + 1);
 
   Status append =
       backend_->log().Append({std::move(batch), std::move(certificate)});
   assert(append.ok());
   (void)append;
   // Durability point: the WAL covers the decision before anything acts
-  // on it. Its cost lands on the protocol CPU (group-commit fsync is the
-  // decision critical path); zero under the in-memory backend.
+  // on it, and durable engines checkpoint at its certified root. The WAL
+  // cost lands on the protocol CPU (group-commit fsync is the decision
+  // critical path); zero under the in-memory backend.
   backend_->OnDecided();
-  ChargeStorageIo(/*on_protocol_cpu=*/true);
+  ChargeStorageIo();
 
-  apply_queue_.push_back(std::move(entry));
+  // The apply is a charge: inline on the replica CPU, or on the apply
+  // worker under async_apply. Clients see the batch once it completes.
   if (!config_.async_apply) {
-    // Synchronous apply: drain inline on the replica's CPU, exactly the
-    // pre-queue behavior (the queue never holds more than this entry).
-    while (!apply_queue_.empty()) {
-      PendingApply next = std::move(apply_queue_.front());
-      apply_queue_.pop_front();
-      Charge(ApplyCostFor(next));
-      InstallApply(std::move(next));
-    }
+    Charge(entry.cost);
+    CompleteApply(entry);
   } else {
+    apply_queue_.push_back(std::move(entry));
     ScheduleApplyDrain();
   }
 
@@ -419,51 +428,15 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   pipeline_->MaybeProposeOnSize();
 }
 
-sim::Time TransEdgeNode::ApplyCostFor(const PendingApply& entry) const {
-  Result<const storage::LogEntry*> logged = backend_->log().Get(entry.id);
-  assert(logged.ok());
-  return BatchComputeCost(logged.value()->batch.TotalTransactions(),
-                          config_.cost.apply_per_txn);
-}
+void TransEdgeNode::CompleteApply(const PendingApply& entry) {
+  last_applied_ = entry.id;
+  ++batches_applied_;
 
-void TransEdgeNode::ForEachDecidedWrite(
-    const storage::Batch& batch, const PendingApply& entry,
-    const std::function<void(const WriteOp&)>& fn) const {
-  auto in_popped = [&entry](BatchId group, TxnId txn_id) -> const Transaction* {
-    for (const txn::PrepareGroup& popped : entry.groups) {
-      if (popped.prepared_in_batch == group) return popped.Find(txn_id);
-    }
-    return nullptr;
-  };
-  Status st = storage::ForEachBatchWrite(batch, partition_map_, partition_,
-                                         in_popped, fn);
-  assert(st.ok());  // Every record names a group popped at decide time.
-  (void)st;
-}
-
-void TransEdgeNode::InstallApply(PendingApply entry) {
-  Result<const storage::LogEntry*> logged_or = backend_->log().Get(entry.id);
-  assert(logged_or.ok());
-  const storage::LogEntry& logged = *logged_or.value();
-  const storage::Batch& batch = logged.batch;
-
-  std::vector<Key> written;
-  ForEachDecidedWrite(batch, entry, [&](const WriteOp& w) {
-    backend_->store().Put(w.key, w.value, batch.id);
-    written.push_back(w.key);
-    // Drain the decided-version overlay once the store has caught up.
-    auto it = decided_versions_.find(w.key);
-    if (it != decided_versions_.end() && it->second == batch.id) {
-      decided_versions_.erase(it);
-    }
-  });
-
-  tree_ = std::move(entry.post_tree);
-  snapshots_.push_back(tree_.GetSnapshot());
-  assert(snapshot_base_ + static_cast<BatchId>(snapshots_.size()) ==
-         batch.id + 1);
+  // The snapshot window counts applied batches, so the history horizon
+  // does not depend on how far apply lags.
   bool truncate_due = false;
-  if (snapshots_.size() > config_.snapshot_history) {
+  if (last_applied_ - snapshot_base_ + 1 >
+      static_cast<BatchId>(config_.snapshot_history)) {
     snapshots_.pop_front();
     ++snapshot_base_;
     // Bound history growth along with the snapshots (amortized: a full
@@ -473,24 +446,17 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
     if (snapshot_base_ % 64 == 0) truncate_due = true;
   }
 
-  last_applied_ = batch.id;
-  ++batches_applied_;
-
-  // Durable engines mark dirty buckets / checkpoint here; the cost goes
-  // on the storage device's own meter, beside the protocol CPU.
-  backend_->OnApplied(batch.id, logged.certificate.merkle_root);
-  ChargeStorageIo(/*on_protocol_cpu=*/false);
+  Result<const storage::LogEntry*> logged_or = backend_->log().Get(entry.id);
+  assert(logged_or.ok());
+  const storage::LogEntry& logged = *logged_or.value();
 
   // Engine follow-ups, in the same order the monolithic replica used:
   // leader bookkeeping + local client replies, 2PC legs, parked
-  // read-only work.
+  // read-only work, watch pushes.
   pipeline_->OnBatchApplied(logged.batch);
   two_pc_->OnBatchApplied(logged.batch, logged.certificate);
   read_only_->ServeParkedRequests();
-  // Canonical write-key order so every replica pushes identical deltas.
-  std::sort(written.begin(), written.end());
-  written.erase(std::unique(written.begin(), written.end()), written.end());
-  watch_->OnBatchApplied(logged, written);
+  watch_->OnBatchApplied(logged, entry.written);
 
   if (truncate_due) {
     // One authoritative horizon for every engine: key-version history,
@@ -498,11 +464,10 @@ void TransEdgeNode::InstallApply(PendingApply entry) {
     // together (`logged` is dead past this point).
     backend_->TruncateHistory(snapshot_base_);
     read_only_->OnHistoryTruncated(snapshot_base_);
-    ChargeStorageIo(/*on_protocol_cpu=*/false);
   }
 }
 
-void TransEdgeNode::ChargeStorageIo(bool on_protocol_cpu) {
+void TransEdgeNode::ChargeStorageIo() {
   const storage::StorageIoStats& s = backend_->io_stats();
   const auto delta = [](uint64_t cur, uint64_t prev) {
     return static_cast<sim::Time>(cur - prev);
@@ -510,27 +475,19 @@ void TransEdgeNode::ChargeStorageIo(bool on_protocol_cpu) {
   const CostModel& c = config_.cost;
   sim::Time cost =
       delta(s.wal_appends, charged_io_.wal_appends) * c.wal_append +
-      (delta(s.wal_syncs, charged_io_.wal_syncs) +
-       delta(s.file_syncs, charged_io_.file_syncs)) *
-          c.disk_fsync +
-      delta(s.pages_written, charged_io_.pages_written) * c.page_write +
+      delta(s.wal_syncs, charged_io_.wal_syncs) * c.disk_fsync +
       delta(s.pages_read, charged_io_.pages_read) * c.page_read +
       delta(s.wal_records_replayed, charged_io_.wal_records_replayed) *
           c.wal_read;
   charged_io_ = s;
   if (cost == 0) return;  // In-memory backend: never any I/O to charge.
-  if (on_protocol_cpu) {
-    cpu_.Charge(env_->now(), cost);
-  } else {
-    io_cpu_.Charge(env_->now(), cost);
-  }
+  cpu_.Charge(env_->now(), cost);
 }
 
 void TransEdgeNode::ScheduleApplyDrain() {
   if (apply_inflight_ || apply_queue_.empty()) return;
   apply_inflight_ = true;
-  sim::Time done =
-      apply_cpu_.Charge(env_->now(), ApplyCostFor(apply_queue_.front()));
+  sim::Time done = apply_cpu_.Charge(env_->now(), apply_queue_.front().cost);
   // Route through the halt-gated Schedule so a parked replica's pending
   // apply never fires into a successor's world.
   Schedule(done - env_->now(), [this] {
@@ -540,7 +497,7 @@ void TransEdgeNode::ScheduleApplyDrain() {
     // Pin the protocol CPU to now so follow-up sends (client replies,
     // 2PC legs) are never stamped in the past.
     cpu_.Charge(env_->now(), 0);
-    InstallApply(std::move(entry));
+    CompleteApply(entry);
     consensus_->AdvanceConsensus();
     pipeline_->MaybeProposeOnSize();
     ScheduleApplyDrain();

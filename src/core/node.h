@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
@@ -36,8 +35,8 @@ struct NodeStats {
   uint64_t dist_committed = 0;
   uint64_t dist_aborted = 0;
   uint64_t batches_decided = 0;
-  /// Batches whose writes reached the store/tree; trails batches_decided
-  /// while the asynchronous apply queue drains.
+  /// Batches whose apply charge completed, so clients see them; trails
+  /// batches_decided while the asynchronous apply queue drains.
   uint64_t batches_applied = 0;
   uint64_t ro_round1_served = 0;
   uint64_t ro_round2_served = 0;
@@ -105,9 +104,12 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   bool IsLeader() const override;
   bool ReproposalPending() const override;
   const storage::SmrLog& log() const { return backend_->log(); }
-  const storage::VersionedStore& store() const { return backend_->store(); }
+  /// The store and tree hold every decided batch (through the log tail).
+  const storage::VersionedStore& store() const override {
+    return backend_->store();
+  }
   const storage::StorageBackend& backend() const { return *backend_; }
-  const merkle::MerkleTree& tree() const { return tree_; }
+  const merkle::MerkleTree& tree() const override { return tree_; }
   const NodeStats& stats() const;
   size_t in_progress_size() const;
   /// Key-range watches currently registered on this replica.
@@ -131,9 +133,9 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   /// recovery (checkpoint + WAL replay), Merkle tree reconstruction from
   /// the recovered store, root verification against the log tail's
   /// certificate (or the checkpoint root when the log is empty), and
-  /// re-seeding of the snapshot window + applied watermark. Must run
-  /// before the node processes any message. Only meaningful for durable
-  /// backends on a freshly constructed node.
+  /// re-seeding of the snapshot window + applied watermark at the tail.
+  /// Must run before the node processes any message. Only meaningful for
+  /// durable backends on a freshly constructed node.
   Status RecoverFromStorage(const storage::RecoverOptions& opts);
 
  private:
@@ -165,9 +167,6 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
     return signer_->Sign(payload);
   }
   const crypto::Verifier& verifier() const override { return *verifier_; }
-  storage::VersionedStore& mutable_store() override {
-    return backend_->store();
-  }
   storage::SmrLog& mutable_log() override { return backend_->log(); }
   txn::PreparedBatches& prepared_batches() override {
     return prepared_batches_;
@@ -179,57 +178,42 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   BatchId snapshot_base() const override { return snapshot_base_; }
   const merkle::MerkleTree::Snapshot& SnapshotAt(
       BatchId batch_id) const override;
-  const merkle::MerkleTree& decided_tree() override { return decided_tree_; }
   size_t ConsensusInFlight() const override;
-  BatchId LatestDecidedVersion(const Key& key) const override;
 
-  /// A decided batch waiting for its storage apply: the post-state tree
-  /// consensus certified and the prepare groups its committed segment
-  /// names, popped at decide time before any later decide can touch the
-  /// queue. The batch itself lives in the log.
+  /// A decided batch whose apply charge has not completed: its cost (one
+  /// pass over the batch at `apply_per_txn`) and the keys it wrote to
+  /// this partition, sorted and unique, for the watch push.
   struct PendingApply {
     BatchId id = kNoBatch;
-    merkle::MerkleTree post_tree;
-    std::vector<txn::PrepareGroup> groups;
+    sim::Time cost = 0;
+    std::vector<Key> written;
   };
 
-  /// Every write `batch` applies to this partition, through the one
-  /// resolver (storage::ForEachBatchWrite) over `entry`'s popped groups.
-  /// The decided-version overlay, the apply cost and the store apply all
-  /// enumerate writes here.
-  void ForEachDecidedWrite(const storage::Batch& batch,
-                           const PendingApply& entry,
-                           const std::function<void(const WriteOp&)>& fn) const;
-
-  /// Consensus `on_decided` hook. Runs the decide-time metadata
-  /// transitions (prepare-group pops, pending-footprint updates, group
-  /// registration, log append, decided tree/version advance), enqueues
-  /// the storage apply, drains it — inline on the replica CPU when
-  /// `async_apply` is off (the pre-queue behavior), else on the apply
-  /// worker — and finally advances consensus and the batch pipeline.
+  /// Consensus `on_decided` hook. Installs the batch once: prepare-group
+  /// pops and registration, pending-footprint updates, its writes into
+  /// the store through the one resolver (storage::ForEachBatchWrite),
+  /// the certified post-state tree and its snapshot, the log append and
+  /// the backend's OnDecided hook. Then charges the apply — inline on the
+  /// replica CPU, or on the apply worker under `async_apply` — and
+  /// finally advances consensus and the batch pipeline.
   void OnDecided(storage::Batch batch, storage::BatchCertificate certificate,
                  merkle::MerkleTree post_tree);
 
-  /// Simulated cost of the storage apply for `entry`: one pass over the
-  /// logged batch at `apply_per_txn`.
-  sim::Time ApplyCostFor(const PendingApply& entry) const;
-
-  /// Installs a decided batch into the storage stack (store writes, tree
-  /// + snapshot window, applied watermark) and fans the follow-up work
-  /// out to the engines.
-  void InstallApply(PendingApply entry);
+  /// The apply charge for `entry` completed: advances the applied
+  /// watermark, trims the snapshot window, fans the follow-up work out
+  /// to the engines and truncates history when due.
+  void CompleteApply(const PendingApply& entry);
 
   /// Async mode: books the head-of-queue apply on the apply worker's CPU
   /// and schedules its completion; re-arms itself until the queue drains.
   void ScheduleApplyDrain();
 
-  /// Converts the backend's StorageIoStats growth since the last call
-  /// into simulated time (CostModel wal_append/wal_read/disk_fsync/
-  /// page_write/page_read). `on_protocol_cpu` charges the replica CPU (WAL on the
-  /// decision critical path, recovery); otherwise the I/O meter (the
-  /// checkpoint flusher running beside the protocol). Zero deltas —
-  /// the in-memory backend always — charge nothing.
-  void ChargeStorageIo(bool on_protocol_cpu);
+  /// Charges the protocol CPU for the backend's WAL and recovery I/O
+  /// since the last call (CostModel wal_append, disk_fsync for WAL syncs,
+  /// page_read, wal_read). Checkpoint page writes and page-file syncs are
+  /// not charged. Zero deltas — the in-memory backend always — charge
+  /// nothing.
+  void ChargeStorageIo();
 
   SystemConfig config_;
   crypto::NodeId id_;
@@ -250,26 +234,19 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   /// What the node has already converted from the backend's cumulative
   /// I/O counters into simulated time (see ChargeStorageIo).
   storage::StorageIoStats charged_io_;
-  /// The storage device's own meter: checkpoint flushes charge here, in
-  /// parallel with the protocol CPU (mirrors apply_cpu_).
-  sim::CpuMeter io_cpu_;
+  /// The certified post-state of the log tail.
   merkle::MerkleTree tree_;
-  /// Sliding window of per-batch snapshots: snapshots_[i] is the state
-  /// after batch (snapshot_base_ + i). Bounded by
-  /// SystemConfig::snapshot_history.
+  /// Per-batch snapshots: snapshots_[i] is the state after batch
+  /// (snapshot_base_ + i), through the log tail. The window counts
+  /// applied batches: it holds at most SystemConfig::snapshot_history of
+  /// them, plus the decided batches still waiting for their apply.
   std::deque<merkle::MerkleTree::Snapshot> snapshots_;
   BatchId snapshot_base_ = 0;
 
-  // Decided-vs-applied decoupling. `tree_` above is the *applied* tree
-  // (read-only serving); `decided_tree_` tracks the newest certified
-  // post-state (validation, proposal sealing, catch-up).
-  merkle::MerkleTree decided_tree_;
-  /// key -> id of the newest decided-but-unapplied batch writing it;
-  /// entries drain as the apply queue does (always empty under
-  /// synchronous apply).
-  std::unordered_map<Key, BatchId> decided_versions_;
   BatchId last_applied_ = kNoBatch;
   uint64_t batches_applied_ = 0;
+  /// Batches whose apply the worker has yet to charge, oldest first
+  /// (`async_apply` only; synchronous apply never queues).
   std::deque<PendingApply> apply_queue_;
   bool apply_inflight_ = false;
   /// The apply worker's CPU: asynchronous apply charges here, modeling a

@@ -1,6 +1,8 @@
 #include "core/node_context.h"
 
-#include "wire/message.h"
+#include <algorithm>
+#include <cassert>
+#include <utility>
 
 namespace transedge::core {
 
@@ -23,7 +25,7 @@ sim::Time NodeContext::BatchComputeCost(size_t n, sim::Time per_txn) const {
 
 Status NodeContext::CheckReadVersions(const Transaction& txn) const {
   for (const ReadOp& r : txn.read_set) {
-    BatchId latest = LatestDecidedVersion(r.key);
+    BatchId latest = store().LatestVersion(r.key);
     if (latest != r.version) {
       return Status::Conflict("read of key '" + r.key + "' at version " +
                               std::to_string(r.version) +
@@ -32,6 +34,33 @@ Status NodeContext::CheckReadVersions(const Transaction& txn) const {
     }
   }
   return Status::OK();
+}
+
+Result<storage::VersionedValue> NodeContext::ReadApplied(
+    const Key& key) const {
+  return store().GetAsOf(key, std::max<BatchId>(last_applied(), 0));
+}
+
+std::vector<wire::AuthenticatedRead> NodeContext::CertifiedReads(
+    BatchId batch_id, const std::vector<Key>& keys) const {
+  assert(batch_id >= history_horizon() && batch_id <= last_applied());
+  const merkle::MerkleTree::Snapshot& snap = SnapshotAt(batch_id);
+  std::vector<wire::AuthenticatedRead> reads;
+  reads.reserve(keys.size());
+  for (const Key& key : keys) {
+    wire::AuthenticatedRead read;
+    read.key = key;
+    Result<storage::VersionedValue> value = store().GetAsOf(key, batch_id);
+    if (value.ok()) {
+      read.found = true;
+      read.value = value->value;
+      read.version = value->version;
+    }
+    Result<merkle::MerkleProof> proof = merkle::MerkleTree::ProveAt(snap, key);
+    if (proof.ok()) read.proof = std::move(proof).value();
+    reads.push_back(std::move(read));
+  }
+  return reads;
 }
 
 void NodeContext::ReplyCommit(sim::ActorId client, TxnId txn_id,

@@ -16,6 +16,7 @@
 #include "storage/smr_log.h"
 #include "storage/versioned_store.h"
 #include "txn/prepared_batches.h"
+#include "wire/message.h"
 
 namespace transedge::core {
 
@@ -86,7 +87,14 @@ class NodeContext {
   virtual const crypto::Verifier& verifier() const = 0;
 
   // --- Shared storage stack (owned by the node) ----------------------------
-  virtual storage::VersionedStore& mutable_store() = 0;
+  /// The replica's one state: the store and the Merkle tree hold every
+  /// decided batch, installed at decide time. Client-facing reads go
+  /// through `ReadApplied` and `CertifiedReads`, which answer as of
+  /// `last_applied()`.
+  virtual const storage::VersionedStore& store() const = 0;
+  /// The Merkle tree after the log tail. Validation, proposal sealing
+  /// and catch-up chain from it.
+  virtual const merkle::MerkleTree& tree() const = 0;
   virtual storage::SmrLog& mutable_log() = 0;
   virtual txn::PreparedBatches& prepared_batches() = 0;
   virtual const storage::PartitionMap& partition_map() const = 0;
@@ -109,31 +117,17 @@ class NodeContext {
   /// the snapshot window base under every backend.
   virtual BatchId history_horizon() const { return snapshot_base(); }
 
-  // --- Decided vs. applied watermarks --------------------------------------
-  /// Highest batch id whose writes have reached the store and the
-  /// applied Merkle tree; kNoBatch before the first apply. Trails
-  /// `mutable_log().LastBatchId()` — the *decided* watermark — while the
-  /// apply queue drains.
+  // --- Applied watermark -------------------------------------------------
+  /// Highest batch whose apply charge has completed; kNoBatch before the
+  /// first. Clients see a batch once it is applied: every client-facing
+  /// read answers as of this batch. Trails `mutable_log().LastBatchId()`
+  /// while apply is charged on the apply worker (`async_apply`).
   virtual BatchId last_applied() const = 0;
-
-  /// The Merkle tree positioned after the newest *decided* batch.
-  /// Validation, proposal sealing, and catch-up chain from this tree;
-  /// read-only serving stays on the applied tree's snapshots.
-  virtual const merkle::MerkleTree& decided_tree() = 0;
 
   /// Number of proposed-but-undecided consensus instances in flight. A
   /// leader proposes only when it is 0, so the next batch always takes
-  /// the slot after the log tail and chains from the decided tree.
+  /// the slot after the log tail and chains from `tree()`.
   virtual size_t ConsensusInFlight() const { return 0; }
-
-  /// Latest version of `key` in the *decided* log prefix: the applied
-  /// store overlaid with the writes of decided-but-unapplied batches.
-  /// A pure function of the log, so identical on every replica — unlike
-  /// the applied store, whose watermark is timing-dependent once apply
-  /// is asynchronous. Read-version checks (admission and batch
-  /// re-validation) must resolve through this so all replicas reach the
-  /// same verdict on a proposal.
-  virtual BatchId LatestDecidedVersion(const Key& key) const = 0;
 
   // --- Shared helpers (implemented on top of the virtuals) -----------------
   /// Restricts `txn`'s read/write sets to keys owned by this partition.
@@ -148,10 +142,22 @@ class NodeContext {
   sim::Time BatchComputeCost(size_t n, sim::Time per_txn) const;
 
   /// Rule 1 of Definition 3.1: every read of `txn` must still be at the
-  /// latest version, resolved through `LatestDecidedVersion` rather than
-  /// the applied store, so every replica reaches the same verdict even
-  /// while the apply queue lags.
+  /// latest version in the store. The store holds every decided batch, a
+  /// pure function of the log, so every replica reaches the same verdict
+  /// however far its apply lags.
   Status CheckReadVersions(const Transaction& txn) const;
+
+  /// Single-key read as of `last_applied()` (the read-write read phase
+  /// and Augustus). Before the first apply it sees the preloaded state,
+  /// version 0.
+  Result<storage::VersionedValue> ReadApplied(const Key& key) const;
+
+  /// Certified (value, version, proof) entries for `keys` at `batch_id`,
+  /// provable against that batch's certified root: round-1 and round-2
+  /// replies, and every watch seed, delta and replay. Requires
+  /// `history_horizon() <= batch_id <= last_applied()`.
+  std::vector<wire::AuthenticatedRead> CertifiedReads(
+      BatchId batch_id, const std::vector<Key>& keys) const;
 
   /// Sends a CommitReply to `client`. `retryable` marks aborts the client
   /// should transparently re-issue against the next leader (e.g. a view

@@ -12,7 +12,7 @@ void ReadOnlyService::HandleClientRead(sim::ActorId from,
   wire::ClientReadReply reply;
   reply.request_id = msg.request_id;
   reply.key = msg.key;
-  Result<storage::VersionedValue> value = ctx_->mutable_store().Get(msg.key);
+  Result<storage::VersionedValue> value = ctx_->ReadApplied(msg.key);
   if (value.ok()) {
     reply.found = true;
     reply.value = value->value;
@@ -33,46 +33,32 @@ wire::RoReply ReadOnlyService::UnserviceableReply(uint64_t request_id) const {
   return reply;
 }
 
-Result<wire::RoReply> ReadOnlyService::BuildRoReply(
-    uint64_t request_id, const std::vector<Key>& keys, BatchId batch_id,
-    bool second_round) {
-  // Both lookups can fail for a batch outside the retained window (the
-  // snapshot window trails the log head); dereferencing the error Result
-  // unchecked would be UB, so the caller replies unserviceable instead.
-  // The floor is the authoritative history horizon — the same bound the
-  // storage backend truncates version history and log entries against.
-  if (batch_id < ctx_->history_horizon()) {
-    return Status::NotFound("snapshot for batch no longer retained");
+void ReadOnlyService::ServeAt(sim::ActorId client, uint64_t request_id,
+                              const std::vector<Key>& keys, BatchId batch_id,
+                              bool second_round) {
+  sim::Time done = ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
+                                    static_cast<sim::Time>(keys.size()) +
+                                ctx_->config().cost.signature_op);
+  // A batch below the authoritative history horizon — the bound the
+  // storage backend truncates version history and log entries against —
+  // has no snapshot left, and nothing applied (kNoBatch) lies below every
+  // horizon: the client retries.
+  Result<const storage::LogEntry*> entry = ctx_->mutable_log().Get(batch_id);
+  if (batch_id < ctx_->history_horizon() || !entry.ok()) {
+    ctx_->Send(client, ShareMsg(UnserviceableReply(request_id)), done);
+    return;
   }
-  Result<const storage::LogEntry*> entry_or = ctx_->mutable_log().Get(batch_id);
-  TE_RETURN_IF_ERROR(entry_or.status());
-  const storage::LogEntry* entry = entry_or.value();
 
   wire::RoReply reply;
   reply.request_id = request_id;
   reply.partition = ctx_->partition();
   reply.batch_id = batch_id;
-  reply.certificate = entry->certificate;
-  reply.cd_vector = entry->batch.ro.cd_vector;
-  reply.lce = entry->batch.ro.lce;
-  reply.timestamp_us = entry->batch.ro.timestamp_us;
+  reply.certificate = entry.value()->certificate;
+  reply.cd_vector = entry.value()->batch.ro.cd_vector;
+  reply.lce = entry.value()->batch.ro.lce;
+  reply.timestamp_us = entry.value()->batch.ro.timestamp_us;
   reply.second_round = second_round;
-
-  const merkle::MerkleTree::Snapshot& snap = ctx_->SnapshotAt(batch_id);
-  for (const Key& key : keys) {
-    wire::AuthenticatedRead read;
-    read.key = key;
-    Result<storage::VersionedValue> value =
-        ctx_->mutable_store().GetAsOf(key, batch_id);
-    if (value.ok()) {
-      read.found = true;
-      read.value = value->value;
-      read.version = value->version;
-    }
-    Result<merkle::MerkleProof> proof = merkle::MerkleTree::ProveAt(snap, key);
-    if (proof.ok()) read.proof = std::move(proof).value();
-    reply.entries.push_back(std::move(read));
-  }
+  reply.entries = ctx_->CertifiedReads(batch_id, keys);
 
   if (ctx_->byzantine() == ByzantineBehavior::kTamperReadValue) {
     for (wire::AuthenticatedRead& read : reply.entries) {
@@ -82,44 +68,26 @@ Result<wire::RoReply> ReadOnlyService::BuildRoReply(
       }
     }
   }
-  return reply;
+  ++(second_round ? stats_.ro_round2_served : stats_.ro_round1_served);
+  ctx_->Send(client, ShareMsg(std::move(reply)), done);
 }
 
 void ReadOnlyService::HandleRoRequest(sim::ActorId from,
                                       const wire::RoRequest& msg) {
-  sim::ActorId client = msg.reply_to != 0 ? msg.reply_to : from;
-  sim::Time done =
-      ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
-                       static_cast<sim::Time>(msg.keys.size()) +
-                   ctx_->config().cost.signature_op);
-  if (ctx_->last_applied() == kNoBatch) {
-    // No *applied* certified state yet (the log may already hold decided
-    // batches whose storage apply is still queued); reply unserviceable,
-    // the client retries.
-    ctx_->Send(client, ShareMsg(UnserviceableReply(msg.request_id)), done);
-    return;
-  }
-  // Serve from the applied snapshot window: the newest batch whose writes
-  // (and Merkle snapshot) have actually reached the storage stack. Under
-  // asynchronous apply this trails the decided log head.
+  // Serve the newest batch clients may see: the applied head, which
+  // trails the log tail while apply is charged on the apply worker.
   BatchId batch_id = ctx_->last_applied();
   if (ctx_->byzantine() == ByzantineBehavior::kStaleSnapshot && batch_id > 0) {
     // Old but certified: lag by one standard truncation period, capped to
     // the *configured* snapshot window — a hardcoded 64 would pin the
-    // batch below a smaller window and bounce off the NotFound path in
-    // BuildRoReply instead of serving a stale-but-verifiable reply.
+    // batch below a smaller window and bounce off the horizon check in
+    // ServeAt instead of serving a stale-but-verifiable reply.
     const BatchId lag = std::min<BatchId>(
         64, static_cast<BatchId>(ctx_->config().snapshot_history) - 1);
     batch_id = std::max<BatchId>(ctx_->history_horizon(), batch_id - lag);
   }
-  Result<wire::RoReply> reply =
-      BuildRoReply(msg.request_id, msg.keys, batch_id, false);
-  if (!reply.ok()) {
-    ctx_->Send(client, ShareMsg(UnserviceableReply(msg.request_id)), done);
-    return;
-  }
-  ++stats_.ro_round1_served;
-  ctx_->Send(client, ShareMsg(std::move(reply).value()), done);
+  ServeAt(msg.reply_to != 0 ? msg.reply_to : from, msg.request_id, msg.keys,
+          batch_id, /*second_round=*/false);
 }
 
 BatchId ReadOnlyService::FindBatchWithLce(BatchId min_lce) const {
@@ -129,8 +97,7 @@ BatchId ReadOnlyService::FindBatchWithLce(BatchId min_lce) const {
   // batch satisfying the dependency. History older than the authoritative
   // horizon cannot be served (snapshots and log entries are truncated
   // together there), so the search floor is that horizon; the ceiling is
-  // the *applied* head — later batches are decided but have no snapshot
-  // yet.
+  // the applied head — clients see no later batch.
   BatchId lo = ctx_->history_horizon();
   BatchId hi = ctx_->last_applied();
   Result<const storage::LogEntry*> last = log.Get(hi);
@@ -176,18 +143,7 @@ void ReadOnlyService::HandleRoBatchRequest(sim::ActorId from,
     parked_ro_.push_back(std::move(parked));
     return;
   }
-  sim::Time done =
-      ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
-                       static_cast<sim::Time>(msg.keys.size()) +
-                   ctx_->config().cost.signature_op);
-  Result<wire::RoReply> reply =
-      BuildRoReply(msg.request_id, msg.keys, batch_id, true);
-  if (!reply.ok()) {
-    ctx_->Send(client, ShareMsg(UnserviceableReply(msg.request_id)), done);
-    return;
-  }
-  ++stats_.ro_round2_served;
-  ctx_->Send(client, ShareMsg(std::move(reply).value()), done);
+  ServeAt(client, msg.request_id, msg.keys, batch_id, /*second_round=*/true);
 }
 
 void ReadOnlyService::ServeParkedRequests() {
@@ -199,19 +155,8 @@ void ReadOnlyService::ServeParkedRequests() {
       still_parked.push_back(std::move(parked));
       continue;
     }
-    sim::Time done =
-        ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
-                         static_cast<sim::Time>(parked.request.keys.size()) +
-                     ctx_->config().cost.signature_op);
-    Result<wire::RoReply> reply = BuildRoReply(
-        parked.request.request_id, parked.request.keys, batch_id, true);
-    if (!reply.ok()) {
-      ctx_->Send(parked.client,
-                 ShareMsg(UnserviceableReply(parked.request.request_id)), done);
-      continue;
-    }
-    ++stats_.ro_round2_served;
-    ctx_->Send(parked.client, ShareMsg(std::move(reply).value()), done);
+    ServeAt(parked.client, parked.request.request_id, parked.request.keys,
+            batch_id, /*second_round=*/true);
   }
   parked_ro_ = std::move(still_parked);
 }

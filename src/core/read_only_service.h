@@ -53,13 +53,13 @@ class ReadOnlyService {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Builds an authenticated response from log position `batch_id`.
-  /// Fails when the batch (or its snapshot) is outside the retained
-  /// window; callers reply unserviceable instead of dereferencing an
-  /// error Result.
-  Result<wire::RoReply> BuildRoReply(uint64_t request_id,
-                                     const std::vector<Key>& keys,
-                                     BatchId batch_id, bool second_round);
+  /// The one read-only answer: charges serving `keys` plus the reply
+  /// signature, then sends `client` the certified reply at `batch_id`,
+  /// or an unserviceable one when that batch lies below the history
+  /// horizon (kNoBatch included).
+  void ServeAt(sim::ActorId client, uint64_t request_id,
+               const std::vector<Key>& keys, BatchId batch_id,
+               bool second_round);
   /// "No certified state can serve this" reply (batch_id == kNoBatch).
   wire::RoReply UnserviceableReply(uint64_t request_id) const;
   /// Earliest batch whose LCE satisfies `min_lce`; kNoBatch when none.

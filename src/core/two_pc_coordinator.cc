@@ -1,5 +1,6 @@
 #include "core/two_pc_coordinator.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -98,6 +99,11 @@ void TwoPcCoordinator::HandlePrepared(sim::ActorId from,
   auto it = coord_txns_.find(msg.txn_id);
   if (it == coord_txns_.end()) return;
   CoordinatorTxn& coord = it->second;
+  const std::vector<PartitionId>& participants = coord.txn.participants;
+  if (std::find(participants.begin(), participants.end(),
+                msg.info.partition) == participants.end()) {
+    return;  // A partition the transaction does not involve has no vote.
+  }
   if (coord.collected.count(msg.info.partition) > 0) return;  // Duplicate.
 
   if (msg.info.vote) {

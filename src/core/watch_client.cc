@@ -69,16 +69,6 @@ void WatchClient::Unwatch() {
   }
 }
 
-const WatchClient::CachedRead* WatchClient::Lookup(const Key& key) {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    ++stats_.cache_misses;
-    return nullptr;
-  }
-  ++stats_.cache_hits;
-  return &it->second;
-}
-
 bool WatchClient::AllSubscribed() const {
   if (!watching_) return false;
   for (const Sub& sub : subs_) {

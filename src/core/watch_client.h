@@ -14,12 +14,12 @@
 namespace transedge::core {
 
 /// Client side of the watch/subscription push tier: registers one key
-/// range on every partition's leader and maintains a read-through edge
-/// cache of certified `(value, proof, batch_id)` entries, updated by the
-/// pushed delta stream. Every seed and delta is verified exactly like a
-/// round-1 read-only reply (certificate quorum + per-key Merkle proof
-/// against the certified root) before it touches the cache, so the cache
-/// never holds a value the cluster did not certify.
+/// range on every partition's leader and maintains an edge cache
+/// (`cache()`) of certified `(value, proof, batch_id)` entries, updated
+/// by the pushed delta stream. Every seed and delta is verified exactly
+/// like a round-1 read-only reply (certificate quorum + per-key Merkle
+/// proof against the certified root) before it touches the cache, so the
+/// cache never holds a value the cluster did not certify.
 ///
 /// Stream integrity is client-enforced:
 ///   - each delta must chain on the previous one (`prev_batch_id` equals
@@ -53,8 +53,6 @@ class WatchClient : public sim::Actor {
     uint64_t stale_epoch_dropped = 0;
     uint64_t resubscribes = 0;
     uint64_t verification_failures = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
   };
 
   WatchClient(const SystemConfig& config, crypto::NodeId id,
@@ -71,10 +69,6 @@ class WatchClient : public sim::Actor {
   /// cache is kept (it stays valid as-of its batch ids, just no longer
   /// maintained).
   void Unwatch();
-
-  /// Read-through lookup: null on a miss (key never pushed, or outside
-  /// the watched range). Counts hits/misses for the bench harness.
-  const CachedRead* Lookup(const Key& key);
 
   /// True once every partition's subscription is live.
   bool AllSubscribed() const;

@@ -16,28 +16,6 @@ BatchId WatchService::ReplayFloor() const {
   return recent_writes_.front().first - 1;
 }
 
-std::vector<wire::AuthenticatedRead> WatchService::BuildEntries(
-    BatchId batch_id, const std::vector<Key>& keys) {
-  std::vector<wire::AuthenticatedRead> entries;
-  entries.reserve(keys.size());
-  const merkle::MerkleTree::Snapshot& snap = ctx_->SnapshotAt(batch_id);
-  for (const Key& key : keys) {
-    wire::AuthenticatedRead read;
-    read.key = key;
-    Result<storage::VersionedValue> value =
-        ctx_->mutable_store().GetAsOf(key, batch_id);
-    if (value.ok()) {
-      read.found = true;
-      read.value = value->value;
-      read.version = value->version;
-    }
-    Result<merkle::MerkleProof> proof = merkle::MerkleTree::ProveAt(snap, key);
-    if (proof.ok()) read.proof = std::move(proof).value();
-    entries.push_back(std::move(read));
-  }
-  return entries;
-}
-
 void WatchService::SendResubscribeRequired(sim::ActorId client,
                                            uint64_t watch_id) {
   wire::WatchResubscribeRequired err;
@@ -110,7 +88,7 @@ void WatchService::HandleSubscribe(sim::ActorId from,
                    static_cast<sim::Time>(matched.size()));
       Result<const storage::LogEntry*> logged = ctx_->mutable_log().Get(id);
       if (!logged.ok()) continue;  // Outside the retained log.
-      PushDelta(watch, id, BuildEntries(id, matched),
+      PushDelta(watch, id, ctx_->CertifiedReads(id, matched),
                 logged.value()->certificate);
     }
     watches_.push_back(std::move(watch));
@@ -124,13 +102,15 @@ void WatchService::HandleSubscribe(sim::ActorId from,
     SendResubscribeRequired(client, msg.watch_id);
     return;
   }
+  const storage::VersionedStore& store = ctx_->store();
   std::vector<Key> in_range;
-  ctx_->mutable_store().ForEachLatest(
-      [&](const Key& k, const Value& value, BatchId version) {
-        (void)value;
-        (void)version;
-        if (k >= msg.range_lo && k <= msg.range_hi) in_range.push_back(k);
-      });
+  store.ForEachLatest([&](const Key& k, const Value& value, BatchId version) {
+    (void)value;
+    if (k < msg.range_lo || k > msg.range_hi) return;
+    // The store runs ahead of the applied head while apply lags: a key
+    // first written after `head` is not part of its state.
+    if (version <= head || store.GetAsOf(k, head).ok()) in_range.push_back(k);
+  });
   sim::Time done =
       ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                        static_cast<sim::Time>(in_range.size()) +
@@ -141,7 +121,7 @@ void WatchService::HandleSubscribe(sim::ActorId from,
   reply.epoch = epoch_;
   reply.batch_id = head;
   reply.resumed = false;
-  reply.entries = BuildEntries(head, in_range);
+  reply.entries = ctx_->CertifiedReads(head, in_range);
   reply.certificate = entry_or.value()->certificate;
   ++stats_.watch_subscribes;
 
@@ -214,7 +194,7 @@ void WatchService::OnBatchApplied(const storage::LogEntry& logged,
     ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                  static_cast<sim::Time>(matched.size()));
     const std::vector<wire::AuthenticatedRead> entries =
-        BuildEntries(id, matched);
+        ctx_->CertifiedReads(id, matched);
     for (size_t i : members) {
       PushDelta(watches_[i], id, entries, logged.certificate);
     }

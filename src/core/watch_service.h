@@ -82,11 +82,6 @@ class WatchService {
   /// (`floor`, last_applied] is replayable from `recent_writes_`.
   BatchId ReplayFloor() const;
 
-  /// Certified (value, proof) entries for `keys` as of `batch_id`,
-  /// provable against that batch's certificate root.
-  std::vector<wire::AuthenticatedRead> BuildEntries(
-      BatchId batch_id, const std::vector<Key>& keys);
-
   /// Sends the delta for `watch` at applied batch `batch_id` — `entries`
   /// built once for the watch's range, `certificate` the batch's — and
   /// advances the watch's chain position.

@@ -49,7 +49,7 @@ void PagedBackend::Preload(const VersionedStore& store,
   assert(st.ok());
   (void)st;
   // The preload handoff happens before the sim starts; it must not show
-  // up on the I/O meter.
+  // up in the I/O counters.
   stats_ = StorageIoStats{};
 }
 
@@ -62,23 +62,16 @@ void PagedBackend::OnDecided() {
   uint64_t offset = wal_.Append(static_cast<uint64_t>(entry.batch.id),
                                 enc.buffer());
   wal_offset_of_[entry.batch.id] = offset;
-}
 
-void PagedBackend::OnApplied(BatchId last_applied,
-                             const crypto::Digest& root) {
-  last_applied_ = last_applied;
-  last_applied_root_ = root;
-  Result<const LogEntry*> entry = log_.Get(last_applied);
-  assert(entry.ok());
   Status st = ForEachBatchWrite(
-      entry.value()->batch, pmap_, tuning_.partition, InLog(log_),
+      entry.batch, pmap_, tuning_.partition, InLog(log_),
       [&](const WriteOp& w) {
         dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
       });
   assert(st.ok());
   (void)st;
-  if (++applies_since_checkpoint_ >= tuning_.checkpoint_interval) {
-    Status cp = DoCheckpoint(last_applied, root);
+  if (++batches_since_checkpoint_ >= tuning_.checkpoint_interval) {
+    Status cp = DoCheckpoint(entry.batch.id, entry.certificate.merkle_root);
     assert(cp.ok());
     (void)cp;
   }
@@ -94,10 +87,12 @@ void PagedBackend::TruncateHistory(BatchId horizon) {
 }
 
 Status PagedBackend::Checkpoint() {
-  if (last_applied_ == checkpoint_applied_ && dirty_buckets_.empty()) {
+  // The store holds every logged batch, so the log tail is its state.
+  if (log_.empty() ||
+      (log_.LastBatchId() == checkpoint_applied_ && dirty_buckets_.empty())) {
     return Status::OK();
   }
-  return DoCheckpoint(last_applied_, last_applied_root_);
+  return DoCheckpoint(log_.LastBatchId(), log_.back().certificate.merkle_root);
 }
 
 Status PagedBackend::DoCheckpoint(BatchId last_applied,
@@ -156,9 +151,8 @@ Status PagedBackend::DoCheckpoint(BatchId last_applied,
   pages_.FreePages(old_pages);
   ++generation_;
   checkpoint_applied_ = last_applied;
-  checkpoint_root_ = root;
   dirty_buckets_.clear();
-  applies_since_checkpoint_ = 0;
+  batches_since_checkpoint_ = 0;
   ++stats_.checkpoints;
   return Status::OK();
 }
@@ -205,9 +199,6 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
   TE_RETURN_IF_ERROR(log_.SetBase(meta.log_start));
   generation_ = meta.generation;
   checkpoint_applied_ = meta.last_applied;
-  checkpoint_root_ = meta.root;
-  last_applied_ = meta.last_applied;
-  last_applied_root_ = meta.root;
 
   // Replay the WAL: every surviving record rebuilds the log; records
   // beyond the checkpoint also re-apply their writes, re-derived from
@@ -235,7 +226,6 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
       TE_RETURN_IF_ERROR(cert.Verify(*opts.verifier, opts.required_signatures,
                                      opts.member_ids));
     }
-    crypto::Digest batch_root = cert.merkle_root;
     wal_offset_of_[batch.id] = rec.start_offset;
     TE_RETURN_IF_ERROR(log_.Append({std::move(batch), std::move(cert)}));
     const Batch& appended = log_.back().batch;
@@ -246,9 +236,7 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
             store_.Put(w.key, w.value, appended.id);
             dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
           }));
-      ++applies_since_checkpoint_;
-      last_applied_ = appended.id;
-      last_applied_root_ = batch_root;
+      ++batches_since_checkpoint_;
     }
   }
 

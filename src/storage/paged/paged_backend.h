@@ -15,12 +15,13 @@
 namespace transedge::storage::paged {
 
 /// Durable engine: WAL on decide, bucket-paged copy-on-write checkpoint
-/// on apply cadence, ping-pong meta flip, recovery = best meta + chain
-/// loads + WAL replay (entries beyond the checkpoint re-apply their
-/// writes). See ARCHITECTURE.md §Storage backends for the format.
+/// every `checkpoint_interval` decided batches, ping-pong meta flip,
+/// recovery = best meta + chain loads + WAL replay (entries beyond the
+/// checkpoint re-apply their writes). See ARCHITECTURE.md §Storage
+/// backends for the format.
 ///
 /// Checkpoint dirtying and recovery replay enumerate a batch's writes
-/// through the same resolver the node applies with
+/// through the same resolver the node installs with
 /// (storage::ForEachBatchWrite), so they need no upcall. The backend
 /// supplies only the group lookup, through its own log.
 class PagedBackend : public StorageBackend {
@@ -34,13 +35,12 @@ class PagedBackend : public StorageBackend {
   const SmrLog& log() const override { return log_; }
 
   /// Persists the preloaded state as checkpoint generation 0 (the
-  /// pre-sim handoff, so it is excluded from the I/O meter: stats are
-  /// zeroed afterwards).
+  /// pre-sim handoff, so it is excluded from the I/O counters: stats
+  /// are zeroed afterwards).
   void Preload(const VersionedStore& store,
                const crypto::Digest& root) override;
 
   void OnDecided() override;
-  void OnApplied(BatchId last_applied, const crypto::Digest& root) override;
   void TruncateHistory(BatchId horizon) override;
   Result<RecoveredState> Recover(const RecoverOptions& opts) override;
   const StorageIoStats& io_stats() const override { return stats_; }
@@ -70,15 +70,12 @@ class PagedBackend : public StorageBackend {
   // Mirror of the durable checkpoint, updated on every meta flip.
   uint64_t generation_ = 0;
   BatchId checkpoint_applied_ = kNoBatch;
-  crypto::Digest checkpoint_root_;
   std::vector<uint32_t> bucket_heads_;
   std::vector<std::vector<uint32_t>> bucket_pages_;
 
   std::set<uint32_t> dirty_buckets_;
   std::map<BatchId, uint64_t> wal_offset_of_;  // lsn -> record start.
-  uint64_t applies_since_checkpoint_ = 0;
-  crypto::Digest last_applied_root_;
-  BatchId last_applied_ = kNoBatch;
+  uint64_t batches_since_checkpoint_ = 0;
 };
 
 }  // namespace transedge::storage::paged

@@ -19,10 +19,11 @@ class SimDisk;
 }  // namespace paged
 
 /// Cumulative I/O counters a backend reports. The node charges simulated
-/// time from the *deltas* between hook calls (mirroring how the apply
-/// queue charges `apply_cpu_`), so the backend itself stays a pure data
-/// structure with no notion of time. The in-memory backend leaves every
-/// counter at zero — zero counters, zero charges, bit-identical runs.
+/// time from the *deltas* between hook calls (WAL appends and syncs,
+/// recovery reads; checkpoint page writes and syncs are counted but not
+/// charged), so the backend itself stays a pure data structure with no
+/// notion of time. The in-memory backend leaves every counter at zero —
+/// zero counters, zero charges, bit-identical runs.
 struct StorageIoStats {
   uint64_t wal_appends = 0;
   uint64_t wal_bytes = 0;
@@ -57,9 +58,9 @@ struct RecoveredState {
 
 /// The seam under the replica's storage stack. The node owns exactly one
 /// backend and reaches the store/log only through it; durability hooks
-/// (`OnDecided`, `OnApplied`, `TruncateHistory`) are called at the same
-/// points the monolithic code mutated the in-memory structures, so an
-/// engine can persist without the node knowing how.
+/// (`OnDecided`, `TruncateHistory`) are called at the same points the
+/// node mutates the in-memory structures, so an engine can persist
+/// without the node knowing how.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -77,18 +78,14 @@ class StorageBackend {
   virtual void Preload(const VersionedStore& store,
                        const crypto::Digest& root) = 0;
 
-  /// Called right after consensus appended `log().back()`. Durable
+  /// Called once per decided batch, right after the node installed it:
+  /// its writes are in the store and `log().back()` holds it. Durable
   /// engines append the entry to the WAL (fsync per the group-commit
-  /// tuning) — this is the decision-critical-path durability cost.
+  /// tuning; the decision-critical-path durability cost), mark the
+  /// buckets it wrote dirty and, every `checkpoint_interval` batches,
+  /// checkpoint at its certified root (copy-on-write page flush + meta
+  /// flip).
   virtual void OnDecided() {}
-
-  /// Called after batch `last_applied`'s writes reached the store with
-  /// `root` the applied Merkle root. Durable engines mark dirty buckets
-  /// and periodically checkpoint (copy-on-write page flush + meta flip).
-  virtual void OnApplied(BatchId last_applied, const crypto::Digest& root) {
-    (void)last_applied;
-    (void)root;
-  }
 
   /// The one authoritative history horizon (the node passes its snapshot
   /// base): key versions strictly older than the latest one at or below

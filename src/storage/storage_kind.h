@@ -15,8 +15,8 @@ enum class StorageKind : uint8_t {
   kInMemory,
   /// Page-oriented checksummed file layout plus a write-ahead log on a
   /// deterministic simulated disk: decided batches append to the WAL
-  /// (group commit), applied state checkpoints into CRC'd bucket pages,
-  /// and a restarted replica recovers checkpoint + WAL replay.
+  /// (group commit), the store checkpoints into CRC'd bucket pages, and
+  /// a restarted replica recovers checkpoint + WAL replay.
   kPaged,
 };
 
@@ -37,7 +37,7 @@ struct StorageTuning {
   /// crash.
   uint32_t wal_group_commit = 1;
 
-  /// Applied batches between checkpoints (dirty-bucket flush + meta
+  /// Decided batches between checkpoints (dirty-bucket flush + meta
   /// flip). Bounds both recovery replay length and WAL growth.
   uint32_t checkpoint_interval = 64;
 

@@ -305,8 +305,8 @@ std::vector<std::pair<size_t, size_t>> GroupRuns(
 }
 
 /// Recomputes `batch`'s CD vector and Merkle root the way an honest leader
-/// of partition 0 would, on top of `leader`'s log tail and applied tree
-/// (PBFT proposes one batch at a time, so nothing is in flight).
+/// of partition 0 would, on top of `leader`'s log tail and tree (PBFT
+/// proposes one batch at a time, so nothing is in flight).
 void ResealAsLeader(const core::TransEdgeNode& leader,
                     const storage::PartitionMap& pmap,
                     storage::Batch* batch) {

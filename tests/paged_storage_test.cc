@@ -66,9 +66,9 @@ std::map<Key, Value> Contents(const VersionedStore& store) {
   return out;
 }
 
-/// Drives a backend through the decide/apply cycle the node performs,
-/// mirroring every applied batch into a plain map so any recovered
-/// prefix can be checked against the state as of that batch.
+/// Drives a backend through the install step the node performs for each
+/// decided batch, mirroring every batch into a plain map so any
+/// recovered prefix can be checked against the state as of that batch.
 class Driver {
  public:
   explicit Driver(const StorageTuning& tuning)
@@ -84,16 +84,15 @@ class Driver {
     backend_.Preload(store, RootFor(kNoBatch));
   }
 
-  void DecideAndApply(const Batch& batch) {
-    ASSERT_TRUE(backend_.log().Append({batch, CertFor(batch)}).ok());
-    backend_.OnDecided();
+  void Decide(const Batch& batch) {
     for (const Transaction& txn : batch.local) {
       for (const WriteOp& w : txn.write_set) {
         backend_.store().Put(w.key, w.value, batch.id);
         model_[w.key] = w.value;
       }
     }
-    backend_.OnApplied(batch.id, RootFor(batch.id));
+    ASSERT_TRUE(backend_.log().Append({batch, CertFor(batch)}).ok());
+    backend_.OnDecided();
     state_at_[batch.id] = model_;
   }
 
@@ -129,7 +128,7 @@ std::vector<std::pair<Key, Value>> SeedData() {
 
 void RunBatches(Driver* driver, BatchId first, BatchId last) {
   for (BatchId id = first; id <= last; ++id) {
-    driver->DecideAndApply(MakeBatch(
+    driver->Decide(MakeBatch(
         id, {WriteOp{"seed" + std::to_string(id % 6),
                      ToBytes("b" + std::to_string(id))},
              WriteOp{"key" + std::to_string(id), ToBytes("new")}}));
@@ -150,7 +149,7 @@ TEST(PagedBackendTest, CleanRestartRecoversStoreLogAndCheckpoint) {
   Result<RecoveredState> rec = recovered.Recover({});
   ASSERT_TRUE(rec.ok()) << rec.status();
 
-  // checkpoint_interval=4 over applies 0..9 checkpoints after 3 and 7.
+  // checkpoint_interval=4 over batches 0..9 checkpoints after 3 and 7.
   EXPECT_EQ(rec->checkpoint_applied, 7);
   EXPECT_TRUE(rec->checkpoint_root == RootFor(7));
   EXPECT_EQ(recovered.log().FirstBatchId(), 0);
@@ -339,21 +338,20 @@ TEST(PagedBackendTest, PagedAndInMemoryEnginesApplyIdentically) {
         id, {WriteOp{"seed" + std::to_string(id % 6),
                      ToBytes("b" + std::to_string(id))},
              WriteOp{"key" + std::to_string(id), ToBytes("new")}});
-    driver.DecideAndApply(batch);
-    ASSERT_TRUE(in_memory.log().Append({batch, CertFor(batch)}).ok());
-    in_memory.OnDecided();
+    driver.Decide(batch);
     for (const Transaction& txn : batch.local) {
       for (const WriteOp& w : txn.write_set) {
         in_memory.store().Put(w.key, w.value, batch.id);
       }
     }
-    in_memory.OnApplied(batch.id, RootFor(batch.id));
+    ASSERT_TRUE(in_memory.log().Append({batch, CertFor(batch)}).ok());
+    in_memory.OnDecided();
   }
 
   EXPECT_EQ(Contents(in_memory.store()), Contents(driver.backend().store()));
   EXPECT_EQ(in_memory.log().LastBatchId(),
             driver.backend().log().LastBatchId());
-  // The in-memory engine stays off the I/O meter entirely.
+  // The in-memory engine reports no I/O at all.
   EXPECT_EQ(in_memory.io_stats().wal_appends, 0u);
   EXPECT_EQ(in_memory.io_stats().wal_syncs, 0u);
   EXPECT_GT(driver.backend().io_stats().wal_appends, 0u);

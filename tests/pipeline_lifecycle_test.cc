@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -136,8 +137,8 @@ struct ReplyProbe : sim::Actor {
 
 // A round-2 request whose min_lce lies beyond anything this cluster
 // could have certified used to park forever (and, had the log window
-// moved, BuildRoReply would have dereferenced an error Result). It now
-// draws an explicit unserviceable kNoBatch reply.
+// moved, the reply builder would have dereferenced an error Result). It
+// now draws an explicit unserviceable kNoBatch reply.
 TEST(RoWindowTest, OutOfWindowRound2RequestGetsNoBatch) {
   Fixture fx(/*partitions=*/1, /*f=*/1);
   fx.system->env().RunUntil(sim::Millis(100));  // Genesis certified.
@@ -205,7 +206,7 @@ TEST(RoWindowTest, NearFutureDependencyStillParks) {
 }
 
 // ---------------------------------------------------------------------------
-// Decided vs. applied: the async apply queue and its watermarks
+// Async apply: the apply charge, the applied watermark and client reads
 // ---------------------------------------------------------------------------
 
 struct AsyncApplyFixture {
@@ -300,6 +301,156 @@ TEST(AsyncApplyTest, ReadsServeAppliedSnapshotWhileApplyLagsDecided) {
   EXPECT_EQ(ToString(*ro->values.at(fx.data[0].first)), "v0");
   ASSERT_TRUE(ro->values.at(fx.data[5].first).has_value());
   EXPECT_EQ(ToString(*ro->values.at(fx.data[5].first)), "v5");
+}
+
+// Addressee of the test's single-key reads and fresh watch subscribes;
+// their replies are checked where the leader sends them.
+struct ReadProbe : sim::Actor {
+  void OnMessage(sim::ActorId, const sim::MessagePtr&) override {}
+};
+
+// The replica installs each decided batch at decide time, so while apply
+// lags the store and tree already hold writes clients may not see yet.
+// Every client-facing read must still answer as of last_applied: a
+// read-write read, an Augustus read and a fresh watch seed, each taken
+// while the log tail is ahead of last_applied and the store holds a
+// newer version of a key it returns. Before the first apply a read sees
+// the preloaded state, version 0.
+TEST(AsyncApplyTest, ClientReadsAnswerAsOfLastApplied) {
+  AsyncApplyFixture fx(/*apply_per_txn=*/sim::Micros(600));
+  const core::TransEdgeNode* leader = fx.system->node(0, 0);
+  const Key untouched = fx.data[40].first;
+  // Created by the second wave, inside the watched range.
+  const Key fresh = fx.data[0].first + "-new";
+
+  ReadProbe probe;
+  const sim::ActorId probe_id = fx.config.ClientNode(1001);
+  fx.system->env().network().Register(probe_id, /*site=*/0, &probe);
+
+  // Replies taken while the store held a version newer than last_applied
+  // of some returned key, per reply type; seeds taken while `fresh` was
+  // in the store but not yet applied; and reads of `untouched` taken
+  // before the genesis batch applied.
+  std::map<wire::MessageType, int> lagging;
+  int fresh_unapplied = 0;
+  int before_first_apply = 0;
+  fx.system->env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId, const sim::MessagePtr& msg) {
+        if (from != leader->id()) return true;
+        const auto type = static_cast<wire::MessageType>(msg->type());
+        std::vector<const wire::AuthenticatedRead*> reads;
+        wire::AuthenticatedRead single;
+        if (type == wire::MessageType::kClientReadReply) {
+          const auto& reply = static_cast<const wire::ClientReadReply&>(*msg);
+          single.key = reply.key;
+          single.found = reply.found;
+          single.value = reply.value;
+          single.version = reply.version;
+          reads.push_back(&single);
+        } else if (type == wire::MessageType::kAugustusRoReply) {
+          for (const auto& read :
+               static_cast<const wire::AugustusRoReply&>(*msg).entries) {
+            reads.push_back(&read);
+          }
+        } else if (type == wire::MessageType::kWatchSubscribeReply) {
+          const auto& reply =
+              static_cast<const wire::WatchSubscribeReply&>(*msg);
+          EXPECT_EQ(reply.batch_id, leader->last_applied());
+          if (leader->store().LatestVersion(fresh) > reply.batch_id) {
+            ++fresh_unapplied;
+          }
+          for (const auto& read : reply.entries) reads.push_back(&read);
+        } else {
+          return true;
+        }
+        const BatchId applied = leader->last_applied();
+        bool ahead = false;
+        for (const wire::AuthenticatedRead* read : reads) {
+          EXPECT_TRUE(read->found) << read->key;
+          EXPECT_LE(read->version, std::max<BatchId>(applied, 0))
+              << "type " << static_cast<int>(type) << " key " << read->key;
+          if (applied != kNoBatch &&
+              leader->store().LatestVersion(read->key) > applied) {
+            ahead = true;
+          }
+          if (applied == kNoBatch && read->key == untouched) {
+            EXPECT_EQ(read->version, 0);
+            EXPECT_EQ(read->value, fx.data[40].second);
+            ++before_first_apply;
+          }
+        }
+        if (ahead && leader->log().LastBatchId() > applied) ++lagging[type];
+        return true;
+      });
+
+  // Two waves of 24 blind writes, each applied well after it decides;
+  // the second also creates `fresh`.
+  Client* writer = fx.system->AddClient();
+  int committed = 0;
+  auto write = [&](const Key& key, const std::string& value) {
+    writer->ExecuteReadWrite({}, {WriteOp{key, ToBytes(value)}},
+                             [&](RwResult r) {
+                               EXPECT_TRUE(r.committed) << r.reason;
+                               ++committed;
+                             });
+  };
+  for (sim::Time at : {sim::Millis(30), sim::Millis(100)}) {
+    fx.system->env().Schedule(at, [&, at] {
+      for (int i = 0; i < 24; ++i) {
+        write(fx.data[static_cast<size_t>(i)].first,
+              std::to_string(at) + "-" + std::to_string(i));
+      }
+      if (at == sim::Millis(100)) write(fresh, "fresh");
+    });
+  }
+
+  uint64_t next_id = 1;
+  std::function<void()> poll = [&] {
+    for (const Key& key : {fx.data[next_id % 24].first, untouched}) {
+      wire::ClientReadRequest read;
+      read.request_id = next_id++;
+      read.reply_to = probe_id;
+      read.key = key;
+      fx.system->env().network().Send(probe_id, leader->id(),
+                                      core::ShareMsg(std::move(read)));
+    }
+    wire::WatchSubscribeRequest watch;
+    watch.watch_id = 1;
+    watch.reply_to = probe_id;
+    watch.range_lo = fx.data[0].first;
+    watch.range_hi = fx.data[23].first;
+    fx.system->env().network().Send(probe_id, leader->id(),
+                                    core::ShareMsg(std::move(watch)));
+    if (fx.system->env().now() < sim::Millis(200)) {
+      fx.system->env().Schedule(sim::Millis(1), poll);
+    }
+  };
+  fx.system->env().Schedule(0, poll);
+
+  // Augustus reads start once the second wave is admitted: their shared
+  // locks would otherwise abort its writers.
+  Client* reader = fx.system->AddClient();
+  std::function<void()> augustus = [&] {
+    std::vector<Key> keys;
+    for (int i = 0; i < 24; ++i) {
+      keys.push_back(fx.data[static_cast<size_t>(i)].first);
+    }
+    reader->ExecuteAugustusReadOnly(std::move(keys), [&](core::RoResult r) {
+      EXPECT_TRUE(r.status.ok()) << r.status;
+      if (fx.system->env().now() < sim::Millis(200)) {
+        fx.system->env().Schedule(sim::Millis(1), augustus);
+      }
+    });
+  };
+  fx.system->env().Schedule(sim::Millis(103), augustus);
+
+  fx.system->env().RunUntil(sim::Seconds(2));
+  EXPECT_EQ(committed, 49);
+  EXPECT_GT(before_first_apply, 0);
+  EXPECT_GT(fresh_unapplied, 0);
+  EXPECT_GT(lagging[wire::MessageType::kClientReadReply], 0);
+  EXPECT_GT(lagging[wire::MessageType::kAugustusRoReply], 0);
+  EXPECT_GT(lagging[wire::MessageType::kWatchSubscribeReply], 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -162,6 +163,89 @@ TEST_P(CrashRestartTest, TornWalTailIsDroppedAndCaughtUp) {
   // its CRC, recovery comes up one batch short, and the replica closes
   // the gap through consensus catch-up.
   RunCrashRestartScenario(GetParam(), SimDisk::CrashMode::kTorn, 1);
+}
+
+// Under async apply a replica installs each batch, and the paged engine
+// checkpoints it, at decide time, ahead of the applied watermark. A
+// replica that crashes while its apply lags recovers to the certified
+// root of its durable log tail and rejoins.
+TEST_P(CrashRestartTest, CrashWhileApplyLagsRecoversAndRejoins) {
+  SystemConfig config = PagedConfig(GetParam());
+  config.async_apply = true;
+  config.cost.apply_per_txn = sim::Micros(600);
+  config.durability.checkpoint_interval = 1;
+  System system(config, FastEnv());
+  auto data = TestData(config.num_partitions);
+  system.Preload(data);
+  system.Start();
+  Client* client = system.AddClient();
+
+  // One burst of writes: a batch whose apply lags its decide by ~15 ms.
+  std::vector<Key> burst, after;
+  for (size_t i = 0; i < 24; ++i) burst.push_back(data[i].first);
+  for (size_t i = 30; i < 35; ++i) after.push_back(data[i].first);
+  std::vector<std::optional<RwResult>> results;
+  system.env().ScheduleAt(sim::Millis(50), [&] {
+    results.resize(burst.size());
+    for (size_t i = 0; i < burst.size(); ++i) {
+      client->ExecuteReadWrite(
+          {}, {WriteOp{burst[i], ToBytes("burst-" + std::to_string(i))}},
+          [&results, i](RwResult r) { results[i] = std::move(r); });
+    }
+  });
+
+  // Power loss on replica (0, 3) the first time its log tail runs ahead
+  // of what it has applied.
+  const crypto::NodeId victim = config.ReplicaNode(0, 3);
+  BatchId crashed_tail = kNoBatch;
+  std::function<void()> crash_when_lagging = [&] {
+    const core::TransEdgeNode* n = system.node(0, 3);
+    if (n->log().LastBatchId() > n->last_applied()) {
+      crashed_tail = n->log().LastBatchId();
+      system.CrashReplica(victim);
+      system.disk(victim)->Crash(0, SimDisk::CrashMode::kNone);
+      return;
+    }
+    if (system.env().now() < sim::Millis(300)) {
+      system.env().Schedule(sim::Micros(100), crash_when_lagging);
+    }
+  };
+  system.env().ScheduleAt(sim::Millis(50), crash_when_lagging);
+  system.env().RunUntil(sim::Millis(400));
+  ASSERT_NE(crashed_tail, kNoBatch) << "apply never lagged on the victim";
+
+  Status restarted = system.RestartReplica(victim);
+  ASSERT_TRUE(restarted.ok()) << restarted;
+  const core::TransEdgeNode* revived = system.node(0, 3);
+  EXPECT_EQ(revived->log().LastBatchId(), crashed_tail);
+  EXPECT_EQ(revived->last_applied(), crashed_tail);
+  EXPECT_TRUE(revived->tree().RootDigest() ==
+              revived->log().back().certificate.merkle_root);
+
+  ScheduleWrites(&system, client, after, "after-", sim::Millis(450),
+                 &results);
+  system.env().RunUntil(sim::Seconds(8));
+
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].has_value()) << "write " << i << " never finished";
+    EXPECT_TRUE(results[i]->committed) << "write " << i << ": "
+                                       << results[i]->reason;
+  }
+  for (size_t i = 0; i < burst.size(); ++i) {
+    auto value = revived->store().Get(burst[i]);
+    ASSERT_TRUE(value.ok()) << burst[i];
+    EXPECT_EQ(ToString(value->value), "burst-" + std::to_string(i));
+  }
+  for (size_t i = 0; i < after.size(); ++i) {
+    auto value = revived->store().Get(after[i]);
+    ASSERT_TRUE(value.ok()) << after[i];
+    EXPECT_EQ(ToString(value->value), "after-" + std::to_string(i));
+  }
+  const auto& leader_log = system.node(0, 0)->log();
+  EXPECT_EQ(revived->log().LastBatchId(), leader_log.LastBatchId());
+  EXPECT_EQ(revived->last_applied(), leader_log.LastBatchId());
+  EXPECT_TRUE(revived->log().back().certificate.merkle_root ==
+              leader_log.back().certificate.merkle_root);
 }
 
 TEST(RecoveryTest, CorruptedDiskKeepsReplicaDownButClusterLives) {

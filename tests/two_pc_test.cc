@@ -252,6 +252,79 @@ TEST(TwoPcTest, LceIsMonotonicallyNonDecreasing) {
   }
 }
 
+// Records the commit replies sent to it.
+struct CommitReplyProbe : sim::Actor {
+  std::vector<wire::CommitReply> replies;
+  void OnMessage(sim::ActorId, const sim::MessagePtr& msg) override {
+    if (static_cast<wire::MessageType>(msg->type()) ==
+        wire::MessageType::kCommitReply) {
+      replies.push_back(static_cast<const wire::CommitReply&>(*msg));
+    }
+  }
+};
+
+// The coordinator counts a vote only from a partition the transaction
+// involves. Partition 0 coordinates a write to partitions 0 and 1, and
+// partition 1 never hears of it. A yes vote claiming partition 2, with a
+// genuine certificate of partition 2's log tail, used to complete the
+// vote count: partition 0 committed and wrote alone.
+TEST(TwoPcTest, VoteFromNonParticipantIsNotCounted) {
+  Fixture fx;
+  Key k0 = fx.KeyIn(0), k1 = fx.KeyIn(1);
+
+  CommitReplyProbe probe;
+  const sim::ActorId probe_id = fx.config.ClientNode(1000);
+  fx.system->env().network().Register(probe_id, /*site=*/0, &probe);
+  fx.system->env().network().SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId to, const sim::MessagePtr& msg) {
+        return !(static_cast<wire::MessageType>(msg->type()) ==
+                     wire::MessageType::kCoordPrepare &&
+                 fx.config.PartitionOfNode(static_cast<crypto::NodeId>(to)) ==
+                     1);
+      });
+
+  Transaction txn;
+  txn.id = MakeTxnId(9999, 2);
+  txn.write_set = {WriteOp{k0, ToBytes("forged")},
+                   WriteOp{k1, ToBytes("forged")}};
+  txn.participants = fx.pmap.ParticipantsOf(txn.read_set, txn.write_set);
+  txn.coordinator = 0;
+  ASSERT_EQ(txn.participants, (std::vector<PartitionId>{0, 1}));
+  fx.system->env().Schedule(sim::Millis(30), [&] {
+    wire::CommitRequest req;
+    req.reply_to = probe_id;
+    req.txn = txn;
+    fx.system->env().network().Send(probe_id, fx.config.LeaderOf(0, 0),
+                                    core::ShareMsg(std::move(req)));
+  });
+
+  // Once partition 0 has logged the prepare, vote yes in partition 2's
+  // name with partition 2's newest certificate.
+  fx.system->env().Schedule(sim::Millis(200), [&] {
+    const auto& log = fx.system->node(2, 0)->log();
+    ASSERT_FALSE(log.empty());
+    wire::PreparedMsg vote;
+    vote.txn_id = txn.id;
+    vote.info.partition = 2;
+    vote.info.prepared_in_batch = log.LastBatchId();
+    vote.info.vote = true;
+    vote.info.cd_vector = log.back().batch.ro.cd_vector;
+    vote.proof = log.back().certificate;
+    fx.system->env().network().Send(probe_id, fx.config.LeaderOf(0, 0),
+                                    core::ShareMsg(std::move(vote)));
+  });
+  fx.system->env().RunUntil(sim::Seconds(1));
+
+  for (const wire::CommitReply& reply : probe.replies) {
+    EXPECT_FALSE(reply.committed) << "committed without partition 1's vote";
+  }
+  for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
+    EXPECT_NE(ToString(fx.system->node(0, i)->store().Get(k0)->value),
+              "forged")
+        << "replica " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Leader handover: stale coordinator groups (parameterized over engines)
 // ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 // Watch/subscription push-tier tests: certified seed + delta streams,
-// the read-through edge cache, explicit resubscribe on view change and
+// the edge cache, explicit resubscribe on view change and
 // history truncation, and the read-path correctness fixes that ride
 // along (configurable stale-snapshot clamp, parked round-2 flush).
 
