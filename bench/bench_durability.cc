@@ -130,8 +130,6 @@ std::vector<RecoveryPoint> RunRecoverySweep(uint32_t checkpoint_interval,
   runner.Start(sim::Millis(500), t_end);
 
   storage::StorageTuning tuning = setup.config.durability;
-  tuning.num_partitions = setup.config.num_partitions;
-  tuning.partition = 0;
   const crypto::NodeId replica = setup.config.ReplicaNode(0, 1);
   const core::CostModel& cost = setup.config.cost;
 

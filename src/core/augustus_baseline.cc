@@ -21,7 +21,7 @@ void AugustusBaseline::HandleRoRequest(sim::ActorId from,
   wire::AugustusVoteRequest vote;
   vote.request_id = msg.request_id;
   vote.keys = msg.keys;
-  vote.snapshot_batch = ctx_->mutable_log().LastBatchId();
+  vote.snapshot_batch = ctx_->log().LastBatchId();
   ctx_->BroadcastToCluster(
       ShareMsg(std::move(vote)),
       ctx_->Charge(ctx_->config().cost.ro_serve_per_key *

@@ -46,12 +46,9 @@ storage::ReadOnlySegment DeriveLceAndCdVector(
   return ro;
 }
 
-Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
-                              const storage::PartitionMap& pmap,
-                              PartitionId self, const storage::Batch& batch,
-                              const txn::PreparedBatches& prepared) {
-  auto in_groups = [&prepared](BatchId group,
-                               TxnId txn_id) -> const Transaction* {
+storage::GroupTxnLookup InRegisteredGroups(
+    const txn::PreparedBatches& prepared) {
+  return [&prepared](BatchId group, TxnId txn_id) -> const Transaction* {
     for (const txn::PrepareGroup& registered : prepared.groups()) {
       if (registered.prepared_in_batch == group) {
         return registered.Find(txn_id);
@@ -59,9 +56,15 @@ Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
     }
     return nullptr;
   };
+}
+
+Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
+                              const storage::PartitionMap& pmap,
+                              PartitionId self, const storage::Batch& batch,
+                              const txn::PreparedBatches& prepared) {
   std::vector<merkle::MerkleTree::Write> writes;
   TE_RETURN_IF_ERROR(storage::ForEachBatchWrite(
-      batch, pmap, self, in_groups,
+      batch, pmap, self, InRegisteredGroups(prepared),
       [&writes](const WriteOp& w) { writes.push_back({&w.key, &w.value}); }));
   tree->PutBatch(writes, batch.id);
   return Status::OK();

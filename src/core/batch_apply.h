@@ -40,9 +40,14 @@ storage::ReadOnlySegment DeriveLceAndCdVector(
     const std::vector<storage::CommitRecord>& committed, PartitionId self,
     BatchId batch_id, size_t num_partitions);
 
+/// Resolves a commit record inside the registered group it names; the
+/// lookup of the tree replay below and of the node's install step.
+storage::GroupTxnLookup InRegisteredGroups(
+    const txn::PreparedBatches& prepared);
+
 /// Replays the writes `batch` applies to partition `self` onto `tree` as
-/// one `MerkleTree::PutBatch`, resolving each commit record inside the
-/// registered group it names. Shared by the leader's seal, follower
+/// one `MerkleTree::PutBatch`, resolving each commit record through
+/// `InRegisteredGroups`. Shared by the leader's seal, follower
 /// validation and catch-up.
 Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
                               const storage::PartitionMap& pmap,

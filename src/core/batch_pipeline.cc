@@ -43,7 +43,7 @@ bool BatchPipeline::SlotFree() const {
 bool BatchPipeline::ShouldPropose() const {
   if (!SlotFree()) return false;
   // Genesis batch, certifies preload state.
-  if (ctx_->mutable_log().empty()) return true;
+  if (ctx_->log().empty()) return true;
   if (in_progress_size() > 0) return true;
   // A ready group at the head of the commit queue justifies a batch.
   const auto& groups = ctx_->prepared_batches().groups();
@@ -70,7 +70,7 @@ Status BatchPipeline::AdmitCheck(const Transaction& txn) {
   if (inprog_index_.ConflictsWith(txn)) {
     return Status::Conflict("conflicts with in-progress batch");
   }
-  if (ctx_->pending_footprint().ConflictsWith(txn)) {
+  if (ctx_->prepared_batches().footprint().ConflictsWith(txn)) {
     return Status::Conflict("conflicts with a prepared transaction");
   }
   // Augustus baseline: shared read locks block writers (Table 1's
@@ -182,7 +182,7 @@ void BatchPipeline::ProposeBatch() {
 
 storage::Batch BatchPipeline::BuildBatch(std::vector<Transaction> local,
                                          std::vector<Transaction> prepared) {
-  const storage::SmrLog& log = ctx_->mutable_log();
+  const storage::SmrLog& log = ctx_->log();
   storage::Batch batch;
   batch.partition = ctx_->partition();
   batch.id = log.LastBatchId() + 1;
@@ -294,7 +294,7 @@ void BatchPipeline::OnViewChange() {
   inprog_local_.clear();
   inprog_prepared_.clear();
   indexed_.clear();
-  inprog_index_ = FootprintIndex();
+  inprog_index_ = txn::FootprintIndex();
 }
 
 }  // namespace transedge::core

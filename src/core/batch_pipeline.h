@@ -8,6 +8,7 @@
 
 #include "core/node_context.h"
 #include "storage/batch.h"
+#include "txn/footprint_index.h"
 #include "wire/message.h"
 
 namespace transedge::core {
@@ -134,7 +135,7 @@ class BatchPipeline {
 
   std::vector<Transaction> inprog_local_;
   std::vector<Transaction> inprog_prepared_;
-  FootprintIndex inprog_index_;  // In-progress + in-flight batches.
+  txn::FootprintIndex inprog_index_;  // In-progress + in-flight batches.
   std::unordered_map<TxnId, sim::ActorId> local_waiting_clients_;
   std::unordered_set<TxnId> seen_txns_;  // 2PC dedup.
   /// Ids whose footprints are currently in `inprog_index_` — admitted

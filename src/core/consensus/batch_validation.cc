@@ -1,7 +1,7 @@
 #include "core/consensus/batch_validation.h"
 
 #include "core/batch_apply.h"
-#include "core/footprint_index.h"
+#include "txn/footprint_index.h"
 
 namespace transedge::core {
 
@@ -27,7 +27,7 @@ storage::BatchCertificate CertificatePayloadFor(PartitionId partition,
 Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
                              merkle::MerkleTree* post_tree) {
   const SystemConfig& config = ctx->config();
-  const storage::SmrLog& log = ctx->mutable_log();
+  const storage::SmrLog& log = ctx->log();
   if (batch.partition != ctx->partition()) {
     return Status::InvalidArgument("batch for wrong partition");
   }
@@ -46,14 +46,14 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
                                     config.cost.validate_per_txn));
 
   // Re-run Definition 3.1 on every transaction the leader admitted.
-  FootprintIndex batch_index;
+  txn::FootprintIndex batch_index;
   auto check = [&](const Transaction& t) -> Status {
     Transaction restricted = ctx->RestrictToPartition(t);
     TE_RETURN_IF_ERROR(ctx->CheckReadVersions(restricted));
     if (batch_index.ConflictsWith(t)) {
       return Status::Conflict("conflict inside proposed batch");
     }
-    if (ctx->pending_footprint().ConflictsWith(t)) {
+    if (ctx->prepared_batches().footprint().ConflictsWith(t)) {
       return Status::Conflict("conflict with prepared transaction");
     }
     batch_index.Add(t);

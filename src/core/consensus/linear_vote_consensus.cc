@@ -80,7 +80,7 @@ void LinearVoteConsensus::HandleQc(const wire::LinearQcMsg& msg) {
   // QCs are self-certifying (quorums of signatures), whoever sends them.
   if (msg.view != view()) return;
   BatchId id = msg.cert.batch_id;
-  if (id <= ctx_->mutable_log().LastBatchId()) return;
+  if (id <= ctx_->log().LastBatchId()) return;
   // Verify on receipt — a forged QC must be dropped here, never stashed,
   // or it would displace the genuine one (the leader does not resend).
   // At most one digest per batch id can gather a quorum, so a verified QC
@@ -128,7 +128,7 @@ void LinearVoteConsensus::HandleQc(const wire::LinearQcMsg& msg) {
 void LinearVoteConsensus::AdvanceConsensus() {
   if (MaybeReproposeLock()) return;
   const SystemConfig& config = ctx_->config();
-  BatchId next = ctx_->mutable_log().LastBatchId() + 1;
+  BatchId next = ctx_->log().LastBatchId() + 1;
   auto it = instances_.find(next);
   if (it == instances_.end() || !it->second.has_batch) return;
   Instance& inst = it->second;

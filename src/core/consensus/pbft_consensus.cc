@@ -66,7 +66,7 @@ void PbftConsensus::HandleCommit(sim::ActorId from,
 void PbftConsensus::AdvanceConsensus() {
   if (MaybeReproposeLock()) return;
   const SystemConfig& config = ctx_->config();
-  BatchId next = ctx_->mutable_log().LastBatchId() + 1;
+  BatchId next = ctx_->log().LastBatchId() + 1;
   auto it = instances_.find(next);
   if (it == instances_.end() || !it->second.has_batch) return;
   Instance& inst = it->second;

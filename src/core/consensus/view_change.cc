@@ -52,12 +52,12 @@ bool ViewChangeConsensus::IsClusterMember(crypto::NodeId id) const {
 
 bool ViewChangeConsensus::IsCurrentVote(sim::ActorId from, uint64_t view,
                                         BatchId batch_id) const {
-  return view == view_ && batch_id > ctx_->mutable_log().LastBatchId() &&
+  return view == view_ && batch_id > ctx_->log().LastBatchId() &&
          IsClusterMember(from);
 }
 
 size_t ViewChangeConsensus::InFlight() const {
-  BatchId tail = ctx_->mutable_log().LastBatchId();
+  BatchId tail = ctx_->log().LastBatchId();
   size_t n = 0;
   for (const auto& [id, inst] : instances_) {
     if (inst.has_batch && id > tail) ++n;
@@ -67,7 +67,7 @@ size_t ViewChangeConsensus::InFlight() const {
 
 bool ViewChangeConsensus::HasPendingReproposal() const {
   return reproposed_id_ != kNoBatch &&
-         reproposed_id_ > ctx_->mutable_log().LastBatchId();
+         reproposed_id_ > ctx_->log().LastBatchId();
 }
 
 Bytes ViewChangeConsensus::ViewBindPayload(BatchId batch_id,
@@ -150,7 +150,7 @@ ViewChangeConsensus::Instance* ViewChangeConsensus::AcceptProposal(
     return nullptr;
   }
   BatchId id = batch.id;
-  if (id <= ctx_->mutable_log().LastBatchId()) return nullptr;  // Decided.
+  if (id <= ctx_->log().LastBatchId()) return nullptr;  // Decided.
 
   auto [it, inserted] = instances_.try_emplace(id, ctx_->config().merkle_depth);
   Instance& inst = it->second;
@@ -303,7 +303,7 @@ void ViewChangeConsensus::StartViewChangeTimer(BatchId batch_id) {
   ctx_->Schedule(ctx_->config().view_change_timeout,
                  [this, batch_id, view_at_start] {
                    if (view_ != view_at_start) return;
-                   if (ctx_->mutable_log().LastBatchId() >= batch_id) {
+                   if (ctx_->log().LastBatchId() >= batch_id) {
                      return;  // Decided in time.
                    }
                    RequestViewChange(view_ + 1, batch_id);
@@ -327,7 +327,7 @@ void ViewChangeConsensus::RequestViewChange(uint64_t target,
   } else {
     wire::LinearViewChangeMsg msg;
     msg.new_view = target;
-    msg.last_committed = ctx_->mutable_log().LastBatchId();
+    msg.last_committed = ctx_->log().LastBatchId();
     msg.signature = sig;
     // Report every live lock so the prospective leader re-proposes
     // batches that may already be decided elsewhere (safety across the
@@ -357,7 +357,7 @@ void ViewChangeConsensus::RequestViewChange(uint64_t target,
   ctx_->Schedule(ctx_->config().view_change_timeout,
                  [this, target, demanded, view_at_request] {
                    if (view_ != view_at_request) return;
-                   if (ctx_->mutable_log().LastBatchId() >= demanded) return;
+                   if (ctx_->log().LastBatchId() >= demanded) return;
                    RequestViewChange(target + 1, demanded);
                  });
 }
@@ -387,7 +387,7 @@ void ViewChangeConsensus::HandleViewChange(
   // messages.
   for (const wire::LinearLockReport& report : msg.locks) {
     BatchId id = report.batch.id;
-    if (id <= ctx_->mutable_log().LastBatchId()) continue;
+    if (id <= ctx_->log().LastBatchId()) continue;
     auto lk = locks_.find(id);
     if (lk != locks_.end() && report.view < lk->second.qc.view) continue;
     crypto::Digest digest = report.batch.ComputeDigest();
@@ -465,7 +465,7 @@ void ViewChangeConsensus::AdoptView(uint64_t target) {
 
 bool ViewChangeConsensus::MaybeReproposeLock() {
   if (!IsLeaderSelf()) return false;
-  const BatchId id = ctx_->mutable_log().LastBatchId() + 1;
+  const BatchId id = ctx_->log().LastBatchId() + 1;
   auto lk = locks_.find(id);
   if (lk == locks_.end()) return false;
   auto [slot, inserted] =
@@ -496,7 +496,7 @@ bool ViewChangeConsensus::MaybeReproposeLock() {
 // ---------------------------------------------------------------------------
 
 void ViewChangeConsensus::ServeCatchUp(crypto::NodeId to, BatchId peer_last) {
-  const storage::SmrLog& log = ctx_->mutable_log();
+  const storage::SmrLog& log = ctx_->log();
   if (to == ctx_->id() || peer_last >= log.LastBatchId()) return;
   sim::Time at = ctx_->busy_until();
   // The log only reaches back to the history horizon (TruncateHistory
@@ -561,7 +561,7 @@ void ViewChangeConsensus::HandleCatchUp(const wire::LinearCatchUpMsg& msg) {
     RecordNewViewProof(msg.view, msg.view_proof);
     AdoptView(msg.view);
   }
-  BatchId next = ctx_->mutable_log().LastBatchId() + 1;
+  BatchId next = ctx_->log().LastBatchId() + 1;
   if (msg.batch.id < next) return;  // Already decided.
   // Check the QC before the entry can occupy anything: a forged entry
   // parked ahead of the genuine one would shut it out (first entry per
@@ -587,7 +587,7 @@ void ViewChangeConsensus::HandleCatchUp(const wire::LinearCatchUpMsg& msg) {
   }
   if (!ApplyCatchUpEntry(msg.batch, msg.cert)) return;
   for (auto it = pending_catchup_.begin(); it != pending_catchup_.end();) {
-    BatchId want = ctx_->mutable_log().LastBatchId() + 1;
+    BatchId want = ctx_->log().LastBatchId() + 1;
     if (it->first < want) {
       it = pending_catchup_.erase(it);
     } else if (it->first == want &&
@@ -599,7 +599,7 @@ void ViewChangeConsensus::HandleCatchUp(const wire::LinearCatchUpMsg& msg) {
   }
   // Proposal instances the transfer overtook are settled; drop them.
   instances_.erase(instances_.begin(),
-                   instances_.upper_bound(ctx_->mutable_log().LastBatchId()));
+                   instances_.upper_bound(ctx_->log().LastBatchId()));
   AdvanceConsensus();
 }
 

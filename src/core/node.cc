@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/augustus_baseline.h"
+#include "core/batch_apply.h"
 #include "core/batch_pipeline.h"
 #include "core/consensus/consensus.h"
 #include "core/read_only_service.h"
@@ -12,20 +13,6 @@
 #include "core/watch_service.h"
 
 namespace transedge::core {
-
-namespace {
-
-/// The backend needs the deployment geometry to re-derive write sets;
-/// everything else in the tuning block is honored as configured.
-storage::StorageTuning BackendTuningFor(const SystemConfig& config,
-                                        PartitionId partition) {
-  storage::StorageTuning tuning = config.durability;
-  tuning.num_partitions = config.num_partitions;
-  tuning.partition = partition;
-  return tuning;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Construction: wire the engines together through hooks.
@@ -44,8 +31,8 @@ TransEdgeNode::TransEdgeNode(const SystemConfig& config, crypto::NodeId id,
       verifier_(verifier),
       partition_map_(config.num_partitions),
       cluster_members_(config.ClusterMembers(partition_)),
-      backend_(storage::MakeStorageBackend(
-          config.storage_kind, BackendTuningFor(config, partition_), disk)),
+      backend_(storage::MakeStorageBackend(config.storage_kind,
+                                           config.durability, disk)),
       tree_(config.merkle_depth) {
   // The private-base conversion must happen in this class's scope.
   NodeContext* ctx = this;
@@ -114,6 +101,19 @@ Status TransEdgeNode::RecoverFromStorage(const storage::RecoverOptions& opts) {
   TE_ASSIGN_OR_RETURN(storage::RecoveredState recovered,
                       backend_->Recover(opts));
 
+  // Replay the retained log through the install step, the way PBFT
+  // re-executes its logged requests after loading a stable checkpoint.
+  // Every entry re-forms the prepare index; the entries beyond the
+  // checkpoint also put their writes. A group prepared below the
+  // retained log cannot be re-formed, so a write it commits beyond the
+  // checkpoint fails recovery.
+  const storage::SmrLog& log = backend_->log();
+  for (BatchId id = log.FirstBatchId(); id <= log.LastBatchId(); ++id) {
+    const storage::Batch& batch = log.Get(id).value()->batch;
+    TE_RETURN_IF_ERROR(
+        Install(batch, id > recovered.checkpoint_applied).status());
+  }
+
   // Rebuild the authenticated structure from the recovered store and
   // refuse to come up unless it hashes to a root some quorum certified:
   // the log tail's certificate, or the checkpoint's recorded root when
@@ -124,7 +124,6 @@ Status TransEdgeNode::RecoverFromStorage(const storage::RecoverOptions& opts) {
       [&](const Key& key, const Value& value, BatchId version) {
         rebuilt.Put(key, value, version);
       });
-  const storage::SmrLog& log = backend_->log();
   const crypto::Digest expected = log.empty()
                                       ? recovered.checkpoint_root
                                       : log.back().certificate.merkle_root;
@@ -335,28 +334,36 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
 // Decided batches: installed once at decide time, then the apply charge
 // ---------------------------------------------------------------------------
 
-void TransEdgeNode::OnDecided(storage::Batch batch,
-                              storage::BatchCertificate certificate,
-                              merkle::MerkleTree post_tree) {
-  // Pop the committed prepare groups by the id each record names: the
-  // certified segment is an exact prefix of the commit queue, so its
-  // records come in whole groups. Their pending-footprint share is
-  // released now, since admission and validation key off the decided
-  // state.
-  std::vector<txn::PrepareGroup> popped;
+Result<std::vector<Key>> TransEdgeNode::Install(const storage::Batch& batch,
+                                                bool put_writes) {
+  // The writes resolve against the registered groups before the records
+  // pop them, through the lookup tree replay uses, so the store and the
+  // tree cannot disagree on what a batch wrote.
+  std::vector<Key> written;
+  if (put_writes) {
+    TE_RETURN_IF_ERROR(storage::ForEachBatchWrite(
+        batch, partition_map_, partition_,
+        InRegisteredGroups(prepared_batches_), [&](const WriteOp& w) {
+          backend_->Put(w.key, w.value, batch.id);
+          written.push_back(w.key);
+        }));
+    // Canonical write-key order so every replica pushes identical deltas.
+    std::sort(written.begin(), written.end());
+    written.erase(std::unique(written.begin(), written.end()),
+                  written.end());
+  }
+
+  // Pop the committed groups by the id each record names: the certified
+  // segment is an exact prefix of the commit queue, so its records come
+  // in whole groups. Only a group prepared below the retained log, which
+  // recovery cannot re-form, is missing.
+  BatchId last_popped = kNoBatch;
   for (const storage::CommitRecord& rec : batch.committed) {
-    if (!popped.empty() &&
-        popped.back().prepared_in_batch == rec.prepared_in_batch) {
-      continue;
-    }
-    Result<txn::PrepareGroup> group =
-        prepared_batches_.PopGroup(rec.prepared_in_batch);
-    assert(group.ok());
-    if (!group.ok()) continue;
-    for (const txn::PendingTxn& pending : group.value().txns) {
-      pending_index_.Remove(pending.txn);
-    }
-    popped.push_back(std::move(group).value());
+    if (rec.prepared_in_batch == last_popped) continue;
+    last_popped = rec.prepared_in_batch;
+    Result<txn::PrepareGroup> group = prepared_batches_.PopGroup(last_popped);
+    assert(group.ok() || last_popped < backend_->log().FirstBatchId());
+    (void)group;
   }
 
   // Register the new prepare group so the read-only segment of a later
@@ -368,36 +375,25 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
       txn::PendingTxn p;
       p.txn = t;
       pendings.push_back(std::move(p));
-      pending_index_.Add(t);
     }
     prepared_batches_.AddGroup(batch.id, std::move(pendings));
   }
+  return written;
+}
 
-  // Install the batch: its writes enter the store through the one
-  // resolver, its certified post-state becomes the current tree and
+void TransEdgeNode::OnDecided(storage::Batch batch,
+                              storage::BatchCertificate certificate,
+                              merkle::MerkleTree post_tree) {
+  // Install the batch: its writes enter the store and the prepare index
+  // moves, its certified post-state becomes the current tree and
   // snapshot, and the log appends it.
+  Result<std::vector<Key>> written = Install(batch, /*put_writes=*/true);
+  assert(written.ok());  // Validation resolved it against the same groups.
   PendingApply entry;
   entry.id = batch.id;
   entry.cost = BatchComputeCost(batch.TotalTransactions(),
                                 config_.cost.apply_per_txn);
-  auto in_popped = [&popped](BatchId group,
-                             TxnId txn_id) -> const Transaction* {
-    for (const txn::PrepareGroup& g : popped) {
-      if (g.prepared_in_batch == group) return g.Find(txn_id);
-    }
-    return nullptr;
-  };
-  Status resolved = storage::ForEachBatchWrite(
-      batch, partition_map_, partition_, in_popped, [&](const WriteOp& w) {
-        backend_->store().Put(w.key, w.value, batch.id);
-        entry.written.push_back(w.key);
-      });
-  assert(resolved.ok());  // Every record names a group popped above.
-  (void)resolved;
-  // Canonical write-key order so every replica pushes identical deltas.
-  std::sort(entry.written.begin(), entry.written.end());
-  entry.written.erase(std::unique(entry.written.begin(), entry.written.end()),
-                      entry.written.end());
+  if (written.ok()) entry.written = std::move(written).value();
   tree_ = std::move(post_tree);
   snapshots_.push_back(tree_.GetSnapshot());
   assert(snapshot_base_ + static_cast<BatchId>(snapshots_.size()) ==

@@ -103,7 +103,7 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   uint64_t view() const;
   bool IsLeader() const override;
   bool ReproposalPending() const override;
-  const storage::SmrLog& log() const { return backend_->log(); }
+  const storage::SmrLog& log() const override { return backend_->log(); }
   /// The store and tree hold every decided batch (through the log tail).
   const storage::VersionedStore& store() const override {
     return backend_->store();
@@ -129,13 +129,13 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   void Halt() { halted_ = true; }
   bool halted() const { return halted_; }
 
-  /// Rebuilds the replica's state from its durable backend: backend
-  /// recovery (checkpoint + WAL replay), Merkle tree reconstruction from
-  /// the recovered store, root verification against the log tail's
-  /// certificate (or the checkpoint root when the log is empty), and
-  /// re-seeding of the snapshot window + applied watermark at the tail.
-  /// Must run before the node processes any message. Only meaningful for
-  /// durable backends on a freshly constructed node.
+  /// Rebuilds the replica's state from its durable backend: the
+  /// checkpointed store and the log, every retained entry replayed
+  /// through the install step, the Merkle tree rebuilt from the store and
+  /// verified against the log tail's certificate (or the checkpoint root
+  /// when the log is empty), and the snapshot window + applied watermark
+  /// re-seeded at the tail. Must run before the node processes any
+  /// message, on a freshly constructed node with a durable backend.
   Status RecoverFromStorage(const storage::RecoverOptions& opts);
 
  private:
@@ -167,14 +167,12 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
     return signer_->Sign(payload);
   }
   const crypto::Verifier& verifier() const override { return *verifier_; }
-  storage::SmrLog& mutable_log() override { return backend_->log(); }
   txn::PreparedBatches& prepared_batches() override {
     return prepared_batches_;
   }
   const storage::PartitionMap& partition_map() const override {
     return partition_map_;
   }
-  FootprintIndex& pending_footprint() override { return pending_index_; }
   BatchId snapshot_base() const override { return snapshot_base_; }
   const merkle::MerkleTree::Snapshot& SnapshotAt(
       BatchId batch_id) const override;
@@ -189,13 +187,21 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
     std::vector<Key> written;
   };
 
-  /// Consensus `on_decided` hook. Installs the batch once: prepare-group
-  /// pops and registration, pending-footprint updates, its writes into
-  /// the store through the one resolver (storage::ForEachBatchWrite),
-  /// the certified post-state tree and its snapshot, the log append and
-  /// the backend's OnDecided hook. Then charges the apply — inline on the
-  /// replica CPU, or on the apply worker under `async_apply` — and
-  /// finally advances consensus and the batch pipeline.
+  /// The one install step, run by OnDecided for each decided batch and
+  /// by RecoverFromStorage for each retained log entry (which skips the
+  /// writes its checkpoint holds). When `put_writes`, puts the batch's
+  /// writes, resolved against the registered prepare groups, and returns
+  /// their keys, sorted and unique. Then pops the groups the batch
+  /// commits and registers the one it prepares, footprint included.
+  Result<std::vector<Key>> Install(const storage::Batch& batch,
+                                   bool put_writes);
+
+  /// Consensus `on_decided` hook. Runs the install step, makes the
+  /// certified post-state tree and its snapshot current, appends the log
+  /// entry and calls the backend's OnDecided hook. Then charges the
+  /// apply — inline on the replica CPU, or on the apply worker under
+  /// `async_apply` — and finally advances consensus and the batch
+  /// pipeline.
   void OnDecided(storage::Batch batch, storage::BatchCertificate certificate,
                  merkle::MerkleTree post_tree);
 
@@ -254,7 +260,6 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   sim::CpuMeter apply_cpu_;
 
   txn::PreparedBatches prepared_batches_;
-  FootprintIndex pending_index_;  // Prepared-but-undecided distributed txns.
 
   // Subsystem engines (wired in the constructor).
   std::unique_ptr<Consensus> consensus_;

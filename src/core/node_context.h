@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/footprint_index.h"
 #include "crypto/signer.h"
 #include "merkle/merkle_tree.h"
 #include "sim/actor.h"
@@ -95,12 +94,12 @@ class NodeContext {
   /// The Merkle tree after the log tail. Validation, proposal sealing
   /// and catch-up chain from it.
   virtual const merkle::MerkleTree& tree() const = 0;
-  virtual storage::SmrLog& mutable_log() = 0;
+  /// The certified log; the node's install step is its one writer.
+  virtual const storage::SmrLog& log() const = 0;
+  /// The prepare groups and their footprint (Definition 3.1, rule 3).
+  /// Engines only record 2PC decisions; the install step does the rest.
   virtual txn::PreparedBatches& prepared_batches() = 0;
   virtual const storage::PartitionMap& partition_map() const = 0;
-  /// Footprint of prepared-but-undecided distributed transactions (rule 3
-  /// of Definition 3.1); shared by admission and batch re-validation.
-  virtual FootprintIndex& pending_footprint() = 0;
 
   /// Sliding window of per-batch Merkle snapshots for historical
   /// (second-round) reads. `SnapshotAt` requires
@@ -120,7 +119,7 @@ class NodeContext {
   // --- Applied watermark -------------------------------------------------
   /// Highest batch whose apply charge has completed; kNoBatch before the
   /// first. Clients see a batch once it is applied: every client-facing
-  /// read answers as of this batch. Trails `mutable_log().LastBatchId()`
+  /// read answers as of this batch. Trails `log().LastBatchId()`
   /// while apply is charged on the apply worker (`async_apply`).
   virtual BatchId last_applied() const = 0;
 

@@ -43,7 +43,7 @@ void ReadOnlyService::ServeAt(sim::ActorId client, uint64_t request_id,
   // storage backend truncates version history and log entries against —
   // has no snapshot left, and nothing applied (kNoBatch) lies below every
   // horizon: the client retries.
-  Result<const storage::LogEntry*> entry = ctx_->mutable_log().Get(batch_id);
+  Result<const storage::LogEntry*> entry = ctx_->log().Get(batch_id);
   if (batch_id < ctx_->history_horizon() || !entry.ok()) {
     ctx_->Send(client, ShareMsg(UnserviceableReply(request_id)), done);
     return;
@@ -91,7 +91,7 @@ void ReadOnlyService::HandleRoRequest(sim::ActorId from,
 }
 
 BatchId ReadOnlyService::FindBatchWithLce(BatchId min_lce) const {
-  const storage::SmrLog& log = ctx_->mutable_log();
+  const storage::SmrLog& log = ctx_->log();
   if (ctx_->last_applied() == kNoBatch) return kNoBatch;
   // LCE is non-decreasing across batches: binary search for the earliest
   // batch satisfying the dependency. History older than the authoritative
@@ -118,7 +118,7 @@ BatchId ReadOnlyService::FindBatchWithLce(BatchId min_lce) const {
 void ReadOnlyService::HandleRoBatchRequest(sim::ActorId from,
                                            const wire::RoBatchRequest& msg) {
   sim::ActorId client = msg.reply_to != 0 ? msg.reply_to : from;
-  const storage::SmrLog& log = ctx_->mutable_log();
+  const storage::SmrLog& log = ctx_->log();
   // A dependency further ahead of the log than the whole retained window
   // cannot come from an honest round-1 reply (dependencies are batch ids
   // this cluster already certified): answer unserviceable instead of

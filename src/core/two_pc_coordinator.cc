@@ -46,8 +46,7 @@ void TwoPcCoordinator::HandleCoordPrepare(sim::ActorId from,
     // coordinator-prepare.
     if (ctx_->prepared_batches().FindTxn(txn.id) != nullptr) {
       BatchId prepared_in = ctx_->prepared_batches().GroupOf(txn.id);
-      Result<const storage::LogEntry*> entry =
-          ctx_->mutable_log().Get(prepared_in);
+      Result<const storage::LogEntry*> entry = ctx_->log().Get(prepared_in);
       if (!entry.ok()) return;  // Below the history horizon; cannot re-prove.
       wire::PreparedMsg reply;
       reply.txn_id = txn.id;
@@ -209,7 +208,7 @@ void TwoPcCoordinator::OnViewChange() {
 void TwoPcCoordinator::ResumeCoordination(const Transaction& txn,
                                           sim::Time at) {
   BatchId prepared_in = ctx_->prepared_batches().GroupOf(txn.id);
-  Result<const storage::LogEntry*> entry = ctx_->mutable_log().Get(prepared_in);
+  Result<const storage::LogEntry*> entry = ctx_->log().Get(prepared_in);
   if (!entry.ok()) {
     // The prepare batch fell below the history horizon: no certificate
     // left to re-prove the prepare with. Unilateral abort — fanned out

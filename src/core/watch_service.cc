@@ -86,7 +86,7 @@ void WatchService::HandleSubscribe(sim::ActorId from,
       if (matched.empty()) continue;
       ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                    static_cast<sim::Time>(matched.size()));
-      Result<const storage::LogEntry*> logged = ctx_->mutable_log().Get(id);
+      Result<const storage::LogEntry*> logged = ctx_->log().Get(id);
       if (!logged.ok()) continue;  // Outside the retained log.
       PushDelta(watch, id, ctx_->CertifiedReads(id, matched),
                 logged.value()->certificate);
@@ -97,7 +97,7 @@ void WatchService::HandleSubscribe(sim::ActorId from,
 
   // Fresh subscribe: seed every in-range key's certified (value, proof)
   // at the applied head.
-  Result<const storage::LogEntry*> entry_or = ctx_->mutable_log().Get(head);
+  Result<const storage::LogEntry*> entry_or = ctx_->log().Get(head);
   if (!entry_or.ok()) {
     SendResubscribeRequired(client, msg.watch_id);
     return;

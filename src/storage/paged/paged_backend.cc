@@ -5,19 +5,6 @@
 
 namespace transedge::storage::paged {
 
-namespace {
-
-/// The backend's only part in resolving commit records: a group is the
-/// prepared segment of the logged batch it names (nullptr once that
-/// batch is truncated).
-GroupTxnLookup InLog(const SmrLog& log) {
-  return [&log](BatchId group, TxnId txn_id) {
-    return log.FindPrepared(group, txn_id);
-  };
-}
-
-}  // namespace
-
 uint32_t PagedBackend::BucketOf(const Key& key, uint32_t num_buckets) {
   // FNV-1a, 64-bit.
   uint64_t h = 1469598103934665603ULL;
@@ -33,7 +20,6 @@ PagedBackend::PagedBackend(const StorageTuning& tuning, SimDisk* disk)
       disk_(disk),
       pages_(disk, tuning.page_size, &stats_),
       wal_(disk, tuning.wal_group_commit, &stats_),
-      pmap_(tuning.num_partitions),
       bucket_heads_(tuning.num_buckets, kNoPage),
       bucket_pages_(tuning.num_buckets) {
   assert(disk_ != nullptr);
@@ -53,6 +39,11 @@ void PagedBackend::Preload(const VersionedStore& store,
   stats_ = StorageIoStats{};
 }
 
+void PagedBackend::Put(const Key& key, const Value& value, BatchId version) {
+  store_.Put(key, value, version);
+  dirty_buckets_.insert(BucketOf(key, tuning_.num_buckets));
+}
+
 void PagedBackend::OnDecided() {
   assert(!log_.empty());
   const LogEntry& entry = log_.back();
@@ -62,14 +53,6 @@ void PagedBackend::OnDecided() {
   uint64_t offset = wal_.Append(static_cast<uint64_t>(entry.batch.id),
                                 enc.buffer());
   wal_offset_of_[entry.batch.id] = offset;
-
-  Status st = ForEachBatchWrite(
-      entry.batch, pmap_, tuning_.partition, InLog(log_),
-      [&](const WriteOp& w) {
-        dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
-      });
-  assert(st.ok());
-  (void)st;
   if (++batches_since_checkpoint_ >= tuning_.checkpoint_interval) {
     Status cp = DoCheckpoint(entry.batch.id, entry.certificate.merkle_root);
     assert(cp.ok());
@@ -97,6 +80,10 @@ Status PagedBackend::Checkpoint() {
 
 Status PagedBackend::DoCheckpoint(BatchId last_applied,
                                   const crypto::Digest& root) {
+  // Log barrier: a store at `last_applied` beside a log that ends
+  // earlier would match no certified root.
+  wal_.Sync();
+
   // One store pass collects the latest version of every key in a dirty
   // bucket (sorted key order — the format is canonical across replicas).
   std::map<uint32_t, std::vector<BucketRecord>> rewrite;
@@ -200,9 +187,8 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
   generation_ = meta.generation;
   checkpoint_applied_ = meta.last_applied;
 
-  // Replay the WAL: every surviving record rebuilds the log; records
-  // beyond the checkpoint also re-apply their writes, re-derived from
-  // the log itself (prepared segments named by the commit records).
+  // Replay the WAL into the log; the node puts the writes of the
+  // records beyond the checkpoint, which count toward the next one.
   TE_ASSIGN_OR_RETURN(std::vector<WalFile::ReplayRecord> records,
                       wal_.Replay(meta.wal_start_offset));
   for (WalFile::ReplayRecord& rec : records) {
@@ -227,17 +213,8 @@ Result<RecoveredState> PagedBackend::Recover(const RecoverOptions& opts) {
                                      opts.member_ids));
     }
     wal_offset_of_[batch.id] = rec.start_offset;
+    if (batch.id > meta.last_applied) ++batches_since_checkpoint_;
     TE_RETURN_IF_ERROR(log_.Append({std::move(batch), std::move(cert)}));
-    const Batch& appended = log_.back().batch;
-    if (appended.id > meta.last_applied) {
-      TE_RETURN_IF_ERROR(ForEachBatchWrite(
-          appended, pmap_, tuning_.partition, InLog(log_),
-          [&](const WriteOp& w) {
-            store_.Put(w.key, w.value, appended.id);
-            dirty_buckets_.insert(BucketOf(w.key, tuning_.num_buckets));
-          }));
-      ++batches_since_checkpoint_;
-    }
   }
 
   RecoveredState out;

@@ -8,29 +8,26 @@
 #include "storage/paged/page_file.h"
 #include "storage/paged/sim_disk.h"
 #include "storage/paged/wal_file.h"
-#include "storage/partition_map.h"
 #include "storage/smr_log.h"
 #include "storage/storage_backend.h"
 
 namespace transedge::storage::paged {
 
 /// Durable engine: WAL on decide, bucket-paged copy-on-write checkpoint
-/// every `checkpoint_interval` decided batches, ping-pong meta flip,
-/// recovery = best meta + chain loads + WAL replay (entries beyond the
-/// checkpoint re-apply their writes). See ARCHITECTURE.md §Storage
-/// backends for the format.
+/// every `checkpoint_interval` decided batches (the WAL is synced first,
+/// so a checkpoint is never durable ahead of the log it covers),
+/// ping-pong meta flip, recovery = best meta + chain loads + WAL replay
+/// into the log. See ARCHITECTURE.md §Storage backends for the format.
 ///
-/// Checkpoint dirtying and recovery replay enumerate a batch's writes
-/// through the same resolver the node installs with
-/// (storage::ForEachBatchWrite), so they need no upcall. The backend
-/// supplies only the group lookup, through its own log.
+/// The backend never derives a batch's writes: the node puts them, and
+/// `Put` marks the key's bucket dirty.
 class PagedBackend : public StorageBackend {
  public:
   PagedBackend(const StorageTuning& tuning, SimDisk* disk);
 
   StorageKind kind() const override { return StorageKind::kPaged; }
-  VersionedStore& store() override { return store_; }
   const VersionedStore& store() const override { return store_; }
+  void Put(const Key& key, const Value& value, BatchId version) override;
   SmrLog& log() override { return log_; }
   const SmrLog& log() const override { return log_; }
 
@@ -65,7 +62,6 @@ class PagedBackend : public StorageBackend {
   WalFile wal_;
   VersionedStore store_;
   SmrLog log_;
-  PartitionMap pmap_;
 
   // Mirror of the durable checkpoint, updated on every meta flip.
   uint64_t generation_ = 0;

@@ -77,6 +77,7 @@ uint64_t WalFile::Append(uint64_t lsn, const Bytes& payload) {
 }
 
 void WalFile::Sync() {
+  if (pending_appends_ == 0) return;  // Every append is already durable.
   disk_->Sync(kWalFileId);
   pending_appends_ = 0;
   ++stats_->wal_syncs;

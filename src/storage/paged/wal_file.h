@@ -30,7 +30,8 @@ class WalFile {
   /// appends. Returns the record's start offset.
   uint64_t Append(uint64_t lsn, const Bytes& payload);
 
-  /// Forces the group-commit barrier now.
+  /// Forces the group-commit barrier now; a no-op when every append is
+  /// already synced.
   void Sync();
 
   /// Scans records from `from` to the end of the durable image. A

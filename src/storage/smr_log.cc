@@ -21,15 +21,6 @@ Result<const LogEntry*> SmrLog::Get(BatchId id) const {
   return &entries_[static_cast<size_t>(id - base_)];
 }
 
-const Transaction* SmrLog::FindPrepared(BatchId group, TxnId txn_id) const {
-  Result<const LogEntry*> entry = Get(group);
-  if (!entry.ok()) return nullptr;
-  for (const Transaction& t : entry.value()->batch.prepared) {
-    if (t.id == txn_id) return &t;
-  }
-  return nullptr;
-}
-
 size_t SmrLog::TruncateTo(BatchId horizon) {
   if (horizon <= base_) return 0;
   size_t drop = std::min(static_cast<size_t>(horizon - base_), entries_.size());

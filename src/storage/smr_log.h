@@ -35,11 +35,6 @@ class SmrLog {
   /// and above `LastBatchId()`.
   Result<const LogEntry*> Get(BatchId id) const;
 
-  /// Transaction `txn_id` in the prepared segment of retained batch
-  /// `group` (a GroupTxnLookup through the log); nullptr when that batch
-  /// is not retained or did not prepare the transaction.
-  const Transaction* FindPrepared(BatchId group, TxnId txn_id) const;
-
   /// Id of the oldest retained batch (== the next expected id when the
   /// log is empty).
   BatchId FirstBatchId() const { return base_; }

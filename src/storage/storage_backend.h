@@ -47,28 +47,30 @@ struct RecoverOptions {
 };
 
 /// What `Recover` re-established. `checkpoint_applied`/`checkpoint_root`
-/// describe the durable checkpoint; entries beyond it were re-applied
-/// from WAL records + certificates, so the post-recovery watermark is
-/// `log().LastBatchId()` (the durable WAL tail — possibly *ahead* of the
-/// crashed replica's applied watermark, never behind the checkpoint).
+/// describe the durable checkpoint the store was loaded from. The log
+/// runs to the durable WAL tail (possibly *ahead* of the crashed
+/// replica's applied watermark, never behind the checkpoint); the caller
+/// puts the writes of the entries beyond `checkpoint_applied`.
 struct RecoveredState {
   BatchId checkpoint_applied = kNoBatch;
   crypto::Digest checkpoint_root;
 };
 
 /// The seam under the replica's storage stack. The node owns exactly one
-/// backend and reaches the store/log only through it; durability hooks
-/// (`OnDecided`, `TruncateHistory`) are called at the same points the
-/// node mutates the in-memory structures, so an engine can persist
-/// without the node knowing how.
+/// backend and reaches the store/log only through it. Every store write
+/// enters through `Put`, and the durability hooks are called where the
+/// node changes its state, so an engine persists without the node
+/// knowing how and without deriving a batch's writes itself.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
   virtual StorageKind kind() const = 0;
 
-  virtual VersionedStore& store() = 0;
   virtual const VersionedStore& store() const = 0;
+  /// The one way a decided write enters the store (the node's install
+  /// step). Durable engines note the key for their next checkpoint.
+  virtual void Put(const Key& key, const Value& value, BatchId version) = 0;
   virtual SmrLog& log() = 0;
   virtual const SmrLog& log() const = 0;
 
@@ -79,12 +81,11 @@ class StorageBackend {
                        const crypto::Digest& root) = 0;
 
   /// Called once per decided batch, right after the node installed it:
-  /// its writes are in the store and `log().back()` holds it. Durable
+  /// its writes went through `Put` and `log().back()` holds it. Durable
   /// engines append the entry to the WAL (fsync per the group-commit
-  /// tuning; the decision-critical-path durability cost), mark the
-  /// buckets it wrote dirty and, every `checkpoint_interval` batches,
-  /// checkpoint at its certified root (copy-on-write page flush + meta
-  /// flip).
+  /// tuning; the decision-critical-path durability cost) and, every
+  /// `checkpoint_interval` batches, checkpoint at its certified root
+  /// (WAL sync, copy-on-write page flush, meta flip).
   virtual void OnDecided() {}
 
   /// The one authoritative history horizon (the node passes its snapshot
@@ -94,9 +95,9 @@ class StorageBackend {
   /// out-of-window rejection are bounded by the same number.
   virtual void TruncateHistory(BatchId horizon) = 0;
 
-  /// Rebuilds store + log from durable state (checkpoint + WAL replay).
-  /// Entries beyond the checkpoint re-apply their writes from the log
-  /// entry itself. Only meaningful on a freshly constructed backend.
+  /// Loads the durable checkpoint into the store and rebuilds the log
+  /// from the WAL; the caller `Put`s the writes of the entries beyond
+  /// the checkpoint. Only meaningful on a freshly constructed backend.
   virtual Result<RecoveredState> Recover(const RecoverOptions& opts) = 0;
 
   virtual const StorageIoStats& io_stats() const = 0;
@@ -108,8 +109,10 @@ class InMemoryBackend : public StorageBackend {
   InMemoryBackend() = default;
 
   StorageKind kind() const override { return StorageKind::kInMemory; }
-  VersionedStore& store() override { return store_; }
   const VersionedStore& store() const override { return store_; }
+  void Put(const Key& key, const Value& value, BatchId version) override {
+    store_.Put(key, value, version);
+  }
   SmrLog& log() override { return log_; }
   const SmrLog& log() const override { return log_; }
 

@@ -16,7 +16,8 @@ enum class StorageKind : uint8_t {
   /// Page-oriented checksummed file layout plus a write-ahead log on a
   /// deterministic simulated disk: decided batches append to the WAL
   /// (group commit), the store checkpoints into CRC'd bucket pages, and
-  /// a restarted replica recovers checkpoint + WAL replay.
+  /// a restarted replica loads the checkpoint and the WAL's log, then
+  /// replays the log through the node's install step.
   kPaged,
 };
 
@@ -40,12 +41,6 @@ struct StorageTuning {
   /// Decided batches between checkpoints (dirty-bucket flush + meta
   /// flip). Bounds both recovery replay length and WAL growth.
   uint32_t checkpoint_interval = 64;
-
-  /// Partition count of the deployment and this replica's partition;
-  /// the backend needs them to re-derive a batch's local write set
-  /// (checkpoint dirtying, recovery replay). Set by the node, not knobs.
-  uint32_t num_partitions = 1;
-  uint32_t partition = 0;
 };
 
 }  // namespace transedge::storage

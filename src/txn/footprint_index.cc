@@ -1,6 +1,6 @@
-#include "core/footprint_index.h"
+#include "txn/footprint_index.h"
 
-namespace transedge::core {
+namespace transedge::txn {
 
 void FootprintIndex::Add(const Transaction& txn) {
   for (const ReadOp& r : txn.read_set) ++readers_[r.key];
@@ -28,4 +28,4 @@ bool FootprintIndex::ConflictsWith(const Transaction& txn) const {
   return false;
 }
 
-}  // namespace transedge::core
+}  // namespace transedge::txn

@@ -1,11 +1,11 @@
-#ifndef TRANSEDGE_CORE_FOOTPRINT_INDEX_H_
-#define TRANSEDGE_CORE_FOOTPRINT_INDEX_H_
+#ifndef TRANSEDGE_TXN_FOOTPRINT_INDEX_H_
+#define TRANSEDGE_TXN_FOOTPRINT_INDEX_H_
 
 #include <unordered_map>
 
 #include "txn/types.h"
 
-namespace transedge::core {
+namespace transedge::txn {
 
 /// Key-indexed footprint of a set of in-flight transactions, used for
 /// rules 2 and 3 of Definition 3.1 without quadratic scans.
@@ -25,6 +25,6 @@ class FootprintIndex {
   std::unordered_map<Key, int> writers_;
 };
 
-}  // namespace transedge::core
+}  // namespace transedge::txn
 
-#endif  // TRANSEDGE_CORE_FOOTPRINT_INDEX_H_
+#endif  // TRANSEDGE_TXN_FOOTPRINT_INDEX_H_

@@ -21,6 +21,7 @@ const Transaction* PrepareGroup::Find(TxnId txn_id) const {
 void PreparedBatches::AddGroup(BatchId batch_id, std::vector<PendingTxn> txns) {
   if (txns.empty()) return;
   assert(groups_.empty() || groups_.back().prepared_in_batch < batch_id);
+  for (const PendingTxn& pending : txns) footprint_.Add(pending.txn);
   PrepareGroup group;
   group.prepared_in_batch = batch_id;
   group.txns = std::move(txns);
@@ -49,6 +50,7 @@ Status PreparedBatches::RecordDecision(
 Result<PrepareGroup> PreparedBatches::PopGroup(BatchId batch_id) {
   for (auto it = groups_.begin(); it != groups_.end(); ++it) {
     if (it->prepared_in_batch != batch_id) continue;
+    for (const PendingTxn& pending : it->txns) footprint_.Remove(pending.txn);
     PrepareGroup group = std::move(*it);
     groups_.erase(it);
     return group;

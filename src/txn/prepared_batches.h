@@ -6,6 +6,7 @@
 
 #include "common/result.h"
 #include "storage/batch.h"
+#include "txn/footprint_index.h"
 #include "txn/types.h"
 
 namespace transedge::txn {
@@ -38,13 +39,15 @@ struct PrepareGroup {
 
 /// The "prepared batches" data structure of Figure 2: the leader's (and
 /// every replica's) view of which prepare groups are still waiting on
-/// 2PC outcomes.
+/// 2PC outcomes, together with their pending footprint (rule 3 of
+/// Definition 3.1), which `AddGroup` and `PopGroup` keep in step.
 class PreparedBatches {
  public:
   PreparedBatches() = default;
 
-  /// Registers the prepare group of freshly written batch `batch_id`.
-  /// Empty groups are not stored. Groups must be added in batch order.
+  /// Registers the prepare group of freshly written batch `batch_id` and
+  /// adds its transactions to the footprint. Empty groups are not
+  /// stored. Groups must be added in batch order.
   void AddGroup(BatchId batch_id, std::vector<PendingTxn> txns);
 
   /// Records the 2PC outcome of `txn_id`. NotFound if the transaction is
@@ -53,16 +56,21 @@ class PreparedBatches {
                         std::vector<storage::PreparedInfo> participant_info);
 
   /// Removes and returns the group prepared in `batch_id`, wherever it
-  /// sits in the queue; NotFound when no such group is registered. The
-  /// safe way to consume a certified batch's committed segment: popping
-  /// positionally would silently apply the wrong group's writes if the
-  /// queue order ever diverged from the certified commit order.
+  /// sits in the queue, and releases its footprint; NotFound when no such
+  /// group is registered. The safe way to consume a certified batch's
+  /// committed segment: popping positionally would silently apply the
+  /// wrong group's writes if the queue order ever diverged from the
+  /// certified commit order.
   Result<PrepareGroup> PopGroup(BatchId batch_id);
 
   /// Every registered group, oldest first: the commit queue a new batch
   /// commits from (core/batch_apply.h). References are invalidated by
   /// mutations.
   const std::deque<PrepareGroup>& groups() const { return groups_; }
+
+  /// Footprint of every registered transaction, decided or not, for
+  /// admission and batch re-validation.
+  const FootprintIndex& footprint() const { return footprint_; }
 
   /// Pointers to every still-undecided transaction.
   std::vector<const Transaction*> PendingTransactions() const;
@@ -80,6 +88,7 @@ class PreparedBatches {
 
  private:
   std::deque<PrepareGroup> groups_;
+  FootprintIndex footprint_;
 };
 
 }  // namespace transedge::txn

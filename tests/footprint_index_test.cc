@@ -1,4 +1,4 @@
-#include "core/footprint_index.h"
+#include "txn/footprint_index.h"
 
 #include <gtest/gtest.h>
 
@@ -25,21 +25,21 @@ Transaction MakeTxn(TxnId id, std::vector<Key> reads, std::vector<Key> writes) {
 }
 
 TEST(FootprintIndexTest, EmptyIndexHasNoConflicts) {
-  core::FootprintIndex index;
+  txn::FootprintIndex index;
   EXPECT_FALSE(index.ConflictsWith(MakeTxn(1, {"a"}, {"b"})));
   EXPECT_EQ(index.indexed_reads(), 0u);
   EXPECT_EQ(index.indexed_writes(), 0u);
 }
 
 TEST(FootprintIndexTest, DetectsWriteWriteConflict) {
-  core::FootprintIndex index;
+  txn::FootprintIndex index;
   index.Add(MakeTxn(1, {}, {"k"}));
   EXPECT_TRUE(index.ConflictsWith(MakeTxn(2, {}, {"k"})));
   EXPECT_FALSE(index.ConflictsWith(MakeTxn(3, {}, {"other"})));
 }
 
 TEST(FootprintIndexTest, DetectsReadWriteConflictBothDirections) {
-  core::FootprintIndex index;
+  txn::FootprintIndex index;
   index.Add(MakeTxn(1, {"r"}, {"w"}));
   // New writer against an indexed reader (wr).
   EXPECT_TRUE(index.ConflictsWith(MakeTxn(2, {}, {"r"})));
@@ -50,7 +50,7 @@ TEST(FootprintIndexTest, DetectsReadWriteConflictBothDirections) {
 }
 
 TEST(FootprintIndexTest, RemoveReleasesFootprint) {
-  core::FootprintIndex index;
+  txn::FootprintIndex index;
   Transaction txn = MakeTxn(1, {"r"}, {"w"});
   index.Add(txn);
   EXPECT_EQ(index.indexed_reads(), 1u);
@@ -62,7 +62,7 @@ TEST(FootprintIndexTest, RemoveReleasesFootprint) {
 }
 
 TEST(FootprintIndexTest, RefcountsOverlappingFootprints) {
-  core::FootprintIndex index;
+  txn::FootprintIndex index;
   Transaction a = MakeTxn(1, {}, {"k"});
   Transaction b = MakeTxn(2, {}, {"k"});
   index.Add(a);
@@ -75,7 +75,7 @@ TEST(FootprintIndexTest, RefcountsOverlappingFootprints) {
 }
 
 TEST(FootprintIndexTest, RemoveOfUnknownTxnIsHarmless) {
-  core::FootprintIndex index;
+  txn::FootprintIndex index;
   index.Add(MakeTxn(1, {}, {"k"}));
   index.Remove(MakeTxn(2, {"x"}, {"y"}));  // Never added.
   EXPECT_TRUE(index.ConflictsWith(MakeTxn(3, {}, {"k"})));

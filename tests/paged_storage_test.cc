@@ -2,7 +2,10 @@
 // restart, group-commit loss windows, the crash-point sweep (every op
 // count x crash mode must recover a consistent prefix), CRC-corruption
 // and torn-write rejection, meta ping-pong fallback, history-horizon
-// truncation, and in-memory/paged engine invariance.
+// truncation, and in-memory/paged engine invariance. `Recover` loads the
+// checkpoint and the log; each test checks the checkpointed store, then
+// puts the writes of the entries beyond it as the node's install step
+// does.
 
 #include <gtest/gtest.h>
 
@@ -30,8 +33,6 @@ StorageTuning SmallTuning() {
   tuning.num_buckets = 8;
   tuning.wal_group_commit = 1;
   tuning.checkpoint_interval = 4;
-  tuning.num_partitions = 1;
-  tuning.partition = 0;
   return tuning;
 }
 
@@ -87,7 +88,7 @@ class Driver {
   void Decide(const Batch& batch) {
     for (const Transaction& txn : batch.local) {
       for (const WriteOp& w : txn.write_set) {
-        backend_.store().Put(w.key, w.value, batch.id);
+        backend_.Put(w.key, w.value, batch.id);
         model_[w.key] = w.value;
       }
     }
@@ -116,6 +117,29 @@ class Driver {
   std::map<Key, Value> model_;
   std::map<BatchId, std::map<Key, Value>> state_at_;
 };
+
+/// Recovers `backend` and finishes what the node's install step does
+/// after `Recover`: checks that the store holds exactly the checkpointed
+/// state, then puts the local writes of every recovered entry beyond the
+/// checkpoint (the test batches hold local transactions only).
+Result<RecoveredState> RecoverAndReplay(PagedBackend* backend,
+                                        const Driver& driver) {
+  Result<RecoveredState> rec = backend->Recover({});
+  if (!rec.ok()) return rec;
+  EXPECT_EQ(Contents(backend->store()),
+            driver.StateAt(rec->checkpoint_applied));
+  const SmrLog& log = backend->log();
+  for (BatchId id = rec->checkpoint_applied + 1; id <= log.LastBatchId();
+       ++id) {
+    const Batch& batch = log.Get(id).value()->batch;
+    for (const Transaction& txn : batch.local) {
+      for (const WriteOp& w : txn.write_set) {
+        backend->Put(w.key, w.value, batch.id);
+      }
+    }
+  }
+  return rec;
+}
 
 std::vector<std::pair<Key, Value>> SeedData() {
   std::vector<std::pair<Key, Value>> data;
@@ -146,7 +170,7 @@ TEST(PagedBackendTest, CleanRestartRecoversStoreLogAndCheckpoint) {
   driver.disk().Crash(driver.disk().op_count(), SimDisk::CrashMode::kNone);
 
   PagedBackend recovered(driver.tuning(), &driver.disk());
-  Result<RecoveredState> rec = recovered.Recover({});
+  Result<RecoveredState> rec = RecoverAndReplay(&recovered, driver);
   ASSERT_TRUE(rec.ok()) << rec.status();
 
   // checkpoint_interval=4 over batches 0..9 checkpoints after 3 and 7.
@@ -181,7 +205,7 @@ TEST(PagedBackendTest, GroupCommitCrashLosesOnlyTheUnsyncedTail) {
   driver.disk().Crash(driver.disk().op_count(), SimDisk::CrashMode::kNone);
 
   PagedBackend recovered(tuning, &driver.disk());
-  Result<RecoveredState> rec = recovered.Recover({});
+  Result<RecoveredState> rec = RecoverAndReplay(&recovered, driver);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_EQ(rec->checkpoint_applied, kNoBatch);
   EXPECT_TRUE(rec->checkpoint_root == RootFor(kNoBatch));
@@ -207,7 +231,9 @@ TEST(PagedBackendTest, CrashPointSweepAlwaysRecoversAConsistentPrefix) {
       SimDisk crashed = driver.disk().Clone();
       crashed.Crash(keep, mode);
       PagedBackend recovered(tuning, &crashed);
-      Result<RecoveredState> rec = recovered.Recover({});
+      SCOPED_TRACE("crash at op " + std::to_string(keep) + " mode " +
+                   std::to_string(static_cast<int>(mode)));
+      Result<RecoveredState> rec = RecoverAndReplay(&recovered, driver);
       ASSERT_TRUE(rec.ok())
           << "crash at op " << keep << " mode " << static_cast<int>(mode)
           << ": " << rec.status();
@@ -224,7 +250,7 @@ TEST(PagedBackendTest, CrashPointSweepAlwaysRecoversAConsistentPrefix) {
   SimDisk intact = driver.disk().Clone();
   intact.Crash(ops, SimDisk::CrashMode::kPrefix);
   PagedBackend full(tuning, &intact);
-  ASSERT_TRUE(full.Recover({}).ok());
+  ASSERT_TRUE(RecoverAndReplay(&full, driver).ok());
   EXPECT_EQ(full.log().LastBatchId(), 11);
 }
 
@@ -241,7 +267,7 @@ TEST(PagedBackendTest, CorruptedWalTailRecordIsDroppedBenignly) {
   driver.disk().CorruptByte(kWalFileId,
                             driver.disk().DurableSize(kWalFileId) - 1);
   PagedBackend recovered(tuning, &driver.disk());
-  Result<RecoveredState> rec = recovered.Recover({});
+  Result<RecoveredState> rec = RecoverAndReplay(&recovered, driver);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_EQ(recovered.log().LastBatchId(), 3);
   EXPECT_EQ(Contents(recovered.store()), driver.StateAt(3));
@@ -293,7 +319,7 @@ TEST(PagedBackendTest, MetaPingPongFallsBackToThePreviousCheckpoint) {
   // which is never physically truncated, replays everything back.
   driver.disk().CorruptByte(kPagesFileId, 8);
   PagedBackend recovered(tuning, &driver.disk());
-  Result<RecoveredState> rec = recovered.Recover({});
+  Result<RecoveredState> rec = RecoverAndReplay(&recovered, driver);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_EQ(rec->checkpoint_applied, kNoBatch);
   EXPECT_EQ(recovered.log().LastBatchId(), 5);
@@ -314,7 +340,7 @@ TEST(PagedBackendTest, TruncateHistoryBoundsLogAndRecovery) {
   // The checkpoint published log_start=6 and the matching WAL offset, so
   // a restart recovers exactly the retained suffix.
   PagedBackend recovered(driver.tuning(), &driver.disk());
-  Result<RecoveredState> rec = recovered.Recover({});
+  Result<RecoveredState> rec = RecoverAndReplay(&recovered, driver);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_EQ(recovered.log().FirstBatchId(), 6);
   EXPECT_EQ(recovered.log().LastBatchId(), 9);
@@ -341,7 +367,7 @@ TEST(PagedBackendTest, PagedAndInMemoryEnginesApplyIdentically) {
     driver.Decide(batch);
     for (const Transaction& txn : batch.local) {
       for (const WriteOp& w : txn.write_set) {
-        in_memory.store().Put(w.key, w.value, batch.id);
+        in_memory.Put(w.key, w.value, batch.id);
       }
     }
     ASSERT_TRUE(in_memory.log().Append({batch, CertFor(batch)}).ok());

@@ -1,19 +1,25 @@
 // Crash-recovery scenario family: a replica of a live deployment is
 // crash-stopped, its simulated disk suffers a configurable power-loss
 // fault, and a successor recovers from checkpoint + WAL and rejoins the
-// cluster. Also pins engine invariance: the same workload commits to the
-// same state under every storage_kind x consensus_kind combination.
+// cluster, also while two-cluster transactions it prepared are pending
+// or commit late. Also pins engine invariance: the same workload commits
+// to the same state under every storage_kind x consensus_kind
+// combination.
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/system.h"
 #include "storage/paged/format.h"
+#include "storage/partition_map.h"
+#include "wire/message.h"
 #include "workload/generator.h"
 
 namespace transedge {
@@ -246,6 +252,231 @@ TEST_P(CrashRestartTest, CrashWhileApplyLagsRecoversAndRejoins) {
   EXPECT_EQ(revived->last_applied(), leader_log.LastBatchId());
   EXPECT_TRUE(revived->log().back().certificate.merkle_root ==
               leader_log.back().certificate.merkle_root);
+}
+
+// A checkpoint is never durable ahead of the WAL it covers. With group
+// commit 4 and a checkpoint every batch, a power loss that keeps none of
+// the unsynced writes must still leave a log that reaches the
+// checkpointed store, or no certified root would match it.
+TEST_P(CrashRestartTest, CheckpointIsNeverDurableAheadOfItsWal) {
+  SystemConfig config = PagedConfig(GetParam());
+  config.durability.wal_group_commit = 4;
+  config.durability.checkpoint_interval = 1;
+  System system(config, FastEnv());
+  auto data = TestData(config.num_partitions);
+  system.Preload(data);
+  system.Start();
+  Client* client = system.AddClient();
+
+  std::vector<Key> keys;
+  for (size_t i = 0; i < 6; ++i) keys.push_back(data[i].first);
+  std::vector<std::optional<RwResult>> results;
+  ScheduleWrites(&system, client, keys, "w-", sim::Millis(50), &results);
+  system.env().RunUntil(sim::Millis(400));
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.has_value());
+    ASSERT_TRUE(r->committed) << r->reason;
+  }
+
+  const crypto::NodeId victim = config.ReplicaNode(0, 3);
+  system.CrashReplica(victim);
+  system.disk(victim)->Crash(0, SimDisk::CrashMode::kNone);
+  Status restarted = system.RestartReplica(victim);
+  ASSERT_TRUE(restarted.ok()) << restarted;
+  const core::TransEdgeNode* revived = system.node(0, 3);
+  EXPECT_TRUE(revived->tree().RootDigest() ==
+              revived->log().back().certificate.merkle_root);
+}
+
+/// Two clusters under `consensus` whose replicas checkpoint to paged
+/// storage. The short progress timeout lets a revived follower ask for
+/// the batches it missed within a few hundred milliseconds.
+SystemConfig TwoClusterConfig(ConsensusKind consensus) {
+  SystemConfig config = PagedConfig(consensus);
+  config.num_partitions = 2;
+  config.view_change_timeout = sim::Millis(300);
+  return config;
+}
+
+/// One blind write per partition every 4 ms over [from, until), cycling
+/// through `keys[p]`, so that both clusters keep deciding a batch about
+/// every batch interval.
+void ScheduleLocalTraffic(System* system, Client* client,
+                          const std::vector<std::vector<Key>>& keys,
+                          sim::Time from, sim::Time until) {
+  size_t n = 0;
+  for (sim::Time at = from; at < until; at += sim::Millis(4), ++n) {
+    for (const std::vector<Key>& partition_keys : keys) {
+      Key key = partition_keys[n % partition_keys.size()];
+      system->env().ScheduleAt(at, [=] {
+        client->ExecuteReadWrite({}, {WriteOp{key, ToBytes("local")}},
+                                 [](RwResult) {});
+      });
+    }
+  }
+}
+
+/// Holds every 2PC message until `release_at`, then sends them all.
+void Hold2pcUntil(System* system, sim::Time release_at) {
+  struct Held {
+    bool holding = true;
+    std::vector<std::tuple<sim::ActorId, sim::ActorId, sim::MessagePtr>>
+        msgs;
+  };
+  auto held = std::make_shared<Held>();
+  sim::Network& net = system->env().network();
+  net.SetLinkFilter([held](sim::ActorId from, sim::ActorId to,
+                           const sim::MessagePtr& msg) {
+    auto type = static_cast<wire::MessageType>(msg->type());
+    if (held->holding && (type == wire::MessageType::kCoordPrepare ||
+                          type == wire::MessageType::kPrepared ||
+                          type == wire::MessageType::kCommitRecord)) {
+      held->msgs.emplace_back(from, to, msg);
+      return false;
+    }
+    return true;
+  });
+  system->env().ScheduleAt(release_at, [held, &net] {
+    held->holding = false;
+    for (auto& [from, to, msg] : held->msgs) net.Send(from, to, msg);
+    held->msgs.clear();
+  });
+}
+
+/// The shape both two-cluster scenarios share: a two-cluster write
+/// issued at 20 ms whose 2PC messages are held until `release_at`, and
+/// local writes that keep both clusters batching until `traffic_until`.
+struct TwoClusterWrite {
+  explicit TwoClusterWrite(const SystemConfig& config)
+      : system(config, FastEnv()) {
+    auto data = TestData(config.num_partitions);
+    system.Preload(data);
+    system.Start();
+    client = system.AddClient();
+    storage::PartitionMap pmap(config.num_partitions);
+    keys.resize(config.num_partitions);
+    for (const auto& [key, value] : data) {
+      keys[pmap.OwnerOf(key)].push_back(key);
+    }
+    // The first key of each partition is the two-cluster write's; local
+    // traffic cycles through the next 20.
+    local_keys.resize(config.num_partitions);
+    for (PartitionId p = 0; p < config.num_partitions; ++p) {
+      local_keys[p].assign(keys[p].begin() + 1, keys[p].begin() + 21);
+    }
+  }
+
+  void Run(sim::Time release_at, sim::Time traffic_until) {
+    Hold2pcUntil(&system, release_at);
+    ScheduleLocalTraffic(&system, client, local_keys, sim::Millis(10),
+                         traffic_until);
+    system.env().ScheduleAt(sim::Millis(20), [this] {
+      client->ExecuteReadWrite({}, {WriteOp{keys[0][0], ToBytes("d0")},
+                                    WriteOp{keys[1][0], ToBytes("d1")}},
+                               [this](RwResult r) { dist = std::move(r); });
+    });
+  }
+
+  /// Crash-stops follower 3 of partition `p`, keeping every write it
+  /// issued to its disk.
+  void Crash(PartitionId p) {
+    const crypto::NodeId victim = system.config().ReplicaNode(p, 3);
+    system.CrashReplica(victim);
+    SimDisk* disk = system.disk(victim);
+    disk->Crash(disk->op_count(), SimDisk::CrashMode::kPrefix);
+  }
+
+  Status Restart(PartitionId p) {
+    return system.RestartReplica(system.config().ReplicaNode(p, 3));
+  }
+
+  /// The revived follower of `p` holds the two-cluster write.
+  void ExpectHoldsTheWrite(PartitionId p) {
+    auto value = system.node(p, 3)->store().Get(keys[p][0]);
+    ASSERT_TRUE(value.ok()) << "partition " << p;
+    EXPECT_EQ(ToString(value->value), "d" + std::to_string(p))
+        << "partition " << p;
+  }
+
+  System system;
+  Client* client = nullptr;
+  std::vector<std::vector<Key>> keys;
+  std::vector<std::vector<Key>> local_keys;
+  std::optional<RwResult> dist;
+};
+
+// A group whose prepare batch fell below the log base before its commit
+// record arrived: the commit's write must still reach the checkpoint, so
+// a replica restarted after it recovers to a certified root. The write
+// enters the store, and the paged engine's dirty set, through one Put.
+TEST_P(CrashRestartTest, LateCommitOfATruncatedGroupSurvivesRestart) {
+  SystemConfig config = TwoClusterConfig(GetParam());
+  config.snapshot_history = 16;
+  config.durability.checkpoint_interval = 4;
+  TwoClusterWrite run(config);
+  run.Run(/*release_at=*/sim::Millis(1500),
+          /*traffic_until=*/sim::Millis(1800));
+  run.system.env().RunUntil(sim::Millis(1600));
+  ASSERT_TRUE(run.dist.has_value()) << "the two-cluster write never finished";
+  ASSERT_TRUE(run.dist->committed) << run.dist->reason;
+
+  // The coordinating cluster logged the commit record long after its log
+  // base had moved past the batch that prepared the group.
+  bool truncated_group = false;
+  for (PartitionId p = 0; p < config.num_partitions; ++p) {
+    const storage::SmrLog& log = run.system.node(p, 3)->log();
+    for (BatchId id = log.FirstBatchId(); id <= log.LastBatchId(); ++id) {
+      for (const storage::CommitRecord& rec :
+           log.Get(id).value()->batch.committed) {
+        if (rec.txn_id == run.dist->txn_id &&
+            rec.prepared_in_batch < log.FirstBatchId()) {
+          truncated_group = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(truncated_group);
+
+  // Let later checkpoints cover the commit record, then restart.
+  run.system.env().RunUntil(sim::Millis(1900));
+  for (PartitionId p = 0; p < config.num_partitions; ++p) {
+    run.Crash(p);
+    Status restarted = run.Restart(p);
+    ASSERT_TRUE(restarted.ok()) << "partition " << p << ": " << restarted;
+    run.ExpectHoldsTheWrite(p);
+  }
+}
+
+// A follower restarted while a two-cluster transaction it logged the
+// prepare of is still undecided re-forms that prepare group from its
+// log, so it can validate the batch carrying the commit record and catch
+// up past it.
+TEST_P(CrashRestartTest, RestartAcrossACommitRecordCatchesUp) {
+  SystemConfig config = TwoClusterConfig(GetParam());
+  TwoClusterWrite run(config);
+  run.Run(/*release_at=*/sim::Millis(600),
+          /*traffic_until=*/sim::Millis(1500));
+  run.system.env().RunUntil(sim::Millis(300));
+  for (PartitionId p = 0; p < config.num_partitions; ++p) run.Crash(p);
+  run.system.env().RunUntil(sim::Millis(400));
+  for (PartitionId p = 0; p < config.num_partitions; ++p) {
+    Status restarted = run.Restart(p);
+    ASSERT_TRUE(restarted.ok()) << "partition " << p << ": " << restarted;
+  }
+  run.system.env().RunUntil(sim::Seconds(3));
+
+  ASSERT_TRUE(run.dist.has_value()) << "the two-cluster write never finished";
+  ASSERT_TRUE(run.dist->committed) << run.dist->reason;
+  for (PartitionId p = 0; p < config.num_partitions; ++p) {
+    const storage::SmrLog& leader_log = run.system.leader(p)->log();
+    const storage::SmrLog& revived_log = run.system.node(p, 3)->log();
+    EXPECT_EQ(revived_log.LastBatchId(), leader_log.LastBatchId())
+        << "partition " << p;
+    EXPECT_TRUE(revived_log.back().certificate.merkle_root ==
+                leader_log.back().certificate.merkle_root)
+        << "partition " << p;
+    run.ExpectHoldsTheWrite(p);
+  }
 }
 
 TEST(RecoveryTest, CorruptedDiskKeepsReplicaDownButClusterLives) {

@@ -46,7 +46,6 @@ bool ConsensusSeamAllowed(const std::string& target) {
       "core/node_context.h",
       "core/config.h",
       "core/batch_apply.h",
-      "core/footprint_index.h",
   };
   return target.rfind("core/consensus/", 0) == 0 || kAllowed.count(target) > 0;
 }

@@ -21,8 +21,8 @@ namespace transedge::check {
 ///   watch service) never include each other; they meet only through
 ///   `NodeContext` and the node's hooks.
 /// - `consensus-seam`: files under `core/consensus/` reach only the
-///   seam headers (`node_context.h`, `config.h`) and the shared pieces
-///   (`batch_apply.h`, `footprint_index.h`) from `core/` — never the
+///   seam headers (`node_context.h`, `config.h`) and the shared
+///   committed-segment piece (`batch_apply.h`) from `core/` — never the
 ///   node, system, client, or another engine.
 /// - `external-include`: nothing in `src/` includes `bench/`, `tests/`,
 ///   `examples/`, or any `../` path.
