@@ -3,8 +3,6 @@
 
 #include <functional>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "core/node_context.h"
 #include "storage/batch.h"
@@ -12,11 +10,24 @@
 
 namespace transedge::core {
 
-/// Cross-cluster 2PC for distributed transactions (§3.3): coordinator
-/// state (collected prepared messages, decisions) and participant state
-/// (transactions we prepared for a remote coordinator). Every message
-/// leg uses the f+1 `SendToCluster` redundancy and is backed by a batch
-/// certificate from the sender's cluster.
+/// Cross-cluster 2PC for distributed transactions (§3.3). Every message
+/// leg is backed by a batch certificate from the sender's cluster and
+/// reaches f+1 members of the receiving cluster (`SendToCluster`); only
+/// a retry's re-solicitation (below) reaches every member.
+///
+/// The legs a partition owes follow from its certified log, not from
+/// which leader admitted a transaction. The leader that applies a batch
+/// sends them all: for each prepared transaction this partition
+/// coordinates, our yes-vote and the coordinator-prepares
+/// (`Coordinate`); for every other prepared transaction, our yes-vote
+/// (`SendVote`); for each commit record we coordinate, the fan-out to
+/// the participants named in the record. A new leader resumes the
+/// undecided groups this partition coordinates from their logged
+/// prepare batch, the way a PBFT primary re-derives protocol state from
+/// the certified log after a view change. A client retry that reattaches
+/// to an undecided coordination re-solicits the missing votes from
+/// every member of the silent participants, so a participant whose
+/// leader died before it prepared changes view and is asked again.
 ///
 /// Admission of participant transactions is delegated to the batch
 /// pipeline through hooks; decisions are recorded into the shared
@@ -45,84 +56,88 @@ class TwoPcCoordinator {
 
   TwoPcCoordinator(NodeContext* ctx, Hooks hooks);
 
-  /// Starts coordinating `txn` for `client` (admission already passed).
+  /// `txn` passed admission here with us as coordinator: `client` is
+  /// answered when its commit record applies.
   void BeginCoordination(const Transaction& txn, sim::ActorId client);
 
   void HandleCoordPrepare(sim::ActorId from, const wire::CoordPrepareMsg& msg);
   void HandlePrepared(sim::ActorId from, const wire::PreparedMsg& msg);
   void HandleCommitRecord(sim::ActorId from, const wire::CommitRecordMsg& msg);
 
-  /// Leader-side 2PC follow-ups after a decided batch was applied and
-  /// logged: coordinator prepares (step 3), participant prepared reports
-  /// (step 5), and commit-record fan-out + client replies (steps 7–8).
+  /// The leader's 2PC legs for a decided batch that applied: coordinator
+  /// prepares (step 3), participant votes (step 5), and commit-record
+  /// fan-out and client replies (steps 7–8).
   void OnBatchApplied(const storage::Batch& logged,
                       const storage::BatchCertificate& cert);
 
-  /// A new view was adopted. Two cleanups keep distributed transactions
-  /// from stranding across the leader handover (ROADMAP's stranded-2PC
-  /// item, resume variant):
-  ///
-  ///   - A *demoted* coordinator drops every coordinator entry it still
-  ///     holds: it can drive none of them any further — votes route to
-  ///     the new leader, and even an already-collected decision only
-  ///     reaches clients and participants through the leader-only
-  ///     OnBatchApplied path. Entries whose prepare already reached the
-  ///     replicated prepared-batches structure are dropped *silently*
-  ///     (the new leader resumes them and the client's timeout retry
-  ///     reattaches, so the transaction can still commit); only
-  ///     never-logged admissions — wiped from the pipeline's queues by
-  ///     the view change, never decidable — are abort-replied
-  ///     (retryable). A (re-elected) leader keeps everything it can
-  ///     still drive.
-  ///   - The *new* leader *resumes* undecided prepare groups coordinated
-  ///     by this partition that it holds no coordination state for (they
-  ///     were driven by the demoted leader): it rebuilds the coordinator
-  ///     entry from the logged prepare batch — own yes-vote, CD vector,
-  ///     and certificate all come from the log entry — and re-sends the
-  ///     coordinator-prepares with the `resend` flag so participants
-  ///     re-report their votes from replicated state. Only when the
-  ///     prepare batch has fallen below the history horizon (no
-  ///     certificate left to re-prove with) does it fall back to a
-  ///     unilateral abort.
+  /// A new view was adopted. Clients of admissions the view change wiped
+  /// get a retryable abort. A demoted leader forgets the other clients
+  /// and all votes: the new leader drives the logged groups, and a
+  /// client's timeout retry reattaches there. A leader resumes each
+  /// undecided group this partition coordinates that it holds no votes
+  /// for: its yes-vote, CD vector and certificate come from the prepare
+  /// batch's log entry, and `resend` coordinator-prepares make the
+  /// participants re-report their votes from replicated state. A group
+  /// whose prepare batch fell below the history horizon has no
+  /// certificate left to re-prove it with and is aborted unilaterally.
   void OnViewChange();
 
-  /// A client retry landed for a transaction this coordinator owns but
-  /// has no (or an orphaned) client for — the demoted leader took the
-  /// client identity down with it. Attaches `client` to the live
-  /// coordination entry, or answers immediately when the resumed
-  /// transaction already decided and applied. False when the id is not
-  /// ours — the caller proceeds with ordinary admission/dedup.
+  /// A client retry for a transaction this partition coordinates:
+  /// answers it from the recorded outcome when the transaction decided
+  /// while no client was attached, and otherwise attaches `client`; a
+  /// retry that finds votes still missing re-solicits them. False when
+  /// the id is not ours — the caller proceeds with ordinary
+  /// admission/dedup.
   bool ReattachClient(TxnId txn_id, sim::ActorId client);
 
   const Stats& stats() const { return stats_; }
 
  private:
-  struct CoordinatorTxn {
+  /// Votes collected for a logged prepare this partition coordinates.
+  struct Coordinating {
     Transaction txn;
-    sim::ActorId client = 0;
-    std::map<PartitionId, storage::PreparedInfo> collected;
-    bool decided = false;
-    bool decision = false;
+    std::map<PartitionId, storage::PreparedInfo> votes;
+    /// A client retry may re-solicit missing votes from this time on.
+    sim::Time resolicit_at = 0;
   };
 
-  void MaybeDecide2pc(TxnId txn_id);
+  /// The 2PC outcome of a commit record applied while no client was
+  /// attached, kept until the history horizon passes its batch.
+  struct Outcome {
+    bool committed = false;
+    BatchId logged_in = kNoBatch;
+  };
 
-  /// New-leader side of the handover: rebuilds a coordinator entry for
-  /// an inherited pending transaction and re-solicits the participant
-  /// votes (resume), or records a unilateral abort when the prepare
-  /// batch is no longer in the log.
-  void ResumeCoordination(const Transaction& txn, sim::Time at);
+  /// Records our yes-vote for `txn`, prepared here in `prepared_in`, and
+  /// sends the coordinator-prepares proved by that batch's certificate;
+  /// `resend` when a new leader resumes the logged group.
+  void Coordinate(const Transaction& txn, BatchId prepared_in,
+                  const txn::CdVector& cd_vector,
+                  const storage::BatchCertificate& proof, bool resend);
+
+  /// Sends the coordinator-prepare to each participant whose vote is
+  /// missing: to f+1 members, or to every member when `every_member`.
+  void SolicitVotes(const Coordinating& coord,
+                    const storage::BatchCertificate& proof, bool resend,
+                    bool every_member);
+
+  /// Our vote on `txn` to its coordinator: yes with the batch that
+  /// prepared it here, or no when `prepared_in` is kNoBatch.
+  void SendVote(const Transaction& txn, BatchId prepared_in,
+                const txn::CdVector& cd_vector,
+                const storage::BatchCertificate& proof);
+
+  /// Records the decision once every participant voted.
+  void MaybeDecide(std::map<TxnId, Coordinating>::iterator it);
 
   NodeContext* ctx_;
   Hooks hooks_;
 
-  /// Ordered by TxnId: OnViewChange drains this map emitting client
-  /// abort replies, so iteration order must be deterministic.
-  std::map<TxnId, CoordinatorTxn> coord_txns_;
-  std::unordered_set<TxnId> participant_pending_;  // We prepared, not coord.
-  /// Outcomes of resumed transactions that decided while orphaned (no
-  /// client attached): the client's timeout retry is answered from here.
-  std::unordered_map<TxnId, bool> orphan_outcomes_;
+  std::map<TxnId, Coordinating> coordinating_;
+  /// Ordered by TxnId: OnViewChange answers these clients in map order,
+  /// so iteration order must be deterministic.
+  std::map<TxnId, sim::ActorId> clients_;
+  std::map<TxnId, Outcome> orphan_outcomes_;
   Stats stats_;
 };
 

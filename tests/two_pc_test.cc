@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <string>
 
 #include "core/system.h"
 #include "workload/generator.h"
@@ -469,6 +471,275 @@ TEST_P(StaleGroupHandoverTest, NewLeaderResumesStrandedCoordinatorGroups) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, StaleGroupHandoverTest,
+    ::testing::Values(core::ConsensusKind::kPbft,
+                      core::ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// Leader handover: a leader crashes with its prepare batch in flight
+// ---------------------------------------------------------------------------
+
+// The batch a consensus proposal carries; nullptr for other messages.
+const storage::Batch* ProposedBatch(const sim::MessagePtr& msg) {
+  switch (static_cast<wire::MessageType>(msg->type())) {
+    case wire::MessageType::kPrePrepare:
+      return &static_cast<const wire::PrePrepareMsg&>(*msg).batch;
+    case wire::MessageType::kLinearPropose:
+      return &static_cast<const wire::LinearProposeMsg&>(*msg).batch;
+    default:
+      return nullptr;
+  }
+}
+
+// True for the commit phase of view 0 under either engine: PBFT Commit,
+// and the linear engine's commit votes and commit QC. Without it a
+// prepare-locked batch cannot decide in view 0.
+bool ViewZeroCommitPhase(const sim::MessagePtr& msg) {
+  switch (static_cast<wire::MessageType>(msg->type())) {
+    case wire::MessageType::kCommit:
+      return static_cast<const wire::CommitMsg&>(*msg).view == 0;
+    case wire::MessageType::kLinearVote: {
+      const auto& vote = static_cast<const wire::LinearVoteMsg&>(*msg);
+      return vote.view == 0 && vote.phase == wire::kLinearPhaseCommit;
+    }
+    case wire::MessageType::kLinearQc: {
+      const auto& qc = static_cast<const wire::LinearQcMsg&>(*msg);
+      return qc.view == 0 && qc.phase == wire::kLinearPhaseCommit;
+    }
+    default:
+      return false;
+  }
+}
+
+// Two partitions and one two-cluster write at 30 ms. It is the client's
+// first transaction (txn seq 1, odd), so partition 1 coordinates. The
+// victim is replica 0 of `victim_partition`, its view-0 leader. When it
+// proposes the batch that prepares the write, a link filter arms and cuts
+// that batch short, and the victim crash-stops 20 ms later:
+//   - kCommitPhase drops the victim cluster's view-0 commit phase, so the
+//     batch locks on its prepare QC but does not decide;
+//   - kEverything drops everything the victim sends, that proposal
+//     included, so its cluster never sees the prepare.
+// A second two-cluster write at 10 s can only commit once both commit
+// queues drained (Definition 4.1).
+class LeaderCrashHandoverTest
+    : public ::testing::TestWithParam<core::ConsensusKind> {
+ protected:
+  enum class Cut { kCommitPhase, kEverything };
+
+  void Run(PartitionId victim_partition, Cut cut) {
+    config_.num_partitions = 2;
+    config_.f = 1;
+    config_.consensus_kind = GetParam();
+    config_.batch_interval = sim::Millis(5);
+    config_.view_change_timeout = sim::Millis(150);
+    config_.merkle_depth = 8;
+    sim::EnvironmentOptions env_opts;
+    env_opts.seed = 11;
+    env_opts.inter_site_latency = sim::Millis(1);
+    system_ = std::make_unique<System>(config_, env_opts);
+    workload::WorkloadOptions wopts;
+    wopts.num_keys = 200;
+    wopts.value_size = 8;
+    data_ = workload::KeySpace(wopts, 2).InitialData();
+    system_->Preload(data_);
+    system_->Start();
+
+    victim_ = config_.ReplicaNode(victim_partition, 0);
+    Client* first_client = system_->AddClient();
+    system_->env().network().SetLinkFilter(
+        [this, victim_partition, cut, first_client](
+            sim::ActorId from, sim::ActorId to, const sim::MessagePtr& msg) {
+          auto type = static_cast<wire::MessageType>(msg->type());
+          if (type == wire::MessageType::kCommitRequest &&
+              from == first_client->id()) {
+            ++requests_to_[to];
+          }
+          if (type == wire::MessageType::kCoordPrepare) {
+            const auto& prepare =
+                static_cast<const wire::CoordPrepareMsg&>(*msg);
+            if (prepare.resend && prepare.txn.id == first_txn_) {
+              ++resends_to_[to];
+            }
+          }
+          if (!armed_ && from == victim_) {
+            const storage::Batch* batch = ProposedBatch(msg);
+            if (batch != nullptr && !batch->prepared.empty()) {
+              armed_ = true;
+              first_txn_ = batch->prepared.front().id;
+              system_->env().Schedule(sim::Millis(20), [this] {
+                system_->CrashReplica(victim_);
+              });
+            }
+          }
+          if (!armed_) return true;
+          if (cut == Cut::kEverything) return from != victim_;
+          return !(ViewZeroCommitPhase(msg) &&
+                   config_.PartitionOfNode(
+                       static_cast<crypto::NodeId>(from)) ==
+                       victim_partition);
+        });
+
+    first_writes_ = {WriteOp{KeyIn(0, 0), ToBytes("first0")},
+                     WriteOp{KeyIn(1, 0), ToBytes("first1")}};
+    later_writes_ = {WriteOp{KeyIn(0, 6), ToBytes("later0")},
+                     WriteOp{KeyIn(1, 6), ToBytes("later1")}};
+    system_->env().Schedule(sim::Millis(30), [this, first_client] {
+      first_client->ExecuteReadWrite(
+          {}, first_writes_, [this](RwResult r) { first_ = std::move(r); });
+    });
+    Client* later_client = system_->AddClient();
+    system_->env().Schedule(sim::Seconds(10), [this, later_client] {
+      later_client->ExecuteReadWrite(
+          {}, later_writes_, [this](RwResult r) { later_ = std::move(r); });
+    });
+    system_->env().RunUntil(sim::Seconds(30));
+    ASSERT_TRUE(armed_) << "the victim never proposed the prepare";
+  }
+
+  Key KeyIn(PartitionId p, size_t skip) const {
+    storage::PartitionMap pmap(config_.num_partitions);
+    for (const auto& [key, value] : data_) {
+      if (pmap.OwnerOf(key) == p && skip-- == 0) return key;
+    }
+    ADD_FAILURE() << "no key in partition " << p;
+    return Key();
+  }
+
+  // Every live replica holds the 2PC outcome the client was told: a
+  // commit record with the same verdict in its log, and the write in its
+  // store exactly when it committed.
+  void ExpectOutcomeInLogsAndStores(const RwResult& result,
+                                    const std::vector<WriteOp>& writes) {
+    for (const WriteOp& write : writes) {
+      PartitionId p = storage::PartitionMap(config_.num_partitions)
+                          .OwnerOf(write.key);
+      for (uint32_t i = 0; i < config_.replicas_per_cluster(); ++i) {
+        if (config_.ReplicaNode(p, i) == victim_) continue;
+        SCOPED_TRACE("partition " + std::to_string(p) + " replica " +
+                     std::to_string(i));
+        const core::TransEdgeNode* node = system_->node(p, i);
+        std::optional<bool> logged;
+        const storage::SmrLog& log = node->log();
+        for (BatchId b = log.FirstBatchId(); b <= log.LastBatchId(); ++b) {
+          for (const storage::CommitRecord& rec :
+               log.Get(b).value()->batch.committed) {
+            if (rec.txn_id != result.txn_id) continue;
+            EXPECT_EQ(rec.coordinator, 1u);  // The scenario's premise.
+            logged = rec.committed;
+          }
+        }
+        ASSERT_TRUE(logged.has_value()) << "no commit record";
+        EXPECT_EQ(*logged, result.committed);
+        EXPECT_EQ(ToString(node->store().Get(write.key)->value) ==
+                      ToString(write.value),
+                  result.committed);
+      }
+    }
+  }
+
+  // No transaction is prepared twice in one partition's log: a retry or
+  // a re-asked prepare must not run a handed-over transaction again.
+  void ExpectEachTxnPreparedOnce() {
+    for (PartitionId p = 0; p < config_.num_partitions; ++p) {
+      for (uint32_t i = 0; i < config_.replicas_per_cluster(); ++i) {
+        if (config_.ReplicaNode(p, i) == victim_) continue;
+        const storage::SmrLog& log = system_->node(p, i)->log();
+        std::map<TxnId, BatchId> prepared_in;
+        for (BatchId b = log.FirstBatchId(); b <= log.LastBatchId(); ++b) {
+          for (const Transaction& t : log.Get(b).value()->batch.prepared) {
+            auto [it, fresh] = prepared_in.emplace(t.id, b);
+            EXPECT_TRUE(fresh)
+                << "partition " << p << " replica " << i << " prepared txn "
+                << t.id << " in batch " << it->second << " and " << b;
+          }
+        }
+      }
+    }
+  }
+
+  SystemConfig config_;
+  std::unique_ptr<System> system_;
+  std::vector<std::pair<Key, Value>> data_;
+  crypto::NodeId victim_ = 0;
+  bool armed_ = false;
+  TxnId first_txn_ = 0;  // Set when the filter arms.
+  // Per receiver: the first client's commit requests, and the resend
+  // coordinator-prepares of its transaction.
+  std::map<sim::ActorId, int> requests_to_, resends_to_;
+  std::vector<WriteOp> first_writes_, later_writes_;
+  std::optional<RwResult> first_, later_;
+};
+
+// The coordinator's leader crashes with its prepare batch locked. The new
+// leader re-proposes the batch and, on applying it, drives the 2PC it did
+// not admit; the client's timeout retry is answered from the recorded
+// outcome. A new leader that sent no legs for a batch it did not admit
+// re-admitted the retry instead, and answered it with a final abort
+// ("conflicts with a prepared transaction") while both partitions later
+// committed the write.
+TEST_P(LeaderCrashHandoverTest, CoordinatorLeaderCrashWithLockedPrepare) {
+  Run(/*victim_partition=*/1, Cut::kCommitPhase);
+  ASSERT_TRUE(first_.has_value()) << "client never answered";
+  EXPECT_TRUE(first_->committed) << first_->reason;
+  ExpectOutcomeInLogsAndStores(*first_, first_writes_);
+  ASSERT_TRUE(later_.has_value());
+  EXPECT_TRUE(later_->committed) << later_->reason;
+  ExpectEachTxnPreparedOnce();
+}
+
+// A participant's leader crashes with its prepare batch locked. Its new
+// leader votes when the re-proposed batch applies, so the write commits
+// before the client's first timeout, and the healthy coordinator cluster
+// never changes view. A new leader that voted only for what it admitted
+// left the write to commit after the client's retry forced a view change
+// at the coordinator.
+TEST_P(LeaderCrashHandoverTest, ParticipantLeaderCrashWithLockedPrepare) {
+  Run(/*victim_partition=*/0, Cut::kCommitPhase);
+  ASSERT_TRUE(first_.has_value()) << "client never answered";
+  EXPECT_TRUE(first_->committed) << first_->reason;
+  EXPECT_LT(first_->latency, config_.client_timeout);
+  for (uint32_t i = 0; i < config_.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system_->node(1, i)->view(), 0u) << "coordinator replica " << i;
+  }
+  ExpectOutcomeInLogsAndStores(*first_, first_writes_);
+  ASSERT_TRUE(later_.has_value());
+  EXPECT_TRUE(later_->committed) << later_->reason;
+  ExpectEachTxnPreparedOnce();
+}
+
+// A participant's leader crashes before its cluster saw the prepare. The
+// coordinator-prepares reached only f+1 members, too few to change view,
+// so the participant stayed in view 0 with a dead leader. The client's
+// retry now re-solicits the missing vote from every member: the cluster
+// elects a new leader, a later resend reaches it, and the write commits.
+// Asked only through f+1 members, both writes ended in "client timeout".
+TEST_P(LeaderCrashHandoverTest,
+       ParticipantLeaderCrashBeforeItsClusterPrepared) {
+  Run(/*victim_partition=*/0, Cut::kEverything);
+  ASSERT_TRUE(first_.has_value()) << "client never answered";
+  EXPECT_TRUE(first_->committed) << first_->reason;
+  // Only a retry reaches the coordinator's last member, and only a
+  // re-solicitation reaches the participant's members beyond the f+1
+  // that SendToCluster covers: once per retry round, however many
+  // forwarded copies of the retry the coordinator's leader receives.
+  const uint32_t n = config_.replicas_per_cluster();
+  const int retry_rounds = requests_to_[config_.ReplicaNode(1, n - 1)];
+  EXPECT_GT(resends_to_[config_.ReplicaNode(0, n - 1)], 0);
+  for (uint32_t i = config_.f + 1; i < n; ++i) {
+    EXPECT_LE(resends_to_[config_.ReplicaNode(0, i)], retry_rounds)
+        << "participant replica " << i;
+  }
+  ExpectOutcomeInLogsAndStores(*first_, first_writes_);
+  ASSERT_TRUE(later_.has_value());
+  EXPECT_TRUE(later_->committed) << later_->reason;
+  ExpectEachTxnPreparedOnce();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, LeaderCrashHandoverTest,
     ::testing::Values(core::ConsensusKind::kPbft,
                       core::ConsensusKind::kLinearVote),
     [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
