@@ -1,7 +1,8 @@
 // Micro-benchmarks of TransEdge's building blocks (google-benchmark):
 // SHA-256, HMAC, Merkle updates (single and batched) and proofs, OCC
-// conflict detection, and CD-vector operations. These are host-machine
-// numbers (real time), not simulated time.
+// conflict detection, CD-vector operations, versioned-store lookups and
+// the paged format's CRC-32. These are host-machine numbers (real time),
+// not simulated time.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
 #include "merkle/merkle_tree.h"
+#include "storage/paged/format.h"
+#include "storage/versioned_store.h"
 #include "txn/types.h"
 
 namespace transedge {
@@ -87,11 +90,10 @@ void BM_MerkleApplyBatch(benchmark::State& state) {
     keys.push_back("key" + std::to_string(i * 7));
   }
   std::vector<merkle::MerkleTree::Write> writes;
-  for (const std::string& k : keys) writes.push_back({&k, &value});
-  int64_t version = 1;
+  for (const std::string& k : keys) writes.push_back({&k, &value, 1});
   for (auto _ : state) {
     merkle::MerkleTree tree = base.Clone();
-    tree.PutBatch(writes, version++);
+    tree.PutBatch(writes);
     benchmark::DoNotOptimize(tree.RootDigest());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -181,6 +183,40 @@ void BM_CdVectorPairwiseMax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CdVectorPairwiseMax)->Arg(5)->Arg(64);
+
+// Definition 3.1's read check: the latest version of one key in a store
+// of range(0) keys, for a key the store holds (range(1) = 1) or lacks.
+void BM_StoreLatestVersion(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  storage::VersionedStore store;
+  for (int64_t i = 0; i < n; ++i) {
+    store.Put("key" + std::to_string(i), Bytes(32, 0x11), 0);
+  }
+  const std::string prefix = state.range(1) == 1 ? "key" : "absent";
+  std::vector<std::string> probes;
+  for (int64_t i = 0; i < 1024; ++i) {
+    probes.push_back(prefix + std::to_string(i * 7919 % n));
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.LatestVersion(probes[i++ % probes.size()]));
+  }
+}
+BENCHMARK(BM_StoreLatestVersion)
+    ->Args({4096, 1})
+    ->Args({4096, 0})
+    ->Args({100000, 1})
+    ->Args({100000, 0});
+
+// The checksum every page and WAL record carries.
+void BM_Crc32(benchmark::State& state) {
+  Bytes data(static_cast<size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(storage::paged::Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096);
 
 }  // namespace
 }  // namespace transedge

@@ -29,7 +29,7 @@ watch_json=$(TRANSEDGE_SMOKE=1 "$BUILD_DIR/bench_watch_fanout" | grep '^{')
 # present, a placeholder otherwise.
 if [[ -x "$BUILD_DIR/bench_micro" ]]; then
   micro_json=$("$BUILD_DIR/bench_micro" \
-    --benchmark_filter='BM_Sha256/256|BM_HashPair|BM_HmacSign|BM_HmacVerify|BM_MerklePut/13|BM_MerkleApplyBatch/64|BM_MerkleProve|BM_MerkleVerifyProofs/16' \
+    --benchmark_filter='BM_Sha256/256|BM_HashPair|BM_HmacSign|BM_HmacVerify|BM_MerklePut/13|BM_MerkleApplyBatch/64|BM_MerkleProve|BM_MerkleVerifyProofs/16|BM_StoreLatestVersion/4096/1' \
     --benchmark_min_time=0.05 --benchmark_format=json 2>/dev/null)
 else
   micro_json='{"skipped":"bench_micro not built (google-benchmark missing)"}'

@@ -65,8 +65,10 @@ Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
   std::vector<merkle::MerkleTree::Write> writes;
   TE_RETURN_IF_ERROR(storage::ForEachBatchWrite(
       batch, pmap, self, InRegisteredGroups(prepared),
-      [&writes](const WriteOp& w) { writes.push_back({&w.key, &w.value}); }));
-  tree->PutBatch(writes, batch.id);
+      [&](const WriteOp& w) {
+        writes.push_back({&w.key, &w.value, batch.id});
+      }));
+  tree->PutBatch(writes);
   return Status::OK();
 }
 

@@ -119,11 +119,15 @@ Status TransEdgeNode::RecoverFromStorage(const storage::RecoverOptions& opts) {
   // the log tail's certificate, or the checkpoint's recorded root when
   // the WAL held nothing beyond it. Buckets keep keys sorted, so the
   // rebuilt tree is canonical and must hash-equal the incremental one.
-  merkle::MerkleTree rebuilt(config_.merkle_depth);
+  // One PutBatch copies and hashes each node once.
+  std::vector<merkle::MerkleTree::Write> writes;
+  writes.reserve(backend_->store().key_count());
   backend_->store().ForEachLatest(
       [&](const Key& key, const Value& value, BatchId version) {
-        rebuilt.Put(key, value, version);
+        writes.push_back({&key, &value, version});
       });
+  merkle::MerkleTree rebuilt(config_.merkle_depth);
+  rebuilt.PutBatch(writes);
   const crypto::Digest expected = log.empty()
                                       ? recovered.checkpoint_root
                                       : log.back().certificate.merkle_root;

@@ -46,10 +46,10 @@ System::PreloadState System::BuildPreloadState(
   for (const auto& [key, value] : data) {
     PartitionId p = pmap.OwnerOf(key);
     state.stores[p].Put(key, value, 0);
-    writes[p].push_back({&key, &value});
+    writes[p].push_back({&key, &value, 0});
   }
   for (PartitionId p = 0; p < num_partitions; ++p) {
-    state.trees[p].PutBatch(writes[p], 0);
+    state.trees[p].PutBatch(writes[p]);
   }
   return state;
 }

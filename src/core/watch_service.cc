@@ -104,13 +104,15 @@ void WatchService::HandleSubscribe(sim::ActorId from,
   }
   const storage::VersionedStore& store = ctx_->store();
   std::vector<Key> in_range;
-  store.ForEachLatest([&](const Key& k, const Value& value, BatchId version) {
-    (void)value;
-    if (k < msg.range_lo || k > msg.range_hi) return;
-    // The store runs ahead of the applied head while apply lags: a key
-    // first written after `head` is not part of its state.
-    if (version <= head || store.GetAsOf(k, head).ok()) in_range.push_back(k);
-  });
+  store.ForEachLatest(
+      [&](const Key& k, const Value&, BatchId version) {
+        // The store runs ahead of the applied head while apply lags: a
+        // key first written after `head` is not part of its state.
+        if (version <= head || store.GetAsOf(k, head).ok()) {
+          in_range.push_back(k);
+        }
+      },
+      [&](const Key& k) { return k >= msg.range_lo && k <= msg.range_hi; });
   sim::Time done =
       ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                        static_cast<sim::Time>(in_range.size()) +

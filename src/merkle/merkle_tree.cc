@@ -89,14 +89,26 @@ struct MerkleTree::Node {
   NodeRef left;                     // Interior nodes only.
   NodeRef right;                    // Interior nodes only.
   std::vector<BucketEntry> bucket;  // Leaves only.
-  bool is_leaf = false;
+  uint32_t refs = 1;                // Owning NodeRefs.
 };
 
+void MerkleTree::NodeRef::Retain(Node* node) {
+  if (node != nullptr) ++node->refs;
+}
+
+void MerkleTree::NodeRef::Release(Node* node) {
+  // Deleting a node releases its children, so a freed path unwinds at
+  // most `depth` frames deep.
+  if (node != nullptr && --node->refs == 0) delete node;
+}
+
 MerkleTree::MerkleTree(int depth)
-    : depth_(depth),
-      root_(nullptr),
-      empty_digests_(std::make_shared<const std::vector<crypto::Digest>>(
-          ComputeEmptyDigests(depth))) {}
+    : MerkleTree(depth, NodeRef(),
+                 std::make_shared<const std::vector<crypto::Digest>>(
+                     ComputeEmptyDigests(depth))) {}
+
+MerkleTree::MerkleTree(int depth, NodeRef root, EmptyDigests empty)
+    : depth_(depth), root_(std::move(root)), empty_digests_(std::move(empty)) {}
 
 MerkleTree::~MerkleTree() = default;
 
@@ -109,7 +121,7 @@ uint32_t MerkleTree::LeafIndexFor(const std::string& key, int depth) {
   return prefix >> (32 - depth);
 }
 
-crypto::Digest MerkleTree::DigestOf(const NodeRef& node, int level,
+crypto::Digest MerkleTree::DigestOf(const Node* node, int level,
                                     const std::vector<crypto::Digest>& empty) {
   return node == nullptr ? empty[level] : node->digest;
 }
@@ -120,11 +132,11 @@ struct MerkleTree::LeafWrite {
 };
 
 MerkleTree::NodeRef MerkleTree::PutRec(
-    const NodeRef& node, int level, int depth, const LeafWrite* first,
+    const Node* node, int level, int depth, const LeafWrite* first,
     const LeafWrite* last, const std::vector<crypto::Digest>& empty) {
-  auto next = std::make_shared<Node>();
+  Node* next = new Node;
+  NodeRef ref(next);
   if (level == depth) {
-    next->is_leaf = true;
     if (node != nullptr) next->bucket = node->bucket;
     for (const LeafWrite* w = first; w != last; ++w) {
       const BucketEntry& entry = w->entry;
@@ -144,7 +156,7 @@ MerkleTree::NodeRef MerkleTree::PutRec(
       }
     }
     next->digest = BucketDigest(next->bucket);
-    return next;
+    return ref;
   }
 
   // Interior: the writes whose leaf bit at this level is 0 go left. They
@@ -154,41 +166,42 @@ MerkleTree::NodeRef MerkleTree::PutRec(
       std::partition_point(first, last, [shift](const LeafWrite& w) {
         return ((w.leaf_index >> shift) & 1) == 0;
       });
-  NodeRef old_left = node ? node->left : nullptr;
-  NodeRef old_right = node ? node->right : nullptr;
-  next->left = first == mid
-                   ? old_left
-                   : PutRec(old_left, level + 1, depth, first, mid, empty);
-  next->right = mid == last
-                    ? old_right
-                    : PutRec(old_right, level + 1, depth, mid, last, empty);
-  next->digest = crypto::HashPair(DigestOf(next->left, level + 1, empty),
-                                  DigestOf(next->right, level + 1, empty));
-  return next;
+  if (node != nullptr) {
+    next->left = node->left;
+    next->right = node->right;
+  }
+  if (first != mid) {
+    next->left = PutRec(next->left.get(), level + 1, depth, first, mid, empty);
+  }
+  if (mid != last) {
+    next->right =
+        PutRec(next->right.get(), level + 1, depth, mid, last, empty);
+  }
+  next->digest =
+      crypto::HashPair(DigestOf(next->left.get(), level + 1, empty),
+                       DigestOf(next->right.get(), level + 1, empty));
+  return ref;
 }
 
 MerkleTree MerkleTree::Clone() const {
-  MerkleTree copy(depth_);
-  copy.root_ = root_;
-  copy.empty_digests_ = empty_digests_;
-  return copy;
+  return MerkleTree(depth_, root_, empty_digests_);
 }
 
 void MerkleTree::Put(const std::string& key, const Bytes& value,
                      int64_t version) {
   LeafWrite write{LeafIndexFor(key, depth_),
                   BucketEntry{key, crypto::Sha256::Hash(value), version}};
-  root_ = PutRec(root_, 0, depth_, &write, &write + 1, *empty_digests_);
+  root_ = PutRec(root_.get(), 0, depth_, &write, &write + 1, *empty_digests_);
 }
 
-void MerkleTree::PutBatch(const std::vector<Write>& writes, int64_t version) {
+void MerkleTree::PutBatch(const std::vector<Write>& writes) {
   if (writes.empty()) return;
   std::vector<LeafWrite> sorted;
   sorted.reserve(writes.size());
   for (const Write& w : writes) {
     sorted.push_back(
         {LeafIndexFor(*w.key, depth_),
-         BucketEntry{*w.key, crypto::Sha256::Hash(*w.value), version}});
+         BucketEntry{*w.key, crypto::Sha256::Hash(*w.value), w.version}});
   }
   // Stable: writes to one leaf keep their arrival order, so a later write
   // to the same key overwrites an earlier one, as with sequential Put.
@@ -196,12 +209,12 @@ void MerkleTree::PutBatch(const std::vector<Write>& writes, int64_t version) {
                    [](const LeafWrite& a, const LeafWrite& b) {
                      return a.leaf_index < b.leaf_index;
                    });
-  root_ = PutRec(root_, 0, depth_, sorted.data(), sorted.data() + sorted.size(),
-                 *empty_digests_);
+  root_ = PutRec(root_.get(), 0, depth_, sorted.data(),
+                 sorted.data() + sorted.size(), *empty_digests_);
 }
 
 crypto::Digest MerkleTree::RootDigest() const {
-  return DigestOf(root_, 0, *empty_digests_);
+  return DigestOf(root_.get(), 0, *empty_digests_);
 }
 
 MerkleTree::Snapshot MerkleTree::GetSnapshot() const {
@@ -214,7 +227,7 @@ MerkleTree::Snapshot MerkleTree::GetSnapshot() const {
 
 crypto::Digest MerkleTree::Snapshot::RootDigest() const {
   if (!valid()) return crypto::Digest{};
-  return MerkleTree::DigestOf(root_, 0, *empty_digests_);
+  return MerkleTree::DigestOf(root_.get(), 0, *empty_digests_);
 }
 
 Result<MerkleProof> MerkleTree::Prove(const std::string& key) const {
@@ -233,11 +246,11 @@ Result<MerkleProof> MerkleTree::ProveAt(const Snapshot& snapshot,
 
   // Walk down collecting siblings top-down, then reverse to bottom-up.
   std::vector<crypto::Digest> top_down;
-  NodeRef node = snapshot.root_;
+  const Node* node = snapshot.root_.get();
   for (int level = 0; level < depth; ++level) {
     bool go_right = (proof.leaf_index >> (depth - 1 - level)) & 1;
-    NodeRef left = node ? node->left : nullptr;
-    NodeRef right = node ? node->right : nullptr;
+    const Node* left = node ? node->left.get() : nullptr;
+    const Node* right = node ? node->right.get() : nullptr;
     top_down.push_back(go_right ? DigestOf(left, level + 1, empty)
                                 : DigestOf(right, level + 1, empty));
     node = go_right ? right : left;

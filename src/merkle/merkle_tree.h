@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -88,13 +89,14 @@ class MerkleTree {
   struct Write {
     const std::string* key;
     const Bytes* value;
+    int64_t version;
   };
 
-  /// Applies all of `writes` at `version` in one descent: each touched
-  /// node is copied and hashed once, however many writes pass through
-  /// it. Digests and proofs are exactly those of calling `Put` for each
-  /// write in order; a later write to the same key wins.
-  void PutBatch(const std::vector<Write>& writes, int64_t version);
+  /// Applies all of `writes` in one descent: each touched node is copied
+  /// and hashed once, however many writes pass through it. Digests and
+  /// proofs are exactly those of calling `Put` for each write in order;
+  /// a later write to the same key wins.
+  void PutBatch(const std::vector<Write>& writes);
 
   /// Cheap structural-sharing copy (O(1)): the clone starts at the same
   /// version and diverges copy-on-write. Used by leaders to compute the
@@ -153,20 +155,49 @@ class MerkleTree {
 
  private:
   struct Node;
-  using NodeRef = std::shared_ptr<const Node>;
   struct LeafWrite;
+  using EmptyDigests = std::shared_ptr<const std::vector<crypto::Digest>>;
+
+  /// Owning handle to an immutable node. The count is intrusive and not
+  /// atomic: a tree, its clones and its snapshots are used from one
+  /// thread, and the library starts none.
+  class NodeRef {
+   public:
+    NodeRef() = default;
+    /// Adopts a freshly allocated node, whose count starts at 1.
+    explicit NodeRef(Node* node) : node_(node) {}
+    NodeRef(const NodeRef& other) : node_(other.node_) { Retain(node_); }
+    NodeRef(NodeRef&& other) noexcept
+        : node_(std::exchange(other.node_, nullptr)) {}
+    NodeRef& operator=(NodeRef other) noexcept {
+      std::swap(node_, other.node_);
+      return *this;
+    }
+    ~NodeRef() { Release(node_); }
+
+    const Node* get() const { return node_; }
+
+   private:
+    static void Retain(Node* node);
+    static void Release(Node* node);
+
+    Node* node_ = nullptr;
+  };
+
+  /// A clone's constructor: shares `empty` instead of recomputing it.
+  MerkleTree(int depth, NodeRef root, EmptyDigests empty);
 
   /// Copies the path to every leaf in [first, last), which are sorted by
   /// (leaf index, arrival) and all lie below `node`.
-  static NodeRef PutRec(const NodeRef& node, int level, int depth,
+  static NodeRef PutRec(const Node* node, int level, int depth,
                         const LeafWrite* first, const LeafWrite* last,
                         const std::vector<crypto::Digest>& empty);
-  static crypto::Digest DigestOf(const NodeRef& node, int level,
+  static crypto::Digest DigestOf(const Node* node, int level,
                                  const std::vector<crypto::Digest>& empty);
 
   int depth_;
   NodeRef root_;
-  std::shared_ptr<const std::vector<crypto::Digest>> empty_digests_;
+  EmptyDigests empty_digests_;
 };
 
 /// An immutable version of the tree. Copyable; keeps the version alive.
@@ -184,7 +215,7 @@ class MerkleTree::Snapshot {
 
   int depth_ = 0;
   NodeRef root_;
-  std::shared_ptr<const std::vector<crypto::Digest>> empty_digests_;
+  EmptyDigests empty_digests_;
 };
 
 }  // namespace transedge::merkle

@@ -88,12 +88,14 @@ Status PagedBackend::DoCheckpoint(BatchId last_applied,
   // bucket (sorted key order — the format is canonical across replicas).
   std::map<uint32_t, std::vector<BucketRecord>> rewrite;
   for (uint32_t b : dirty_buckets_) rewrite[b];
-  store_.ForEachLatest([&](const Key& key, const Value& value,
-                           BatchId version) {
-    auto it = rewrite.find(BucketOf(key, tuning_.num_buckets));
-    if (it == rewrite.end()) return;
-    it->second.push_back(BucketRecord{key, value, version});
-  });
+  store_.ForEachLatest(
+      [&](const Key& key, const Value& value, BatchId version) {
+        rewrite[BucketOf(key, tuning_.num_buckets)].push_back(
+            BucketRecord{key, value, version});
+      },
+      [&](const Key& key) {
+        return dirty_buckets_.count(BucketOf(key, tuning_.num_buckets)) > 0;
+      });
 
   // Copy-on-write: new chains go to pages the previous checkpoint does
   // not reference; the old pages are freed only after the meta flip is

@@ -22,7 +22,7 @@ void VersionedStore::Put(const Key& key, Value value, BatchId version) {
 
 Result<VersionedValue> VersionedStore::Get(const Key& key) const {
   auto it = chains_.find(key);
-  if (it == chains_.end() || it->second.empty()) {
+  if (it == chains_.end()) {
     return Status::NotFound("key not found: " + key);
   }
   return it->second.back();
@@ -31,7 +31,7 @@ Result<VersionedValue> VersionedStore::Get(const Key& key) const {
 Result<VersionedValue> VersionedStore::GetAsOf(const Key& key,
                                                BatchId as_of) const {
   auto it = chains_.find(key);
-  if (it == chains_.end() || it->second.empty()) {
+  if (it == chains_.end()) {
     return Status::NotFound("key not found: " + key);
   }
   const Chain& chain = it->second;
@@ -47,20 +47,29 @@ Result<VersionedValue> VersionedStore::GetAsOf(const Key& key,
 
 BatchId VersionedStore::LatestVersion(const Key& key) const {
   auto it = chains_.find(key);
-  if (it == chains_.end() || it->second.empty()) return kNoBatch;
-  return it->second.back().version;
+  return it == chains_.end() ? kNoBatch : it->second.back().version;
 }
 
-void VersionedStore::ForEachLatest(
-    const std::function<void(const Key&, const Value&, BatchId)>& fn) const {
-  for (const auto& [key, chain] : chains_) {
-    if (chain.empty()) continue;
-    fn(key, chain.back().value, chain.back().version);
+void VersionedStore::ForEachLatest(const LatestFn& fn,
+                                   const KeyFilter& select) const {
+  std::vector<const std::pair<const Key, Chain>*> selected;
+  // check:allow(unordered-iter): only collects the selected entries;
+  // they are sorted by key below before `fn` sees any of them.
+  for (const auto& entry : chains_) {
+    if (!select || select(entry.first)) selected.push_back(&entry);
+  }
+  std::sort(selected.begin(), selected.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (const auto* entry : selected) {
+    const VersionedValue& latest = entry->second.back();
+    fn(entry->first, latest.value, latest.version);
   }
 }
 
 size_t VersionedStore::TruncateHistory(BatchId horizon) {
   size_t dropped = 0;
+  // check:allow(unordered-iter): trims each chain on its own and only
+  // sums a count; no result depends on the order of the keys.
   for (auto& [key, chain] : chains_) {
     // Find the last version <= horizon; everything before it can go.
     auto pos = std::upper_bound(

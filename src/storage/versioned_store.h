@@ -2,8 +2,8 @@
 #define TRANSEDGE_STORAGE_VERSIONED_STORE_H_
 
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -26,6 +26,10 @@ struct VersionedValue {
 /// distributed read-only protocol can serve "the state as of batch i"
 /// (§4.3.4), and so OCC validation can compare observed versions against
 /// the latest committed ones (Definition 3.1, rule 1).
+///
+/// The chains live in one hashed table, so `Put`, `Get`, `GetAsOf` and
+/// `LatestVersion` cost one hash probe. The table's order is never
+/// visible: `ForEachLatest` sorts what it visits.
 class VersionedStore {
  public:
   VersionedStore() = default;
@@ -49,19 +53,25 @@ class VersionedStore {
   /// of versions dropped.
   size_t TruncateHistory(BatchId horizon);
 
-  /// Visits the latest version of every key, in sorted key order (so the
-  /// traversal is canonical across replicas). Used by durable backends
-  /// to checkpoint and by recovery to rebuild the Merkle tree.
-  void ForEachLatest(
-      const std::function<void(const Key&, const Value&, BatchId)>& fn) const;
+  using LatestFn = std::function<void(const Key&, const Value&, BatchId)>;
+  using KeyFilter = std::function<bool(const Key&)>;
+
+  /// Visits the latest version of every key `select` accepts (every key
+  /// when `select` is empty), in sorted key order, so the traversal is
+  /// canonical across replicas. One pass over the table, then a sort of
+  /// the selected keys only. The references passed to `fn` point into
+  /// the store. Used by durable backends to checkpoint dirty buckets, by
+  /// recovery to rebuild the Merkle tree and by a watch seed's range.
+  void ForEachLatest(const LatestFn& fn, const KeyFilter& select = {}) const;
 
   size_t key_count() const { return chains_.size(); }
   size_t total_versions() const { return total_versions_; }
 
  private:
-  /// Sorted by version ascending.
+  /// Sorted by version ascending; never empty (`Put` appends and
+  /// `TruncateHistory` keeps the latest version).
   using Chain = std::vector<VersionedValue>;
-  std::map<Key, Chain> chains_;
+  std::unordered_map<Key, Chain> chains_;
   size_t total_versions_ = 0;
 };
 

@@ -325,7 +325,7 @@ void ResealAsLeader(const core::TransEdgeNode& leader,
   auto add = [&](const Transaction& t) {
     for (const WriteOp& w : t.write_set) {
       if (pmap.OwnerOf(w.key) == batch->partition) {
-        writes.push_back({&w.key, &w.value});
+        writes.push_back({&w.key, &w.value, batch->id});
       }
     }
   };
@@ -338,7 +338,7 @@ void ResealAsLeader(const core::TransEdgeNode& leader,
     }
   }
   merkle::MerkleTree tree = leader.tree().Clone();
-  tree.PutBatch(writes, batch->id);
+  tree.PutBatch(writes);
   batch->ro.merkle_root = tree.RootDigest();
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -148,6 +149,79 @@ TEST(MerkleTreeTest, CloneSharesStateThenDiverges) {
   EXPECT_TRUE(
       MerkleTree::VerifyAbsence(a.Prove("k2").value(), "k2", a.RootDigest())
           .ok());
+}
+
+// Snapshots and clones own what they reach: each keeps proving after the
+// tree it came from and the other clones are destroyed or overwritten.
+// Under the sanitizer build a node freed early is a use-after-free and a
+// count that never reaches zero is a leak.
+TEST(MerkleTreeTest, SnapshotsOutliveTheirTree) {
+  using State = std::map<std::string, std::pair<Bytes, int64_t>>;
+  struct Version {
+    MerkleTree::Snapshot snapshot;
+    crypto::Digest root;  // Of a tree built by sequential Put.
+    State state;
+  };
+  auto key_of = [](uint64_t i) { return "k" + std::to_string(i); };
+  std::vector<Version> versions;
+  std::vector<MerkleTree> clones;
+  {
+    MerkleTree tree(6);
+    MerkleTree sequential(6);
+    State state;
+    Rng rng(3);
+    for (int64_t v = 0; v < 6; ++v) {
+      for (int i = 0; i < 12; ++i) {
+        const std::string key = key_of(rng.NextBounded(40));
+        const Bytes value = V(std::to_string(v) + "." + std::to_string(i));
+        tree.Put(key, value, v);
+        sequential.Put(key, value, v);
+        state[key] = {value, v};
+      }
+      ASSERT_EQ(tree.RootDigest(), sequential.RootDigest());
+      versions.push_back({tree.GetSnapshot(), sequential.RootDigest(), state});
+      clones.push_back(tree.Clone());
+    }
+    clones[0] = clones[5].Clone();  // Drops version 0's clone.
+    clones[5].Put("k0", V("diverged"), 9);
+    clones.erase(clones.begin() + 1, clones.begin() + 3);  // Versions 1, 2.
+    versions.erase(versions.begin() + 2);  // Its snapshot dies with it.
+  }  // The tree and the sequential reference are gone.
+
+  ASSERT_EQ(versions.size(), 5u);
+  for (const Version& version : versions) {
+    EXPECT_EQ(version.snapshot.RootDigest(), version.root);
+    MerkleTree rebuilt(6);
+    for (const auto& [key, vv] : version.state) {
+      rebuilt.Put(key, vv.first, vv.second);
+    }
+    EXPECT_EQ(rebuilt.RootDigest(), version.root);
+    for (uint64_t i = 0; i < 40; ++i) {
+      const std::string key = key_of(i);
+      Result<MerkleProof> proof = MerkleTree::ProveAt(version.snapshot, key);
+      ASSERT_TRUE(proof.ok());
+      auto it = version.state.find(key);
+      if (it == version.state.end()) {
+        EXPECT_TRUE(MerkleTree::VerifyAbsence(*proof, key, version.root).ok());
+      } else {
+        EXPECT_TRUE(MerkleTree::VerifyProof(*proof, key, it->second.first,
+                                            it->second.second, version.root)
+                        .ok())
+            << key;
+      }
+    }
+  }
+  // Left: clones of versions 5 (copied over version 0's), 3 and 4, and
+  // version 5's clone that diverged.
+  ASSERT_EQ(clones.size(), 4u);
+  EXPECT_EQ(clones[0].RootDigest(), versions[4].root);
+  EXPECT_EQ(clones[1].RootDigest(), versions[2].root);
+  EXPECT_EQ(clones[2].RootDigest(), versions[3].root);
+  EXPECT_NE(clones[3].RootDigest(), versions[4].root);
+  EXPECT_TRUE(MerkleTree::VerifyProof(clones[3].Prove("k0").value(), "k0",
+                                      V("diverged"), 9,
+                                      clones[3].RootDigest())
+                  .ok());
 }
 
 TEST(MerkleTreeTest, BucketCollisionsKeepBothKeys) {
@@ -462,12 +536,12 @@ void ExpectBatchMatchesSequential(int depth,
     std::vector<MerkleTree::Write> writes;
     for (const KV& kv : batches[b]) {
       sequential.Put(kv.key, kv.value, static_cast<int64_t>(b));
-      writes.push_back({&kv.key, &kv.value});
+      writes.push_back({&kv.key, &kv.value, static_cast<int64_t>(b)});
       keys.push_back(kv.key);
     }
     MerkleTree::Snapshot before = batched.GetSnapshot();
     crypto::Digest before_root = batched.RootDigest();
-    batched.PutBatch(writes, static_cast<int64_t>(b));
+    batched.PutBatch(writes);
     ASSERT_EQ(batched.RootDigest(), sequential.RootDigest()) << "batch " << b;
     EXPECT_EQ(before.RootDigest(), before_root) << "snapshot mutated";
     for (const std::string& key : keys) {
@@ -501,7 +575,7 @@ TEST(MerklePutBatchTest, LaterWriteToSameKeyWins) {
   MerkleTree tree(8);
   std::string k = "k";
   Bytes v1 = V("first"), v2 = V("second");
-  tree.PutBatch({{&k, &v1}, {&k, &v2}}, 3);
+  tree.PutBatch({{&k, &v1, 3}, {&k, &v2, 3}});
   EXPECT_TRUE(
       MerkleTree::VerifyProof(tree.Prove("k").value(), "k", v2, 3,
                               tree.RootDigest())
@@ -524,7 +598,7 @@ TEST(MerklePutBatchTest, EmptyBatchChangesNothing) {
   MerkleTree tree(8);
   tree.Put("k", V("v"), 0);
   crypto::Digest root = tree.RootDigest();
-  tree.PutBatch({}, 1);
+  tree.PutBatch({});
   EXPECT_EQ(tree.RootDigest(), root);
   ExpectBatchMatchesSequential(8, {{}, {{"k", V("v")}}, {}});
 }

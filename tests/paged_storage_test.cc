@@ -2,7 +2,8 @@
 // restart, group-commit loss windows, the crash-point sweep (every op
 // count x crash mode must recover a consistent prefix), CRC-corruption
 // and torn-write rejection, meta ping-pong fallback, history-horizon
-// truncation, and in-memory/paged engine invariance. `Recover` loads the
+// truncation, in-memory/paged engine invariance, and the slice-by-8
+// CRC-32 against the bytewise loop. `Recover` loads the
 // checkpoint and the log; each test checks the checkpointed store, then
 // puts the writes of the entries beyond it as the node's install step
 // does.
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "crypto/sha256.h"
 #include "storage/paged/format.h"
 #include "storage/paged/paged_backend.h"
@@ -388,6 +390,45 @@ Bytes EncodeStruct(const T& value) {
   Encoder enc;
   Encode(value, &enc);
   return enc.Take();
+}
+
+/// CRC-32 the plainest way: one byte at a time, one bit at a time.
+uint32_t BytewiseCrc32(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// The slice-by-8 CRC against the bytewise loop: every length from 0 to
+// 300 at every start offset mod 8, random seeds, and seeds chained over
+// a split of the input at every point.
+TEST(Crc32Test, MatchesTheBytewiseLoop) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()),
+                  check.size()),
+            0xCBF43926u);
+  Rng rng(11);
+  Bytes buf(300 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* data = buf.data() + offset;
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint32_t want = BytewiseCrc32(data, len, 0);
+      ASSERT_EQ(Crc32(data, len), want) << "offset " << offset << " len "
+                                        << len;
+      const uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(Crc32(data, len, seed), BytewiseCrc32(data, len, seed));
+      for (size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(Crc32(data + split, len - split, Crc32(data, split)), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
 }
 
 // Pins the on-disk format byte for byte: fixed headers and meta slot,

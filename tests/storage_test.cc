@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "common/codec.h"
+#include "common/rng.h"
 #include "storage/batch.h"
 #include "storage/partition_map.h"
 #include "storage/smr_log.h"
@@ -64,6 +72,126 @@ TEST(VersionedStoreTest, TruncateHistoryKeepsServingLatest) {
   EXPECT_EQ(ToString(store.GetAsOf("k", 7)->value), "v7");
   EXPECT_EQ(ToString(store.Get("k")->value), "v9");
   EXPECT_TRUE(store.GetAsOf("k", 5).status().IsNotFound());
+}
+
+/// The store's semantics over an ordered map, written the plainest way.
+struct ModelStore {
+  std::map<Key, std::vector<VersionedValue>> chains;
+  size_t total_versions = 0;
+
+  void Put(const Key& key, const Value& value, BatchId version) {
+    std::vector<VersionedValue>& chain = chains[key];
+    if (!chain.empty() && chain.back().version == version) {
+      chain.back().value = value;
+      return;
+    }
+    chain.push_back({value, version});
+    ++total_versions;
+  }
+
+  /// The key's version as of `as_of`; null when it has none.
+  const VersionedValue* AsOf(const Key& key, BatchId as_of) const {
+    auto it = chains.find(key);
+    if (it == chains.end()) return nullptr;
+    const VersionedValue* found = nullptr;
+    for (const VersionedValue& vv : it->second) {
+      if (vv.version <= as_of) found = &vv;
+    }
+    return found;
+  }
+
+  size_t Truncate(BatchId horizon) {
+    size_t dropped = 0;
+    for (auto& [key, chain] : chains) {
+      size_t keep_from = 0;
+      for (size_t i = 0; i < chain.size(); ++i) {
+        if (chain[i].version <= horizon) keep_from = i;
+      }
+      chain.erase(chain.begin(), chain.begin() + keep_from);
+      dropped += keep_from;
+    }
+    total_versions -= dropped;
+    return dropped;
+  }
+};
+
+using Visit = std::tuple<Key, Value, BatchId>;
+
+// Seeded random operation sequences against the ordered reference: Put
+// (with same-version overwrites), Get, GetAsOf, LatestVersion,
+// TruncateHistory, and ForEachLatest with and without a filter, whose
+// visits must be exactly the reference's filtered walk in key order.
+TEST(VersionedStoreModelTest, RandomSequencesMatchAnOrderedReference) {
+  const BatchId kMax = std::numeric_limits<BatchId>::max();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    VersionedStore store;
+    ModelStore model;
+    BatchId version = 0;
+    auto random_key = [&] {
+      return "k" + std::to_string(rng.NextBounded(80));
+    };
+    for (int step = 0; step < 3000; ++step) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " step " +
+                   std::to_string(step));
+      if (rng.NextBernoulli(0.3)) version += rng.NextInRange(1, 3);
+      const uint64_t op = rng.NextBounded(100);
+      const Key key = random_key();
+      if (op < 40) {
+        const Value value = ToBytes(std::to_string(rng.Next()));
+        store.Put(key, value, version);
+        model.Put(key, value, version);
+      } else if (op < 55) {
+        const VersionedValue* want = model.AsOf(key, kMax);
+        Result<VersionedValue> got = store.Get(key);
+        ASSERT_EQ(got.ok(), want != nullptr);
+        if (want != nullptr) {
+          EXPECT_EQ(*got, *want);
+        }
+      } else if (op < 70) {
+        const BatchId as_of = version - rng.NextInRange(-1, 12);
+        const VersionedValue* want = model.AsOf(key, as_of);
+        Result<VersionedValue> got = store.GetAsOf(key, as_of);
+        ASSERT_EQ(got.ok(), want != nullptr);
+        if (want != nullptr) {
+          EXPECT_EQ(*got, *want);
+        }
+      } else if (op < 85) {
+        const VersionedValue* want = model.AsOf(key, kMax);
+        EXPECT_EQ(store.LatestVersion(key),
+                  want != nullptr ? want->version : kNoBatch);
+      } else if (op < 90) {
+        const BatchId horizon = version - rng.NextInRange(0, 8);
+        EXPECT_EQ(store.TruncateHistory(horizon), model.Truncate(horizon));
+      } else {
+        // Every key, or the keys in a random range.
+        const bool all = rng.NextBernoulli(0.3);
+        Key lo = random_key(), hi = random_key();
+        if (hi < lo) std::swap(lo, hi);
+        auto selected = [&](const Key& k) {
+          return all || (lo <= k && k <= hi);
+        };
+        std::vector<Visit> want;
+        for (const auto& [k, chain] : model.chains) {
+          if (selected(k)) {
+            want.emplace_back(k, chain.back().value, chain.back().version);
+          }
+        }
+        std::vector<Visit> got;
+        auto record = [&](const Key& k, const Value& v, BatchId ver) {
+          got.emplace_back(k, v, ver);
+        };
+        if (all) {
+          store.ForEachLatest(record);
+        } else {
+          store.ForEachLatest(record, selected);
+        }
+        EXPECT_EQ(got, want);
+      }
+      ASSERT_EQ(store.key_count(), model.chains.size());
+      ASSERT_EQ(store.total_versions(), model.total_versions);
+    }
+  }
 }
 
 // --- PartitionMap ------------------------------------------------------------
