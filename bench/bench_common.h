@@ -39,10 +39,11 @@ struct BenchSetup {
     setup.config.batch_interval = sim::Millis(15);
     setup.config.max_batch_size = 2000;
     setup.config.merkle_depth = 13;
-    // Cost-model calibration (see EXPERIMENTS.md): the fixed per-batch
-    // consensus cost amortizes with batch size while the quadratic term
-    // (conflict-index and Merkle churn) grows, reproducing the paper's
-    // 2000-2500-transaction batching sweet spot (Figure 9).
+    // Cost-model calibration (ARCHITECTURE.md, "Cost-model
+    // calibrations"): the fixed per-batch consensus cost amortizes with
+    // batch size while the quadratic term (conflict-index and Merkle
+    // churn) grows, reproducing the paper's 2000-2500-transaction
+    // batching sweet spot (Figure 9).
     setup.config.cost.admit_per_txn = sim::Micros(2);
     setup.config.cost.validate_per_txn = sim::Micros(6);
     setup.config.cost.apply_per_txn = sim::Micros(3);

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,10 @@ namespace transedge {
 ///   - `std::string` and `Bytes` as a u32 length + the raw bytes;
 ///   - `std::array<uint8_t, N>` as N raw bytes (digests, MACs);
 ///   - `std::vector<T>` as a u32 count + each element;
+///   - `std::shared_ptr<const T>` as its T, inline, exactly like a plain
+///     T field: the pointer never reaches the bytes. It must not be null
+///     on encode, and decodes into a freshly allocated T, so a value
+///     built once can be shared by many messages and stay immutable;
 ///   - `Reserved<T>{}` as a zero T, skipped on decode (format padding);
 ///   - any struct with a `Fields` list as its fields, inline.
 /// A field may be conditional on an earlier one
@@ -66,6 +71,10 @@ class FieldEncoder {
   void Put(const std::vector<T>& items) {
     enc_->PutU32(static_cast<uint32_t>(items.size()));
     for (const T& item : items) Put(item);
+  }
+  template <class T>
+  void Put(const std::shared_ptr<const T>& shared) {
+    Put(*shared);
   }
   template <class T>
   void Put(const Reserved<T>&) {
@@ -117,6 +126,12 @@ class FieldDecoder {
     for (uint32_t i = 0; i < count.value() && status_.ok(); ++i) {
       Get(items.emplace_back());
     }
+  }
+  template <class T>
+  void Get(std::shared_ptr<const T>& shared) {
+    auto fresh = std::make_shared<T>();
+    Get(*fresh);
+    shared = std::move(fresh);
   }
   template <class T>
   void Get(Reserved<T>&) {

@@ -14,7 +14,8 @@ namespace transedge::core {
 /// Simulated CPU costs of the operations a replica performs. The values
 /// are calibrated so that the *shapes* of the paper's curves (batching
 /// sweet spots, consensus overheads, proof-serving costs) emerge from the
-/// same mechanics; see EXPERIMENTS.md for the calibration notes.
+/// same mechanics; ARCHITECTURE.md ("Cost-model calibrations") lists
+/// these defaults beside the figure benches' paper calibration.
 struct CostModel {
   /// Leader-side admission: conflict detection for one transaction
   /// (Definition 3.1) against the store and indexes.

@@ -188,13 +188,14 @@ void WatchClient::HandleDelta(const wire::WatchDeltaMsg& msg) {
     Subscribe(msg.partition, sub.last_seen);
     return;
   }
+  const wire::WatchDeltaBody& body = *msg.body;
   Status verified = VerifyCertifiedEntries(msg.partition, msg.batch_id,
-                                           msg.entries, msg.certificate);
+                                           body.entries, body.certificate);
   if (!verified.ok()) {
     ++stats_.verification_failures;
     return;
   }
-  ApplyEntries(msg.batch_id, msg.entries);
+  ApplyEntries(msg.batch_id, body.entries);
   sub.last_seen = msg.batch_id;
   ++stats_.deltas_applied;
   ArmIdleTimer(msg.partition);

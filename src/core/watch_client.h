@@ -95,7 +95,8 @@ class WatchClient : public sim::Actor {
   /// Certificate + per-key proof verification, mirroring the round-1
   /// read-only check (§4.2) minus the ro-segment digest (watch payloads
   /// carry no CD vector). Fails unless every entry lies in `[lo_, hi_]`
-  /// and is owned by `partition`.
+  /// and is owned by `partition`. It proves what the payload carries,
+  /// not that the payload carries every in-range write of the batch.
   Status VerifyCertifiedEntries(
       PartitionId partition, BatchId batch_id,
       const std::vector<wire::AuthenticatedRead>& entries,

@@ -88,8 +88,8 @@ void WatchService::HandleSubscribe(sim::ActorId from,
                    static_cast<sim::Time>(matched.size()));
       Result<const storage::LogEntry*> logged = ctx_->log().Get(id);
       if (!logged.ok()) continue;  // Outside the retained log.
-      PushDelta(watch, id, ctx_->CertifiedReads(id, matched),
-                logged.value()->certificate);
+      PushDelta(watch, id,
+                BuildBody(id, matched, logged.value()->certificate));
     }
     watches_.push_back(std::move(watch));
     return;
@@ -149,21 +149,28 @@ void WatchService::HandleUnsubscribe(sim::ActorId from,
   }
 }
 
+std::shared_ptr<const wire::WatchDeltaBody> WatchService::BuildBody(
+    BatchId batch_id, const std::vector<Key>& keys,
+    const storage::BatchCertificate& certificate) const {
+  auto body = std::make_shared<wire::WatchDeltaBody>();
+  body->entries = ctx_->CertifiedReads(batch_id, keys);
+  body->certificate = certificate;
+  return body;
+}
+
 void WatchService::PushDelta(
     Watch& watch, BatchId batch_id,
-    const std::vector<wire::AuthenticatedRead>& entries,
-    const storage::BatchCertificate& certificate) {
+    std::shared_ptr<const wire::WatchDeltaBody> body) {
   wire::WatchDeltaMsg delta;
   delta.watch_id = watch.watch_id;
   delta.partition = ctx_->partition();
   delta.epoch = epoch_;
   delta.batch_id = batch_id;
   delta.prev_batch_id = watch.last_sent;
-  delta.entries = entries;
-  delta.certificate = certificate;
+  delta.body = std::move(body);
   watch.last_sent = batch_id;
   ++stats_.watch_deltas_pushed;
-  stats_.watch_keys_pushed += entries.size();
+  stats_.watch_keys_pushed += delta.body->entries.size();
   // Per-receiver cost is serialization only — the proofs were built
   // (and charged) once per range, not once per watcher.
   sim::Time done = ctx_->Charge(ctx_->config().cost.message_handling);
@@ -180,9 +187,9 @@ void WatchService::OnBatchApplied(const storage::LogEntry& logged,
   }
   if (watches_.empty() || written.empty()) return;
 
-  // Group watches by range so N watchers of one hot range pay one proof
-  // construction, then N per-receiver sends — the fan-out economics the
-  // tier exists for.
+  // Group watches by range so N watchers of one hot range share one
+  // proof construction and one body, then get N per-receiver headers —
+  // the fan-out economics the tier exists for.
   std::map<std::pair<Key, Key>, std::vector<size_t>> by_range;
   for (size_t i = 0; i < watches_.size(); ++i) {
     by_range[{watches_[i].lo, watches_[i].hi}].push_back(i);
@@ -195,11 +202,9 @@ void WatchService::OnBatchApplied(const storage::LogEntry& logged,
     if (matched.empty()) continue;
     ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
                  static_cast<sim::Time>(matched.size()));
-    const std::vector<wire::AuthenticatedRead> entries =
-        ctx_->CertifiedReads(id, matched);
-    for (size_t i : members) {
-      PushDelta(watches_[i], id, entries, logged.certificate);
-    }
+    const std::shared_ptr<const wire::WatchDeltaBody> body =
+        BuildBody(id, matched, logged.certificate);
+    for (size_t i : members) PushDelta(watches_[i], id, body);
   }
 }
 

@@ -2,6 +2,7 @@
 #define TRANSEDGE_CORE_WATCH_SERVICE_H_
 
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "core/node_context.h"
@@ -15,12 +16,14 @@ namespace transedge::core {
 /// per-key Merkle proofs against the certified root — the commit-free
 /// certified read, inverted from pull to push, so N watchers of a hot
 /// range cost one proof construction per batch instead of N round-1
-/// polls.
+/// polls. That construction is one immutable body per (range, batch),
+/// shared by the N deltas, each of which adds only its own header.
 ///
 /// Staleness is explicit, never silent:
 ///   - every delta names the previous batch pushed to that watch
 ///     (`prev_batch_id`), so a watcher detects a lost delta by chain
-///     discontinuity without trusting the server;
+///     discontinuity (an unsigned claim: it catches a lossy network,
+///     not a leader that withholds writes);
 ///   - a view change bumps the watch epoch and flushes every watch with
 ///     a retryable WatchResubscribeRequired (the demoted replica's
 ///     stream dies loudly, watchers rotate to the new leader);
@@ -82,12 +85,17 @@ class WatchService {
   /// (`floor`, last_applied] is replayable from `recent_writes_`.
   BatchId ReplayFloor() const;
 
-  /// Sends the delta for `watch` at applied batch `batch_id` — `entries`
-  /// built once for the watch's range, `certificate` the batch's — and
+  /// The certified delta body for `keys` of applied batch `batch_id`:
+  /// their entries with proofs, and the batch's `certificate`.
+  std::shared_ptr<const wire::WatchDeltaBody> BuildBody(
+      BatchId batch_id, const std::vector<Key>& keys,
+      const storage::BatchCertificate& certificate) const;
+
+  /// Sends the delta for `watch` at applied batch `batch_id` — its own
+  /// header around `body`, built once for the watch's range — and
   /// advances the watch's chain position.
   void PushDelta(Watch& watch, BatchId batch_id,
-                 const std::vector<wire::AuthenticatedRead>& entries,
-                 const storage::BatchCertificate& certificate);
+                 std::shared_ptr<const wire::WatchDeltaBody> body);
 
   void SendResubscribeRequired(sim::ActorId client, uint64_t watch_id);
 

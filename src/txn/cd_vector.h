@@ -43,7 +43,7 @@ class CdVector {
     v(self.deps_);
   }
 
-  /// "[2,-1,5]" — for logs and EXPERIMENTS.md extracts.
+  /// "[2,-1,5]" — for logs and test failure messages.
   std::string ToString() const;
 
   bool operator==(const CdVector&) const = default;

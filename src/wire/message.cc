@@ -13,6 +13,12 @@ Status VerifyReads(const std::vector<AuthenticatedRead>& reads,
   return merkle::MerkleTree::VerifyProofs(claims, root);
 }
 
+const std::shared_ptr<const WatchDeltaBody>& WatchDeltaBody::Empty() {
+  static const std::shared_ptr<const WatchDeltaBody> empty =
+      std::make_shared<const WatchDeltaBody>();
+  return empty;
+}
+
 const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kClientRead:

@@ -2,6 +2,7 @@
 #define TRANSEDGE_WIRE_MESSAGE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -620,26 +621,55 @@ struct WatchSubscribeReply : TypedMessage<MessageType::kWatchSubscribeReply> {
   bool operator==(const WatchSubscribeReply&) const = default;
 };
 
-/// Leader -> watcher: the writes of applied batch `batch_id` restricted
-/// to the watch range, each with a Merkle proof against that batch's
-/// certified root. `prev_batch_id` chains the stream — it names the last
-/// batch this watch was sent (the subscribe reply's `batch_id` for the
-/// first delta) — so a watcher detects gaps without trusting the server.
+/// The certified part of a watch delta: the writes of one applied batch
+/// restricted to one watch range, each with a Merkle proof against that
+/// batch's certified root, and the batch certificate. The leader builds
+/// it once per (range, batch); every watcher of the range gets the same
+/// immutable body behind its own WatchDeltaMsg header.
+struct WatchDeltaBody {
+  std::vector<AuthenticatedRead> entries;
+  storage::BatchCertificate certificate;
+
+  /// The one empty body that every default-constructed delta shares, so
+  /// building a delta allocates none.
+  static const std::shared_ptr<const WatchDeltaBody>& Empty();
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.entries, self.certificate);
+  }
+  bool operator==(const WatchDeltaBody&) const = default;
+};
+
+/// Leader -> watcher: applied batch `batch_id`'s in-range writes, with
+/// their proofs and certificate, in `body`. `prev_batch_id` chains the
+/// stream — it names the last batch this watch was sent (the subscribe
+/// reply's `batch_id` for the first delta) — so a watcher detects a lost
+/// delta. It is the sender's unsigned claim: it shows nothing about
+/// writes a lying leader left out. The header is per watcher; the body
+/// is shared by every watcher of the range and encodes inline, so the
+/// bytes are those of one flat message.
 struct WatchDeltaMsg : TypedMessage<MessageType::kWatchDelta> {
   uint64_t watch_id = 0;
   PartitionId partition = 0;
   uint64_t epoch = 0;
   BatchId batch_id = kNoBatch;
   BatchId prev_batch_id = kNoBatch;
-  std::vector<AuthenticatedRead> entries;
-  storage::BatchCertificate certificate;
+  /// Never null, never edited in place: a sender that changes a body
+  /// builds a new one.
+  std::shared_ptr<const WatchDeltaBody> body = WatchDeltaBody::Empty();
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
     v(self.watch_id, self.partition, self.epoch, self.batch_id,
-      self.prev_batch_id, self.entries, self.certificate);
+      self.prev_batch_id, self.body);
   }
-  bool operator==(const WatchDeltaMsg&) const = default;
+  /// Compares the bodies' contents, not their addresses.
+  bool operator==(const WatchDeltaMsg& other) const {
+    return watch_id == other.watch_id && partition == other.partition &&
+           epoch == other.epoch && batch_id == other.batch_id &&
+           prev_batch_id == other.prev_batch_id && *body == *other.body;
+  }
 };
 
 /// Client -> leader: drop the watch. No reply.

@@ -15,7 +15,8 @@ namespace transedge::workload {
 /// uniformly across clusters, fixed-size values. The paper uses 1M keys
 /// and 256-byte values; the defaults here are scaled down so the full
 /// bench suite runs quickly — the protocols never branch on key-space
-/// size or payload bytes, so shapes are unaffected (see EXPERIMENTS.md).
+/// size or payload bytes, so shapes are unaffected (ARCHITECTURE.md,
+/// "Cost-model calibrations").
 struct WorkloadOptions {
   uint64_t num_keys = 20000;
   size_t value_size = 32;

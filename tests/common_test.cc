@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
+#include "common/codec.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -158,6 +162,76 @@ TEST(CodecTest, RawBytesHaveNoPrefix) {
   EXPECT_EQ(enc.size(), 3u);
   Decoder dec(enc.buffer());
   EXPECT_EQ(dec.GetRaw(3).value(), (Bytes{9, 9, 9}));
+}
+
+// --- Fields codec: shared fields --------------------------------------------
+
+struct CodecInner {
+  uint32_t count = 0;
+  std::string name;
+  std::vector<uint16_t> items;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.count, self.name, self.items);
+  }
+  bool operator==(const CodecInner&) const = default;
+};
+
+struct CodecPlain {
+  uint64_t id = 0;
+  CodecInner inner;
+  bool last = false;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.id, self.inner, self.last);
+  }
+};
+
+struct CodecShared {
+  uint64_t id = 0;
+  std::shared_ptr<const CodecInner> inner;
+  bool last = false;
+
+  template <class Self, class V>
+  static void Fields(Self& self, V& v) {
+    v(self.id, self.inner, self.last);
+  }
+};
+
+TEST(CodecTest, SharedFieldEncodesLikeAPlainField) {
+  CodecPlain plain;
+  plain.id = 7;
+  plain.inner = CodecInner{3, "body", {1, 2, 3}};
+  plain.last = true;
+  CodecShared shared;
+  shared.id = 7;
+  shared.inner = std::make_shared<const CodecInner>(plain.inner);
+  shared.last = true;
+
+  Encoder plain_enc;
+  Encode(plain, &plain_enc);
+  Encoder shared_enc;
+  Encode(shared, &shared_enc);
+  EXPECT_EQ(shared_enc.buffer(), plain_enc.buffer());
+
+  // Decoding gives a fresh value, never the sender's object.
+  Decoder dec(plain_enc.buffer());
+  Result<CodecShared> decoded = Decode<CodecShared>(&dec);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(dec.exhausted());
+  EXPECT_EQ(decoded->id, 7u);
+  EXPECT_TRUE(decoded->last);
+  ASSERT_NE(decoded->inner, nullptr);
+  EXPECT_NE(decoded->inner, shared.inner);
+  EXPECT_EQ(*decoded->inner, plain.inner);
+
+  // A body cut short fails like a plain one.
+  Bytes truncated = plain_enc.buffer();
+  truncated.resize(truncated.size() - 3);
+  Decoder short_dec(truncated);
+  EXPECT_FALSE(Decode<CodecShared>(&short_dec).ok());
 }
 
 // --- Rng ---------------------------------------------------------------------

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -223,6 +225,133 @@ TEST(WatchServiceTest, TruncatedReplayWindowForcesFreshReseed) {
 }
 
 // ---------------------------------------------------------------------------
+// Fan-out: one certified body per (range, batch), shared by its watchers.
+// ---------------------------------------------------------------------------
+
+/// The deltas one watcher was sent, by (partition, batch). Holding them
+/// keeps every body alive, so no address is reused within a run.
+using DeltaLog = std::map<std::pair<PartitionId, BatchId>,
+                          std::shared_ptr<const wire::WatchDeltaMsg>>;
+
+struct FanOutRun {
+  /// Lower bound of the upper watcher's range `[upper_lo, "k~"]`.
+  Key upper_lo;
+  /// The two watchers of the whole key space, then the upper one.
+  DeltaLog sent[3];
+  WatchClient::Stats stats[3];
+};
+
+/// Two partitions, each writing one key in each half of the key space.
+/// Two watchers watch the whole key space and a third its upper half.
+FanOutRun RunFanOut() {
+  SystemConfig config = WatchConfig(ConsensusKind::kPbft);
+  config.num_partitions = 2;
+  System system(config, {/*seed=*/27});
+  auto data = TestData(2);
+  system.Preload(data);
+  system.Start();
+
+  FanOutRun run;
+  run.upper_lo = data[data.size() / 2].first;
+  storage::PartitionMap pmap(2);
+  std::vector<Key> hot;
+  for (PartitionId p = 0; p < 2; ++p) {
+    for (bool upper : {false, true}) {
+      for (size_t i = 0; i < data.size(); ++i) {
+        if (pmap.OwnerOf(data[i].first) == p &&
+            (i >= data.size() / 2) == upper) {
+          hot.push_back(data[i].first);
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hot.size(), 4u);
+  bool stop = false;
+  std::vector<int> committed(hot.size(), 0);
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
+  for (size_t i = 0; i < hot.size(); ++i) {
+    loops.push_back(StartWriteLoop(&system, system.AddClient(), hot[i], "f",
+                                   &committed[i], &stop));
+  }
+  WatchClient* watchers[3] = {system.AddWatchClient(),
+                              system.AddWatchClient(),
+                              system.AddWatchClient()};
+  system.env().Schedule(sim::Millis(60), [&] {
+    watchers[0]->Watch("k", "k~");
+    watchers[1]->Watch("k", "k~");
+    watchers[2]->Watch(run.upper_lo, "k~");
+  });
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId to, const sim::MessagePtr& msg) {
+        if (static_cast<wire::MessageType>(msg->type()) !=
+            wire::MessageType::kWatchDelta) {
+          return true;
+        }
+        auto delta = std::static_pointer_cast<const wire::WatchDeltaMsg>(msg);
+        for (int w = 0; w < 3; ++w) {
+          if (to == watchers[w]->id()) {
+            run.sent[w][{delta->partition, delta->batch_id}] = delta;
+          }
+        }
+        return true;
+      });
+  system.env().RunUntil(sim::Seconds(2));
+  stop = true;
+  system.env().RunUntil(sim::Seconds(3));
+  for (int w = 0; w < 3; ++w) run.stats[w] = watchers[w]->stats();
+  for (int c : committed) EXPECT_GT(c, 20);
+  return run;
+}
+
+TEST(WatchFanOutTest, WatchersOfOneRangeShareOneBodyPerBatch) {
+  const FanOutRun run = RunFanOut();
+  size_t shared = 0;
+  std::set<PartitionId> partitions;
+  for (const auto& [at, delta] : run.sent[0]) {
+    auto other = run.sent[1].find(at);
+    if (other == run.sent[1].end()) continue;
+    // One body, two headers.
+    EXPECT_EQ(delta->body.get(), other->second->body.get())
+        << "partition " << at.first << " batch " << at.second;
+    EXPECT_NE(delta->watch_id, other->second->watch_id);
+    EXPECT_FALSE(delta->body->entries.empty());
+    ++shared;
+    partitions.insert(at.first);
+  }
+  EXPECT_GT(shared, 20u);
+  EXPECT_EQ(partitions.size(), 2u);
+  for (const WatchClient::Stats& stats : run.stats) {
+    EXPECT_GT(stats.deltas_applied, 10u);
+    EXPECT_EQ(stats.verification_failures, 0u);
+    EXPECT_EQ(stats.gaps_detected, 0u);
+  }
+}
+
+TEST(WatchFanOutTest, AnotherRangeGetsItsOwnBodyOfItsOwnKeys) {
+  const FanOutRun run = RunFanOut();
+  size_t compared = 0;
+  size_t narrower = 0;
+  for (const auto& [at, delta] : run.sent[2]) {
+    for (const wire::AuthenticatedRead& read : delta->body->entries) {
+      EXPECT_GE(read.key, run.upper_lo) << "batch " << at.second;
+    }
+    auto whole = run.sent[0].find(at);
+    if (whole == run.sent[0].end()) continue;
+    EXPECT_NE(delta->body.get(), whole->second->body.get())
+        << "partition " << at.first << " batch " << at.second;
+    ++compared;
+    if (whole->second->body->entries.size() > delta->body->entries.size()) {
+      ++narrower;
+    }
+  }
+  EXPECT_GT(compared, 20u);
+  // The whole-range body held lower-half keys the upper range lacks.
+  EXPECT_GT(narrower, 0u);
+  EXPECT_EQ(run.stats[2].verification_failures, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Satellite regressions: read-path correctness fixes.
 // ---------------------------------------------------------------------------
 
@@ -414,7 +543,11 @@ TEST_P(WatchEntryOwnershipTest, DeltaWithForeignEntryIsRejected) {
       entry.version = value->version;
     }
     entry.proof = leader.tree().Prove(target).value();
-    delta.entries.push_back(std::move(entry));
+    // The body is shared by every watcher of the range and immutable:
+    // forge on a copy.
+    auto body = std::make_shared<wire::WatchDeltaBody>(*delta.body);
+    body->entries.push_back(std::move(entry));
+    delta.body = std::move(body);
     forged = true;
     sim::MessagePtr forgery =
         std::make_shared<const wire::WatchDeltaMsg>(std::move(delta));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -445,10 +446,12 @@ void MakeWatchMessages(uint64_t seed, Sink&& sink) {
     delta.epoch = rng.NextBounded(10) + 1;
     delta.batch_id = static_cast<BatchId>(rng.NextBounded(50));
     delta.prev_batch_id = delta.batch_id - 1;
+    auto body = std::make_shared<WatchDeltaBody>();
     for (size_t k = rng.NextBounded(3); k > 0; --k) {
-      delta.entries.push_back(RandAuthenticatedRead(rng));
+      body->entries.push_back(RandAuthenticatedRead(rng));
     }
-    delta.certificate = RandCert(rng);
+    body->certificate = RandCert(rng);
+    delta.body = std::move(body);
     sink(delta);
 
     WatchUnsubscribe unsub;
@@ -495,6 +498,8 @@ TEST_P(WireRoundTripTest, AugustusMessages) {
 
 TEST_P(WireRoundTripTest, WatchMessages) {
   MakeWatchMessages(GetParam(), kRoundTrip);
+  // A default delta carries the shared empty body.
+  CheckRoundTrip(WatchDeltaMsg{});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireRoundTripTest,
