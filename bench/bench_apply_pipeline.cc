@@ -1,11 +1,8 @@
-// Decided vs. applied throughput across the apply modes: the same
-// local-write workload on one cluster while async_apply and an
-// artificial apply-cost inflation vary. With the storage stack on the
-// decision critical path (sync apply), a 10× apply_per_txn inflation
-// eats straight into decided throughput; with an asynchronous apply
-// queue, consensus decides the next batch while the apply worker drains
-// the previous one, and last_applied trails the log tail — the gap this
-// bench pins.
+// Decided vs. applied throughput on the apply worker: the same
+// local-write workload on one cluster while an artificial apply-cost
+// inflation varies. Consensus decides the next batch while the apply
+// worker charges the previous one, so last_applied trails the log
+// tail — the gap this bench pins.
 
 #include <algorithm>
 #include <functional>
@@ -17,12 +14,6 @@ using namespace transedge::bench;
 
 namespace {
 
-struct Case {
-  const char* label;
-  bool async_apply;
-  int apply_cost_x;
-};
-
 struct Point {
   double write_tps = 0;
   double decided_per_sec = 0;
@@ -30,16 +21,16 @@ struct Point {
   double max_apply_lag = 0;  // Batches, sampled while the run is hot.
 };
 
-Point RunOne(const Case& c, uint64_t seed, sim::Time measure, bool smoke) {
+Point RunOne(int apply_cost_x, uint64_t seed, sim::Time measure,
+             bool smoke) {
   BenchSetup setup = BenchSetup::PaperDefaults(seed);
   setup.config.consensus_kind = core::ConsensusKind::kLinearVote;
   setup.config.num_partitions = 1;  // Consensus + apply are intra-cluster.
   setup.config.f = 2;
   setup.workload.num_keys = 1000000;  // Paper key count; no preload.
   setup.config.merkle_depth = 16;
-  setup.config.async_apply = c.async_apply;
   setup.config.cost.apply_per_txn =
-      setup.config.cost.apply_per_txn * c.apply_cost_x;
+      setup.config.cost.apply_per_txn * apply_cost_x;
   World world(setup, /*preload=*/false);
 
   int clients = smoke ? 40 : 100;
@@ -95,25 +86,19 @@ int main() {
   const bool smoke = SmokeMode();
   const sim::Time measure = smoke ? sim::Millis(1000) : sim::Millis(1500);
 
-  const Case cases[] = {
-      {"sync_1x", false, 1},
-      {"sync_10x", false, 10},
-      {"async_1x", true, 1},
-      {"async_10x", true, 10},
-  };
+  const int apply_cost_xs[] = {1, 10};
 
   if (smoke) {
     std::printf("{\"bench\":\"apply_pipeline\",\"smoke\":true,\"points\":[");
     bool first = true;
-    for (const Case& c : cases) {
-      Point p = RunOne(c, 42, measure, smoke);
+    for (int x : apply_cost_xs) {
+      Point p = RunOne(x, 42, measure, smoke);
       std::printf(
-          "%s{\"config\":\"%s\",\"async_apply\":%s,\"apply_cost_x\":%d,"
+          "%s{\"apply_cost_x\":%d,"
           "\"write_tps\":%.0f,\"decided_batches_per_sec\":%.1f,"
           "\"applied_batches_per_sec\":%.1f,\"max_apply_lag\":%.1f}",
-          first ? "" : ",", c.label, c.async_apply ? "true" : "false",
-          c.apply_cost_x, p.write_tps, p.decided_per_sec, p.applied_per_sec,
-          p.max_apply_lag);
+          first ? "" : ",", x, p.write_tps, p.decided_per_sec,
+          p.applied_per_sec, p.max_apply_lag);
       first = false;
     }
     std::printf("]}\n");
@@ -121,12 +106,11 @@ int main() {
   }
 
   PrintHeader("Apply pipeline: decided vs applied throughput");
-  std::printf("%-18s %6s %7s %12s %14s %14s %9s\n", "config", "async",
-              "cost×", "write TPS", "decided/s", "applied/s", "max lag");
-  for (const Case& c : cases) {
-    Point p = RunOne(c, 42, measure, smoke);
-    std::printf("%-18s %6s %7d %12.0f %14.1f %14.1f %9.0f\n", c.label,
-                c.async_apply ? "yes" : "no", c.apply_cost_x, p.write_tps,
+  std::printf("%7s %12s %14s %14s %9s\n", "cost×", "write TPS", "decided/s",
+              "applied/s", "max lag");
+  for (int x : apply_cost_xs) {
+    Point p = RunOne(x, 42, measure, smoke);
+    std::printf("%7d %12.0f %14.1f %14.1f %9.0f\n", x, p.write_tps,
                 p.decided_per_sec, p.applied_per_sec, p.max_apply_lag);
   }
   return 0;

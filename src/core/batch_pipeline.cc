@@ -241,9 +241,9 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
     seen_txns_.erase(rec.txn_id);
   }
   // Release only the applied batch's ids from the proposed-in-flight set:
-  // under asynchronous apply, later batches may be proposed before this
-  // one applies, and their ids must survive a view change (OnViewChange
-  // un-dedups them).
+  // later batches may be proposed before this one's apply charge ends,
+  // and their ids must survive a view change (OnViewChange un-dedups
+  // them).
   if (!proposed_inflight_.empty()) {
     std::unordered_set<TxnId> applied_ids;
     for (const Transaction& t : logged.local) applied_ids.insert(t.id);

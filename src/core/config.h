@@ -25,8 +25,8 @@ struct CostModel {
   sim::Time validate_per_txn = sim::Micros(10);
 
   /// Applying one transaction's writes (store + Merkle tree), charged
-  /// once per decided batch on the replica CPU, or on the apply worker
-  /// under `async_apply`.
+  /// once per decided batch on the replica's apply worker, in log order,
+  /// beside the protocol CPU.
   sim::Time apply_per_txn = sim::Micros(6);
 
   /// Fixed per-batch consensus work (digesting, certificate assembly).
@@ -105,15 +105,6 @@ struct SystemConfig {
   /// keeps the PBFT-style engine byte-for-byte identical to the
   /// pre-interface behavior.
   ConsensusKind consensus_kind = ConsensusKind::kPbft;
-
-  /// Where the apply charge lands. Every replica installs a decided
-  /// batch (store, Merkle tree, snapshot, log) once, at decide time; the
-  /// apply is then a charge of `apply_per_txn` per transaction. With
-  /// false (default) it is charged inline on the replica CPU; with true,
-  /// on a separate apply worker, in log order, so consensus decides the
-  /// next batch meanwhile. Clients see a batch — commit replies, reads,
-  /// watch pushes — once its apply charge completes (`last_applied`).
-  bool async_apply = false;
 
   /// Which storage engine backs each replica's store + log (see
   /// storage::StorageKind). The default keeps the in-memory stack

@@ -253,12 +253,13 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
   auto type = static_cast<MessageType>(msg->type());
 
   // Leader-bound traffic arriving at a follower (stale view at the
-  // sender) is forwarded to the follower's current leader.
+  // sender) is forwarded to the follower's current leader. Read-only
+  // requests are not: every replica holds the applied, certified state
+  // they read, so a follower answers them itself.
   const bool leader_bound =
       type == MessageType::kCommitRequest ||
       type == MessageType::kCoordPrepare || type == MessageType::kPrepared ||
-      type == MessageType::kCommitRecord || type == MessageType::kRoRequest ||
-      type == MessageType::kRoBatchRequest ||
+      type == MessageType::kCommitRecord ||
       type == MessageType::kAugustusRoRequest ||
       type == MessageType::kAugustusRelease ||
       type == MessageType::kWatchSubscribe ||
@@ -393,11 +394,11 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   // snapshot, and the log appends it.
   Result<std::vector<Key>> written = Install(batch, /*put_writes=*/true);
   assert(written.ok());  // Validation resolved it against the same groups.
-  PendingApply entry;
-  entry.id = batch.id;
-  entry.cost = BatchComputeCost(batch.TotalTransactions(),
-                                config_.cost.apply_per_txn);
-  if (written.ok()) entry.written = std::move(written).value();
+  const BatchId id = batch.id;
+  const sim::Time apply_cost = BatchComputeCost(batch.TotalTransactions(),
+                                                config_.cost.apply_per_txn);
+  std::vector<Key> keys;
+  if (written.ok()) keys = std::move(written).value();
   tree_ = std::move(post_tree);
   snapshots_.push_back(tree_.GetSnapshot());
   assert(snapshot_base_ + static_cast<BatchId>(snapshots_.size()) ==
@@ -414,22 +415,27 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   backend_->OnDecided();
   ChargeStorageIo();
 
-  // The apply is a charge: inline on the replica CPU, or on the apply
-  // worker under async_apply. Clients see the batch once it completes.
-  if (!config_.async_apply) {
-    Charge(entry.cost);
-    CompleteApply(entry);
-  } else {
-    apply_queue_.push_back(std::move(entry));
-    ScheduleApplyDrain();
-  }
+  // The apply is a charge on the apply worker, booked now. The worker
+  // starts each charge when the previous one ends, so completions fire
+  // in log order; clients see the batch once its charge completes.
+  // Routed through the halt-gated Schedule so a parked replica's pending
+  // apply never fires into a successor's world.
+  const sim::Time done = apply_cpu_.Charge(env_->now(), apply_cost);
+  Schedule(done - env_->now(), [this, id, keys = std::move(keys)] {
+    // Pin the protocol CPU to now so follow-up sends (client replies,
+    // 2PC legs) are never stamped in the past.
+    cpu_.Charge(env_->now(), 0);
+    CompleteApply(id, keys);
+    consensus_->AdvanceConsensus();
+    pipeline_->MaybeProposeOnSize();
+  });
 
   consensus_->AdvanceConsensus();
   pipeline_->MaybeProposeOnSize();
 }
 
-void TransEdgeNode::CompleteApply(const PendingApply& entry) {
-  last_applied_ = entry.id;
+void TransEdgeNode::CompleteApply(BatchId id, const std::vector<Key>& written) {
+  last_applied_ = id;
   ++batches_applied_;
 
   // The snapshot window counts applied batches, so the history horizon
@@ -446,7 +452,7 @@ void TransEdgeNode::CompleteApply(const PendingApply& entry) {
     if (snapshot_base_ % 64 == 0) truncate_due = true;
   }
 
-  Result<const storage::LogEntry*> logged_or = backend_->log().Get(entry.id);
+  Result<const storage::LogEntry*> logged_or = backend_->log().Get(id);
   assert(logged_or.ok());
   const storage::LogEntry& logged = *logged_or.value();
 
@@ -456,7 +462,7 @@ void TransEdgeNode::CompleteApply(const PendingApply& entry) {
   pipeline_->OnBatchApplied(logged.batch);
   two_pc_->OnBatchApplied(logged.batch, logged.certificate);
   read_only_->ServeParkedRequests();
-  watch_->OnBatchApplied(logged, entry.written);
+  watch_->OnBatchApplied(logged, written);
 
   if (truncate_due) {
     // One authoritative horizon for every engine: key-version history,
@@ -482,26 +488,6 @@ void TransEdgeNode::ChargeStorageIo() {
   charged_io_ = s;
   if (cost == 0) return;  // In-memory backend: never any I/O to charge.
   cpu_.Charge(env_->now(), cost);
-}
-
-void TransEdgeNode::ScheduleApplyDrain() {
-  if (apply_inflight_ || apply_queue_.empty()) return;
-  apply_inflight_ = true;
-  sim::Time done = apply_cpu_.Charge(env_->now(), apply_queue_.front().cost);
-  // Route through the halt-gated Schedule so a parked replica's pending
-  // apply never fires into a successor's world.
-  Schedule(done - env_->now(), [this] {
-    PendingApply entry = std::move(apply_queue_.front());
-    apply_queue_.pop_front();
-    apply_inflight_ = false;
-    // Pin the protocol CPU to now so follow-up sends (client replies,
-    // 2PC legs) are never stamped in the past.
-    cpu_.Charge(env_->now(), 0);
-    CompleteApply(entry);
-    consensus_->AdvanceConsensus();
-    pipeline_->MaybeProposeOnSize();
-    ScheduleApplyDrain();
-  });
 }
 
 }  // namespace transedge::core

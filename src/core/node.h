@@ -36,7 +36,7 @@ struct NodeStats {
   uint64_t dist_aborted = 0;
   uint64_t batches_decided = 0;
   /// Batches whose apply charge completed, so clients see them; trails
-  /// batches_decided while the asynchronous apply queue drains.
+  /// batches_decided while the apply worker's charges run.
   uint64_t batches_applied = 0;
   uint64_t ro_round1_served = 0;
   uint64_t ro_round2_served = 0;
@@ -178,15 +178,6 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
       BatchId batch_id) const override;
   size_t ConsensusInFlight() const override;
 
-  /// A decided batch whose apply charge has not completed: its cost (one
-  /// pass over the batch at `apply_per_txn`) and the keys it wrote to
-  /// this partition, sorted and unique, for the watch push.
-  struct PendingApply {
-    BatchId id = kNoBatch;
-    sim::Time cost = 0;
-    std::vector<Key> written;
-  };
-
   /// The one install step, run by OnDecided for each decided batch and
   /// by RecoverFromStorage for each retained log entry (which skips the
   /// writes its checkpoint holds). When `put_writes`, puts the batch's
@@ -198,21 +189,20 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
 
   /// Consensus `on_decided` hook. Runs the install step, makes the
   /// certified post-state tree and its snapshot current, appends the log
-  /// entry and calls the backend's OnDecided hook. Then charges the
-  /// apply — inline on the replica CPU, or on the apply worker under
-  /// `async_apply` — and finally advances consensus and the batch
-  /// pipeline.
+  /// entry and calls the backend's OnDecided hook. Then books the apply
+  /// charge (one pass over the batch at `apply_per_txn`) on the apply
+  /// worker and schedules CompleteApply, then AdvanceConsensus and
+  /// MaybeProposeOnSize, for the moment it ends; and advances consensus
+  /// and the batch pipeline at once.
   void OnDecided(storage::Batch batch, storage::BatchCertificate certificate,
                  merkle::MerkleTree post_tree);
 
-  /// The apply charge for `entry` completed: advances the applied
+  /// The apply charge for batch `id` completed: advances the applied
   /// watermark, trims the snapshot window, fans the follow-up work out
-  /// to the engines and truncates history when due.
-  void CompleteApply(const PendingApply& entry);
-
-  /// Async mode: books the head-of-queue apply on the apply worker's CPU
-  /// and schedules its completion; re-arms itself until the queue drains.
-  void ScheduleApplyDrain();
+  /// to the engines and truncates history when due. `written` holds the
+  /// keys the batch wrote to this partition, sorted and unique, for the
+  /// watch push.
+  void CompleteApply(BatchId id, const std::vector<Key>& written);
 
   /// Charges the protocol CPU for the backend's WAL and recovery I/O
   /// since the last call (CostModel wal_append, disk_fsync for WAL syncs,
@@ -251,12 +241,10 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
 
   BatchId last_applied_ = kNoBatch;
   uint64_t batches_applied_ = 0;
-  /// Batches whose apply the worker has yet to charge, oldest first
-  /// (`async_apply` only; synchronous apply never queues).
-  std::deque<PendingApply> apply_queue_;
-  bool apply_inflight_ = false;
-  /// The apply worker's CPU: asynchronous apply charges here, modeling a
-  /// storage thread running beside the consensus/protocol CPU.
+  /// The apply worker's CPU: every apply charge lands here, modeling a
+  /// storage thread running beside the consensus/protocol CPU. Each
+  /// charge starts when the previous one ends, so applies complete in
+  /// log order.
   sim::CpuMeter apply_cpu_;
 
   txn::PreparedBatches prepared_batches_;

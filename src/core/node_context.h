@@ -119,8 +119,8 @@ class NodeContext {
   // --- Applied watermark -------------------------------------------------
   /// Highest batch whose apply charge has completed; kNoBatch before the
   /// first. Clients see a batch once it is applied: every client-facing
-  /// read answers as of this batch. Trails `log().LastBatchId()`
-  /// while apply is charged on the apply worker (`async_apply`).
+  /// read answers as of this batch. Trails `log().LastBatchId()` while
+  /// the apply worker's charges run.
   virtual BatchId last_applied() const = 0;
 
   /// Number of proposed-but-undecided consensus instances in flight. A

@@ -58,10 +58,8 @@ std::vector<std::pair<Key, Value>> TestData(uint32_t partitions) {
 /// read-modify-write chain, distributed cross-partition writes) under
 /// `kind` and returns the final committed state of every touched key,
 /// after asserting all replicas of the owning cluster agree on it.
-std::map<Key, std::string> RunWorkload(ConsensusKind kind, uint64_t seed,
-                                       bool async_apply = false) {
+std::map<Key, std::string> RunWorkload(ConsensusKind kind, uint64_t seed) {
   SystemConfig config = BaseConfig(kind);
-  config.async_apply = async_apply;
   System system(config, FastEnv(seed));
   auto data = TestData(config.num_partitions);
   system.Preload(data);
@@ -168,23 +166,6 @@ TEST(ConsensusInterfaceTest, CommittedStateIsIdenticalAcrossEngines) {
         RunWorkload(ConsensusKind::kLinearVote, seed);
     EXPECT_EQ(linear, pbft) << "engines diverged at seed " << seed;
   }
-}
-
-// Asynchronous apply is a pure scheduling change: whichever
-// consensus_kind and apply mode runs the workload, the committed state
-// must match the synchronous PBFT baseline.
-TEST(ConsensusInterfaceTest, CommittedStateIsInvariantAcrossApplyModes) {
-  const uint64_t seed = 7;
-  std::map<Key, std::string> reference =
-      RunWorkload(ConsensusKind::kPbft, seed);
-  ASSERT_FALSE(reference.empty());
-
-  for (bool async : {false, true}) {
-    EXPECT_EQ(RunWorkload(ConsensusKind::kLinearVote, seed, async), reference)
-        << "linear diverged at async=" << async;
-  }
-  EXPECT_EQ(RunWorkload(ConsensusKind::kPbft, seed, /*async_apply=*/true),
-            reference);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,15 +442,13 @@ TEST_P(ViewChangeTest, DelayedCommitQcDoesNotForkTheLog) {
   // decides, but no other replica learns the decision before its
   // progress timer fires. Without the prepare-QC lock carried through the
   // view change, the new leader would propose a *different* batch at the
-  // same id and permanently fork the old leader's log. Under async apply
-  // eight writers keep the leader proposing while the commit messages
-  // vanish, so the old leader may have decided several batches the
-  // others hold only locks for: the new leader must re-propose each of
-  // them, one slot at a time.
-  for (bool async : {false, true}) {
-    SCOPED_TRACE(async ? "async apply, 8 writers" : "sync apply, 1 writer");
+  // same id and permanently fork the old leader's log. Eight writers keep
+  // the leader proposing while the commit messages vanish, so the old
+  // leader may have decided several batches the others hold only locks
+  // for: the new leader must re-propose each of them, one slot at a time.
+  for (int writers : {1, 8}) {
+    SCOPED_TRACE(std::to_string(writers) + " writers");
     SystemConfig config = BaseConfig(GetParam(), /*partitions=*/1);
-    config.async_apply = async;
     System system(config, FastEnv());
     auto data = TestData(1);
     system.Preload(data);
@@ -477,7 +456,6 @@ TEST_P(ViewChangeTest, DelayedCommitQcDoesNotForkTheLog) {
     system.Start();
 
     Client* client = system.AddClient();
-    const int writers = async ? 8 : 1;
     int committed = 0;
     system.env().Schedule(sim::Millis(30), [&] {
       for (int i = 0; i < writers; ++i) {

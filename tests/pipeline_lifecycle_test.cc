@@ -206,7 +206,8 @@ TEST(RoWindowTest, NearFutureDependencyStillParks) {
 }
 
 // ---------------------------------------------------------------------------
-// Async apply: the apply charge, the applied watermark and client reads
+// The apply worker: the apply charge, the applied watermark and client
+// reads
 // ---------------------------------------------------------------------------
 
 struct AsyncApplyFixture {
@@ -223,7 +224,6 @@ struct AsyncApplyFixture {
     config.batch_interval = sim::Millis(5);
     config.view_change_timeout = sim::Millis(500);
     config.merkle_depth = 8;
-    config.async_apply = true;
     config.cost.apply_per_txn = apply_per_txn;
     sim::EnvironmentOptions env_opts;
     env_opts.seed = 77;
@@ -279,8 +279,8 @@ TEST(AsyncApplyTest, ReadsServeAppliedSnapshotWhileApplyLagsDecided) {
 
   fx.system->env().RunUntil(sim::Seconds(8));
   EXPECT_EQ(committed, 24);
-  EXPECT_GT(max_lag, 0) << "apply never lagged decided: the queue is not "
-                           "actually asynchronous";
+  EXPECT_GT(max_lag, 0) << "apply never lagged decided: the apply charge "
+                           "is not on the apply worker";
 
   // Drained: the watermarks converge on every replica.
   for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {

@@ -1,10 +1,13 @@
 // Read-only protocol tests: Algorithm 2 (dependency verification), the
 // targeted second round, Merkle-authenticated responses, parked requests,
-// and the two-round guarantee (Theorem 4.6).
+// the two-round guarantee (Theorem 4.6), and failover: rotated leaders
+// and followers that answer reads themselves.
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/system.h"
 #include "workload/generator.h"
@@ -574,6 +577,84 @@ TEST(ReadOnlyFailoverTest, TimedOutReadRetriesAgainstRotatedLeader) {
   ASSERT_EQ(read->values.count(k0), 1u);
   EXPECT_TRUE(read->values.at(k0).has_value());
   EXPECT_EQ(reader->stats().timeouts, 0u);
+}
+
+// Records each read-only reply with the replica that sent it.
+struct RoReplyProbe : sim::Actor {
+  std::vector<std::pair<sim::ActorId, wire::RoReply>> replies;
+  void OnMessage(sim::ActorId from, const sim::MessagePtr& msg) override {
+    if (static_cast<wire::MessageType>(msg->type()) ==
+        wire::MessageType::kRoReply) {
+      replies.emplace_back(from, static_cast<const wire::RoReply&>(*msg));
+    }
+  }
+};
+
+// A read-only request needs no log entry, and every replica holds the
+// applied, certified state it reads, so a follower answers it itself.
+// Were it forwarded, each follower would demand a batch that an idle
+// leader never proposes, and the cluster would vote out leader after
+// leader.
+TEST(ReadOnlyFailoverTest, FollowersAnswerReadsOfAnIdleCluster) {
+  for (core::ConsensusKind kind :
+       {core::ConsensusKind::kPbft, core::ConsensusKind::kLinearVote}) {
+    SCOPED_TRACE(core::ConsensusKindName(kind));
+    SystemConfig config;
+    config.num_partitions = 2;
+    config.f = 1;
+    config.consensus_kind = kind;
+    config.merkle_depth = 8;
+    sim::EnvironmentOptions env_opts;
+    env_opts.seed = 5;
+    System system(config, env_opts);
+    workload::WorkloadOptions wopts;
+    wopts.num_keys = 200;
+    wopts.value_size = 8;
+    auto data = workload::KeySpace(wopts, 2).InitialData();
+    system.Preload(data);
+    system.Start();
+    storage::PartitionMap pmap(2);
+    Key k0;
+    for (const auto& [key, value] : data) {
+      if (pmap.OwnerOf(key) == 0) {
+        k0 = key;
+        break;
+      }
+    }
+
+    RoReplyProbe probe;
+    const sim::ActorId probe_id = config.ClientNode(1000);
+    system.env().network().Register(probe_id, /*site=*/0, &probe);
+    system.env().Schedule(sim::Millis(500), [&] {
+      for (uint32_t follower : {1u, 2u}) {
+        wire::RoRequest request;
+        request.request_id = follower;
+        request.reply_to = probe_id;
+        request.keys = {k0};
+        system.env().network().Send(probe_id, config.ReplicaNode(0, follower),
+                                    core::ShareMsg(std::move(request)));
+      }
+    });
+    system.env().RunUntil(sim::Seconds(30));
+
+    ASSERT_EQ(probe.replies.size(), 2u);
+    for (const auto& [from, reply] : probe.replies) {
+      EXPECT_EQ(from, config.ReplicaNode(0, static_cast<uint32_t>(
+                                                 reply.request_id)));
+      ASSERT_NE(reply.batch_id, kNoBatch);
+      EXPECT_EQ(reply.certificate.batch_id, reply.batch_id);
+      EXPECT_TRUE(reply.certificate
+                      .Verify(system.verifier(), config.certificate_size(),
+                              config.ClusterMembers(0))
+                      .ok());
+      EXPECT_TRUE(
+          wire::VerifyReads(reply.entries, reply.certificate.merkle_root)
+              .ok());
+    }
+    for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+      EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -171,13 +171,12 @@ TEST_P(CrashRestartTest, TornWalTailIsDroppedAndCaughtUp) {
   RunCrashRestartScenario(GetParam(), SimDisk::CrashMode::kTorn, 1);
 }
 
-// Under async apply a replica installs each batch, and the paged engine
-// checkpoints it, at decide time, ahead of the applied watermark. A
-// replica that crashes while its apply lags recovers to the certified
-// root of its durable log tail and rejoins.
+// A replica installs each batch, and the paged engine checkpoints it,
+// at decide time, ahead of the applied watermark. A replica that
+// crashes while its apply lags recovers to the certified root of its
+// durable log tail and rejoins.
 TEST_P(CrashRestartTest, CrashWhileApplyLagsRecoversAndRejoins) {
   SystemConfig config = PagedConfig(GetParam());
-  config.async_apply = true;
   config.cost.apply_per_txn = sim::Micros(600);
   config.durability.checkpoint_interval = 1;
   System system(config, FastEnv());

@@ -303,26 +303,22 @@ TEST(AdmissionFootprintTest, MultiKeyFootprintDrainsWholeAfterApply) {
 
 // Pins the exact proposal stream — batch composition and order, every
 // timestamp, every charged cost (through client latencies) — for each
-// consensus engine and apply mode. A committed-state comparison cannot
-// see either: two runs may commit the same values through different
-// batches at different times.
+// consensus engine. A committed-state comparison cannot see either: two
+// runs may commit the same values through different batches at
+// different times.
 struct GoldenCase {
   const char* name;
   ConsensusKind consensus;
-  bool async_apply;
   const char* log_sha;
   const char* results_sha;
 };
 
 TEST(ProposalLogGoldenTest, LogsAndResultsMatchPinnedHashes) {
   const GoldenCase cases[] = {
-      {"pbft/1", ConsensusKind::kPbft, false,
+      {"pbft", ConsensusKind::kPbft,
        "57bd36507162378e6b9346c449ce1f1398604b89808b97ffc48d913617785fd8",
-       "707c063e83f148a056474f745c83f6182c959978ca8244bcba198788c4e6f991"},
-      {"linear_vote/1", ConsensusKind::kLinearVote, false,
-       "464c6ecc173e5b7b8873bfd2e947fea4144e91f50e8d0cea0f2ccc73152e85e8",
-       "004b7c09d33ceb23ad751c05692a272fa021de2048a822a07bac481e4b9ad7fa"},
-      {"linear_vote/async/1", ConsensusKind::kLinearVote, true,
+       "51303397d3db5a325092160c970d9178efc9638bad3d88e913a7c2744f882fc9"},
+      {"linear_vote", ConsensusKind::kLinearVote,
        "3b5cde197fc9830cbfe6acb1410ba516380f56358b12ba9709ae6968ea5f906c",
        "0a42796de3ef1d37dfaece650e8526323b3707accbc8976f8a3ceaee85850ef8"},
   };
@@ -330,7 +326,6 @@ TEST(ProposalLogGoldenTest, LogsAndResultsMatchPinnedHashes) {
     SCOPED_TRACE(c.name);
     SystemConfig config = SmallConfig();
     config.consensus_kind = c.consensus;
-    config.async_apply = c.async_apply;
     WorkloadRun run = RunWorkload(config);
     EXPECT_EQ(run.log_sha, c.log_sha);
     EXPECT_EQ(run.results_sha, c.results_sha);
