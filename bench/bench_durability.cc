@@ -104,6 +104,12 @@ struct RecoveryPoint {
   double reapplied_txns = 0;      // Transactions re-executed from those.
   double pages_read = 0;          // Checkpoint pages loaded.
   double recovery_ms = 0;         // Simulated, via the node's cost model.
+
+  /// The restart's price per re-executed transaction, which a longer log
+  /// at the same crash time does not inflate; 0 when none was re-executed.
+  double recovery_us_per_txn() const {
+    return reapplied_txns > 0 ? recovery_ms * 1e3 / reapplied_txns : 0;
+  }
 };
 
 /// Runs one paged deployment and recovers disk clones of replica (0,1)
@@ -226,9 +232,14 @@ int main() {
         std::printf(
             "%s{\"point\":%zu,\"log_len\":%.1f,\"wal_records_replayed\":%.1f,"
             "\"reapply_window\":%.1f,\"reapplied_txns\":%.1f,"
-            "\"checkpoint_pages_read\":%.1f,\"recovery_ms\":%.3f}",
+            "\"checkpoint_pages_read\":%.1f,\"recovery_ms\":%.3f",
             i == 0 ? "" : ",", i + 1, p.log_len, p.replayed, p.reapply_window,
             p.reapplied_txns, p.pages_read, p.recovery_ms);
+        // Only a point that re-executed something has a price per txn.
+        if (p.reapplied_txns > 0) {
+          std::printf(",\"recovery_us_per_txn\":%.3f", p.recovery_us_per_txn());
+        }
+        std::printf("}");
       }
       std::printf("]}");
       first_sweep = false;
@@ -250,9 +261,9 @@ int main() {
   }
 
   PrintHeader("Recovery cost vs log length");
-  std::printf("%-14s %8s %10s %12s %10s %12s %12s %14s\n", "config", "point",
-              "log len", "replayed", "window", "reapplied", "pages read",
-              "recovery ms");
+  std::printf("%-14s %8s %10s %12s %10s %12s %12s %14s %14s\n", "config",
+              "point", "log len", "replayed", "window", "reapplied",
+              "pages read", "recovery ms", "us per txn");
   struct Sweep {
     const char* label;
     uint32_t checkpoint_interval;
@@ -263,9 +274,11 @@ int main() {
         RunRecoverySweep(s.checkpoint_interval, 42, samples, smoke);
     for (size_t i = 0; i < points.size(); ++i) {
       const RecoveryPoint& p = points[i];
-      std::printf("%-14s %8zu %10.0f %12.0f %10.0f %12.0f %12.0f %14.3f\n",
-                  s.label, i + 1, p.log_len, p.replayed, p.reapply_window,
-                  p.reapplied_txns, p.pages_read, p.recovery_ms);
+      std::printf(
+          "%-14s %8zu %10.0f %12.0f %10.0f %12.0f %12.0f %14.3f %14.3f\n",
+          s.label, i + 1, p.log_len, p.replayed, p.reapply_window,
+          p.reapplied_txns, p.pages_read, p.recovery_ms,
+          p.recovery_us_per_txn());
     }
   }
   return 0;

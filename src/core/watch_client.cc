@@ -98,10 +98,17 @@ Status WatchClient::VerifyCertifiedEntries(
     return Status::VerificationFailed("certificate does not match payload");
   }
   // Any key has a valid proof in any partition's tree, if only of its
-  // absence: an entry counts only for a watched key the sender owns.
+  // absence: an entry counts only for a watched key the sender owns. The
+  // key digests that decide ownership also place each proof's leaf.
+  std::vector<crypto::Digest> key_digests;
+  key_digests.reserve(entries.size());
   for (const wire::AuthenticatedRead& read : entries) {
-    if (read.key < lo_ || read.key > hi_ ||
-        partition_map_.OwnerOf(read.key) != partition) {
+    bool counts = read.key >= lo_ && read.key <= hi_;
+    if (counts) {
+      key_digests.push_back(crypto::Sha256::Hash(read.key));
+      counts = partition_map_.OwnerOf(key_digests.back()) == partition;
+    }
+    if (!counts) {
       return Status::VerificationFailed(
           "entry outside the watched range or the sender's partition");
     }
@@ -109,7 +116,7 @@ Status WatchClient::VerifyCertifiedEntries(
   TE_RETURN_IF_ERROR(certificate.Verify(*verifier_,
                                         config_.certificate_size(),
                                         config_.ClusterMembers(partition)));
-  return wire::VerifyReads(entries, certificate.merkle_root);
+  return wire::VerifyReads(entries, certificate.merkle_root, &key_digests);
 }
 
 void WatchClient::ApplyEntries(

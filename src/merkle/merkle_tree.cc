@@ -1,6 +1,7 @@
 #include "merkle/merkle_tree.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace transedge::merkle {
 
@@ -32,13 +33,17 @@ crypto::Digest BucketDigest(const std::vector<BucketEntry>& bucket) {
 /// when `value` is null. The depth comes from the sender and is a shift
 /// count in `LeafIndexFor`, so it is bounded first.
 Status CheckLeaf(const MerkleProof& proof, const std::string& key,
-                 const Bytes* value, int64_t version) {
+                 const crypto::Digest* key_digest, const Bytes* value,
+                 int64_t version) {
   const size_t depth = proof.siblings.size();
   if (depth == 0 || depth > kMaxProofDepth) {
     return Status::VerificationFailed("proof depth out of range");
   }
-  if (proof.leaf_index !=
-      MerkleTree::LeafIndexFor(key, static_cast<int>(depth))) {
+  const uint32_t leaf_index =
+      key_digest != nullptr
+          ? MerkleTree::LeafIndexFor(*key_digest, static_cast<int>(depth))
+          : MerkleTree::LeafIndexFor(key, static_cast<int>(depth));
+  if (proof.leaf_index != leaf_index) {
     return Status::VerificationFailed("proof leaf index mismatch for key");
   }
   auto it = std::find_if(
@@ -84,22 +89,64 @@ std::vector<crypto::Digest> ComputeEmptyDigests(int depth) {
 
 }  // namespace
 
+// No node type has a virtual function: a vtable pointer would take an
+// interior node past one 64-byte allocation.
 struct MerkleTree::Node {
+  enum class Kind : uint8_t { kInterior, kLeaf };
+
+  explicit Node(Kind k) : kind(k) {}
+
+  /// A node's role follows from its level: leaves sit at level `depth`,
+  /// and every node above them is interior. Null stays null.
+  static const Interior* AsInterior(const Node* node);
+  static const Leaf* AsLeaf(const Node* node);
+
   crypto::Digest digest;
-  NodeRef left;                     // Interior nodes only.
-  NodeRef right;                    // Interior nodes only.
-  std::vector<BucketEntry> bucket;  // Leaves only.
-  uint32_t refs = 1;                // Owning NodeRefs.
+  uint32_t refs = 1;  // Owning NodeRefs.
+  const Kind kind;
 };
+
+struct MerkleTree::Interior : Node {
+  Interior() : Node(Kind::kInterior) {}
+
+  NodeRef left;
+  NodeRef right;
+};
+
+struct MerkleTree::Leaf : Node {
+  Leaf() : Node(Kind::kLeaf) {}
+
+  std::vector<BucketEntry> bucket;
+};
+
+const MerkleTree::Interior* MerkleTree::Node::AsInterior(const Node* node) {
+  assert(node == nullptr || node->kind == Kind::kInterior);
+  return static_cast<const Interior*>(node);
+}
+
+const MerkleTree::Leaf* MerkleTree::Node::AsLeaf(const Node* node) {
+  assert(node == nullptr || node->kind == Kind::kLeaf);
+  return static_cast<const Leaf*>(node);
+}
 
 void MerkleTree::NodeRef::Retain(Node* node) {
   if (node != nullptr) ++node->refs;
 }
 
 void MerkleTree::NodeRef::Release(Node* node) {
-  // Deleting a node releases its children, so a freed path unwinds at
-  // most `depth` frames deep.
-  if (node != nullptr && --node->refs == 0) delete node;
+  // Snapshots keep every node on their paths alive, so node size is
+  // replica memory: with glibc's 8-byte chunk header an interior node
+  // takes one 64-byte chunk and a leaf one 80-byte chunk.
+  static_assert(sizeof(Interior) <= 56);
+  static_assert(sizeof(Leaf) <= 64);
+  if (node == nullptr || --node->refs != 0) return;
+  // Deleting an interior node releases its children, so a freed path
+  // unwinds at most `depth` frames deep.
+  if (node->kind == Node::Kind::kLeaf) {
+    delete static_cast<Leaf*>(node);
+  } else {
+    delete static_cast<Interior*>(node);
+  }
 }
 
 MerkleTree::MerkleTree(int depth)
@@ -113,7 +160,12 @@ MerkleTree::MerkleTree(int depth, NodeRef root, EmptyDigests empty)
 MerkleTree::~MerkleTree() = default;
 
 uint32_t MerkleTree::LeafIndexFor(const std::string& key, int depth) {
-  crypto::Digest d = crypto::Sha256::Hash(key);
+  return LeafIndexFor(crypto::Sha256::Hash(key), depth);
+}
+
+uint32_t MerkleTree::LeafIndexFor(const crypto::Digest& key_digest,
+                                  int depth) {
+  const crypto::Digest& d = key_digest;
   uint32_t prefix = (static_cast<uint32_t>(d.bytes[0]) << 24) |
                     (static_cast<uint32_t>(d.bytes[1]) << 16) |
                     (static_cast<uint32_t>(d.bytes[2]) << 8) |
@@ -134,10 +186,10 @@ struct MerkleTree::LeafWrite {
 MerkleTree::NodeRef MerkleTree::PutRec(
     const Node* node, int level, int depth, const LeafWrite* first,
     const LeafWrite* last, const std::vector<crypto::Digest>& empty) {
-  Node* next = new Node;
-  NodeRef ref(next);
   if (level == depth) {
-    if (node != nullptr) next->bucket = node->bucket;
+    Leaf* next = new Leaf;
+    NodeRef ref(next);
+    if (node != nullptr) next->bucket = Node::AsLeaf(node)->bucket;
     for (const LeafWrite* w = first; w != last; ++w) {
       const BucketEntry& entry = w->entry;
       auto it = std::find_if(
@@ -166,9 +218,12 @@ MerkleTree::NodeRef MerkleTree::PutRec(
       std::partition_point(first, last, [shift](const LeafWrite& w) {
         return ((w.leaf_index >> shift) & 1) == 0;
       });
+  Interior* next = new Interior;
+  NodeRef ref(next);
   if (node != nullptr) {
-    next->left = node->left;
-    next->right = node->right;
+    const Interior* old = Node::AsInterior(node);
+    next->left = old->left;
+    next->right = old->right;
   }
   if (first != mid) {
     next->left = PutRec(next->left.get(), level + 1, depth, first, mid, empty);
@@ -244,28 +299,29 @@ Result<MerkleProof> MerkleTree::ProveAt(const Snapshot& snapshot,
   MerkleProof proof;
   proof.leaf_index = LeafIndexFor(key, depth);
 
-  // Walk down collecting siblings top-down, then reverse to bottom-up.
-  std::vector<crypto::Digest> top_down;
+  // Walk down, writing each level's sibling into its bottom-up slot.
+  proof.siblings.resize(depth);
   const Node* node = snapshot.root_.get();
   for (int level = 0; level < depth; ++level) {
     bool go_right = (proof.leaf_index >> (depth - 1 - level)) & 1;
-    const Node* left = node ? node->left.get() : nullptr;
-    const Node* right = node ? node->right.get() : nullptr;
-    top_down.push_back(go_right ? DigestOf(left, level + 1, empty)
-                                : DigestOf(right, level + 1, empty));
+    const Interior* interior = Node::AsInterior(node);
+    const Node* left = interior ? interior->left.get() : nullptr;
+    const Node* right = interior ? interior->right.get() : nullptr;
+    proof.siblings[depth - 1 - level] =
+        go_right ? DigestOf(left, level + 1, empty)
+                 : DigestOf(right, level + 1, empty);
     node = go_right ? right : left;
   }
   // A null node here means the leaf bucket is empty: the proof carries an
   // empty bucket and doubles as a proof of absence.
-  if (node != nullptr) proof.bucket = node->bucket;
-  proof.siblings.assign(top_down.rbegin(), top_down.rend());
+  if (node != nullptr) proof.bucket = Node::AsLeaf(node)->bucket;
   return proof;
 }
 
 Status MerkleTree::VerifyAbsence(const MerkleProof& proof,
                                  const std::string& key,
                                  const crypto::Digest& root) {
-  TE_RETURN_IF_ERROR(CheckLeaf(proof, key, nullptr, 0));
+  TE_RETURN_IF_ERROR(CheckLeaf(proof, key, nullptr, nullptr, 0));
   return CheckRoot(proof, root);
 }
 
@@ -285,14 +341,15 @@ crypto::Digest MerkleProof::ComputeRoot() const {
 Status MerkleTree::VerifyProof(const MerkleProof& proof,
                                const std::string& key, const Bytes& value,
                                int64_t version, const crypto::Digest& root) {
-  TE_RETURN_IF_ERROR(CheckLeaf(proof, key, &value, version));
+  TE_RETURN_IF_ERROR(CheckLeaf(proof, key, nullptr, &value, version));
   return CheckRoot(proof, root);
 }
 
 Status MerkleTree::VerifyProofs(const std::vector<Claim>& claims,
                                 const crypto::Digest& root) {
   for (const Claim& c : claims) {
-    TE_RETURN_IF_ERROR(CheckLeaf(*c.proof, *c.key, c.value, c.version));
+    TE_RETURN_IF_ERROR(
+        CheckLeaf(*c.proof, *c.key, c.key_digest, c.value, c.version));
   }
   if (claims.empty()) return Status::OK();
   // One tree has one depth: proofs of two depths cannot both reach `root`

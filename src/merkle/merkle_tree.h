@@ -136,6 +136,9 @@ class MerkleTree {
     const std::string* key;
     const Bytes* value;  // Null: the claim is the key's absence.
     int64_t version;
+    /// SHA-256 of `*key`, for a caller that already computed it; null and
+    /// the verifier hashes the key itself.
+    const crypto::Digest* key_digest = nullptr;
   };
 
   /// Checks every claim against `root` in one pass: OK exactly when each
@@ -150,11 +153,21 @@ class MerkleTree {
 
   /// Leaf index for `key` at depth `depth` (exposed for tests).
   static uint32_t LeafIndexFor(const std::string& key, int depth);
+  /// The same, from the key's SHA-256.
+  static uint32_t LeafIndexFor(const crypto::Digest& key_digest, int depth);
 
   int depth() const { return depth_; }
 
  private:
+  /// A node's digest, count and kind. Each node is exactly one of the two
+  /// roles below, and the kind says which, so a tree node carries no
+  /// field its role never uses.
   struct Node;
+  /// A node above the leaves: two children, either of them null for an
+  /// empty subtree.
+  struct Interior;
+  /// A leaf bucket at level `depth`.
+  struct Leaf;
   struct LeafWrite;
   using EmptyDigests = std::shared_ptr<const std::vector<crypto::Digest>>;
 
@@ -179,6 +192,8 @@ class MerkleTree {
 
    private:
     static void Retain(Node* node);
+    /// Deletes the node, as the type its kind names, when the last owner
+    /// lets go.
     static void Release(Node* node);
 
     Node* node_ = nullptr;

@@ -6,7 +6,11 @@
 namespace transedge::storage {
 
 PartitionId PartitionMap::OwnerOf(const Key& key) const {
-  crypto::Digest d = crypto::Sha256::Hash(key);
+  return OwnerOf(crypto::Sha256::Hash(key));
+}
+
+PartitionId PartitionMap::OwnerOf(const crypto::Digest& key_digest) const {
+  const crypto::Digest& d = key_digest;
   // Use the last 4 bytes so partition choice is independent from the
   // Merkle leaf index (which uses the first 4).
   uint32_t h = (static_cast<uint32_t>(d.bytes[28]) << 24) |

@@ -18,6 +18,8 @@ class PartitionMap {
       : num_partitions_(num_partitions) {}
 
   PartitionId OwnerOf(const Key& key) const;
+  /// The same, from the key's SHA-256.
+  PartitionId OwnerOf(const crypto::Digest& key_digest) const;
 
   uint32_t num_partitions() const { return num_partitions_; }
 

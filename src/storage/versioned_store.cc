@@ -5,18 +5,36 @@
 
 namespace transedge::storage {
 
+namespace {
+
+/// The last of `versions` (ascending) with version <= `as_of`; end() when
+/// there is none.
+template <class It>
+It LastAtOrBelow(It begin, It end, BatchId as_of) {
+  It pos = std::upper_bound(
+      begin, end, as_of,
+      [](BatchId v, const VersionedValue& vv) { return v < vv.version; });
+  return pos == begin ? end : pos - 1;
+}
+
+}  // namespace
+
 void VersionedStore::Put(const Key& key, Value value, BatchId version) {
-  Chain& chain = chains_[key];
-  assert(chain.empty() || chain.back().version <= version);
-  if (!chain.empty() && chain.back().version == version) {
-    // Same-batch overwrite (two txns in one batch never conflict, but a
-    // batch may legitimately carry blind writes to one key across
-    // non-conflicting txn sets is excluded by OCC; keep last-write-wins
-    // for robustness).
-    chain.back().value = std::move(value);
-    return;
+  auto [it, inserted] = chains_.try_emplace(key);
+  Chain& chain = it->second;
+  if (!inserted) {
+    assert(chain.latest.version <= version);
+    if (chain.latest.version == version) {
+      // Same-batch overwrite (two txns in one batch never conflict, but a
+      // batch may legitimately carry blind writes to one key across
+      // non-conflicting txn sets is excluded by OCC; keep last-write-wins
+      // for robustness).
+      chain.latest.value = std::move(value);
+      return;
+    }
+    chain.older.push_back(std::move(chain.latest));
   }
-  chain.push_back(VersionedValue{std::move(value), version});
+  chain.latest = VersionedValue{std::move(value), version};
   ++total_versions_;
 }
 
@@ -25,7 +43,7 @@ Result<VersionedValue> VersionedStore::Get(const Key& key) const {
   if (it == chains_.end()) {
     return Status::NotFound("key not found: " + key);
   }
-  return it->second.back();
+  return it->second.latest;
 }
 
 Result<VersionedValue> VersionedStore::GetAsOf(const Key& key,
@@ -35,19 +53,17 @@ Result<VersionedValue> VersionedStore::GetAsOf(const Key& key,
     return Status::NotFound("key not found: " + key);
   }
   const Chain& chain = it->second;
-  // Last element with version <= as_of.
-  auto pos = std::upper_bound(
-      chain.begin(), chain.end(), as_of,
-      [](BatchId v, const VersionedValue& vv) { return v < vv.version; });
-  if (pos == chain.begin()) {
+  if (chain.latest.version <= as_of) return chain.latest;
+  auto pos = LastAtOrBelow(chain.older.begin(), chain.older.end(), as_of);
+  if (pos == chain.older.end()) {
     return Status::NotFound("key has no version at or before requested batch");
   }
-  return *(pos - 1);
+  return *pos;
 }
 
 BatchId VersionedStore::LatestVersion(const Key& key) const {
   auto it = chains_.find(key);
-  return it == chains_.end() ? kNoBatch : it->second.back().version;
+  return it == chains_.end() ? kNoBatch : it->second.latest.version;
 }
 
 void VersionedStore::ForEachLatest(const LatestFn& fn,
@@ -61,7 +77,7 @@ void VersionedStore::ForEachLatest(const LatestFn& fn,
   std::sort(selected.begin(), selected.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
   for (const auto* entry : selected) {
-    const VersionedValue& latest = entry->second.back();
+    const VersionedValue& latest = entry->second.latest;
     fn(entry->first, latest.value, latest.version);
   }
 }
@@ -71,14 +87,23 @@ size_t VersionedStore::TruncateHistory(BatchId horizon) {
   // check:allow(unordered-iter): trims each chain on its own and only
   // sums a count; no result depends on the order of the keys.
   for (auto& [key, chain] : chains_) {
-    // Find the last version <= horizon; everything before it can go.
-    auto pos = std::upper_bound(
-        chain.begin(), chain.end(), horizon,
-        [](BatchId v, const VersionedValue& vv) { return v < vv.version; });
-    if (pos == chain.begin()) continue;
-    size_t keep_from = static_cast<size_t>((pos - 1) - chain.begin());
+    std::vector<VersionedValue>& older = chain.older;
+    if (older.empty()) continue;
+    // The last version <= horizon stays; everything before it can go.
+    size_t keep_from;
+    if (chain.latest.version <= horizon) {
+      keep_from = older.size();
+    } else {
+      auto pos = LastAtOrBelow(older.begin(), older.end(), horizon);
+      if (pos == older.end()) continue;
+      keep_from = static_cast<size_t>(pos - older.begin());
+    }
     if (keep_from == 0) continue;
-    chain.erase(chain.begin(), chain.begin() + keep_from);
+    if (keep_from == older.size()) {
+      std::vector<VersionedValue>().swap(older);
+    } else {
+      older.erase(older.begin(), older.begin() + keep_from);
+    }
     dropped += keep_from;
   }
   total_versions_ -= dropped;

@@ -29,7 +29,10 @@ struct VersionedValue {
 ///
 /// The chains live in one hashed table, so `Put`, `Get`, `GetAsOf` and
 /// `LatestVersion` cost one hash probe. The table's order is never
-/// visible: `ForEachLatest` sorts what it visits.
+/// visible: `ForEachLatest` sorts what it visits. A chain keeps its
+/// latest version in its table slot and only older ones in a separate
+/// buffer, so a key with one version costs one allocation, and reads at
+/// or above the latest version touch no second buffer.
 class VersionedStore {
  public:
   VersionedStore() = default;
@@ -50,7 +53,7 @@ class VersionedStore {
 
   /// Drops versions strictly older than the latest one with
   /// version <= `horizon`, bounding history growth. Returns the number
-  /// of versions dropped.
+  /// of versions dropped. Chains with one version are skipped.
   size_t TruncateHistory(BatchId horizon);
 
   using LatestFn = std::function<void(const Key&, const Value&, BatchId)>;
@@ -68,9 +71,12 @@ class VersionedStore {
   size_t total_versions() const { return total_versions_; }
 
  private:
-  /// Sorted by version ascending; never empty (`Put` appends and
-  /// `TruncateHistory` keeps the latest version).
-  using Chain = std::vector<VersionedValue>;
+  struct Chain {
+    VersionedValue latest;
+    /// Sorted by version ascending, all below `latest.version`.
+    /// `TruncateHistory` frees the buffer once it empties.
+    std::vector<VersionedValue> older;
+  };
   std::unordered_map<Key, Chain> chains_;
   size_t total_versions_ = 0;
 };

@@ -1,14 +1,20 @@
 #include "wire/message.h"
 
+#include <cassert>
+
 namespace transedge::wire {
 
 Status VerifyReads(const std::vector<AuthenticatedRead>& reads,
-                   const crypto::Digest& root) {
+                   const crypto::Digest& root,
+                   const std::vector<crypto::Digest>* key_digests) {
+  assert(key_digests == nullptr || key_digests->size() == reads.size());
   std::vector<merkle::MerkleTree::Claim> claims;
   claims.reserve(reads.size());
-  for (const AuthenticatedRead& read : reads) {
+  for (size_t i = 0; i < reads.size(); ++i) {
+    const AuthenticatedRead& read = reads[i];
     claims.push_back({&read.proof, &read.key,
-                      read.found ? &read.value : nullptr, read.version});
+                      read.found ? &read.value : nullptr, read.version,
+                      key_digests ? &(*key_digests)[i] : nullptr});
   }
   return merkle::MerkleTree::VerifyProofs(claims, root);
 }

@@ -152,9 +152,12 @@ struct AuthenticatedRead {
 };
 
 /// Checks every read's proof (of its value, or of its absence) against
-/// `root` in one `MerkleTree::VerifyProofs` pass (§4.2).
+/// `root` in one `MerkleTree::VerifyProofs` pass (§4.2). `key_digests`,
+/// when given, holds each read's key SHA-256 in order, so a caller that
+/// already hashed the keys does not pay for it twice.
 Status VerifyReads(const std::vector<AuthenticatedRead>& reads,
-                   const crypto::Digest& root);
+                   const crypto::Digest& root,
+                   const std::vector<crypto::Digest>* key_digests = nullptr);
 
 /// Round-1 read-only request: all keys of one accessed partition
 /// (§4.3.4). `commit-rot` in the paper's interface.

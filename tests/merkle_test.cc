@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -601,6 +602,72 @@ TEST(MerklePutBatchTest, EmptyBatchChangesNothing) {
   tree.PutBatch({});
   EXPECT_EQ(tree.RootDigest(), root);
   ExpectBatchMatchesSequential(8, {{}, {{"k", V("v")}}, {}});
+}
+
+// --- Retained snapshot window ----------------------------------------------
+
+// The replica's snapshot window: each batch's snapshot joins the back of
+// a FIFO and the oldest leaves once the window is full, which frees the
+// nodes only that version still reached. After every batch, the oldest
+// and the newest retained snapshot must each prove every written key and
+// the absence of every other one. Under the sanitizer build a node freed
+// while a retained snapshot reaches it is a use-after-free, a leaf
+// deleted as an interior node is a type mismatch, and a node never freed
+// is a leak.
+TEST(MerkleTreeTest, FifoSnapshotWindowKeepsProving) {
+  using State = std::map<std::string, std::pair<Bytes, int64_t>>;
+  struct Retained {
+    MerkleTree::Snapshot snapshot;
+    crypto::Digest root;
+    State state;
+  };
+  constexpr size_t kWindow = 16;
+  constexpr uint64_t kKeys = 120;  // Writes draw from the first 100.
+  auto key_of = [](uint64_t i) { return "k" + std::to_string(i); };
+  for (int depth : {8, 16}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    MerkleTree tree(depth);
+    std::deque<Retained> window;
+    State state;
+    Rng rng(static_cast<uint64_t>(depth));
+    for (int64_t version = 0; version < 200; ++version) {
+      std::vector<KV> batch;
+      const uint64_t n = rng.NextBounded(24) + 1;
+      for (uint64_t i = 0; i < n; ++i) {
+        batch.push_back({key_of(rng.NextBounded(100)),
+                         V(std::to_string(version) + "." + std::to_string(i))});
+      }
+      std::vector<MerkleTree::Write> writes;
+      for (const KV& kv : batch) {
+        writes.push_back({&kv.key, &kv.value, version});
+        state[kv.key] = {kv.value, version};
+      }
+      tree.PutBatch(writes);
+      window.push_back({tree.GetSnapshot(), tree.RootDigest(), state});
+      if (window.size() > kWindow) window.pop_front();
+
+      for (const Retained* retained : {&window.front(), &window.back()}) {
+        ASSERT_EQ(retained->snapshot.RootDigest(), retained->root);
+        for (uint64_t i = 0; i < kKeys; ++i) {
+          const std::string key = key_of(i);
+          Result<MerkleProof> proof =
+              MerkleTree::ProveAt(retained->snapshot, key);
+          ASSERT_TRUE(proof.ok());
+          ASSERT_EQ(static_cast<int>(proof->siblings.size()), depth);
+          auto it = retained->state.find(key);
+          const Status verified =
+              it == retained->state.end()
+                  ? MerkleTree::VerifyAbsence(*proof, key, retained->root)
+                  : MerkleTree::VerifyProof(*proof, key, it->second.first,
+                                            it->second.second,
+                                            retained->root);
+          ASSERT_TRUE(verified.ok())
+              << key << " at version " << version << ": "
+              << verified.ToString();
+        }
+      }
+    }
+  }
 }
 
 // Property sweep: proofs verify across tree depths and key counts.

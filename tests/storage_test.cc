@@ -74,6 +74,57 @@ TEST(VersionedStoreTest, TruncateHistoryKeepsServingLatest) {
   EXPECT_TRUE(store.GetAsOf("k", 5).status().IsNotFound());
 }
 
+// A chain keeps its latest version inline and older ones apart; these
+// cases cross that split.
+TEST(VersionedStoreTest, TruncateWithLatestAtOrBelowHorizonKeepsOnlyLatest) {
+  for (BatchId horizon : {BatchId{5}, BatchId{9}}) {
+    VersionedStore store;
+    store.Put("k", ToBytes("v1"), 1);
+    store.Put("k", ToBytes("v3"), 3);
+    store.Put("k", ToBytes("v5"), 5);
+    store.Put("one", ToBytes("x"), 2);  // A single version: nothing to drop.
+    EXPECT_EQ(store.TruncateHistory(horizon), 2u) << "horizon " << horizon;
+    EXPECT_EQ(store.total_versions(), 2u);
+    EXPECT_EQ(*store.Get("k"), (VersionedValue{ToBytes("v5"), 5}));
+    EXPECT_EQ(*store.GetAsOf("k", horizon), (VersionedValue{ToBytes("v5"), 5}));
+    EXPECT_TRUE(store.GetAsOf("k", 4).status().IsNotFound());
+    EXPECT_EQ(*store.Get("one"), (VersionedValue{ToBytes("x"), 2}));
+    // History grows again from the one version left.
+    store.Put("k", ToBytes("v11"), 11);
+    EXPECT_EQ(ToString(store.GetAsOf("k", 10)->value), "v5");
+    EXPECT_EQ(store.LatestVersion("k"), 11);
+    EXPECT_EQ(store.total_versions(), 3u);
+    EXPECT_EQ(store.TruncateHistory(horizon), 0u);
+  }
+}
+
+TEST(VersionedStoreTest, SameBatchOverwriteAfterOlderVersions) {
+  VersionedStore store;
+  store.Put("k", ToBytes("a"), 1);
+  store.Put("k", ToBytes("b"), 4);
+  store.Put("k", ToBytes("c"), 4);
+  EXPECT_EQ(*store.Get("k"), (VersionedValue{ToBytes("c"), 4}));
+  EXPECT_EQ(*store.GetAsOf("k", 3), (VersionedValue{ToBytes("a"), 1}));
+  EXPECT_EQ(*store.GetAsOf("k", 4), (VersionedValue{ToBytes("c"), 4}));
+  EXPECT_EQ(store.total_versions(), 2u);
+  EXPECT_EQ(store.TruncateHistory(4), 1u);
+  EXPECT_EQ(store.total_versions(), 1u);
+}
+
+TEST(VersionedStoreTest, GetAsOfBelowOldestRetainedVersionIsNotFound) {
+  VersionedStore store;
+  store.Put("k", ToBytes("v2"), 2);
+  store.Put("k", ToBytes("v5"), 5);
+  store.Put("k", ToBytes("v8"), 8);
+  EXPECT_EQ(store.TruncateHistory(6), 1u);  // Version 2 goes; 5 and 8 stay.
+  EXPECT_TRUE(store.GetAsOf("k", 1).status().IsNotFound());
+  EXPECT_TRUE(store.GetAsOf("k", 4).status().IsNotFound());
+  EXPECT_EQ(ToString(store.GetAsOf("k", 5)->value), "v5");
+  EXPECT_EQ(ToString(store.GetAsOf("k", 7)->value), "v5");
+  EXPECT_EQ(ToString(store.GetAsOf("k", 8)->value), "v8");
+  EXPECT_EQ(store.total_versions(), 2u);
+}
+
 /// The store's semantics over an ordered map, written the plainest way.
 struct ModelStore {
   std::map<Key, std::vector<VersionedValue>> chains;
