@@ -169,9 +169,9 @@ class Client : public sim::Actor {
   void StartRoRound2(uint64_t op_id,
                      const std::map<PartitionId, BatchId>& needed);
 
-  /// Sends `op`'s request for `ask.partition`'s keys to that partition's
-  /// leader under a fresh request id: an RoRequest, or an RoBatchRequest
-  /// when `ask.min_lce` is set.
+  /// Sends `op`'s request for `ask.partition`'s keys to the replica its
+  /// view hint names (any replica answers) under a fresh request id: an
+  /// RoRequest, or an RoBatchRequest when `ask.min_lce` is set.
   void SendRoRequest(uint64_t op_id, RoOp& op, const RoAsk& ask);
 
   /// Timeout path of a TransEdge read: rotates the leader hint of every

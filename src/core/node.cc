@@ -43,13 +43,12 @@ TransEdgeNode::TransEdgeNode(const SystemConfig& config, crypto::NodeId id,
               std::move(d.post_tree));
   };
   consensus_hooks.on_view_adopted = [this] {
+    // Only leader-side state belongs to a view. The read tier serves
+    // from the applied log, which every replica keeps applying whatever
+    // its view: parked round-2 requests stay parked and watches keep
+    // streaming from the replica that registered them.
     pipeline_->OnViewChange();
     two_pc_->OnViewChange();
-    // Read-path services: flush parked round-2 requests retryable and
-    // kill the watch streams of the old view (epoch bump + explicit
-    // resubscribe errors) — nothing may strand silently across views.
-    read_only_->OnViewChange();
-    watch_->OnViewChange();
   };
   consensus_ = MakeConsensus(ctx, std::move(consensus_hooks));
 
@@ -255,20 +254,25 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
   // Leader-bound traffic arriving at a follower (stale view at the
   // sender) is forwarded to the follower's current leader. Read-only
   // requests are not: every replica holds the applied, certified state
-  // they read, so a follower answers them itself.
+  // they read, so a follower answers them itself. Nor is an unsubscribe:
+  // it goes to the replica that serves the watch.
   const bool leader_bound =
       type == MessageType::kCommitRequest ||
       type == MessageType::kCoordPrepare || type == MessageType::kPrepared ||
       type == MessageType::kCommitRecord ||
       type == MessageType::kAugustusRoRequest ||
       type == MessageType::kAugustusRelease ||
-      type == MessageType::kWatchSubscribe ||
-      type == MessageType::kWatchUnsubscribe;
+      type == MessageType::kWatchSubscribe;
   if (leader_bound && !IsLeader()) {
     Send(config_.LeaderOf(partition_, consensus_->view()), msg,
          cpu_.busy_until());
     // Expect the leader to make progress on the forwarded work; if the
     // log does not advance, demand a view change (PBFT-style liveness).
+    // Augustus reads and releases and watch subscribes log nothing, so
+    // this votes out an idle live leader too (ROADMAP item 1). But it is
+    // the only thing that replaces an idle partition's dead leader for
+    // them: an Augustus read times out without retrying, and a watcher's
+    // hint rotation reaches followers, which forward to that leader again.
     consensus_->StartViewChangeTimer(backend_->log().LastBatchId() + 1);
     return;
   }

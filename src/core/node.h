@@ -45,12 +45,14 @@ struct NodeStats {
   uint64_t rw_aborted_by_ro_locks = 0;  // Augustus interference (Table 1).
   uint64_t view_changes = 0;
   uint64_t augustus_ro_served = 0;
-  /// Parked round-2 requests flushed retryable (view change/truncation).
+  /// Parked round-2 requests flushed retryable by history truncation.
   uint64_t ro_round2_aborted = 0;
   // Watch/subscription push tier.
   uint64_t watch_subscribes = 0;
   uint64_t watch_deltas_pushed = 0;
   uint64_t watch_keys_pushed = 0;
+  /// Subscribes answered WatchResubscribeRequired: out-of-window resumes
+  /// and subscribes with no applied state to serve them.
   uint64_t watch_resubscribe_errors = 0;
   /// Protocol messages the consensus engine sent; divided by
   /// batches_decided this is the engines' message-complexity axis

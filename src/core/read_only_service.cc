@@ -161,20 +161,6 @@ void ReadOnlyService::ServeParkedRequests() {
   parked_ro_ = std::move(still_parked);
 }
 
-void ReadOnlyService::OnViewChange() {
-  // The new leader's log — not this replica's — will carry the batch
-  // that satisfies each parked dependency, and the clients have already
-  // rotated their requests there. Anything still parked here would leak.
-  if (parked_ro_.empty()) return;
-  for (ParkedRo& parked : parked_ro_) {
-    sim::Time done = ctx_->Charge(ctx_->config().cost.message_handling);
-    ++stats_.ro_round2_aborted;
-    ctx_->Send(parked.client,
-               ShareMsg(UnserviceableReply(parked.request.request_id)), done);
-  }
-  parked_ro_.clear();
-}
-
 void ReadOnlyService::OnHistoryTruncated(BatchId horizon) {
   if (parked_ro_.empty()) return;
   std::vector<ParkedRo> still_parked;

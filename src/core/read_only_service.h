@@ -13,6 +13,9 @@ namespace transedge::core {
 /// from the earliest batch whose LCE satisfies the client's dependency,
 /// parking of round-2 requests whose dependency has not committed yet,
 /// and plain single-key client reads.
+/// Every replica serves from the log it applies whatever its view, so a
+/// view change touches nothing here: a parked request waits on its
+/// replica for a batch that satisfies it.
 class ReadOnlyService {
  public:
   struct Stats {
@@ -22,8 +25,8 @@ class ReadOnlyService {
     /// Round-2 requests answered unserviceable because the dependency
     /// lies beyond any batch this cluster could have certified.
     uint64_t ro_round2_rejected = 0;
-    /// Parked round-2 requests flushed with a retryable reply because a
-    /// view change or history truncation stranded them.
+    /// Parked round-2 requests flushed with a retryable reply because
+    /// history truncation passed them before any batch satisfied them.
     uint64_t ro_round2_aborted = 0;
   };
 
@@ -37,11 +40,6 @@ class ReadOnlyService {
 
   /// Re-examines parked round-2 requests after the log advanced.
   void ServeParkedRequests();
-
-  /// View adoption: the cluster elected a new leader, so requests parked
-  /// on this (possibly demoted) replica would strand — their clients
-  /// have rotated away. Flush each with a retryable unserviceable reply.
-  void OnViewChange();
 
   /// History truncated up to `horizon`: a request parked before the
   /// entire retained window rotated past it has waited snapshot_history

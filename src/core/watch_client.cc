@@ -26,15 +26,14 @@ WatchClient::WatchClient(const SystemConfig& config, crypto::NodeId id,
       next_watch_id_((static_cast<uint64_t>(id) << 32) | 1) {}
 
 void WatchClient::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
-  (void)from;
   using wire::MessageType;
   switch (static_cast<MessageType>(msg->type())) {
     case MessageType::kWatchSubscribeReply:
       HandleSubscribeReply(
-          static_cast<const wire::WatchSubscribeReply&>(*msg));
+          from, static_cast<const wire::WatchSubscribeReply&>(*msg));
       break;
     case MessageType::kWatchDelta:
-      HandleDelta(static_cast<const wire::WatchDeltaMsg&>(*msg));
+      HandleDelta(from, static_cast<const wire::WatchDeltaMsg&>(*msg));
       break;
     case MessageType::kWatchResubscribe:
       HandleResubscribeRequired(
@@ -60,13 +59,18 @@ void WatchClient::Unwatch() {
   if (!watching_) return;
   watching_ = false;
   for (PartitionId p = 0; p < config_.num_partitions; ++p) {
-    ++subs_[p].timer_epoch;  // Kill the pending idle timer.
-    subs_[p].active = false;
-    wire::WatchUnsubscribe msg;
-    msg.watch_id = subs_[p].watch_id;
-    msg.reply_to = id_;
-    env_->network().Send(id_, LeaderOf(p), Share(std::move(msg)));
+    Sub& sub = subs_[p];
+    ++sub.timer_epoch;  // Kill the pending idle timer.
+    sub.active = false;
+    Unsubscribe(sub.server.value_or(LeaderOf(p)), sub.watch_id);
   }
+}
+
+void WatchClient::Unsubscribe(sim::ActorId replica, uint64_t watch_id) {
+  wire::WatchUnsubscribe msg;
+  msg.watch_id = watch_id;
+  msg.reply_to = id_;
+  env_->network().Send(id_, replica, Share(std::move(msg)));
 }
 
 bool WatchClient::AllSubscribed() const {
@@ -137,14 +141,19 @@ void WatchClient::ApplyEntries(
   stats_.keys_updated += entries.size();
 }
 
-void WatchClient::HandleSubscribeReply(const wire::WatchSubscribeReply& msg) {
+void WatchClient::HandleSubscribeReply(sim::ActorId from,
+                                       const wire::WatchSubscribeReply& msg) {
   if (msg.partition >= subs_.size()) return;
   Sub& sub = subs_[msg.partition];
-  if (!watching_ || msg.watch_id != sub.watch_id) return;
+  if (!watching_ || msg.watch_id != sub.watch_id) {
+    // The sender registered a watch this client no longer wants.
+    Unsubscribe(from, msg.watch_id);
+    return;
+  }
   if (msg.resumed) {
     // Continuation acknowledged: the stream chains from our last
     // verified position; missed deltas follow as ordinary pushes.
-    sub.epoch = msg.epoch;
+    sub.server = from;
     sub.active = true;
     ArmIdleTimer(msg.partition);
     return;
@@ -165,21 +174,30 @@ void WatchClient::HandleSubscribeReply(const wire::WatchSubscribeReply& msg) {
     }
   }
   ApplyEntries(msg.batch_id, msg.entries);
-  sub.epoch = msg.epoch;
+  sub.server = from;
   sub.last_seen = msg.batch_id;
   sub.active = true;
   ++stats_.seeds_applied;
   ArmIdleTimer(msg.partition);
 }
 
-void WatchClient::HandleDelta(const wire::WatchDeltaMsg& msg) {
+void WatchClient::HandleDelta(sim::ActorId from,
+                              const wire::WatchDeltaMsg& msg) {
   if (msg.partition >= subs_.size()) return;
   Sub& sub = subs_[msg.partition];
-  if (!watching_ || msg.watch_id != sub.watch_id) return;
-  if (msg.epoch != sub.epoch) {
-    // A push from a stream that a view change already killed; the
-    // resubscribed stream covers (or will cover) this batch.
-    ++stats_.stale_epoch_dropped;
+  if (!watching_ || msg.watch_id != sub.watch_id) {
+    // A push for a watch this client no longer wants: stop its sender.
+    Unsubscribe(from, msg.watch_id);
+    return;
+  }
+  if (from != sub.server) {
+    // Not the serving replica. Once the stream is live, the sender is a
+    // replica the stream has left: stop it. While a subscribe is in
+    // flight, the sender may be the replica the subscribe reached, whose
+    // replay can overtake its reply: only drop the push, and the chain
+    // check resumes the stream once the reply lands.
+    ++stats_.stale_stream_dropped;
+    if (sub.active) Unsubscribe(from, msg.watch_id);
     return;
   }
   if (sub.last_seen != kNoBatch && msg.batch_id <= sub.last_seen) {
@@ -215,8 +233,8 @@ void WatchClient::HandleResubscribeRequired(
   if (!watching_ || msg.watch_id != sub.watch_id) return;
   sub.active = false;
   ++stats_.resubscribes;
-  // The sender just told us it cannot (or will no longer) serve this
-  // stream; try the next replica in rotation.
+  // The sender just told us it cannot serve this subscribe; try the
+  // next replica in rotation.
   ++view_hint_[msg.partition];
   if (sub.last_seen != kNoBatch && msg.horizon != kNoBatch &&
       sub.last_seen >= msg.horizon) {

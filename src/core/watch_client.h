@@ -22,15 +22,19 @@ namespace transedge::core {
 /// cache never holds a value the cluster did not certify.
 ///
 /// Stream integrity is client-enforced:
+///   - a partition's stream is served by the replica whose seed or
+///     resume the client accepted last, whatever the view since; a push
+///     from any other replica of the partition is dropped;
+///   - a push the client does not want (after Unwatch, for a replaced
+///     watch id, or from another replica once the stream is live) is
+///     answered with a WatchUnsubscribe, so every stale watch stops;
 ///   - each delta must chain on the previous one (`prev_batch_id` equals
 ///     the last batch seen); a discontinuity counts as a gap and triggers
 ///     a resume from the last verified position;
 ///   - deltas at or below the last seen batch are dropped as duplicates
 ///     (cache already reflects them);
-///   - deltas from a stale watch epoch (pre-view-change stream) are
-///     dropped outright;
 ///   - an explicit WatchResubscribeRequired, or sustained silence from
-///     the leader (crash, demotion), rotates the view hint and
+///     the serving replica (crash, partition), rotates the view hint and
 ///     resubscribes — resuming when the server still retains the replay
 ///     window, reseeding from scratch when it does not.
 class WatchClient : public sim::Actor {
@@ -50,7 +54,7 @@ class WatchClient : public sim::Actor {
     uint64_t keys_updated = 0;
     uint64_t duplicates_dropped = 0;
     uint64_t gaps_detected = 0;
-    uint64_t stale_epoch_dropped = 0;
+    uint64_t stale_stream_dropped = 0;  // Pushed by a non-serving replica.
     uint64_t resubscribes = 0;
     uint64_t verification_failures = 0;
   };
@@ -65,9 +69,9 @@ class WatchClient : public sim::Actor {
   /// client; calling again replaces the previous range.
   void Watch(Key lo, Key hi);
 
-  /// Unsubscribes everywhere and stops the idle-resubscribe timers. The
-  /// cache is kept (it stays valid as-of its batch ids, just no longer
-  /// maintained).
+  /// Unsubscribes from every serving replica and stops the
+  /// idle-resubscribe timers. The cache is kept (it stays valid as-of its
+  /// batch ids, just no longer maintained).
   void Unwatch();
 
   /// True once every partition's subscription is live.
@@ -81,15 +85,17 @@ class WatchClient : public sim::Actor {
   /// Per-partition subscription state.
   struct Sub {
     uint64_t watch_id = 0;
-    uint64_t epoch = 0;          // Server watch epoch of the live stream.
+    std::optional<sim::ActorId> server;  // Sent the accepted seed/resume.
     BatchId last_seen = kNoBatch;  // Chain position (verified).
     bool active = false;         // Seeded/resumed and not since flushed.
     uint64_t timer_epoch = 0;    // Invalidates stale idle-timer closures.
   };
 
   void Subscribe(PartitionId p, BatchId resume_from);
-  void HandleSubscribeReply(const wire::WatchSubscribeReply& msg);
-  void HandleDelta(const wire::WatchDeltaMsg& msg);
+  void Unsubscribe(sim::ActorId replica, uint64_t watch_id);
+  void HandleSubscribeReply(sim::ActorId from,
+                            const wire::WatchSubscribeReply& msg);
+  void HandleDelta(sim::ActorId from, const wire::WatchDeltaMsg& msg);
   void HandleResubscribeRequired(const wire::WatchResubscribeRequired& msg);
 
   /// Certificate + per-key proof verification, mirroring the round-1

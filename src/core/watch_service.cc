@@ -21,7 +21,6 @@ void WatchService::SendResubscribeRequired(sim::ActorId client,
   wire::WatchResubscribeRequired err;
   err.watch_id = watch_id;
   err.partition = ctx_->partition();
-  err.epoch = epoch_;
   err.horizon = ReplayFloor();
   ++stats_.watch_resubscribe_errors;
   sim::Time done = ctx_->Charge(ctx_->config().cost.message_handling);
@@ -68,7 +67,6 @@ void WatchService::HandleSubscribe(sim::ActorId from,
     wire::WatchSubscribeReply reply;
     reply.watch_id = msg.watch_id;
     reply.partition = ctx_->partition();
-    reply.epoch = epoch_;
     reply.batch_id = msg.resume_from;
     reply.resumed = true;
     ++stats_.watch_resumes;
@@ -120,7 +118,6 @@ void WatchService::HandleSubscribe(sim::ActorId from,
   wire::WatchSubscribeReply reply;
   reply.watch_id = msg.watch_id;
   reply.partition = ctx_->partition();
-  reply.epoch = epoch_;
   reply.batch_id = head;
   reply.resumed = false;
   reply.entries = ctx_->CertifiedReads(head, in_range);
@@ -164,7 +161,6 @@ void WatchService::PushDelta(
   wire::WatchDeltaMsg delta;
   delta.watch_id = watch.watch_id;
   delta.partition = ctx_->partition();
-  delta.epoch = epoch_;
   delta.batch_id = batch_id;
   delta.prev_batch_id = watch.last_sent;
   delta.body = std::move(body);
@@ -206,19 +202,6 @@ void WatchService::OnBatchApplied(const storage::LogEntry& logged,
         BuildBody(id, matched, logged.certificate);
     for (size_t i : members) PushDelta(watches_[i], id, body);
   }
-}
-
-void WatchService::OnViewChange() {
-  // Watches are leader-local: whatever this replica was streaming (as
-  // leader, or believed-leader) dies with the old view. The epoch bump
-  // invalidates in-flight deltas at the watcher; the explicit error
-  // makes the death loud instead of silently stale.
-  ++epoch_;
-  if (watches_.empty()) return;
-  for (const Watch& watch : watches_) {
-    SendResubscribeRequired(watch.client, watch.watch_id);
-  }
-  watches_.clear();
 }
 
 }  // namespace transedge::core

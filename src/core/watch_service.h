@@ -19,17 +19,19 @@ namespace transedge::core {
 /// polls. That construction is one immutable body per (range, batch),
 /// shared by the N deltas, each of which adds only its own header.
 ///
+/// A watch lives on the replica that registered it. Every replica
+/// applies the same certified log whatever its view, so a view change
+/// leaves the stream running; the watcher answers a push it no longer
+/// wants with a WatchUnsubscribe.
+///
 /// Staleness is explicit, never silent:
 ///   - every delta names the previous batch pushed to that watch
 ///     (`prev_batch_id`), so a watcher detects a lost delta by chain
 ///     discontinuity (an unsigned claim: it catches a lossy network,
 ///     not a leader that withholds writes);
-///   - a view change bumps the watch epoch and flushes every watch with
-///     a retryable WatchResubscribeRequired (the demoted replica's
-///     stream dies loudly, watchers rotate to the new leader);
 ///   - a resume below the retained replay window (TruncateHistory moved
-///     past it) is rejected with the same retryable error instead of
-///     being seeded with a gap.
+///     past it) is rejected with a retryable WatchResubscribeRequired
+///     instead of being seeded with a gap.
 class WatchService {
  public:
   struct Stats {
@@ -37,8 +39,8 @@ class WatchService {
     uint64_t watch_subscribes = 0;
     /// Resumed subscriptions (missed deltas replayed from the window).
     uint64_t watch_resumes = 0;
-    /// WatchResubscribeRequired replies sent (view-change flushes and
-    /// out-of-window resumes).
+    /// WatchResubscribeRequired replies sent: resumes outside the replay
+    /// window and subscribes this replica has no applied state to serve.
     uint64_t watch_resubscribe_errors = 0;
     uint64_t watch_deltas_pushed = 0;
     uint64_t watch_keys_pushed = 0;
@@ -56,11 +58,6 @@ class WatchService {
   /// deduplicated by the node.
   void OnBatchApplied(const storage::LogEntry& logged,
                       const std::vector<Key>& written);
-
-  /// View adoption: watches are leader-local, so the stream this replica
-  /// was serving is dead. Bump the epoch and flush every watch with a
-  /// retryable resubscribe error.
-  void OnViewChange();
 
   size_t active_watches() const { return watches_.size(); }
   const Stats& stats() const { return stats_; }
@@ -100,7 +97,6 @@ class WatchService {
   void SendResubscribeRequired(sim::ActorId client, uint64_t watch_id);
 
   NodeContext* ctx_;
-  uint64_t epoch_ = 1;
   std::vector<Watch> watches_;
   /// Write keys of each applied batch, in batch order, trimmed to the
   /// snapshot window — the resume replay source. Covers the contiguous

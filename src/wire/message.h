@@ -602,15 +602,14 @@ struct WatchSubscribeRequest : TypedMessage<MessageType::kWatchSubscribe> {
 };
 
 /// Leader -> watcher: subscription accepted at `batch_id` (the applied
-/// head) in watch epoch `epoch`. A fresh subscribe carries `entries`:
-/// every in-range key's (value, proof) at `batch_id`, verifiable against
-/// `certificate.merkle_root` — the watcher's cache seed. A resume
-/// (`resumed`) carries no seed; the missed deltas follow as ordinary
-/// WatchDeltaMsg pushes chained from `resume_from`.
+/// head). The sender serves the stream from then on. A fresh subscribe
+/// carries `entries`: every in-range key's (value, proof) at `batch_id`,
+/// verifiable against `certificate.merkle_root` — the watcher's cache
+/// seed. A resume (`resumed`) carries no seed; the missed deltas follow
+/// as ordinary WatchDeltaMsg pushes chained from `resume_from`.
 struct WatchSubscribeReply : TypedMessage<MessageType::kWatchSubscribeReply> {
   uint64_t watch_id = 0;
   PartitionId partition = 0;
-  uint64_t epoch = 0;
   BatchId batch_id = kNoBatch;
   bool resumed = false;
   std::vector<AuthenticatedRead> entries;
@@ -618,7 +617,7 @@ struct WatchSubscribeReply : TypedMessage<MessageType::kWatchSubscribeReply> {
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
-    v(self.watch_id, self.partition, self.epoch, self.batch_id, self.resumed,
+    v(self.watch_id, self.partition, self.batch_id, self.resumed,
       self.entries, self.certificate);
   }
   bool operator==(const WatchSubscribeReply&) const = default;
@@ -644,18 +643,19 @@ struct WatchDeltaBody {
   bool operator==(const WatchDeltaBody&) const = default;
 };
 
-/// Leader -> watcher: applied batch `batch_id`'s in-range writes, with
-/// their proofs and certificate, in `body`. `prev_batch_id` chains the
-/// stream — it names the last batch this watch was sent (the subscribe
-/// reply's `batch_id` for the first delta) — so a watcher detects a lost
-/// delta. It is the sender's unsigned claim: it shows nothing about
-/// writes a lying leader left out. The header is per watcher; the body
-/// is shared by every watcher of the range and encodes inline, so the
-/// bytes are those of one flat message.
+/// Serving replica -> watcher: applied batch `batch_id`'s in-range
+/// writes, with their proofs and certificate, in `body`. The serving
+/// replica is the one that registered the watch, whatever its view.
+/// `prev_batch_id` chains the stream — it names the last batch this
+/// watch was sent (the subscribe reply's `batch_id` for the first
+/// delta) — so a watcher detects a lost delta. It is the sender's
+/// unsigned claim: it shows nothing about writes a lying leader left
+/// out. The header is per watcher; the body is shared by every watcher
+/// of the range and encodes inline, so the bytes are those of one flat
+/// message.
 struct WatchDeltaMsg : TypedMessage<MessageType::kWatchDelta> {
   uint64_t watch_id = 0;
   PartitionId partition = 0;
-  uint64_t epoch = 0;
   BatchId batch_id = kNoBatch;
   BatchId prev_batch_id = kNoBatch;
   /// Never null, never edited in place: a sender that changes a body
@@ -664,18 +664,18 @@ struct WatchDeltaMsg : TypedMessage<MessageType::kWatchDelta> {
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
-    v(self.watch_id, self.partition, self.epoch, self.batch_id,
-      self.prev_batch_id, self.body);
+    v(self.watch_id, self.partition, self.batch_id, self.prev_batch_id,
+      self.body);
   }
   /// Compares the bodies' contents, not their addresses.
   bool operator==(const WatchDeltaMsg& other) const {
     return watch_id == other.watch_id && partition == other.partition &&
-           epoch == other.epoch && batch_id == other.batch_id &&
+           batch_id == other.batch_id &&
            prev_batch_id == other.prev_batch_id && *body == *other.body;
   }
 };
 
-/// Client -> leader: drop the watch. No reply.
+/// Watcher -> the replica serving the watch: drop it. No reply.
 struct WatchUnsubscribe : TypedMessage<MessageType::kWatchUnsubscribe> {
   uint64_t watch_id = 0;
   sim::ActorId reply_to = 0;
@@ -687,19 +687,18 @@ struct WatchUnsubscribe : TypedMessage<MessageType::kWatchUnsubscribe> {
   bool operator==(const WatchUnsubscribe&) const = default;
 };
 
-/// Replica -> watcher: the subscription is dead — a view change rotated
-/// the watch epoch, or the replay window a resume needed was truncated.
-/// Explicitly retryable: resubscribe (fresh, or resuming from a batch
-/// >= `horizon`) against the current leader.
+/// Leader -> watcher: the subscribe cannot be served — the replica has
+/// no applied certified state yet, or the replay window a resume needed
+/// was truncated. Explicitly retryable: resubscribe (fresh, or resuming
+/// from a batch >= `horizon`) against the current leader.
 struct WatchResubscribeRequired : TypedMessage<MessageType::kWatchResubscribe> {
   uint64_t watch_id = 0;
   PartitionId partition = 0;
-  uint64_t epoch = 0;          // Epoch now current at the sender.
   BatchId horizon = kNoBatch;  // Oldest batch a resume could replay from.
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
-    v(self.watch_id, self.partition, self.epoch, self.horizon);
+    v(self.watch_id, self.partition, self.horizon);
   }
   bool operator==(const WatchResubscribeRequired&) const = default;
 };

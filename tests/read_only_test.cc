@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -590,6 +592,55 @@ struct RoReplyProbe : sim::Actor {
   }
 };
 
+// Two partitions of f = 1 on the default timers, preloaded and started.
+struct IdleCluster {
+  SystemConfig config;
+  std::unique_ptr<System> system;
+  std::vector<std::pair<Key, Value>> data;
+
+  explicit IdleCluster(core::ConsensusKind kind) {
+    config.num_partitions = 2;
+    config.f = 1;
+    config.consensus_kind = kind;
+    config.merkle_depth = 8;
+    sim::EnvironmentOptions env_opts;
+    env_opts.seed = 5;
+    system = std::make_unique<System>(config, env_opts);
+    workload::WorkloadOptions wopts;
+    wopts.num_keys = 200;
+    wopts.value_size = 8;
+    data = workload::KeySpace(wopts, 2).InitialData();
+    system->Preload(data);
+    system->Start();
+  }
+
+  Key KeyIn(PartitionId p) const {
+    storage::PartitionMap pmap(config.num_partitions);
+    for (const auto& [key, value] : data) {
+      if (pmap.OwnerOf(key) == p) return key;
+    }
+    ADD_FAILURE() << "no key in partition " << p;
+    return "";
+  }
+
+  // Registers `probe` as a client actor and returns its id.
+  sim::ActorId Register(RoReplyProbe* probe) {
+    const sim::ActorId id = config.ClientNode(1000);
+    system->env().network().Register(id, /*site=*/0, probe);
+    return id;
+  }
+
+  void ExpectCertified(const storage::BatchCertificate& certificate,
+                       const std::vector<wire::AuthenticatedRead>& entries,
+                       PartitionId p) const {
+    EXPECT_TRUE(certificate
+                    .Verify(system->verifier(), config.certificate_size(),
+                            config.ClusterMembers(p))
+                    .ok());
+    EXPECT_TRUE(wire::VerifyReads(entries, certificate.merkle_root).ok());
+  }
+};
+
 // A read-only request needs no log entry, and every replica holds the
 // applied, certified state it reads, so a follower answers it itself.
 // Were it forwarded, each follower would demand a batch that an idle
@@ -599,32 +650,13 @@ TEST(ReadOnlyFailoverTest, FollowersAnswerReadsOfAnIdleCluster) {
   for (core::ConsensusKind kind :
        {core::ConsensusKind::kPbft, core::ConsensusKind::kLinearVote}) {
     SCOPED_TRACE(core::ConsensusKindName(kind));
-    SystemConfig config;
-    config.num_partitions = 2;
-    config.f = 1;
-    config.consensus_kind = kind;
-    config.merkle_depth = 8;
-    sim::EnvironmentOptions env_opts;
-    env_opts.seed = 5;
-    System system(config, env_opts);
-    workload::WorkloadOptions wopts;
-    wopts.num_keys = 200;
-    wopts.value_size = 8;
-    auto data = workload::KeySpace(wopts, 2).InitialData();
-    system.Preload(data);
-    system.Start();
-    storage::PartitionMap pmap(2);
-    Key k0;
-    for (const auto& [key, value] : data) {
-      if (pmap.OwnerOf(key) == 0) {
-        k0 = key;
-        break;
-      }
-    }
+    IdleCluster cluster(kind);
+    const SystemConfig& config = cluster.config;
+    System& system = *cluster.system;
+    const Key k0 = cluster.KeyIn(0);
 
     RoReplyProbe probe;
-    const sim::ActorId probe_id = config.ClientNode(1000);
-    system.env().network().Register(probe_id, /*site=*/0, &probe);
+    const sim::ActorId probe_id = cluster.Register(&probe);
     system.env().Schedule(sim::Millis(500), [&] {
       for (uint32_t follower : {1u, 2u}) {
         wire::RoRequest request;
@@ -643,19 +675,90 @@ TEST(ReadOnlyFailoverTest, FollowersAnswerReadsOfAnIdleCluster) {
                                                  reply.request_id)));
       ASSERT_NE(reply.batch_id, kNoBatch);
       EXPECT_EQ(reply.certificate.batch_id, reply.batch_id);
-      EXPECT_TRUE(reply.certificate
-                      .Verify(system.verifier(), config.certificate_size(),
-                              config.ClusterMembers(0))
-                      .ok());
-      EXPECT_TRUE(
-          wire::VerifyReads(reply.entries, reply.certificate.merkle_root)
-              .ok());
+      cluster.ExpectCertified(reply.certificate, reply.entries, 0);
     }
     for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
       EXPECT_EQ(system.node(0, i)->view(), 0u) << "replica " << i;
     }
   }
 }
+
+// A view change leaves the read tier alone, under either engine.
+class ReadOnlyViewTest
+    : public ::testing::TestWithParam<core::ConsensusKind> {};
+
+// A parked round-2 request waits, on the replica that parked it, for a
+// batch whose LCE satisfies it, whatever the view: every replica keeps
+// applying the same certified log after it adopts a new one. Here a
+// follower parks the request, the leader crashes and the cluster moves
+// to a new view, and the two-partition write that satisfies the request
+// then commits under the new leader.
+TEST_P(ReadOnlyViewTest, ParkedRoundTwoOnAFollowerSurvivesAViewChange) {
+  IdleCluster cluster(GetParam());
+  const SystemConfig& config = cluster.config;
+  System& system = *cluster.system;
+  sim::Environment& env = system.env();
+  const Key k0 = cluster.KeyIn(0), k1 = cluster.KeyIn(1);
+  env.RunUntil(sim::Millis(100));
+
+  // Replica 2 stays a follower in views 0 and 1.
+  core::TransEdgeNode* follower = system.node(0, 2);
+  RoReplyProbe probe;
+  const sim::ActorId probe_id = cluster.Register(&probe);
+  wire::RoBatchRequest request;
+  request.request_id = 0xbeef;
+  request.reply_to = probe_id;
+  request.keys = {k0};
+  // One past the current LCE: parked until a distributed commit lands.
+  const BatchId min_lce = follower->log().back().batch.ro.lce + 1;
+  request.min_lce = min_lce;
+  env.network().Send(probe_id, follower->id(),
+                     core::ShareMsg(std::move(request)));
+  env.RunUntil(env.now() + sim::Millis(50));
+  ASSERT_EQ(follower->stats().ro_round2_parked, 1u);
+
+  // The leader crashes; a write of partition 0 times out on it, and its
+  // retry makes the cluster elect a new one.
+  system.CrashReplica(config.ReplicaNode(0, 0));
+  Client* client = system.AddClient();
+  std::optional<RwResult> local;
+  client->ExecuteReadWrite({}, {WriteOp{k0, ToBytes("local")}},
+                           [&](RwResult r) { local = std::move(r); });
+  env.RunUntil(env.now() + sim::Seconds(10));
+  ASSERT_TRUE(local.has_value());
+  ASSERT_TRUE(local->committed) << local->reason;
+  ASSERT_GT(follower->view(), 0u);
+  ASSERT_FALSE(follower->IsLeader());
+  EXPECT_TRUE(probe.replies.empty());
+
+  // The dependency commits under the new leader.
+  std::optional<RwResult> paired;
+  client->ExecuteReadWrite(
+      {}, {WriteOp{k0, ToBytes("x")}, WriteOp{k1, ToBytes("y")}},
+      [&](RwResult r) { paired = std::move(r); });
+  env.RunUntil(env.now() + sim::Seconds(10));
+  ASSERT_TRUE(paired.has_value());
+  ASSERT_TRUE(paired->committed) << paired->reason;
+
+  ASSERT_EQ(probe.replies.size(), 1u);
+  const auto& [from, reply] = probe.replies[0];
+  EXPECT_EQ(from, follower->id());
+  EXPECT_EQ(reply.request_id, 0xbeefu);
+  EXPECT_TRUE(reply.second_round);
+  ASSERT_NE(reply.batch_id, kNoBatch);
+  EXPECT_GE(reply.lce, min_lce);
+  EXPECT_EQ(reply.certificate.batch_id, reply.batch_id);
+  cluster.ExpectCertified(reply.certificate, reply.entries, 0);
+  EXPECT_EQ(follower->stats().ro_round2_aborted, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ReadOnlyViewTest,
+    ::testing::Values(core::ConsensusKind::kPbft,
+                      core::ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace transedge

@@ -1,7 +1,7 @@
 // Watch/subscription push-tier tests: certified seed + delta streams,
-// the edge cache, explicit resubscribe on view change and
-// history truncation, and the read-path correctness fixes that ride
-// along (configurable stale-snapshot clamp, parked round-2 flush).
+// the edge cache, streams that stay on the replica that registered them
+// across a view change, explicit resubscribe on history truncation, and
+// the configurable stale-snapshot clamp of the read path.
 
 #include <gtest/gtest.h>
 
@@ -179,6 +179,282 @@ TEST_P(WatchEngineTest, WatcherSurvivesLeaderCrashWithoutGapOrDuplicate) {
   // ex-leader still believes in its pre-crash view and may lag behind
   // the cluster tip until traffic forces it to catch up.
   ExpectCacheMatchesReplica(system.node(0, 1), watcher, lo, hi);
+}
+
+// A watch lives on the replica that registered it. Here its leader turns
+// equivocator, so the cluster votes it out, but it keeps running: as a
+// follower it applies the same certified log and keeps pushing the watch,
+// and the watcher never has to resubscribe.
+TEST_P(WatchEngineTest, StreamSurvivesAViewChangeOfItsServingReplica) {
+  SystemConfig config = WatchConfig(GetParam());
+  config.f = 2;  // 7 replicas: a half-split equivocation certifies nothing.
+  // The view change silences the range for longer than the default
+  // silence detector waits.
+  config.client_timeout = sim::Seconds(1);
+  System system(config, {/*seed=*/25});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  Client* writer = system.AddClient();
+  WatchClient* watcher = system.AddWatchClient();
+  const Key lo = "k";
+  const Key hi = "k~";
+  core::TransEdgeNode* serving = system.leader(0);
+
+  int committed = 0;
+  bool stop = false;
+  auto loop =
+      StartWriteLoop(&system, writer, data[0].first, "e", &committed, &stop);
+  system.env().Schedule(sim::Millis(60), [&] { watcher->Watch(lo, hi); });
+  system.env().Schedule(sim::Millis(500), [&] {
+    ASSERT_TRUE(watcher->AllSubscribed());
+    serving->SetByzantineBehavior(core::ByzantineBehavior::kEquivocate);
+  });
+  // Deltas sent to the watcher after their sender left view 0, by sender.
+  std::map<sim::ActorId, int> pushed_after_view_change;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId to, const sim::MessagePtr& msg) {
+        if (to == watcher->id() && serving->view() > 0 &&
+            static_cast<wire::MessageType>(msg->type()) ==
+                wire::MessageType::kWatchDelta) {
+          ++pushed_after_view_change[from];
+        }
+        return true;
+      });
+  system.env().RunUntil(sim::Seconds(3));
+  stop = true;
+  // Long enough for the last write to apply everywhere, too short for
+  // the silence detector to fire on the quiet range.
+  system.env().RunUntil(sim::Millis(3500));
+
+  ASSERT_GT(committed, 30);
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_GT(system.node(0, i)->view(), 0u) << "replica " << i;
+  }
+  EXPECT_FALSE(serving->IsLeader());
+  EXPECT_EQ(serving->active_watches(), 1u);
+  EXPECT_EQ(pushed_after_view_change.size(), 1u);
+  EXPECT_GT(pushed_after_view_change[serving->id()], 10);
+  const WatchClient::Stats& stats = watcher->stats();
+  EXPECT_EQ(stats.seeds_applied, 1u);
+  EXPECT_EQ(stats.resubscribes, 0u);
+  EXPECT_EQ(stats.gaps_detected, 0u);
+  EXPECT_EQ(stats.duplicates_dropped, 0u);
+  EXPECT_EQ(stats.stale_stream_dropped, 0u);
+  EXPECT_EQ(stats.verification_failures, 0u);
+  ExpectCacheMatchesReplica(system.leader(0), watcher, lo, hi);
+}
+
+// Only the replica whose seed or resume the watcher accepted serves its
+// stream. A genuine delta re-sent by another replica of the partition is
+// dropped before it touches the chain, and that replica is told to stop.
+TEST_P(WatchEngineTest, PushFromAnotherReplicaIsDroppedAndUnsubscribed) {
+  SystemConfig config = WatchConfig(GetParam());
+  System system(config, {/*seed=*/28});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  Client* writer = system.AddClient();
+  WatchClient* watcher = system.AddWatchClient();
+  const Key lo = "k";
+  const Key hi = "k~";
+  const sim::ActorId serving = system.leader(0)->id();
+  const sim::ActorId other = config.ReplicaNode(0, 1);
+
+  int committed = 0;
+  bool stop = false;
+  auto loop =
+      StartWriteLoop(&system, writer, data[0].first, "r", &committed, &stop);
+  system.env().Schedule(sim::Millis(60), [&] { watcher->Watch(lo, hi); });
+
+  sim::Network& net = system.env().network();
+  std::shared_ptr<const wire::WatchDeltaMsg> resent;
+  std::vector<uint64_t> unsubscribed_at_other;
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    const auto type = static_cast<wire::MessageType>(msg->type());
+    if (type == wire::MessageType::kWatchUnsubscribe && to == other) {
+      unsubscribed_at_other.push_back(
+          static_cast<const wire::WatchUnsubscribe&>(*msg).watch_id);
+    }
+    if (resent == nullptr && type == wire::MessageType::kWatchDelta &&
+        from == serving && watcher->AllSubscribed()) {
+      resent = std::static_pointer_cast<const wire::WatchDeltaMsg>(msg);
+      system.env().Schedule(0, [&net, other, to, msg] {
+        net.Send(other, to, msg);
+      });
+    }
+    return true;
+  });
+  system.env().RunUntil(sim::Seconds(2));
+  stop = true;
+  system.env().RunUntil(sim::Seconds(3));
+
+  ASSERT_NE(resent, nullptr);
+  ASSERT_GT(committed, 20);
+  const WatchClient::Stats& stats = watcher->stats();
+  EXPECT_EQ(stats.stale_stream_dropped, 1u);
+  EXPECT_EQ(stats.duplicates_dropped, 0u);
+  EXPECT_EQ(stats.gaps_detected, 0u);
+  EXPECT_EQ(stats.verification_failures, 0u);
+  EXPECT_GT(stats.deltas_applied, 10u);
+  EXPECT_EQ(unsubscribed_at_other,
+            std::vector<uint64_t>{resent->watch_id});
+  ExpectCacheMatchesReplica(system.leader(0), watcher, lo, hi);
+}
+
+// A resume moves the stream to the leader that replaced a crashed one,
+// and that replica's replay overtakes its resume reply. While its
+// subscribe is in flight the watcher drops such pushes but does not
+// unsubscribe their sender, which is about to serve the stream: the
+// chain check resumes the stream as soon as the reply lands, not a
+// silence timeout later.
+TEST_P(WatchEngineTest, ResumeOvertakenByItsReplayKeepsStreaming) {
+  SystemConfig config = WatchConfig(GetParam());
+  // A stalled stream then waits half a second before the silence
+  // detector resubscribes.
+  config.client_timeout = sim::Millis(500);
+  System system(config, {/*seed=*/22});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  Client* writer = system.AddClient();
+  WatchClient* watcher = system.AddWatchClient();
+  const Key lo = "k";
+  const Key hi = "k~";
+  const sim::ActorId crashed = system.leader(0)->id();
+
+  int committed = 0;
+  bool stop = false;
+  auto loop =
+      StartWriteLoop(&system, writer, data[0].first, "o", &committed, &stop);
+  system.env().Schedule(sim::Millis(60), [&] { watcher->Watch(lo, hi); });
+  system.env().Schedule(sim::Millis(400),
+                        [&] { system.CrashReplica(crashed); });
+
+  // Holds the first resume reply from a new replica until that replica
+  // has pushed the watcher a delta, then delivers it 5 ms later.
+  sim::Network& net = system.env().network();
+  sim::MessagePtr held;
+  sim::ActorId successor = 0;
+  bool released = false;
+  int unsubscribed_at_successor = 0;
+  uint64_t applied_at_reply = 0;
+  uint64_t applied_soon_after = 0;
+  net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
+                        const sim::MessagePtr& msg) {
+    const auto type = static_cast<wire::MessageType>(msg->type());
+    if (type == wire::MessageType::kWatchUnsubscribe && to == successor) {
+      ++unsubscribed_at_successor;
+    }
+    if (to != watcher->id() || released) return true;
+    if (held == nullptr && from != crashed &&
+        type == wire::MessageType::kWatchSubscribeReply &&
+        static_cast<const wire::WatchSubscribeReply&>(*msg).resumed) {
+      held = msg;
+      successor = from;
+      return false;
+    }
+    if (held != nullptr && from == successor &&
+        type == wire::MessageType::kWatchDelta) {
+      released = true;
+      system.env().Schedule(sim::Millis(5), [&] {
+        net.Send(successor, watcher->id(), held);
+        applied_at_reply = watcher->stats().deltas_applied;
+        // Well inside the 500 ms silence timeout.
+        system.env().Schedule(sim::Millis(200), [&] {
+          applied_soon_after = watcher->stats().deltas_applied;
+        });
+      });
+    }
+    return true;
+  });
+  system.env().RunUntil(sim::Seconds(4));
+  stop = true;
+  system.env().RunUntil(sim::Seconds(5));
+
+  ASSERT_TRUE(released);
+  ASSERT_GT(committed, 30);
+  const WatchClient::Stats& stats = watcher->stats();
+  EXPECT_GE(stats.stale_stream_dropped, 1u);
+  EXPECT_EQ(unsubscribed_at_successor, 0);
+  EXPECT_GT(applied_soon_after, applied_at_reply);
+  EXPECT_EQ(stats.verification_failures, 0u);
+  // The crashed replica still believes it leads view 0.
+  ExpectCacheMatchesReplica(system.node(0, 1), watcher, lo, hi);
+}
+
+// A watch whose unsubscribe is lost keeps pushing, and the watcher
+// answers each unwanted push with another unsubscribe until it stops.
+TEST_P(WatchEngineTest, UnwantedPushIsAnsweredWithAnUnsubscribe) {
+  SystemConfig config = WatchConfig(GetParam());
+  System system(config, {/*seed=*/23});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  Client* writer = system.AddClient();
+  WatchClient* watcher = system.AddWatchClient();
+  int committed = 0;
+  bool stop = false;
+  auto loop =
+      StartWriteLoop(&system, writer, data[0].first, "u", &committed, &stop);
+  system.env().Schedule(sim::Millis(60), [&] { watcher->Watch("k", "k~"); });
+  system.env().Schedule(sim::Millis(500), [&] {
+    ASSERT_TRUE(watcher->AllSubscribed());
+    watcher->Unwatch();
+  });
+
+  int unsubscribes_lost = 0;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId from, sim::ActorId, const sim::MessagePtr& msg) {
+        if (from == watcher->id() && unsubscribes_lost == 0 &&
+            static_cast<wire::MessageType>(msg->type()) ==
+                wire::MessageType::kWatchUnsubscribe) {
+          ++unsubscribes_lost;
+          return false;
+        }
+        return true;
+      });
+  system.env().RunUntil(sim::Seconds(2));
+  stop = true;
+  system.env().RunUntil(sim::Seconds(3));
+
+  ASSERT_EQ(unsubscribes_lost, 1);
+  ASSERT_GT(committed, 20);
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->active_watches(), 0u) << "replica " << i;
+  }
+}
+
+// The view-change timer that a follower arms when it forwards a watch
+// subscribe is what replaces the dead leader of an idle partition: the
+// watcher's rotation reaches only followers, which forward to that
+// leader, and nothing is written that would demand progress otherwise.
+TEST_P(WatchEngineTest, WatcherOfAnIdlePartitionOutlivesItsDeadLeader) {
+  SystemConfig config = WatchConfig(GetParam());
+  System system(config, {/*seed=*/29});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  WatchClient* watcher = system.AddWatchClient();
+  const sim::ActorId crashed = config.ReplicaNode(0, 0);
+  system.env().Schedule(sim::Millis(100),
+                        [&] { system.CrashReplica(crashed); });
+  system.env().Schedule(sim::Millis(200), [&] { watcher->Watch("k", "k~"); });
+  system.env().RunUntil(sim::Seconds(10));
+
+  for (uint32_t i = 1; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_GT(system.node(0, i)->view(), 0u) << "replica " << i;
+  }
+  const WatchClient::Stats& stats = watcher->stats();
+  EXPECT_GE(stats.seeds_applied, 1u);
+  EXPECT_EQ(stats.verification_failures, 0u);
+  ExpectCacheMatchesReplica(system.node(0, 1), watcher, "k", "k~");
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, WatchEngineTest,
@@ -392,78 +668,6 @@ TEST(WatchServiceTest, StaleSnapshotClampRespectsSmallRetentionWindow) {
   EXPECT_TRUE(ro->status.ok()) << ro->status;
   ASSERT_EQ(ro->values.count(hot), 1u);
   EXPECT_TRUE(ro->values[hot].has_value());
-}
-
-/// Bare actor that fires one raw round-2 request and records replies —
-/// lets the test park a request with an arbitrary dependency claim.
-struct RoundTwoProbe : public sim::Actor {
-  std::vector<wire::RoReply> replies;
-  void OnStart() override {}
-  void OnMessage(sim::ActorId from, const sim::MessagePtr& msg) override {
-    (void)from;
-    if (static_cast<wire::MessageType>(msg->type()) ==
-        wire::MessageType::kRoReply) {
-      replies.push_back(static_cast<const wire::RoReply&>(*msg));
-    }
-  }
-};
-
-// A round-2 request parked on a leader that is then demoted must be
-// flushed with a retryable unserviceable reply, not stranded forever.
-TEST(WatchServiceTest, ParkedRoundTwoIsFlushedRetryableOnViewChange) {
-  // f = 2 so a half-split equivocation certifies nothing and forces a
-  // view change while the (otherwise honest) leader keeps running — the
-  // crash-stop path would never get to flush anything.
-  SystemConfig config;
-  config.num_partitions = 1;
-  config.f = 2;  // 7 replicas.
-  config.batch_interval = sim::Millis(5);
-  config.view_change_timeout = sim::Millis(80);
-  config.merkle_depth = 8;
-  System system(config, {/*seed=*/25});
-  auto data = TestData(1);
-  system.Preload(data);
-  system.Start();
-
-  core::TransEdgeNode* old_leader = system.leader(0);
-  old_leader->SetByzantineBehavior(core::ByzantineBehavior::kEquivocate);
-
-  Client* writer = system.AddClient();
-  RoundTwoProbe probe;
-  crypto::NodeId probe_id = config.ClientNode(1);
-  system.env().network().Register(probe_id, 0, &probe);
-
-  // Traffic the equivocating leader cannot certify -> view change.
-  system.env().Schedule(sim::Millis(30), [&] {
-    writer->ExecuteReadWrite({}, {WriteOp{data[0].first, ToBytes("x")}},
-                             [](RwResult) {});
-  });
-  // Park a round-2 request whose dependency is a full retention window
-  // ahead — admissible (an honest round-1 reply could claim it), but
-  // unsatisfiable before the view change hits.
-  system.env().Schedule(sim::Millis(50), [&] {
-    wire::RoBatchRequest req;
-    req.request_id = 991;
-    req.reply_to = probe_id;
-    req.keys = {data[0].first};
-    req.min_lce = old_leader->log().LastBatchId() +
-                  static_cast<BatchId>(config.snapshot_history);
-    system.env().network().Send(
-        probe_id, old_leader->id(),
-        std::make_shared<const wire::RoBatchRequest>(std::move(req)));
-  });
-  system.env().RunUntil(sim::Seconds(30));
-
-  // The demoted leader flushed the parked request as retryable
-  // (batch_id == kNoBatch) instead of leaking it.
-  EXPECT_GE(old_leader->stats().ro_round2_aborted, 1u);
-  bool flushed_retryable = false;
-  for (const wire::RoReply& r : probe.replies) {
-    if (r.request_id == 991 && r.batch_id == kNoBatch) {
-      flushed_retryable = true;
-    }
-  }
-  EXPECT_TRUE(flushed_retryable);
 }
 
 // ---------------------------------------------------------------------------
