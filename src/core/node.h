@@ -51,8 +51,10 @@ struct NodeStats {
   uint64_t watch_subscribes = 0;
   uint64_t watch_deltas_pushed = 0;
   uint64_t watch_keys_pushed = 0;
-  /// Subscribes answered WatchResubscribeRequired: out-of-window resumes
-  /// and subscribes with no applied state to serve them.
+  /// Subscribes answered WatchResubscribeRequired: resumes ahead of this
+  /// replica's applied head, and heads with no log entry to certify an
+  /// answer with. A subscribe before the first applied batch waits for
+  /// it instead.
   uint64_t watch_resubscribe_errors = 0;
   /// Protocol messages the consensus engine sent; divided by
   /// batches_decided this is the engines' message-complexity axis

@@ -153,7 +153,7 @@ class NodeContext {
 
   /// Certified (value, version, proof) entries for `keys` at `batch_id`,
   /// provable against that batch's certified root: round-1 and round-2
-  /// replies, and every watch seed, delta and replay. Requires
+  /// replies, and every watch delta. Requires
   /// `history_horizon() <= batch_id <= last_applied()`.
   std::vector<wire::AuthenticatedRead> CertifiedReads(
       BatchId batch_id, const std::vector<Key>& keys) const;

@@ -149,11 +149,20 @@ Status System::RestartReplica(crypto::NodeId id) {
 }
 
 TransEdgeNode* System::leader(PartitionId p) {
+  // A crashed replica keeps the view it died in, so it may still think
+  // it leads: only live replicas count, and the highest view wins.
+  TransEdgeNode* live = nullptr;
+  TransEdgeNode* leading = nullptr;
   for (uint32_t i = 0; i < config_.replicas_per_cluster(); ++i) {
     TransEdgeNode* n = node(p, i);
-    if (n->IsLeader()) return n;
+    if (n->halted()) continue;
+    if (live == nullptr) live = n;
+    if (n->IsLeader() && (leading == nullptr || n->view() > leading->view())) {
+      leading = n;
+    }
   }
-  return node(p, 0);
+  if (leading != nullptr) return leading;
+  return live != nullptr ? live : node(p, 0);
 }
 
 uint64_t System::TotalRwAbortedByRoLocks() const {

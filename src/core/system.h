@@ -71,8 +71,8 @@ class System {
     return nodes_[config_.ReplicaNode(p, replica_index)].get();
   }
 
-  /// The replica currently acting as leader of partition `p` (by its own
-  /// view); never null.
+  /// The live replica that leads partition `p` in the highest view (by
+  /// its own view), else the first live replica; never null.
   TransEdgeNode* leader(PartitionId p);
 
   sim::Environment& env() { return env_; }

@@ -28,10 +28,6 @@ WatchClient::WatchClient(const SystemConfig& config, crypto::NodeId id,
 void WatchClient::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
   using wire::MessageType;
   switch (static_cast<MessageType>(msg->type())) {
-    case MessageType::kWatchSubscribeReply:
-      HandleSubscribeReply(
-          from, static_cast<const wire::WatchSubscribeReply&>(*msg));
-      break;
     case MessageType::kWatchDelta:
       HandleDelta(from, static_cast<const wire::WatchDeltaMsg&>(*msg));
       break;
@@ -141,46 +137,6 @@ void WatchClient::ApplyEntries(
   stats_.keys_updated += entries.size();
 }
 
-void WatchClient::HandleSubscribeReply(sim::ActorId from,
-                                       const wire::WatchSubscribeReply& msg) {
-  if (msg.partition >= subs_.size()) return;
-  Sub& sub = subs_[msg.partition];
-  if (!watching_ || msg.watch_id != sub.watch_id) {
-    // The sender registered a watch this client no longer wants.
-    Unsubscribe(from, msg.watch_id);
-    return;
-  }
-  if (msg.resumed) {
-    // Continuation acknowledged: the stream chains from our last
-    // verified position; missed deltas follow as ordinary pushes.
-    sub.server = from;
-    sub.active = true;
-    ArmIdleTimer(msg.partition);
-    return;
-  }
-  Status verified = VerifyCertifiedEntries(msg.partition, msg.batch_id,
-                                           msg.entries, msg.certificate);
-  if (!verified.ok()) {
-    ++stats_.verification_failures;
-    return;
-  }
-  // Fresh seed: certified ground truth for the whole range replaces any
-  // stale leftovers from a previous subscription.
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (partition_map_.OwnerOf(it->first) == msg.partition) {
-      it = cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  ApplyEntries(msg.batch_id, msg.entries);
-  sub.server = from;
-  sub.last_seen = msg.batch_id;
-  sub.active = true;
-  ++stats_.seeds_applied;
-  ArmIdleTimer(msg.partition);
-}
-
 void WatchClient::HandleDelta(sim::ActorId from,
                               const wire::WatchDeltaMsg& msg) {
   if (msg.partition >= subs_.size()) return;
@@ -190,21 +146,29 @@ void WatchClient::HandleDelta(sim::ActorId from,
     Unsubscribe(from, msg.watch_id);
     return;
   }
-  if (from != sub.server) {
+  const wire::WatchDeltaBody& body = *msg.body;
+  // The next link chains on the last verified batch. The answer to a
+  // resume with nothing new may repeat that batch, with no entries.
+  const bool next =
+      msg.prev_batch_id == sub.last_seen &&
+      (msg.batch_id > sub.last_seen ||
+       (msg.batch_id == sub.last_seen && body.entries.empty()));
+  // While a subscribe is in flight, the next link is its answer, from
+  // whichever replica the subscribe reached.
+  if (from != sub.server && !(next && !sub.active)) {
     // Not the serving replica. Once the stream is live, the sender is a
     // replica the stream has left: stop it. While a subscribe is in
-    // flight, the sender may be the replica the subscribe reached, whose
-    // replay can overtake its reply: only drop the push, and the chain
-    // check resumes the stream once the reply lands.
+    // flight, the sender may be the replica it reached, pushing before
+    // its answer lands: only drop the push.
     ++stats_.stale_stream_dropped;
     if (sub.active) Unsubscribe(from, msg.watch_id);
     return;
   }
-  if (sub.last_seen != kNoBatch && msg.batch_id <= sub.last_seen) {
-    ++stats_.duplicates_dropped;
-    return;
-  }
-  if (msg.prev_batch_id != sub.last_seen) {
+  if (!next) {
+    if (msg.batch_id <= sub.last_seen) {
+      ++stats_.duplicates_dropped;
+      return;
+    }
     // Chain discontinuity: a delta between last_seen and this one was
     // lost. Do not apply (the cache would silently skip writes); resume
     // from the last verified position instead.
@@ -213,16 +177,30 @@ void WatchClient::HandleDelta(sim::ActorId from,
     Subscribe(msg.partition, sub.last_seen);
     return;
   }
-  const wire::WatchDeltaBody& body = *msg.body;
   Status verified = VerifyCertifiedEntries(msg.partition, msg.batch_id,
                                            body.entries, body.certificate);
   if (!verified.ok()) {
     ++stats_.verification_failures;
     return;
   }
+  if (msg.prev_batch_id == kNoBatch) {
+    // A seed: certified ground truth for the whole range replaces any
+    // leftovers from a previous range.
+    for (auto it = cache_.begin(); it != cache_.end();) {
+      if (partition_map_.OwnerOf(it->first) == msg.partition) {
+        it = cache_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    ++stats_.seeds_applied;
+  } else {
+    ++stats_.deltas_applied;
+  }
   ApplyEntries(msg.batch_id, body.entries);
+  sub.server = from;
   sub.last_seen = msg.batch_id;
-  ++stats_.deltas_applied;
+  sub.active = true;
   ArmIdleTimer(msg.partition);
 }
 
@@ -231,19 +209,11 @@ void WatchClient::HandleResubscribeRequired(
   if (msg.partition >= subs_.size()) return;
   Sub& sub = subs_[msg.partition];
   if (!watching_ || msg.watch_id != sub.watch_id) return;
-  sub.active = false;
   ++stats_.resubscribes;
   // The sender just told us it cannot serve this subscribe; try the
   // next replica in rotation.
   ++view_hint_[msg.partition];
-  if (sub.last_seen != kNoBatch && msg.horizon != kNoBatch &&
-      sub.last_seen >= msg.horizon) {
-    Subscribe(msg.partition, sub.last_seen);
-  } else {
-    // The replay window rotated past our position (or we never seeded):
-    // only a fresh certified seed can restore gap-free coverage.
-    Subscribe(msg.partition, kNoBatch);
-  }
+  Subscribe(msg.partition, sub.last_seen);
 }
 
 void WatchClient::ArmIdleTimer(PartitionId p) {

@@ -21,22 +21,28 @@ namespace transedge::core {
 /// proof against the certified root) before it touches the cache, so the
 /// cache never holds a value the cluster did not certify.
 ///
+/// Every watch message that carries state is a delta, and a subscribe is
+/// answered by one: it names the last verified batch (kNoBatch for none)
+/// and the answer chains on it, so a fresh watch is seeded
+/// (`prev_batch_id == kNoBatch`) and a resume gets only what changed.
+///
 /// Stream integrity is client-enforced:
-///   - a partition's stream is served by the replica whose seed or
-///     resume the client accepted last, whatever the view since; a push
-///     from any other replica of the partition is dropped;
+///   - each delta must chain on the last verified batch (`prev_batch_id`
+///     equals it); the answer to a resume with nothing new may repeat
+///     that batch with no entries. A discontinuity counts as a gap and
+///     triggers a resume from the last verified position;
+///   - other deltas at or below the last verified batch are dropped as
+///     duplicates (cache already reflects them);
+///   - a partition's stream is served by the replica whose delta the
+///     client accepted last, whatever the view since. While a subscribe
+///     is in flight, the next link from any replica is its answer; once
+///     the stream is live, a push from any other replica is dropped;
 ///   - a push the client does not want (after Unwatch, for a replaced
 ///     watch id, or from another replica once the stream is live) is
 ///     answered with a WatchUnsubscribe, so every stale watch stops;
-///   - each delta must chain on the previous one (`prev_batch_id` equals
-///     the last batch seen); a discontinuity counts as a gap and triggers
-///     a resume from the last verified position;
-///   - deltas at or below the last seen batch are dropped as duplicates
-///     (cache already reflects them);
 ///   - an explicit WatchResubscribeRequired, or sustained silence from
 ///     the serving replica (crash, partition), rotates the view hint and
-///     resubscribes — resuming when the server still retains the replay
-///     window, reseeding from scratch when it does not.
+///     resumes from the last verified batch.
 class WatchClient : public sim::Actor {
  public:
   /// One certified cache entry: the value (or certified absence) as of
@@ -85,16 +91,14 @@ class WatchClient : public sim::Actor {
   /// Per-partition subscription state.
   struct Sub {
     uint64_t watch_id = 0;
-    std::optional<sim::ActorId> server;  // Sent the accepted seed/resume.
+    std::optional<sim::ActorId> server;  // Sent the last accepted delta.
     BatchId last_seen = kNoBatch;  // Chain position (verified).
-    bool active = false;         // Seeded/resumed and not since flushed.
+    bool active = false;         // No subscribe in flight: answer landed.
     uint64_t timer_epoch = 0;    // Invalidates stale idle-timer closures.
   };
 
   void Subscribe(PartitionId p, BatchId resume_from);
   void Unsubscribe(sim::ActorId replica, uint64_t watch_id);
-  void HandleSubscribeReply(sim::ActorId from,
-                            const wire::WatchSubscribeReply& msg);
   void HandleDelta(sim::ActorId from, const wire::WatchDeltaMsg& msg);
   void HandleResubscribeRequired(const wire::WatchResubscribeRequired& msg);
 

@@ -7,21 +7,11 @@ namespace transedge::core {
 
 WatchService::WatchService(NodeContext* ctx) : ctx_(ctx) {}
 
-BatchId WatchService::ReplayFloor() const {
-  if (ctx_->last_applied() == kNoBatch) return kNoBatch;
-  // `recent_writes_` covers (floor, last_applied] contiguously; a fresh
-  // (or freshly recovered) service has recorded nothing, so only a
-  // resume exactly at the applied head can chain without a gap.
-  if (recent_writes_.empty()) return ctx_->last_applied();
-  return recent_writes_.front().first - 1;
-}
-
 void WatchService::SendResubscribeRequired(sim::ActorId client,
                                            uint64_t watch_id) {
   wire::WatchResubscribeRequired err;
   err.watch_id = watch_id;
   err.partition = ctx_->partition();
-  err.horizon = ReplayFloor();
   ++stats_.watch_resubscribe_errors;
   sim::Time done = ctx_->Charge(ctx_->config().cost.message_handling);
   ctx_->Send(client, ShareMsg(std::move(err)), done);
@@ -29,12 +19,21 @@ void WatchService::SendResubscribeRequired(sim::ActorId client,
 
 void WatchService::HandleSubscribe(sim::ActorId from,
                                    const wire::WatchSubscribeRequest& msg) {
-  sim::ActorId client = msg.reply_to != 0 ? msg.reply_to : from;
-  // One watch per (client, range): a resubscribe replaces its
-  // predecessor instead of doubling the stream.
+  Watch watch;
+  watch.watch_id = msg.watch_id;
+  watch.client = msg.reply_to != 0 ? msg.reply_to : from;
+  watch.lo = msg.range_lo;
+  watch.hi = msg.range_hi;
+  watch.last_sent = msg.resume_from;
+  // One watch per (client, range): a subscribe replaces its predecessor
+  // instead of doubling the stream. The predecessor was sent every
+  // in-range change up to the applied head, so if it was current through
+  // the named batch, nothing in range changed after that batch.
+  bool scan = true;
   for (auto it = watches_.begin(); it != watches_.end();) {
-    if (it->client == client && it->lo == msg.range_lo &&
-        it->hi == msg.range_hi) {
+    if (it->client == watch.client && it->lo == watch.lo &&
+        it->hi == watch.hi) {
+      scan = it->last_sent > msg.resume_from;
       it = watches_.erase(it);
     } else {
       ++it;
@@ -42,96 +41,26 @@ void WatchService::HandleSubscribe(sim::ActorId from,
   }
 
   const BatchId head = ctx_->last_applied();
-  if (head == kNoBatch) {
-    // No applied certified state to seed from or chain to yet.
-    SendResubscribeRequired(client, msg.watch_id);
+  if (msg.resume_from > head) {
+    // The watcher verified a batch this replica has not applied.
+    SendResubscribeRequired(watch.client, watch.watch_id);
     return;
   }
-
-  if (msg.resume_from != kNoBatch) {
-    if (msg.resume_from < ReplayFloor() || msg.resume_from > head) {
-      // The replay window rotated past the resume point (TruncateHistory)
-      // or the claim is ahead of this replica: an honest continuation is
-      // impossible, so demand an explicit fresh subscribe rather than
-      // seeding a stream with a silent gap.
-      SendResubscribeRequired(client, msg.watch_id);
-      return;
-    }
-    Watch watch;
-    watch.watch_id = msg.watch_id;
-    watch.client = client;
-    watch.lo = msg.range_lo;
-    watch.hi = msg.range_hi;
-    watch.last_sent = msg.resume_from;
-
-    wire::WatchSubscribeReply reply;
-    reply.watch_id = msg.watch_id;
-    reply.partition = ctx_->partition();
-    reply.batch_id = msg.resume_from;
-    reply.resumed = true;
-    ++stats_.watch_resumes;
-    sim::Time done = ctx_->Charge(ctx_->config().cost.message_handling);
-    ctx_->Send(client, ShareMsg(std::move(reply)), done);
-
-    // Replay the missed in-range deltas from the retained window; each
-    // chains on the previous one exactly as a live push would have.
-    for (const auto& [id, keys] : recent_writes_) {
-      if (id <= msg.resume_from) continue;
-      std::vector<Key> matched;
-      for (const Key& k : keys) {
-        if (InRange(watch, k)) matched.push_back(k);
-      }
-      if (matched.empty()) continue;
-      ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
-                   static_cast<sim::Time>(matched.size()));
-      Result<const storage::LogEntry*> logged = ctx_->log().Get(id);
-      if (!logged.ok()) continue;  // Outside the retained log.
-      PushDelta(watch, id,
-                BuildBody(id, matched, logged.value()->certificate));
-    }
+  if (head == kNoBatch) {
+    // No applied state to answer from: the first applied batch seeds the
+    // watch (OnBatchApplied).
     watches_.push_back(std::move(watch));
     return;
   }
-
-  // Fresh subscribe: seed every in-range key's certified (value, proof)
-  // at the applied head.
-  Result<const storage::LogEntry*> entry_or = ctx_->log().Get(head);
-  if (!entry_or.ok()) {
-    SendResubscribeRequired(client, msg.watch_id);
+  Result<const storage::LogEntry*> logged = ctx_->log().Get(head);
+  if (!logged.ok()) {
+    // A recovered log that ends at its checkpoint: no certificate for the
+    // head.
+    SendResubscribeRequired(watch.client, watch.watch_id);
     return;
   }
-  const storage::VersionedStore& store = ctx_->store();
-  std::vector<Key> in_range;
-  store.ForEachLatest(
-      [&](const Key& k, const Value&, BatchId version) {
-        // The store runs ahead of the applied head while apply lags: a
-        // key first written after `head` is not part of its state.
-        if (version <= head || store.GetAsOf(k, head).ok()) {
-          in_range.push_back(k);
-        }
-      },
-      [&](const Key& k) { return k >= msg.range_lo && k <= msg.range_hi; });
-  sim::Time done =
-      ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
-                       static_cast<sim::Time>(in_range.size()) +
-                   ctx_->config().cost.signature_op);
-  wire::WatchSubscribeReply reply;
-  reply.watch_id = msg.watch_id;
-  reply.partition = ctx_->partition();
-  reply.batch_id = head;
-  reply.resumed = false;
-  reply.entries = ctx_->CertifiedReads(head, in_range);
-  reply.certificate = entry_or.value()->certificate;
-  ++stats_.watch_subscribes;
-
-  Watch watch;
-  watch.watch_id = msg.watch_id;
-  watch.client = client;
-  watch.lo = msg.range_lo;
-  watch.hi = msg.range_hi;
-  watch.last_sent = head;
+  Answer(watch, *logged.value(), scan);
   watches_.push_back(std::move(watch));
-  ctx_->Send(client, ShareMsg(std::move(reply)), done);
 }
 
 void WatchService::HandleUnsubscribe(sim::ActorId from,
@@ -144,6 +73,36 @@ void WatchService::HandleUnsubscribe(sim::ActorId from,
       ++it;
     }
   }
+}
+
+void WatchService::Answer(Watch& watch, const storage::LogEntry& logged,
+                          bool scan) {
+  const BatchId head = logged.batch.id;
+  std::vector<Key> changed;
+  if (scan) {
+    const storage::VersionedStore& store = ctx_->store();
+    store.ForEachLatest(
+        [&](const Key& k, const Value&, BatchId version) {
+          // The store runs ahead of the applied head while apply lags:
+          // what counts is the key's version as of `head` (none for a key
+          // first written after it).
+          if (version > head) {
+            Result<storage::VersionedValue> at = store.GetAsOf(k, head);
+            version = at.ok() ? at->version : kNoBatch;
+          }
+          if (version > watch.last_sent) changed.push_back(k);
+        },
+        [&](const Key& k) { return InRange(watch, k); });
+  }
+  if (watch.last_sent == kNoBatch) {
+    ++stats_.watch_subscribes;
+  } else {
+    ++stats_.watch_resumes;
+  }
+  ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
+                   static_cast<sim::Time>(changed.size()) +
+               ctx_->config().cost.signature_op);
+  PushDelta(watch, head, BuildBody(head, changed, logged.certificate));
 }
 
 std::shared_ptr<const wire::WatchDeltaBody> WatchService::BuildBody(
@@ -176,19 +135,19 @@ void WatchService::PushDelta(
 void WatchService::OnBatchApplied(const storage::LogEntry& logged,
                                   const std::vector<Key>& written) {
   const BatchId id = logged.batch.id;
-  recent_writes_.emplace_back(id, written);
-  while (recent_writes_.size() >
-         static_cast<size_t>(ctx_->config().snapshot_history)) {
-    recent_writes_.pop_front();
-  }
-  if (watches_.empty() || written.empty()) return;
-
   // Group watches by range so N watchers of one hot range share one
   // proof construction and one body, then get N per-receiver headers —
-  // the fan-out economics the tier exists for.
+  // the fan-out economics the tier exists for. A watch registered before
+  // the first applied batch is seeded by it instead, and so is already
+  // current through it.
   std::map<std::pair<Key, Key>, std::vector<size_t>> by_range;
   for (size_t i = 0; i < watches_.size(); ++i) {
-    by_range[{watches_[i].lo, watches_[i].hi}].push_back(i);
+    Watch& watch = watches_[i];
+    if (watch.last_sent == kNoBatch) {
+      Answer(watch, logged, /*scan=*/true);
+    } else if (!written.empty()) {
+      by_range[{watch.lo, watch.hi}].push_back(i);
+    }
   }
   for (const auto& [range, members] : by_range) {
     std::vector<Key> matched;

@@ -1,7 +1,6 @@
 #ifndef TRANSEDGE_CORE_WATCH_SERVICE_H_
 #define TRANSEDGE_CORE_WATCH_SERVICE_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -19,28 +18,34 @@ namespace transedge::core {
 /// polls. That construction is one immutable body per (range, batch),
 /// shared by the N deltas, each of which adds only its own header.
 ///
+/// A subscribe is the one way a watch is brought current. It names the
+/// last batch the watcher verified (kNoBatch for none) and is answered
+/// by one delta at the applied head that chains on that batch and
+/// carries every in-range key whose version at the head is later, read
+/// from the store: the seed of the whole range for a fresh watch, only
+/// what changed for a resume, however long the watcher was away. No
+/// history of written keys is kept for it.
+///
 /// A watch lives on the replica that registered it. Every replica
 /// applies the same certified log whatever its view, so a view change
 /// leaves the stream running; the watcher answers a push it no longer
 /// wants with a WatchUnsubscribe.
 ///
-/// Staleness is explicit, never silent:
-///   - every delta names the previous batch pushed to that watch
-///     (`prev_batch_id`), so a watcher detects a lost delta by chain
-///     discontinuity (an unsigned claim: it catches a lossy network,
-///     not a leader that withholds writes);
-///   - a resume below the retained replay window (TruncateHistory moved
-///     past it) is rejected with a retryable WatchResubscribeRequired
-///     instead of being seeded with a gap.
+/// Staleness is explicit, never silent: every delta names the batch it
+/// chains on (`prev_batch_id`), so a watcher detects a lost delta by
+/// chain discontinuity (an unsigned claim: it catches a lossy network,
+/// not a leader that withholds writes) and resumes from its last
+/// verified batch.
 class WatchService {
  public:
   struct Stats {
-    /// Fresh subscriptions seeded with a certified snapshot.
+    /// Subscribes answered with a seed of the whole range.
     uint64_t watch_subscribes = 0;
-    /// Resumed subscriptions (missed deltas replayed from the window).
+    /// Subscribes answered with what changed since the named batch.
     uint64_t watch_resumes = 0;
-    /// WatchResubscribeRequired replies sent: resumes outside the replay
-    /// window and subscribes this replica has no applied state to serve.
+    /// WatchResubscribeRequired replies sent: resumes ahead of this
+    /// replica's applied head, and heads with no log entry to certify an
+    /// answer with.
     uint64_t watch_resubscribe_errors = 0;
     uint64_t watch_deltas_pushed = 0;
     uint64_t watch_keys_pushed = 0;
@@ -48,14 +53,17 @@ class WatchService {
 
   explicit WatchService(NodeContext* ctx);
 
+  /// Replaces the client's watch of the range and answers it at the
+  /// applied head. Before the first applied batch the watch is only
+  /// registered: OnBatchApplied seeds it with that batch.
   void HandleSubscribe(sim::ActorId from, const wire::WatchSubscribeRequest&);
   void HandleUnsubscribe(sim::ActorId from, const wire::WatchUnsubscribe&);
 
-  /// Apply-path hook (next to the other engines' OnBatchApplied):
-  /// records the batch's write keys for resume replay and pushes one
-  /// delta per watch whose range the batch touched. `written` is the
-  /// batch's applied write set restricted to this partition, sorted and
-  /// deduplicated by the node.
+  /// Apply-path hook (next to the other engines' OnBatchApplied): seeds
+  /// the watches registered before the first applied batch, then pushes
+  /// one delta per other watch whose range the batch touched. `written`
+  /// is the batch's applied write set restricted to this partition,
+  /// sorted and deduplicated by the node.
   void OnBatchApplied(const storage::LogEntry& logged,
                       const std::vector<Key>& written);
 
@@ -68,9 +76,10 @@ class WatchService {
     sim::ActorId client = 0;
     Key lo;
     Key hi;
-    /// Last batch id this watch was brought current through (the seed's
-    /// batch id, then the id of each pushed delta); the next delta's
-    /// `prev_batch_id`.
+    /// Last batch this watch was brought current through (the batch its
+    /// subscribe was answered at, then each pushed delta's); the next
+    /// delta's `prev_batch_id`. kNoBatch while the watch awaits its seed
+    /// from the first applied batch.
     BatchId last_sent = kNoBatch;
   };
 
@@ -78,9 +87,11 @@ class WatchService {
     return key >= w.lo && key <= w.hi;
   }
 
-  /// Oldest batch id a resume can chain from: everything in
-  /// (`floor`, last_applied] is replayable from `recent_writes_`.
-  BatchId ReplayFloor() const;
+  /// Answers `watch`'s subscribe at applied batch `logged`: one delta
+  /// chained on `watch.last_sent` that carries every in-range key whose
+  /// version at that batch is later — none, without a pass over the
+  /// store, unless `scan`.
+  void Answer(Watch& watch, const storage::LogEntry& logged, bool scan);
 
   /// The certified delta body for `keys` of applied batch `batch_id`:
   /// their entries with proofs, and the batch's `certificate`.
@@ -89,8 +100,7 @@ class WatchService {
       const storage::BatchCertificate& certificate) const;
 
   /// Sends the delta for `watch` at applied batch `batch_id` — its own
-  /// header around `body`, built once for the watch's range — and
-  /// advances the watch's chain position.
+  /// header around `body` — and advances the watch's chain position.
   void PushDelta(Watch& watch, BatchId batch_id,
                  std::shared_ptr<const wire::WatchDeltaBody> body);
 
@@ -98,10 +108,6 @@ class WatchService {
 
   NodeContext* ctx_;
   std::vector<Watch> watches_;
-  /// Write keys of each applied batch, in batch order, trimmed to the
-  /// snapshot window — the resume replay source. Covers the contiguous
-  /// id range (ReplayFloor(), last_applied].
-  std::deque<std::pair<BatchId, std::vector<Key>>> recent_writes_;
   Stats stats_;
 };
 

@@ -64,7 +64,8 @@ class VersionedStore {
   /// canonical across replicas. One pass over the table, then a sort of
   /// the selected keys only. The references passed to `fn` point into
   /// the store. Used by durable backends to checkpoint dirty buckets, by
-  /// recovery to rebuild the Merkle tree and by a watch seed's range.
+  /// recovery to rebuild the Merkle tree and by the answer to a watch
+  /// subscribe, over its range.
   void ForEachLatest(const LatestFn& fn, const KeyFilter& select = {}) const;
 
   size_t key_count() const { return chains_.size(); }

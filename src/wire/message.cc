@@ -77,8 +77,6 @@ const char* MessageTypeName(MessageType type) {
       return "AugustusRelease";
     case MessageType::kWatchSubscribe:
       return "WatchSubscribe";
-    case MessageType::kWatchSubscribeReply:
-      return "WatchSubscribeReply";
     case MessageType::kWatchDelta:
       return "WatchDelta";
     case MessageType::kWatchUnsubscribe:

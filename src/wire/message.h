@@ -57,7 +57,7 @@ enum class MessageType : uint32_t {
 
   // Watch / subscription push tier (certified delta streaming).
   kWatchSubscribe = 70,
-  kWatchSubscribeReply = 71,
+  // 71 is retired; do not reuse it.
   kWatchDelta = 72,
   kWatchUnsubscribe = 73,
   kWatchResubscribe = 74,
@@ -580,12 +580,13 @@ struct AugustusRelease : TypedMessage<MessageType::kAugustusRelease> {
 // Watch / subscription push tier
 // ---------------------------------------------------------------------------
 
-/// Client -> leader: register a key-range watch on this partition.
-/// The range is lexicographic and inclusive on both ends. A fresh watch
-/// (`resume_from == kNoBatch`) is answered with a certified seed of the
-/// in-range keys; a resume names the last batch the watcher is current
-/// through, and the leader replays the missed in-range deltas from its
-/// retained window (or demands a fresh subscribe if the window rotated).
+/// Client -> leader: register a key-range watch on this partition, or
+/// bring one current. The range is lexicographic and inclusive on both
+/// ends. `resume_from` names the last batch the watcher verified, or
+/// kNoBatch if it has none. The answer is one WatchDeltaMsg at the
+/// serving replica's applied head, chained on `resume_from` and carrying
+/// every in-range key whose version at the head is later: the seed of
+/// the whole range for a fresh watch, only what changed for a resume.
 struct WatchSubscribeRequest : TypedMessage<MessageType::kWatchSubscribe> {
   uint64_t watch_id = 0;
   sim::ActorId reply_to = 0;
@@ -601,33 +602,13 @@ struct WatchSubscribeRequest : TypedMessage<MessageType::kWatchSubscribe> {
   bool operator==(const WatchSubscribeRequest&) const = default;
 };
 
-/// Leader -> watcher: subscription accepted at `batch_id` (the applied
-/// head). The sender serves the stream from then on. A fresh subscribe
-/// carries `entries`: every in-range key's (value, proof) at `batch_id`,
-/// verifiable against `certificate.merkle_root` — the watcher's cache
-/// seed. A resume (`resumed`) carries no seed; the missed deltas follow
-/// as ordinary WatchDeltaMsg pushes chained from `resume_from`.
-struct WatchSubscribeReply : TypedMessage<MessageType::kWatchSubscribeReply> {
-  uint64_t watch_id = 0;
-  PartitionId partition = 0;
-  BatchId batch_id = kNoBatch;
-  bool resumed = false;
-  std::vector<AuthenticatedRead> entries;
-  storage::BatchCertificate certificate;
-
-  template <class Self, class V>
-  static void Fields(Self& self, V& v) {
-    v(self.watch_id, self.partition, self.batch_id, self.resumed,
-      self.entries, self.certificate);
-  }
-  bool operator==(const WatchSubscribeReply&) const = default;
-};
-
-/// The certified part of a watch delta: the writes of one applied batch
-/// restricted to one watch range, each with a Merkle proof against that
-/// batch's certified root, and the batch certificate. The leader builds
-/// it once per (range, batch); every watcher of the range gets the same
-/// immutable body behind its own WatchDeltaMsg header.
+/// The certified part of a watch delta: in-range keys as of one applied
+/// batch, each with a Merkle proof against that batch's certified root,
+/// and the batch certificate. A live push carries the batch's in-range
+/// writes; its body is built once per (range, batch), and every watcher
+/// of the range gets the same immutable body behind its own
+/// WatchDeltaMsg header. The answer to a subscribe carries every
+/// in-range key changed since the batch the subscribe named.
 struct WatchDeltaBody {
   std::vector<AuthenticatedRead> entries;
   storage::BatchCertificate certificate;
@@ -643,16 +624,21 @@ struct WatchDeltaBody {
   bool operator==(const WatchDeltaBody&) const = default;
 };
 
-/// Serving replica -> watcher: applied batch `batch_id`'s in-range
-/// writes, with their proofs and certificate, in `body`. The serving
-/// replica is the one that registered the watch, whatever its view.
-/// `prev_batch_id` chains the stream — it names the last batch this
-/// watch was sent (the subscribe reply's `batch_id` for the first
-/// delta) — so a watcher detects a lost delta. It is the sender's
-/// unsigned claim: it shows nothing about writes a lying leader left
-/// out. The header is per watcher; the body is shared by every watcher
-/// of the range and encodes inline, so the bytes are those of one flat
-/// message.
+/// Serving replica -> watcher: the in-range keys that changed after
+/// `prev_batch_id`, as of applied batch `batch_id`, with their proofs and
+/// certificate, in `body`. The serving replica is the one that
+/// registered the watch, whatever its view. Every watch message that
+/// carries state is a delta:
+///   - the answer to a subscribe chains on the batch the subscribe
+///     named, so `prev_batch_id == kNoBatch` marks a seed of the whole
+///     range; a resume with nothing new is answered with no entries, and
+///     may repeat that batch;
+///   - a live push carries one applied batch's in-range writes and names
+///     the last batch this watch was sent.
+/// `prev_batch_id` chains the stream, so a watcher detects a lost delta.
+/// It is the sender's unsigned claim: it shows nothing about writes a
+/// lying leader left out. The header is per watcher; the body encodes
+/// inline, so the bytes are those of one flat message.
 struct WatchDeltaMsg : TypedMessage<MessageType::kWatchDelta> {
   uint64_t watch_id = 0;
   PartitionId partition = 0;
@@ -687,18 +673,18 @@ struct WatchUnsubscribe : TypedMessage<MessageType::kWatchUnsubscribe> {
   bool operator==(const WatchUnsubscribe&) const = default;
 };
 
-/// Leader -> watcher: the subscribe cannot be served — the replica has
-/// no applied certified state yet, or the replay window a resume needed
-/// was truncated. Explicitly retryable: resubscribe (fresh, or resuming
-/// from a batch >= `horizon`) against the current leader.
+/// Leader -> watcher: the subscribe cannot be served here — it resumes
+/// from a batch ahead of this replica's applied head, or the head has no
+/// log entry to certify an answer with (a recovered log that ends at its
+/// checkpoint). Explicitly retryable: the watcher resumes from its last
+/// verified batch at the next replica in rotation.
 struct WatchResubscribeRequired : TypedMessage<MessageType::kWatchResubscribe> {
   uint64_t watch_id = 0;
   PartitionId partition = 0;
-  BatchId horizon = kNoBatch;  // Oldest batch a resume could replay from.
 
   template <class Self, class V>
   static void Fields(Self& self, V& v) {
-    v(self.watch_id, self.partition, self.horizon);
+    v(self.watch_id, self.partition);
   }
   bool operator==(const WatchResubscribeRequired&) const = default;
 };

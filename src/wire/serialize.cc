@@ -27,8 +27,7 @@ using WireMessages =
              CoordPrepareMsg, PreparedMsg, CommitRecordMsg,
              AugustusRoRequest, AugustusVoteRequest, AugustusVoteReply,
              AugustusRoReply, AugustusRelease, WatchSubscribeRequest,
-             WatchSubscribeReply, WatchDeltaMsg, WatchUnsubscribe,
-             WatchResubscribeRequired>;
+             WatchDeltaMsg, WatchUnsubscribe, WatchResubscribeRequired>;
 
 }  // namespace
 

@@ -352,14 +352,15 @@ TEST(AsyncApplyTest, ClientReadsAnswerAsOfLastApplied) {
                static_cast<const wire::AugustusRoReply&>(*msg).entries) {
             reads.push_back(&read);
           }
-        } else if (type == wire::MessageType::kWatchSubscribeReply) {
-          const auto& reply =
-              static_cast<const wire::WatchSubscribeReply&>(*msg);
-          EXPECT_EQ(reply.batch_id, leader->last_applied());
-          if (leader->store().LatestVersion(fresh) > reply.batch_id) {
+        } else if (type == wire::MessageType::kWatchDelta) {
+          // Only seeds: a live push carries one batch's writes.
+          const auto& seed = static_cast<const wire::WatchDeltaMsg&>(*msg);
+          if (seed.prev_batch_id != kNoBatch) return true;
+          EXPECT_EQ(seed.batch_id, leader->last_applied());
+          if (leader->store().LatestVersion(fresh) > seed.batch_id) {
             ++fresh_unapplied;
           }
-          for (const auto& read : reply.entries) reads.push_back(&read);
+          for (const auto& read : seed.body->entries) reads.push_back(&read);
         } else {
           return true;
         }
@@ -450,7 +451,7 @@ TEST(AsyncApplyTest, ClientReadsAnswerAsOfLastApplied) {
   EXPECT_GT(fresh_unapplied, 0);
   EXPECT_GT(lagging[wire::MessageType::kClientReadReply], 0);
   EXPECT_GT(lagging[wire::MessageType::kAugustusRoReply], 0);
-  EXPECT_GT(lagging[wire::MessageType::kWatchSubscribeReply], 0);
+  EXPECT_GT(lagging[wire::MessageType::kWatchDelta], 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -97,6 +97,47 @@ TEST(SystemSmokeTest, LocalTransactionCommits) {
   }
 }
 
+// A crashed replica keeps the view it died in, so it still thinks it
+// leads: System::leader names the live replica that leads the new view.
+TEST(SystemSmokeTest, LeaderAfterALeaderCrashIsTheLiveLeaderOfTheNewView) {
+  for (core::ConsensusKind kind :
+       {core::ConsensusKind::kPbft, core::ConsensusKind::kLinearVote}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    SystemConfig config = SmallConfig();
+    config.consensus_kind = kind;
+    System system(config, FastEnv());
+    auto data = TestData(config.num_partitions);
+    system.Preload(data);
+    system.Start();
+    Client* client = system.AddClient();
+    storage::PartitionMap pmap(config.num_partitions);
+    Key key;
+    for (const auto& [k, value] : data) {
+      if (pmap.OwnerOf(k) == 0) {
+        key = k;
+        break;
+      }
+    }
+
+    const core::TransEdgeNode* crashed = system.leader(0);
+    std::optional<RwResult> result;
+    system.env().Schedule(sim::Millis(50), [&] {
+      system.CrashReplica(crashed->id());
+      client->ExecuteReadWrite({}, {WriteOp{key, ToBytes("after")}},
+                               [&](RwResult r) { result = std::move(r); });
+    });
+    system.env().RunUntil(sim::Seconds(10));
+
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->committed) << result->reason;
+    EXPECT_TRUE(crashed->IsLeader());
+    const core::TransEdgeNode* leader = system.leader(0);
+    EXPECT_FALSE(leader->halted());
+    EXPECT_TRUE(leader->IsLeader());
+    EXPECT_GT(leader->view(), crashed->view());
+  }
+}
+
 TEST(SystemSmokeTest, RetryRotatesOnlyTheTouchedPartitionsLeaderHints) {
   SystemConfig config = SmallConfig();
   config.client_timeout = sim::Millis(200);

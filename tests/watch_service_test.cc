@@ -1,7 +1,8 @@
 // Watch/subscription push-tier tests: certified seed + delta streams,
 // the edge cache, streams that stay on the replica that registered them
-// across a view change, explicit resubscribe on history truncation, and
-// the configurable stale-snapshot clamp of the read path.
+// across a view change, subscribes answered by one delta read from the
+// store (before the first applied batch, and past the history window),
+// and the configurable stale-snapshot clamp of the read path.
 
 #include <gtest/gtest.h>
 
@@ -306,12 +307,11 @@ TEST_P(WatchEngineTest, PushFromAnotherReplicaIsDroppedAndUnsubscribed) {
 }
 
 // A resume moves the stream to the leader that replaced a crashed one,
-// and that replica's replay overtakes its resume reply. While its
-// subscribe is in flight the watcher drops such pushes but does not
-// unsubscribe their sender, which is about to serve the stream: the
-// chain check resumes the stream as soon as the reply lands, not a
-// silence timeout later.
-TEST_P(WatchEngineTest, ResumeOvertakenByItsReplayKeepsStreaming) {
+// and that replica's live push overtakes its answer. While its subscribe
+// is in flight the watcher does not unsubscribe the sender, which is
+// about to serve the stream: the stream keeps going as soon as the
+// answer lands, not a silence timeout later.
+TEST_P(WatchEngineTest, ResumeAnswerOvertakenByAPushKeepsStreaming) {
   SystemConfig config = WatchConfig(GetParam());
   // A stalled stream then waits half a second before the silence
   // detector resubscribes.
@@ -335,14 +335,15 @@ TEST_P(WatchEngineTest, ResumeOvertakenByItsReplayKeepsStreaming) {
   system.env().Schedule(sim::Millis(400),
                         [&] { system.CrashReplica(crashed); });
 
-  // Holds the first resume reply from a new replica until that replica
-  // has pushed the watcher a delta, then delivers it 5 ms later.
+  // Holds the answer to the first resume that reaches a new replica until
+  // that replica has pushed the watcher another delta, then delivers it
+  // 5 ms later.
   sim::Network& net = system.env().network();
   sim::MessagePtr held;
   sim::ActorId successor = 0;
   bool released = false;
   int unsubscribed_at_successor = 0;
-  uint64_t applied_at_reply = 0;
+  uint64_t applied_at_answer = 0;
   uint64_t applied_soon_after = 0;
   net.SetLinkFilter([&](sim::ActorId from, sim::ActorId to,
                         const sim::MessagePtr& msg) {
@@ -350,20 +351,20 @@ TEST_P(WatchEngineTest, ResumeOvertakenByItsReplayKeepsStreaming) {
     if (type == wire::MessageType::kWatchUnsubscribe && to == successor) {
       ++unsubscribed_at_successor;
     }
-    if (to != watcher->id() || released) return true;
-    if (held == nullptr && from != crashed &&
-        type == wire::MessageType::kWatchSubscribeReply &&
-        static_cast<const wire::WatchSubscribeReply&>(*msg).resumed) {
+    if (to != watcher->id() || released ||
+        type != wire::MessageType::kWatchDelta) {
+      return true;
+    }
+    if (held == nullptr && from != crashed) {
       held = msg;
       successor = from;
       return false;
     }
-    if (held != nullptr && from == successor &&
-        type == wire::MessageType::kWatchDelta) {
+    if (held != nullptr && from == successor) {
       released = true;
       system.env().Schedule(sim::Millis(5), [&] {
         net.Send(successor, watcher->id(), held);
-        applied_at_reply = watcher->stats().deltas_applied;
+        applied_at_answer = watcher->stats().deltas_applied;
         // Well inside the 500 ms silence timeout.
         system.env().Schedule(sim::Millis(200), [&] {
           applied_soon_after = watcher->stats().deltas_applied;
@@ -379,12 +380,10 @@ TEST_P(WatchEngineTest, ResumeOvertakenByItsReplayKeepsStreaming) {
   ASSERT_TRUE(released);
   ASSERT_GT(committed, 30);
   const WatchClient::Stats& stats = watcher->stats();
-  EXPECT_GE(stats.stale_stream_dropped, 1u);
   EXPECT_EQ(unsubscribed_at_successor, 0);
-  EXPECT_GT(applied_soon_after, applied_at_reply);
+  EXPECT_GT(applied_soon_after, applied_at_answer);
   EXPECT_EQ(stats.verification_failures, 0u);
-  // The crashed replica still believes it leads view 0.
-  ExpectCacheMatchesReplica(system.node(0, 1), watcher, lo, hi);
+  ExpectCacheMatchesReplica(system.leader(0), watcher, lo, hi);
 }
 
 // A watch whose unsubscribe is lost keeps pushing, and the watcher
@@ -457,46 +456,138 @@ TEST_P(WatchEngineTest, WatcherOfAnIdlePartitionOutlivesItsDeadLeader) {
   ExpectCacheMatchesReplica(system.node(0, 1), watcher, "k", "k~");
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, WatchEngineTest,
-                         ::testing::Values(ConsensusKind::kPbft,
-                                           ConsensusKind::kLinearVote));
-
-TEST(WatchServiceTest, TruncatedReplayWindowForcesFreshReseed) {
-  SystemConfig config = WatchConfig(ConsensusKind::kPbft);
-  config.snapshot_history = 48;  // Small replay window.
-  System system(config, {/*seed=*/23});
+// A subscribe that reaches the leader before its first batch applies is
+// not refused: the watch is registered, and that batch seeds it.
+TEST_P(WatchEngineTest, SubscribeBeforeTheFirstAppliedBatchIsSeededByIt) {
+  SystemConfig config = WatchConfig(GetParam());
+  System system(config, {/*seed=*/31});
   auto data = TestData(1);
   system.Preload(data);
   system.Start();
 
   Client* writer = system.AddClient();
   WatchClient* watcher = system.AddWatchClient();
-  Key hot = data[0].first;
+  const Key lo = "k";
+  const Key hi = "k~";
+  BatchId applied_at_subscribe = 0;
+  system.env().Schedule(0, [&] {
+    applied_at_subscribe = system.leader(0)->last_applied();
+    watcher->Watch(lo, hi);
+  });
+  int committed = 0;
+  bool stop = false;
+  auto loop =
+      StartWriteLoop(&system, writer, data[0].first, "g", &committed, &stop);
+  system.env().RunUntil(sim::Millis(300));
+  stop = true;
+  system.env().RunUntil(sim::Millis(500));
+
+  EXPECT_EQ(applied_at_subscribe, kNoBatch);
+  ASSERT_GT(committed, 5);
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(system.node(0, i)->stats().watch_resubscribe_errors, 0u)
+        << "replica " << i;
+  }
+  const WatchClient::Stats& stats = watcher->stats();
+  EXPECT_EQ(stats.seeds_applied, 1u);
+  EXPECT_GT(stats.deltas_applied, 0u);
+  EXPECT_EQ(stats.verification_failures, 0u);
+  EXPECT_EQ(stats.gaps_detected, 0u);
+  EXPECT_EQ(stats.duplicates_dropped, 0u);
+  ExpectCacheMatchesReplica(system.leader(0), watcher, lo, hi);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, WatchEngineTest,
+                         ::testing::Values(ConsensusKind::kPbft,
+                                           ConsensusKind::kLinearVote));
+
+// A resume is answered from the store, however long the watcher was
+// away: past the history window it gets one delta carrying exactly the
+// keys written while it was gone, and no second seed.
+TEST(WatchServiceTest, ResumePastTheHistoryWindowCatchesUpInOneDelta) {
+  SystemConfig config = WatchConfig(ConsensusKind::kPbft);
+  config.snapshot_history = 48;  // About 240 ms of batches at 5 ms.
+  System system(config, {/*seed=*/23});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  // `hot` is written throughout, `before` only until the watcher leaves
+  // and `during` only while it is away.
+  const Key hot = data[0].first;
+  const Key before = data[1].first;
+  const Key during = data[2].first;
+  Client* writers[3] = {system.AddClient(), system.AddClient(),
+                        system.AddClient()};
+  WatchClient* watcher = system.AddWatchClient();
   const Key lo = "k";
   const Key hi = "k~";
 
-  int committed = 0;
+  int committed[3] = {};
   bool stop = false;
-  auto loop = StartWriteLoop(&system, writer, hot, "t", &committed, &stop);
+  bool stop_before = false;
+  bool stop_during = false;
+  auto hot_loop =
+      StartWriteLoop(&system, writers[0], hot, "t", &committed[0], &stop);
+  auto before_loop = StartWriteLoop(&system, writers[1], before, "b",
+                                    &committed[1], &stop_before);
+  std::shared_ptr<std::function<void()>> during_loop;
   system.env().Schedule(sim::Millis(60), [&] { watcher->Watch(lo, hi); });
+  system.env().Schedule(sim::Millis(250), [&] { stop_before = true; });
 
-  // Partition the watcher away long enough for the replay window to
-  // rotate past its resume position (>> 48 batches at 5 ms), then heal.
-  system.env().Schedule(sim::Millis(300),
-                        [&] { system.env().network().Disconnect(watcher->id()); });
+  // The last delta sent to the watcher before it left, and the deltas
+  // sent after it came back that chain on it.
+  sim::Network& net = system.env().network();
+  bool away = false;
+  BatchId last_before = kNoBatch;
+  std::vector<std::shared_ptr<const wire::WatchDeltaMsg>> catch_up;
+  net.SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId to, const sim::MessagePtr& msg) {
+        if (to != watcher->id() ||
+            static_cast<wire::MessageType>(msg->type()) !=
+                wire::MessageType::kWatchDelta) {
+          return true;
+        }
+        auto delta = std::static_pointer_cast<const wire::WatchDeltaMsg>(msg);
+        if (!away) {
+          last_before = delta->batch_id;
+        } else if (delta->prev_batch_id == last_before) {
+          catch_up.push_back(delta);
+        }
+        return true;
+      });
+  // Away far longer than the history window, then back.
+  system.env().Schedule(sim::Millis(300), [&] {
+    away = true;
+    net.Disconnect(watcher->id());
+  });
+  system.env().Schedule(sim::Millis(370), [&] {
+    during_loop = StartWriteLoop(&system, writers[2], during, "d",
+                                 &committed[2], &stop_during);
+  });
+  system.env().Schedule(sim::Millis(1400), [&] { stop_during = true; });
   system.env().Schedule(sim::Millis(1500),
-                        [&] { system.env().network().Reconnect(watcher->id()); });
+                        [&] { net.Reconnect(watcher->id()); });
   system.env().RunUntil(sim::Seconds(3));
   stop = true;
   system.env().RunUntil(sim::Seconds(4));
 
-  ASSERT_GT(committed, 100);
+  ASSERT_GT(committed[0], 100);
+  ASSERT_GT(committed[1], 5);
+  ASSERT_GT(committed[2], 50);
+  // The history window rotated past the resume point.
+  ASSERT_GT(system.leader(0)->log().FirstBatchId(), last_before);
+  ASSERT_FALSE(catch_up.empty());
+  std::vector<Key> caught_up;
+  for (const wire::AuthenticatedRead& read : catch_up.front()->body->entries) {
+    caught_up.push_back(read.key);
+  }
+  EXPECT_EQ(caught_up, (std::vector<Key>{hot, during}));
   const WatchClient::Stats& stats = watcher->stats();
-  // The stale resume was rejected with an explicit retryable error and
-  // answered by a second certified seed — never a silent gap.
-  EXPECT_GE(stats.seeds_applied, 2u);
+  EXPECT_EQ(stats.seeds_applied, 1u);
+  EXPECT_GE(stats.resubscribes, 1u);
   EXPECT_EQ(stats.verification_failures, 0u);
-  EXPECT_GE(system.leader(0)->stats().watch_resubscribe_errors, 1u);
+  EXPECT_EQ(system.leader(0)->stats().watch_resubscribe_errors, 0u);
   ExpectCacheMatchesReplica(system.leader(0), watcher, lo, hi);
 }
 
@@ -565,6 +656,11 @@ FanOutRun RunFanOut() {
           return true;
         }
         auto delta = std::static_pointer_cast<const wire::WatchDeltaMsg>(msg);
+        // Only live pushes: a seed, and the answer to a resume with
+        // nothing new, are built for one watcher.
+        if (delta->prev_batch_id == kNoBatch || delta->body->entries.empty()) {
+          return true;
+        }
         for (int w = 0; w < 3; ++w) {
           if (to == watchers[w]->id()) {
             run.sent[w][{delta->partition, delta->batch_id}] = delta;
@@ -779,7 +875,7 @@ TEST_P(WatchEntryOwnershipTest, DeltaWithForeignEntryIsRejected) {
     EXPECT_EQ(watcher->cache().count(target), 0u) << target << " was cached";
   }
   // The rejected delta left the stream where it was, so the next one
-  // showed a gap and the resumed stream replayed the honest delta.
+  // showed a gap, and the answer to the resume carried the honest write.
   EXPECT_GE(stats.gaps_detected, 1u);
   auto hot = watcher->cache().find(written);
   ASSERT_NE(hot, watcher->cache().end()) << written << " was never cached";
