@@ -29,10 +29,11 @@ class AugustusBaseline {
   void HandleVoteReply(sim::ActorId from, const wire::AugustusVoteReply& msg);
   void HandleRelease(sim::ActorId from, const wire::AugustusRelease& msg);
 
-  /// True if any key in `txn`'s write set is share-locked (Table 1's
-  /// interference with read-write admission).
+  /// True if a key in `txn`'s write set that this partition owns is
+  /// share-locked (Table 1's interference with read-write admission).
   bool BlocksWriter(const Transaction& txn) const {
-    return lock_table_.BlocksWriter(txn);
+    return lock_table_.BlocksWriter(
+        txn, [this](const Key& key) { return ctx_->Owns(key); });
   }
 
   const RoLockTable& lock_table() const { return lock_table_; }

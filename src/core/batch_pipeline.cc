@@ -62,8 +62,7 @@ void BatchPipeline::MaybeProposeOnSize() {
 
 Status BatchPipeline::AdmitCheck(const Transaction& txn) {
   // Rule 1 of Definition 3.1 applies to the keys this partition owns.
-  Transaction restricted = ctx_->RestrictToPartition(txn);
-  TE_RETURN_IF_ERROR(ctx_->CheckReadVersions(restricted));
+  TE_RETURN_IF_ERROR(ctx_->CheckReadVersions(txn));
   // Rules 2 and 3 use the full footprint: a conflict on a remote key is a
   // conflict the remote partition would reject anyway; catching it here
   // aborts earlier and keeps prepare groups conflict-free.
@@ -75,7 +74,7 @@ Status BatchPipeline::AdmitCheck(const Transaction& txn) {
   }
   // Augustus baseline: shared read locks block writers (Table 1's
   // interference). TransEdge's own read-only path never takes locks.
-  if (!txn.write_set.empty() && hooks_.ro_locks_block_writer(restricted)) {
+  if (!txn.write_set.empty() && hooks_.ro_locks_block_writer(txn)) {
     ++stats_.rw_aborted_by_ro_locks;
     return Status::Conflict("write key is read-locked (Augustus baseline)");
   }
@@ -267,29 +266,39 @@ void BatchPipeline::OnBatchApplied(const storage::Batch& logged) {
 }
 
 void BatchPipeline::OnViewChange() {
-  // Undecided admissions are abandoned — answer the waiting local clients
-  // with a retryable abort (they re-issue against the new leader with the
-  // same transaction id) instead of leaving them to hang.
-  sim::Time at = ctx_->busy_until();
-  // Drain in TxnId order: local_waiting_clients_ is an unordered_map, and
-  // the abort replies are externally visible messages — iterating the map
-  // directly would make reply order (and thus the whole downstream event
-  // schedule) depend on the hash implementation.
-  std::vector<std::pair<TxnId, sim::ActorId>> waiting(
-      local_waiting_clients_.begin(), local_waiting_clients_.end());
-  std::sort(waiting.begin(), waiting.end());
-  for (const auto& [txn_id, client] : waiting) {
-    ctx_->ReplyCommit(client, txn_id, false, "view change", at,
-                      /*retryable=*/true);
+  // The view change abandons the admissions no decided batch carries:
+  // the queued ones and those proposed but not decided. A decided one
+  // stays with this replica whatever its view: its local client is
+  // answered and its id leaves dedup when its batch applies.
+  std::unordered_set<TxnId> decided;
+  ctx_->ForEachUnappliedBatch([&](const storage::Batch& batch) {
+    for (const Transaction& t : batch.local) decided.insert(t.id);
+    for (const Transaction& t : batch.prepared) decided.insert(t.id);
+  });
+  std::vector<TxnId> abandoned;
+  for (const Transaction& t : inprog_local_) abandoned.push_back(t.id);
+  for (const Transaction& t : inprog_prepared_) abandoned.push_back(t.id);
+  for (TxnId id : proposed_inflight_) {
+    if (decided.count(id) == 0) abandoned.push_back(id);
   }
-  local_waiting_clients_.clear();
-  // Forget the abandoned ids — queued local *and* prepared, plus the
-  // proposed-but-undecided batch — so a retry that lands back here after
-  // a re-election is not swallowed by dedup. (Rejected prepares are NOT
-  // forgotten: their no-vote is final.)
-  for (const Transaction& t : inprog_local_) seen_txns_.erase(t.id);
-  for (const Transaction& t : inprog_prepared_) seen_txns_.erase(t.id);
-  for (TxnId id : proposed_inflight_) seen_txns_.erase(id);
+  // Answer in TxnId order: the abort replies are externally visible
+  // messages, and their order must not depend on admission history.
+  std::sort(abandoned.begin(), abandoned.end());
+  sim::Time at = ctx_->busy_until();
+  for (TxnId id : abandoned) {
+    // Forget the id so a retry that lands back here after a re-election
+    // is not swallowed by dedup. (Rejected prepares are NOT forgotten:
+    // their no-vote is final.)
+    seen_txns_.erase(id);
+    // A waiting local client gets a retryable abort: it re-issues
+    // against the new leader with the same transaction id instead of
+    // hanging.
+    auto waiting = local_waiting_clients_.find(id);
+    if (waiting == local_waiting_clients_.end()) continue;
+    ctx_->ReplyCommit(waiting->second, id, false, "view change", at,
+                      /*retryable=*/true);
+    local_waiting_clients_.erase(waiting);
+  }
   proposed_inflight_.clear();
   inprog_local_.clear();
   inprog_prepared_.clear();

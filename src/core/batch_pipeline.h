@@ -51,7 +51,7 @@ class BatchPipeline {
     /// answered it, and the request must not be re-admitted.
     std::function<bool(TxnId, sim::ActorId)> reattach_client;
     /// Augustus-baseline interference: true if a shared read lock blocks
-    /// this (partition-restricted) writer.
+    /// a write of this writer to a key this partition owns.
     std::function<bool(const Transaction&)> ro_locks_block_writer;
   };
 
@@ -81,12 +81,13 @@ class BatchPipeline {
   /// Post-apply bookkeeping for a decided batch `logged`: releases the
   /// footprints and dedup entries of transactions this pipeline admitted
   /// (on every replica — a demoted leader must not keep stale state) and
-  /// answers local clients when leader.
+  /// answers the local clients this replica admitted, whatever its view.
   void OnBatchApplied(const storage::Batch& logged);
 
-  /// A new view was adopted: abandon undecided admissions and abort-reply
-  /// the local clients waiting on them (retryable — the client re-issues
-  /// against the new leader).
+  /// A new view was adopted: abandon the admissions no decided batch
+  /// carries and abort-reply the local clients waiting on them (retryable
+  /// — the client re-issues against the new leader). A decided
+  /// transaction's client is answered when its batch applies.
   void OnViewChange();
 
   size_t in_progress_size() const {
@@ -123,8 +124,8 @@ class BatchPipeline {
   storage::Batch BuildBatch(std::vector<Transaction> local,
                             std::vector<Transaction> prepared);
 
-  /// Definition 3.1 admission check for `txn` (full footprint; store
-  /// checks restricted to this partition's keys).
+  /// Definition 3.1 admission check for `txn` (full footprint; store and
+  /// lock checks skip the keys other partitions own).
   Status AdmitCheck(const Transaction& txn);
 
   /// Indexes an admitted transaction's footprint.
@@ -145,8 +146,9 @@ class BatchPipeline {
   /// exactly what this pipeline added.
   std::unordered_set<TxnId> indexed_;
   /// Ids drained out of the queues into a proposed batch that has not
-  /// applied yet; their footprints are still indexed, so a view change
-  /// must forget them from `seen_txns_` together with the queued ids.
+  /// applied yet; their footprints are still indexed. A view change
+  /// forgets the undecided ones from `seen_txns_` together with the
+  /// queued ids.
   std::vector<TxnId> proposed_inflight_;
   Stats stats_;
 };

@@ -7,11 +7,6 @@
 namespace transedge::core {
 
 namespace {
-template <typename T>
-std::shared_ptr<const T> Share(T msg) {
-  return std::make_shared<const T>(std::move(msg));
-}
-
 /// True when `reply` comes from partition `asked` and answers exactly
 /// `keys`, the request's keys, in request order.
 bool AnswersExactly(const wire::RoReply& reply, PartitionId asked,
@@ -20,6 +15,20 @@ bool AnswersExactly(const wire::RoReply& reply, PartitionId asked,
          std::equal(reply.entries.begin(), reply.entries.end(), keys.begin(),
                     keys.end(), [](const wire::AuthenticatedRead& read,
                                    const Key& key) { return read.key == key; });
+}
+
+/// The value of every key a read-only op's verified `replies` answer.
+template <typename Reply>
+std::map<Key, std::optional<Value>> ValuesOf(
+    const std::map<PartitionId, Reply>& replies) {
+  std::map<Key, std::optional<Value>> values;
+  for (const auto& [partition, reply] : replies) {
+    for (const wire::AuthenticatedRead& read : reply.entries) {
+      values[read.key] =
+          read.found ? std::optional<Value>(read.value) : std::nullopt;
+    }
+  }
+  return values;
 }
 }  // namespace
 
@@ -63,33 +72,13 @@ void Client::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
 
 void Client::ExecuteReadWrite(std::vector<Key> read_keys,
                               std::vector<WriteOp> writes, RwCallback done) {
-  uint64_t op_id = next_request_id_++;
-  RwOp& op = rw_ops_[op_id];
+  const TxnId txn_id = MakeTxnId(id_, next_txn_seq_++);
+  RwOp& op = rw_ops_[txn_id];
   op.read_keys = std::move(read_keys);
   op.writes = std::move(writes);
   op.done = std::move(done);
   op.start = env_->now();
-  op.txn_id = MakeTxnId(id_, next_txn_seq_++);
-  txn_op_[op.txn_id] = op_id;
-
-  if (op.read_keys.empty()) {
-    SendCommit(&op);
-    ArmRwTimeout(op_id);
-    return;
-  }
-  for (const Key& key : op.read_keys) {
-    uint64_t req = next_request_id_++;
-    request_op_[req] = op_id;
-    op.read_request_keys[req] = key;
-    ++op.reads_outstanding;
-    wire::ClientReadRequest msg;
-    msg.request_id = req;
-    msg.reply_to = id_;
-    msg.key = key;
-    env_->network().Send(id_, LeaderOf(partition_map_.OwnerOf(key)),
-                         Share(std::move(msg)));
-  }
-  ArmRwTimeout(op_id);
+  AttemptRw(txn_id, op);
 }
 
 void Client::ExecuteReadOnlyAsRegular(std::vector<Key> keys, RwCallback done) {
@@ -98,39 +87,52 @@ void Client::ExecuteReadOnlyAsRegular(std::vector<Key> keys, RwCallback done) {
   ExecuteReadWrite(std::move(keys), {}, std::move(done));
 }
 
-void Client::HandleClientReadReply(const wire::ClientReadReply& msg) {
-  auto req_it = request_op_.find(msg.request_id);
-  if (req_it == request_op_.end()) return;
-  uint64_t op_id = req_it->second;
-  request_op_.erase(req_it);
-  auto op_it = rw_ops_.find(op_id);
-  if (op_it == rw_ops_.end()) return;
-  RwOp& op = op_it->second;
+void Client::AttemptRw(TxnId txn_id, RwOp& op) {
+  if (op.read_keys.empty()) SendCommit(txn_id, op);
+  for (const Key& key : op.read_keys) {
+    uint64_t req = next_request_id_++;
+    read_phase_requests_[req] = txn_id;
+    op.unanswered_reads.push_back(req);
+    wire::ClientReadRequest msg;
+    msg.request_id = req;
+    msg.reply_to = id_;
+    msg.key = key;
+    env_->network().Send(id_, LeaderOf(partition_map_.OwnerOf(key)),
+                         ShareMsg(std::move(msg)));
+  }
+  ArmRwTimeout(txn_id, op);
+}
 
+void Client::HandleClientReadReply(const wire::ClientReadReply& msg) {
+  auto req_it = read_phase_requests_.find(msg.request_id);
+  if (req_it == read_phase_requests_.end()) return;
+  const TxnId txn_id = req_it->second;
+  read_phase_requests_.erase(req_it);
+  // An unanswered request belongs to a live op: finishing or retrying the
+  // op drops its requests.
+  RwOp& op = rw_ops_.at(txn_id);
+  std::erase(op.unanswered_reads, msg.request_id);
   op.reads[msg.key] = {msg.found ? std::optional<Value>(msg.value)
                                  : std::nullopt,
                        msg.version};
-  if (--op.reads_outstanding == 0 && !op.commit_sent) {
-    SendCommit(&op);
-  }
+  if (op.unanswered_reads.empty()) SendCommit(txn_id, op);
 }
 
-void Client::SendCommit(RwOp* op) {
-  op->commit_sent = true;
+void Client::SendCommit(TxnId txn_id, RwOp& op) {
+  op.commit_sent = true;
   Transaction txn;
-  txn.id = op->txn_id;
-  for (const Key& key : op->read_keys) {
-    auto it = op->reads.find(key);
-    BatchId version = it != op->reads.end() ? it->second.second : kNoBatch;
+  txn.id = txn_id;
+  for (const Key& key : op.read_keys) {
+    auto it = op.reads.find(key);
+    BatchId version = it != op.reads.end() ? it->second.second : kNoBatch;
     txn.read_set.push_back(ReadOp{key, version});
   }
-  txn.write_set = op->writes;
+  txn.write_set = op.writes;
   txn.participants =
       partition_map_.ParticipantsOf(txn.read_set, txn.write_set);
   // The client picks one accessed cluster as coordinator (§3.3.1);
   // spread the choice deterministically across participants.
-  txn.coordinator =
-      txn.participants[op->txn_id % txn.participants.size()];
+  txn.coordinator = txn.participants[txn_id % txn.participants.size()];
 
   auto msg = std::make_shared<const wire::CommitRequest>([&] {
     wire::CommitRequest m;
@@ -138,7 +140,7 @@ void Client::SendCommit(RwOp* op) {
     m.txn = txn;
     return m;
   }());
-  if (op->retries_left < 3) {
+  if (op.retries_left < 3) {
     // Retry path: the leader may be faulty. Send to every replica of the
     // coordinator cluster (§3.3.1's f+1 fan-out, widened so that 2f+1
     // honest replicas arm progress timers); followers forward to their
@@ -152,10 +154,7 @@ void Client::SendCommit(RwOp* op) {
 }
 
 void Client::HandleCommitReply(const wire::CommitReply& msg) {
-  auto txn_it = txn_op_.find(msg.txn_id);
-  if (txn_it == txn_op_.end()) return;
-  uint64_t op_id = txn_it->second;
-  auto op_it = rw_ops_.find(op_id);
+  auto op_it = rw_ops_.find(msg.txn_id);
   if (op_it == rw_ops_.end()) return;
   RwOp& op = op_it->second;
 
@@ -166,13 +165,12 @@ void Client::HandleCommitReply(const wire::CommitReply& msg) {
     // attempt has not sent one yet (a timeout already re-issued and the
     // old leader's abort arrived late), the abort belongs to a
     // superseded attempt — drop it and let the live attempt proceed.
-    if (!op.commit_sent) return;
-    if (RetryRw(op_id)) return;
-    // Retries exhausted. The abort may still be stale (a delayed reply
-    // to an earlier attempt while the live one is deciding), and a
+    // With retries exhausted the abort may still be stale (a delayed
+    // reply to an earlier attempt while the live one is deciding), and a
     // retryable abort never carries a final decision — never surface it
     // as one. The live attempt's own reply or the timeout resolves the
     // op.
+    if (op.commit_sent) RetryRw(msg.txn_id);
     return;
   }
 
@@ -182,18 +180,20 @@ void Client::HandleCommitReply(const wire::CommitReply& msg) {
   result.reason = msg.reason;
   result.latency = env_->now() - op.start;
   for (const auto& [key, read] : op.reads) result.reads[key] = read.first;
-  FinishRw(op_id, std::move(result));
+  FinishRw(msg.txn_id, std::move(result));
 }
 
-void Client::FinishRw(uint64_t op_id, RwResult result) {
-  auto op_it = rw_ops_.find(op_id);
+void Client::DropReadRequests(RwOp& op) {
+  for (uint64_t req : op.unanswered_reads) read_phase_requests_.erase(req);
+  op.unanswered_reads.clear();
+}
+
+void Client::FinishRw(TxnId txn_id, RwResult result) {
+  auto op_it = rw_ops_.find(txn_id);
   if (op_it == rw_ops_.end()) return;
   RwOp op = std::move(op_it->second);
   rw_ops_.erase(op_it);
-  txn_op_.erase(op.txn_id);
-  // check:allow(unordered-iter): only erases point entries from
-  // request_op_; no externally visible effect depends on iteration order.
-  for (const auto& [req, key] : op.read_request_keys) request_op_.erase(req);
+  DropReadRequests(op);
   if (result.committed) {
     ++stats_.rw_committed;
   } else {
@@ -202,10 +202,8 @@ void Client::FinishRw(uint64_t op_id, RwResult result) {
   if (op.done) op.done(std::move(result));
 }
 
-bool Client::RetryRw(uint64_t op_id) {
-  auto it = rw_ops_.find(op_id);
-  if (it == rw_ops_.end()) return false;
-  RwOp& op = it->second;
+bool Client::RetryRw(TxnId txn_id) {
+  RwOp& op = rw_ops_.at(txn_id);
   if (op.retries_left-- <= 0) return false;
   // Rotate the leader hint for every touched partition and retry. The
   // hints of partitions the transaction does not touch stay put: their
@@ -220,70 +218,28 @@ bool Client::RetryRw(uint64_t op_id) {
   for (PartitionId p = 0; p < view_hint_.size(); ++p) {
     if (touched[p]) ++view_hint_[p];
   }
-  op.commit_sent = false;
+  // Re-issue with the same transaction id (the new leader has not seen
+  // it; dedup protects against the old one).
+  DropReadRequests(op);
   op.reads.clear();
-  op.reads_outstanding = 0;
-  // check:allow(unordered-iter): only erases point entries from
-  // request_op_; no externally visible effect depends on iteration order.
-  for (const auto& [req, key] : op.read_request_keys) {
-    request_op_.erase(req);
-  }
-  op.read_request_keys.clear();
-  std::vector<Key> read_keys = op.read_keys;
-  std::vector<WriteOp> writes = op.writes;
-  RwCallback done = std::move(op.done);
-  TxnId txn_id = op.txn_id;
-  sim::Time start = op.start;
-  int retries = op.retries_left;
-  rw_ops_.erase(it);
-  txn_op_.erase(txn_id);
-  // Re-issue with the same transaction id (the new leader has not
-  // seen it; dedup protects against the old one).
-  uint64_t new_op = next_request_id_++;
-  RwOp& fresh = rw_ops_[new_op];
-  fresh.read_keys = std::move(read_keys);
-  fresh.writes = std::move(writes);
-  fresh.done = std::move(done);
-  fresh.start = start;
-  fresh.txn_id = txn_id;
-  fresh.retries_left = retries;
-  txn_op_[txn_id] = new_op;
-  if (fresh.read_keys.empty()) {
-    SendCommit(&fresh);
-  } else {
-    for (const Key& key : fresh.read_keys) {
-      uint64_t req = next_request_id_++;
-      request_op_[req] = new_op;
-      fresh.read_request_keys[req] = key;
-      ++fresh.reads_outstanding;
-      wire::ClientReadRequest msg;
-      msg.request_id = req;
-      msg.reply_to = id_;
-      msg.key = key;
-      env_->network().Send(id_, LeaderOf(partition_map_.OwnerOf(key)),
-                           Share(std::move(msg)));
-    }
-  }
-  ArmRwTimeout(new_op);
+  op.commit_sent = false;
+  AttemptRw(txn_id, op);
   return true;
 }
 
-void Client::ArmRwTimeout(uint64_t op_id) {
-  auto op_it = rw_ops_.find(op_id);
-  if (op_it == rw_ops_.end()) return;
-  uint64_t epoch = ++op_it->second.epoch;
-  env_->Schedule(config_.client_timeout, [this, op_id, epoch] {
-    auto it = rw_ops_.find(op_id);
+void Client::ArmRwTimeout(TxnId txn_id, RwOp& op) {
+  uint64_t epoch = ++op.epoch;
+  env_->Schedule(config_.client_timeout, [this, txn_id, epoch] {
+    auto it = rw_ops_.find(txn_id);
     if (it == rw_ops_.end() || it->second.epoch != epoch) return;
-    if (RetryRw(op_id)) return;
+    if (RetryRw(txn_id)) return;
     ++stats_.timeouts;
-    RwOp& op = rw_ops_.find(op_id)->second;
     RwResult result;
-    result.txn_id = op.txn_id;
+    result.txn_id = txn_id;
     result.committed = false;
     result.reason = "client timeout";
-    result.latency = env_->now() - op.start;
-    FinishRw(op_id, std::move(result));
+    result.latency = env_->now() - it->second.start;
+    FinishRw(txn_id, std::move(result));
   });
 }
 
@@ -292,24 +248,38 @@ void Client::ArmRwTimeout(uint64_t op_id) {
 // ---------------------------------------------------------------------------
 
 void Client::ExecuteReadOnly(std::vector<Key> keys, RoCallback done) {
+  StartRo(std::move(keys), std::move(done), /*augustus=*/false);
+}
+
+void Client::StartRo(std::vector<Key> keys, RoCallback done, bool augustus) {
   uint64_t op_id = next_request_id_++;
   RoOp& op = ro_ops_[op_id];
-  op.keys = std::move(keys);
   op.done = std::move(done);
   op.start = env_->now();
-  for (const Key& key : op.keys) {
+  for (const Key& key : keys) {
     op.by_partition[partition_map_.OwnerOf(key)].push_back(key);
   }
+  op.outstanding = op.by_partition.size();
   for (const auto& [partition, part_keys] : op.by_partition) {
-    ++op.outstanding;
-    SendRoRequest(op_id, op, RoAsk{partition, std::nullopt});
+    if (!augustus) {
+      SendRoRequest(op_id, op, RoAsk{partition, std::nullopt});
+      continue;
+    }
+    uint64_t req = next_request_id_++;
+    ro_requests_[req] = op_id;
+    op.augustus_request_ids[partition] = req;
+    wire::AugustusRoRequest msg;
+    msg.request_id = req;
+    msg.reply_to = id_;
+    msg.keys = part_keys;
+    env_->network().Send(id_, LeaderOf(partition), ShareMsg(std::move(msg)));
   }
   ArmRoTimeout(op_id);
 }
 
 void Client::SendRoRequest(uint64_t op_id, RoOp& op, const RoAsk& ask) {
   uint64_t req = next_request_id_++;
-  request_op_[req] = op_id;
+  ro_requests_[req] = op_id;
   op.asked[req] = ask;
   sim::MessagePtr msg;
   if (ask.min_lce.has_value()) {
@@ -318,13 +288,13 @@ void Client::SendRoRequest(uint64_t op_id, RoOp& op, const RoAsk& ask) {
     batch_request.reply_to = id_;
     batch_request.keys = op.by_partition[ask.partition];
     batch_request.min_lce = *ask.min_lce;
-    msg = Share(std::move(batch_request));
+    msg = ShareMsg(std::move(batch_request));
   } else {
     wire::RoRequest request;
     request.request_id = req;
     request.reply_to = id_;
     request.keys = op.by_partition[ask.partition];
-    msg = Share(std::move(request));
+    msg = ShareMsg(std::move(request));
   }
   env_->network().Send(id_, LeaderOf(ask.partition), std::move(msg));
 }
@@ -367,15 +337,15 @@ std::map<PartitionId, BatchId> Client::VerifyDependencies(
 }
 
 void Client::HandleRoReply(const wire::RoReply& msg) {
-  auto req_it = request_op_.find(msg.request_id);
-  if (req_it == request_op_.end()) return;
-  uint64_t op_id = req_it->second;
-  request_op_.erase(req_it);
-  auto op_it = ro_ops_.find(op_id);
-  if (op_it == ro_ops_.end()) return;
-  RoOp& op = op_it->second;
+  auto req_it = ro_requests_.find(msg.request_id);
+  if (req_it == ro_requests_.end()) return;
+  const uint64_t op_id = req_it->second;
+  // An unanswered request belongs to a live op: finishing the op drops
+  // its requests.
+  RoOp& op = ro_ops_.at(op_id);
   auto asked_it = op.asked.find(msg.request_id);
-  if (asked_it == op.asked.end()) return;
+  if (asked_it == op.asked.end()) return;  // Not a TransEdge request.
+  ro_requests_.erase(req_it);
   const RoAsk ask = asked_it->second;
   const PartitionId asked = ask.partition;
   op.asked.erase(asked_it);
@@ -439,12 +409,7 @@ void Client::HandleRoReply(const wire::RoReply& msg) {
   result.round1_latency =
       (op.round1_done != 0 ? op.round1_done : env_->now()) - op.start;
   result.fresh = op.fresh;
-  for (const auto& [partition, reply] : op.replies) {
-    for (const wire::AuthenticatedRead& read : reply.entries) {
-      result.values[read.key] =
-          read.found ? std::optional<Value>(read.value) : std::nullopt;
-    }
-  }
+  result.values = ValuesOf(op.replies);
   if (!needed.empty()) {
     // Residual unsatisfied dependency after the paper's two rounds — the
     // diagnostic Theorem 4.6 claims is impossible (see
@@ -472,12 +437,15 @@ void Client::FinishRo(uint64_t op_id, RoResult result) {
   if (op_it == ro_ops_.end()) return;
   RoOp op = std::move(op_it->second);
   ro_ops_.erase(op_it);
+  for (const auto& [req, ask] : op.asked) ro_requests_.erase(req);
   // An Augustus read holds shared locks wherever it asked until it
   // finishes, whatever the outcome: release every request it sent.
   for (const auto& [partition, req] : op.augustus_request_ids) {
+    ro_requests_.erase(req);
     wire::AugustusRelease release;
     release.request_id = req;
-    env_->network().Send(id_, LeaderOf(partition), Share(std::move(release)));
+    env_->network().Send(id_, LeaderOf(partition),
+                         ShareMsg(std::move(release)));
   }
   if (result.status.ok()) {
     ++stats_.ro_completed;
@@ -513,7 +481,7 @@ bool Client::RetryRo(uint64_t op_id) {
   // of partitions that answered stay put.
   std::map<uint64_t, RoAsk> unanswered = std::exchange(op.asked, {});
   for (const auto& [req, ask] : unanswered) {
-    request_op_.erase(req);
+    ro_requests_.erase(req);
     ++view_hint_[ask.partition];
     SendRoRequest(op_id, op, ask);
   }
@@ -526,37 +494,15 @@ bool Client::RetryRo(uint64_t op_id) {
 // ---------------------------------------------------------------------------
 
 void Client::ExecuteAugustusReadOnly(std::vector<Key> keys, RoCallback done) {
-  uint64_t op_id = next_request_id_++;
-  RoOp& op = ro_ops_[op_id];
-  op.keys = std::move(keys);
-  op.done = std::move(done);
-  op.start = env_->now();
-  for (const Key& key : op.keys) {
-    op.by_partition[partition_map_.OwnerOf(key)].push_back(key);
-  }
-  for (const auto& [partition, part_keys] : op.by_partition) {
-    uint64_t req = next_request_id_++;
-    request_op_[req] = op_id;
-    op.augustus_request_ids[partition] = req;
-    ++op.outstanding;
-    wire::AugustusRoRequest msg;
-    msg.request_id = req;
-    msg.reply_to = id_;
-    msg.keys = part_keys;
-    env_->network().Send(id_, LeaderOf(partition), Share(std::move(msg)));
-  }
-  ArmRoTimeout(op_id);
+  StartRo(std::move(keys), std::move(done), /*augustus=*/true);
 }
 
 void Client::HandleAugustusRoReply(const wire::AugustusRoReply& msg) {
-  auto req_it = request_op_.find(msg.request_id);
-  if (req_it == request_op_.end()) return;
-  uint64_t op_id = req_it->second;
-  request_op_.erase(req_it);
-  auto op_it = ro_ops_.find(op_id);
-  if (op_it == ro_ops_.end()) return;
-  RoOp& op = op_it->second;
-
+  auto req_it = ro_requests_.find(msg.request_id);
+  if (req_it == ro_requests_.end()) return;
+  const uint64_t op_id = req_it->second;
+  ro_requests_.erase(req_it);
+  RoOp& op = ro_ops_.at(op_id);
   op.augustus_replies[msg.partition] = msg;
   // Locks are held until the whole transaction finishes — that is what
   // makes Augustus read-only transactions interfere with writers.
@@ -568,12 +514,7 @@ void Client::HandleAugustusRoReply(const wire::AugustusRoReply& msg) {
   result.rounds = 1;
   result.latency = env_->now() - op.start;
   result.round1_latency = result.latency;
-  for (const auto& [partition, reply] : op.augustus_replies) {
-    for (const wire::AuthenticatedRead& read : reply.entries) {
-      result.values[read.key] =
-          read.found ? std::optional<Value>(read.value) : std::nullopt;
-    }
-  }
+  result.values = ValuesOf(op.augustus_replies);
   FinishRo(op_id, std::move(result));
 }
 

@@ -102,15 +102,17 @@ class Client : public sim::Actor {
   void set_verify_dependencies(bool on) { verify_dependencies_ = on; }
 
  private:
+  /// One read-write transaction, under its transaction id, across every
+  /// attempt: a retry resets the attempt where it is.
   struct RwOp {
     std::vector<Key> read_keys;
     std::vector<WriteOp> writes;
     RwCallback done;
     sim::Time start = 0;
-    TxnId txn_id = 0;
+    /// This attempt's read phase: the reads answered so far, and the
+    /// request ids of the unanswered ones.
     std::map<Key, std::pair<std::optional<Value>, BatchId>> reads;
-    size_t reads_outstanding = 0;
-    std::unordered_map<uint64_t, Key> read_request_keys;
+    std::vector<uint64_t> unanswered_reads;
     bool commit_sent = false;
     int retries_left = 3;
     uint64_t epoch = 0;  // Invalidates stale timeout callbacks.
@@ -125,17 +127,18 @@ class Client : public sim::Actor {
   };
 
   struct RoOp {
-    std::vector<Key> keys;
     RoCallback done;
     sim::Time start = 0;
     int rounds = 1;
     /// partition -> keys of that partition.
     std::map<PartitionId, std::vector<Key>> by_partition;
-    /// Outstanding TransEdge request id -> what it asked.
+    /// Unanswered TransEdge request id -> what it asked.
     std::map<uint64_t, RoAsk> asked;
     /// Verified replies, round 1 then overwritten by round 2.
     std::map<PartitionId, wire::RoReply> replies;
     std::map<PartitionId, wire::AugustusRoReply> augustus_replies;
+    /// Every Augustus request sent: each holds shared locks until the op
+    /// finishes.
     std::map<PartitionId, uint64_t> augustus_request_ids;
     size_t outstanding = 0;
     sim::Time round1_done = 0;
@@ -149,14 +152,25 @@ class Client : public sim::Actor {
   void HandleRoReply(const wire::RoReply& msg);
   void HandleAugustusRoReply(const wire::AugustusRoReply& msg);
 
-  void SendCommit(RwOp* op);
-  void FinishRw(uint64_t op_id, RwResult result);
+  /// One attempt of read-write transaction `txn_id`: sends its read phase
+  /// to the leaders the view hints name, or its commit when it reads
+  /// nothing, and arms the attempt's timeout.
+  void AttemptRw(TxnId txn_id, RwOp& op);
+  void SendCommit(TxnId txn_id, RwOp& op);
+  /// Forgets the attempt's unanswered read requests.
+  void DropReadRequests(RwOp& op);
+  void FinishRw(TxnId txn_id, RwResult result);
   void FinishRo(uint64_t op_id, RoResult result);
 
-  /// Re-issues a read-write op against the next leader (same transaction
-  /// id) if it has retries left; used by the timeout path and by
-  /// retryable aborts (view changes). False when retries are exhausted.
-  bool RetryRw(uint64_t op_id);
+  /// Re-issues a read-write transaction against the next leader (same
+  /// transaction id) if it has retries left; used by the timeout path and
+  /// by retryable aborts (view changes). False when retries are
+  /// exhausted.
+  bool RetryRw(TxnId txn_id);
+
+  /// Starts a read-only op over `keys`: round 1 of TransEdge's protocol,
+  /// or the Augustus baseline's locking reads when `augustus`.
+  void StartRo(std::vector<Key> keys, RoCallback done, bool augustus);
 
   /// Certificate + Merkle verification of one read-only reply (§4.2).
   Status VerifyRoReply(const wire::RoReply& reply);
@@ -183,7 +197,7 @@ class Client : public sim::Actor {
   crypto::NodeId LeaderOf(PartitionId p) const {
     return config_.LeaderOf(p, view_hint_[p]);
   }
-  void ArmRwTimeout(uint64_t op_id);
+  void ArmRwTimeout(TxnId txn_id, RwOp& op);
   void ArmRoTimeout(uint64_t op_id);
 
   SystemConfig config_;
@@ -195,10 +209,13 @@ class Client : public sim::Actor {
 
   uint64_t next_request_id_;
   uint32_t next_txn_seq_ = 1;
-  std::unordered_map<uint64_t, RwOp> rw_ops_;         // by op id
-  std::unordered_map<uint64_t, RoOp> ro_ops_;         // by op id
-  std::unordered_map<uint64_t, uint64_t> request_op_;  // request id -> op id
-  std::unordered_map<TxnId, uint64_t> txn_op_;         // txn id -> op id
+  std::unordered_map<TxnId, RwOp> rw_ops_;
+  std::unordered_map<uint64_t, RoOp> ro_ops_;  // by op id
+  /// Unanswered request id -> its op, one table per kind of op: a
+  /// transaction id and a read-only op id may be equal numbers, and a
+  /// reply must never reach an op of the other kind.
+  std::unordered_map<uint64_t, TxnId> read_phase_requests_;
+  std::unordered_map<uint64_t, uint64_t> ro_requests_;
 
   bool verify_dependencies_ = true;
   ClientStats stats_;

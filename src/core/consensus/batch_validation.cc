@@ -48,8 +48,7 @@ Status ValidateProposedBatch(NodeContext* ctx, const storage::Batch& batch,
   // Re-run Definition 3.1 on every transaction the leader admitted.
   txn::FootprintIndex batch_index;
   auto check = [&](const Transaction& t) -> Status {
-    Transaction restricted = ctx->RestrictToPartition(t);
-    TE_RETURN_IF_ERROR(ctx->CheckReadVersions(restricted));
+    TE_RETURN_IF_ERROR(ctx->CheckReadVersions(t));
     if (batch_index.ConflictsWith(t)) {
       return Status::Conflict("conflict inside proposed batch");
     }

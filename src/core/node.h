@@ -177,7 +177,7 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   const storage::PartitionMap& partition_map() const override {
     return partition_map_;
   }
-  BatchId snapshot_base() const override { return snapshot_base_; }
+  BatchId history_horizon() const override { return snapshot_base_; }
   const merkle::MerkleTree::Snapshot& SnapshotAt(
       BatchId batch_id) const override;
   size_t ConsensusInFlight() const override;

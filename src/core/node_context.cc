@@ -6,14 +6,11 @@
 
 namespace transedge::core {
 
-Transaction NodeContext::RestrictToPartition(const Transaction& txn) const {
-  Transaction out;
-  out.id = txn.id;
-  out.participants = txn.participants;
-  out.coordinator = txn.coordinator;
-  out.read_set = partition_map().ReadsFor(txn, partition());
-  out.write_set = partition_map().WritesFor(txn, partition());
-  return out;
+void NodeContext::ForEachUnappliedBatch(
+    const std::function<void(const storage::Batch&)>& fn) const {
+  for (BatchId id = last_applied() + 1; id <= log().LastBatchId(); ++id) {
+    fn(log().Get(id).value()->batch);
+  }
 }
 
 sim::Time NodeContext::BatchComputeCost(size_t n, sim::Time per_txn) const {
@@ -25,6 +22,7 @@ sim::Time NodeContext::BatchComputeCost(size_t n, sim::Time per_txn) const {
 
 Status NodeContext::CheckReadVersions(const Transaction& txn) const {
   for (const ReadOp& r : txn.read_set) {
+    if (!Owns(r.key)) continue;
     BatchId latest = store().LatestVersion(r.key);
     if (latest != r.version) {
       return Status::Conflict("read of key '" + r.key + "' at version " +

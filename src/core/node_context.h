@@ -61,7 +61,7 @@ class NodeContext {
   /// True while the consensus engine holds a view-change re-proposal for
   /// the next log position (Consensus::HasPendingReproposal); the batch
   /// pipeline must not build a competing batch for that slot.
-  virtual bool ReproposalPending() const { return false; }
+  virtual bool ReproposalPending() const = 0;
   virtual ByzantineBehavior byzantine() const = 0;
 
   // --- Simulated clock & CPU ---------------------------------------------
@@ -101,20 +101,18 @@ class NodeContext {
   virtual txn::PreparedBatches& prepared_batches() = 0;
   virtual const storage::PartitionMap& partition_map() const = 0;
 
-  /// Sliding window of per-batch Merkle snapshots for historical
-  /// (second-round) reads. `SnapshotAt` requires
-  /// `batch_id >= snapshot_base()`.
-  virtual BatchId snapshot_base() const = 0;
-  virtual const merkle::MerkleTree::Snapshot& SnapshotAt(
-      BatchId batch_id) const = 0;
-
   /// The ONE authoritative history horizon: Merkle snapshots, key-version
   /// history, and log-entry retention are all bounded below by this id
   /// (StorageBackend::TruncateHistory is driven with it), so historical
   /// serving — including the RO service's out-of-window floor — must
-  /// floor here, never at a structure-specific notion of "oldest". Equals
-  /// the snapshot window base under every backend.
-  virtual BatchId history_horizon() const { return snapshot_base(); }
+  /// floor here, never at a structure-specific notion of "oldest". It is
+  /// the base of the sliding window of per-batch Merkle snapshots under
+  /// every backend.
+  virtual BatchId history_horizon() const = 0;
+  /// The Merkle snapshot of a batch in the window, for historical
+  /// (second-round) reads. Requires `batch_id >= history_horizon()`.
+  virtual const merkle::MerkleTree::Snapshot& SnapshotAt(
+      BatchId batch_id) const = 0;
 
   // --- Applied watermark -------------------------------------------------
   /// Highest batch whose apply charge has completed; kNoBatch before the
@@ -126,11 +124,19 @@ class NodeContext {
   /// Number of proposed-but-undecided consensus instances in flight. A
   /// leader proposes only when it is 0, so the next batch always takes
   /// the slot after the log tail and chains from `tree()`.
-  virtual size_t ConsensusInFlight() const { return 0; }
+  virtual size_t ConsensusInFlight() const = 0;
 
   // --- Shared helpers (implemented on top of the virtuals) -----------------
-  /// Restricts `txn`'s read/write sets to keys owned by this partition.
-  Transaction RestrictToPartition(const Transaction& txn) const;
+  /// True when this partition owns `key`.
+  bool Owns(const Key& key) const {
+    return partition_map().OwnerOf(key) == partition();
+  }
+
+  /// Calls `fn` on each decided batch whose apply has not completed, in
+  /// log order. A view change abandons no transaction these carry: each
+  /// is answered when its batch applies, whatever the view.
+  void ForEachUnappliedBatch(
+      const std::function<void(const storage::Batch&)>& fn) const;
 
   /// Simulated cost of one pass of per-batch work over `n` transactions:
   /// the fixed batch overhead, `per_txn` per transaction, and the
@@ -140,10 +146,10 @@ class NodeContext {
   /// it once per batch with their own `per_txn` rate.
   sim::Time BatchComputeCost(size_t n, sim::Time per_txn) const;
 
-  /// Rule 1 of Definition 3.1: every read of `txn` must still be at the
-  /// latest version in the store. The store holds every decided batch, a
-  /// pure function of the log, so every replica reaches the same verdict
-  /// however far its apply lags.
+  /// Rule 1 of Definition 3.1: every read of `txn` of a key this
+  /// partition owns must still be at the latest version in the store. The
+  /// store holds every decided batch, a pure function of the log, so
+  /// every replica reaches the same verdict however far its apply lags.
   Status CheckReadVersions(const Transaction& txn) const;
 
   /// Single-key read as of `last_applied()` (the read-write read phase
@@ -165,12 +171,6 @@ class NodeContext {
                    const std::string& reason, sim::Time at,
                    bool retryable = false);
 };
-
-/// Wraps a wire message for the simulated network.
-template <typename T>
-std::shared_ptr<const T> ShareMsg(T msg) {
-  return std::make_shared<const T>(std::move(msg));
-}
 
 }  // namespace transedge::core
 

@@ -22,10 +22,12 @@ void RoLockTable::Release(uint64_t request_id) {
   by_request_.erase(it);
 }
 
-bool RoLockTable::BlocksWriter(const Transaction& txn) const {
+bool RoLockTable::BlocksWriter(
+    const Transaction& txn,
+    const std::function<bool(const Key&)>& owned) const {
   if (shared_.empty()) return false;
   for (const WriteOp& w : txn.write_set) {
-    if (shared_.count(w.key) > 0) return true;
+    if (shared_.count(w.key) > 0 && owned(w.key)) return true;
   }
   return false;
 }

@@ -1,6 +1,7 @@
 #ifndef TRANSEDGE_CORE_RO_LOCK_TABLE_H_
 #define TRANSEDGE_CORE_RO_LOCK_TABLE_H_
 
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,8 +16,10 @@ class RoLockTable {
   void Lock(uint64_t request_id, const std::vector<Key>& keys);
   void Release(uint64_t request_id);
 
-  /// True if any key in `txn`'s write set is share-locked.
-  bool BlocksWriter(const Transaction& txn) const;
+  /// True if a key in `txn`'s write set that `owned` accepts is
+  /// share-locked. `owned` is asked only about locked keys.
+  bool BlocksWriter(const Transaction& txn,
+                    const std::function<bool(const Key&)>& owned) const;
 
   size_t locked_key_count() const { return shared_.size(); }
 

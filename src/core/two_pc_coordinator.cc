@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -174,7 +175,19 @@ void TwoPcCoordinator::SendVote(const Transaction& txn, BatchId prepared_in,
 void TwoPcCoordinator::OnViewChange() {
   sim::Time at = ctx_->busy_until();
   const bool leader = ctx_->IsLeader();  // Under the freshly adopted view.
+  // A commit record decided here is not lost either: its client is
+  // answered when the record applies here, whatever the view.
+  std::set<TxnId> recorded;
+  ctx_->ForEachUnappliedBatch([&](const storage::Batch& batch) {
+    for (const storage::CommitRecord& rec : batch.committed) {
+      recorded.insert(rec.txn_id);
+    }
+  });
   for (auto it = clients_.begin(); it != clients_.end();) {
+    if (recorded.count(it->first) > 0) {
+      ++it;
+      continue;
+    }
     // A logged prepare is not lost: whoever leads now drives it.
     if (ctx_->prepared_batches().FindTxn(it->first) != nullptr) {
       it = leader ? std::next(it) : clients_.erase(it);
@@ -266,50 +279,55 @@ void TwoPcCoordinator::OnBatchApplied(const storage::Batch& logged,
   std::erase_if(orphan_outcomes_, [&](const auto& kv) {
     return kv.second.logged_in < ctx_->history_horizon();
   });
-  if (!ctx_->IsLeader()) return;
+  const bool leader = ctx_->IsLeader();
   sim::Time at = ctx_->busy_until();
 
-  // Freshly prepared distributed transactions: we coordinate (step 3) or
-  // report our vote with this batch's CD vector (step 5), whoever
-  // admitted the transaction.
-  for (const Transaction& t : logged.prepared) {
-    if (t.coordinator == ctx_->partition()) {
-      Coordinate(t, logged.id, logged.ro.cd_vector, cert, /*resend=*/false);
-    } else {
-      SendVote(t, logged.id, logged.ro.cd_vector, cert);
+  // Freshly prepared distributed transactions: the leader coordinates
+  // (step 3) or reports our vote with this batch's CD vector (step 5),
+  // whoever admitted the transaction.
+  if (leader) {
+    for (const Transaction& t : logged.prepared) {
+      if (t.coordinator == ctx_->partition()) {
+        Coordinate(t, logged.id, logged.ro.cd_vector, cert, /*resend=*/false);
+      } else {
+        SendVote(t, logged.id, logged.ro.cd_vector, cert);
+      }
     }
   }
 
-  // Commit records we coordinate: notify the participants the record
-  // names, and the client (steps 7 and 8). A participant's copy of a
-  // record only releases its local prepare group.
+  // Commit records we coordinate: the leader notifies the participants
+  // the record names (step 7), and the replica holding the client answers
+  // it, whatever its view (step 8). A participant's copy of a record only
+  // releases its local prepare group.
   for (const storage::CommitRecord& rec : logged.committed) {
     if (rec.coordinator != ctx_->partition()) continue;
-    // A group resumed here may be committed by an earlier leader's
-    // record; it must stop soliciting votes.
-    coordinating_.erase(rec.txn_id);
-    wire::CommitRecordMsg msg;
-    msg.txn_id = rec.txn_id;
-    msg.commit = rec.committed;
-    msg.participant_info = rec.participant_info;
-    msg.proof = cert;
-    sim::MessagePtr shared = ShareMsg(std::move(msg));
-    for (const storage::PreparedInfo& info : rec.participant_info) {
-      if (info.partition == ctx_->partition()) continue;
-      ctx_->SendToCluster(info.partition, shared, at);
-    }
-    if (rec.committed) {
-      ++stats_.dist_committed;
-    } else {
-      ++stats_.dist_aborted;
-    }
     auto client = clients_.find(rec.txn_id);
-    if (client == clients_.end()) {
-      // Decided while no client was attached (its leader resumed the
-      // group); ReattachClient answers the timeout retry from here.
-      orphan_outcomes_[rec.txn_id] = {rec.committed, logged.id};
-      continue;
+    if (leader) {
+      // A group resumed here may be committed by an earlier leader's
+      // record; it must stop soliciting votes.
+      coordinating_.erase(rec.txn_id);
+      wire::CommitRecordMsg msg;
+      msg.txn_id = rec.txn_id;
+      msg.commit = rec.committed;
+      msg.participant_info = rec.participant_info;
+      msg.proof = cert;
+      sim::MessagePtr shared = ShareMsg(std::move(msg));
+      for (const storage::PreparedInfo& info : rec.participant_info) {
+        if (info.partition == ctx_->partition()) continue;
+        ctx_->SendToCluster(info.partition, shared, at);
+      }
+      if (rec.committed) {
+        ++stats_.dist_committed;
+      } else {
+        ++stats_.dist_aborted;
+      }
+      if (client == clients_.end()) {
+        // Decided while no client was attached (its leader resumed the
+        // group); ReattachClient answers the timeout retry from here.
+        orphan_outcomes_[rec.txn_id] = {rec.committed, logged.id};
+      }
     }
+    if (client == clients_.end()) continue;
     ctx_->ReplyCommit(client->second, rec.txn_id, rec.committed,
                       rec.committed ? "" : "aborted by 2PC", at);
     clients_.erase(client);

@@ -64,16 +64,18 @@ class TwoPcCoordinator {
   void HandlePrepared(sim::ActorId from, const wire::PreparedMsg& msg);
   void HandleCommitRecord(sim::ActorId from, const wire::CommitRecordMsg& msg);
 
-  /// The leader's 2PC legs for a decided batch that applied: coordinator
-  /// prepares (step 3), participant votes (step 5), and commit-record
-  /// fan-out and client replies (steps 7–8).
+  /// The 2PC legs of a decided batch that applied: the leader's
+  /// coordinator prepares (step 3), participant votes (step 5) and
+  /// commit-record fan-out (step 7), and the client replies (step 8),
+  /// sent by the replica that holds the client whatever its view.
   void OnBatchApplied(const storage::Batch& logged,
                       const storage::BatchCertificate& cert);
 
   /// A new view was adopted. Clients of admissions the view change wiped
-  /// get a retryable abort. A demoted leader forgets the other clients
-  /// and all votes: the new leader drives the logged groups, and a
-  /// client's timeout retry reattaches there. A leader resumes each
+  /// get a retryable abort. A client whose commit record is decided stays
+  /// until the record applies here. A demoted leader forgets the other
+  /// clients and all votes: the new leader drives the logged groups, and
+  /// a client's timeout retry reattaches there. A leader resumes each
   /// undecided group this partition coordinates that it holds no votes
   /// for: its yes-vote, CD vector and certificate come from the prepare
   /// batch's log entry, and `resend` coordinator-prepares make the

@@ -4,13 +4,6 @@
 
 namespace transedge::core {
 
-namespace {
-template <typename T>
-std::shared_ptr<const T> Share(T msg) {
-  return std::make_shared<const T>(std::move(msg));
-}
-}  // namespace
-
 WatchClient::WatchClient(const SystemConfig& config, crypto::NodeId id,
                          sim::Environment* env,
                          const crypto::Verifier* verifier)
@@ -66,7 +59,7 @@ void WatchClient::Unsubscribe(sim::ActorId replica, uint64_t watch_id) {
   wire::WatchUnsubscribe msg;
   msg.watch_id = watch_id;
   msg.reply_to = id_;
-  env_->network().Send(id_, replica, Share(std::move(msg)));
+  env_->network().Send(id_, replica, ShareMsg(std::move(msg)));
 }
 
 bool WatchClient::AllSubscribed() const {
@@ -86,7 +79,7 @@ void WatchClient::Subscribe(PartitionId p, BatchId resume_from) {
   msg.range_lo = lo_;
   msg.range_hi = hi_;
   msg.resume_from = resume_from;
-  env_->network().Send(id_, LeaderOf(p), Share(std::move(msg)));
+  env_->network().Send(id_, LeaderOf(p), ShareMsg(std::move(msg)));
   ArmIdleTimer(p);
 }
 

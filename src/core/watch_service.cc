@@ -59,7 +59,10 @@ void WatchService::HandleSubscribe(sim::ActorId from,
     SendResubscribeRequired(watch.client, watch.watch_id);
     return;
   }
-  Answer(watch, *logged.value(), scan);
+  std::vector<Key> changed;
+  if (scan) changed = ChangedSince(watch, head);
+  Answer(watch, head,
+         BuildBody(head, changed, logged.value()->certificate));
   watches_.push_back(std::move(watch));
 }
 
@@ -75,34 +78,36 @@ void WatchService::HandleUnsubscribe(sim::ActorId from,
   }
 }
 
-void WatchService::Answer(Watch& watch, const storage::LogEntry& logged,
-                          bool scan) {
-  const BatchId head = logged.batch.id;
+std::vector<Key> WatchService::ChangedSince(const Watch& watch,
+                                            BatchId head) const {
+  const storage::VersionedStore& store = ctx_->store();
   std::vector<Key> changed;
-  if (scan) {
-    const storage::VersionedStore& store = ctx_->store();
-    store.ForEachLatest(
-        [&](const Key& k, const Value&, BatchId version) {
-          // The store runs ahead of the applied head while apply lags:
-          // what counts is the key's version as of `head` (none for a key
-          // first written after it).
-          if (version > head) {
-            Result<storage::VersionedValue> at = store.GetAsOf(k, head);
-            version = at.ok() ? at->version : kNoBatch;
-          }
-          if (version > watch.last_sent) changed.push_back(k);
-        },
-        [&](const Key& k) { return InRange(watch, k); });
-  }
+  store.ForEachLatest(
+      [&](const Key& k, const Value&, BatchId version) {
+        // The store runs ahead of the applied head while apply lags: what
+        // counts is the key's version as of `head` (none for a key first
+        // written after it).
+        if (version > head) {
+          Result<storage::VersionedValue> at = store.GetAsOf(k, head);
+          version = at.ok() ? at->version : kNoBatch;
+        }
+        if (version > watch.last_sent) changed.push_back(k);
+      },
+      [&](const Key& k) { return InRange(watch, k); });
+  return changed;
+}
+
+void WatchService::Answer(Watch& watch, BatchId batch_id,
+                          std::shared_ptr<const wire::WatchDeltaBody> body) {
   if (watch.last_sent == kNoBatch) {
     ++stats_.watch_subscribes;
   } else {
     ++stats_.watch_resumes;
   }
   ctx_->Charge(ctx_->config().cost.ro_serve_per_key *
-                   static_cast<sim::Time>(changed.size()) +
+                   static_cast<sim::Time>(body->entries.size()) +
                ctx_->config().cost.signature_op);
-  PushDelta(watch, head, BuildBody(head, changed, logged.certificate));
+  PushDelta(watch, batch_id, std::move(body));
 }
 
 std::shared_ptr<const wire::WatchDeltaBody> WatchService::BuildBody(
@@ -139,12 +144,19 @@ void WatchService::OnBatchApplied(const storage::LogEntry& logged,
   // proof construction and one body, then get N per-receiver headers —
   // the fan-out economics the tier exists for. A watch registered before
   // the first applied batch is seeded by it instead, and so is already
-  // current through it.
+  // current through it; the seeds of one range share one body too.
   std::map<std::pair<Key, Key>, std::vector<size_t>> by_range;
+  std::map<std::pair<Key, Key>, std::shared_ptr<const wire::WatchDeltaBody>>
+      seeds;
   for (size_t i = 0; i < watches_.size(); ++i) {
     Watch& watch = watches_[i];
     if (watch.last_sent == kNoBatch) {
-      Answer(watch, logged, /*scan=*/true);
+      std::shared_ptr<const wire::WatchDeltaBody>& seed =
+          seeds[{watch.lo, watch.hi}];
+      if (seed == nullptr) {
+        seed = BuildBody(id, ChangedSince(watch, id), logged.certificate);
+      }
+      Answer(watch, id, seed);
     } else if (!written.empty()) {
       by_range[{watch.lo, watch.hi}].push_back(i);
     }

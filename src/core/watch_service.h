@@ -60,8 +60,9 @@ class WatchService {
   void HandleUnsubscribe(sim::ActorId from, const wire::WatchUnsubscribe&);
 
   /// Apply-path hook (next to the other engines' OnBatchApplied): seeds
-  /// the watches registered before the first applied batch, then pushes
-  /// one delta per other watch whose range the batch touched. `written`
+  /// the watches registered before the first applied batch, one body per
+  /// range, then pushes one delta per other watch whose range the batch
+  /// touched. `written`
   /// is the batch's applied write set restricted to this partition,
   /// sorted and deduplicated by the node.
   void OnBatchApplied(const storage::LogEntry& logged,
@@ -87,11 +88,15 @@ class WatchService {
     return key >= w.lo && key <= w.hi;
   }
 
-  /// Answers `watch`'s subscribe at applied batch `logged`: one delta
-  /// chained on `watch.last_sent` that carries every in-range key whose
-  /// version at that batch is later — none, without a pass over the
-  /// store, unless `scan`.
-  void Answer(Watch& watch, const storage::LogEntry& logged, bool scan);
+  /// Every key in `watch`'s range whose version at applied batch `head`
+  /// is later than `watch.last_sent`: one pass over the store.
+  std::vector<Key> ChangedSince(const Watch& watch, BatchId head) const;
+
+  /// Answers `watch`'s subscribe at applied batch `batch_id` with `body`,
+  /// a delta chained on `watch.last_sent`. Each answer is charged serving
+  /// the body's keys plus a signature, whether or not it shares the body.
+  void Answer(Watch& watch, BatchId batch_id,
+              std::shared_ptr<const wire::WatchDeltaBody> body);
 
   /// The certified delta body for `keys` of applied batch `batch_id`:
   /// their entries with proofs, and the batch's `certificate`.

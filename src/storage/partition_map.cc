@@ -1,6 +1,5 @@
 #include "storage/partition_map.h"
 
-#include <algorithm>
 #include <set>
 
 namespace transedge::storage {
@@ -27,24 +26,6 @@ std::vector<PartitionId> PartitionMap::ParticipantsOf(
   for (const ReadOp& r : read_set) parts.insert(OwnerOf(r.key));
   for (const WriteOp& w : write_set) parts.insert(OwnerOf(w.key));
   return std::vector<PartitionId>(parts.begin(), parts.end());
-}
-
-std::vector<ReadOp> PartitionMap::ReadsFor(const Transaction& txn,
-                                           PartitionId p) const {
-  std::vector<ReadOp> out;
-  for (const ReadOp& r : txn.read_set) {
-    if (OwnerOf(r.key) == p) out.push_back(r);
-  }
-  return out;
-}
-
-std::vector<WriteOp> PartitionMap::WritesFor(const Transaction& txn,
-                                             PartitionId p) const {
-  std::vector<WriteOp> out;
-  for (const WriteOp& w : txn.write_set) {
-    if (OwnerOf(w.key) == p) out.push_back(w);
-  }
-  return out;
 }
 
 }  // namespace transedge::storage

@@ -29,10 +29,6 @@ class PartitionMap {
       const std::vector<ReadOp>& read_set,
       const std::vector<WriteOp>& write_set) const;
 
-  /// The subset of `txn`'s operations owned by partition `p`.
-  std::vector<ReadOp> ReadsFor(const Transaction& txn, PartitionId p) const;
-  std::vector<WriteOp> WritesFor(const Transaction& txn, PartitionId p) const;
-
  private:
   uint32_t num_partitions_;
 };

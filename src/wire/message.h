@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "txn/cd_vector.h"
@@ -73,6 +74,12 @@ struct TypedMessage : sim::Message {
   static constexpr MessageType kMessageType = kType;
   bool operator==(const TypedMessage&) const = default;
 };
+
+/// Wraps a wire message for the simulated network.
+template <typename T>
+std::shared_ptr<const T> ShareMsg(T msg) {
+  return std::make_shared<const T>(std::move(msg));
+}
 
 // ---------------------------------------------------------------------------
 // Client <-> cluster

@@ -649,7 +649,7 @@ TEST_P(ViewChangeTest, ForgedCatchUpEntryDoesNotBlockLaggingReplica) {
     forged.batch.ro.timestamp_us += 1;
     forged.cert = reference.Get(id).value()->certificate;
     system.env().network().SendAt(system.env().now(), client->id(), lagging,
-                                  core::ShareMsg(std::move(forged)));
+                                  wire::ShareMsg(std::move(forged)));
   }
   // A proposal beyond its log makes the lagging replica ask for the
   // transfer when its progress timer fires.
@@ -702,7 +702,7 @@ TEST_P(ViewChangeTest, ForgedViewChangeRequestsCannotMoveTheView) {
             static_cast<crypto::NodeId>(from),
             crypto::Sha256::Hash("forged-" + std::to_string(from))};
         system.env().network().SendAt(system.env().now(), from, to,
-                                      core::ShareMsg(std::move(msg)));
+                                      wire::ShareMsg(std::move(msg)));
       }
     }
   }

@@ -208,9 +208,9 @@ TEST(ConsensusTest, VotesFromOutsideTheClusterAreIgnored) {
       commit.batch_digest = digest;
       crypto::NodeId to = config.ReplicaNode(0, i);
       system.env().network().SendAt(system.env().now(), from, to,
-                                    core::ShareMsg(std::move(prepare)));
+                                    wire::ShareMsg(std::move(prepare)));
       system.env().network().SendAt(system.env().now(), from, to,
-                                    core::ShareMsg(std::move(commit)));
+                                    wire::ShareMsg(std::move(commit)));
     }
   }
   // Before any progress timer fires: replica 2 holds three member

@@ -156,7 +156,7 @@ TEST(RoWindowTest, OutOfWindowRound2RequestGetsNoBatch) {
   bogus.min_lce = leader->log().LastBatchId() +
                   static_cast<BatchId>(fx.config.snapshot_history) + 100;
   fx.system->env().network().Send(probe_id, leader->id(),
-                                  core::ShareMsg(std::move(bogus)));
+                                  wire::ShareMsg(std::move(bogus)));
   fx.system->env().RunUntil(fx.system->env().now() + sim::Millis(200));
 
   ASSERT_EQ(probe.replies.size(), 1u);
@@ -184,7 +184,7 @@ TEST(RoWindowTest, NearFutureDependencyStillParks) {
   // One past the current LCE: parked until a distributed commit lands.
   req.min_lce = leader->log().back().batch.ro.lce + 1;
   fx.system->env().network().Send(probe_id, leader->id(),
-                                  core::ShareMsg(std::move(req)));
+                                  wire::ShareMsg(std::move(req)));
   fx.system->env().RunUntil(fx.system->env().now() + sim::Millis(50));
   EXPECT_EQ(fx.system->leader(0)->stats().ro_round2_parked, 1u);
   EXPECT_TRUE(probe.replies.empty());
@@ -413,7 +413,7 @@ TEST(AsyncApplyTest, ClientReadsAnswerAsOfLastApplied) {
       read.reply_to = probe_id;
       read.key = key;
       fx.system->env().network().Send(probe_id, leader->id(),
-                                      core::ShareMsg(std::move(read)));
+                                      wire::ShareMsg(std::move(read)));
     }
     wire::WatchSubscribeRequest watch;
     watch.watch_id = 1;
@@ -421,7 +421,7 @@ TEST(AsyncApplyTest, ClientReadsAnswerAsOfLastApplied) {
     watch.range_lo = fx.data[0].first;
     watch.range_hi = fx.data[23].first;
     fx.system->env().network().Send(probe_id, leader->id(),
-                                    core::ShareMsg(std::move(watch)));
+                                    wire::ShareMsg(std::move(watch)));
     if (fx.system->env().now() < sim::Millis(200)) {
       fx.system->env().Schedule(sim::Millis(1), poll);
     }
@@ -496,7 +496,7 @@ std::vector<TxnId> AbortDrainOrder(uint64_t seed, size_t count) {
       req.txn.write_set = {WriteOp{fx.KeyIn(0, k), ToBytes("w")}};
       req.txn.participants = {0};
       fx.system->env().network().Send(probe_id, fx.system->leader(0)->id(),
-                                      core::ShareMsg(std::move(req)));
+                                      wire::ShareMsg(std::move(req)));
     }
   });
   fx.system->env().RunUntil(sim::Seconds(2));
@@ -526,6 +526,99 @@ TEST(ViewChangeAbortOrderTest, AbortRepliesDrainInTxnIdOrder) {
   // not (same scrambled ids, still TxnId-sorted).
   EXPECT_EQ(AbortDrainOrder(/*seed=*/1234, /*count=*/8), order);
 }
+
+// ---------------------------------------------------------------------------
+// A view change never re-executes a decided transaction
+// ---------------------------------------------------------------------------
+
+// Times a view change to land while the batch that carries a local write
+// is decided but still applying. Followers forward an Augustus release
+// to their leader and demand that its log advance; the idle leader logs
+// nothing, so two releases change the view. A 3 s apply keeps the batch
+// applying across it.
+class DecidedAcrossViewChangeTest
+    : public ::testing::TestWithParam<core::ConsensusKind> {};
+
+TEST_P(DecidedAcrossViewChangeTest, LocalWriteStillApplyingIsNotRetried) {
+  SystemConfig config;
+  config.num_partitions = 1;
+  config.f = 1;
+  config.consensus_kind = GetParam();
+  config.merkle_depth = 8;
+  config.cost.apply_per_txn = sim::Seconds(3);
+  config.client_timeout = sim::Seconds(30);
+  sim::EnvironmentOptions env_opts;
+  env_opts.seed = 5;
+  System system(config, env_opts);
+  workload::WorkloadOptions wopts;
+  wopts.num_keys = 200;
+  wopts.value_size = 8;
+  auto data = workload::KeySpace(wopts, 1).InitialData();
+  system.Preload(data);
+  system.Start();
+
+  CommitReplyProbe probe;
+  const sim::ActorId probe_id = config.ClientNode(1003);
+  system.env().network().Register(probe_id, /*site=*/0, &probe);
+
+  Client* client = system.AddClient();
+  std::optional<RwResult> first, later;
+  system.env().Schedule(sim::Millis(100), [&] {
+    client->ExecuteReadWrite({}, {WriteOp{data[0].first, ToBytes("first")}},
+                             [&](RwResult r) { first = std::move(r); });
+  });
+  system.env().Schedule(sim::Millis(150), [&] {
+    for (uint32_t follower : {1u, 2u}) {
+      wire::AugustusRelease release;
+      release.request_id = 1;
+      system.env().network().Send(probe_id, config.ReplicaNode(0, follower),
+                                  wire::ShareMsg(std::move(release)));
+    }
+  });
+  // The premise: by 2 s the view changed, and replica 0, which admitted
+  // the write, has decided its batch but not applied it.
+  bool premise = false;
+  system.env().Schedule(sim::Seconds(2), [&] {
+    const core::TransEdgeNode* old_leader = system.node(0, 0);
+    premise = old_leader->view() > 0 &&
+              old_leader->last_applied() < old_leader->log().LastBatchId();
+  });
+  Client* later_client = system.AddClient();
+  system.env().Schedule(sim::Seconds(10), [&] {
+    later_client->ExecuteReadWrite(
+        {}, {WriteOp{data[1].first, ToBytes("later")}},
+        [&](RwResult r) { later = std::move(r); });
+  });
+  system.env().RunUntil(sim::Seconds(15));
+
+  ASSERT_TRUE(premise) << "the view did not change while the batch applied";
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->committed) << first->reason;
+  ASSERT_TRUE(later.has_value());
+  EXPECT_TRUE(later->committed) << later->reason;
+  EXPECT_LT(later->latency, config.client_timeout);
+  EXPECT_EQ(client->stats().timeouts, 0u);
+  EXPECT_EQ(later_client->stats().timeouts, 0u);
+  // Every replica logged the write once.
+  for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+    const storage::SmrLog& log = system.node(0, i)->log();
+    int logged = 0;
+    for (BatchId b = log.FirstBatchId(); b <= log.LastBatchId(); ++b) {
+      for (const Transaction& t : log.Get(b).value()->batch.local) {
+        if (t.id == first->txn_id) ++logged;
+      }
+    }
+    EXPECT_EQ(logged, 1) << "replica " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, DecidedAcrossViewChangeTest,
+    ::testing::Values(core::ConsensusKind::kPbft,
+                      core::ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace transedge

@@ -664,7 +664,7 @@ TEST(ReadOnlyFailoverTest, FollowersAnswerReadsOfAnIdleCluster) {
         request.reply_to = probe_id;
         request.keys = {k0};
         system.env().network().Send(probe_id, config.ReplicaNode(0, follower),
-                                    core::ShareMsg(std::move(request)));
+                                    wire::ShareMsg(std::move(request)));
       }
     });
     system.env().RunUntil(sim::Seconds(30));
@@ -713,7 +713,7 @@ TEST_P(ReadOnlyViewTest, ParkedRoundTwoOnAFollowerSurvivesAViewChange) {
   const BatchId min_lce = follower->log().back().batch.ro.lce + 1;
   request.min_lce = min_lce;
   env.network().Send(probe_id, follower->id(),
-                     core::ShareMsg(std::move(request)));
+                     wire::ShareMsg(std::move(request)));
   env.RunUntil(env.now() + sim::Millis(50));
   ASSERT_EQ(follower->stats().ro_round2_parked, 1u);
 

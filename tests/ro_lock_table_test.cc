@@ -19,9 +19,11 @@ Transaction WriterOf(std::vector<Key> keys) {
   return txn;
 }
 
+bool OwnsAll(const Key&) { return true; }
+
 TEST(RoLockTableTest, EmptyTableBlocksNothing) {
   core::RoLockTable table;
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a", "b"})));
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a", "b"}), OwnsAll));
   EXPECT_EQ(table.locked_key_count(), 0u);
 }
 
@@ -29,8 +31,18 @@ TEST(RoLockTableTest, LockedKeyBlocksWriter) {
   core::RoLockTable table;
   table.Lock(1, {"a", "b"});
   EXPECT_EQ(table.locked_key_count(), 2u);
-  EXPECT_TRUE(table.BlocksWriter(WriterOf({"b"})));
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"c"})));
+  EXPECT_TRUE(table.BlocksWriter(WriterOf({"b"}), OwnsAll));
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"c"}), OwnsAll));
+}
+
+// Only keys the caller owns count: a lock on a key another partition
+// owns never blocks a writer here.
+TEST(RoLockTableTest, LockOnAnUnownedKeyDoesNotBlock) {
+  core::RoLockTable table;
+  table.Lock(1, {"a", "b"});
+  const auto owns_b = [](const Key& key) { return key == "b"; };
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"}), owns_b));
+  EXPECT_TRUE(table.BlocksWriter(WriterOf({"a", "b"}), owns_b));
 }
 
 TEST(RoLockTableTest, ReleaseUnblocksWriter) {
@@ -38,7 +50,7 @@ TEST(RoLockTableTest, ReleaseUnblocksWriter) {
   table.Lock(1, {"a"});
   table.Release(1);
   EXPECT_EQ(table.locked_key_count(), 0u);
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"})));
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"}), OwnsAll));
 }
 
 TEST(RoLockTableTest, SharedLocksRefcountAcrossRequests) {
@@ -47,9 +59,10 @@ TEST(RoLockTableTest, SharedLocksRefcountAcrossRequests) {
   table.Lock(2, {"k"});
   EXPECT_EQ(table.locked_key_count(), 1u);  // One key, two holders.
   table.Release(1);
-  EXPECT_TRUE(table.BlocksWriter(WriterOf({"k"})));  // Request 2 still holds.
+  // Request 2 still holds.
+  EXPECT_TRUE(table.BlocksWriter(WriterOf({"k"}), OwnsAll));
   table.Release(2);
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"k"})));
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"k"}), OwnsAll));
 }
 
 TEST(RoLockTableTest, DuplicateReleaseIsHarmless) {
@@ -59,14 +72,14 @@ TEST(RoLockTableTest, DuplicateReleaseIsHarmless) {
   table.Release(1);  // No-op.
   EXPECT_EQ(table.locked_key_count(), 0u);
   table.Lock(2, {"k"});
-  EXPECT_TRUE(table.BlocksWriter(WriterOf({"k"})));
+  EXPECT_TRUE(table.BlocksWriter(WriterOf({"k"}), OwnsAll));
 }
 
 TEST(RoLockTableTest, ReleaseOfUnknownRequestIsHarmless) {
   core::RoLockTable table;
   table.Lock(1, {"k"});
   table.Release(42);
-  EXPECT_TRUE(table.BlocksWriter(WriterOf({"k"})));
+  EXPECT_TRUE(table.BlocksWriter(WriterOf({"k"}), OwnsAll));
 }
 
 // Regression: a re-lock under the same request id (client retry or
@@ -79,16 +92,17 @@ TEST(RoLockTableTest, RelockUnderSameRequestIdRoundTrips) {
   table.Lock(1, {"a", "b"});  // Duplicate delivery of the same request.
   table.Release(1);
   EXPECT_EQ(table.locked_key_count(), 0u);
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"})));
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"b"})));
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"}), OwnsAll));
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"b"}), OwnsAll));
 }
 
 TEST(RoLockTableTest, RelockWithDifferentKeysReplacesTheOldEntry) {
   core::RoLockTable table;
   table.Lock(1, {"a"});
   table.Lock(1, {"b"});  // Retry with a different key set.
-  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"})));  // Old count released.
-  EXPECT_TRUE(table.BlocksWriter(WriterOf({"b"})));
+  // Old count released.
+  EXPECT_FALSE(table.BlocksWriter(WriterOf({"a"}), OwnsAll));
+  EXPECT_TRUE(table.BlocksWriter(WriterOf({"b"}), OwnsAll));
   table.Release(1);
   EXPECT_EQ(table.locked_key_count(), 0u);
 }

@@ -284,22 +284,6 @@ TEST(PartitionMapTest, ParticipantsSortedDistinct) {
   }
 }
 
-TEST(PartitionMapTest, RestrictionCoversAllOps) {
-  PartitionMap pmap(3);
-  Transaction txn;
-  for (int i = 0; i < 30; ++i) {
-    txn.read_set.push_back(ReadOp{"r" + std::to_string(i), kNoBatch});
-    txn.write_set.push_back(WriteOp{"w" + std::to_string(i), {}});
-  }
-  size_t reads = 0, writes = 0;
-  for (PartitionId p = 0; p < 3; ++p) {
-    reads += pmap.ReadsFor(txn, p).size();
-    writes += pmap.WritesFor(txn, p).size();
-  }
-  EXPECT_EQ(reads, txn.read_set.size());
-  EXPECT_EQ(writes, txn.write_set.size());
-}
-
 // --- SmrLog ------------------------------------------------------------------
 
 LogEntry MakeEntry(BatchId id) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -297,7 +298,7 @@ TEST(TwoPcTest, VoteFromNonParticipantIsNotCounted) {
     req.reply_to = probe_id;
     req.txn = txn;
     fx.system->env().network().Send(probe_id, fx.config.LeaderOf(0, 0),
-                                    core::ShareMsg(std::move(req)));
+                                    wire::ShareMsg(std::move(req)));
   });
 
   // Once partition 0 has logged the prepare, vote yes in partition 2's
@@ -313,7 +314,7 @@ TEST(TwoPcTest, VoteFromNonParticipantIsNotCounted) {
     vote.info.cd_vector = log.back().batch.ro.cd_vector;
     vote.proof = log.back().certificate;
     fx.system->env().network().Send(probe_id, fx.config.LeaderOf(0, 0),
-                                    core::ShareMsg(std::move(vote)));
+                                    wire::ShareMsg(std::move(vote)));
   });
   fx.system->env().RunUntil(sim::Seconds(1));
 
@@ -740,6 +741,136 @@ TEST_P(LeaderCrashHandoverTest,
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, LeaderCrashHandoverTest,
+    ::testing::Values(core::ConsensusKind::kPbft,
+                      core::ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// A view change never re-executes a decided transaction
+// ---------------------------------------------------------------------------
+
+// Silent addressee of the releases that force the view change.
+struct SilentProbe : sim::Actor {
+  void OnMessage(sim::ActorId, const sim::MessagePtr&) override {}
+};
+
+// Times a view change at the coordinator to land while the batch that
+// carries a two-partition write's commit record is decided but still
+// applying. The write is the client's first transaction (txn seq 1, odd),
+// so partition 1 coordinates. Followers forward an Augustus release to
+// their leader and demand that its log advance; the idle leader logs
+// nothing, so two releases change the view. A 1.5 s apply keeps the
+// record's batch applying across it.
+class DecidedAcrossViewChangeTest
+    : public ::testing::TestWithParam<core::ConsensusKind> {};
+
+TEST_P(DecidedAcrossViewChangeTest, CommitRecordStillApplyingIsNotRetried) {
+  SystemConfig config;
+  config.num_partitions = 2;
+  config.f = 1;
+  config.consensus_kind = GetParam();
+  config.merkle_depth = 8;
+  config.cost.apply_per_txn = sim::Millis(1500);
+  config.client_timeout = sim::Seconds(30);
+  sim::EnvironmentOptions env_opts;
+  env_opts.seed = 5;
+  System system(config, env_opts);
+  workload::WorkloadOptions wopts;
+  wopts.num_keys = 200;
+  wopts.value_size = 8;
+  auto data = workload::KeySpace(wopts, 2).InitialData();
+  system.Preload(data);
+  system.Start();
+  storage::PartitionMap pmap(2);
+  auto key_in = [&](PartitionId p, size_t skip) {
+    for (const auto& [key, value] : data) {
+      if (pmap.OwnerOf(key) == p && skip-- == 0) return key;
+    }
+    return Key();
+  };
+
+  SilentProbe probe;
+  const sim::ActorId probe_id = config.ClientNode(1004);
+  system.env().network().Register(probe_id, /*site=*/0, &probe);
+
+  Client* client = system.AddClient();
+  std::optional<RwResult> first, later;
+  system.env().Schedule(sim::Millis(30), [&] {
+    client->ExecuteReadWrite(
+        {}, {WriteOp{key_in(0, 0), ToBytes("first0")},
+             WriteOp{key_in(1, 0), ToBytes("first1")}},
+        [&](RwResult r) { first = std::move(r); });
+  });
+  // Once the coordinator's leader decided the commit record, release at
+  // two of its followers. The premise, 1.4 s later: the view changed, and
+  // the record's batch has not applied at the old leader.
+  const core::TransEdgeNode* old_leader = system.node(1, 0);
+  BatchId record_batch = kNoBatch;
+  bool premise = false;
+  std::function<void()> poll = [&] {
+    const storage::SmrLog& log = old_leader->log();
+    if (!log.empty() && !log.back().batch.committed.empty()) {
+      record_batch = log.LastBatchId();
+      for (uint32_t follower : {1u, 2u}) {
+        wire::AugustusRelease release;
+        release.request_id = 1;
+        system.env().network().Send(probe_id,
+                                    config.ReplicaNode(1, follower),
+                                    wire::ShareMsg(std::move(release)));
+      }
+      system.env().Schedule(sim::Millis(1400), [&] {
+        premise = old_leader->view() > 0 &&
+                  old_leader->last_applied() < record_batch;
+      });
+      return;
+    }
+    system.env().Schedule(sim::Millis(1), poll);
+  };
+  system.env().Schedule(sim::Millis(30), poll);
+  Client* later_client = system.AddClient();
+  system.env().Schedule(sim::Seconds(20), [&] {
+    later_client->ExecuteReadWrite(
+        {}, {WriteOp{key_in(0, 6), ToBytes("later0")},
+             WriteOp{key_in(1, 6), ToBytes("later1")}},
+        [&](RwResult r) { later = std::move(r); });
+  });
+  system.env().RunUntil(sim::Seconds(60));
+
+  ASSERT_NE(record_batch, kNoBatch) << "no commit record was decided";
+  ASSERT_TRUE(premise) << "the view did not change while the record applied";
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->committed) << first->reason;
+  ASSERT_TRUE(later.has_value());
+  EXPECT_TRUE(later->committed) << later->reason;
+  EXPECT_LT(later->latency, config.client_timeout);
+  EXPECT_EQ(client->stats().timeouts, 0u);
+  EXPECT_EQ(later_client->stats().timeouts, 0u);
+  // Every replica of each partition prepared the write once and logged
+  // one commit record for it.
+  for (PartitionId p = 0; p < config.num_partitions; ++p) {
+    for (uint32_t i = 0; i < config.replicas_per_cluster(); ++i) {
+      const storage::SmrLog& log = system.node(p, i)->log();
+      int prepared = 0;
+      int recorded = 0;
+      for (BatchId b = log.FirstBatchId(); b <= log.LastBatchId(); ++b) {
+        const storage::Batch& batch = log.Get(b).value()->batch;
+        for (const Transaction& t : batch.prepared) {
+          if (t.id == first->txn_id) ++prepared;
+        }
+        for (const storage::CommitRecord& rec : batch.committed) {
+          if (rec.txn_id == first->txn_id) ++recorded;
+        }
+      }
+      EXPECT_EQ(prepared, 1) << "partition " << p << " replica " << i;
+      EXPECT_EQ(recorded, 1) << "partition " << p << " replica " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, DecidedAcrossViewChangeTest,
     ::testing::Values(core::ConsensusKind::kPbft,
                       core::ConsensusKind::kLinearVote),
     [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {

@@ -723,6 +723,47 @@ TEST(WatchFanOutTest, AnotherRangeGetsItsOwnBodyOfItsOwnKeys) {
   EXPECT_EQ(run.stats[2].verification_failures, 0u);
 }
 
+// Watchers of one range that subscribe before the first applied batch are
+// seeded by that batch with one shared body, as a live push would be.
+TEST(WatchFanOutTest, WatchersSubscribedBeforeTheFirstBatchShareOneSeed) {
+  SystemConfig config = WatchConfig(ConsensusKind::kPbft);
+  System system(config, {/*seed=*/31});
+  auto data = TestData(1);
+  system.Preload(data);
+  system.Start();
+
+  WatchClient* watchers[3] = {system.AddWatchClient(),
+                              system.AddWatchClient(),
+                              system.AddWatchClient()};
+  std::vector<std::shared_ptr<const wire::WatchDeltaMsg>> seeds;
+  system.env().network().SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId, const sim::MessagePtr& msg) {
+        if (static_cast<wire::MessageType>(msg->type()) ==
+            wire::MessageType::kWatchDelta) {
+          auto delta =
+              std::static_pointer_cast<const wire::WatchDeltaMsg>(msg);
+          if (delta->prev_batch_id == kNoBatch) seeds.push_back(delta);
+        }
+        return true;
+      });
+  system.env().Schedule(0, [&] {
+    for (WatchClient* watcher : watchers) watcher->Watch("k", "k~");
+  });
+  system.env().RunUntil(sim::Millis(300));
+
+  ASSERT_EQ(seeds.size(), 3u);
+  for (const auto& seed : seeds) {
+    EXPECT_EQ(seed->batch_id, seeds[0]->batch_id);
+    EXPECT_EQ(seed->body.get(), seeds[0]->body.get());
+  }
+  EXPECT_EQ(seeds[0]->body->entries.size(), data.size());
+  for (WatchClient* watcher : watchers) {
+    EXPECT_EQ(watcher->stats().seeds_applied, 1u);
+    EXPECT_EQ(watcher->stats().verification_failures, 0u);
+    ExpectCacheMatchesReplica(system.leader(0), watcher, "k", "k~");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Satellite regressions: read-path correctness fixes.
 // ---------------------------------------------------------------------------
