@@ -63,11 +63,18 @@ Status ApplyBatchWritesToTree(merkle::MerkleTree* tree,
                               PartitionId self, const storage::Batch& batch,
                               const txn::PreparedBatches& prepared) {
   std::vector<merkle::MerkleTree::Write> writes;
+  std::vector<crypto::Digest> key_digests;
   TE_RETURN_IF_ERROR(storage::ForEachBatchWrite(
       batch, pmap, self, InRegisteredGroups(prepared),
-      [&](const WriteOp& w) {
+      [&](const WriteOp& w, const crypto::Digest& key_digest) {
         writes.push_back({&w.key, &w.value, batch.id});
+        key_digests.push_back(key_digest);
       }));
+  // Each key was hashed once, for ownership; its leaf comes from the same
+  // digest. The digests no longer move, so the writes can point at them.
+  for (size_t i = 0; i < writes.size(); ++i) {
+    writes[i].key_digest = &key_digests[i];
+  }
   tree->PutBatch(writes);
   return Status::OK();
 }

@@ -271,9 +271,9 @@ void BatchPipeline::OnViewChange() {
   // stays with this replica whatever its view: its local client is
   // answered and its id leaves dedup when its batch applies.
   std::unordered_set<TxnId> decided;
-  ctx_->ForEachUnappliedBatch([&](const storage::Batch& batch) {
-    for (const Transaction& t : batch.local) decided.insert(t.id);
-    for (const Transaction& t : batch.prepared) decided.insert(t.id);
+  ctx_->ForEachUnappliedBatch([&](const storage::LogEntry& entry) {
+    for (const Transaction& t : entry.batch.local) decided.insert(t.id);
+    for (const Transaction& t : entry.batch.prepared) decided.insert(t.id);
   });
   std::vector<TxnId> abandoned;
   for (const Transaction& t : inprog_local_) abandoned.push_back(t.id);

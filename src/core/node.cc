@@ -352,7 +352,8 @@ Result<std::vector<Key>> TransEdgeNode::Install(const storage::Batch& batch,
   if (put_writes) {
     TE_RETURN_IF_ERROR(storage::ForEachBatchWrite(
         batch, partition_map_, partition_,
-        InRegisteredGroups(prepared_batches_), [&](const WriteOp& w) {
+        InRegisteredGroups(prepared_batches_),
+        [&](const WriteOp& w, const crypto::Digest&) {
           backend_->Put(w.key, w.value, batch.id);
           written.push_back(w.key);
         }));
@@ -418,6 +419,10 @@ void TransEdgeNode::OnDecided(storage::Batch batch,
   // critical path); zero under the in-memory backend.
   backend_->OnDecided();
   ChargeStorageIo();
+  // The 2PC legs whose receivers wait on a certified decision need only
+  // the batch's certificate, so they leave now, not when the apply ends.
+  const storage::LogEntry& logged = backend_->log().back();
+  two_pc_->OnBatchDecided(logged.batch, logged.certificate);
 
   // The apply is a charge on the apply worker, booked now. The worker
   // starts each charge when the previous one ends, so completions fire

@@ -193,9 +193,10 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
 
   /// Consensus `on_decided` hook. Runs the install step, makes the
   /// certified post-state tree and its snapshot current, appends the log
-  /// entry and calls the backend's OnDecided hook. Then books the apply
-  /// charge (one pass over the batch at `apply_per_txn`) on the apply
-  /// worker and schedules CompleteApply, then AdvanceConsensus and
+  /// entry and calls the backend's OnDecided hook, then hands the entry
+  /// to 2PC for its decide-time legs. Then books the apply charge (one
+  /// pass over the batch at `apply_per_txn`) on the apply worker and
+  /// schedules CompleteApply, then AdvanceConsensus and
   /// MaybeProposeOnSize, for the moment it ends; and advances consensus
   /// and the batch pipeline at once.
   void OnDecided(storage::Batch batch, storage::BatchCertificate certificate,

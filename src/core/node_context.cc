@@ -7,9 +7,9 @@
 namespace transedge::core {
 
 void NodeContext::ForEachUnappliedBatch(
-    const std::function<void(const storage::Batch&)>& fn) const {
+    const std::function<void(const storage::LogEntry&)>& fn) const {
   for (BatchId id = last_applied() + 1; id <= log().LastBatchId(); ++id) {
-    fn(log().Get(id).value()->batch);
+    fn(*log().Get(id).value());
   }
 }
 

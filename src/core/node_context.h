@@ -132,11 +132,12 @@ class NodeContext {
     return partition_map().OwnerOf(key) == partition();
   }
 
-  /// Calls `fn` on each decided batch whose apply has not completed, in
-  /// log order. A view change abandons no transaction these carry: each
-  /// is answered when its batch applies, whatever the view.
+  /// Calls `fn` on the log entry of each decided batch whose apply has
+  /// not completed, in log order. A view change abandons no transaction
+  /// these carry: each is answered when its batch applies, whatever the
+  /// view.
   void ForEachUnappliedBatch(
-      const std::function<void(const storage::Batch&)>& fn) const;
+      const std::function<void(const storage::LogEntry&)>& fn) const;
 
   /// Simulated cost of one pass of per-batch work over `n` transactions:
   /// the fixed batch overhead, `per_txn` per transaction, and the

@@ -112,8 +112,12 @@ void TwoPcCoordinator::HandleCommitRecord(sim::ActorId from,
       msg.proof.Verify(ctx_->verifier(), ctx_->config().certificate_size(),
                        ctx_->config().ClusterMembers(msg.proof.partition));
   if (!proof_ok.ok()) return;
-  // AlreadyExists (duplicate fan-out) and NotFound (we voted no and never
-  // prepared) are both benign.
+  // Only the transaction's coordinator decides it. Any partition's
+  // certificate verifies, and every read-only reply hands one out. A
+  // transaction we never prepared (we voted no) has nothing to decide.
+  const Transaction* txn = ctx_->prepared_batches().FindTxn(msg.txn_id);
+  if (txn == nullptr || txn->coordinator != msg.proof.partition) return;
+  // AlreadyExists (duplicate fan-out) is benign.
   Status s = ctx_->prepared_batches().RecordDecision(msg.txn_id, msg.commit,
                                                      msg.participant_info);
   (void)s;
@@ -178,8 +182,8 @@ void TwoPcCoordinator::OnViewChange() {
   // A commit record decided here is not lost either: its client is
   // answered when the record applies here, whatever the view.
   std::set<TxnId> recorded;
-  ctx_->ForEachUnappliedBatch([&](const storage::Batch& batch) {
-    for (const storage::CommitRecord& rec : batch.committed) {
+  ctx_->ForEachUnappliedBatch([&](const storage::LogEntry& entry) {
+    for (const storage::CommitRecord& rec : entry.batch.committed) {
       recorded.insert(rec.txn_id);
     }
   });
@@ -202,6 +206,12 @@ void TwoPcCoordinator::OnViewChange() {
     return;
   }
 
+  // The leader that decided these batches may be gone before its legs
+  // left, and as a follower we sent none.
+  ctx_->ForEachUnappliedBatch([&](const storage::LogEntry& entry) {
+    OnBatchDecided(entry.batch, entry.certificate);
+  });
+
   // An undecided group nobody drives would strand every participant's
   // commit queue behind it. Re-deciding is safe: votes are monotone (a
   // prepared participant re-votes yes, a rejected one re-votes no), and
@@ -219,7 +229,7 @@ void TwoPcCoordinator::OnViewChange() {
       continue;
     }
     // Below the history horizon: unilateral abort, fanned out through
-    // the record's participant slots when the batch carrying it applies.
+    // the record's participant slots when the batch carrying it decides.
     std::vector<storage::PreparedInfo> infos;
     infos.reserve(txn->participants.size());
     for (PartitionId p : txn->participants) {
@@ -274,6 +284,41 @@ bool TwoPcCoordinator::ReattachClient(TxnId txn_id, sim::ActorId client) {
   return true;
 }
 
+void TwoPcCoordinator::OnBatchDecided(const storage::Batch& logged,
+                                      const storage::BatchCertificate& cert) {
+  if (!ctx_->IsLeader()) return;
+  sim::Time at = ctx_->busy_until();
+
+  // Freshly prepared transactions another partition coordinates: the
+  // leader reports our vote with this batch's CD vector (step 5), whoever
+  // admitted the transaction.
+  for (const Transaction& t : logged.prepared) {
+    if (t.coordinator != ctx_->partition()) {
+      SendVote(t, logged.id, logged.ro.cd_vector, cert);
+    }
+  }
+
+  // Commit records we coordinate: the leader notifies the participants
+  // the record names (step 7). A participant's copy of a record only
+  // releases its local prepare group.
+  for (const storage::CommitRecord& rec : logged.committed) {
+    if (rec.coordinator != ctx_->partition()) continue;
+    // A group resumed here may be committed by an earlier leader's
+    // record; it must stop soliciting votes.
+    coordinating_.erase(rec.txn_id);
+    wire::CommitRecordMsg msg;
+    msg.txn_id = rec.txn_id;
+    msg.commit = rec.committed;
+    msg.participant_info = rec.participant_info;
+    msg.proof = cert;
+    sim::MessagePtr shared = ShareMsg(std::move(msg));
+    for (const storage::PreparedInfo& info : rec.participant_info) {
+      if (info.partition == ctx_->partition()) continue;
+      ctx_->SendToCluster(info.partition, shared, at);
+    }
+  }
+}
+
 void TwoPcCoordinator::OnBatchApplied(const storage::Batch& logged,
                                       const storage::BatchCertificate& cert) {
   std::erase_if(orphan_outcomes_, [&](const auto& kv) {
@@ -282,40 +327,26 @@ void TwoPcCoordinator::OnBatchApplied(const storage::Batch& logged,
   const bool leader = ctx_->IsLeader();
   sim::Time at = ctx_->busy_until();
 
-  // Freshly prepared distributed transactions: the leader coordinates
-  // (step 3) or reports our vote with this batch's CD vector (step 5),
-  // whoever admitted the transaction.
+  // Freshly prepared transactions this partition coordinates: the leader
+  // coordinates (step 3), whoever admitted the transaction. One whose
+  // commit record already decided here (a group a new leader resumed
+  // before this batch applied) needs no votes.
   if (leader) {
     for (const Transaction& t : logged.prepared) {
-      if (t.coordinator == ctx_->partition()) {
-        Coordinate(t, logged.id, logged.ro.cd_vector, cert, /*resend=*/false);
-      } else {
-        SendVote(t, logged.id, logged.ro.cd_vector, cert);
+      if (t.coordinator != ctx_->partition() ||
+          ctx_->prepared_batches().FindTxn(t.id) == nullptr) {
+        continue;
       }
+      Coordinate(t, logged.id, logged.ro.cd_vector, cert, /*resend=*/false);
     }
   }
 
-  // Commit records we coordinate: the leader notifies the participants
-  // the record names (step 7), and the replica holding the client answers
-  // it, whatever its view (step 8). A participant's copy of a record only
-  // releases its local prepare group.
+  // Commit records we coordinate: the leader counts the outcome, and the
+  // replica holding the client answers it, whatever its view (step 8).
   for (const storage::CommitRecord& rec : logged.committed) {
     if (rec.coordinator != ctx_->partition()) continue;
     auto client = clients_.find(rec.txn_id);
     if (leader) {
-      // A group resumed here may be committed by an earlier leader's
-      // record; it must stop soliciting votes.
-      coordinating_.erase(rec.txn_id);
-      wire::CommitRecordMsg msg;
-      msg.txn_id = rec.txn_id;
-      msg.commit = rec.committed;
-      msg.participant_info = rec.participant_info;
-      msg.proof = cert;
-      sim::MessagePtr shared = ShareMsg(std::move(msg));
-      for (const storage::PreparedInfo& info : rec.participant_info) {
-        if (info.partition == ctx_->partition()) continue;
-        ctx_->SendToCluster(info.partition, shared, at);
-      }
       if (rec.committed) {
         ++stats_.dist_committed;
       } else {

@@ -16,18 +16,24 @@ namespace transedge::core {
 /// a retry's re-solicitation (below) reaches every member.
 ///
 /// The legs a partition owes follow from its certified log, not from
-/// which leader admitted a transaction. The leader that applies a batch
-/// sends them all: for each prepared transaction this partition
-/// coordinates, our yes-vote and the coordinator-prepares
-/// (`Coordinate`); for every other prepared transaction, our yes-vote
-/// (`SendVote`); for each commit record we coordinate, the fan-out to
-/// the participants named in the record. A new leader resumes the
-/// undecided groups this partition coordinates from their logged
-/// prepare batch, the way a PBFT primary re-derives protocol state from
-/// the certified log after a view change. A client retry that reattaches
-/// to an undecided coordination re-solicits the missing votes from
-/// every member of the silent participants, so a participant whose
-/// leader died before it prepared changes view and is asked again.
+/// which leader admitted a transaction. The two legs whose receivers wait
+/// on a certified decision leave from the leader as soon as the batch
+/// decides (`OnBatchDecided`): our yes-vote for each prepared transaction
+/// another partition coordinates (`SendVote`), and the fan-out of each
+/// commit record we coordinate to the participants it names. The
+/// coordinator-prepares of each prepared transaction this partition
+/// coordinates leave from the leader that applies the batch
+/// (`Coordinate`). A replica that becomes leader sends the decide-time
+/// legs of every batch it decided and has not applied, so no leg is lost
+/// to a view change between decide and apply; a duplicate is harmless,
+/// since a vote counts once per partition and a decision records once.
+/// A new leader resumes the undecided groups this partition coordinates
+/// from their logged prepare batch, the way a PBFT primary re-derives
+/// protocol state from the certified log after a view change. A client
+/// retry that reattaches to an undecided coordination re-solicits the
+/// missing votes from every member of the silent participants, so a
+/// participant whose leader died before it prepared changes view and is
+/// asked again.
 ///
 /// Admission of participant transactions is delegated to the batch
 /// pipeline through hooks; decisions are recorded into the shared
@@ -64,10 +70,16 @@ class TwoPcCoordinator {
   void HandlePrepared(sim::ActorId from, const wire::PreparedMsg& msg);
   void HandleCommitRecord(sim::ActorId from, const wire::CommitRecordMsg& msg);
 
-  /// The 2PC legs of a decided batch that applied: the leader's
-  /// coordinator prepares (step 3), participant votes (step 5) and
-  /// commit-record fan-out (step 7), and the client replies (step 8),
-  /// sent by the replica that holds the client whatever its view.
+  /// The 2PC legs of a batch that just decided and entered the log, sent
+  /// by the leader: participant votes (step 5) and the commit-record
+  /// fan-out (step 7). Each needs only the batch's certificate.
+  void OnBatchDecided(const storage::Batch& logged,
+                      const storage::BatchCertificate& cert);
+
+  /// The 2PC work of a decided batch that applied: the leader's
+  /// coordinator-prepares (step 3) and outcome counts, and the client
+  /// replies (step 8), sent by the replica that holds the client whatever
+  /// its view.
   void OnBatchApplied(const storage::Batch& logged,
                       const storage::BatchCertificate& cert);
 
@@ -75,13 +87,15 @@ class TwoPcCoordinator {
   /// get a retryable abort. A client whose commit record is decided stays
   /// until the record applies here. A demoted leader forgets the other
   /// clients and all votes: the new leader drives the logged groups, and
-  /// a client's timeout retry reattaches there. A leader resumes each
-  /// undecided group this partition coordinates that it holds no votes
-  /// for: its yes-vote, CD vector and certificate come from the prepare
-  /// batch's log entry, and `resend` coordinator-prepares make the
-  /// participants re-report their votes from replicated state. A group
-  /// whose prepare batch fell below the history horizon has no
-  /// certificate left to re-prove it with and is aborted unilaterally.
+  /// a client's timeout retry reattaches there. A leader sends the
+  /// decide-time legs of every batch it decided and has not applied, then
+  /// resumes each undecided group this partition coordinates that it
+  /// holds no votes for: its yes-vote, CD vector and certificate come
+  /// from the prepare batch's log entry, and `resend`
+  /// coordinator-prepares make the participants re-report their votes
+  /// from replicated state. A group whose prepare batch fell below the
+  /// history horizon has no certificate left to re-prove it with and is
+  /// aborted unilaterally.
   void OnViewChange();
 
   /// A client retry for a transaction this partition coordinates:

@@ -255,7 +255,8 @@ void MerkleTree::PutBatch(const std::vector<Write>& writes) {
   sorted.reserve(writes.size());
   for (const Write& w : writes) {
     sorted.push_back(
-        {LeafIndexFor(*w.key, depth_),
+        {w.key_digest != nullptr ? LeafIndexFor(*w.key_digest, depth_)
+                                 : LeafIndexFor(*w.key, depth_),
          BucketEntry{*w.key, crypto::Sha256::Hash(*w.value), w.version}});
   }
   // Stable: writes to one leaf keep their arrival order, so a later write

@@ -84,12 +84,15 @@ class MerkleTree {
   /// Inserts or overwrites `key` with the digest of `value` at `version`.
   void Put(const std::string& key, const Bytes& value, int64_t version);
 
-  /// One write of a `PutBatch`. The caller keeps key and value alive for
-  /// the call.
+  /// One write of a `PutBatch`. The caller keeps key, value and digest
+  /// alive for the call.
   struct Write {
     const std::string* key;
     const Bytes* value;
     int64_t version;
+    /// SHA-256 of `*key`, for a caller that already computed it; null and
+    /// `PutBatch` hashes the key itself.
+    const crypto::Digest* key_digest = nullptr;
   };
 
   /// Applies all of `writes` in one descent: each touched node is copied

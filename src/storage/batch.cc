@@ -10,12 +10,15 @@ crypto::Digest Batch::ComputeDigest() const {
   return crypto::Sha256::Hash(enc.buffer());
 }
 
-Status ForEachBatchWrite(const Batch& batch, const PartitionMap& pmap,
-                         PartitionId self, const GroupTxnLookup& lookup,
-                         const std::function<void(const WriteOp&)>& fn) {
+Status ForEachBatchWrite(
+    const Batch& batch, const PartitionMap& pmap, PartitionId self,
+    const GroupTxnLookup& lookup,
+    const std::function<void(const WriteOp&, const crypto::Digest& key_digest)>&
+        fn) {
   auto writes_of = [&](const Transaction& t) {
     for (const WriteOp& w : t.write_set) {
-      if (pmap.OwnerOf(w.key) == self) fn(w);
+      const crypto::Digest key_digest = crypto::Sha256::Hash(w.key);
+      if (pmap.OwnerOf(key_digest) == self) fn(w, key_digest);
     }
   };
   for (const Transaction& t : batch.local) writes_of(t);

@@ -114,10 +114,13 @@ using GroupTxnLookup =
 /// apply order: its local transactions, then the transaction of each
 /// committing record, resolved inside the group the record names.
 /// Aborting records write nothing. Calls `fn` for every write `self`
-/// owns. Fails at the first committing record `lookup` cannot resolve.
-Status ForEachBatchWrite(const Batch& batch, const PartitionMap& pmap,
-                         PartitionId self, const GroupTxnLookup& lookup,
-                         const std::function<void(const WriteOp&)>& fn);
+/// owns, with the SHA-256 of its key, which ownership was decided from.
+/// Fails at the first committing record `lookup` cannot resolve.
+Status ForEachBatchWrite(
+    const Batch& batch, const PartitionMap& pmap, PartitionId self,
+    const GroupTxnLookup& lookup,
+    const std::function<void(const WriteOp&, const crypto::Digest& key_digest)>&
+        fn);
 
 /// Proof that a cluster certified a batch: f+1 replica signatures over
 /// (partition, batch id, batch digest, merkle root). A single node can

@@ -595,6 +595,49 @@ TEST(MerklePutBatchTest, CollidingLeavesAtDepthFour) {
   ExpectBatchMatchesSequential(4, batches);
 }
 
+// A write that carries its key's digest lands in the same leaf as one
+// that leaves the hashing to PutBatch: equal roots and proofs after every
+// batch, with every write, some, or none carrying one.
+TEST(MerklePutBatchTest, KeyDigestsGiveTheSameRootsAndProofs) {
+  Rng rng(9);
+  for (int depth : {1, 8, 16}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    MerkleTree plain(depth), all(depth), some(depth);
+    std::vector<std::string> keys{"never-written"};
+    for (int64_t b = 0; b < 6; ++b) {
+      std::vector<KV> batch;
+      const uint64_t n = rng.NextBounded(48) + 1;
+      for (uint64_t i = 0; i < n; ++i) {
+        batch.push_back({"key" + std::to_string(rng.NextBounded(150)),
+                         V("v" + std::to_string(rng.Next()))});
+        keys.push_back(batch.back().key);
+      }
+      std::vector<crypto::Digest> digests;
+      for (const KV& kv : batch) {
+        digests.push_back(crypto::Sha256::Hash(kv.key));
+      }
+      std::vector<MerkleTree::Write> without, with_all, with_some;
+      for (size_t i = 0; i < batch.size(); ++i) {
+        without.push_back({&batch[i].key, &batch[i].value, b});
+        with_all.push_back({&batch[i].key, &batch[i].value, b, &digests[i]});
+        with_some.push_back({&batch[i].key, &batch[i].value, b,
+                             i % 2 == 0 ? &digests[i] : nullptr});
+      }
+      plain.PutBatch(without);
+      all.PutBatch(with_all);
+      some.PutBatch(with_some);
+      ASSERT_EQ(all.RootDigest(), plain.RootDigest()) << "batch " << b;
+      ASSERT_EQ(some.RootDigest(), plain.RootDigest()) << "batch " << b;
+      for (const std::string& key : keys) {
+        EXPECT_EQ(EncodedProof(all, key), EncodedProof(plain, key))
+            << key << " after batch " << b;
+        EXPECT_EQ(EncodedProof(some, key), EncodedProof(plain, key))
+            << key << " after batch " << b;
+      }
+    }
+  }
+}
+
 TEST(MerklePutBatchTest, EmptyBatchChangesNothing) {
   MerkleTree tree(8);
   tree.Put("k", V("v"), 0);

@@ -317,10 +317,10 @@ TEST(ProposalLogGoldenTest, LogsAndResultsMatchPinnedHashes) {
   const GoldenCase cases[] = {
       {"pbft", ConsensusKind::kPbft,
        "57bd36507162378e6b9346c449ce1f1398604b89808b97ffc48d913617785fd8",
-       "51303397d3db5a325092160c970d9178efc9638bad3d88e913a7c2744f882fc9"},
+       "fc5fd87a649d7e6f0cf7d41fea0ce59ab2b82de6456c87b02a830a1c60f3c3c3"},
       {"linear_vote", ConsensusKind::kLinearVote,
        "3b5cde197fc9830cbfe6acb1410ba516380f56358b12ba9709ae6968ea5f906c",
-       "0a42796de3ef1d37dfaece650e8526323b3707accbc8976f8a3ceaee85850ef8"},
+       "1f0fc6a340a93502694ee633233ac8dd6859aa4c7189ea1b282fca96ab02963d"},
   };
   for (const GoldenCase& c : cases) {
     SCOPED_TRACE(c.name);

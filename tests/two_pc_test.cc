@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <optional>
@@ -323,6 +324,83 @@ TEST(TwoPcTest, VoteFromNonParticipantIsNotCounted) {
   }
   for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
     EXPECT_NE(ToString(fx.system->node(0, i)->store().Get(k0)->value),
+              "forged")
+        << "replica " << i;
+  }
+}
+
+// A commit record decides a transaction only with its coordinator's
+// certificate. Partition 0 coordinates a write to partitions 0 and 1,
+// and partition 1's votes never reach it. A record claiming commit,
+// carrying a genuine certificate of partition 2's log tail, used to
+// decide the pending transaction at partition 1: every replica there
+// wrote the value, and partition 0 never committed.
+TEST(TwoPcTest, CommitRecordWithANonCoordinatorCertificateIsIgnored) {
+  Fixture fx;
+  Key k0 = fx.KeyIn(0), k1 = fx.KeyIn(1);
+
+  CommitReplyProbe probe;
+  const sim::ActorId probe_id = fx.config.ClientNode(1000);
+  fx.system->env().network().Register(probe_id, /*site=*/0, &probe);
+  fx.system->env().network().SetLinkFilter(
+      [&](sim::ActorId, sim::ActorId to, const sim::MessagePtr& msg) {
+        return !(static_cast<wire::MessageType>(msg->type()) ==
+                     wire::MessageType::kPrepared &&
+                 fx.config.PartitionOfNode(static_cast<crypto::NodeId>(to)) ==
+                     0);
+      });
+
+  Transaction txn;
+  txn.id = MakeTxnId(9999, 3);
+  txn.write_set = {WriteOp{k0, ToBytes("forged")},
+                   WriteOp{k1, ToBytes("forged")}};
+  txn.participants = fx.pmap.ParticipantsOf(txn.read_set, txn.write_set);
+  txn.coordinator = 0;
+  ASSERT_EQ(txn.participants, (std::vector<PartitionId>{0, 1}));
+  fx.system->env().Schedule(sim::Millis(30), [&] {
+    wire::CommitRequest req;
+    req.reply_to = probe_id;
+    req.txn = txn;
+    fx.system->env().network().Send(probe_id, fx.config.LeaderOf(0, 0),
+                                    wire::ShareMsg(std::move(req)));
+  });
+
+  // Once partition 1 has logged the prepare, decide it with partition
+  // 2's newest certificate.
+  fx.system->env().Schedule(sim::Millis(200), [&] {
+    bool prepared = false;
+    const auto& participant_log = fx.system->node(1, 0)->log();
+    for (BatchId b = 0; b <= participant_log.LastBatchId(); ++b) {
+      const storage::Batch& batch = participant_log.Get(b).value()->batch;
+      for (const Transaction& t : batch.prepared) {
+        prepared = prepared || t.id == txn.id;
+      }
+    }
+    ASSERT_TRUE(prepared) << "partition 1 did not prepare in time";
+    const auto& log = fx.system->node(2, 0)->log();
+    ASSERT_FALSE(log.empty());
+    wire::CommitRecordMsg record;
+    record.txn_id = txn.id;
+    record.commit = true;
+    for (PartitionId p : txn.participants) {
+      storage::PreparedInfo info;
+      info.partition = p;
+      info.prepared_in_batch = log.LastBatchId();
+      info.vote = true;
+      info.cd_vector = log.back().batch.ro.cd_vector;
+      record.participant_info.push_back(std::move(info));
+    }
+    record.proof = log.back().certificate;
+    fx.system->env().network().Send(probe_id, fx.config.LeaderOf(1, 0),
+                                    wire::ShareMsg(std::move(record)));
+  });
+  fx.system->env().RunUntil(sim::Seconds(1));
+
+  for (const wire::CommitReply& reply : probe.replies) {
+    EXPECT_FALSE(reply.committed) << "committed without partition 1's vote";
+  }
+  for (uint32_t i = 0; i < fx.config.replicas_per_cluster(); ++i) {
+    EXPECT_NE(ToString(fx.system->node(1, i)->store().Get(k1)->value),
               "forged")
         << "replica " << i;
   }
@@ -871,6 +949,195 @@ TEST_P(DecidedAcrossViewChangeTest, CommitRecordStillApplyingIsNotRetried) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, DecidedAcrossViewChangeTest,
+    ::testing::Values(core::ConsensusKind::kPbft,
+                      core::ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+// ---------------------------------------------------------------------------
+// Votes and commit records leave when their batch decides
+// ---------------------------------------------------------------------------
+
+// Two partitions and one two-partition write at 30 ms, the client's first
+// transaction (txn seq 1, odd), so partition 1 coordinates and partition
+// 0 participates. Every apply charge is inflated, so a decided batch
+// stays unapplied long after its 2PC legs could have crossed the 1 ms
+// inter-site link.
+class TwoPcLegsTest : public ::testing::TestWithParam<core::ConsensusKind> {
+ protected:
+  void Start(sim::Time apply_per_txn, sim::Time client_timeout) {
+    config_.num_partitions = 2;
+    config_.f = 1;
+    config_.consensus_kind = GetParam();
+    config_.batch_interval = sim::Millis(5);
+    config_.merkle_depth = 8;
+    config_.cost.apply_per_txn = apply_per_txn;
+    config_.client_timeout = client_timeout;
+    sim::EnvironmentOptions env_opts;
+    env_opts.seed = 5;
+    env_opts.inter_site_latency = sim::Millis(1);
+    system_ = std::make_unique<System>(config_, env_opts);
+    workload::WorkloadOptions wopts;
+    wopts.num_keys = 200;
+    wopts.value_size = 8;
+    data_ = workload::KeySpace(wopts, 2).InitialData();
+    system_->Preload(data_);
+    system_->Start();
+
+    storage::PartitionMap pmap(2);
+    for (PartitionId p : {0u, 1u}) {
+      auto it = std::find_if(data_.begin(), data_.end(), [&](const auto& kv) {
+        return pmap.OwnerOf(kv.first) == p;
+      });
+      ASSERT_NE(it, data_.end()) << "no key in partition " << p;
+      writes_.push_back(
+          WriteOp{it->first, ToBytes("write" + std::to_string(p))});
+    }
+    Client* client = system_->AddClient();
+    system_->env().Schedule(sim::Millis(30), [this, client] {
+      client->ExecuteReadWrite({}, writes_,
+                               [this](RwResult r) { result_ = std::move(r); });
+    });
+  }
+
+  SystemConfig config_;
+  std::unique_ptr<System> system_;
+  std::vector<std::pair<Key, Value>> data_;
+  std::vector<WriteOp> writes_;  // Partition 0's, then partition 1's.
+  std::optional<RwResult> result_;
+};
+
+// The participant's yes-vote and the coordinator's commit record each
+// leave their sender's leader before it applies the batch that carries
+// them. Each is checked when it is sent and again 10 ms later, longer
+// than it takes to cross the link: the sender still has not applied the
+// batch. Sent at apply, both left only once the 200 ms charge ended.
+TEST_P(TwoPcLegsTest, VoteAndRecordLeaveAtDecide) {
+  Start(/*apply_per_txn=*/sim::Millis(200), /*client_timeout=*/sim::Seconds(2));
+  struct Leg {
+    const core::TransEdgeNode* sender;
+    BatchId carried;
+    bool applied_at_send;
+    bool applied_after_crossing = false;
+  };
+  std::vector<Leg> votes, records;
+  system_->env().network().SetLinkFilter(
+      [this, &votes, &records](sim::ActorId from, sim::ActorId,
+                               const sim::MessagePtr& msg) {
+        const auto node = static_cast<crypto::NodeId>(from);
+        if (node >= config_.total_replicas() ||
+            config_.ReplicaIndexOf(node) != 0) {
+          return true;  // Clients, and followers forwarding to a leader.
+        }
+        const core::TransEdgeNode* sender = system_->node(
+            config_.PartitionOfNode(node), config_.ReplicaIndexOf(node));
+        std::vector<Leg>* legs = nullptr;
+        BatchId carried = kNoBatch;
+        switch (static_cast<wire::MessageType>(msg->type())) {
+          case wire::MessageType::kPrepared:
+            legs = &votes;
+            carried = static_cast<const wire::PreparedMsg&>(*msg)
+                          .info.prepared_in_batch;
+            break;
+          case wire::MessageType::kCommitRecord:
+            legs = &records;
+            carried =
+                static_cast<const wire::CommitRecordMsg&>(*msg).proof.batch_id;
+            break;
+          default:
+            return true;
+        }
+        legs->push_back({sender, carried, sender->last_applied() >= carried});
+        const size_t index = legs->size() - 1;
+        system_->env().Schedule(sim::Millis(10), [legs, index] {
+          Leg& leg = (*legs)[index];
+          leg.applied_after_crossing =
+              leg.sender->last_applied() >= leg.carried;
+        });
+        return true;
+      });
+  system_->env().RunUntil(sim::Seconds(3));
+
+  ASSERT_TRUE(result_.has_value()) << "client never answered";
+  EXPECT_TRUE(result_->committed) << result_->reason;
+  ASSERT_FALSE(votes.empty()) << "no vote left the participant's leader";
+  ASSERT_FALSE(records.empty()) << "no record left the coordinator's leader";
+  for (const std::vector<Leg>* legs : {&votes, &records}) {
+    for (const Leg& leg : *legs) {
+      SCOPED_TRACE(legs == &votes ? "vote" : "commit record");
+      EXPECT_FALSE(leg.applied_at_send) << "sent at apply";
+      EXPECT_FALSE(leg.applied_after_crossing)
+          << "applied before the leg crossed the link";
+    }
+  }
+  for (const Leg& leg : votes) {
+    EXPECT_EQ(leg.sender->partition(), 0u);
+    EXPECT_EQ(leg.sender->view(), 0u);
+  }
+  for (const Leg& leg : records) {
+    EXPECT_EQ(leg.sender->partition(), 1u);
+    EXPECT_EQ(leg.sender->view(), 0u);
+  }
+  for (uint32_t i = 0; i < config_.replicas_per_cluster(); ++i) {
+    EXPECT_EQ(ToString(system_->node(0, i)->store().Get(writes_[0].key)->value),
+              "write0")
+        << "replica " << i;
+  }
+}
+
+// The coordinator's leader crashes after it decided the batch that holds
+// the commit record and before that batch applied. The record has left:
+// every replica of the participant writes the value and drains its commit
+// queue. Sent at apply, the record never left. The next leader would have
+// applied the batch while still a follower, since the 50 ms charge ends
+// long before a 300 ms view-change timeout, so the participant's group
+// stayed pending for good.
+TEST_P(TwoPcLegsTest, CoordinatorLeaderCrashBetweenDecideAndApply) {
+  Start(/*apply_per_txn=*/sim::Millis(50), /*client_timeout=*/sim::Seconds(30));
+  const core::TransEdgeNode* coordinator_leader = system_->node(1, 0);
+  BatchId record_batch = kNoBatch;
+  bool unapplied_at_crash = false;
+  std::function<void()> poll = [&] {
+    const storage::SmrLog& log = coordinator_leader->log();
+    if (!log.empty() && !log.back().batch.committed.empty()) {
+      record_batch = log.LastBatchId();
+      EXPECT_EQ(log.back().batch.committed.front().coordinator, 1u);
+      unapplied_at_crash = coordinator_leader->last_applied() < record_batch;
+      system_->CrashReplica(coordinator_leader->id());
+      return;
+    }
+    system_->env().Schedule(sim::Millis(1), poll);
+  };
+  system_->env().Schedule(sim::Millis(30), poll);
+  system_->env().RunUntil(sim::Seconds(5));
+
+  ASSERT_NE(record_batch, kNoBatch) << "no commit record was decided";
+  ASSERT_TRUE(unapplied_at_crash) << "the record's batch applied first";
+  for (uint32_t i = 0; i < config_.replicas_per_cluster(); ++i) {
+    SCOPED_TRACE("participant replica " + std::to_string(i));
+    const core::TransEdgeNode* node = system_->node(0, i);
+    EXPECT_EQ(ToString(node->store().Get(writes_[0].key)->value), "write0");
+    // The commit queue, read from the log: every prepared transaction has
+    // its commit record.
+    std::map<TxnId, int> open;
+    const storage::SmrLog& log = node->log();
+    for (BatchId b = log.FirstBatchId(); b <= log.LastBatchId(); ++b) {
+      const storage::Batch& batch = log.Get(b).value()->batch;
+      for (const Transaction& t : batch.prepared) ++open[t.id];
+      for (const storage::CommitRecord& rec : batch.committed) {
+        --open[rec.txn_id];
+      }
+    }
+    for (const auto& [txn_id, count] : open) {
+      EXPECT_EQ(count, 0) << "txn " << txn_id << " still pending";
+    }
+    EXPECT_FALSE(open.empty()) << "nothing was prepared";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, TwoPcLegsTest,
     ::testing::Values(core::ConsensusKind::kPbft,
                       core::ConsensusKind::kLinearVote),
     [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {

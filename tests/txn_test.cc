@@ -341,7 +341,10 @@ TEST(ForEachBatchWriteTest, ResolvesEachRecordInTheGroupItNames) {
   batch.local.push_back(MakeTxn(10, {}, {"l"}));
   batch.committed = {Rec(1, 3), Rec(2, 3, false), Rec(3, 5)};
   std::vector<Key> written;
-  auto collect = [&](const WriteOp& w) { written.push_back(w.key); };
+  auto collect = [&](const WriteOp& w, const crypto::Digest& key_digest) {
+    EXPECT_EQ(key_digest, crypto::Sha256::Hash(w.key)) << w.key;
+    written.push_back(w.key);
+  };
   ASSERT_TRUE(
       storage::ForEachBatchWrite(batch, pmap, 0, in_groups, collect).ok());
   // Local first, then committing records in order; the abort writes
