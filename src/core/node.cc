@@ -197,6 +197,9 @@ const NodeStats& TransEdgeNode::stats() const {
   s.watch_deltas_pushed = watch_->stats().watch_deltas_pushed;
   s.watch_keys_pushed = watch_->stats().watch_keys_pushed;
   s.watch_resubscribe_errors = watch_->stats().watch_resubscribe_errors;
+  s.protocol_cpu = cpu_.time();
+  s.apply_cpu = apply_cpu_.time();
+  s.read_cpu = read_cpu_.time();
   return s;
 }
 
@@ -243,10 +246,35 @@ void TransEdgeNode::SendToCluster(PartitionId p, const sim::MessagePtr& msg,
 // Message routing
 // ---------------------------------------------------------------------------
 
+// Which worker runs a handler. A replica has three simulated workers: the
+// protocol CPU (`cpu_`), the apply worker (`apply_cpu_`, apply charges
+// only) and the read worker (`read_cpu_`). A handler that the replica
+// serves itself, that reads only state at or below last_applied(), and
+// that writes no consensus, admission or 2PC state runs on the read
+// worker: no protocol step rewrites applied, certified state, so it need
+// not queue behind a seal or a re-validation (PBFT's read-only
+// optimisation, Castro and Liskov, OSDI 1999). CompleteApply runs the
+// read tier's apply follow-ups there too. Everything else stays on the
+// protocol CPU: forwarding a leader-bound message (OnMessage), Augustus
+// reads, whose locks are admission state (BatchPipeline checks them),
+// and all protocol work.
+sim::CpuMeter& TransEdgeNode::WorkerFor(wire::MessageType type) {
+  using wire::MessageType;
+  switch (type) {
+    case MessageType::kClientRead:
+    case MessageType::kRoRequest:
+    case MessageType::kRoBatchRequest:
+    case MessageType::kWatchSubscribe:
+    case MessageType::kWatchUnsubscribe:
+      return read_cpu_;
+    default:
+      return cpu_;
+  }
+}
+
 void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
   if (halted_) return;
   if (byzantine_ == ByzantineBehavior::kCrash) return;
-  Charge(config_.cost.message_handling);
 
   using wire::MessageType;
   auto type = static_cast<MessageType>(msg->type());
@@ -263,7 +291,10 @@ void TransEdgeNode::OnMessage(sim::ActorId from, const sim::MessagePtr& msg) {
       type == MessageType::kAugustusRoRequest ||
       type == MessageType::kAugustusRelease ||
       type == MessageType::kWatchSubscribe;
-  if (leader_bound && !IsLeader()) {
+  const bool forward = leader_bound && !IsLeader();
+  WorkerScope scope(this, forward ? &cpu_ : &WorkerFor(type));
+  Charge(config_.cost.message_handling);
+  if (forward) {
     Send(config_.LeaderOf(partition_, consensus_->view()), msg,
          cpu_.busy_until());
     // Expect the leader to make progress on the forwarded work; if the
@@ -470,6 +501,8 @@ void TransEdgeNode::CompleteApply(BatchId id, const std::vector<Key>& written) {
   // read-only work, watch pushes.
   pipeline_->OnBatchApplied(logged.batch);
   two_pc_->OnBatchApplied(logged.batch, logged.certificate);
+  // The read tier's follow-ups run on the read worker (WorkerFor).
+  WorkerScope scope(this, &read_cpu_);
   read_only_->ServeParkedRequests();
   watch_->OnBatchApplied(logged, written);
 

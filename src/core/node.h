@@ -60,6 +60,11 @@ struct NodeStats {
   /// batches_decided this is the engines' message-complexity axis
   /// (bench_consensus_compare).
   uint64_t consensus_msgs_sent = 0;
+  /// Busy and wait time of the replica's three simulated workers: the
+  /// protocol CPU, the apply worker and the read worker.
+  sim::CpuTime protocol_cpu;
+  sim::CpuTime apply_cpu;
+  sim::CpuTime read_cpu;
 };
 
 /// One TransEdge replica (one edge node).
@@ -151,9 +156,9 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   ByzantineBehavior byzantine() const override { return byzantine_; }
   sim::Time now() const override { return env_->now(); }
   sim::Time Charge(sim::Time cost) override {
-    return cpu_.Charge(env_->now(), cost);
+    return worker_->Charge(env_->now(), cost);
   }
-  sim::Time busy_until() const override { return cpu_.busy_until(); }
+  sim::Time busy_until() const override { return worker_->busy_until(); }
   void Schedule(sim::Time delay, std::function<void()> fn) override {
     // Every engine timer routes through here; the halt gate turns them
     // all into no-ops so a parked replica never acts again even though
@@ -209,6 +214,27 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   /// watch push.
   void CompleteApply(BatchId id, const std::vector<Key>& written);
 
+  /// The worker that runs a message handler this replica serves itself
+  /// (the rule is in node.cc).
+  sim::CpuMeter& WorkerFor(wire::MessageType type);
+
+  /// Books every charge made during its lifetime on `worker`, then
+  /// restores the worker it replaced.
+  class WorkerScope {
+   public:
+    WorkerScope(TransEdgeNode* node, sim::CpuMeter* worker)
+        : node_(node), saved_(node->worker_) {
+      node->worker_ = worker;
+    }
+    ~WorkerScope() { node_->worker_ = saved_; }
+    WorkerScope(const WorkerScope&) = delete;
+    WorkerScope& operator=(const WorkerScope&) = delete;
+
+   private:
+    TransEdgeNode* node_;
+    sim::CpuMeter* saved_;
+  };
+
   /// Charges the protocol CPU for the backend's WAL and recovery I/O
   /// since the last call (CostModel wal_append, disk_fsync for WAL syncs,
   /// page_read, wal_read). Checkpoint page writes and page-file syncs are
@@ -225,7 +251,14 @@ class TransEdgeNode : public sim::Actor, private NodeContext {
   storage::PartitionMap partition_map_;
   std::vector<crypto::NodeId> cluster_members_;
 
+  /// The protocol CPU: consensus, admission, 2PC, forwarding, Augustus
+  /// reads and storage I/O.
   sim::CpuMeter cpu_;
+  /// The read worker: the read tier's handlers and apply follow-ups,
+  /// which read only applied, certified state (node.cc, WorkerFor).
+  sim::CpuMeter read_cpu_;
+  /// The worker `Charge` books on: `cpu_` outside a WorkerScope.
+  sim::CpuMeter* worker_ = &cpu_;
   ByzantineBehavior byzantine_ = ByzantineBehavior::kNone;
   bool halted_ = false;
 

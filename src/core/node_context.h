@@ -66,8 +66,12 @@ class NodeContext {
 
   // --- Simulated clock & CPU ---------------------------------------------
   virtual sim::Time now() const = 0;
-  /// Books `cost` on the replica's single CPU; returns completion time.
+  /// Books `cost` on the worker that runs the current handler, and
+  /// returns its completion time: the read worker for the read tier, the
+  /// protocol CPU for everything else. The node picks the worker
+  /// (TransEdgeNode::WorkerFor); engines never name one.
   virtual sim::Time Charge(sim::Time cost) = 0;
+  /// Completion time of all work booked on that same worker.
   virtual sim::Time busy_until() const = 0;
   virtual void Schedule(sim::Time delay, std::function<void()> fn) = 0;
 

@@ -27,21 +27,38 @@ constexpr double ToSeconds(Time t) {
   return static_cast<double>(t) / 1000000.0;
 }
 
+/// What a CpuMeter has booked so far: `busy` sums the cost of every
+/// charge, and `wait` sums the time each charge waited for the work
+/// booked before it to finish.
+struct CpuTime {
+  Time busy = 0;
+  Time wait = 0;
+};
+
 /// Models a single-threaded server core: work is serialized, so a burst
 /// of messages queues behind the busy CPU. `Charge` books `cost` units of
 /// work arriving at `now` and returns the completion time.
 class CpuMeter {
  public:
   Time Charge(Time now, Time cost) {
-    busy_until_ = (busy_until_ > now ? busy_until_ : now) + cost;
+    const Time start = busy_until_ > now ? busy_until_ : now;
+    // A zero-cost charge only pins the clock: it does no work and waits
+    // for none.
+    if (cost > 0) {
+      time_.busy += cost;
+      time_.wait += start - now;
+    }
+    busy_until_ = start + cost;
     return busy_until_;
   }
 
   /// Completion time of all booked work.
   Time busy_until() const { return busy_until_; }
+  const CpuTime& time() const { return time_; }
 
  private:
   Time busy_until_ = 0;
+  CpuTime time_;
 };
 
 }  // namespace transedge::sim

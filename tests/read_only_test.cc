@@ -1,10 +1,13 @@
 // Read-only protocol tests: Algorithm 2 (dependency verification), the
 // targeted second round, Merkle-authenticated responses, parked requests,
-// the two-round guarantee (Theorem 4.6), and failover: rotated leaders
-// and followers that answer reads themselves.
+// the two-round guarantee (Theorem 4.6), failover: rotated leaders and
+// followers that answer reads themselves, and the read worker that keeps
+// reads from queueing behind batch work.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -18,6 +21,7 @@ namespace transedge {
 namespace {
 
 using core::Client;
+using core::CostModel;
 using txn::ComputeUnsatisfiedDependencies;
 using txn::RoPartitionView;
 using core::RoResult;
@@ -754,6 +758,209 @@ TEST_P(ReadOnlyViewTest, ParkedRoundTwoOnAFollowerSurvivesAViewChange) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, ReadOnlyViewTest,
+    ::testing::Values(core::ConsensusKind::kPbft,
+                      core::ConsensusKind::kLinearVote),
+    [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {
+      return std::string(core::ConsensusKindName(info.param));
+    });
+
+// --- The read worker -----------------------------------------------------------
+//
+// The read tier runs on its own simulated worker beside the protocol CPU,
+// so a certified read never queues behind a batch seal or a re-validation.
+
+// Records when each round-1 or read-phase reply arrives, by request id.
+struct TimedReplyProbe : sim::Actor {
+  sim::Environment* env = nullptr;
+  std::map<uint64_t, sim::Time> arrived;
+  void OnMessage(sim::ActorId, const sim::MessagePtr& msg) override {
+    switch (static_cast<wire::MessageType>(msg->type())) {
+      case wire::MessageType::kRoReply:
+        arrived[static_cast<const wire::RoReply&>(*msg).request_id] =
+            env->now();
+        break;
+      case wire::MessageType::kClientReadReply:
+        arrived[static_cast<const wire::ClientReadReply&>(*msg).request_id] =
+            env->now();
+        break;
+      default:
+        break;
+    }
+  }
+};
+
+class ReadWorkerTest : public ::testing::TestWithParam<core::ConsensusKind> {
+ protected:
+  // One partition of f = 1 whose batches cost 10 ms to seal and to
+  // re-validate, preloaded and started.
+  void SetUp() override {
+    config_.num_partitions = 1;
+    config_.f = 1;
+    config_.consensus_kind = GetParam();
+    config_.merkle_depth = 8;
+    config_.cost.batch_overhead = sim::Millis(10);
+    sim::EnvironmentOptions env_opts;
+    env_opts.seed = 9;
+    system_ = std::make_unique<System>(config_, env_opts);
+    workload::WorkloadOptions wopts;
+    wopts.num_keys = 100;
+    wopts.value_size = 8;
+    data_ = workload::KeySpace(wopts, 1).InitialData();
+    system_->Preload(data_);
+    system_->Start();
+    probe_.env = &system_->env();
+    probe_id_ = config_.ClientNode(1000);
+    system_->env().network().Register(probe_id_, /*site=*/0, &probe_);
+  }
+
+  // Sends replica `index` of partition 0 a round-1 read of `keys`.
+  void SendRoRequest(uint32_t index, uint64_t request_id,
+                     std::vector<Key> keys) {
+    wire::RoRequest request;
+    request.request_id = request_id;
+    request.reply_to = probe_id_;
+    request.keys = std::move(keys);
+    system_->env().network().Send(probe_id_, config_.ReplicaNode(0, index),
+                                  wire::ShareMsg(std::move(request)));
+  }
+
+  // Sends replica `index` of partition 0 a read-phase read of `key`.
+  void SendClientRead(uint32_t index, uint64_t request_id, const Key& key) {
+    wire::ClientReadRequest request;
+    request.request_id = request_id;
+    request.reply_to = probe_id_;
+    request.key = key;
+    system_->env().network().Send(probe_id_, config_.ReplicaNode(0, index),
+                                  wire::ShareMsg(std::move(request)));
+  }
+
+  SystemConfig config_;
+  std::unique_ptr<System> system_;
+  std::vector<std::pair<Key, Value>> data_;
+  TimedReplyProbe probe_;
+  sim::ActorId probe_id_ = 0;
+};
+
+// Closed-loop writers keep the leader sealing and the followers
+// re-validating, each pass holding the protocol CPU for 10 ms. For 300 ms
+// a probe sends a round-1 read every millisecond to the leader and to a
+// follower, and half a millisecond later a read-phase read to each. Every
+// reply arrives within two link latencies plus its own serve charge:
+// none waits for batch work.
+TEST_P(ReadWorkerTest, RepliesDoNotWaitForBatchWork) {
+  sim::Environment& env = system_->env();
+  bool stop = false;
+  std::vector<std::function<void()>> writers(4);
+  for (size_t i = 0; i < writers.size(); ++i) {
+    Client* client = system_->AddClient();
+    const Key key = data_[i].first;
+    writers[i] = [&, client, key, i] {
+      if (stop) return;
+      client->ExecuteReadWrite({}, {WriteOp{key, ToBytes("w")}},
+                               [&, i](RwResult) { writers[i](); });
+    };
+    env.Schedule(sim::Millis(10), [&, i] { writers[i](); });
+  }
+
+  const CostModel& cost = config_.cost;
+  const sim::Time link =
+      env.options().intra_site_latency + env.options().latency_jitter;
+  const sim::Time ro_charge =
+      cost.message_handling + cost.ro_serve_per_key + cost.signature_op;
+  const sim::Time read_charge = cost.message_handling + cost.ro_serve_per_key;
+  struct Sent {
+    sim::Time at;
+    sim::Time budget;
+  };
+  std::map<uint64_t, Sent> sent;
+  const Key key = data_[0].first;
+  const sim::Time start = sim::Millis(200);
+  uint64_t next_id = 1;
+  for (sim::Time t = start; t < start + sim::Millis(300); t += sim::Millis(1)) {
+    for (uint32_t index : {0u, 1u}) {
+      const uint64_t ro_id = next_id++;
+      const uint64_t read_id = next_id++;
+      sent[ro_id] = {t, 2 * link + ro_charge};
+      sent[read_id] = {t + sim::Micros(500), 2 * link + read_charge};
+      env.ScheduleAt(t, [=, this] { SendRoRequest(index, ro_id, {key}); });
+      env.ScheduleAt(t + sim::Micros(500),
+                     [=, this] { SendClientRead(index, read_id, key); });
+    }
+  }
+  env.RunUntil(start);
+  const uint64_t decided_before =
+      system_->node(0, 1)->stats().batches_decided;
+  env.RunUntil(start + sim::Millis(320));
+  stop = true;
+
+  // The writers kept batch work on both replicas' protocol CPUs.
+  EXPECT_GE(system_->node(0, 1)->stats().batches_decided - decided_before,
+            8u);
+  ASSERT_EQ(probe_.arrived.size(), sent.size());
+  for (const auto& [id, s] : sent) {
+    const sim::Time took = probe_.arrived.at(id) - s.at;
+    EXPECT_LE(took, s.budget) << "request " << id << " sent at " << s.at;
+  }
+}
+
+// The read worker carries exactly the read tier's charges. N round-1
+// reads of k keys book N (message handling + k serves + one signature)
+// on the read worker of the replica that serves them and nothing on its
+// protocol CPU, and a watch push books its serve and send charges on the
+// leader's read worker.
+TEST_P(ReadWorkerTest, ReadsAndPushesBookOnlyTheReadWorker) {
+  sim::Environment& env = system_->env();
+  Client* writer = system_->AddClient();
+  const Key hot = data_[0].first;
+  std::optional<RwResult> write;
+  writer->ExecuteReadWrite({}, {WriteOp{hot, ToBytes("first")}},
+                           [&](RwResult r) { write = std::move(r); });
+  env.RunUntil(sim::Millis(300));
+  ASSERT_TRUE(write.has_value() && write->committed);
+
+  const CostModel& cost = config_.cost;
+  constexpr uint64_t kReads = 10;
+  const std::vector<Key> keys = {data_[1].first, data_[2].first,
+                                 data_[3].first};
+  for (uint32_t index : {0u, 2u}) {
+    SCOPED_TRACE("replica " + std::to_string(index));
+    const core::TransEdgeNode* node = system_->node(0, index);
+    const core::NodeStats before = node->stats();
+    for (uint64_t i = 0; i < kReads; ++i) SendRoRequest(index, i, keys);
+    env.RunUntil(env.now() + sim::Millis(50));
+    const core::NodeStats after = node->stats();
+    EXPECT_EQ(after.ro_round1_served - before.ro_round1_served, kReads);
+    EXPECT_EQ(after.read_cpu.busy - before.read_cpu.busy,
+              static_cast<sim::Time>(kReads) *
+                  (cost.message_handling +
+                   static_cast<sim::Time>(keys.size()) *
+                       cost.ro_serve_per_key +
+                   cost.signature_op));
+    EXPECT_EQ(after.protocol_cpu.busy, before.protocol_cpu.busy);
+  }
+
+  // A watcher of the whole range is seeded, then one write pushes it one
+  // delta of one key from the leader.
+  core::WatchClient* watcher = system_->AddWatchClient();
+  watcher->Watch("k", "k~");
+  env.RunUntil(env.now() + sim::Millis(100));
+  ASSERT_EQ(watcher->stats().seeds_applied, 1u);
+  const core::TransEdgeNode* leader = system_->node(0, 0);
+  const core::NodeStats before = leader->stats();
+  write.reset();
+  writer->ExecuteReadWrite({}, {WriteOp{hot, ToBytes("second")}},
+                           [&](RwResult r) { write = std::move(r); });
+  env.RunUntil(env.now() + sim::Millis(200));
+  ASSERT_TRUE(write.has_value() && write->committed);
+  const core::NodeStats after = leader->stats();
+  ASSERT_EQ(after.watch_deltas_pushed - before.watch_deltas_pushed, 1u);
+  EXPECT_EQ(after.read_cpu.busy - before.read_cpu.busy,
+            cost.ro_serve_per_key + cost.message_handling);
+  EXPECT_GT(after.protocol_cpu.busy, before.protocol_cpu.busy);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, ReadWorkerTest,
     ::testing::Values(core::ConsensusKind::kPbft,
                       core::ConsensusKind::kLinearVote),
     [](const ::testing::TestParamInfo<core::ConsensusKind>& info) {

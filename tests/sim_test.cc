@@ -65,6 +65,16 @@ TEST(CpuMeterTest, SerializesWork) {
   EXPECT_EQ(cpu.Charge(100, 5), 105);  // Idle gap skipped.
 }
 
+TEST(CpuMeterTest, TotalsBusyAndWaitTime) {
+  CpuMeter cpu;
+  cpu.Charge(0, 10);
+  cpu.Charge(4, 10);   // Waits 6 behind the first job.
+  cpu.Charge(15, 0);   // A pin: no work, no wait.
+  cpu.Charge(100, 5);  // Idle CPU: no wait.
+  EXPECT_EQ(cpu.time().busy, 25);
+  EXPECT_EQ(cpu.time().wait, 6);
+}
+
 // --- Network -----------------------------------------------------------------
 
 struct Probe : Actor {
